@@ -26,7 +26,7 @@ use crate::AdversaryWorld;
 use smishing_core::curation::CurationOptions;
 use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing_intel::{
-    rung_of, BuildOptions, IntelHub, IntelSnapshot, Rung, RungCounts, SnapshotDelta, Triage,
+    rung_of, BuildOptions, IntelHub, IntelSnapshot, Query, Rung, RungCounts, SnapshotDelta, Triage,
     TriageConfig, TriageVerdict,
 };
 use smishing_obs::Obs;
@@ -230,9 +230,12 @@ impl DriftScorecard {
 
 /// Does the fresh snapshot answer any of the wave's probe URLs exactly?
 fn wave_visible(triage: &mut Triage, probe_urls: &[String]) -> bool {
-    probe_urls
-        .iter()
-        .any(|u| matches!(triage.query_url(u), TriageVerdict::Hit(_)))
+    probe_urls.iter().any(|u| {
+        matches!(
+            triage.answer(&Query::Url(u), None).verdict,
+            TriageVerdict::Hit(_)
+        )
+    })
 }
 
 /// Run the adversarial stream through the incremental epoch engine and
@@ -317,7 +320,11 @@ pub fn drift_scorecard(world: &World, opts: &DriftOptions, obs: &Obs) -> Option<
                 row.rotations += 1;
                 for m in &wave.messages {
                     let sender = m.sender.display_string();
-                    let v = triage.triage(Some(&sender), &m.text);
+                    let probe = Query::Msg {
+                        sender: Some(&sender),
+                        text: &m.text,
+                    };
+                    let v = triage.answer(&probe, None).verdict;
                     row.rungs.record(rung_of(&v, opts.threshold));
                     row.probes += 1;
                 }

@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smishing_core::pipeline::Pipeline;
 use smishing_intel::{
-    evaluate_triage, serve_workers, IntelHub, IntelSnapshot, ServeOptions, Triage, TriageConfig,
-    WorkerPlan,
+    evaluate_triage, serve_workers, verdict_label, IntelHub, IntelSnapshot, Query, ServeOptions,
+    Triage, TriageConfig, WorkerPlan,
 };
 use smishing_obs::{Obs, Tracer, TracerConfig};
 use smishing_types::AdversaryPlan;
@@ -159,69 +159,44 @@ fn closed_loop(
     let (mut hits, mut misses, mut near_hits, mut triaged) = (0u64, 0u64, 0u64, 0u64);
     for _ in 0..n {
         let roll: u32 = rng.gen_range(0..100);
-        if roll < 35 {
-            let q = &mix.hit_urls[rng.gen_range(0..mix.hit_urls.len())];
-            let mut tb = tracer.as_deref_mut().and_then(|tc| tc.begin(q));
-            let t = Instant::now();
-            let v = triage.query_url_traced(q, tb.as_mut());
-            let ns = t.elapsed().as_nanos() as u64;
-            lookup_ns.record(ns);
-            if let (Some(tc), Some(tb)) = (tracer.as_deref_mut(), tb) {
-                tc.exemplar(lu, tb.id(), ns);
-                tc.finish(tb.finish("hit"));
-            }
-            debug_assert!(v.attribution().is_some(), "seeded hit missed: {q}");
-            hits += u64::from(v.attribution().is_some());
+        let (pool, query_of): (&[String], fn(&str) -> Query<'_>) = if roll < 35 {
+            (&mix.hit_urls, |q| Query::Url(q))
         } else if roll < 45 {
-            let q = &mix.hit_senders[rng.gen_range(0..mix.hit_senders.len())];
-            let mut tb = tracer.as_deref_mut().and_then(|tc| tc.begin(q));
-            let t = Instant::now();
-            let v = triage.query_sender_traced(q, tb.as_mut());
-            let ns = t.elapsed().as_nanos() as u64;
-            lookup_ns.record(ns);
-            if let (Some(tc), Some(tb)) = (tracer.as_deref_mut(), tb) {
-                tc.exemplar(lu, tb.id(), ns);
-                tc.finish(tb.finish("hit"));
-            }
-            hits += u64::from(v.attribution().is_some());
+            (&mix.hit_senders, |q| Query::Sender(q))
         } else if roll < 80 {
-            let q = &mix.miss_urls[rng.gen_range(0..mix.miss_urls.len())];
-            let mut tb = tracer.as_deref_mut().and_then(|tc| tc.begin(q));
-            let t = Instant::now();
-            let v = triage.query_url_traced(q, tb.as_mut());
-            let ns = t.elapsed().as_nanos() as u64;
-            lookup_ns.record(ns);
-            if let (Some(tc), Some(tb)) = (tracer.as_deref_mut(), tb) {
-                tc.exemplar(lu, tb.id(), ns);
-                tc.finish(tb.finish("miss"));
-            }
-            misses += u64::from(v.attribution().is_none());
+            (&mix.miss_urls, |q| Query::Url(q))
         } else if roll < 90 && !mix.near_texts.is_empty() {
-            let q = &mix.near_texts[rng.gen_range(0..mix.near_texts.len())];
-            let mut tb = tracer.as_deref_mut().and_then(|tc| tc.begin(q));
-            let t = Instant::now();
-            let (v, candidates) = triage.query_near_traced(q, tb.as_mut());
-            let ns = t.elapsed().as_nanos() as u64;
-            near_ns.record(ns);
-            near_cand.record(candidates as u64);
-            if let (Some(tc), Some(tb)) = (tracer.as_deref_mut(), tb) {
-                tc.exemplar(ne, tb.id(), ns);
-                tc.finish(tb.finish("near"));
-            }
-            near_hits += u64::from(v.near().is_some());
+            (&mix.near_texts, |q| Query::Near(q))
         } else {
-            let q = &mix.texts[rng.gen_range(0..mix.texts.len())];
-            let mut tb = tracer.as_deref_mut().and_then(|tc| tc.begin(q));
-            let t = Instant::now();
-            let v = triage.triage_traced(None, q, tb.as_mut());
-            let ns = t.elapsed().as_nanos() as u64;
-            triage_ns.record(ns);
-            if let (Some(tc), Some(tb)) = (tracer.as_deref_mut(), tb) {
-                tc.exemplar(tr, tb.id(), ns);
-                tc.finish(tb.finish("triaged"));
+            (&mix.texts, |text| Query::Msg { sender: None, text })
+        };
+        let q = &pool[rng.gen_range(0..pool.len())];
+        let query = query_of(q);
+        let (hist, name) = match query {
+            Query::Url(_) | Query::Sender(_) => (&lookup_ns, lu),
+            Query::Near(_) => (&near_ns, ne),
+            Query::Msg { .. } => (&triage_ns, tr),
+        };
+        let mut tb = tracer.as_deref_mut().and_then(|tc| tc.begin(q));
+        let t = Instant::now();
+        let a = triage.answer(&query, tb.as_mut());
+        let ns = t.elapsed().as_nanos() as u64;
+        hist.record(ns);
+        if let (Some(tc), Some(tb)) = (tracer.as_deref_mut(), tb) {
+            tc.exemplar(name, tb.id(), ns);
+            tc.finish(tb.finish(verdict_label(&a.verdict)));
+        }
+        match query {
+            Query::Url(_) | Query::Sender(_) if a.verdict.attribution().is_some() => hits += 1,
+            Query::Url(_) | Query::Sender(_) => misses += 1,
+            Query::Near(_) => {
+                near_cand.record(a.candidates as u64);
+                near_hits += u64::from(a.verdict.near().is_some());
             }
-            triaged += 1;
-            black_box(v.score());
+            Query::Msg { .. } => {
+                triaged += 1;
+                black_box(a.verdict.score());
+            }
         }
     }
     (hits, misses, near_hits, triaged)
@@ -321,7 +296,7 @@ fn bench_intel_serve(c: &mut Criterion) {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % mix.hit_urls.len();
-            black_box(triage.query_url(&mix.hit_urls[i]))
+            black_box(triage.answer(&Query::Url(&mix.hit_urls[i]), None))
         })
     });
     // Same hit path through the serve plane's tail sampler (default
@@ -334,28 +309,29 @@ fn bench_intel_serve(c: &mut Criterion) {
             i = (i + 1) % mix.hit_urls.len();
             let q = &mix.hit_urls[i];
             let mut tb = tracer.begin(q);
-            let v = triage.query_url_traced(q, tb.as_mut());
+            let a = triage.answer(&Query::Url(q), tb.as_mut());
             if let Some(tb) = tb {
                 tracer.finish(tb.finish("hit"));
             }
-            black_box(v)
+            black_box(a)
         })
     });
     g.bench_function("lookup_miss_cached", |b| {
-        b.iter(|| black_box(triage.query_url(&mix.miss_urls[0])))
+        b.iter(|| black_box(triage.answer(&Query::Url(&mix.miss_urls[0]), None)))
     });
     g.bench_function("near_lookup", |b| {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % mix.near_texts.len();
-            black_box(triage.query_near(&mix.near_texts[i]))
+            black_box(triage.answer(&Query::Near(&mix.near_texts[i]), None))
         })
     });
     g.bench_function("triage_model", |b| {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % mix.texts.len();
-            black_box(triage.triage(None, &mix.texts[i]))
+            let text = &mix.texts[i];
+            black_box(triage.answer(&Query::Msg { sender: None, text }, None))
         })
     });
     g.finish();

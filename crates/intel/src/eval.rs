@@ -15,7 +15,7 @@
 
 use crate::hub::IntelHub;
 use crate::snapshot::IntelSnapshot;
-use crate::triage::{Triage, TriageConfig, TriageVerdict};
+use crate::triage::{Query, Triage, TriageConfig, TriageVerdict};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -227,7 +227,15 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
         } else {
             b_fn += 1;
         }
-        let v = triage.triage(Some(sender), text);
+        let v = triage
+            .answer(
+                &Query::Msg {
+                    sender: Some(sender),
+                    text,
+                },
+                None,
+            )
+            .verdict;
         if let TriageVerdict::Hit(a) = &v {
             infra_hits += 1;
             if let Some(truth) = a.truth_campaign {
@@ -250,7 +258,11 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
         if baseline.probability(&featurize(&h.text)) >= threshold {
             b_fp += 1;
         }
-        if triage.triage(None, &h.text).is_smishing(threshold) {
+        let ham = Query::Msg {
+            sender: None,
+            text: &h.text,
+        };
+        if triage.answer(&ham, None).verdict.is_smishing(threshold) {
             t_fp += 1;
         }
     }
@@ -272,13 +284,17 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
     let mut probe_rungs = RungCounts::default();
     for m in &world.probe_messages {
         let sender = m.sender.display_string();
+        let probe = Query::Msg {
+            sender: Some(&sender),
+            text: &m.text,
+        };
         if matches!(
-            exact_triage.triage(Some(&sender), &m.text),
+            exact_triage.answer(&probe, None).verdict,
             TriageVerdict::Hit(_)
         ) {
             probe_exact += 1;
         }
-        let v = triage.triage(Some(&sender), &m.text);
+        let v = triage.answer(&probe, None).verdict;
         if matches!(v, TriageVerdict::Hit(_)) || v.near().is_some() {
             probe_near += 1;
         }

@@ -116,6 +116,13 @@ impl IntelReader {
         self.cached.as_ref()
     }
 
+    /// The view the last [`current`](Self::current) call settled on,
+    /// without re-checking the epoch: for a caller that has just
+    /// refreshed and needs the snapshot borrowed beside its own state.
+    pub(crate) fn cached(&self) -> Option<&Arc<IntelSnapshot>> {
+        self.cached.as_ref()
+    }
+
     /// The epoch of the cached view (0 before the first successful
     /// [`current`](Self::current)).
     pub fn epoch_seen(&self) -> u64 {

@@ -29,12 +29,19 @@
 //!   (near-duplicate) match against the snapshot's `smishing-simindex`
 //!   SimHash tier when every exact pivot missed, or a model-only score.
 //!   Negative lookups — similarity misses included — go through a
-//!   bounded LRU cache that is invalidated on republish.
-//! * [`serve_lines`] / [`serve_session`] — the stdin/stdout line protocol
-//!   behind `smish serve`, instrumented through `smishing-obs` histograms
-//!   and carrying the introspection plane: tail-sampled request traces
+//!   bounded LRU cache that is invalidated on republish. Every request
+//!   is a [`Query`] (`Url`, `Sender`, `Near`, `Msg`; parsed by
+//!   [`Query::parse`]) answered by the one entry point
+//!   [`Triage::answer`], which returns an [`Answer`]: the verdict, the
+//!   near rung's candidate count, and whether the call absorbed a
+//!   republish.
+//! * [`serve_session`] — the stdin/stdout line protocol behind
+//!   `smish serve`, instrumented through `smishing-obs` histograms and
+//!   carrying the introspection plane: tail-sampled request traces
 //!   (`explain`, `traces`), a per-second time series (`timeseries`), and
-//!   store health (`health`).
+//!   store health (`health`). Input lines are capped at 64 KiB; a line
+//!   over the cap or not UTF-8 gets an `err` reply.
+//!   [`reply_line`] and [`explain`] are shared with `smish query`.
 //! * [`serve_workers`] — the same protocol over N triage workers with
 //!   bounded-queue admission control (overload sheds are counted, never
 //!   silent) and in-order reply reassembly, so multi-worker stdout stays
@@ -61,14 +68,13 @@ pub use eval::{evaluate_triage, rung_of, Rung, RungCounts, TriageEval};
 pub use hub::{IntelHub, IntelReader};
 pub use intern::{Interner, Sym};
 pub use serve::{
-    process_rss_bytes, serve_lines, serve_session, verdict_label, verdict_line, AdversaryGauge,
-    ServeOptions, ServeSession, ServeStats,
+    explain, process_rss_bytes, reply_line, serve_session, verdict_label, verdict_line,
+    AdversaryGauge, ServeOptions, ServeSession, ServeStats,
 };
 pub use snapshot::{
     record_keys, BuildOptions, IndexSizes, IntelEntry, IntelSnapshot, RecordKeys, SnapshotDelta,
 };
 pub use triage::{
-    Attribution, BatchQuery, BatchReply, MatchedKey, NearAttribution, Triage, TriageConfig,
-    TriageVerdict,
+    Answer, Attribution, MatchedKey, NearAttribution, Query, Triage, TriageConfig, TriageVerdict,
 };
 pub use workers::{serve_workers, WorkerPlan};

@@ -26,8 +26,10 @@
 //! Responses: `hit via=<pivot> key=<canonical> template=<id> ...`,
 //! `miss <kind> key=<canonical>`, `near score=<p> template=<id>
 //! hamming=<d> jaccard=<j> ...`, `triage score=<p> smishing=<bool>
-//! via=<index|near|model|none>`, or `err <reason>`. Latencies go into
-//! the `intel.serve.lookup_ns` / `intel.serve.triage_ns` /
+//! via=<index|near|model|none>`, or `err <reason>` — including `err
+//! invalid utf-8` and `err line too long` for a line that is not UTF-8
+//! or exceeds 64 KiB; the session keeps serving after either. Latencies
+//! go into the `intel.serve.lookup_ns` / `intel.serve.triage_ns` /
 //! `intel.serve.near_ns` histograms (plus the candidate-set sizes into
 //! `intel.serve.near_candidates`) and the `intel.serve.*` counters of
 //! the run report.
@@ -48,16 +50,19 @@
 //! [`serve_session`] answers inline on the calling thread. The
 //! multi-worker plane in [`crate::workers`] parses and classifies on a
 //! reader thread, fans queries out to N triage workers, and reassembles
-//! replies in sequence order — sharing [`SessionCore`] (accounting),
-//! `classify` (parsing), and `reply_for` (formatting) with this module
-//! so its stdout stays byte-identical to the sequential path. Requests
+//! replies in sequence order — sharing `LineReader` (input), `classify`
+//! (parsing), `answer_query` (the one timed [`Triage::answer`] call and
+//! its reply line) and [`SessionCore`] (accounting) with this module so
+//! its stdout stays byte-identical to the sequential path. Requests
 //! the bounded queue cannot admit are *shed*: no response line, but a
 //! `serve.shed` count surfaced in the `stats`/`health` verbs and the
 //! time-series ring (nothing is ever silently dropped).
 
-use crate::triage::{Triage, TriageVerdict};
-use smishing_obs::{Histogram, Obs, TimeRing, TraceBuilder, Tracer, TracerConfig, TsOutcome};
-use std::io::{BufRead, Write};
+use crate::triage::{Query, Triage, TriageVerdict};
+use smishing_obs::{
+    Histogram, Obs, TimeRing, Trace, TraceBuilder, Tracer, TracerConfig, TsOutcome,
+};
+use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -184,91 +189,142 @@ pub fn verdict_line(v: &TriageVerdict) -> String {
     }
 }
 
-/// Which triage ladder a query line drives. Classification happens once
-/// (sequential loop or worker-plane reader); the worker hop ships the
-/// kind over the channel instead of re-parsing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum QueryKind {
-    /// `url <raw>` — exact URL/domain ladder.
-    Url,
-    /// `sender <raw>` — exact sender/phone ladder.
-    Sender,
-    /// `near <text>` — similarity tier only.
-    Near,
-    /// `msg [<sender>|]<text>` — full triage ladder.
-    Msg,
+/// Longest request line served, newline excluded. A longer line is
+/// skipped up to its newline without being buffered and answered
+/// `err line too long`.
+pub(crate) const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Request lines off the wire, through one reused byte buffer capped at
+/// [`MAX_LINE_BYTES`]. Both execution modes read through it. It never
+/// asks the input for bytes past a line's newline, so a closed-loop
+/// client that sends line n+1 only after reply n is served without
+/// deadlock.
+pub(crate) struct LineReader<R> {
+    input: R,
+    buf: Vec<u8>,
 }
 
-impl QueryKind {
-    /// Name of the latency histogram this query kind is accounted into
-    /// (also the exemplar key sampled traces attach to).
-    pub(crate) fn hist_name(self) -> &'static str {
-        match self {
-            QueryKind::Url | QueryKind::Sender => "intel.serve.lookup_ns",
-            QueryKind::Near => "intel.serve.near_ns",
-            QueryKind::Msg => "intel.serve.triage_ns",
+impl<R: BufRead> LineReader<R> {
+    pub(crate) fn new(input: R) -> Self {
+        LineReader {
+            input,
+            buf: Vec::new(),
         }
+    }
+
+    /// The next line without its newline — `Err` with the reply reason
+    /// when it is not valid UTF-8 or over the cap — or `None` at EOF.
+    pub(crate) fn next_line(&mut self) -> io::Result<Option<Result<&str, &'static str>>> {
+        self.buf.clear();
+        let mut read_any = false;
+        let mut too_long = false;
+        loop {
+            let chunk = match self.input.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if chunk.is_empty() {
+                if !read_any {
+                    return Ok(None);
+                }
+                break;
+            }
+            read_any = true;
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let take = newline.unwrap_or(chunk.len());
+            if !too_long {
+                if self.buf.len() + take > MAX_LINE_BYTES {
+                    too_long = true;
+                    self.buf.clear();
+                } else {
+                    self.buf.extend_from_slice(&chunk[..take]);
+                }
+            }
+            self.input.consume(take + usize::from(newline.is_some()));
+            if newline.is_some() {
+                break;
+            }
+        }
+        if too_long {
+            return Ok(Some(Err("line too long")));
+        }
+        Ok(Some(
+            std::str::from_utf8(&self.buf).map_err(|_| "invalid utf-8"),
+        ))
     }
 }
 
 /// One classified request line.
-pub(crate) enum Parsed<'a> {
+pub(crate) enum Request<'a> {
     /// `quit` / `exit` — stop serving.
     Quit,
     /// A triage query, answerable by any worker.
-    Query(QueryKind),
-    /// An introspection verb, answered on the session (collector)
-    /// thread where the tracer/ring/stats live.
-    Verb(&'a str),
-    /// A value-taking command with no value: `err {cmd} needs a value`.
-    NeedsValue(&'a str),
-    /// `err unknown command {cmd}`.
-    Unknown(&'a str),
+    Query(Query<'a>),
+    /// An introspection verb and its argument, answered on the session
+    /// (collector) thread where the tracer/ring/stats live.
+    Verb(&'a str, &'a str),
+    /// A line answered `err {reason}` and counted under `errors`.
+    Malformed(String),
 }
 
-/// Classify one trimmed, non-empty request line (pre-split into command
-/// and trimmed rest). The single protocol grammar shared by the
-/// sequential loop and the worker-plane reader.
-pub(crate) fn classify<'a>(cmd: &'a str, rest: &str) -> Parsed<'a> {
-    match cmd {
-        "quit" | "exit" => Parsed::Quit,
-        "url" | "sender" | "near" | "explain" if rest.is_empty() => Parsed::NeedsValue(cmd),
-        "url" => Parsed::Query(QueryKind::Url),
-        "sender" => Parsed::Query(QueryKind::Sender),
-        "near" => Parsed::Query(QueryKind::Near),
-        "msg" => Parsed::Query(QueryKind::Msg),
-        "explain" | "traces" | "timeseries" | "health" | "sample" | "stats" => Parsed::Verb(cmd),
-        other => Parsed::Unknown(other),
+/// Classify one line as the [`LineReader`] returned it; `None` for a
+/// blank line. The single protocol grammar shared by the sequential
+/// loop and the worker plane. Also returns the trimmed line (empty for
+/// an unreadable one), which names the request in traces.
+pub(crate) fn classify<'a>(read: Result<&'a str, &'static str>) -> Option<(&'a str, Request<'a>)> {
+    let line = match read {
+        Ok(line) => line.trim(),
+        Err(reason) => return Some(("", Request::Malformed(reason.to_string()))),
+    };
+    if line.is_empty() {
+        return None;
     }
+    let (cmd, rest) = line.split_once(' ').unwrap_or((line, ""));
+    let rest = rest.trim();
+    let request = match cmd {
+        "quit" | "exit" => Request::Quit,
+        "url" | "sender" | "near" | "explain" if rest.is_empty() => {
+            Request::Malformed(format!("{cmd} needs a value"))
+        }
+        "explain" | "traces" | "timeseries" | "health" | "sample" | "stats" => {
+            Request::Verb(cmd, rest)
+        }
+        _ => match Query::parse(cmd, rest) {
+            Some(q) => Request::Query(q),
+            None => Request::Malformed(format!("unknown command {cmd}")),
+        },
+    };
+    Some((line, request))
 }
 
-/// Run one query inline (per-query snapshot refresh). The worker plane
-/// instead batches through [`Triage::query_batch_with`] to amortize the
-/// refresh; both paths reach the identical ladder code underneath.
-/// Returns the verdict plus the near candidate-set size (0 for
-/// non-`near` kinds).
-pub(crate) fn run_query(
-    triage: &mut Triage,
-    kind: QueryKind,
-    rest: &str,
-    trace: Option<&mut TraceBuilder>,
-) -> (TriageVerdict, usize) {
-    match kind {
-        QueryKind::Url => (triage.query_url_traced(rest, trace), 0),
-        QueryKind::Sender => (triage.query_sender_traced(rest, trace), 0),
-        QueryKind::Near => triage.query_near_traced(rest, trace),
-        QueryKind::Msg => {
-            let (sender, text) = split_msg(rest);
-            (triage.triage_traced(sender, text, trace), 0)
+/// The latency histogram a query is accounted into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lane {
+    /// `url` / `sender`: `intel.serve.lookup_ns`.
+    Lookup,
+    /// `near`: `intel.serve.near_ns` (plus `intel.serve.near_candidates`).
+    Near,
+    /// `msg`: `intel.serve.triage_ns`.
+    Triage,
+}
+
+impl Lane {
+    fn of(query: &Query<'_>) -> Lane {
+        match query {
+            Query::Url(_) | Query::Sender(_) => Lane::Lookup,
+            Query::Near(_) => Lane::Near,
+            Query::Msg { .. } => Lane::Triage,
         }
     }
-}
 
-/// Split a `msg` payload into its optional `sender|` prefix and text.
-pub(crate) fn split_msg(rest: &str) -> (Option<&str>, &str) {
-    match rest.split_once('|') {
-        Some((s, t)) => (Some(s.trim()), t.trim()),
-        None => (None, rest),
+    /// Histogram name (also the exemplar key sampled traces attach to).
+    pub(crate) fn hist_name(self) -> &'static str {
+        match self {
+            Lane::Lookup => "intel.serve.lookup_ns",
+            Lane::Near => "intel.serve.near_ns",
+            Lane::Triage => "intel.serve.triage_ns",
+        }
     }
 }
 
@@ -277,61 +333,95 @@ pub(crate) fn split_msg(rest: &str) -> (Option<&str>, &str) {
 /// shipped over the reply channel by triage workers.
 #[derive(Debug)]
 pub(crate) struct QueryReply {
-    /// The query kind this answers.
-    pub kind: QueryKind,
+    /// The latency histogram this query lands in.
+    pub lane: Lane,
     /// The response line (no trailing newline).
     pub text: String,
     /// Time-series outcome bucket.
     pub outcome: TsOutcome,
-    /// Wall time the triage call took, wherever it ran.
+    /// Wall time of the [`Triage::answer`] call, wherever it ran.
     pub ns: u64,
-    /// Near candidate-set size (meaningful when `kind` is `Near`).
+    /// Near candidate-set size (recorded for the `near` lane only).
     pub candidates: u64,
-    /// True when the triage call absorbed a republish (cache flush +
-    /// model retrain); its wall time is the cost.
+    /// True when the call absorbed a republish (cache flush + model
+    /// retrain); its wall time is the cost.
     pub republished: bool,
 }
 
-/// Turn a verdict into the protocol response + accounting buckets for
-/// one query. The single formatting point both execution modes share.
-pub(crate) fn reply_for(
-    kind: QueryKind,
-    rest: &str,
-    v: &TriageVerdict,
-    ns: u64,
-    candidates: u64,
-    republished: bool,
-) -> QueryReply {
-    let (text, outcome) = match kind {
-        QueryKind::Url => match v {
-            TriageVerdict::Hit(_) => (verdict_line(v), TsOutcome::Hit),
-            _ => (format!("miss url key={rest}"), TsOutcome::Miss),
-        },
-        QueryKind::Sender => match v {
-            TriageVerdict::Hit(_) => (verdict_line(v), TsOutcome::Hit),
-            _ => (format!("miss sender key={rest}"), TsOutcome::Miss),
-        },
-        QueryKind::Near => match v {
-            TriageVerdict::Near(_) => (verdict_line(v), TsOutcome::Near),
-            _ => (format!("miss near key={rest}"), TsOutcome::Miss),
-        },
-        QueryKind::Msg => (
-            verdict_line(v),
-            match v {
-                TriageVerdict::Hit(_) => TsOutcome::Hit,
-                TriageVerdict::Near(_) => TsOutcome::Near,
-                _ => TsOutcome::Triaged,
-            },
-        ),
-    };
-    QueryReply {
-        kind,
-        text,
-        outcome,
-        ns,
-        candidates,
-        republished,
+/// The time-series bucket of a verdict given the query that asked.
+fn outcome_of(query: &Query<'_>, v: &TriageVerdict) -> TsOutcome {
+    match (v, query) {
+        (TriageVerdict::Hit(_), _) => TsOutcome::Hit,
+        (TriageVerdict::Near(_), _) => TsOutcome::Near,
+        (_, Query::Msg { .. }) => TsOutcome::Triaged,
+        _ => TsOutcome::Miss,
     }
+}
+
+/// The protocol response line for one answered query: the verdict line,
+/// or `miss <verb> key=<raw>` when a `url`/`sender`/`near` lookup found
+/// nothing. Shared by `serve` and the one-shot `smish query`.
+pub fn reply_line(query: &Query<'_>, v: &TriageVerdict) -> String {
+    match (outcome_of(query, v), query) {
+        (TsOutcome::Miss, Query::Url(key) | Query::Sender(key) | Query::Near(key)) => {
+            format!("miss {} key={key}", query.verb())
+        }
+        _ => verdict_line(v),
+    }
+}
+
+/// Answer one query and build its reply: the one place either execution
+/// mode calls [`Triage::answer`]. The clock runs around that call alone,
+/// so the reader refresh — and with it a republish's cache flush and
+/// model retrain — lands in the query's latency and in the `serve.ts`
+/// republish cost in both modes. A sampled trace is finished with the
+/// verdict label.
+pub(crate) fn answer_query(
+    triage: &mut Triage,
+    query: &Query<'_>,
+    mut trace: Option<TraceBuilder>,
+) -> (QueryReply, Option<Trace>) {
+    let t = Instant::now();
+    let a = triage.answer(query, trace.as_mut());
+    let ns = t.elapsed().as_nanos() as u64;
+    let reply = QueryReply {
+        lane: Lane::of(query),
+        text: reply_line(query, &a.verdict),
+        outcome: outcome_of(query, &a.verdict),
+        ns,
+        candidates: a.candidates as u64,
+        republished: a.republished,
+    };
+    (reply, trace.map(|tb| tb.finish(verdict_label(&a.verdict))))
+}
+
+/// The query an `explain` argument names: `url|sender|near <value>`, or
+/// else the whole argument as a message (optionally `sender|text`, with
+/// an explicit `msg ` prefix allowed).
+fn explain_query(rest: &str) -> Query<'_> {
+    let named = rest.split_once(' ').and_then(|(cmd, value)| match cmd {
+        "url" | "sender" | "near" if !value.is_empty() => Query::parse(cmd, value),
+        _ => None,
+    });
+    named.unwrap_or_else(|| Query::msg(rest.strip_prefix("msg ").unwrap_or(rest).trim()))
+}
+
+/// Answer one request force-traced and write the verdict line, then the
+/// rendered span tree; the trace is retained by `tracer`. The serve
+/// `explain` verb and `smish query explain` share it.
+pub fn explain<W: Write>(
+    triage: &mut Triage,
+    tracer: &mut Tracer,
+    rest: &str,
+    out: &mut W,
+) -> io::Result<()> {
+    let mut tb = tracer.begin_forced(rest);
+    let v = triage.answer(&explain_query(rest), Some(&mut tb)).verdict;
+    let trace = tb.finish(verdict_label(&v));
+    writeln!(out, "{}", verdict_line(&v))?;
+    write!(out, "{}", trace.render())?;
+    tracer.finish(trace);
+    Ok(())
 }
 
 /// The session-thread half of a serving session: counters, tracer,
@@ -367,19 +457,20 @@ impl SessionCore {
         }
     }
 
-    fn hist(&self, kind: QueryKind) -> &Histogram {
-        match kind {
-            QueryKind::Url | QueryKind::Sender => &self.lookup_ns,
-            QueryKind::Near => &self.near_ns,
-            QueryKind::Msg => &self.triage_ns,
+    fn hist(&self, lane: Lane) -> &Histogram {
+        match lane {
+            Lane::Lookup => &self.lookup_ns,
+            Lane::Near => &self.near_ns,
+            Lane::Triage => &self.triage_ns,
         }
     }
 
-    /// Account one malformed line.
-    pub(crate) fn error(&mut self) {
+    /// Account one malformed line and write its `err` reply.
+    pub(crate) fn error<W: Write>(&mut self, reason: &str, out: &mut W) -> io::Result<()> {
         self.stats.errors += 1;
         let second = self.started.elapsed().as_secs();
         self.ring.record(second, TsOutcome::Error, 0);
+        writeln!(out, "err {reason}")
     }
 
     /// Account one shed request (admitted nowhere, answered never).
@@ -397,7 +488,7 @@ impl SessionCore {
             TsOutcome::Hit => self.stats.hits += 1,
             TsOutcome::Near => self.stats.near_hits += 1,
             TsOutcome::Miss => {
-                if r.kind == QueryKind::Near {
+                if r.lane == Lane::Near {
                     self.stats.near_misses += 1;
                 } else {
                     self.stats.misses += 1;
@@ -406,8 +497,8 @@ impl SessionCore {
             TsOutcome::Triaged => self.stats.triaged += 1,
             TsOutcome::Error | TsOutcome::Shed => {}
         }
-        self.hist(r.kind).record(r.ns);
-        if r.kind == QueryKind::Near {
+        self.hist(r.lane).record(r.ns);
+        if r.lane == Lane::Near {
             self.near_candidates.record(r.candidates);
         }
         let second = self.started.elapsed().as_secs();
@@ -426,31 +517,12 @@ impl SessionCore {
         cmd: &str,
         rest: &str,
         out: &mut W,
-    ) -> std::io::Result<()> {
+    ) -> io::Result<()> {
         match cmd {
-            "explain" => {
-                // Force-traced one-shot: reply line, then the span tree.
-                // Introspection, not traffic — histograms and the time
-                // series stay clean of its always-on tracing overhead.
-                let (kind, val) = rest.split_once(' ').unwrap_or((rest, ""));
-                let mut tb = self.tracer.begin_forced(rest);
-                let v = match (kind, val) {
-                    ("url", v) if !v.is_empty() => triage.query_url_traced(v, Some(&mut tb)),
-                    ("sender", v) if !v.is_empty() => triage.query_sender_traced(v, Some(&mut tb)),
-                    ("near", v) if !v.is_empty() => triage.query_near_traced(v, Some(&mut tb)).0,
-                    _ => {
-                        // Whole rest is a message (optionally `sender|text`),
-                        // with an explicit `msg ` prefix allowed.
-                        let body = rest.strip_prefix("msg ").unwrap_or(rest).trim();
-                        let (sender, text) = split_msg(body);
-                        triage.triage_traced(sender, text, Some(&mut tb))
-                    }
-                };
-                let trace = tb.finish(verdict_label(&v));
-                writeln!(out, "{}", verdict_line(&v))?;
-                write!(out, "{}", trace.render())?;
-                self.tracer.finish(trace);
-            }
+            // Force-traced one-shot: reply line, then the span tree.
+            // Introspection, not traffic — histograms and the time series
+            // stay clean of its always-on tracing overhead.
+            "explain" => explain(triage, &mut self.tracer, rest, out)?,
             "traces" => {
                 let n: usize = rest.parse().unwrap_or(5);
                 let slowest: Vec<String> = self.tracer.slowest(n).map(|t| t.render()).collect();
@@ -639,18 +711,6 @@ pub fn process_rss_bytes() -> u64 {
     }
 }
 
-/// Serve queries line by line until EOF or `quit`, with default
-/// introspection tuning. Returns the aggregate counters; the full
-/// session (traces, time series) is available via [`serve_session`].
-pub fn serve_lines<R: BufRead, W: Write>(
-    triage: &mut Triage,
-    input: R,
-    out: W,
-    obs: &Obs,
-) -> std::io::Result<ServeStats> {
-    serve_session(triage, input, out, obs, ServeOptions::default()).map(|s| s.stats)
-}
-
 /// Serve queries line by line until EOF or `quit`, returning the whole
 /// session — counters, retained traces, and the per-second time series.
 pub fn serve_session<R: BufRead, W: Write>(
@@ -659,52 +719,30 @@ pub fn serve_session<R: BufRead, W: Write>(
     mut out: W,
     obs: &Obs,
     opts: ServeOptions,
-) -> std::io::Result<ServeSession> {
+) -> io::Result<ServeSession> {
     let mut core = SessionCore::new(obs, &opts);
-
-    for line in input.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
+    let mut lines = LineReader::new(input);
+    while let Some(read) = lines.next_line()? {
+        let Some((line, request)) = classify(read) else {
             continue;
-        }
-        let (cmd, rest) = line.split_once(' ').unwrap_or((line, ""));
-        let rest = rest.trim();
-        match classify(cmd, rest) {
-            Parsed::Quit => break,
-            Parsed::NeedsValue(cmd) => {
-                core.error();
-                writeln!(out, "err {cmd} needs a value")?;
-            }
-            Parsed::Unknown(other) => {
-                core.error();
-                writeln!(out, "err unknown command {other}")?;
-            }
-            Parsed::Query(kind) => {
-                let epoch_before = triage.epoch_seen();
-                let mut tb = core.tracer.begin(line);
-                let t = Instant::now();
-                let (v, cands) = run_query(triage, kind, rest, tb.as_mut());
-                let ns = t.elapsed().as_nanos() as u64;
-                if let Some(tb) = tb {
-                    core.tracer.exemplar(kind.hist_name(), tb.id(), ns);
-                    core.tracer.finish(tb.finish(verdict_label(&v)));
+        };
+        match request {
+            Request::Quit => break,
+            Request::Malformed(reason) => core.error(&reason, &mut out)?,
+            Request::Query(query) => {
+                let tb = core.tracer.begin(line);
+                let (reply, trace) = answer_query(triage, &query, tb);
+                if let Some(trace) = trace {
+                    core.tracer
+                        .exemplar(reply.lane.hist_name(), trace.id, reply.ns);
+                    core.tracer.finish(trace);
                 }
-                let reply = reply_for(
-                    kind,
-                    rest,
-                    &v,
-                    ns,
-                    cands as u64,
-                    triage.epoch_seen() != epoch_before,
-                );
                 core.record_reply(&reply);
                 writeln!(out, "{}", reply.text)?;
             }
-            Parsed::Verb(cmd) => core.verb(triage, cmd, rest, &mut out)?,
+            Request::Verb(cmd, rest) => core.verb(triage, cmd, rest, &mut out)?,
         }
     }
-
     Ok(core.finish(obs))
 }
 
@@ -732,10 +770,14 @@ mod tests {
         )
     }
 
-    fn run(t: &mut Triage, script: &str) -> (ServeStats, String) {
+    fn serve(t: &mut Triage, input: &[u8], obs: &Obs) -> (ServeStats, String) {
         let mut out = Vec::new();
-        let stats = serve_lines(t, script.as_bytes(), &mut out, &Obs::noop()).unwrap();
-        (stats, String::from_utf8(out).unwrap())
+        let session = serve_session(t, input, &mut out, obs, ServeOptions::default()).unwrap();
+        (session.stats, String::from_utf8(out).unwrap())
+    }
+
+    fn run(t: &mut Triage, script: &str) -> (ServeStats, String) {
+        serve(t, script.as_bytes(), &Obs::noop())
     }
 
     #[test]
@@ -768,11 +810,9 @@ mod tests {
         let mut t = triage();
         let obs = Obs::enabled();
         let script = "msg +15550001111|win a prize now\nstats\n";
-        let mut out = Vec::new();
-        let stats = serve_lines(&mut t, script.as_bytes(), &mut out, &obs).unwrap();
+        let (stats, text) = serve(&mut t, script.as_bytes(), &obs);
         assert_eq!(stats.queries, 1);
         assert_eq!(stats.triaged + stats.hits + stats.near_hits, 1);
-        let text = String::from_utf8(out).unwrap();
         assert!(text.contains("stats queries=1"), "{text}");
         assert!(text.contains("templates="), "{text}");
         let report = obs.json_report();
@@ -970,15 +1010,145 @@ mod tests {
         let mut t = triage();
         let obs = Obs::enabled();
         let script = "near aimless doodle about watering the office ferns on thursday\nnear\n";
-        let mut out = Vec::new();
-        let stats = serve_lines(&mut t, script.as_bytes(), &mut out, &obs).unwrap();
+        let (stats, text) = serve(&mut t, script.as_bytes(), &obs);
         assert_eq!(stats.near_misses, 1);
         assert_eq!(stats.near_hits, 0);
         assert_eq!(stats.errors, 1);
-        let text = String::from_utf8(out).unwrap();
         assert!(text.contains("miss near"), "{text}");
         let report = obs.json_report();
         assert!(report.contains("intel.serve.near_misses"), "{report}");
         assert!(report.contains("intel.serve.near_candidates"), "{report}");
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_error_line_not_the_end_of_the_session() {
+        let mut t = triage();
+        let input = b"url http://a.com\nurl http://\xff.com\nurl http://b.com\nstats\n";
+        let (stats, out) = serve(&mut t, input, &Obs::noop());
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(
+            lines[..3],
+            [
+                "miss url key=http://a.com",
+                "err invalid utf-8",
+                "miss url key=http://b.com"
+            ]
+        );
+        assert!(lines[3].contains(" errors=1 "), "{out}");
+        assert_eq!((stats.queries, stats.errors), (2, 1));
+    }
+
+    #[test]
+    fn over_cap_line_is_skipped_unbuffered_and_answered_too_long() {
+        let mut t = triage();
+        let at_cap = format!("url https://{}.example", "a".repeat(MAX_LINE_BYTES - 20));
+        assert_eq!(at_cap.len(), MAX_LINE_BYTES);
+        let mut input = b"url https://before.example/x\n".to_vec();
+        input.extend(std::iter::repeat_n(b'x', 4 * MAX_LINE_BYTES));
+        input.extend_from_slice(format!("\n{at_cap}\nurl https://after.example/y\n").as_bytes());
+        // An unterminated over-cap tail is rejected at EOF as well.
+        input.extend(std::iter::repeat_n(b'y', MAX_LINE_BYTES + 1));
+        let (stats, out) = serve(&mut t, &input, &Obs::noop());
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 5, "{:?}", &out[..out.len().min(300)]);
+        assert_eq!(lines[0], "miss url key=https://before.example/x");
+        assert_eq!(lines[1], "err line too long");
+        assert!(
+            lines[2].starts_with("miss url key=https://aaa"),
+            "a line at the cap is served"
+        );
+        assert_eq!(lines[3], "miss url key=https://after.example/y");
+        assert_eq!(lines[4], "err line too long");
+        assert_eq!((stats.queries, stats.errors), (3, 2));
+
+        // The discarded line never sits in the reader's buffer.
+        let mut huge = vec![b'z'; 16 * MAX_LINE_BYTES];
+        huge.push(b'\n');
+        let mut reader = LineReader::new(&huge[..]);
+        assert_eq!(reader.next_line().unwrap(), Some(Err("line too long")));
+        assert!(reader.buf.capacity() <= 2 * MAX_LINE_BYTES);
+        assert_eq!(reader.next_line().unwrap(), None);
+    }
+
+    /// A client that releases request n+1 only once reply n is written,
+    /// and fails the read if the server asks early.
+    struct ClosedLoop {
+        lines: Vec<&'static [u8]>,
+        released: usize,
+        pos: usize,
+        replies: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl std::io::Read for ClosedLoop {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.fill_buf()?.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.lines[self.released - 1][self.pos..self.pos + n]);
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for ClosedLoop {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            if self.released > 0 && self.pos < self.lines[self.released - 1].len() {
+                return Ok(&self.lines[self.released - 1][self.pos..]);
+            }
+            if self.released == self.lines.len() {
+                return Ok(&[]);
+            }
+            if self.replies.get() < self.released {
+                return Err(io::Error::new(
+                    io::ErrorKind::WouldBlock,
+                    "read past a newline before its reply",
+                ));
+            }
+            self.released += 1;
+            self.pos = 0;
+            Ok(self.lines[self.released - 1])
+        }
+
+        fn consume(&mut self, amt: usize) {
+            self.pos += amt;
+        }
+    }
+
+    struct CountingSink(std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let newlines = buf.iter().filter(|&&b| b == b'\n').count();
+            self.0.set(self.0.get() + newlines);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn reader_waits_for_each_reply_before_the_next_line() {
+        let mut t = triage();
+        let replies = std::rc::Rc::new(std::cell::Cell::new(0));
+        let client = ClosedLoop {
+            lines: vec![
+                b"url https://a.example/x\n",
+                b"url http://\xff.example\n",
+                b"near ferns on thursday\n",
+                b"msg +15550001111|lunch?\n",
+            ],
+            released: 0,
+            pos: 0,
+            replies: std::rc::Rc::clone(&replies),
+        };
+        let session = serve_session(
+            &mut t,
+            client,
+            CountingSink(std::rc::Rc::clone(&replies)),
+            &Obs::noop(),
+            ServeOptions::default(),
+        )
+        .expect("closed-loop client served without an early read");
+        assert_eq!(replies.get(), 4);
+        assert_eq!((session.stats.queries, session.stats.errors), (3, 1));
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! [`Triage`] is what a messaging app's abuse desk would embed: hand it
 //! the raw text and sender of an incoming message and get a scored
-//! verdict back. The lookup ladder mirrors the paper's pivot strength
+//! verdict back. Every request — a URL, a sender, a near-duplicate
+//! probe or a whole message — is one [`Query`] answered by
+//! [`Triage::answer`]. The lookup ladder mirrors the paper's pivot strength
 //! ordering (§5.1): exact URL, then apex domain, then sender identity —
 //! a hit anywhere is a known-infrastructure match with campaign
 //! attribution; otherwise the `detect` logistic-regression model
@@ -246,10 +248,94 @@ pub fn train_model(snap: &IntelSnapshot, seed: u64) -> Option<LogisticRegression
     )
 }
 
+/// One triage request: the four query verbs of the serve protocol,
+/// borrowed from the request line. [`Query::parse`] is the one parser
+/// for them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Query<'a> {
+    /// `url <raw>`: exact URL, then apex domain. Defanged and homoglyph
+    /// spellings normalize before lookup; a miss is `Unknown`, never
+    /// model-scored (there is no text to score).
+    Url(&'a str),
+    /// `sender <raw>`: sender ID, then phone number.
+    Sender(&'a str),
+    /// `near <text>`: the similarity rung alone; a miss is `Unknown`.
+    Near(&'a str),
+    /// `msg [<sender>|]<text>`: the full ladder — refang and URL
+    /// extraction, every exact pivot, the near rung, the model.
+    Msg {
+        /// Claimed sender, when the request carried one.
+        sender: Option<&'a str>,
+        /// Message body.
+        text: &'a str,
+    },
+}
+
+impl<'a> Query<'a> {
+    /// Parse one of the four query verbs and its value; `None` for any
+    /// other command.
+    pub fn parse(cmd: &str, rest: &'a str) -> Option<Query<'a>> {
+        Some(match cmd {
+            "url" => Query::Url(rest),
+            "sender" => Query::Sender(rest),
+            "near" => Query::Near(rest),
+            "msg" => Query::msg(rest),
+            _ => return None,
+        })
+    }
+
+    /// A `msg` payload: an optional `sender|` prefix, then the text
+    /// (both trimmed when the prefix is present).
+    pub(crate) fn msg(rest: &'a str) -> Query<'a> {
+        match rest.split_once('|') {
+            Some((s, t)) => Query::Msg {
+                sender: Some(s.trim()),
+                text: t.trim(),
+            },
+            None => Query::Msg {
+                sender: None,
+                text: rest,
+            },
+        }
+    }
+
+    /// The protocol verb this query answers.
+    pub fn verb(&self) -> &'static str {
+        match self {
+            Query::Url(_) => "url",
+            Query::Sender(_) => "sender",
+            Query::Near(_) => "near",
+            Query::Msg { .. } => "msg",
+        }
+    }
+}
+
+/// What [`Triage::answer`] returns.
+#[derive(Debug, Clone)]
+pub struct Answer {
+    /// The triage outcome.
+    pub verdict: TriageVerdict,
+    /// Banded candidate-set size the near rung examined (0 when it did
+    /// not run or answered from the negative cache).
+    pub candidates: usize,
+    /// True when this call's reader refresh observed a republish: it
+    /// flushed the negative cache and retrained the model, so the call's
+    /// wall time carries that cost.
+    pub republished: bool,
+}
+
 /// The raw-SMS scoring front door.
 #[derive(Debug)]
 pub struct Triage {
     reader: IntelReader,
+    ladder: Ladder,
+}
+
+/// Everything the ladder walk mutates besides the snapshot it reads —
+/// kept apart from the reader so [`Triage::answer`] can borrow the
+/// reader's snapshot while the walk feeds the cache.
+#[derive(Debug)]
+struct Ladder {
     cfg: TriageConfig,
     cache: LruSet,
     model: Option<LogisticRegression>,
@@ -266,46 +352,127 @@ impl Triage {
         let cache = LruSet::new(cfg.cache_capacity);
         Triage {
             reader,
-            cfg,
-            cache,
-            model: None,
+            ladder: Ladder {
+                cfg,
+                cache,
+                model: None,
+            },
         }
     }
 
     /// The configured smishing threshold.
     pub fn threshold(&self) -> f64 {
-        self.cfg.threshold
+        self.ladder.cfg.threshold
     }
 
     /// Current snapshot (refreshing the reader); `None` before the first
     /// publish.
     pub fn snapshot(&mut self) -> Option<Arc<IntelSnapshot>> {
-        self.ensure_fresh()
+        self.refresh();
+        self.reader.cached().cloned()
     }
 
     /// Refresh the reader; on a republish, drop stale negatives and
-    /// retrain the model from the new snapshot's texts.
-    fn ensure_fresh(&mut self) -> Option<Arc<IntelSnapshot>> {
-        self.refresh().0
+    /// retrain the model from the new snapshot's texts. Returns whether
+    /// this refresh observed the republish.
+    fn refresh(&mut self) -> bool {
+        let before = self.reader.epoch_seen();
+        if self.reader.current().is_none() {
+            return false;
+        }
+        let republished = self.reader.epoch_seen() != before;
+        let ladder = &mut self.ladder;
+        if republished {
+            ladder.cache.clear();
+            ladder.model = None;
+        }
+        if ladder.model.is_none() && ladder.cfg.train_model {
+            let snap = self.reader.cached();
+            ladder.model = snap.and_then(|s| train_model(s, ladder.cfg.model_seed));
+        }
+        republished
     }
 
-    /// [`Self::ensure_fresh`], also reporting whether this refresh
-    /// observed an epoch flip (the batch path surfaces that to the
-    /// serving layer's republish accounting).
-    fn refresh(&mut self) -> (Option<Arc<IntelSnapshot>>, bool) {
-        let before = self.reader.epoch_seen();
-        let Some(snap) = self.reader.current().cloned() else {
-            return (None, false);
+    /// Answer one query: refresh the reader, then walk the ladder the
+    /// query names against the reader's snapshot (borrowed, not cloned).
+    /// With a trace attached, every rung probed — or skipped via the
+    /// negative cache — records a span: `refang` (body refang + URL
+    /// extraction, `msg` only), one per exact pivot
+    /// (`url`/`domain`/`sender`/`phone`), `near`, and `model`, each with
+    /// its wall_ns and candidate count. Without one, the same ladder
+    /// runs with zero clock reads. Before the first publish every query
+    /// is `Unknown`.
+    pub fn answer(&mut self, query: &Query<'_>, trace: Option<&mut TraceBuilder>) -> Answer {
+        let republished = self.refresh();
+        let Some(snap) = self.reader.cached() else {
+            return Answer {
+                verdict: TriageVerdict::Unknown,
+                candidates: 0,
+                republished,
+            };
         };
-        let flipped = self.reader.epoch_seen() != before;
-        if flipped {
-            self.cache.clear();
-            self.model = None;
+        let (verdict, candidates) = self.ladder.walk(snap, query, trace);
+        Answer {
+            verdict,
+            candidates,
+            republished,
         }
-        if self.model.is_none() && self.cfg.train_model {
-            self.model = train_model(&snap, self.cfg.model_seed);
+    }
+
+    /// Epoch of the snapshot view last answered from (0 before the first
+    /// successful lookup).
+    pub fn epoch_seen(&self) -> u64 {
+        self.reader.epoch_seen()
+    }
+
+    /// Time since the hub's last publish (`None` before the first).
+    pub fn epoch_age(&self) -> Option<Duration> {
+        self.reader.epoch_age()
+    }
+
+    /// Negative-cache occupancy (entries currently remembered).
+    pub fn cache_len(&self) -> usize {
+        self.ladder.cache.len()
+    }
+
+    /// Negative-cache capacity (0 = disabled).
+    pub fn cache_capacity(&self) -> usize {
+        self.ladder.cache.capacity()
+    }
+}
+
+impl Ladder {
+    /// Walk the rungs `query` names; returns the verdict and the near
+    /// rung's candidate-set size.
+    fn walk(
+        &mut self,
+        snap: &IntelSnapshot,
+        query: &Query<'_>,
+        trace: Option<&mut TraceBuilder>,
+    ) -> (TriageVerdict, usize) {
+        match *query {
+            Query::Url(raw) => (self.exact(snap, &url_keys(raw), trace), 0),
+            Query::Sender(raw) => (self.exact(snap, &sender_keys(raw), trace), 0),
+            Query::Near(text) => {
+                let (near, candidates) = self.near_lookup(snap, text, trace);
+                (
+                    near.map_or(TriageVerdict::Unknown, TriageVerdict::Near),
+                    candidates,
+                )
+            }
+            Query::Msg { sender, text } => self.msg(snap, sender, text, trace),
         }
-        (Some(snap), flipped)
+    }
+
+    /// An exact-pivot walk: a hit, or `Unknown`.
+    fn exact(
+        &mut self,
+        snap: &IntelSnapshot,
+        keys: &[(MatchedKey, String)],
+        trace: Option<&mut TraceBuilder>,
+    ) -> TriageVerdict {
+        self.infra_lookup(snap, keys, trace)
+            .map_or(TriageVerdict::Unknown, TriageVerdict::Hit)
     }
 
     /// Probe the index ladder, consulting and feeding the negative cache.
@@ -417,171 +584,15 @@ impl Triage {
         }
     }
 
-    /// Key ladder for a raw URL string (exact URL, then apex domain).
-    fn url_keys(raw: &str) -> Vec<(MatchedKey, String)> {
-        let mut keys = Vec::new();
-        if let Some(p) = parse_url(raw) {
-            keys.push((MatchedKey::Url, p.to_url_string()));
-            if let Some(d) = domain_of(&p) {
-                keys.push((MatchedKey::Domain, d));
-            }
-        }
-        keys
-    }
-
-    /// Key ladder for a raw sender string.
-    fn sender_keys(raw: &str) -> Vec<(MatchedKey, String)> {
-        let mut keys = Vec::new();
-        if let Some(s) = parse_sender(raw) {
-            keys.push((MatchedKey::Sender, s.display_string()));
-            if let Some(p) = s.phone() {
-                keys.push((
-                    MatchedKey::Phone,
-                    p.e164().chars().filter(|c| c.is_ascii_digit()).collect(),
-                ));
-            }
-        }
-        keys
-    }
-
-    /// Query by URL alone (the `smish query url` path). Defanged and
-    /// homoglyph spellings normalize before lookup; a miss is `Unknown`,
-    /// never model-scored (there is no text to score).
-    pub fn query_url(&mut self, raw: &str) -> TriageVerdict {
-        self.query_url_traced(raw, None)
-    }
-
-    /// [`Self::query_url`] with an optional request trace recording the
-    /// url/domain rungs.
-    pub fn query_url_traced(
-        &mut self,
-        raw: &str,
-        trace: Option<&mut TraceBuilder>,
-    ) -> TriageVerdict {
-        let Some(snap) = self.ensure_fresh() else {
-            return TriageVerdict::Unknown;
-        };
-        self.url_verdict(&snap, raw, trace)
-    }
-
-    /// [`Self::query_url`] against an already-refreshed snapshot (the
-    /// batch path shares one `ensure_fresh` across many queries).
-    fn url_verdict(
-        &mut self,
-        snap: &IntelSnapshot,
-        raw: &str,
-        trace: Option<&mut TraceBuilder>,
-    ) -> TriageVerdict {
-        match self.infra_lookup(snap, &Self::url_keys(raw), trace) {
-            Some(a) => TriageVerdict::Hit(a),
-            None => TriageVerdict::Unknown,
-        }
-    }
-
-    /// Query by sender alone (the `smish query sender` path).
-    pub fn query_sender(&mut self, raw: &str) -> TriageVerdict {
-        self.query_sender_traced(raw, None)
-    }
-
-    /// [`Self::query_sender`] with an optional request trace recording
-    /// the sender/phone rungs.
-    pub fn query_sender_traced(
-        &mut self,
-        raw: &str,
-        trace: Option<&mut TraceBuilder>,
-    ) -> TriageVerdict {
-        let Some(snap) = self.ensure_fresh() else {
-            return TriageVerdict::Unknown;
-        };
-        self.sender_verdict(&snap, raw, trace)
-    }
-
-    /// [`Self::query_sender`] against an already-refreshed snapshot.
-    fn sender_verdict(
-        &mut self,
-        snap: &IntelSnapshot,
-        raw: &str,
-        trace: Option<&mut TraceBuilder>,
-    ) -> TriageVerdict {
-        match self.infra_lookup(snap, &Self::sender_keys(raw), trace) {
-            Some(a) => TriageVerdict::Hit(a),
-            None => TriageVerdict::Unknown,
-        }
-    }
-
-    /// Query by message text alone against the similarity tier (the
-    /// `smish query near` / serve `near` path): no exact pivots, no
-    /// model fallback — a miss is `Unknown`. Returns the verdict plus
-    /// the banded candidate-set size (0 on cache hit or empty query),
-    /// which the serving layer histograms.
-    pub fn query_near_with(&mut self, text: &str) -> (TriageVerdict, usize) {
-        self.query_near_traced(text, None)
-    }
-
-    /// [`Self::query_near_with`] with an optional request trace
-    /// recording the near rung (candidates, ranked/reranked counts).
-    pub fn query_near_traced(
-        &mut self,
-        text: &str,
-        trace: Option<&mut TraceBuilder>,
-    ) -> (TriageVerdict, usize) {
-        let Some(snap) = self.ensure_fresh() else {
-            return (TriageVerdict::Unknown, 0);
-        };
-        self.near_verdict(&snap, text, trace)
-    }
-
-    /// [`Self::query_near_with`] against an already-refreshed snapshot.
-    fn near_verdict(
-        &mut self,
-        snap: &IntelSnapshot,
-        text: &str,
-        trace: Option<&mut TraceBuilder>,
-    ) -> (TriageVerdict, usize) {
-        match self.near_lookup(snap, text, trace) {
-            (Some(a), c) => (TriageVerdict::Near(a), c),
-            (None, c) => (TriageVerdict::Unknown, c),
-        }
-    }
-
-    /// [`Self::query_near_with`] without the candidate count.
-    pub fn query_near(&mut self, text: &str) -> TriageVerdict {
-        self.query_near_with(text).0
-    }
-
-    /// Triage a raw incoming SMS: extract URL and sender, walk the index
-    /// ladder, probe the similarity rung, and fall back to the model
-    /// score.
-    pub fn triage(&mut self, sender: Option<&str>, text: &str) -> TriageVerdict {
-        self.triage_traced(sender, text, None)
-    }
-
-    /// [`Self::triage`] with an optional request trace. When a trace is
-    /// attached, every rung the message traverses records a span —
-    /// `refang` (body refang + URL extraction), one span per exact pivot
-    /// probed (`url`/`domain`/`sender`/`phone`), `near`, and `model` —
-    /// each with its wall_ns and candidate count. The untraced call
-    /// compiles to the exact same ladder with zero clock reads.
-    pub fn triage_traced(
-        &mut self,
-        sender: Option<&str>,
-        text: &str,
-        trace: Option<&mut TraceBuilder>,
-    ) -> TriageVerdict {
-        let Some(snap) = self.ensure_fresh() else {
-            return TriageVerdict::Unknown;
-        };
-        self.msg_verdict(&snap, sender, text, trace)
-    }
-
-    /// [`Self::triage`] against an already-refreshed snapshot.
-    fn msg_verdict(
+    /// The full ladder for a raw SMS: extract URL and sender, walk the
+    /// exact pivots, probe the similarity rung, fall back to the model.
+    fn msg(
         &mut self,
         snap: &IntelSnapshot,
         sender: Option<&str>,
         text: &str,
         mut trace: Option<&mut TraceBuilder>,
-    ) -> TriageVerdict {
+    ) -> (TriageVerdict, usize) {
         // Reports defang; refang the whole body before URL extraction so
         // `evil [dot] com` spellings still surface their host.
         let start = trace.as_ref().map(|_| Instant::now());
@@ -595,7 +606,7 @@ impl Triage {
         }
         let url_extracted = keys.first().map(|(_, u)| u.clone());
         if let Some(s) = sender {
-            keys.extend(Self::sender_keys(s));
+            keys.extend(sender_keys(s));
         }
         if let Some(tb) = trace.as_deref_mut() {
             let note = match &url_extracted {
@@ -605,10 +616,11 @@ impl Triage {
             tb.rung("refang", since(start), keys.len() as u64, note);
         }
         if let Some(a) = self.infra_lookup(snap, &keys, trace.as_deref_mut()) {
-            return TriageVerdict::Hit(a);
+            return (TriageVerdict::Hit(a), 0);
         }
-        if let (Some(a), _) = self.near_lookup(snap, &refanged, trace.as_deref_mut()) {
-            return TriageVerdict::Near(a);
+        let (near, candidates) = self.near_lookup(snap, &refanged, trace.as_deref_mut());
+        if let Some(a) = near {
+            return (TriageVerdict::Near(a), candidates);
         }
         let start = trace.as_ref().map(|_| Instant::now());
         let verdict = match &self.model {
@@ -624,116 +636,35 @@ impl Triage {
             };
             tb.rung("model", since(start), 0, note);
         }
-        verdict
+        (verdict, candidates)
     }
+}
 
-    /// Answer a batch of queries against a single snapshot refresh.
-    ///
-    /// One [`Self::refresh`] (epoch check, cache invalidation, model
-    /// retrain) is amortized across the whole batch — the serve worker
-    /// plane drains its queue into batches precisely to buy this. Each
-    /// item is individually wall-clock timed; `epoch_flipped` is set on
-    /// item 0 only when this batch's refresh observed a republish.
-    ///
-    /// `traces` pairs an optional [`TraceBuilder`] with each item (an
-    /// empty vec means none are traced); the builder is threaded through
-    /// the lookup ladder and handed back to `sink` for finishing. `sink`
-    /// receives `(index, reply, trace)` in item order.
-    pub fn query_batch_with<F>(
-        &mut self,
-        items: &[BatchQuery],
-        traces: Vec<Option<TraceBuilder>>,
-        mut sink: F,
-    ) where
-        F: FnMut(usize, BatchReply, Option<TraceBuilder>),
-    {
-        let (snap, flipped) = self.refresh();
-        let mut traces = traces;
-        traces.resize_with(items.len(), || None);
-        for (i, (item, mut trace)) in items.iter().zip(traces).enumerate() {
-            let start = Instant::now();
-            let (verdict, candidates) = match &snap {
-                None => (TriageVerdict::Unknown, 0),
-                Some(snap) => match item {
-                    BatchQuery::Url(raw) => (self.url_verdict(snap, raw, trace.as_mut()), 0),
-                    BatchQuery::Sender(raw) => (self.sender_verdict(snap, raw, trace.as_mut()), 0),
-                    BatchQuery::Near(text) => self.near_verdict(snap, text, trace.as_mut()),
-                    BatchQuery::Msg { sender, text } => (
-                        self.msg_verdict(snap, sender.as_deref(), text, trace.as_mut()),
-                        0,
-                    ),
-                },
-            };
-            let reply = BatchReply {
-                verdict,
-                candidates,
-                wall_ns: start.elapsed().as_nanos() as u64,
-                epoch_flipped: flipped && i == 0,
-            };
-            sink(i, reply, trace);
+/// Key ladder for a raw URL string (exact URL, then apex domain).
+fn url_keys(raw: &str) -> Vec<(MatchedKey, String)> {
+    let mut keys = Vec::new();
+    if let Some(p) = parse_url(raw) {
+        keys.push((MatchedKey::Url, p.to_url_string()));
+        if let Some(d) = domain_of(&p) {
+            keys.push((MatchedKey::Domain, d));
         }
     }
-
-    /// [`Self::query_batch_with`] without traces, collecting the replies.
-    pub fn query_batch(&mut self, items: &[BatchQuery]) -> Vec<BatchReply> {
-        let mut out = Vec::with_capacity(items.len());
-        self.query_batch_with(items, Vec::new(), |_, reply, _| out.push(reply));
-        out
-    }
-
-    /// Epoch of the snapshot view last answered from (0 before the first
-    /// successful lookup).
-    pub fn epoch_seen(&self) -> u64 {
-        self.reader.epoch_seen()
-    }
-
-    /// Time since the hub's last publish (`None` before the first).
-    pub fn epoch_age(&self) -> Option<Duration> {
-        self.reader.epoch_age()
-    }
-
-    /// Negative-cache occupancy (entries currently remembered).
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Negative-cache capacity (0 = disabled).
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
-    }
+    keys
 }
 
-/// One query in a [`Triage::query_batch`] call, mirroring the serve
-/// verbs that hit the triage engine (`url`/`sender`/`near`/`msg`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchQuery {
-    /// Exact URL/domain ladder (`serve` verb `url`).
-    Url(String),
-    /// Exact sender/phone ladder (`serve` verb `sender`).
-    Sender(String),
-    /// Similarity rung only (`serve` verb `near`).
-    Near(String),
-    /// Full triage ladder (`serve` verb `msg`, optional `sender|text`).
-    Msg {
-        /// Claimed sender, when the request carried one.
-        sender: Option<String>,
-        /// Message body.
-        text: String,
-    },
-}
-
-/// Per-item result of a [`Triage::query_batch`] call.
-#[derive(Debug, Clone)]
-pub struct BatchReply {
-    /// The triage outcome.
-    pub verdict: TriageVerdict,
-    /// Banded candidate-set size (meaningful for `Near` items, 0 else).
-    pub candidates: usize,
-    /// Wall time spent answering this item.
-    pub wall_ns: u64,
-    /// True on item 0 only, when this batch's snapshot refresh observed
-    /// an epoch flip (republish) — the serving layer counts those.
-    pub epoch_flipped: bool,
+/// Key ladder for a raw sender string (sender ID, then phone number).
+fn sender_keys(raw: &str) -> Vec<(MatchedKey, String)> {
+    let mut keys = Vec::new();
+    if let Some(s) = parse_sender(raw) {
+        keys.push((MatchedKey::Sender, s.display_string()));
+        if let Some(p) = s.phone() {
+            keys.push((
+                MatchedKey::Phone,
+                p.e164().chars().filter(|c| c.is_ascii_digit()).collect(),
+            ));
+        }
+    }
+    keys
 }
 
 fn near_attribution(snap: &IntelSnapshot, m: &SimMatch, candidates: usize) -> NearAttribution {
@@ -782,6 +713,10 @@ mod tests {
     use smishing_worldsim::{World, WorldConfig};
     use std::sync::OnceLock;
 
+    fn verdict(t: &mut Triage, q: Query<'_>) -> TriageVerdict {
+        t.answer(&q, None).verdict
+    }
+
     fn hub() -> &'static IntelHub {
         static H: OnceLock<IntelHub> = OnceLock::new();
         H.get_or_init(|| {
@@ -809,7 +744,7 @@ mod tests {
             .find(|e| e.url.is_some())
             .expect("url entry");
         let url = snap.resolve(e.url.unwrap()).to_string();
-        let v = t.query_url(&url);
+        let v = verdict(&mut t, Query::Url(&url));
         let a = v.attribution().expect("hit");
         assert_eq!(a.matched, MatchedKey::Url);
         assert_eq!(v.score(), 1.0);
@@ -835,7 +770,10 @@ mod tests {
         let defanged = clean
             .replacen("https://", "hxxps://", 1)
             .replace('.', "[dot]");
-        let (a, b) = (t.query_url(&clean), t.query_url(&defanged));
+        let (a, b) = (
+            verdict(&mut t, Query::Url(&clean)),
+            verdict(&mut t, Query::Url(&defanged)),
+        );
         let (a, b) = (a.attribution().unwrap(), b.attribution().unwrap());
         assert_eq!(a.entry, b.entry);
         assert_eq!(a.key, b.key);
@@ -845,20 +783,26 @@ mod tests {
     #[test]
     fn misses_are_cached_and_model_scores_text() {
         let mut t = Triage::new(hub().reader());
-        let v = t.triage(
-            Some("+15550000001"),
-            "hello, are we still on for lunch tomorrow?",
+        let v = verdict(
+            &mut t,
+            Query::Msg {
+                sender: Some("+15550000001"),
+                text: "hello, are we still on for lunch tomorrow?",
+            },
         );
         assert!(
             matches!(v, TriageVerdict::ModelOnly { .. }),
             "benign text should fall through to the model: {v:?}"
         );
         assert!(v.score() < 0.5, "score {}", v.score());
-        assert!(!t.cache.is_empty(), "negative lookups should be cached");
+        assert!(t.cache_len() > 0, "negative lookups should be cached");
 
-        let smishy = t.triage(
-            None,
-            "URGENT: your bank account is suspended, verify now at http://totally-new.example/login to avoid closure",
+        let smishy = verdict(
+            &mut t,
+            Query::Msg {
+                sender: None,
+                text: "URGENT: your bank account is suspended, verify now at http://totally-new.example/login to avoid closure",
+            },
         );
         assert!(smishy.score() > v.score());
     }
@@ -877,15 +821,15 @@ mod tests {
             },
         );
         assert!(matches!(
-            t.query_url("https://never-reported.example/x"),
+            verdict(&mut t, Query::Url("https://never-reported.example/x")),
             TriageVerdict::Unknown
         ));
-        assert!(!t.cache.is_empty());
+        assert!(t.cache_len() > 0);
         hub.publish(IntelSnapshot::build(&out));
-        let _ = t.query_url("https://also-never-reported.example/y");
+        let _ = verdict(&mut t, Query::Url("https://also-never-reported.example/y"));
         // The republish invalidated the old negatives; only the new
         // query's misses remain.
-        assert!(t.cache.len() <= 2);
+        assert!(t.cache_len() <= 2);
     }
 
     #[test]
@@ -919,7 +863,7 @@ mod tests {
             .iter()
             .filter_map(|e| e.url.map(|s| full.resolve(s).to_string()))
             .find(|u| {
-                Triage::url_keys(u).iter().all(|(kind, key)| match kind {
+                url_keys(u).iter().all(|(kind, key)| match kind {
                     MatchedKey::Url => windowed.lookup_url_key(key).is_empty(),
                     _ => windowed.lookup_domain(key).is_empty(),
                 })
@@ -936,7 +880,7 @@ mod tests {
             },
         );
         assert!(
-            t.query_url(&url).attribution().is_some(),
+            verdict(&mut t, Query::Url(&url)).attribution().is_some(),
             "key must hit before eviction"
         );
 
@@ -944,12 +888,15 @@ mod tests {
         // genuine miss — not a stale hit, and not a stale cached verdict.
         hub.publish(windowed);
         assert!(
-            matches!(t.query_url(&url), TriageVerdict::Unknown),
+            matches!(verdict(&mut t, Query::Url(&url)), TriageVerdict::Unknown),
             "evicted key must miss after the windowed republish"
         );
         // The repeat is served from the refreshed negative cache and
         // stays a miss.
-        assert!(matches!(t.query_url(&url), TriageVerdict::Unknown));
+        assert!(matches!(
+            verdict(&mut t, Query::Url(&url)),
+            TriageVerdict::Unknown
+        ));
     }
 
     #[test]
@@ -980,7 +927,13 @@ mod tests {
             })
             .collect::<Vec<_>>()
             .join(" ");
-        let v = t.triage(None, &rotated);
+        let v = verdict(
+            &mut t,
+            Query::Msg {
+                sender: None,
+                text: &rotated,
+            },
+        );
         let a = v.near().expect("near rung should catch the rotation");
         assert_eq!(a.hamming, 0, "URL rotation must not perturb shingles");
         assert!(v.is_smishing(t.threshold()));
@@ -1016,102 +969,82 @@ mod tests {
                 ..TriageConfig::default()
             },
         );
-        assert!(matches!(t.query_near(&text), TriageVerdict::Unknown));
-        let cached = t.cache.len();
+        assert!(matches!(
+            verdict(&mut t, Query::Near(&text)),
+            TriageVerdict::Unknown
+        ));
+        let cached = t.cache_len();
         assert!(cached > 0, "similarity misses must be cached");
         // The repeat consults the cache instead of re-missing into it.
-        assert!(matches!(t.query_near(&text), TriageVerdict::Unknown));
-        assert_eq!(t.cache.len(), cached);
+        assert!(matches!(
+            verdict(&mut t, Query::Near(&text)),
+            TriageVerdict::Unknown
+        ));
+        assert_eq!(t.cache_len(), cached);
 
         // Republish with the newly similar campaign reported: the cached
         // miss must be invalidated, not served.
         hub.publish(full);
-        let v = t.query_near(&text);
+        let v = verdict(&mut t, Query::Near(&text));
         let a = v.near().expect("republish must flip the cached near miss");
         assert_eq!(a.hamming, 0);
         assert!((a.jaccard - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn no_snapshot_is_unknown() {
+    fn answer_flags_a_republish_on_the_next_call_only() {
         let hub = IntelHub::new();
-        let mut t = Triage::new(hub.reader());
-        assert!(matches!(t.triage(None, "anything"), TriageVerdict::Unknown));
-        // The batch path degrades identically.
-        let replies = t.query_batch(&[
-            BatchQuery::Url("https://x.example/a".into()),
-            BatchQuery::Near("anything".into()),
-        ]);
-        assert_eq!(replies.len(), 2);
-        assert!(replies
-            .iter()
-            .all(|r| matches!(r.verdict, TriageVerdict::Unknown)));
-    }
+        let mut t = Triage::with_config(
+            hub.reader(),
+            TriageConfig {
+                train_model: false,
+                ..TriageConfig::default()
+            },
+        );
+        // Nothing published: every query kind degrades to `Unknown`.
+        let queries = [
+            Query::Url("https://x.example/a"),
+            Query::Sender("shortcode 999999"),
+            Query::Near("anything at all"),
+            Query::Msg {
+                sender: Some("+15550000001"),
+                text: "anything at all",
+            },
+        ];
+        for q in &queries {
+            let a = t.answer(q, None);
+            assert!(matches!(a.verdict, TriageVerdict::Unknown), "{q:?}");
+            assert!(!a.republished, "{q:?}");
+            assert_eq!(a.candidates, 0, "{q:?}");
+        }
 
-    #[test]
-    fn batch_matches_singles_and_flags_the_flip_once() {
         let w = World::generate(WorldConfig::test_scale(61));
         let out = Pipeline::default().run(&w, &Obs::noop());
-        let hub = IntelHub::new();
         hub.publish(IntelSnapshot::build(&out));
-        let cfg = TriageConfig {
-            train_model: false,
-            ..TriageConfig::default()
-        };
-        let mut batch = Triage::with_config(hub.reader(), cfg.clone());
-        let mut single = Triage::with_config(hub.reader(), cfg);
-
-        let snap = batch.snapshot().unwrap();
+        let snap = hub.latest().unwrap();
         let e = snap
             .entries()
             .iter()
             .find(|e| e.url.is_some())
             .expect("url entry");
         let url = snap.resolve(e.url.unwrap()).to_string();
-        let items = vec![
-            BatchQuery::Url(url.clone()),
-            BatchQuery::Sender("shortcode 999999".into()),
-            BatchQuery::Near(e.text.clone()),
-            BatchQuery::Msg {
-                sender: None,
-                text: e.text.clone(),
-            },
-            BatchQuery::Url("https://never-reported.example/x".into()),
-        ];
-        let replies = batch.query_batch(&items);
-        assert_eq!(replies.len(), items.len());
-        // A snapshot() already consumed the first refresh above, so no
-        // flip is observed by the batch itself.
-        assert!(replies.iter().all(|r| !r.epoch_flipped));
-        assert!(replies.iter().all(|r| r.wall_ns > 0));
-        assert!(replies[2].candidates >= 1, "near reply carries candidates");
 
-        let singles = vec![
-            single.query_url(&url),
-            single.query_sender("shortcode 999999"),
-            single.query_near(&e.text),
-            single.triage(None, &e.text),
-            single.query_url("https://never-reported.example/x"),
-        ];
-        for (i, (b, s)) in replies.iter().zip(&singles).enumerate() {
-            assert_eq!(
-                b.verdict.score(),
-                s.score(),
-                "batch item {i} diverged from the single-query path"
-            );
-        }
-        assert!(matches!(replies[0].verdict, TriageVerdict::Hit(_)));
-        assert!(matches!(replies[2].verdict, TriageVerdict::Near(_)));
+        // The first answer after a publish carries the flip; the next
+        // one answers from the same epoch and does not.
+        let first = t.answer(&Query::Url(&url), None);
+        assert!(matches!(first.verdict, TriageVerdict::Hit(_)));
+        assert!(first.republished);
+        let near = t.answer(&Query::Near(&e.text), None);
+        assert!(matches!(near.verdict, TriageVerdict::Near(_)));
+        assert!(!near.republished);
+        assert!(near.candidates >= 1, "near answer carries candidates");
 
-        // A republish between batches surfaces exactly one flip flag, on
-        // item 0 of the first batch that sees the new epoch.
         hub.publish(IntelSnapshot::build(&out));
-        let replies = batch.query_batch(&items);
-        let flips: Vec<bool> = replies.iter().map(|r| r.epoch_flipped).collect();
-        assert!(flips[0], "{flips:?}");
-        assert!(flips[1..].iter().all(|f| !f), "{flips:?}");
-        let replies = batch.query_batch(&items);
-        assert!(replies.iter().all(|r| !r.epoch_flipped));
+        let flips: Vec<bool> = queries
+            .iter()
+            .map(|q| t.answer(q, None).republished)
+            .collect();
+        assert_eq!(flips, [true, false, false, false]);
     }
 
     #[test]
@@ -1128,11 +1061,11 @@ mod tests {
 
         // A miss walks the whole ladder: refang, sender pivots, near, model.
         let mut tb = tracer.begin_forced("msg");
-        let v = t.triage_traced(
-            Some("+15550000001"),
-            "hello, are we still on for lunch tomorrow?",
-            Some(&mut tb),
-        );
+        let lunch = Query::Msg {
+            sender: Some("+15550000001"),
+            text: "hello, are we still on for lunch tomorrow?",
+        };
+        let v = t.answer(&lunch, Some(&mut tb)).verdict;
         assert!(matches!(v, TriageVerdict::Unknown), "{v:?}");
         let trace = tb.finish("unknown");
         let rungs: Vec<&str> = trace.spans.iter().map(|s| s.rung).collect();
@@ -1149,7 +1082,7 @@ mod tests {
             .expect("url entry");
         let url = snap.resolve(e.url.unwrap()).to_string();
         let mut tb = tracer.begin_forced("url");
-        let v = t.query_url_traced(&url, Some(&mut tb));
+        let v = t.answer(&Query::Url(&url), Some(&mut tb)).verdict;
         assert!(v.attribution().is_some());
         let trace = tb.finish("hit");
         assert_eq!(trace.spans.len(), 1);
@@ -1159,11 +1092,7 @@ mod tests {
 
         // A repeat of the original miss shows the negative cache at work.
         let mut tb = tracer.begin_forced("msg");
-        let _ = t.triage_traced(
-            Some("+15550000001"),
-            "hello, are we still on for lunch tomorrow?",
-            Some(&mut tb),
-        );
+        let _ = t.answer(&lunch, Some(&mut tb));
         let trace = tb.finish("unknown");
         assert!(
             trace

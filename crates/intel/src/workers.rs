@@ -8,8 +8,8 @@
 //!
 //! ```text
 //!             parse + classify + admit (bounded try_send)
-//!  stdin ──▶ reader ──┬────────────── work queue ──▶ worker 0 ┐ batched
-//!   (caller   │       │  (cap = --queue-depth)  ──▶ worker 1 │ query_batch,
+//!  stdin ──▶ reader ──┬────────────── work queue ──▶ worker 0 ┐ Triage::answer
+//!   (caller   │       │  (cap = --queue-depth)  ──▶ worker 1 │ per query,
 //!    thread)  │       └─────────────────────────▶ worker N-1 ┘ own Triage
 //!             │ verbs/errors (seq-stamped, blocking)   │ replies + traces
 //!             ▼                                        ▼
@@ -49,10 +49,10 @@
 
 use crate::hub::IntelHub;
 use crate::serve::{
-    classify, reply_for, split_msg, verdict_label, Parsed, QueryKind, QueryReply, ServeOptions,
-    ServeSession, SessionCore,
+    answer_query, classify, LineReader, QueryReply, Request, ServeOptions, ServeSession,
+    SessionCore,
 };
-use crate::triage::{BatchQuery, Triage, TriageConfig};
+use crate::triage::{Triage, TriageConfig};
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use smishing_obs::{Counter, Histogram, Obs, Trace, TraceBuilder};
 use std::collections::BTreeMap;
@@ -62,6 +62,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
+/// Most queries a worker takes off the queue at once. A batch is the
+/// unit of the worker's panic fence and of its `batches`/`batch_size`
+/// metrics; each query in it is answered on its own.
+const BATCH_MAX: usize = 32;
+
 /// Tuning for [`serve_workers`].
 #[derive(Debug, Clone)]
 pub struct WorkerPlan {
@@ -70,21 +75,17 @@ pub struct WorkerPlan {
     /// Work-queue bound: requests admitted but not yet picked up by a
     /// worker. A full queue sheds (clamped to at least 1).
     pub queue_depth: usize,
-    /// Most queries a worker folds into one `query_batch` call (one
-    /// snapshot refresh per batch).
-    pub batch_max: usize,
     /// Test hook: a worker answering a request whose *full line* equals
     /// this panics mid-batch (exercises the shutdown/panic path).
     pub panic_on: Option<String>,
 }
 
 impl WorkerPlan {
-    /// A plan with the default batching and no fault injection.
+    /// A plan with no fault injection.
     pub fn new(workers: usize, queue_depth: usize) -> WorkerPlan {
         WorkerPlan {
             workers,
             queue_depth,
-            batch_max: 32,
             panic_on: None,
         }
     }
@@ -99,9 +100,9 @@ impl Default for WorkerPlan {
 /// One admitted query on its way to a worker.
 struct Work {
     seq: u64,
-    kind: QueryKind,
-    /// The full request line (command + rest), owned for the hop; also
-    /// the traced request string, matching the sequential tracer.
+    /// The full request line (command + rest), owned for the hop and
+    /// parsed again by the worker; also the traced request string,
+    /// matching the sequential tracer.
     line: String,
     traced: bool,
 }
@@ -114,9 +115,12 @@ enum ToCollector {
         reply: QueryReply,
         trace: Option<Trace>,
     },
-    /// A verb / malformed line, answered by the collector at its
-    /// barrier position.
+    /// An introspection verb, answered by the collector at its barrier
+    /// position.
     Verb { seq: u64, line: String },
+    /// A malformed line: its `err` reason, written and counted by the
+    /// collector at its position.
+    Error { seq: u64, reason: String },
     /// An admitted query abandoned by a dying worker (or drained after
     /// every worker exited): fills the seq hole so later responses
     /// still flow, and is counted as shed.
@@ -128,6 +132,7 @@ impl ToCollector {
         match self {
             ToCollector::Reply { seq, .. }
             | ToCollector::Verb { seq, .. }
+            | ToCollector::Error { seq, .. }
             | ToCollector::Shed { seq } => *seq,
         }
     }
@@ -151,26 +156,6 @@ fn obs_send<T>(tx: &Sender<T>, msg: T, blocked: &Counter, wait: &Histogram) -> b
     }
 }
 
-/// `rest` of a request line as the reader classified it.
-fn rest_of(line: &str) -> &str {
-    line.split_once(' ').map_or("", |(_, r)| r.trim())
-}
-
-fn to_batch_query(kind: QueryKind, rest: &str) -> BatchQuery {
-    match kind {
-        QueryKind::Url => BatchQuery::Url(rest.to_string()),
-        QueryKind::Sender => BatchQuery::Sender(rest.to_string()),
-        QueryKind::Near => BatchQuery::Near(rest.to_string()),
-        QueryKind::Msg => {
-            let (sender, text) = split_msg(rest);
-            BatchQuery::Msg {
-                sender: sender.map(str::to_string),
-                text: text.to_string(),
-            }
-        }
-    }
-}
-
 /// Serve the line protocol over `plan.workers` triage workers with
 /// in-order reassembly. Byte-for-byte the same stdout as
 /// [`serve_session`](crate::serve::serve_session) given the same input
@@ -188,7 +173,6 @@ pub fn serve_workers<R: BufRead, W: Write + Send>(
 ) -> io::Result<ServeSession> {
     let workers = plan.workers.max(1);
     let depth = plan.queue_depth.max(1);
-    let batch_max = plan.batch_max.max(1);
     let sample_every = opts.trace.sample_every;
 
     obs.gauge("intel.serve.workers", &[]).set(workers as i64);
@@ -200,7 +184,7 @@ pub fn serve_workers<R: BufRead, W: Write + Send>(
     // The reply queue holds at most one in-flight message per admitted
     // request, so depth + a batch per worker never truly blocks; the
     // bound exists to keep a stalled writer from buffering unboundedly.
-    let (reply_tx, reply_rx) = bounded::<ToCollector>(depth + workers * batch_max);
+    let (reply_tx, reply_rx) = bounded::<ToCollector>(depth + workers * BATCH_MAX);
 
     // Sheds noted by the reader (no seq, no message) for the collector
     // to fold into the session stats before its next in-order message.
@@ -224,43 +208,31 @@ pub fn serve_workers<R: BufRead, W: Write + Send>(
                 let batch_size = obs.histogram("intel.serve.worker.batch_size", &[]);
                 let busy_ns = obs.histogram("intel.serve.worker.busy_ns", &[]);
                 s.spawn(move || {
-                    let mut items: Vec<Work> = Vec::with_capacity(batch_max);
+                    let mut items: Vec<Work> = Vec::with_capacity(BATCH_MAX);
                     while let Ok(first) = work_rx.recv() {
                         items.clear();
                         items.push(first);
-                        while items.len() < batch_max {
+                        while items.len() < BATCH_MAX {
                             match work_rx.try_recv() {
                                 Ok(m) => items.push(m),
                                 Err(_) => break,
                             }
                         }
-                        let queries: Vec<BatchQuery> = items
-                            .iter()
-                            .map(|m| to_batch_query(m.kind, rest_of(&m.line)))
-                            .collect();
-                        let traces: Vec<Option<TraceBuilder>> = items
-                            .iter()
-                            .map(|m| m.traced.then(|| TraceBuilder::detached(&m.line)))
-                            .collect();
                         // How many replies made it out before a panic, so
                         // the remainder of the batch can be shed.
                         let sent = std::cell::Cell::new(0usize);
                         let body = AssertUnwindSafe(|| {
                             busy_ns.time(|| {
-                                triage.query_batch_with(&queries, traces, |i, br, tb| {
-                                    let m = &items[i];
+                                for m in &items {
                                     if panic_on == Some(m.line.as_str()) {
                                         panic!("injected worker fault: {}", m.line);
                                     }
-                                    let reply = reply_for(
-                                        m.kind,
-                                        rest_of(&m.line),
-                                        &br.verdict,
-                                        br.wall_ns,
-                                        br.candidates as u64,
-                                        br.epoch_flipped,
-                                    );
-                                    let trace = tb.map(|tb| tb.finish(verdict_label(&br.verdict)));
+                                    let Some((_, Request::Query(query))) = classify(Ok(&m.line))
+                                    else {
+                                        unreachable!("the reader admits only query lines");
+                                    };
+                                    let tb = m.traced.then(|| TraceBuilder::detached(&m.line));
+                                    let (reply, trace) = answer_query(&mut triage, &query, tb);
                                     obs_send(
                                         &reply_tx,
                                         ToCollector::Reply {
@@ -272,7 +244,7 @@ pub fn serve_workers<R: BufRead, W: Write + Send>(
                                         &wait,
                                     );
                                     sent.set(sent.get() + 1);
-                                });
+                                }
                             });
                         });
                         w_batches.inc();
@@ -314,31 +286,20 @@ pub fn serve_workers<R: BufRead, W: Write + Send>(
                         ToCollector::Reply { reply, trace, .. } => {
                             core.tracer.note_requests(1);
                             if let Some(trace) = trace {
-                                let ns = reply.ns;
-                                let hist = reply.kind.hist_name();
                                 let id = core.tracer.adopt(trace);
-                                core.tracer.exemplar(hist, id, ns);
+                                core.tracer.exemplar(reply.lane.hist_name(), id, reply.ns);
                             }
                             core.record_reply(&reply);
                             writeln!(out, "{}", reply.text)
                         }
-                        ToCollector::Verb { line, .. } => {
-                            let (cmd, rest) = line.split_once(' ').unwrap_or((&line, ""));
-                            let rest = rest.trim();
-                            match classify(cmd, rest) {
-                                Parsed::NeedsValue(cmd) => {
-                                    core.error();
-                                    writeln!(out, "err {cmd} needs a value")
-                                }
-                                Parsed::Unknown(other) => {
-                                    core.error();
-                                    writeln!(out, "err unknown command {other}")
-                                }
-                                Parsed::Verb(cmd) => core.verb(triage, cmd, rest, out),
-                                // The reader never forwards these.
-                                Parsed::Quit | Parsed::Query(_) => Ok(()),
+                        ToCollector::Verb { line, .. } => match classify(Ok(&line)) {
+                            Some((_, Request::Verb(cmd, rest))) => {
+                                core.verb(triage, cmd, rest, out)
                             }
-                        }
+                            // The reader forwards nothing else as a verb.
+                            _ => Ok(()),
+                        },
+                        ToCollector::Error { reason, .. } => core.error(&reason, out),
                         ToCollector::Shed { .. } => {
                             core.shed();
                             Ok(())
@@ -382,29 +343,27 @@ pub fn serve_workers<R: BufRead, W: Write + Send>(
         let mut seq: u64 = 0;
         let mut q_count: u64 = 0;
         let mut reader_err: Option<io::Error> = None;
-        for line in input.lines() {
-            let line = match line {
-                Ok(l) => l,
+        let mut lines = LineReader::new(input);
+        loop {
+            let read = match lines.next_line() {
+                Ok(Some(read)) => read,
+                Ok(None) => break,
                 Err(e) => {
                     reader_err = Some(e);
                     break;
                 }
             };
-            let line = line.trim();
-            if line.is_empty() {
+            let Some((line, request)) = classify(read) else {
                 continue;
-            }
-            let (cmd, rest) = line.split_once(' ').unwrap_or((line, ""));
-            let rest = rest.trim();
-            match classify(cmd, rest) {
-                Parsed::Quit => break,
-                Parsed::Query(kind) => {
+            };
+            let to_collector = match request {
+                Request::Quit => break,
+                Request::Query(_) => {
                     // Replicates Tracer::begin's cadence: first query
                     // always traced, then 1-in-K (0 = never).
                     let traced = sample_every != 0 && q_count.is_multiple_of(sample_every);
                     match work_tx.try_send(Work {
                         seq,
-                        kind,
                         line: line.to_string(),
                         traced,
                     }) {
@@ -417,20 +376,18 @@ pub fn serve_workers<R: BufRead, W: Write + Send>(
                         }
                         Err(TrySendError::Disconnected(_)) => break,
                     }
+                    continue;
                 }
-                Parsed::Verb(_) | Parsed::NeedsValue(_) | Parsed::Unknown(_) => {
-                    if reply_tx
-                        .send(ToCollector::Verb {
-                            seq,
-                            line: line.to_string(),
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                    seq += 1;
-                }
+                Request::Verb(..) => ToCollector::Verb {
+                    seq,
+                    line: line.to_string(),
+                },
+                Request::Malformed(reason) => ToCollector::Error { seq, reason },
+            };
+            if reply_tx.send(to_collector).is_err() {
+                break;
             }
+            seq += 1;
         }
 
         // Shutdown: starve the workers, join them, then shed whatever
@@ -488,15 +445,21 @@ mod tests {
     fn workers_answer_in_input_order() {
         let hub = hub();
         let mut t = Triage::with_config(hub.reader(), cfg());
-        let mut sample = Vec::new();
-        crate::serve::serve_lines(&mut t, "sample 40\n".as_bytes(), &mut sample, &Obs::noop())
+        let mut serve = |input: &[u8]| {
+            let mut out = Vec::new();
+            let session = crate::serve::serve_session(
+                &mut t,
+                input,
+                &mut out,
+                &Obs::noop(),
+                ServeOptions::default(),
+            )
             .unwrap();
+            (session.stats, out)
+        };
+        let (_, sample) = serve(b"sample 40\n");
         let script = String::from_utf8(sample).unwrap();
-
-        let mut seq_out = Vec::new();
-        let seq_stats =
-            crate::serve::serve_lines(&mut t, script.as_bytes(), &mut seq_out, &Obs::noop())
-                .unwrap();
+        let (seq_stats, seq_out) = serve(script.as_bytes());
 
         for workers in [1, 4] {
             let mut out = Vec::new();
@@ -583,5 +546,47 @@ mod tests {
         ] {
             assert!(report.contains(key), "{key} missing: {report}");
         }
+    }
+
+    #[test]
+    fn unreadable_lines_answer_in_order_like_inline() {
+        let hub = hub();
+        let mut input = b"url https://nope-1.example/a\nurl http://\xff.example\n".to_vec();
+        input.extend(std::iter::repeat_n(b'x', crate::serve::MAX_LINE_BYTES + 1));
+        input.extend_from_slice(b"\nurl https://nope-2.example/b\nstats\n");
+
+        let mut seq_out = Vec::new();
+        let seq = crate::serve::serve_session(
+            &mut Triage::with_config(hub.reader(), cfg()),
+            &input[..],
+            &mut seq_out,
+            &Obs::noop(),
+            ServeOptions::default(),
+        )
+        .unwrap();
+        assert_eq!((seq.stats.queries, seq.stats.errors), (2, 2));
+        let text = String::from_utf8(seq_out.clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[1..3], ["err invalid utf-8", "err line too long"]);
+
+        let mut out = Vec::new();
+        let session = serve_workers(
+            &hub,
+            cfg(),
+            &input[..],
+            &mut out,
+            &Obs::noop(),
+            ServeOptions::default(),
+            &WorkerPlan::new(2, 64),
+        )
+        .unwrap();
+        assert_eq!(session.stats.errors, 2);
+        let mask = |b: &[u8]| {
+            let t = String::from_utf8(b.to_vec()).unwrap();
+            t.lines()
+                .map(|l| l.split(" lookup_p99_ns=").next().unwrap().to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(mask(&out), mask(&seq_out));
     }
 }

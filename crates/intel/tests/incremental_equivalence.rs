@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing_core::CurationOptions;
 use smishing_intel::{
-    verdict_line, BuildOptions, IntelHub, IntelSnapshot, SnapshotDelta, Triage, TriageConfig,
+    verdict_line, BuildOptions, IntelHub, IntelSnapshot, Query, SnapshotDelta, Triage, TriageConfig,
 };
 use smishing_obs::Obs;
 use smishing_worldsim::{ReportStream, World, WorldConfig};
@@ -158,21 +158,21 @@ proptest! {
         if let Some(url) = b.full.entries().iter().find_map(|e| e.url) {
             let url = b.full.resolve(url).to_string();
             prop_assert_eq!(
-                verdict_line(&tf.query_url(&url)),
-                verdict_line(&ti.query_url(&url))
+                verdict_line(&tf.answer(&Query::Url(&url), None).verdict),
+                verdict_line(&ti.answer(&Query::Url(&url), None).verdict)
             );
         }
         // A fuzzed absent key.
         let probe = format!("https://zz{salt:x}-fuzz.example/q");
         prop_assert_eq!(
-            verdict_line(&tf.query_url(&probe)),
-            verdict_line(&ti.query_url(&probe))
+            verdict_line(&tf.answer(&Query::Url(&probe), None).verdict),
+            verdict_line(&ti.answer(&Query::Url(&probe), None).verdict)
         );
         // A similarity query drawn from the raw message corpus.
         let text = &b.texts[pick % b.texts.len()];
         prop_assert_eq!(
-            verdict_line(&tf.query_near(text)),
-            verdict_line(&ti.query_near(text))
+            verdict_line(&tf.answer(&Query::Near(text), None).verdict),
+            verdict_line(&ti.answer(&Query::Near(text), None).verdict)
         );
     }
 }

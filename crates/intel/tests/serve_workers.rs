@@ -12,7 +12,7 @@
 
 use smishing_core::pipeline::Pipeline;
 use smishing_intel::{
-    serve_lines, serve_workers, IntelHub, IntelSnapshot, ServeOptions, Triage, TriageConfig,
+    serve_session, serve_workers, IntelHub, IntelSnapshot, ServeOptions, Triage, TriageConfig,
     WorkerPlan,
 };
 use smishing_obs::Obs;
@@ -81,7 +81,6 @@ fn overload_sheds_are_counted_never_silent() {
         &WorkerPlan {
             workers: 1,
             queue_depth: 1,
-            batch_max: 1,
             panic_on: None,
         },
     )
@@ -150,11 +149,12 @@ fn worker_panic_is_counted_reraised_and_loses_no_prior_bytes() {
     // The sequential expectation for the pre-panic prefix.
     let mut expected = Vec::new();
     let prefix: String = hits[..6].iter().map(|l| format!("{l}\n")).collect();
-    serve_lines(
+    serve_session(
         &mut Triage::with_config(hub.reader(), cfg()),
         prefix.as_bytes(),
         &mut expected,
         &Obs::noop(),
+        ServeOptions::default(),
     )
     .unwrap();
 
@@ -171,7 +171,6 @@ fn worker_panic_is_counted_reraised_and_loses_no_prior_bytes() {
             &WorkerPlan {
                 workers: 1,
                 queue_depth: 16,
-                batch_max: 1,
                 panic_on: Some(poison.to_string()),
             },
         )

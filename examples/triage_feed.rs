@@ -19,7 +19,7 @@
 
 use smishing::core::pipeline::Pipeline;
 use smishing::core::runcfg::RunConfig;
-use smishing::intel::{evaluate_triage, IntelHub, IntelSnapshot, Triage, TriageVerdict};
+use smishing::intel::{evaluate_triage, IntelHub, IntelSnapshot, Query, Triage, TriageVerdict};
 use smishing::prelude::*;
 use smishing::stream::{ingest, SnapshotPlan};
 
@@ -87,7 +87,11 @@ fn main() {
     );
     for msg in &incoming {
         let sender = msg.sender.display_string();
-        match triage.triage(Some(&sender), &msg.text) {
+        let query = Query::Msg {
+            sender: Some(&sender),
+            text: &msg.text,
+        };
+        match triage.answer(&query, None).verdict {
             TriageVerdict::Hit(a) => {
                 hits += 1;
                 flagged += 1;

@@ -27,7 +27,10 @@
 //! `serve` builds the intelligence store (`smishing-intel`) from a batch
 //! run — or, with `--stream`, republishes it live from every aligned
 //! stream snapshot while queries are being answered — then speaks the
-//! line protocol of `smishing::intel::serve_lines` on stdin/stdout.
+//! line protocol of `smishing::intel::serve_session` on stdin/stdout.
+//! Every query is answered by `Triage::answer`; a request line that is
+//! not UTF-8 or longer than 64 KiB gets an `err` reply and the
+//! session goes on. An IO error on stdin/stdout is logged and exits 1.
 //! Streamed republishes are incremental: epoch 1 builds the store from
 //! scratch, and every later epoch folds only that snapshot's curated
 //! delta into the previous store. `--intel-window SECS` ages entries
@@ -37,7 +40,8 @@
 //! every published epoch; restarting with the same flags replays the
 //! verified prefix without republishing it and re-enters the epoch
 //! sequence where the interrupted server left off.
-//! `query <url|sender|msg|near> <value>` is the one-shot form; defanged
+//! `query <url|sender|msg|near|explain> <value>` is the one-shot form,
+//! printing exactly the line `serve` would for the same request; defanged
 //! (`hxxps://`, `[.]`, `(dot)`) and homoglyph spellings normalize to the
 //! same verdict as the clean string. `near` skips the exact pivots and
 //! asks the snapshot's SimHash similarity tier directly: it reports the
@@ -87,8 +91,8 @@ use smishing::core::pipeline::PipelineOutput;
 use smishing::core::runcfg::RunConfig;
 use smishing::detect::{binary_study, multiclass_study_grouped};
 use smishing::intel::{
-    serve_session, serve_workers, verdict_label, verdict_line, AdversaryGauge, BuildOptions,
-    IntelHub, IntelSnapshot, ServeOptions, SnapshotDelta, Triage, TriageConfig, WorkerPlan,
+    explain, reply_line, serve_session, serve_workers, AdversaryGauge, BuildOptions, IntelHub,
+    IntelSnapshot, Query, ServeOptions, SnapshotDelta, Triage, TriageConfig, WorkerPlan,
 };
 use smishing::obs::{obs_error, obs_info, parse_report, perf_diff, Obs, Tracer, TracerConfig};
 use smishing::prelude::*;
@@ -579,7 +583,7 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
     // on disk the moment the query stream ends; the later emit rewrites
     // the same file with the same schema, so the double write is benign.
     let serve_and_flush = |hub: &IntelHub| {
-        let stats = if args.cfg.serve_workers > 0 {
+        let served = if args.cfg.serve_workers > 0 {
             // Multi-worker plane: parsed requests fan out over a bounded
             // queue to N triage workers and reassemble in order, so
             // stdout is byte-identical to the inline path; overload is
@@ -597,8 +601,6 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
                 serve_opts.clone(),
                 &plan,
             )
-            .expect("serve io")
-            .stats
         } else {
             let mut triage = Triage::with_config(hub.reader(), triage_cfg.clone());
             serve_session(
@@ -608,8 +610,13 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
                 obs,
                 serve_opts.clone(),
             )
-            .expect("serve io")
-            .stats
+        };
+        let stats = match served {
+            Ok(session) => session.stats,
+            Err(e) => {
+                obs_error!(obs, "serve: {e}");
+                std::process::exit(1);
+            }
         };
         if let Err(e) = args.cfg.emit_metrics(obs) {
             obs_error!(obs, "{e}");
@@ -758,19 +765,23 @@ fn cmd_query(args: &Args, obs: &Obs, world: &World) {
             std::process::exit(2);
         }
     };
-    if !matches!(kind, "url" | "sender" | "msg" | "near" | "explain") {
-        eprintln!("unknown query kind {kind:?}; expected url|sender|msg|near|explain");
-        std::process::exit(2);
-    }
+    let query = match kind {
+        "explain" => None,
+        _ => match Query::parse(kind, &value) {
+            Some(query) => Some(query),
+            None => {
+                eprintln!("unknown query kind {kind:?}; expected url|sender|msg|near|explain");
+                std::process::exit(2);
+            }
+        },
+    };
     // Key-only lookups never need the model; don't pay for training.
-    // An `explain` is a message triage unless its first token names a
-    // narrower pivot, so it trains exactly when a bare `msg` would.
-    let needs_model = kind == "msg"
-        || (kind == "explain"
-            && !matches!(
-                value.split_whitespace().next().unwrap_or(""),
-                "url" | "sender" | "near"
-            ));
+    // An `explain` trains unless its first token names a key-only verb.
+    let verb = match query {
+        Some(q) => q.verb(),
+        None => value.split_whitespace().next().unwrap_or(""),
+    };
+    let needs_model = !matches!(verb, "url" | "sender" | "near");
     let output = run_pipeline(args, obs, world);
     let hub = IntelHub::new();
     hub.publish(IntelSnapshot::build(&output));
@@ -781,50 +792,19 @@ fn cmd_query(args: &Args, obs: &Obs, world: &World) {
             ..TriageConfig::default()
         },
     );
-    if kind == "explain" {
-        // One-shot mirror of the serve-plane `explain` verb: force-trace
-        // the lookup, print the verdict line, then the full span tree.
+    let Some(query) = query else {
+        // One-shot mirror of the serve-plane `explain` verb.
         let mut tracer = Tracer::new(TracerConfig::default());
-        let mut tb = tracer.begin_forced(&value);
-        let (ekind, eval) = value.split_once(' ').unwrap_or((value.as_str(), ""));
-        let v = match (ekind, eval) {
-            ("url", v) if !v.is_empty() => triage.query_url_traced(v, Some(&mut tb)),
-            ("sender", v) if !v.is_empty() => triage.query_sender_traced(v, Some(&mut tb)),
-            ("near", v) if !v.is_empty() => triage.query_near_traced(v, Some(&mut tb)).0,
-            _ => {
-                let body = value.strip_prefix("msg ").unwrap_or(&value).trim();
-                let (sender, text) = match body.split_once('|') {
-                    Some((s, t)) => (Some(s.trim()), t.trim()),
-                    None => (None, body),
-                };
-                triage.triage_traced(sender, text, Some(&mut tb))
-            }
-        };
-        let trace = tb.finish(verdict_label(&v));
-        println!("{}", verdict_line(&v));
-        print!("{}", trace.render());
-        tracer.finish(trace);
+        if let Err(e) = explain(&mut triage, &mut tracer, &value, &mut std::io::stdout()) {
+            obs_error!(obs, "query: {e}");
+            std::process::exit(1);
+        }
         return;
-    }
-    let verdict = obs
+    };
+    let answer = obs
         .histogram("intel.query.wall_ns", &[])
-        .time(|| match kind {
-            "url" => triage.query_url(&value),
-            "sender" => triage.query_sender(&value),
-            "near" => triage.query_near(&value),
-            _ => {
-                let (sender, text) = match value.split_once('|') {
-                    Some((s, t)) => (Some(s.trim()), t.trim()),
-                    None => (None, value.as_str()),
-                };
-                triage.triage(sender, text)
-            }
-        });
-    if verdict.attribution().is_some() || verdict.near().is_some() || kind == "msg" {
-        println!("{}", verdict_line(&verdict));
-    } else {
-        println!("miss {kind} key={value}");
-    }
+        .time(|| triage.answer(&query, None));
+    println!("{}", reply_line(&query, &answer.verdict));
 }
 
 /// The CI perf gate: compare two `smishing-obs/v1` run reports and fail

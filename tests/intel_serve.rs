@@ -11,7 +11,8 @@
 use smishing::core::pipeline::Pipeline;
 use smishing::core::CurationOptions;
 use smishing::intel::{
-    evaluate_triage, serve_lines, IntelHub, IntelSnapshot, Triage, TriageConfig,
+    evaluate_triage, serve_session, IntelHub, IntelSnapshot, Query, ServeOptions, Triage,
+    TriageConfig,
 };
 use smishing::obs::Obs;
 use smishing::stream::{ingest, ExecPlan, SnapshotPlan};
@@ -78,7 +79,10 @@ fn mid_stream_republished_snapshot_answers_like_batch_over_prefix() {
     for e in batch_snap.entries() {
         if let Some(u) = e.url {
             let q = batch_snap.resolve(u);
-            let (a, b) = (live.query_url(q), batch.query_url(q));
+            let (a, b) = (
+                live.answer(&Query::Url(q), None).verdict,
+                batch.answer(&Query::Url(q), None).verdict,
+            );
             let a = a.attribution().expect("live hit");
             let b = b.attribution().expect("batch hit");
             assert_eq!(a.key, b.key);
@@ -91,8 +95,15 @@ fn mid_stream_republished_snapshot_answers_like_batch_over_prefix() {
         if let Some(s) = e.sender {
             let q = batch_snap.resolve(s);
             assert_eq!(
-                live.query_sender(q).attribution().is_some(),
-                batch.query_sender(q).attribution().is_some(),
+                live.answer(&Query::Sender(q), None)
+                    .verdict
+                    .attribution()
+                    .is_some(),
+                batch
+                    .answer(&Query::Sender(q), None)
+                    .verdict
+                    .attribution()
+                    .is_some(),
                 "sender {q}"
             );
         }
@@ -113,10 +124,11 @@ fn mid_stream_republished_snapshot_answers_like_batch_over_prefix() {
         if batch_snap.sim().shingles_of(id as u32).is_empty() {
             continue;
         }
-        let (av, an) = live.query_near_with(&e.text);
-        let (bv, bn) = batch.query_near_with(&e.text);
-        let a = av.near().expect("live near hit");
-        let b = bv.near().expect("batch near hit");
+        let la = live.answer(&Query::Near(&e.text), None);
+        let ba = batch.answer(&Query::Near(&e.text), None);
+        let (an, bn) = (la.candidates, ba.candidates);
+        let a = la.verdict.near().expect("live near hit");
+        let b = ba.verdict.near().expect("batch near hit");
         assert_eq!(a.entry, b.entry, "{}", e.text);
         assert_eq!(a.template, b.template);
         assert_eq!(a.hamming, b.hamming);
@@ -152,10 +164,10 @@ fn defanged_and_clean_spellings_serve_identical_verdicts() {
     ];
 
     // Through the API: same entry, same key, same cluster.
-    let baseline = t.query_url(&clean);
+    let baseline = t.answer(&Query::Url(&clean), None).verdict;
     let baseline = baseline.attribution().expect("clean spelling hits");
     for s in &spellings {
-        let v = t.query_url(s);
+        let v = t.answer(&Query::Url(s), None).verdict;
         let a = v.attribution().unwrap_or_else(|| panic!("{s} missed"));
         assert_eq!(a.entry, baseline.entry, "{s}");
         assert_eq!(a.key, baseline.key, "{s}");
@@ -165,7 +177,15 @@ fn defanged_and_clean_spellings_serve_identical_verdicts() {
     // Through the serve protocol: byte-identical response lines.
     let script: String = spellings.iter().map(|s| format!("url {s}\n")).collect();
     let mut out_buf = Vec::new();
-    let stats = serve_lines(&mut t, script.as_bytes(), &mut out_buf, &Obs::noop()).unwrap();
+    let stats = serve_session(
+        &mut t,
+        script.as_bytes(),
+        &mut out_buf,
+        &Obs::noop(),
+        ServeOptions::default(),
+    )
+    .unwrap()
+    .stats;
     assert_eq!(stats.hits, spellings.len() as u64);
     let lines: Vec<&str> = std::str::from_utf8(&out_buf).unwrap().lines().collect();
     assert!(lines.windows(2).all(|w| w[0] == w[1]), "{lines:#?}");

@@ -8,6 +8,11 @@
 //! * **Worker-plane smoke**: `--serve-workers`/`--queue-depth` route
 //!   through the multi-worker plane and answer byte-identically to the
 //!   inline path.
+//! * **One-shot parity**: `smish query <verb> <value>` prints the reply
+//!   line `smish serve` writes for the same request, and `smish query
+//!   explain` the same verdict line and rungs as the serve verb.
+//! * **Hostile stdin**: a line that is not UTF-8 gets an `err` reply and
+//!   the session goes on, in both serve modes.
 
 use std::io::Write;
 use std::process::{Child, Command, Stdio};
@@ -15,6 +20,21 @@ use std::time::{Duration, Instant};
 
 fn smish() -> Command {
     Command::new(env!("CARGO_BIN_EXE_smish"))
+}
+
+/// Run `smish serve` at scale 0.02 over `input`; returns stdout.
+fn serve(extra: &[&str], input: &[u8]) -> String {
+    let mut child = smish()
+        .args(["serve", "--scale", "0.02", "--quiet"])
+        .args(extra)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn smish serve");
+    child.stdin.take().unwrap().write_all(input).unwrap();
+    let output = wait_done(&mut child, "serve");
+    String::from_utf8(output.stdout).unwrap()
 }
 
 fn wait_done(child: &mut Child, what: &str) -> std::process::Output {
@@ -103,24 +123,7 @@ fn stream_serve_flushes_metrics_at_eof_before_publisher_joins() {
 fn worker_plane_cli_matches_inline_responses() {
     let script = "url https://nope.example/x\nmsg your parcel is waiting, confirm at once\n\
                   stats\nhealth\nquit\n";
-    let run = |extra: &[&str]| -> String {
-        let mut child = smish()
-            .args(["serve", "--scale", "0.02", "--quiet"])
-            .args(extra)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn smish serve");
-        child
-            .stdin
-            .take()
-            .unwrap()
-            .write_all(script.as_bytes())
-            .unwrap();
-        let output = wait_done(&mut child, "serve");
-        String::from_utf8(output.stdout).unwrap()
-    };
+    let run = |extra: &[&str]| serve(extra, script.as_bytes());
 
     let inline = run(&[]);
     let workers = run(&["--serve-workers", "4", "--queue-depth", "64"]);
@@ -152,4 +155,85 @@ fn worker_plane_cli_matches_inline_responses() {
     assert_eq!(mask(&workers), mask(&inline), "worker plane diverged");
     assert!(workers.contains("stats queries=2 "), "{workers}");
     assert!(workers.contains("shed=0"), "{workers}");
+}
+
+#[test]
+fn one_shot_query_prints_the_serve_reply_line() {
+    let sampled = serve(&[], b"sample 2\nsample near 1\n");
+    let mut requests: Vec<String> = sampled.lines().map(str::to_string).collect();
+    assert_eq!(requests.len(), 3, "{sampled}");
+    requests.extend(
+        [
+            "url hxxps://not-in-store[.]example/login",
+            "sender +19995550001",
+            "near quick reminder that book club moved to tuesday evening this week",
+            "msg +15550001111|lunch tomorrow at the usual spot?",
+            "msg URGENT: your bank account is suspended, verify at http://fresh-host.example/now",
+        ]
+        .map(str::to_string),
+    );
+    let script: String = requests.iter().map(|r| format!("{r}\n")).collect();
+    let replies = serve(&[], script.as_bytes());
+    let replies: Vec<&str> = replies.lines().collect();
+    assert_eq!(replies.len(), requests.len(), "{replies:?}");
+    for (request, reply) in requests.iter().zip(&replies) {
+        let (verb, value) = request.split_once(' ').unwrap();
+        let out = smish()
+            .args(["query", "--scale", "0.02", "--quiet", verb, value])
+            .output()
+            .expect("run smish query");
+        assert!(out.status.success(), "{request}: {}", out.status);
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            format!("{reply}\n"),
+            "{request}"
+        );
+    }
+
+    // `explain`: the same verdict line and the same rungs, in order.
+    let shape = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.starts_with("trace id=") && !l.starts_with("end id="))
+            .map(|l| match l.trim_start().strip_prefix("rung ") {
+                Some(rung) => rung.split(' ').next().unwrap().to_string(),
+                None => l.to_string(),
+            })
+            .collect()
+    };
+    for value in [
+        "msg URGENT: your bank account is suspended, verify at http://fresh-host.example/now",
+        "+15550001111|lunch tomorrow at the usual spot?",
+        requests[0].as_str(),
+        "msg",
+    ] {
+        let served = serve(&[], format!("explain {value}\n").as_bytes());
+        let out = smish()
+            .args(["query", "--scale", "0.02", "--quiet", "explain", value])
+            .output()
+            .expect("run smish query explain");
+        assert!(out.status.success(), "explain {value}: {}", out.status);
+        let one_shot = String::from_utf8(out.stdout).unwrap();
+        assert!(one_shot.contains("  rung "), "{one_shot}");
+        assert_eq!(shape(&one_shot), shape(&served), "explain {value}");
+    }
+}
+
+#[test]
+fn invalid_utf8_on_stdin_is_answered_in_both_serve_modes() {
+    let input = b"url http://a.com\nurl http://\xff.com\nurl http://b.com\nstats\n";
+    for extra in [&[][..], &["--serve-workers", "2"][..]] {
+        let out = serve(extra, input);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4, "{extra:?}: {out}");
+        assert_eq!(
+            lines[..3],
+            [
+                "miss url key=http://a.com",
+                "err invalid utf-8",
+                "miss url key=http://b.com"
+            ],
+            "{extra:?}"
+        );
+        assert!(lines[3].contains(" errors=1 "), "{extra:?}: {}", lines[3]);
+    }
 }
