@@ -1,7 +1,6 @@
 //! Table 8: autonomous systems hosting smishing pages (§4.6).
 
 use crate::enrich::EnrichedRecord;
-use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use smishing_stats::{Counter, FirstClaim};
 use std::collections::{BTreeSet, HashSet};
@@ -26,15 +25,6 @@ pub struct AsnUse {
     pub bulletproof_domains: usize,
 }
 
-/// Compute AS usage (a fold of [`AsnAcc`]).
-pub fn asn_use(out: &PipelineOutput<'_>) -> AsnUse {
-    let mut acc = AsnAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    acc.finish()
-}
-
 /// One resolution's contribution, captured at claim time: the AS record is
 /// a static-catalog entry, so its org/ASN/country/bulletproof flags travel
 /// with the claim and no world lookup is needed at finish.
@@ -56,11 +46,10 @@ struct AsnClaim {
     infos: Vec<AsnResolution>,
 }
 
-/// Incremental form of [`asn_use`]: a record claims its registrable domain
-/// even when it has no resolutions (mirroring the batch pass, where a
-/// non-resolving first record still consumes the domain slot); the global
-/// distinct-IP attribution is replayed over winners in `post_id` order at
-/// finish.
+/// Table 8 AS usage: a record claims its registrable domain even when it
+/// has no resolutions (mirroring the batch pass, where a non-resolving
+/// first record still consumes the domain slot); the global distinct-IP
+/// attribution is replayed over winners in `post_id` order at finish.
 #[derive(Debug, Clone, Default)]
 pub struct AsnAcc {
     claims: FirstClaim<String, AsnClaim>,
@@ -217,13 +206,12 @@ impl AsnUse {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::analysis::testfix;
 
     #[test]
     fn only_a_minority_of_domains_resolve() {
         // §4.6: 466 resolving domains out of thousands queried.
-        let u = asn_use(testfix::output());
+        let u = testfix::output().accs.asn.finish();
         assert!(u.resolving_domains > 10, "{}", u.resolving_domains);
         assert!(
             u.distinct_ips >= u.resolving_domains,
@@ -235,7 +223,7 @@ mod tests {
 
     #[test]
     fn cloudflare_fronts_a_large_share() {
-        let u = asn_use(testfix::output());
+        let u = testfix::output().accs.asn.finish();
         assert!(
             (0.08..0.35).contains(&u.cloudflare_domain_share),
             "{}",
@@ -247,7 +235,7 @@ mod tests {
 
     #[test]
     fn mainstream_clouds_lead_table8() {
-        let u = asn_use(testfix::output());
+        let u = testfix::output().accs.asn.finish();
         let top: Vec<&str> = u
             .ips_per_org
             .sorted()
@@ -264,7 +252,7 @@ mod tests {
 
     #[test]
     fn bulletproof_hosting_observed() {
-        let u = asn_use(testfix::output());
+        let u = testfix::output().accs.asn.finish();
         assert!(u.bulletproof_domains > 0, "BHPs should appear (§4.6)");
         assert!(
             u.bulletproof_domains < u.resolving_domains / 2,
@@ -274,7 +262,7 @@ mod tests {
 
     #[test]
     fn table_renders_without_cloudflare() {
-        let u = asn_use(testfix::output());
+        let u = testfix::output().accs.asn.finish();
         let t = u.to_table();
         assert!(t.len() >= 3);
         assert!(!t.to_string().contains("Cloudflare"));

@@ -1,7 +1,6 @@
 //! Tables 9 and 18: antivirus detection of smishing URLs (§4.7).
 
 use crate::enrich::{EnrichedRecord, MissingField};
-use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_avscan::TransparencyVerdict;
 use smishing_stats::FirstClaim;
@@ -48,15 +47,6 @@ pub struct AvDetection {
     pub gsb_unresolved: usize,
 }
 
-/// Compute AV detection stats (a fold of [`AvAcc`]).
-pub fn av_detection(out: &PipelineOutput<'_>) -> AvDetection {
-    let mut acc = AvAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    acc.finish()
-}
-
 /// The AV verdicts one record would contribute for its unique URL.
 #[derive(Debug, Clone, Copy)]
 struct AvClaim {
@@ -70,7 +60,7 @@ struct AvClaim {
     gsb_missing: bool,
 }
 
-/// Incremental form of [`av_detection`]: per-URL first-claims folded at
+/// Tables 9 and 18 AV detection stats: per-URL first-claims folded at
 /// finish.
 #[derive(Debug, Clone, Default)]
 pub struct AvAcc {
@@ -255,12 +245,11 @@ impl AvDetection {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::analysis::testfix;
 
     #[test]
     fn table9_shape() {
-        let av = av_detection(testfix::output());
+        let av = testfix::output().accs.av.finish();
         let n = av.vt.n as f64;
         assert!(n > 400.0, "{n}");
         let clean = av.vt.clean as f64 / n;
@@ -279,7 +268,7 @@ mod tests {
 
     #[test]
     fn table18_inconsistencies() {
-        let av = av_detection(testfix::output());
+        let av = testfix::output().accs.av.finish();
         let n = av.gsb.n as f64;
         let api = av.gsb.api_unsafe as f64 / n;
         let vt = av.gsb.vt_listed_unsafe as f64 / n;
@@ -295,7 +284,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let av = av_detection(testfix::output());
+        let av = testfix::output().accs.av.finish();
         assert_eq!(av.to_table9().len(), 9);
         assert_eq!(av.to_table18().len(), 3);
     }

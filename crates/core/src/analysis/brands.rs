@@ -2,7 +2,6 @@
 
 use crate::curation::CuratedMessage;
 use crate::enrich::EnrichedRecord;
-use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_stats::{Counter, FirstClaim, RefCount};
 use smishing_textnlp::brands::BrandCatalog;
@@ -16,22 +15,9 @@ pub struct Brands {
     pub no_brand: usize,
 }
 
-/// Compute Table 12 (weighted over total messages via unique annotations;
-/// a fold of [`BrandsAcc`]).
-pub fn brands(out: &PipelineOutput<'_>) -> Brands {
-    let mut acc = BrandsAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    for c in &out.curated_total {
-        acc.add_curated(c);
-    }
-    acc.finish()
-}
-
-/// Incremental form of [`brands`]: per-key multiplicities from the curated
-/// stream joined at finish time against first-claim brand annotations from
-/// the unique records.
+/// Table 12, weighted over total messages via unique annotations:
+/// per-key multiplicities from the curated stream joined at finish time
+/// against first-claim brand annotations from the unique records.
 #[derive(Debug, Clone, Default)]
 pub struct BrandsAcc {
     brands: FirstClaim<String, Option<String>>,
@@ -115,7 +101,7 @@ mod tests {
 
     #[test]
     fn sbi_tops_table12() {
-        let b = brands(testfix::output());
+        let b = testfix::output().accs.brands.finish();
         let top = b.counts.top_k(10);
         assert!(!top.is_empty());
         assert_eq!(top[0].0, "State Bank of India", "{top:?}");
@@ -123,7 +109,7 @@ mod tests {
 
     #[test]
     fn banks_dominate_the_top10() {
-        let b = brands(testfix::output());
+        let b = testfix::output().accs.brands.finish();
         let cat = BrandCatalog::global();
         let bank_count = b
             .counts
@@ -140,7 +126,7 @@ mod tests {
     #[test]
     fn tech_brands_appear_as_others() {
         // Amazon/Netflix reach Table 12 despite not being banks.
-        let b = brands(testfix::output());
+        let b = testfix::output().accs.brands.finish();
         let top: Vec<String> = b.counts.top_k(20).into_iter().map(|(n, _)| n).collect();
         assert!(
             top.iter()
@@ -151,13 +137,13 @@ mod tests {
 
     #[test]
     fn conversation_scams_have_no_brand() {
-        let b = brands(testfix::output());
+        let b = testfix::output().accs.brands.finish();
         assert!(b.no_brand > 0);
     }
 
     #[test]
     fn table_renders() {
-        let b = brands(testfix::output());
+        let b = testfix::output().accs.brands.finish();
         assert_eq!(b.to_table().len(), 10);
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::curation::CuratedMessage;
 use crate::enrich::EnrichedRecord;
-use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_stats::{Counter, FirstClaim, RefCount};
 use smishing_types::{Language, ScamType};
@@ -18,25 +17,12 @@ pub struct Categories {
     pub languages: HashMap<ScamType, Counter<Language>>,
 }
 
-/// Compute Table 10. Classification comes from the pipeline's annotator on
-/// the unique records, then weighted back over duplicates by key (a fold
-/// of [`CategoriesAcc`]).
-pub fn categories(out: &PipelineOutput<'_>) -> Categories {
-    let mut acc = CategoriesAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    for c in &out.curated_total {
-        acc.add_curated(c);
-    }
-    acc.finish()
-}
-
-/// Incremental form of [`categories`]. Two streams feed it: curated
-/// messages bump a per-dedup-key multiplicity, and unique records claim
-/// the key's annotation (minimum `post_id` wins, so shard merges and
-/// winner displacement both resolve exactly as the batch pass over
-/// `post_id`-sorted records).
+/// Table 10. Classification comes from the pipeline's annotator on the
+/// unique records, then weighted back over duplicates by key. Two streams
+/// feed the accumulator: curated messages bump a per-dedup-key
+/// multiplicity, and unique records claim the key's annotation (minimum
+/// `post_id` wins, so shard merges and winner displacement both resolve
+/// exactly as the batch pass over `post_id`-sorted records).
 #[derive(Debug, Clone, Default)]
 pub struct CategoriesAcc {
     annots: FirstClaim<String, (ScamType, Option<Language>)>,
@@ -132,7 +118,7 @@ mod tests {
 
     #[test]
     fn banking_dominates_table10() {
-        let c = categories(testfix::output());
+        let c = testfix::output().accs.categories.finish();
         let top = c.counts.top_k(3);
         assert_eq!(top[0].0, ScamType::Banking, "{top:?}");
         let banking = c.counts.share(&ScamType::Banking);
@@ -143,7 +129,7 @@ mod tests {
     fn ordering_matches_paper() {
         // Banking > Others > Delivery > Government > Telecom ≫ conversation
         // scams; spam present but small.
-        let c = categories(testfix::output());
+        let c = testfix::output().accs.categories.finish();
         assert!(c.counts.get(&ScamType::Others) > c.counts.get(&ScamType::Delivery));
         assert!(c.counts.get(&ScamType::Delivery) > c.counts.get(&ScamType::Telecom));
         assert!(c.counts.get(&ScamType::Government) > c.counts.get(&ScamType::WrongNumber));
@@ -159,7 +145,7 @@ mod tests {
 
     #[test]
     fn english_tops_every_major_category() {
-        let c = categories(testfix::output());
+        let c = testfix::output().accs.categories.finish();
         for scam in [ScamType::Banking, ScamType::Delivery, ScamType::Government] {
             let langs = c.languages.get(&scam).expect("category populated");
             assert_eq!(langs.top_k(1)[0].0, Language::English, "{scam:?}");
@@ -168,7 +154,7 @@ mod tests {
 
     #[test]
     fn table_renders_eight_rows() {
-        let c = categories(testfix::output());
+        let c = testfix::output().accs.categories.finish();
         assert_eq!(c.to_table().len(), 8);
     }
 }

@@ -2,7 +2,6 @@
 //! (§5.6).
 
 use crate::enrich::{EnrichedRecord, MissingField};
-use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use smishing_stats::{Counter, FirstClaim};
 use smishing_telecom::NumberStatus;
@@ -25,15 +24,6 @@ pub struct Countries {
     pub unresolved: usize,
 }
 
-/// Compute Table 14 / Figure 3 (a fold of [`CountriesAcc`]).
-pub fn countries(out: &PipelineOutput<'_>) -> Countries {
-    let mut acc = CountriesAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    acc.finish()
-}
-
 /// One record's contribution for its unique phone number.
 #[derive(Debug, Clone, Copy)]
 struct CountryClaim {
@@ -43,9 +33,9 @@ struct CountryClaim {
     scam: ScamType,
 }
 
-/// Incremental form of [`countries`]: phone-number uniqueness is
-/// first-wins by `post_id`; records without an HLR country or a parseable
-/// phone never claim (exactly the batch guards).
+/// Table 14 / Figure 3: phone-number uniqueness is first-wins by
+/// `post_id`; records without an HLR country or a parseable phone never
+/// claim (exactly the batch guards).
 #[derive(Debug, Clone, Default)]
 pub struct CountriesAcc {
     claims: FirstClaim<PhoneNumber, CountryClaim>,
@@ -246,7 +236,7 @@ mod tests {
 
     #[test]
     fn india_tops_table14() {
-        let c = countries(testfix::output());
+        let c = testfix::output().accs.countries.finish();
         let top = c.all.top_k(10);
         assert!(top.len() >= 5, "{top:?}");
         assert_eq!(top[0].0, Country::India, "{top:?}");
@@ -256,7 +246,7 @@ mod tests {
 
     #[test]
     fn live_counts_are_a_fraction_of_all() {
-        let c = countries(testfix::output());
+        let c = testfix::output().accs.countries.finish();
         for (country, all) in c.all.top_k(10) {
             let live = c.live.get(&country);
             assert!(live <= all, "{country:?}");
@@ -276,7 +266,7 @@ mod tests {
     #[test]
     fn india_is_banking_heavy_us_is_others_heavy() {
         // Fig. 3's headline contrast.
-        let c = countries(testfix::output());
+        let c = testfix::output().accs.countries.finish();
         let india = c.scam_mix.get(&Country::India).expect("india present");
         assert_eq!(india.top_k(1)[0].0, ScamType::Banking);
         assert!(
@@ -295,13 +285,13 @@ mod tests {
 
     #[test]
     fn multiple_mnos_per_major_country() {
-        let c = countries(testfix::output());
+        let c = testfix::output().accs.countries.finish();
         assert!(c.mnos.get(&Country::India).map(|s| s.len()).unwrap_or(0) >= 3);
     }
 
     #[test]
     fn tables_render() {
-        let c = countries(testfix::output());
+        let c = testfix::output().accs.countries.finish();
         assert!(c.to_table().len() >= 5);
         assert!(c.figure3_table().len() >= 5);
     }

@@ -1,6 +1,5 @@
 //! Table 11: languages of smishing messages (§5.3).
 
-use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_stats::Counter;
 use smishing_types::Language;
@@ -14,16 +13,7 @@ pub struct Languages {
     pub unidentified: usize,
 }
 
-/// Compute Table 11 (a fold of [`LanguagesAcc`] over the curated total).
-pub fn languages(out: &PipelineOutput<'_>) -> Languages {
-    let mut acc = LanguagesAcc::new();
-    for c in &out.curated_total {
-        acc.add_curated(c);
-    }
-    acc.finish()
-}
-
-/// Incremental form of [`languages`]: counts stream in one curated message
+/// Table 11 over the curated total: counts stream in one curated message
 /// at a time and shard states merge losslessly. Curated messages are never
 /// retracted (deduplication displaces *records*, not reports), so no `sub`
 /// is needed.
@@ -100,7 +90,7 @@ mod tests {
     fn long_language_tail_is_observed() {
         // §5.3: 66 languages observed; the tail comes from the polyglot
         // spray (translation A/B tests), not from top-10 volume.
-        let l = languages(testfix::output());
+        let l = testfix::output().accs.languages.finish();
         assert!(l.distinct() >= 35, "{}", l.distinct());
         let top10: u64 = l.counts.top_k(10).iter().map(|(_, c)| c).sum();
         assert!(top10 as f64 / l.counts.total() as f64 > 0.9);
@@ -108,7 +98,7 @@ mod tests {
 
     #[test]
     fn english_dominates() {
-        let l = languages(testfix::output());
+        let l = testfix::output().accs.languages.finish();
         let top = l.counts.top_k(2);
         assert_eq!(top[0].0, Language::English);
         let en = l.counts.share(&Language::English);
@@ -118,7 +108,7 @@ mod tests {
 
     #[test]
     fn major_european_languages_present() {
-        let l = languages(testfix::output());
+        let l = testfix::output().accs.languages.finish();
         let top10: Vec<Language> = l
             .counts
             .top_k(10)
@@ -139,20 +129,20 @@ mod tests {
     fn distribution_does_not_track_world_population() {
         // §5.3: Dutch ≫ Mandarin in the dataset despite Mandarin's speaker
         // count — platform bias.
-        let l = languages(testfix::output());
+        let l = testfix::output().accs.languages.finish();
         assert!(l.counts.get(&Language::Dutch) > l.counts.get(&Language::Mandarin));
     }
 
     #[test]
     fn few_unidentified() {
-        let l = languages(testfix::output());
+        let l = testfix::output().accs.languages.finish();
         let frac = l.unidentified as f64 / (l.counts.total() as f64 + l.unidentified as f64);
         assert!(frac < 0.05, "{frac}");
     }
 
     #[test]
     fn table_renders() {
-        let l = languages(testfix::output());
+        let l = testfix::output().accs.languages.finish();
         assert_eq!(l.to_table().len(), 11); // top 10 + distinct-count footer
     }
 }

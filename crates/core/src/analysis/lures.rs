@@ -1,7 +1,6 @@
 //! Table 13: lure principles per scam category (§5.5).
 
 use crate::enrich::EnrichedRecord;
-use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use smishing_stats::{Counter, RefCount};
 use smishing_types::{Lure, ScamType};
@@ -20,16 +19,7 @@ pub struct Lures {
     pub n: usize,
 }
 
-/// Compute Table 13 (a fold of [`LuresAcc`] over the unique records).
-pub fn lures(out: &PipelineOutput<'_>) -> Lures {
-    let mut acc = LuresAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    acc.finish()
-}
-
-/// Incremental form of [`lures`]. Lure counting has no internal
+/// Table 13 over the unique records. Lure counting has no internal
 /// deduplication, so retraction is plain multiset subtraction: when a
 /// record is displaced by a lower-`post_id` duplicate, `sub_record` undoes
 /// exactly what `add_record` contributed.
@@ -146,7 +136,7 @@ mod tests {
     #[test]
     fn urgency_everywhere_except_wrong_number() {
         // Table 13's ✓ row for Time & Urgency: B, D, G, T, H — not W.
-        let l = lures(testfix::output());
+        let l = testfix::output().accs.lures.finish();
         for s in [
             ScamType::Banking,
             ScamType::Delivery,
@@ -161,7 +151,7 @@ mod tests {
 
     #[test]
     fn authority_in_institutional_scams_only() {
-        let l = lures(testfix::output());
+        let l = testfix::output().accs.lures.finish();
         for s in [
             ScamType::Banking,
             ScamType::Delivery,
@@ -176,7 +166,7 @@ mod tests {
 
     #[test]
     fn kindness_and_distraction_mark_conversation_scams() {
-        let l = lures(testfix::output());
+        let l = testfix::output().accs.lures.finish();
         assert!(l.is_characteristic(ScamType::HeyMumDad, Lure::Kindness));
         assert!(l.is_characteristic(ScamType::HeyMumDad, Lure::Distraction));
         assert!(l.is_characteristic(ScamType::WrongNumber, Lure::Distraction));
@@ -186,7 +176,7 @@ mod tests {
     #[test]
     fn dishonesty_and_herd_are_rare() {
         // §5.5: dishonesty 0.5%, herd 1.2% of messages.
-        let l = lures(testfix::output());
+        let l = testfix::output().accs.lures.finish();
         assert!(
             l.share(Lure::Dishonesty) < 0.05,
             "{}",
@@ -202,7 +192,7 @@ mod tests {
 
     #[test]
     fn table_renders_seven_lures() {
-        let l = lures(testfix::output());
+        let l = testfix::output().accs.lures.finish();
         assert_eq!(l.to_table().len(), 7);
     }
 }

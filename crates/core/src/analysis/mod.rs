@@ -24,6 +24,13 @@
 //! | [`latency`] | report latency & takedown window (extension) |
 //! | [`freshness`] | domain age at first report & NRD coverage (extension) |
 //! | [`extraction`] | §3.2 extractor comparison |
+//!
+//! The modules behind Tables 1 and 3–18 and Figures 2–3 expose an
+//! incremental accumulator (`OverviewAcc`, `TldAcc`, …) instead of a
+//! function over a [`PipelineOutput`](crate::pipeline::PipelineOutput):
+//! the engine folds them during ingest, every output carries the merged
+//! bundle as `accs`, and `out.accs.<module>.finish()` renders the table.
+//! The remaining modules compute their artifacts directly.
 
 pub mod asn;
 pub mod av;

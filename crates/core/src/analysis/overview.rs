@@ -1,9 +1,7 @@
 //! Table 1 (dataset overview per forum) and Table 15 (yearly Twitter
 //! distribution).
 
-use crate::collect::CollectionStats;
 use crate::curation::{CuratedMessage, DedupMode};
-use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, group_thousands, TextTable};
 use smishing_stats::{Counter, RefCount};
 use smishing_types::Forum;
@@ -39,22 +37,9 @@ pub struct Overview {
     pub rows: Vec<ForumRow>,
 }
 
-/// Compute Table 1 from the pipeline output (a fold of [`OverviewAcc`]).
-pub fn overview(out: &PipelineOutput<'_>) -> Overview {
-    let mut acc = OverviewAcc::new();
-    for (forum, stats) in &out.collection {
-        acc.add_stats(*forum, stats);
-    }
-    for c in &out.curated_total {
-        acc.add_curated(c);
-    }
-    acc.finish()
-}
-
-/// Incremental form of [`overview`]: post-level counts arrive via
-/// [`OverviewAcc::add_post`] (or pre-aggregated [`OverviewAcc::add_stats`]),
-/// message-level counts via [`OverviewAcc::add_curated`]. Uniqueness columns
-/// are multisets, so shard merges sum exactly.
+/// Table 1: post-level counts arrive via [`OverviewAcc::add_post`],
+/// message-level counts via [`OverviewAcc::add_curated`]. Uniqueness
+/// columns are multisets, so shard merges sum exactly.
 #[derive(Debug, Clone, Default)]
 pub struct OverviewAcc {
     posts: Counter<Forum>,
@@ -77,12 +62,6 @@ impl OverviewAcc {
         if has_image {
             self.images.add(forum);
         }
-    }
-
-    /// Fold in pre-aggregated per-forum collection stats.
-    pub fn add_stats(&mut self, forum: Forum, stats: &CollectionStats) {
-        self.posts.add_n(forum, stats.posts as u64);
-        self.images.add_n(forum, stats.images as u64);
     }
 
     /// Fold in one curated message.
@@ -212,17 +191,7 @@ impl Overview {
     }
 }
 
-/// Table 15: yearly distribution of Twitter posts and image attachments
-/// (a fold of [`TwitterYearsAcc`]).
-pub fn twitter_by_year(out: &PipelineOutput<'_>) -> Vec<(i32, usize, usize)> {
-    let mut acc = TwitterYearsAcc::new();
-    for p in out.world.posts_on(Forum::Twitter) {
-        acc.add_post(p.posted_at.year(), p.body.has_image());
-    }
-    acc.finish()
-}
-
-/// Incremental form of [`twitter_by_year`]: per-year post and image counts.
+/// Table 15: per-year Twitter post and image-attachment counts.
 #[derive(Debug, Clone, Default)]
 pub struct TwitterYearsAcc {
     posts: Counter<i32>,
@@ -290,7 +259,7 @@ mod tests {
 
     #[test]
     fn twitter_dominates_and_ratios_hold() {
-        let ov = overview(testfix::output());
+        let ov = testfix::output().accs.overview.finish();
         let twitter = &ov.rows[0];
         assert_eq!(twitter.forum, Forum::Twitter);
         for r in &ov.rows[1..] {
@@ -310,7 +279,7 @@ mod tests {
 
     #[test]
     fn text_forums_have_no_images() {
-        let ov = overview(testfix::output());
+        let ov = testfix::output().accs.overview.finish();
         for r in &ov.rows {
             if !r.forum.carries_images() {
                 assert_eq!(r.images, 0, "{:?}", r.forum);
@@ -321,7 +290,7 @@ mod tests {
     #[test]
     fn posts_exceed_messages() {
         // Raw keyword volume ≫ usable reports (§3.2).
-        let ov = overview(testfix::output());
+        let ov = testfix::output().accs.overview.finish();
         let t = ov.totals();
         assert!(
             t.posts > t.msgs_total * 3,
@@ -333,7 +302,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let ov = overview(testfix::output());
+        let ov = testfix::output().accs.overview.finish();
         let table = ov.to_table();
         assert_eq!(table.len(), 6); // 5 forums + total
         assert!(table.to_string().contains("Twitter"));
@@ -341,7 +310,7 @@ mod tests {
 
     #[test]
     fn yearly_growth_shape() {
-        let rows = twitter_by_year(testfix::output());
+        let rows = testfix::output().accs.twitter_years.finish();
         assert!(rows.len() >= 6, "{rows:?}");
         // Volume grows: last year's posts > first year's (Table 15).
         assert!(rows.last().unwrap().1 > rows.first().unwrap().1, "{rows:?}");

@@ -1,7 +1,6 @@
 //! Table 17: registrars of smishing domains (§4.4).
 
 use crate::enrich::{EnrichedRecord, MissingField};
-use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use smishing_stats::{Counter, FirstClaim};
 use smishing_types::ScamType;
@@ -21,18 +20,9 @@ pub struct Registrars {
     pub unresolved: usize,
 }
 
-/// Compute Table 17 (a fold of [`RegistrarsAcc`]).
-pub fn registrars(out: &PipelineOutput<'_>) -> Registrars {
-    let mut acc = RegistrarsAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    acc.finish()
-}
-
-/// Incremental form of [`registrars`]: registered (non-free-hosted)
-/// domains are first-claimed by `post_id`; the winning record's registrar
-/// and scam type are counted at finish.
+/// Table 17: registered (non-free-hosted) domains are first-claimed by
+/// `post_id`; the winning record's registrar and scam type are counted at
+/// finish.
 #[derive(Debug, Clone, Default)]
 pub struct RegistrarsAcc {
     claims: FirstClaim<String, RegistrarClaim>,
@@ -167,7 +157,7 @@ mod tests {
 
     #[test]
     fn godaddy_then_namecheap() {
-        let r = registrars(testfix::output());
+        let r = testfix::output().accs.registrars.finish();
         let top = r.counts.top_k(2);
         assert_eq!(top[0].0, "GoDaddy", "{top:?}");
         assert_eq!(top[1].0, "NameCheap", "{top:?}");
@@ -181,7 +171,7 @@ mod tests {
     fn gname_leads_government_scams() {
         // §4.4: "scammers prefer to abuse Gname ... for government
         // impersonation scams".
-        let r = registrars(testfix::output());
+        let r = testfix::output().accs.registrars.finish();
         // Gname is strongly over-represented inside government scams
         // relative to its overall share (the §4.4 preference claim).
         assert!(
@@ -195,14 +185,14 @@ mod tests {
 
     #[test]
     fn top10_covers_most_domains() {
-        let r = registrars(testfix::output());
+        let r = testfix::output().accs.registrars.finish();
         let top10: u64 = r.counts.top_k(10).iter().map(|(_, c)| c).sum();
         assert!(top10 as f64 / r.counts.total() as f64 > 0.6);
     }
 
     #[test]
     fn table_renders() {
-        let r = registrars(testfix::output());
+        let r = testfix::output().accs.registrars.finish();
         assert!(r.to_table().len() >= 5);
     }
 }

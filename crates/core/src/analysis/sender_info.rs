@@ -2,7 +2,6 @@
 //! mobile operators (§4.1).
 
 use crate::enrich::{EnrichedRecord, MissingField};
-use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_stats::{Counter, FirstClaim};
 use smishing_telecom::NumberType;
@@ -25,16 +24,6 @@ pub struct SenderInfo {
     pub unresolved: usize,
 }
 
-/// Compute sender measurements over unique sender IDs (a fold of
-/// [`SenderInfoAcc`]).
-pub fn sender_info(out: &PipelineOutput<'_>) -> SenderInfo {
-    let mut acc = SenderInfoAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    acc.finish()
-}
-
 /// What one record would contribute for its sender-ID string, were it the
 /// first (lowest `post_id`) record carrying that sender.
 #[derive(Debug, Clone)]
@@ -45,10 +34,11 @@ struct SenderClaim {
     hlr_failed: bool,
 }
 
-/// Incremental form of [`sender_info`]. Sender uniqueness is first-wins in
-/// `post_id` order, so the accumulator keeps per-sender claims and counts
-/// only the winners at [`SenderInfoAcc::finish`]; retraction and shard
-/// merges promote the next-lowest claim exactly as the batch pass would.
+/// Sender measurements over unique sender IDs (Tables 3 and 4). Sender
+/// uniqueness is first-wins in `post_id` order, so the accumulator keeps
+/// per-sender claims and counts only the winners at
+/// [`SenderInfoAcc::finish`]; retraction and shard merges promote the
+/// next-lowest claim exactly as the batch pass would.
 #[derive(Debug, Clone, Default)]
 pub struct SenderInfoAcc {
     claims: FirstClaim<String, SenderClaim>,
@@ -196,7 +186,7 @@ mod tests {
 
     #[test]
     fn kind_split_matches_section_4_1() {
-        let info = sender_info(testfix::output());
+        let info = testfix::output().accs.sender_info.finish();
         let total = info.kinds.total();
         assert!(total > 300, "{total}");
         let phone = info.kinds.share(&SenderKind::Phone);
@@ -213,7 +203,7 @@ mod tests {
 
     #[test]
     fn mobile_tops_table3_with_bad_format_second() {
-        let info = sender_info(testfix::output());
+        let info = testfix::output().accs.sender_info.finish();
         let top = info.number_types.top_k(2);
         assert_eq!(top[0].0, NumberType::Mobile, "{top:?}");
         assert_eq!(top[1].0, NumberType::BadFormat, "{top:?}");
@@ -225,7 +215,7 @@ mod tests {
 
     #[test]
     fn vodafone_tops_table4_with_wide_footprint() {
-        let info = sender_info(testfix::output());
+        let info = testfix::output().accs.sender_info.finish();
         let top = info.operators.top_k(10);
         assert!(!top.is_empty());
         assert_eq!(top[0].0, "Vodafone", "{top:?}");
@@ -248,7 +238,7 @@ mod tests {
 
     #[test]
     fn airtel_present_in_top_operators() {
-        let info = sender_info(testfix::output());
+        let info = testfix::output().accs.sender_info.finish();
         let names: Vec<&str> = info
             .operators
             .top_k(6)
@@ -260,7 +250,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let info = sender_info(testfix::output());
+        let info = testfix::output().accs.sender_info.finish();
         assert!(info.number_types_table().len() >= 6);
         assert!(info.operators_table().len() >= 5);
     }

@@ -1,7 +1,6 @@
 //! Table 5: URL shorteners abused per scam type (§4.2).
 
 use crate::enrich::EnrichedRecord;
-use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_stats::{Counter, FirstClaim};
 use smishing_types::ScamType;
@@ -18,16 +17,6 @@ pub struct ShortenerUse {
     pub whatsapp_links: usize,
 }
 
-/// Compute shortener usage. Scam type comes from the pipeline's own
-/// annotation, as in the paper (a fold of [`ShortenerAcc`]).
-pub fn shortener_use(out: &PipelineOutput<'_>) -> ShortenerUse {
-    let mut acc = ShortenerAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    acc.finish()
-}
-
 /// One record's contribution for its URL string, were it the first record
 /// carrying that URL.
 #[derive(Debug, Clone)]
@@ -37,8 +26,9 @@ struct ShortenerClaim {
     scam: ScamType,
 }
 
-/// Incremental form of [`shortener_use`]: URL uniqueness is first-wins by
-/// `post_id`, held as per-URL claims and folded at finish.
+/// Table 5 shortener usage; the scam type comes from the pipeline's own
+/// annotation, as in the paper. URL uniqueness is first-wins by `post_id`,
+/// held as per-URL claims and folded at finish.
 #[derive(Debug, Clone, Default)]
 pub struct ShortenerAcc {
     claims: FirstClaim<String, ShortenerClaim>,
@@ -137,7 +127,7 @@ mod tests {
 
     #[test]
     fn bitly_tops_everything() {
-        let s = shortener_use(testfix::output());
+        let s = testfix::output().accs.shorteners.finish();
         let top = s.services.top_k(10);
         assert!(top.len() >= 5, "{top:?}");
         assert_eq!(top[0].0, "bit.ly", "{top:?}");
@@ -158,7 +148,7 @@ mod tests {
     #[test]
     fn is_gd_is_banking_heavy() {
         // Table 5: is.gd is #2 for banking but marginal elsewhere.
-        let s = shortener_use(testfix::output());
+        let s = testfix::output().accs.shorteners.finish();
         let isgd_banking = s
             .by_scam
             .get(&("is.gd", ScamType::Banking))
@@ -177,7 +167,7 @@ mod tests {
 
     #[test]
     fn cuttly_prefers_delivery_and_government() {
-        let s = shortener_use(testfix::output());
+        let s = testfix::output().accs.shorteners.finish();
         let d = s
             .by_scam
             .get(&("cutt.ly", ScamType::Delivery))
@@ -203,14 +193,14 @@ mod tests {
 
     #[test]
     fn whatsapp_links_exist_but_are_not_shorteners() {
-        let s = shortener_use(testfix::output());
+        let s = testfix::output().accs.shorteners.finish();
         assert!(s.whatsapp_links > 0);
         assert_eq!(s.services.get(&"wa.me"), 0);
     }
 
     #[test]
     fn table_renders() {
-        let s = shortener_use(testfix::output());
+        let s = testfix::output().accs.shorteners.finish();
         let t = s.to_table();
         assert!(t.len() >= 5);
         assert!(t.to_string().contains("bit.ly"));

@@ -1,7 +1,6 @@
 //! Figure 2: time of day per weekday when smishes are received (§5.1),
 //! including the pairwise KS tests and the 2021-campaign filter.
 
-use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use smishing_stats::{ks_two_sample, median, KsResult, RefCount};
 use smishing_types::{TimeOfDay, Weekday};
@@ -20,22 +19,11 @@ pub struct SendTimes {
     pub burst_removed: Option<(String, usize)>,
 }
 
-/// Compute Fig. 2 data. `remove_bursts` drops any exact (minute, weekday)
-/// spike holding more than `burst_threshold` of one weekday's mass — the
-/// paper removes the 2021 SBI campaign this way (§5.1).
-pub fn send_times(out: &PipelineOutput<'_>, remove_bursts: bool) -> SendTimes {
-    let mut acc = SendTimesAcc::new();
-    for c in &out.curated_total {
-        acc.add_curated(c);
-    }
-    acc.finish(remove_bursts)
-}
-
-/// Incremental form of [`send_times`]: the sample multiset accumulates one
-/// curated message at a time and merges across shards; the burst filter
-/// and per-weekday grouping are applied at [`SendTimesAcc::finish`]. All
-/// downstream statistics (medians, KS tests, quantiles) are multiset
-/// functions, so the reconstructed sample order is irrelevant.
+/// Figure 2 data: the sample multiset accumulates one curated message at
+/// a time and merges across shards; the burst filter and per-weekday
+/// grouping are applied at [`SendTimesAcc::finish`]. All downstream
+/// statistics (medians, KS tests, quantiles) are multiset functions, so
+/// the reconstructed sample order is irrelevant.
 #[derive(Debug, Clone, Default)]
 pub struct SendTimesAcc {
     samples: RefCount<(Weekday, u32)>,
@@ -67,7 +55,9 @@ impl SendTimesAcc {
         self.excluded += other.excluded;
     }
 
-    /// Produce the batch result.
+    /// Produce the batch result. `remove_bursts` drops any exact (minute,
+    /// weekday) spike holding an outsized share of one weekday's mass —
+    /// the paper removes the 2021 SBI campaign this way (§5.1).
     pub fn finish(&self, remove_bursts: bool) -> SendTimes {
         // Rebuild the flat sample list in deterministic (weekday, seconds)
         // order; every consumer treats it as a multiset.
@@ -84,8 +74,8 @@ impl SendTimesAcc {
     }
 }
 
-/// Shared tail of [`send_times`] / [`SendTimesAcc::finish`]: burst removal
-/// and per-weekday grouping over the collected sample multiset.
+/// Tail of [`SendTimesAcc::finish`]: burst removal and per-weekday
+/// grouping over the collected sample multiset.
 fn finish_send_times(
     mut samples: Vec<(Weekday, u32)>,
     usable: usize,
@@ -204,14 +194,14 @@ mod tests {
 
     #[test]
     fn burst_filter_finds_the_sbi_campaign() {
-        let with = send_times(testfix::output(), true);
+        let with = testfix::output().accs.send_times.finish(true);
         let (label, count) = with
             .burst_removed
             .clone()
             .expect("the 2021 burst should be detected");
         assert!(label.starts_with("Tuesday 11:34"), "{label}");
         assert!(count >= 8, "{count}");
-        let without = send_times(testfix::output(), false);
+        let without = testfix::output().accs.send_times.finish(false);
         assert!(without.burst_removed.is_none());
         let tue_with = with
             .by_weekday
@@ -229,7 +219,7 @@ mod tests {
     #[test]
     fn medians_fall_in_the_midday_band() {
         // §5.1: medians between 12:26 and 14:38.
-        let st = send_times(testfix::output(), true);
+        let st = testfix::output().accs.send_times.finish(true);
         for (w, m) in st.medians() {
             let m = m.expect("every weekday sampled");
             assert!(
@@ -241,7 +231,7 @@ mod tests {
 
     #[test]
     fn working_hours_dominate() {
-        let st = send_times(testfix::output(), true);
+        let st = testfix::output().accs.send_times.finish(true);
         assert!(
             st.working_hours_share() > 0.65,
             "{}",
@@ -252,7 +242,7 @@ mod tests {
     #[test]
     fn some_weekday_pairs_differ_significantly() {
         // §5.1: Monday/Tuesday/Wednesday/Saturday pairs show p < 0.05.
-        let st = send_times(testfix::output(), true);
+        let st = testfix::output().accs.send_times.finish(true);
         let matrix = st.ks_matrix();
         assert!(!matrix.is_empty());
         let significant = matrix
@@ -268,7 +258,7 @@ mod tests {
 
     #[test]
     fn timestamps_without_dates_are_excluded() {
-        let st = send_times(testfix::output(), false);
+        let st = testfix::output().accs.send_times.finish(false);
         assert!(
             st.excluded > 0,
             "time-only stamps must be excluded (§3.3.2)"

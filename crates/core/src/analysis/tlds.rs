@@ -1,7 +1,6 @@
 //! Tables 6 and 16: abused TLDs and their IANA classes (§4.3).
 
 use crate::enrich::EnrichedRecord;
-use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_stats::{Counter, FirstClaim};
 use smishing_webinfra::{free_hosting_suffix, tld_of, TldClass, TldDb};
@@ -21,17 +20,8 @@ pub struct TldUse {
     pub free_hosting_sites: Counter<&'static str>,
 }
 
-/// Compute TLD usage (a fold of [`TldAcc`]).
-pub fn tld_use(out: &PipelineOutput<'_>) -> TldUse {
-    let mut acc = TldAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    acc.finish()
-}
-
-/// One record's contribution for its URL string: everything `tld_use`
-/// derives from the URL, precomputed at claim time.
+/// One record's contribution for its URL string: everything Tables 6 and
+/// 16 derive from the URL, precomputed at claim time.
 #[derive(Debug, Clone)]
 struct TldClaim {
     whatsapp: bool,
@@ -41,7 +31,7 @@ struct TldClaim {
     free_suffix: Option<&'static str>,
 }
 
-/// Incremental form of [`tld_use`]: per-URL first-claims folded at finish.
+/// Tables 6 and 16 TLD usage: per-URL first-claims folded at finish.
 #[derive(Debug, Clone, Default)]
 pub struct TldAcc {
     claims: FirstClaim<String, TldClaim>,
@@ -179,7 +169,7 @@ mod tests {
 
     #[test]
     fn com_tops_direct_urls() {
-        let u = tld_use(testfix::output());
+        let u = testfix::output().accs.tlds.finish();
         let top = u.smishing_tlds.top_k(2);
         assert_eq!(top[0].0, "com", "{top:?}");
         let com_share = u.smishing_tlds.share(&"com".to_string());
@@ -189,7 +179,7 @@ mod tests {
     #[test]
     fn ly_tops_shortened_urls() {
         // Table 6 right column: bit.ly's .ly dominates.
-        let u = tld_use(testfix::output());
+        let u = testfix::output().accs.tlds.finish();
         let top = u.shortened_tlds.top_k(3);
         assert_eq!(top[0].0, "ly", "{top:?}");
     }
@@ -197,7 +187,7 @@ mod tests {
     #[test]
     fn gtlds_dominate_cctlds() {
         // Table 16: 72.3% generic vs 27.1% country-code.
-        let u = tld_use(testfix::output());
+        let u = testfix::output().accs.tlds.finish();
         let g = u.classes.share(&TldClass::Generic);
         let cc = u.classes.share(&TldClass::CountryCode);
         assert!(g > cc * 1.8, "g {g} cc {cc}");
@@ -206,7 +196,7 @@ mod tests {
 
     #[test]
     fn many_distinct_tlds() {
-        let u = tld_use(testfix::output());
+        let u = testfix::output().accs.tlds.finish();
         // Paper finds >280 TLDs at full scale; the test world is 5% scale.
         assert!(
             u.smishing_tlds.distinct() >= 15,
@@ -230,7 +220,7 @@ mod tests {
 
     #[test]
     fn free_hosting_observed() {
-        let u = tld_use(testfix::output());
+        let u = testfix::output().accs.tlds.finish();
         assert!(u.free_hosting_sites.total() > 0);
         // web.app leads the free-hosting pack (§4.3) — allow #2 at small
         // sample sizes.
@@ -245,7 +235,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let u = tld_use(testfix::output());
+        let u = testfix::output().accs.tlds.finish();
         assert!(u.to_table6().len() >= 5);
         assert!(u.to_table16().len() >= 2);
     }

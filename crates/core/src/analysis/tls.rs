@@ -1,7 +1,6 @@
 //! Table 7: TLS certificate authorities (§4.5).
 
 use crate::enrich::EnrichedRecord;
-use crate::pipeline::PipelineOutput;
 use crate::table::{group_thousands, TextTable};
 use smishing_stats::{mean, median, Counter, FirstClaim};
 use std::collections::HashSet;
@@ -19,19 +18,10 @@ pub struct TlsUse {
     pub domains_with_tls: usize,
 }
 
-/// Compute CA usage (a fold of [`TlsAcc`]).
-pub fn tls_use(out: &PipelineOutput<'_>) -> TlsUse {
-    let mut acc = TlsAcc::new();
-    for r in &out.records {
-        acc.add_record(r);
-    }
-    acc.finish()
-}
-
-/// Incremental form of [`tls_use`]. A record claims its registrable domain
-/// even when it holds no certificates (mirroring the batch pass, where a
-/// cert-less first record still consumes the domain's uniqueness slot);
-/// the cert-emptiness check happens on the winner at finish.
+/// Table 7 CA usage. A record claims its registrable domain even when it
+/// holds no certificates (mirroring the batch pass, where a cert-less
+/// first record still consumes the domain's uniqueness slot); the
+/// cert-emptiness check happens on the winner at finish.
 #[derive(Debug, Clone, Default)]
 pub struct TlsAcc {
     claims: FirstClaim<String, Vec<&'static str>>,
@@ -128,12 +118,11 @@ impl TlsUse {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::analysis::testfix;
 
     #[test]
     fn lets_encrypt_tops_both_columns() {
-        let u = tls_use(testfix::output());
+        let u = testfix::output().accs.tls.finish();
         assert!(u.domains_with_tls > 100, "{}", u.domains_with_tls);
         assert_eq!(u.certs_per_ca.top_k(1)[0].0, "Let's Encrypt");
         assert_eq!(u.domains_per_ca.top_k(1)[0].0, "Let's Encrypt");
@@ -143,7 +132,7 @@ mod tests {
     fn validity_policy_drives_cert_asymmetry() {
         // Table 7's signature: Sectigo serves many domains with relatively
         // few certificates (1-year validity), Let's Encrypt the opposite.
-        let u = tls_use(testfix::output());
+        let u = testfix::output().accs.tls.finish();
         let le_ratio = u.certs_per_ca.get(&"Let's Encrypt") as f64
             / u.domains_per_ca.get(&"Let's Encrypt").max(1) as f64;
         let sectigo_ratio =
@@ -158,7 +147,7 @@ mod tests {
     fn skewed_cert_counts() {
         // §4.5: mean 39, median 4 — a right-skewed distribution. The scaled
         // world keeps the mean ≫ median shape.
-        let u = tls_use(testfix::output());
+        let u = testfix::output().accs.tls.finish();
         assert!(
             u.mean_certs() > u.median_certs() * 1.3,
             "mean {} median {}",
@@ -170,7 +159,7 @@ mod tests {
 
     #[test]
     fn multiple_cas_per_domain_possible() {
-        let u = tls_use(testfix::output());
+        let u = testfix::output().accs.tls.finish();
         let domain_sum: u64 = u.domains_per_ca.iter().map(|(_, c)| c).sum();
         assert!(
             domain_sum as usize > u.domains_with_tls,
@@ -180,7 +169,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let u = tls_use(testfix::output());
+        let u = testfix::output().accs.tls.finish();
         let t = u.to_table();
         assert!(t.len() >= 5);
         assert!(t.to_string().contains("Let's Encrypt"));

@@ -6,27 +6,27 @@
 //! post-level accumulators (Table 1's posts/images columns, Table 15);
 //! analyst shards feed the message- and record-level ones. Merging the
 //! bundles from every worker yields exactly the state a single sequential
-//! pass would have built, so any table renders mid-stream.
+//! pass would have built. The engine's assembly step stores that merge on
+//! every [`PipelineOutput`](crate::pipeline::PipelineOutput) it builds —
+//! batch, end of stream and each snapshot — so these accumulators are the
+//! one fold behind every accumulator-backed table, mid-stream or final.
 
-use crate::analysis::asn::{asn_use, AsnAcc};
-use crate::analysis::av::{av_detection, AvAcc};
-use crate::analysis::brands::{brands, BrandsAcc};
-use crate::analysis::categories::{categories, CategoriesAcc};
-use crate::analysis::countries::{countries, CountriesAcc};
-use crate::analysis::languages::{languages, LanguagesAcc};
-use crate::analysis::lures::{lures, LuresAcc};
-use crate::analysis::overview::{
-    overview, twitter_by_year, twitter_by_year_table, OverviewAcc, TwitterYearsAcc,
-};
-use crate::analysis::registrars::{registrars, RegistrarsAcc};
-use crate::analysis::sender_info::{sender_info, SenderInfoAcc};
-use crate::analysis::shorteners::{shortener_use, ShortenerAcc};
-use crate::analysis::timestamps::{send_times, SendTimesAcc};
-use crate::analysis::tlds::{tld_use, TldAcc};
-use crate::analysis::tls::{tls_use, TlsAcc};
+use crate::analysis::asn::AsnAcc;
+use crate::analysis::av::AvAcc;
+use crate::analysis::brands::BrandsAcc;
+use crate::analysis::categories::CategoriesAcc;
+use crate::analysis::countries::CountriesAcc;
+use crate::analysis::languages::LanguagesAcc;
+use crate::analysis::lures::LuresAcc;
+use crate::analysis::overview::{twitter_by_year_table, OverviewAcc, TwitterYearsAcc};
+use crate::analysis::registrars::RegistrarsAcc;
+use crate::analysis::sender_info::SenderInfoAcc;
+use crate::analysis::shorteners::ShortenerAcc;
+use crate::analysis::timestamps::SendTimesAcc;
+use crate::analysis::tlds::TldAcc;
+use crate::analysis::tls::TlsAcc;
 use crate::curation::CuratedMessage;
 use crate::enrich::EnrichedRecord;
-use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use smishing_types::Forum;
 use smishing_worldsim::Post;
@@ -41,13 +41,13 @@ pub struct AnalysisAccs {
     pub twitter_years: TwitterYearsAcc,
     /// Table 11.
     pub languages: LanguagesAcc,
-    /// Figure 2 / Table 13 send-time samples.
+    /// Figure 2 send-time samples.
     pub send_times: SendTimesAcc,
     /// Table 10.
     pub categories: CategoriesAcc,
     /// Table 12.
     pub brands: BrandsAcc,
-    /// Table 19.
+    /// Table 13.
     pub lures: LuresAcc,
     /// Tables 3 and 4.
     pub sender_info: SenderInfoAcc,
@@ -152,7 +152,8 @@ impl AnalysisAccs {
         self.degraded_records += other.degraded_records;
     }
 
-    /// Render every table the accumulators cover, mid-stream or final.
+    /// Render every table the accumulators cover, mid-stream or final,
+    /// under the ids `experiment::run_all` gives the same artifacts.
     pub fn tables(&self) -> Vec<(&'static str, TextTable)> {
         let av = self.av.finish();
         let tlds = self.tlds.finish();
@@ -168,125 +169,14 @@ impl AnalysisAccs {
             ("T10", self.categories.finish().to_table()),
             ("T11", self.languages.finish().to_table()),
             ("T12", self.brands.finish().to_table()),
-            ("T13", self.send_times.finish(true).to_table()),
+            ("F2", self.send_times.finish(true).to_table()),
             ("T14", self.countries.finish().to_table()),
             ("F3", self.countries.finish().figure3_table()),
             ("T15", twitter_by_year_table(&self.twitter_years.finish())),
             ("T16", tlds.to_table16()),
             ("T17", self.registrars.finish().to_table()),
             ("T18", av.to_table18()),
-            ("T19", self.lures.finish().to_table()),
+            ("T13", self.lures.finish().to_table()),
         ]
-    }
-
-    /// Verify every accumulator against the batch analysis of `out`
-    /// (table-level string equality). Used by the equivalence tests; cheap
-    /// enough to run in debug assertions.
-    pub fn assert_matches_batch(&self, out: &PipelineOutput<'_>) {
-        assert_eq!(
-            self.overview.finish().to_table().to_string(),
-            overview(out).to_table().to_string(),
-            "T1 diverged"
-        );
-        assert_eq!(
-            twitter_by_year_table(&self.twitter_years.finish()).to_string(),
-            twitter_by_year_table(&twitter_by_year(out)).to_string(),
-            "T15 diverged"
-        );
-        assert_eq!(
-            self.languages.finish().to_table().to_string(),
-            languages(out).to_table().to_string(),
-            "T11 diverged"
-        );
-        for bursts in [false, true] {
-            assert_eq!(
-                self.send_times.finish(bursts).to_table().to_string(),
-                send_times(out, bursts).to_table().to_string(),
-                "T13 diverged (bursts={bursts})"
-            );
-        }
-        assert_eq!(
-            self.categories.finish().to_table().to_string(),
-            categories(out).to_table().to_string(),
-            "T10 diverged"
-        );
-        assert_eq!(
-            self.brands.finish().to_table().to_string(),
-            brands(out).to_table().to_string(),
-            "T12 diverged"
-        );
-        assert_eq!(
-            self.lures.finish().to_table().to_string(),
-            lures(out).to_table().to_string(),
-            "T19 diverged"
-        );
-        let si = self.sender_info.finish();
-        let si_batch = sender_info(out);
-        assert_eq!(
-            si.number_types_table().to_string(),
-            si_batch.number_types_table().to_string(),
-            "T3 diverged"
-        );
-        assert_eq!(
-            si.operators_table().to_string(),
-            si_batch.operators_table().to_string(),
-            "T4 diverged"
-        );
-        assert_eq!(
-            self.shorteners.finish().to_table().to_string(),
-            shortener_use(out).to_table().to_string(),
-            "T5 diverged"
-        );
-        let tlds_mine = self.tlds.finish();
-        let tlds_batch = tld_use(out);
-        assert_eq!(
-            tlds_mine.to_table6().to_string(),
-            tlds_batch.to_table6().to_string(),
-            "T6 diverged"
-        );
-        assert_eq!(
-            tlds_mine.to_table16().to_string(),
-            tlds_batch.to_table16().to_string(),
-            "T16 diverged"
-        );
-        assert_eq!(
-            self.tls.finish().to_table().to_string(),
-            tls_use(out).to_table().to_string(),
-            "T7 diverged"
-        );
-        assert_eq!(
-            self.asn.finish().to_table().to_string(),
-            asn_use(out).to_table().to_string(),
-            "T8 diverged"
-        );
-        let av_mine = self.av.finish();
-        let av_batch = av_detection(out);
-        assert_eq!(
-            av_mine.to_table9().to_string(),
-            av_batch.to_table9().to_string(),
-            "T9 diverged"
-        );
-        assert_eq!(
-            av_mine.to_table18().to_string(),
-            av_batch.to_table18().to_string(),
-            "T18 diverged"
-        );
-        let c_mine = self.countries.finish();
-        let c_batch = countries(out);
-        assert_eq!(
-            c_mine.to_table().to_string(),
-            c_batch.to_table().to_string(),
-            "T14 diverged"
-        );
-        assert_eq!(
-            c_mine.figure3_table().to_string(),
-            c_batch.figure3_table().to_string(),
-            "F3 diverged"
-        );
-        assert_eq!(
-            self.registrars.finish().to_table().to_string(),
-            registrars(out).to_table().to_string(),
-            "T17 diverged"
-        );
     }
 }

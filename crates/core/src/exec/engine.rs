@@ -86,16 +86,14 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-/// A consistent mid-stream view: the merged accumulators and an assembled
-/// [`PipelineOutput`] equal to a batch run over the first
+/// A consistent mid-stream view: an assembled [`PipelineOutput`], merged
+/// accumulators included, equal to a batch run over the first
 /// [`at_posts`](Self::at_posts) posts.
 pub struct StreamSnapshot<'w> {
     /// How many posts the snapshot covers.
     pub at_posts: u64,
-    /// Merged accumulator bundle (render tables via
-    /// [`AnalysisAccs::tables`]).
-    pub accs: AnalysisAccs,
-    /// Batch-equivalent assembled output.
+    /// Batch-equivalent assembled output (render the accumulator-backed
+    /// tables via [`AnalysisAccs::tables`] on its `accs`).
     pub output: PipelineOutput<'w>,
     /// Curated messages (duplicates included) that arrived since the
     /// previous snapshot marker — the delta an incremental consumer
@@ -108,11 +106,9 @@ pub struct StreamSnapshot<'w> {
 
 /// The end-of-stream result.
 pub struct IngestResult<'w> {
-    /// Assembled output — identical to `Pipeline::run` over the same
-    /// posts.
+    /// Assembled output, merged accumulators included — identical to
+    /// `Pipeline::run` over the same posts.
     pub output: PipelineOutput<'w>,
-    /// Merged accumulator bundle.
-    pub accs: AnalysisAccs,
     /// Curated messages that arrived after the last snapshot marker (the
     /// whole stream when no snapshot fired). Sorted by post id.
     pub curated_delta: Vec<CuratedMessage>,
@@ -281,13 +277,20 @@ fn assemble_delta(parts: Vec<Vec<CuratedMessage>>) -> Vec<CuratedMessage> {
 /// docs): whatever order worker parts arrive in, `curated_total` and
 /// `records` leave sorted by post id and `collection` lists forums in
 /// `Forum::ALL` order. Every frontend inherits its output ordering from
-/// here — it is an engine invariant, not a frontend courtesy sort.
+/// here — it is an engine invariant, not a frontend courtesy sort. The
+/// workers' accumulator bundles merge into the output's `accs`; merges
+/// are exact and order-free, so arrival order cannot move them either.
 fn assemble<'w>(
     world: &'w World,
+    accs: Vec<AnalysisAccs>,
     collections: Vec<HashMap<Forum, CollectionStats>>,
     curated: Vec<Vec<CuratedMessage>>,
     records: Vec<Vec<EnrichedRecord>>,
 ) -> PipelineOutput<'w> {
+    let mut merged_accs = AnalysisAccs::new();
+    for part in accs {
+        merged_accs.merge(part);
+    }
     let mut merged: HashMap<Forum, CollectionStats> = HashMap::new();
     for part in collections {
         for (forum, stats) in part {
@@ -309,6 +312,7 @@ fn assemble<'w>(
         collection,
         curated_total,
         records,
+        accs: merged_accs,
     }
 }
 
@@ -604,7 +608,7 @@ where
         let mut pending: HashMap<u64, SnapParts> = HashMap::new();
         let mut next_emit: u64 = 1;
         let mut snapshots_taken = 0usize;
-        let mut final_accs = AnalysisAccs::new();
+        let mut final_accs: Vec<AnalysisAccs> = Vec::new();
         let mut final_collections: Vec<HashMap<Forum, CollectionStats>> = Vec::new();
         let mut final_curated: Vec<Vec<CuratedMessage>> = Vec::new();
         let mut final_curated_delta: Vec<Vec<CuratedMessage>> = Vec::new();
@@ -638,7 +642,7 @@ where
                     p.parts += 1;
                 }
                 CollectorMsg::CuratorDone { accs, collection } => {
-                    final_accs.merge(accs);
+                    final_accs.push(accs);
                     final_collections.push(collection);
                 }
                 CollectorMsg::ShardDone {
@@ -647,7 +651,7 @@ where
                     curated_delta,
                     records,
                 } => {
-                    final_accs.merge(accs);
+                    final_accs.push(accs);
                     final_curated.push(curated);
                     final_curated_delta.push(curated_delta);
                     final_records.push(records);
@@ -658,19 +662,13 @@ where
                 .is_some_and(|p| p.parts == parts_per_snapshot)
             {
                 let p = pending.remove(&next_emit).expect("checked");
-                let (accs, output, curated_delta) = snap_cost.time(|| {
-                    let mut accs = AnalysisAccs::new();
-                    for a in p.accs {
-                        accs.merge(a);
-                    }
-                    let output = assemble(world, p.collections, p.curated, p.records);
-                    let curated_delta = assemble_delta(p.curated_delta);
-                    (accs, output, curated_delta)
+                let (output, curated_delta) = snap_cost.time(|| {
+                    let output = assemble(world, p.accs, p.collections, p.curated, p.records);
+                    (output, assemble_delta(p.curated_delta))
                 });
                 snap_counter.inc();
                 on_snapshot(StreamSnapshot {
                     at_posts: p.at_posts,
-                    accs,
                     output,
                     curated_delta,
                 });
@@ -683,11 +681,16 @@ where
             .flat_map(|m| m.values())
             .map(|s| s.posts as u64)
             .sum();
-        let output = assemble(world, final_collections, final_curated, final_records);
+        let output = assemble(
+            world,
+            final_accs,
+            final_collections,
+            final_curated,
+            final_records,
+        );
         let curated_delta = assemble_delta(final_curated_delta);
         IngestResult {
             output,
-            accs: final_accs,
             curated_delta,
             posts_ingested,
             snapshots_taken,
@@ -715,8 +718,8 @@ where
         obs.counter("exec.engine.posts_ingested", &[])
             .add(result.posts_ingested);
         obs.counter("exec.engine.degraded_records", &[])
-            .add(result.accs.degraded_records);
-        // Conservation check for the chaos CI job: every curated message a
+            .add(result.output.accs.degraded_records);
+        // Conservation check for the chaos suite: every curated message a
         // curator routed must have reached a shard. Nonzero means a
         // message vanished between workers.
         let routed: u64 = (0..n_curators)

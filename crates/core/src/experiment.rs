@@ -1,10 +1,7 @@
 //! The experiment registry: every table and figure of the paper, with
 //! paper-expected shape checks (see DESIGN.md §3).
 
-use crate::analysis::{
-    asn, av, brands, categories, countries, extraction, irr, languages, lures, methods, overview,
-    registrars, sender_info, shorteners, timestamps, tlds, tls,
-};
+use crate::analysis::{extraction, irr, methods, overview};
 use crate::casestudy;
 use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
@@ -47,14 +44,16 @@ fn timed<T>(obs: &Obs, module: &str, f: impl FnOnce() -> T) -> T {
 }
 
 /// Run every experiment against a pipeline output, timing each
-/// analysis-module invocation. Pass [`Obs::noop`] for an unobserved run —
-/// every span short-circuits.
+/// analysis-module invocation. The accumulator-backed artifacts (T1,
+/// T3–T18, F2, F3) render from the output's merged accumulators, so each
+/// of their spans times that module's `finish()`. Pass [`Obs::noop`] for
+/// an unobserved run — every span short-circuits.
 pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     let _span = obs.span("analysis.run_all.wall_ns");
     let mut results = Vec::new();
 
     // ---- T1 ----
-    let ov = timed(obs, "overview", || overview::overview(out));
+    let ov = timed(obs, "overview", || out.accs.overview.finish());
     let totals = ov.totals();
     let twitter = ov.rows[0];
     results.push(ExperimentResult {
@@ -86,7 +85,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T3 / T4 ----
-    let si = timed(obs, "sender_info", || sender_info::sender_info(out));
+    let si = timed(obs, "sender_info", || out.accs.sender_info.finish());
     results.push(ExperimentResult {
         id: "T3",
         paper: "mobile 66.7%, bad format 24.3%, landline 3.8% of 12,299 phone senders",
@@ -127,7 +126,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T5 ----
-    let sh = timed(obs, "shorteners", || shorteners::shortener_use(out));
+    let sh = timed(obs, "shorteners", || out.accs.shorteners.finish());
     let isgd_b = sh
         .by_scam
         .get(&("is.gd", ScamType::Banking))
@@ -151,7 +150,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T6 / T16 ----
-    let tld = timed(obs, "tlds", || tlds::tld_use(out));
+    let tld = timed(obs, "tlds", || out.accs.tlds.finish());
     results.push(ExperimentResult {
         id: "T6",
         paper: ".com tops direct URLs (4,951); .ly tops shortened URLs (2,482)",
@@ -184,7 +183,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T7 ----
-    let tls_u = timed(obs, "tls", || tls::tls_use(out));
+    let tls_u = timed(obs, "tls", || out.accs.tls.finish());
     let le_ratio = tls_u.certs_per_ca.get(&"Let's Encrypt") as f64
         / tls_u.domains_per_ca.get(&"Let's Encrypt").max(1) as f64;
     let sec_ratio = tls_u.certs_per_ca.get(&"Sectigo") as f64
@@ -202,7 +201,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T8 ----
-    let asn_u = timed(obs, "asn", || asn::asn_use(out));
+    let asn_u = timed(obs, "asn", || out.accs.asn.finish());
     let top_orgs: Vec<&str> = asn_u
         .ips_per_org
         .sorted()
@@ -223,7 +222,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T9 / T18 ----
-    let avd = timed(obs, "av", || av::av_detection(out));
+    let avd = timed(obs, "av", || out.accs.av.finish());
     let n = avd.vt.n.max(1) as f64;
     results.push(ExperimentResult {
         id: "T9",
@@ -265,7 +264,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T10 ----
-    let cats = timed(obs, "categories", || categories::categories(out));
+    let cats = timed(obs, "categories", || out.accs.categories.finish());
     results.push(ExperimentResult {
         id: "T10",
         paper: "banking 45.1% > others 20.6% > delivery 11.3% > government 9.6% > telecom 6.6%; spam 5% leaks in",
@@ -279,7 +278,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T11 ----
-    let langs = timed(obs, "languages", || languages::languages(out));
+    let langs = timed(obs, "languages", || out.accs.languages.finish());
     results.push(ExperimentResult {
         id: "T11",
         paper: "English 65.2%, Spanish 13.7%, Dutch 5.7%; 66 languages observed; Dutch >> Mandarin despite speaker counts",
@@ -292,7 +291,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T12 ----
-    let br = timed(obs, "brands", || brands::brands(out));
+    let br = timed(obs, "brands", || out.accs.brands.finish());
     results.push(ExperimentResult {
         id: "T12",
         paper: "SBI tops Table 12 (11.6%); banks dominate; Amazon/Netflix appear as Others",
@@ -313,7 +312,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T13 ----
-    let lu = timed(obs, "lures", || lures::lures(out));
+    let lu = timed(obs, "lures", || out.accs.lures.finish());
     results.push(ExperimentResult {
         id: "T13",
         paper: "urgency everywhere except Wrong-number; authority for institutional scams; kindness/distraction for conversation scams; dishonesty 0.5% / herd 1.2%",
@@ -328,7 +327,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T14 / F3 ----
-    let co = timed(obs, "countries", || countries::countries(out));
+    let co = timed(obs, "countries", || out.accs.countries.finish());
     let india_mix = co.scam_mix.get(&smishing_types::Country::India);
     let us_mix = co.scam_mix.get(&smishing_types::Country::UnitedStates);
     results.push(ExperimentResult {
@@ -365,7 +364,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T15 ----
-    let years = timed(obs, "twitter_years", || overview::twitter_by_year(out));
+    let years = timed(obs, "twitter_years", || out.accs.twitter_years.finish());
     results.push(ExperimentResult {
         id: "T15",
         paper: "Twitter volume grows from 6,345 (2017) to >50k/yr (2022-23)",
@@ -381,7 +380,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T17 ----
-    let regs = timed(obs, "registrars", || registrars::registrars(out));
+    let regs = timed(obs, "registrars", || out.accs.registrars.finish());
     let gname_gov_lift = regs.lift("Gname", ScamType::Government);
     results.push(ExperimentResult {
         id: "T17",
@@ -410,7 +409,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- F2 ----
-    let st = timed(obs, "timestamps", || timestamps::send_times(out, true));
+    let st = timed(obs, "timestamps", || out.accs.send_times.finish(true));
     let significant = st
         .ks_matrix()
         .iter()
@@ -509,5 +508,20 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), results.len());
+    }
+
+    #[test]
+    fn accumulator_tables_carry_run_all_ids() {
+        let out = testfix::output();
+        let results = run_all(out, &Obs::noop());
+        let tables = out.accs.tables();
+        assert_eq!(tables.len(), 19);
+        for (id, table) in &tables {
+            let artifact = results
+                .iter()
+                .find(|r| r.id == *id)
+                .unwrap_or_else(|| panic!("{id} is not a run_all id"));
+            assert_eq!(table.to_string(), artifact.table.to_string(), "{id}");
+        }
     }
 }

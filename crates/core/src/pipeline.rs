@@ -10,11 +10,16 @@
 //! any shard count, so the default plan runs sharded-parallel while tests
 //! that pin schedule-dependent *metrics* use
 //! [`ExecPlan::sequential`](crate::exec::ExecPlan::sequential).
+//!
+//! The output also carries the engine's merged accumulator bundle
+//! ([`PipelineOutput::accs`]), folded by the shards during ingest. Every
+//! accumulator-backed table renders from it with `finish()`, so a run
+//! folds each record once.
 
 use crate::collect::CollectionStats;
 use crate::curation::{CuratedMessage, CurationOptions};
 use crate::enrich::EnrichedRecord;
-use crate::exec::{self, ExecPlan, SnapshotPlan};
+use crate::exec::{self, AnalysisAccs, ExecPlan, SnapshotPlan};
 use smishing_obs::Obs;
 use smishing_types::Forum;
 use smishing_worldsim::World;
@@ -41,6 +46,10 @@ pub struct PipelineOutput<'w> {
     pub curated_total: Vec<CuratedMessage>,
     /// Enriched unique messages (Table 1 "Unique" and everything after).
     pub records: Vec<EnrichedRecord>,
+    /// The engine's merged accumulators over exactly these posts, curated
+    /// messages and records: render an accumulator-backed table with
+    /// `accs.<module>.finish()`.
+    pub accs: AnalysisAccs,
 }
 
 impl Pipeline {
@@ -51,7 +60,7 @@ impl Pipeline {
     /// counters (`pipeline.{collect.posts,curate.messages,dedup.unique,
     /// enrich.{records,degraded,dropped}}`) and the whole-run
     /// `pipeline.run.wall_ns` span; `pipeline.enrich.dropped` is the
-    /// invariant the chaos CI job pins at zero.
+    /// invariant the chaos suite pins at zero.
     pub fn run<'w>(&self, world: &'w World, obs: &Obs) -> PipelineOutput<'w> {
         let _run_span = obs.span("pipeline.run.wall_ns");
         // Batch runs never snapshot; everything else about the plan is
@@ -85,10 +94,9 @@ impl Pipeline {
                 .add(output.records.len() as u64);
             // Degradation accounting: service faults may leave records
             // partially enriched, but never drop them — `dropped` is the
-            // invariant the chaos CI job pins at zero.
-            let degraded = output.records.iter().filter(|r| r.is_degraded()).count();
+            // invariant the chaos suite pins at zero.
             obs.counter("pipeline.enrich.degraded", &[])
-                .add(degraded as u64);
+                .add(output.accs.degraded_records);
             obs.counter("pipeline.enrich.dropped", &[])
                 .add((unique.len().saturating_sub(output.records.len())) as u64);
         }

@@ -70,8 +70,6 @@ fn streaming_equals_batch_across_shard_counts() {
         assert_outputs_equal(&result.output, &batch, &format!("shards={shards}"));
         // Byte-identical tables, T1 through T19 and the figures.
         assert_eq!(all_tables(&result.output), batch_tables, "shards={shards}");
-        // The merged accumulators agree with batch analyses too.
-        result.accs.assert_matches_batch(&batch);
     }
 }
 
@@ -103,9 +101,22 @@ fn mid_stream_snapshot_equals_batch_over_prefix() {
     prefix_world.posts.truncate(half as usize);
     let prefix_batch = Pipeline::default().run(&prefix_world, &Obs::noop());
     assert_outputs_equal(&snap.output, &prefix_batch, "snapshot vs batch prefix");
-    snap.accs.assert_matches_batch(&prefix_batch);
-    // Every table renders mid-stream.
-    let tables = snap.accs.tables();
+    // Every artifact renders mid-stream exactly as the batch run over the
+    // prefix renders it — T15's post counts included.
+    let snap_results = experiment::run_all(&snap.output, &Obs::noop());
+    let prefix_results = experiment::run_all(&prefix_batch, &Obs::noop());
+    assert_eq!(snap_results.len(), prefix_results.len());
+    for (s, b) in snap_results.iter().zip(&prefix_results) {
+        assert_eq!(s.id, b.id);
+        assert_eq!(
+            s.table.to_string(),
+            b.table.to_string(),
+            "{} diverged mid-stream",
+            s.id
+        );
+    }
+    // Every accumulator table renders mid-stream.
+    let tables = snap.output.accs.tables();
     assert_eq!(tables.len(), 19);
     for (id, t) in &tables {
         assert!(!t.to_string().is_empty(), "{id} empty");

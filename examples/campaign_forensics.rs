@@ -23,7 +23,7 @@ fn main() {
 
     // Target brand: CLI arg, or the most-impersonated one.
     let brand = std::env::args().nth(1).unwrap_or_else(|| {
-        let brands = smishing::core::analysis::brands::brands(&output);
+        let brands = output.accs.brands.finish();
         brands
             .counts
             .top_k(1)
@@ -103,7 +103,7 @@ fn main() {
     println!("shorteners:      {:?}\n", shorteners.top_k(5));
 
     // Timing.
-    let st = smishing::core::analysis::timestamps::send_times(&output, false);
+    let st = output.accs.send_times.finish(false);
     println!("-- Timing (all campaigns) --");
     for (w, m) in st.medians() {
         if let Some(m) = m {

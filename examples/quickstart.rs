@@ -35,14 +35,11 @@ fn main() {
         output.records.len()
     );
 
-    let overview = smishing::core::analysis::overview::overview(&output);
-    println!("{}", overview.to_table());
-
-    let categories = smishing::core::analysis::categories::categories(&output);
-    println!("{}", categories.to_table());
-
-    let languages = smishing::core::analysis::languages::languages(&output);
-    println!("{}", languages.to_table());
+    // The engine folded every paper accumulator during the run; each
+    // table is one `finish()` away.
+    println!("{}", output.accs.overview.finish().to_table());
+    println!("{}", output.accs.categories.finish().to_table());
+    println!("{}", output.accs.languages.finish().to_table());
 
     // A peek at three enriched records.
     println!("## Three sample records");

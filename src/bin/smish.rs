@@ -346,7 +346,8 @@ fn cmd_mitigate(args: &Args, obs: &Obs, world: &World) {
 fn cmd_stream(args: &Args, obs: &Obs, world: &World) {
     // Chronological replay through the sharded engine; snapshots
     // report progress without pausing ingestion, and the final
-    // merged state renders the same tables as `run`.
+    // merged accumulators render the same tables, under the same ids,
+    // as `run`.
     let epoch_posts = args
         .snapshot_every
         .unwrap_or((world.posts.len() as u64 / 4).max(1));
@@ -387,7 +388,7 @@ fn cmd_stream(args: &Args, obs: &Obs, world: &World) {
         result.snapshots_taken
     );
     let mut shown = 0;
-    for (id, table) in result.accs.tables() {
+    for (id, table) in result.output.accs.tables() {
         if let Some(want) = &args.experiment {
             if !id.eq_ignore_ascii_case(want) {
                 continue;
@@ -430,7 +431,7 @@ fn cmd_watch(args: &Args, obs: &Obs, world: &World) {
                 s.output.records.len()
             );
             if let Some(want) = &args.experiment {
-                for (id, table) in s.accs.tables() {
+                for (id, table) in s.output.accs.tables() {
                     if id.eq_ignore_ascii_case(want) {
                         println!("{table}");
                     }

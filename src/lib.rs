@@ -35,8 +35,8 @@
 //! let output = Pipeline::default().run(&world, &Obs::noop());
 //! assert!(!output.records.is_empty());
 //!
-//! // Regenerate a paper table.
-//! let categories = smishing::core::analysis::categories::categories(&output);
+//! // Regenerate a paper table from the accumulators the run folded.
+//! let categories = output.accs.categories.finish();
 //! println!("{}", categories.to_table());
 //! ```
 

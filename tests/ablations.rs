@@ -118,8 +118,8 @@ fn parallel_curation_is_equivalent_to_serial() {
 fn burst_filter_ablation_shifts_tuesday() {
     let w = world();
     let out = Pipeline::default().run(&w, &Obs::noop());
-    let with = smishing::core::analysis::timestamps::send_times(&out, true);
-    let without = smishing::core::analysis::timestamps::send_times(&out, false);
+    let with = out.accs.send_times.finish(true);
+    let without = out.accs.send_times.finish(false);
     assert!(with.burst_removed.is_some());
     assert!(without.burst_removed.is_none());
     let tue = smishing::types::Weekday::Tuesday;

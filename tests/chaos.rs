@@ -10,7 +10,9 @@
 //!    counters (retries, breaker trips, degradation totals included).
 //! 3. **Survival** — the harsh profile completes with `Partial` records
 //!    and honest "(unresolved)" table rows; curated/unique counts match
-//!    the fault-free run exactly.
+//!    the fault-free run exactly. Batch and snapshotting stream runs both
+//!    report degraded records, zero dropped records and zero worker
+//!    panics in their run reports.
 //!
 //! The property block then generalizes: for *any* generated fault plan,
 //! curated counts are fault-independent, unique ≤ total per forum, and
@@ -27,10 +29,13 @@
 //! every message is applied in arrival order, making the retry/breaker/
 //! degradation counters exact replay invariants.
 
+mod common;
+
 use proptest::prelude::*;
+use smishing::core::exec::AnalysisAccs;
 use smishing::core::experiment::run_all;
-use smishing::fault::{FaultPlan, FaultProfile, ServiceKind, TickWindow};
-use smishing::obs::Obs;
+use smishing::fault::{FaultPlan, FaultProfile, ServiceKind, TickWindow, DEFAULT_FAULT_SEED};
+use smishing::obs::{MetricId, Obs};
 use smishing::prelude::*;
 use smishing::stream::ingest;
 use smishing::worldsim::ReportStream;
@@ -102,6 +107,50 @@ fn same_seed_harsh_runs_replay_byte_identically() {
     assert_eq!(c_a["pipeline.enrich.dropped"], 0, "faults never drop");
 }
 
+/// The run-report invariants of a harsh chaos run, on the two runs the
+/// CI chaos job makes with the release binaries: a batch run like
+/// `repro`'s, and a stream replay snapshotting every quarter of the posts
+/// like `smish stream`. Faults degrade records but never lose one, and no
+/// engine worker panics.
+#[test]
+fn harsh_runs_degrade_records_but_never_drop_or_panic() {
+    let mut world = world_at(0.02, WorldConfig::default().seed);
+    world.set_fault_plan(&FaultPlan::harsh(DEFAULT_FAULT_SEED));
+    let batch = Obs::enabled();
+    Pipeline::default().run(&world, &batch);
+    let stream = Obs::enabled();
+    let every = (world.posts.len() as u64 / 4).max(1);
+    let result = ingest(
+        &world,
+        ReportStream::replay(&world),
+        &CurationOptions::default(),
+        &ExecPlan::default().with_snapshots(SnapshotPlan::every(every)),
+        &stream,
+        |_| {},
+    );
+    assert!(result.snapshots_taken > 0, "snapshot plan fired");
+    let counter = |obs: &Obs, name: &str| {
+        obs.report()
+            .expect("enabled")
+            .counters
+            .get(&MetricId::new(name, &[]))
+            .copied()
+    };
+    for (run, obs) in [("batch", &batch), ("stream", &stream)] {
+        assert_eq!(counter(obs, "exec.engine.worker_panics"), Some(0), "{run}");
+        assert_eq!(
+            counter(obs, "exec.engine.uncounted_drops"),
+            Some(0),
+            "{run}"
+        );
+        assert!(
+            counter(obs, "enrich.degraded_records").unwrap_or(0) > 0,
+            "{run}: the harsh profile must degrade records"
+        );
+    }
+    assert_eq!(counter(&batch, "pipeline.enrich.dropped"), Some(0));
+}
+
 #[test]
 fn harsh_profile_completes_with_partial_records() {
     let plain = world_at(0.02, 71);
@@ -170,6 +219,18 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
         })
 }
 
+/// Every accumulator table by id, plus Figure 2 without the burst filter.
+fn rendered(accs: &AnalysisAccs) -> Vec<(&'static str, String)> {
+    let mut tables: Vec<(&'static str, String)> = accs
+        .tables()
+        .into_iter()
+        .map(|(id, t)| (id, t.to_string()))
+        .collect();
+    let unfiltered = accs.send_times.finish(false).to_table();
+    tables.push(("F2 unfiltered", unfiltered.to_string()));
+    tables
+}
+
 /// Fault-free curated/unique counts of the property-test world, computed
 /// once.
 fn baseline_counts() -> (usize, usize) {
@@ -222,12 +283,16 @@ proptest! {
             &Obs::noop(),
             |_| {},
         );
-        // Table-level equality across every accumulator — panics with the
-        // diverging table's name on mismatch.
-        result.accs.assert_matches_batch(&batch);
+        // Table-level equality across every accumulator: the stream's
+        // merged state against the reference sequential fold over the
+        // batch output.
+        prop_assert_eq!(
+            rendered(&result.output.accs),
+            rendered(&common::sequential_fold(&batch))
+        );
         prop_assert_eq!(result.output.records.len(), batch.records.len());
         prop_assert_eq!(
-            result.accs.degraded_records as usize,
+            result.output.accs.degraded_records as usize,
             batch.records.iter().filter(|r| r.is_degraded()).count()
         );
     }

@@ -1,14 +1,19 @@
 //! The unified-engine contract: batch runs routed through the sharded
 //! execution core are table-for-table identical to the golden sequential
 //! rendering — the pre-refactor pipeline composed by hand from the public
-//! primitives (collect → curate → sort → dedup → enrich). Production
-//! keeps exactly one stage-execution implementation; this oracle exists
-//! only here, in the test.
+//! primitives (collect → curate → sort → dedup → enrich), with its
+//! accumulators built by the one sequential fold
+//! (`common::sequential_fold`). Production keeps exactly one
+//! stage-execution implementation and folds each record once; this oracle
+//! exists only here, in the test.
+
+mod common;
 
 use proptest::prelude::*;
 use smishing::core::collect::collect_all;
 use smishing::core::curation::{curate_posts, dedup};
 use smishing::core::enrich::enrich_all;
+use smishing::core::exec::AnalysisAccs;
 use smishing::core::experiment::run_all;
 use smishing::fault::FaultPlan;
 use smishing::prelude::*;
@@ -29,7 +34,8 @@ fn world_at(seed: u64, plan: &FaultPlan) -> World {
 
 /// The golden sequential pipeline: what `Pipeline::run` did before batch
 /// was routed through the execution core. Single-threaded, in collection
-/// order, sorted once before dedup.
+/// order, sorted once before dedup; its accumulators come from a
+/// sequential fold over its own output.
 fn golden_sequential(world: &World) -> PipelineOutput<'_> {
     let opts = CurationOptions::default();
     let mut curated_total = Vec::new();
@@ -41,12 +47,15 @@ fn golden_sequential(world: &World) -> PipelineOutput<'_> {
     curated_total.sort_by_key(|c| c.post_id);
     let unique = dedup(&curated_total, opts.dedup);
     let records = enrich_all(unique, world, &Obs::noop());
-    PipelineOutput {
+    let mut out = PipelineOutput {
         world,
         collection,
         curated_total,
         records,
-    }
+        accs: AnalysisAccs::new(),
+    };
+    out.accs = common::sequential_fold(&out);
+    out
 }
 
 /// Render every experiment table to one string for byte comparison.
