@@ -12,11 +12,10 @@
 //! parity job does).
 
 use criterion::{criterion_group, Criterion};
-use smishing_core::exec::ExecPlan;
+use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing_core::pipeline::Pipeline;
 use smishing_core::CurationOptions;
 use smishing_obs::Obs;
-use smishing_stream::{ingest, SnapshotPlan};
 use smishing_worldsim::{ReportStream, World, WorldConfig};
 use std::hint::black_box;
 use std::io::Write;

@@ -1,6 +1,5 @@
 //! The single execution core: one sharded stage engine behind both the
-//! batch [`Pipeline`](crate::pipeline::Pipeline) and the streaming ingest
-//! front end (`smishing-stream`).
+//! batch [`Pipeline`](crate::pipeline::Pipeline) and streaming ingest.
 //!
 //! An [`ExecPlan`] describes *how* to run — curator count, analyst shard
 //! count, channel capacity, snapshot schedule — while the caller supplies
@@ -11,11 +10,18 @@
 //! mid-flight. Either way the output is a pure function of the post
 //! multiset (see [`engine`]'s ordering invariant), so both fronts are
 //! byte-identical at any shard count.
+//!
+//! A streaming run can be interrupted and picked up again: a
+//! [`Checkpoint`] persists a snapshot through the serde dataset layer,
+//! and [`resume`] replays the stream, verifies the checkpoint and
+//! carries on (see [`checkpoint`]).
 
 pub mod accs;
+pub mod checkpoint;
 pub mod engine;
 
 pub use accs::AnalysisAccs;
+pub use checkpoint::{resume, Checkpoint, ServeState};
 pub use engine::{ingest, IngestResult, StreamSnapshot};
 
 /// When the feeder injects snapshot markers.

@@ -2,7 +2,8 @@
 //!
 //! Arbitrary interleavings of every shippable request kind (`url` hits
 //! and misses, `sender`, `near`, `msg`, `sample`, `stats`, malformed
-//! lines) are replayed through [`serve_workers`] at worker counts
+//! lines, and unreadable ones: not UTF-8, or over the 64 KiB line cap)
+//! are replayed through [`serve_workers`] at worker counts
 //! {1, 2, 4} and through the sequential [`serve_session`] loop, against
 //! both hub flavors `smish serve` builds: a batch-pipeline store and a
 //! stream-ingested store republished across several epochs (the
@@ -14,6 +15,7 @@
 //! is identical either way).
 
 use proptest::prelude::*;
+use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing_core::pipeline::Pipeline;
 use smishing_core::CurationOptions;
 use smishing_intel::{
@@ -21,7 +23,6 @@ use smishing_intel::{
     TriageConfig, WorkerPlan,
 };
 use smishing_obs::Obs;
-use smishing_stream::{ingest, ExecPlan, SnapshotPlan};
 use smishing_worldsim::{ReportStream, World, WorldConfig};
 use std::sync::OnceLock;
 
@@ -111,22 +112,35 @@ fn cfg() -> TriageConfig {
 type Req = (u8, usize, u32);
 
 fn req() -> impl Strategy<Value = Req> {
-    (0u8..100, 0usize..1_000_000, 0u32..u32::MAX)
+    (0u8..104, 0usize..1_000_000, 0u32..u32::MAX)
 }
 
-fn render(script: &[Req], p: &Pools) -> String {
+/// The serve plane's line cap (`MAX_LINE_BYTES`, crate-private).
+const LINE_CAP: usize = 64 * 1024;
+
+fn render(script: &[Req], p: &Pools) -> Vec<u8> {
     let pick = |pool: &[String], idx: usize| pool[idx % pool.len()].clone();
-    let mut s = String::new();
+    let mut s = Vec::new();
     for &(roll, idx, salt) in script {
         match roll {
-            0..=19 => s.push_str(&format!("url {}\n", pick(&p.hit_urls, idx))),
-            20..=39 => s.push_str(&format!("url https://zz{salt:x}-fuzz.example/q\n")),
-            40..=54 => s.push_str(&format!("sender {}\n", pick(&p.senders, idx))),
-            55..=69 => s.push_str(&format!("near {}\n", pick(&p.near_texts, idx))),
-            70..=84 => s.push_str(&format!("msg {}\n", pick(&p.msg_texts, idx))),
-            85..=89 => s.push_str(&format!("sample {}\n", 1 + idx % 7)),
-            90..=94 => s.push_str("stats\n"),
-            _ => s.push_str("bogus line\n"),
+            0..=19 => s.extend(format!("url {}\n", pick(&p.hit_urls, idx)).bytes()),
+            20..=39 => s.extend(format!("url https://zz{salt:x}-fuzz.example/q\n").bytes()),
+            40..=54 => s.extend(format!("sender {}\n", pick(&p.senders, idx)).bytes()),
+            55..=69 => s.extend(format!("near {}\n", pick(&p.near_texts, idx)).bytes()),
+            70..=84 => s.extend(format!("msg {}\n", pick(&p.msg_texts, idx)).bytes()),
+            85..=89 => s.extend(format!("sample {}\n", 1 + idx % 7).bytes()),
+            90..=94 => s.extend(b"stats\n"),
+            95..=99 => s.extend(b"bogus line\n"),
+            100..=101 => {
+                s.extend(format!("url https://zz{salt:x}-").bytes());
+                s.push(0xff);
+                s.extend(b".example/q\n");
+            }
+            _ => {
+                s.extend(b"msg ");
+                s.extend(std::iter::repeat_n(b'x', LINE_CAP + idx % 1024));
+                s.push(b'\n');
+            }
         }
     }
     s
@@ -163,12 +177,12 @@ fn mask(out: &[u8]) -> String {
     masked
 }
 
-fn run_sequential(hub: &IntelHub, script: &str) -> (ServeStats, Vec<u8>) {
+fn run_sequential(hub: &IntelHub, script: &[u8]) -> (ServeStats, Vec<u8>) {
     let mut triage = Triage::with_config(hub.reader(), cfg());
     let mut out = Vec::new();
     let session = serve_session(
         &mut triage,
-        script.as_bytes(),
+        script,
         &mut out,
         &Obs::noop(),
         ServeOptions::default(),
@@ -177,7 +191,7 @@ fn run_sequential(hub: &IntelHub, script: &str) -> (ServeStats, Vec<u8>) {
     (session.stats, out)
 }
 
-fn assert_parity(hub: &IntelHub, script: &str, flavor: &str) {
+fn assert_parity(hub: &IntelHub, script: &[u8], flavor: &str) {
     let (seq_stats, seq_out) = run_sequential(hub, script);
     let seq_masked = mask(&seq_out);
     for workers in [1usize, 2, 4] {
@@ -185,7 +199,7 @@ fn assert_parity(hub: &IntelHub, script: &str, flavor: &str) {
         let session = serve_workers(
             hub,
             cfg(),
-            script.as_bytes(),
+            script,
             &mut out,
             &Obs::noop(),
             ServeOptions::default(),
@@ -196,7 +210,8 @@ fn assert_parity(hub: &IntelHub, script: &str, flavor: &str) {
         assert_eq!(
             mask(&out),
             seq_masked,
-            "{flavor} workers={workers}: responses diverged\nscript:\n{script}"
+            "{flavor} workers={workers}: responses diverged\nscript:\n{}",
+            String::from_utf8_lossy(script)
         );
         let mut expect = seq_stats;
         expect.shed = 0;

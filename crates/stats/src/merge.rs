@@ -1,6 +1,6 @@
 //! Mergeable accumulator primitives for sharded streaming analysis.
 //!
-//! The streaming engine (`smishing-stream`) splits the report feed across
+//! The sharded engine (`smishing_core::exec`) splits the report feed across
 //! worker shards, each folding its slice into per-analysis accumulators,
 //! and periodically merges shard states into one result that must equal the
 //! batch computation exactly. Two primitives make that exactness possible:

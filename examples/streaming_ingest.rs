@@ -7,9 +7,9 @@
 //! cargo run --release --example streaming_ingest
 //! ```
 
+use smishing::core::exec::{ingest, Checkpoint};
 use smishing::core::experiment::run_all;
 use smishing::prelude::*;
-use smishing::stream::{ingest, Checkpoint};
 use smishing::worldsim::ReportStream;
 
 fn main() {
@@ -63,7 +63,7 @@ fn main() {
 
     // The checkpoint captured mid-stream persists through the serde
     // dataset layer — an interrupted run resumes from it (see
-    // `smishing::stream::resume`).
+    // `smishing::core::exec::resume`).
     let cp = checkpoint.expect("snapshot fired");
     let json = cp.to_json().expect("serializes");
     println!(

@@ -17,11 +17,11 @@
 //! cargo run --release --example triage_feed
 //! ```
 
+use smishing::core::exec::{ingest, SnapshotPlan};
 use smishing::core::pipeline::Pipeline;
 use smishing::core::runcfg::RunConfig;
 use smishing::intel::{evaluate_triage, IntelHub, IntelSnapshot, Query, Triage, TriageVerdict};
 use smishing::prelude::*;
-use smishing::stream::{ingest, SnapshotPlan};
 
 fn main() {
     let seed = 7;

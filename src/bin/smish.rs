@@ -39,7 +39,9 @@
 //! missing). `--checkpoint PATH` persists a resumable checkpoint at
 //! every published epoch; restarting with the same flags replays the
 //! verified prefix without republishing it and re-enters the epoch
-//! sequence where the interrupted server left off.
+//! sequence where the interrupted server left off. A checkpoint the
+//! replay does not reproduce (other flags, an edited file) is an error
+//! line and exit 1 once the replay ends.
 //! `query <url|sender|msg|near|explain> <value>` is the one-shot form,
 //! printing exactly the line `serve` would for the same request; defanged
 //! (`hxxps://`, `[.]`, `(dot)`) and homoglyph spellings normalize to the
@@ -86,6 +88,7 @@ use smishing::core::analysis::latency::report_latency;
 use smishing::core::analysis::linking::linking_ablation;
 use smishing::core::analysis::mitigation::mitigation_study;
 use smishing::core::dataset;
+use smishing::core::exec::{ingest, resume, Checkpoint, ServeState, SnapshotPlan, StreamSnapshot};
 use smishing::core::experiment::run_all;
 use smishing::core::pipeline::PipelineOutput;
 use smishing::core::runcfg::RunConfig;
@@ -96,7 +99,6 @@ use smishing::intel::{
 };
 use smishing::obs::{obs_error, obs_info, parse_report, perf_diff, Obs, Tracer, TracerConfig};
 use smishing::prelude::*;
-use smishing::stream::{ingest, resume, Checkpoint, ServeState, SnapshotPlan, StreamSnapshot};
 use smishing::worldsim::{Post, ReportStream, World};
 use std::io::Write;
 use std::sync::atomic::AtomicU64;
@@ -492,8 +494,12 @@ fn write_checkpoint(path: &str, ck: &Checkpoint, obs: &Obs) {
 /// run that will start writing one; a mismatched or unreadable file is
 /// reported and ignored.
 fn load_checkpoint(path: &str, obs: &Obs, world: &World) -> Option<Checkpoint> {
-    let text = std::fs::read_to_string(path).ok()?;
-    match Checkpoint::from_json(&text) {
+    let parsed = match std::fs::read_to_string(path) {
+        Ok(text) => Checkpoint::from_json(&text).map_err(|e| e.to_string()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+        Err(e) => Err(e.to_string()),
+    };
+    match parsed {
         Ok(ck) if ck.matches_world(world) => {
             obs_info!(
                 obs,
@@ -526,7 +532,8 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
     };
     // `--checkpoint PATH` over an existing matching file turns this
     // invocation into a resume: the epoch clock re-enters the recorded
-    // sequence and the verified replay prefix is not republished.
+    // sequence and the verified replay prefix is not republished. A
+    // replay that does not verify the checkpoint exits 1.
     let resumed = match (&args.checkpoint, args.stream_mode) {
         (Some(path), true) => load_checkpoint(path, obs, world),
         _ => None,
@@ -653,13 +660,7 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
             let wave_counter = Arc::clone(&injected);
             scope.spawn(move || {
                 let mut prev: Option<Arc<IntelSnapshot>> = None;
-                let skip_below = resumed_ck.as_ref().map_or(0, |ck| ck.posts_consumed);
                 let mut on_snapshot = |s: StreamSnapshot<'_>| {
-                    if s.at_posts < skip_below {
-                        // Verified replay prefix: the interrupted server
-                        // already published (and checkpointed past) it.
-                        return;
-                    }
                     let snap = IntelSnapshot::build_incremental(
                         &s.output,
                         prev.as_deref(),
@@ -698,6 +699,9 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
                 } else {
                     Box::new(adv.stream_counted(Some(wave_counter)))
                 };
+                // A resume forwards only the snapshots from the verified
+                // checkpoint on: the interrupted server already published
+                // (and checkpointed past) the replayed prefix.
                 let result = match &resumed_ck {
                     Some(ck) => resume(
                         world,
@@ -705,18 +709,22 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
                         ck,
                         &args.cfg.curation,
                         &plan,
+                        obs,
                         &mut on_snapshot,
-                    )
-                    .expect("checkpoint world identity already verified"),
-                    None => ingest(
+                    ),
+                    None => Ok(ingest(
                         world,
                         posts,
                         &args.cfg.curation,
                         &plan,
                         obs,
                         &mut on_snapshot,
-                    ),
+                    )),
                 };
+                let result = result.unwrap_or_else(|e| {
+                    obs_error!(obs, "cannot resume from checkpoint: {e}");
+                    std::process::exit(1);
+                });
                 let snap = IntelSnapshot::build_incremental(
                     &result.output,
                     prev.as_deref(),

@@ -18,9 +18,8 @@
 //! | [`screenshot`] | SMS screenshot model + the §3.2 extractors |
 //! | [`worldsim`] | the calibrated generative model of the smishing ecosystem |
 //! | [`malcase`] | §6 malware case-study substrate |
-//! | [`core`] | the collection → curation → enrichment → analysis pipeline |
+//! | [`core`] | the collection → curation → enrichment → analysis pipeline; its sharded engine (`core::exec`) runs batch and streaming ingest, mid-stream snapshots and checkpoint/resume |
 //! | [`detect`] | §7.2 detection models (Naive Bayes over the labeled dataset) |
-//! | [`stream`] | sharded streaming ingest with mid-stream snapshots |
 //! | [`simindex`] | SimHash/n-gram similarity index + campaign-template clustering |
 //! | [`intel`] | indexed intelligence store + query/triage serving layer |
 //! | [`adversary`] | seeded campaign-evolution engine + per-epoch drift scorecard |
@@ -54,7 +53,6 @@ pub use smishing_obs as obs;
 pub use smishing_screenshot as screenshot;
 pub use smishing_simindex as simindex;
 pub use smishing_stats as stats;
-pub use smishing_stream as stream;
 pub use smishing_telecom as telecom;
 pub use smishing_textnlp as textnlp;
 pub use smishing_types as types;

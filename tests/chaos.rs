@@ -32,12 +32,11 @@
 mod common;
 
 use proptest::prelude::*;
-use smishing::core::exec::AnalysisAccs;
+use smishing::core::exec::{ingest, AnalysisAccs};
 use smishing::core::experiment::run_all;
 use smishing::fault::{FaultPlan, FaultProfile, ServiceKind, TickWindow, DEFAULT_FAULT_SEED};
 use smishing::obs::{MetricId, Obs};
 use smishing::prelude::*;
-use smishing::stream::ingest;
 use smishing::worldsim::ReportStream;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;

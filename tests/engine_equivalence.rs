@@ -13,11 +13,10 @@ use proptest::prelude::*;
 use smishing::core::collect::collect_all;
 use smishing::core::curation::{curate_posts, dedup};
 use smishing::core::enrich::enrich_all;
-use smishing::core::exec::AnalysisAccs;
+use smishing::core::exec::{ingest, AnalysisAccs};
 use smishing::core::experiment::run_all;
 use smishing::fault::FaultPlan;
 use smishing::prelude::*;
-use smishing::stream::ingest;
 use smishing::worldsim::ReportStream;
 
 fn world_at(seed: u64, plan: &FaultPlan) -> World {

@@ -8,6 +8,7 @@
 //! * full-stack triage precision/recall is no worse than the standalone
 //!   campaign-held-out detect baseline on the same seed.
 
+use smishing::core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing::core::pipeline::Pipeline;
 use smishing::core::CurationOptions;
 use smishing::intel::{
@@ -15,7 +16,6 @@ use smishing::intel::{
     TriageConfig,
 };
 use smishing::obs::Obs;
-use smishing::stream::{ingest, ExecPlan, SnapshotPlan};
 use smishing::worldsim::{ReportStream, World, WorldConfig};
 
 fn world(seed: u64) -> World {

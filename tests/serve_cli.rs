@@ -13,28 +13,57 @@
 //!   explain` the same verdict line and rungs as the serve verb.
 //! * **Hostile stdin**: a line that is not UTF-8 gets an `err` reply and
 //!   the session goes on, in both serve modes.
+//! * **Adversarial stream serve and checkpoint resume**: a rotation-wave
+//!   session reports its waves and a clean engine; a checkpoint the
+//!   replay does not reproduce exits 1 without a panic; a same-flags
+//!   resume re-enters the epoch sequence and reports the engine's
+//!   `exec.*` series; an unreadable checkpoint file is reported and
+//!   replaced.
 
+use smishing::obs::{parse_report, MetricId};
 use std::io::Write;
-use std::process::{Child, Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 fn smish() -> Command {
     Command::new(env!("CARGO_BIN_EXE_smish"))
 }
 
-/// Run `smish serve` at scale 0.02 over `input`; returns stdout.
-fn serve(extra: &[&str], input: &[u8]) -> String {
+/// Run `smish serve --scale 0.02 --quiet` plus `extra` over `input`, to
+/// exit.
+fn run_serve(extra: &[&str], input: &[u8]) -> Output {
     let mut child = smish()
         .args(["serve", "--scale", "0.02", "--quiet"])
         .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn smish serve");
-    child.stdin.take().unwrap().write_all(input).unwrap();
-    let output = wait_done(&mut child, "serve");
+    // A child that fails before reading stdin closes the pipe; the exit
+    // status, not this write, is what the callers check.
+    let _ = child.stdin.take().unwrap().write_all(input);
+    child.wait_with_output().expect("wait for smish serve")
+}
+
+/// [`run_serve`], which must succeed; returns stdout.
+fn serve(extra: &[&str], input: &[u8]) -> String {
+    let output = run_serve(extra, input);
+    assert!(
+        output.status.success(),
+        "serve exited with {}",
+        output.status
+    );
     String::from_utf8(output.stdout).unwrap()
+}
+
+/// A fresh temp directory private to one test of this process.
+fn temp_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("smish-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 fn wait_done(child: &mut Child, what: &str) -> std::process::Output {
@@ -59,10 +88,8 @@ fn wait_done(child: &mut Child, what: &str) -> std::process::Output {
 
 #[test]
 fn stream_serve_flushes_metrics_at_eof_before_publisher_joins() {
-    let dir = std::env::temp_dir().join(format!("smish-serve-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = temp_dir("eof-flush");
     let metrics = dir.join("serve-report.json");
-    let _ = std::fs::remove_file(&metrics);
 
     let mut child = smish()
         .args([
@@ -236,4 +263,104 @@ fn invalid_utf8_on_stdin_is_answered_in_both_serve_modes() {
         );
         assert!(lines[3].contains(" errors=1 "), "{extra:?}: {}", lines[3]);
     }
+}
+
+fn path_arg(path: &Path) -> &str {
+    path.to_str().expect("utf-8 temp path")
+}
+
+/// `smish serve --stream` plus `extra` over one `health` request.
+fn stream_health(extra: &[&str]) -> Output {
+    run_serve(&[&["--stream"], extra].concat(), b"health\nquit\n")
+}
+
+fn counter(report: &Path, name: &str) -> Option<u64> {
+    let json = std::fs::read_to_string(report).unwrap();
+    let report = parse_report(&json).unwrap();
+    report.counters.get(&MetricId::new(name, &[])).copied()
+}
+
+#[test]
+fn adversarial_stream_serve_checkpoints_and_resumes() {
+    let dir = temp_dir("adversary-resume");
+    let (ck, first, resumed) = (
+        dir.join("ck.json"),
+        dir.join("first.json"),
+        dir.join("resumed.json"),
+    );
+    let adversary = ["--adversary", "rotation", "--checkpoint", path_arg(&ck)];
+
+    // Rotation waves ride the health line; no engine worker panics and no
+    // record is dropped uncounted.
+    let out = stream_health(&[&adversary[..], &["--metrics-json", path_arg(&first)]].concat());
+    assert!(out.status.success(), "first run exited with {}", out.status);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let waves = stdout
+        .split(" adversary=rotation waves=")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no adversary gauge in {stdout}"));
+    assert!(
+        waves.starts_with(|c: char| ('1'..='9').contains(&c)),
+        "{stdout}"
+    );
+    for key in ["exec.engine.worker_panics", "exec.engine.uncounted_drops"] {
+        assert_eq!(counter(&first, key), Some(0), "{key}");
+    }
+    assert!(counter(&first, "exec.engine.posts_ingested").unwrap_or(0) > 0);
+    let checkpoint = std::fs::read(&ck).expect("checkpoint written");
+
+    // Without the waves the replay cannot reproduce the checkpoint: one
+    // error line and exit 1 when the replay ends, not a panic, and not
+    // the 300 s wait for a first snapshot.
+    let started = Instant::now();
+    let out = stream_health(&["--checkpoint", path_arg(&ck)]);
+    let elapsed = started.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(elapsed < Duration::from_secs(120), "took {elapsed:?}");
+    for stream in [&out.stdout, &out.stderr] {
+        assert!(
+            !String::from_utf8_lossy(stream).contains("panicked"),
+            "{stderr}"
+        );
+    }
+    assert!(
+        stderr.contains("checkpoint") && stderr.contains(" post "),
+        "{stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&ck).unwrap(),
+        checkpoint,
+        "failed resume wrote"
+    );
+
+    // The same flags resume at the checkpointed epoch, and the run report
+    // carries the resumed engine's series.
+    let out = stream_health(&[&adversary[..], &["--metrics-json", path_arg(&resumed)]].concat());
+    assert!(out.status.success(), "resume exited with {}", out.status);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let epoch = stdout
+        .strip_prefix("health epoch=")
+        .and_then(|rest| rest.split(' ').next()?.parse::<u64>().ok())
+        .unwrap_or_else(|| panic!("no health epoch in {stdout}"));
+    assert!(epoch >= 4, "resumed at epoch {epoch}");
+    assert!(counter(&resumed, "exec.engine.posts_ingested").unwrap_or(0) > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unreadable_checkpoint_is_reported_and_replaced() {
+    let dir = temp_dir("unreadable-checkpoint");
+    let ck = dir.join("ck.json");
+    std::fs::write(&ck, b"{\"world_seed\":\xff}").unwrap();
+    let out = stream_health(&["--checkpoint", path_arg(&ck)]);
+    assert!(out.status.success(), "exited with {}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unreadable") && stderr.contains("starting fresh"),
+        "{stderr}"
+    );
+    let rewritten = std::fs::read_to_string(&ck).expect("checkpoint rewritten as UTF-8");
+    assert!(rewritten.contains("\"posts_consumed\""), "{rewritten}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
