@@ -261,7 +261,6 @@ pub fn drift_scorecard(world: &World, opts: &DriftOptions, obs: &Obs) -> Option<
     );
     let build_opts = BuildOptions {
         window_secs: opts.window_secs,
-        ..BuildOptions::default()
     };
     let exec = ExecPlan::sequential().with_snapshots(SnapshotPlan::every(epoch_posts));
 

@@ -2,9 +2,8 @@
 //!
 //! 1. extractor choice (naive OCR / block OCR / LLM) — throughput AND yield,
 //! 2. dedup keying (exact vs normalized),
-//! 3. serial vs parallel curation,
-//! 4. Fig. 2 with and without the burst filter,
-//! 5. brand NER with and without homoglyph normalization (throughput of the
+//! 3. Fig. 2 with and without the burst filter,
+//! 4. brand NER with and without homoglyph normalization (throughput of the
 //!    normalization step itself).
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -44,23 +43,7 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| black_box(dedup(&curated, DedupMode::Normalized).len()))
     });
 
-    // 3. Serial vs parallel curation.
-    g.bench_function("curation_serial", |b| {
-        let opts = CurationOptions {
-            workers: 1,
-            ..CurationOptions::default()
-        };
-        b.iter(|| black_box(curate_posts(&posts, &opts).len()))
-    });
-    g.bench_function("curation_parallel_4", |b| {
-        let opts = CurationOptions {
-            workers: 4,
-            ..CurationOptions::default()
-        };
-        b.iter(|| black_box(curate_posts(&posts, &opts).len()))
-    });
-
-    // 4. Burst filter on/off (Fig. 2 ablation).
+    // 3. Burst filter on/off (Fig. 2 ablation).
     let out = bench_output();
     g.bench_function("fig2_with_burst_filter", |b| {
         b.iter(|| black_box(out.accs.send_times.finish(true).usable))
@@ -69,7 +52,7 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| black_box(out.accs.send_times.finish(false).usable))
     });
 
-    // 5. Brand NER on evasive vs plain text (the normalization ablation).
+    // 4. Brand NER on evasive vs plain text (the normalization ablation).
     g.bench_function("ner_evasive_text", |b| {
         b.iter(|| black_box(extract_brand("Your N3tfl!x account is on h0ld t0day")))
     });

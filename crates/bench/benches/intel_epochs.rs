@@ -124,7 +124,6 @@ fn epoch_report(quick: bool) {
     // loop re-reports them — continuous eviction churn at steady state.
     let opts = BuildOptions {
         window_secs: Some(span / 2),
-        ..BuildOptions::default()
     };
     let plan = ExecPlan::default().with_snapshots(SnapshotPlan::every(every));
     let inc_ns = obs.histogram("intel.epoch.incremental_build_ns", &[]);

@@ -1,9 +1,8 @@
 //! Table 12: impersonated brands (§5.4).
 
-use crate::curation::CuratedMessage;
 use crate::enrich::EnrichedRecord;
 use crate::table::{count_pct, TextTable};
-use smishing_stats::{Counter, FirstClaim, RefCount};
+use smishing_stats::Counter;
 use smishing_textnlp::brands::BrandCatalog;
 
 /// Brand impersonation counts over all curated messages.
@@ -15,13 +14,13 @@ pub struct Brands {
     pub no_brand: usize,
 }
 
-/// Table 12, weighted over total messages via unique annotations:
-/// per-key multiplicities from the curated stream joined at finish time
-/// against first-claim brand annotations from the unique records.
+/// Table 12, weighted over total messages via unique annotations: each
+/// dedup group's winner counts once per report in its evidence. Every
+/// group lives in one shard, so shard merges sum exactly.
 #[derive(Debug, Clone, Default)]
 pub struct BrandsAcc {
-    brands: FirstClaim<String, Option<String>>,
-    key_counts: RefCount<String>,
+    counts: Counter<String>,
+    no_brand: usize,
 }
 
 impl BrandsAcc {
@@ -30,46 +29,27 @@ impl BrandsAcc {
         Self::default()
     }
 
-    /// Fold in one curated message (total-weighted side).
-    pub fn add_curated(&mut self, c: &CuratedMessage) {
-        self.key_counts
-            .add(c.dedup_key(crate::curation::DedupMode::Normalized));
-    }
-
-    /// Fold in one unique record (annotation side).
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        self.brands.add(
-            r.curated.dedup_key(crate::curation::DedupMode::Normalized),
-            r.curated.post_id.0,
-            r.annotation.brand.clone(),
-        );
-    }
-
-    /// Retract a record previously folded in.
-    pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        self.brands.sub(
-            &r.curated.dedup_key(crate::curation::DedupMode::Normalized),
-            r.curated.post_id.0,
-        );
+    /// Fold in one dedup group through its winner.
+    pub fn add_group(&mut self, r: &EnrichedRecord) {
+        let n = r.evidence.reports;
+        match &r.annotation.brand {
+            Some(b) => self.counts.add_n(b.clone(), u64::from(n)),
+            None => self.no_brand += n as usize,
+        }
     }
 
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: BrandsAcc) {
-        self.brands.merge(other.brands);
-        self.key_counts.merge(other.key_counts);
+        self.counts.merge(&other.counts);
+        self.no_brand += other.no_brand;
     }
 
     /// Produce the batch result.
     pub fn finish(&self) -> Brands {
-        let mut counts = Counter::new();
-        let mut no_brand = 0usize;
-        for (key, n) in self.key_counts.iter() {
-            match self.brands.winner(key) {
-                Some((_, Some(b))) => counts.add_n(b.clone(), n),
-                _ => no_brand += n as usize,
-            }
+        Brands {
+            counts: self.counts.clone(),
+            no_brand: self.no_brand,
         }
-        Brands { counts, no_brand }
     }
 }
 

@@ -1,9 +1,8 @@
 //! Table 10: scam-category distribution with top languages (§5.2).
 
-use crate::curation::CuratedMessage;
 use crate::enrich::EnrichedRecord;
 use crate::table::{count_pct, TextTable};
-use smishing_stats::{Counter, FirstClaim, RefCount};
+use smishing_stats::Counter;
 use smishing_types::{Language, ScamType};
 use std::collections::HashMap;
 
@@ -18,15 +17,13 @@ pub struct Categories {
 }
 
 /// Table 10. Classification comes from the pipeline's annotator on the
-/// unique records, then weighted back over duplicates by key. Two streams
-/// feed the accumulator: curated messages bump a per-dedup-key
-/// multiplicity, and unique records claim the key's annotation (minimum
-/// `post_id` wins, so shard merges and winner displacement both resolve
-/// exactly as the batch pass over `post_id`-sorted records).
+/// unique records, weighted back over duplicates: each dedup group's
+/// winner counts once per report in its evidence. Every group lives in one
+/// shard, so shard merges sum exactly.
 #[derive(Debug, Clone, Default)]
 pub struct CategoriesAcc {
-    annots: FirstClaim<String, (ScamType, Option<Language>)>,
-    key_counts: RefCount<String>,
+    counts: Counter<ScamType>,
+    languages: HashMap<ScamType, Counter<Language>>,
 }
 
 impl CategoriesAcc {
@@ -35,49 +32,30 @@ impl CategoriesAcc {
         Self::default()
     }
 
-    /// Fold in one curated message (total-weighted side).
-    pub fn add_curated(&mut self, c: &CuratedMessage) {
-        self.key_counts
-            .add(c.dedup_key(crate::curation::DedupMode::Normalized));
-    }
-
-    /// Fold in one unique record (annotation side).
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        self.annots.add(
-            r.curated.dedup_key(crate::curation::DedupMode::Normalized),
-            r.curated.post_id.0,
-            (r.annotation.scam_type, r.annotation.language),
-        );
-    }
-
-    /// Retract a record previously folded in.
-    pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        self.annots.sub(
-            &r.curated.dedup_key(crate::curation::DedupMode::Normalized),
-            r.curated.post_id.0,
-        );
+    /// Fold in one dedup group through its winner.
+    pub fn add_group(&mut self, r: &EnrichedRecord) {
+        let n = u64::from(r.evidence.reports);
+        let scam = r.annotation.scam_type;
+        self.counts.add_n(scam, n);
+        if let Some(lang) = r.annotation.language {
+            self.languages.entry(scam).or_default().add_n(lang, n);
+        }
     }
 
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: CategoriesAcc) {
-        self.annots.merge(other.annots);
-        self.key_counts.merge(other.key_counts);
+        self.counts.merge(&other.counts);
+        for (scam, langs) in other.languages {
+            self.languages.entry(scam).or_default().merge(&langs);
+        }
     }
 
     /// Produce the batch result.
     pub fn finish(&self) -> Categories {
-        let mut counts = Counter::new();
-        let mut languages: HashMap<ScamType, Counter<Language>> = HashMap::new();
-        for (key, n) in self.key_counts.iter() {
-            let Some((_, &(scam, lang))) = self.annots.winner(key) else {
-                continue;
-            };
-            counts.add_n(scam, n);
-            if let Some(lang) = lang {
-                languages.entry(scam).or_default().add_n(lang, n);
-            }
+        Categories {
+            counts: self.counts.clone(),
+            languages: self.languages.clone(),
         }
-        Categories { counts, languages }
     }
 }
 

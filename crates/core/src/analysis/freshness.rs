@@ -35,13 +35,6 @@ pub struct DomainFreshness {
 
 /// Compute domain ages and NRD coverage over the unique records.
 pub fn domain_freshness(out: &PipelineOutput<'_>) -> DomainFreshness {
-    let posted_at: HashMap<_, _> = out
-        .world
-        .posts
-        .iter()
-        .map(|p| (p.id, p.posted_at))
-        .collect();
-
     // First-report instant per unique domain, plus per-message ages.
     let mut first_report: HashMap<String, UnixTime> = HashMap::new();
     let mut message_ages: Vec<f64> = Vec::new();
@@ -54,9 +47,7 @@ pub fn domain_freshness(out: &PipelineOutput<'_>) -> DomainFreshness {
         if url.free_hosted {
             continue;
         }
-        let Some(&at) = posted_at.get(&r.curated.post_id) else {
-            continue;
-        };
+        let at = r.curated.posted_at;
         let Some(rec) = out.world.services.whois.query(domain) else {
             no_answer += 1;
             continue;

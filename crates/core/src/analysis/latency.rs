@@ -38,11 +38,7 @@ pub fn report_latency(out: &PipelineOutput<'_>) -> ReportLatency {
             unusable += 1;
             continue;
         };
-        let Some(post) = out.world.posts.iter().find(|p| p.id == c.post_id) else {
-            unusable += 1;
-            continue;
-        };
-        let delta = post.posted_at.0 - received.to_unix().0;
+        let delta = c.posted_at.0 - received.to_unix().0;
         if delta < 0 {
             // Clock skew / ambiguous date parse: drop rather than distort.
             unusable += 1;
@@ -55,10 +51,7 @@ pub fn report_latency(out: &PipelineOutput<'_>) -> ReportLatency {
                 if catalog.is_shortener(&parsed.host) {
                     short_total += 1;
                     if matches!(
-                        out.world
-                            .services
-                            .short_links
-                            .expand(&parsed, post.posted_at),
+                        out.world.services.short_links.expand(&parsed, c.posted_at),
                         smishing_webinfra::ExpandResult::Active(_)
                     ) {
                         live += 1;

@@ -12,10 +12,10 @@
 //! (the same shortcode stem and template skeleton recur across campaigns),
 //! buying recall at a precision cost.
 
-use crate::curation::DedupMode;
 use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use smishing_stats::unionfind::UnionFind;
+use smishing_textnlp::normalize::normalize_text;
 use std::collections::HashMap;
 
 /// Which pivots to cluster on (for ablation).
@@ -189,10 +189,7 @@ pub fn pivot_keys(r: &crate::enrich::EnrichedRecord, pivots: LinkingPivots) -> V
     }
     if pivots.skeleton {
         keys.push((
-            format!(
-                "t:{}",
-                skeleton_of(&r.curated.dedup_key(DedupMode::Normalized))
-            ),
+            format!("t:{}", skeleton_of(&normalize_text(&r.curated.text))),
             false,
         ));
     }

@@ -1,7 +1,8 @@
 //! Table 1 (dataset overview per forum) and Table 15 (yearly Twitter
 //! distribution).
 
-use crate::curation::{CuratedMessage, DedupMode};
+use crate::curation::CuratedMessage;
+use crate::enrich::Evidence;
 use crate::table::{count_pct, group_thousands, TextTable};
 use smishing_stats::{Counter, RefCount};
 use smishing_types::Forum;
@@ -38,14 +39,16 @@ pub struct Overview {
 }
 
 /// Table 1: post-level counts arrive via [`OverviewAcc::add_post`],
-/// message-level counts via [`OverviewAcc::add_curated`]. Uniqueness
-/// columns are multisets, so shard merges sum exactly.
+/// message-level counts via [`OverviewAcc::add_curated`], and the unique
+/// messages per forum via [`OverviewAcc::add_group`], once per dedup
+/// group. Sender and URL uniqueness columns are multisets and every group
+/// lives in one shard, so shard merges sum exactly.
 #[derive(Debug, Clone, Default)]
 pub struct OverviewAcc {
     posts: Counter<Forum>,
     images: Counter<Forum>,
     msgs: Counter<Forum>,
-    keys: HashMap<Forum, RefCount<String>>,
+    unique_msgs: Counter<Forum>,
     senders: HashMap<Forum, RefCount<String>>,
     urls: HashMap<Forum, RefCount<String>>,
 }
@@ -67,10 +70,6 @@ impl OverviewAcc {
     /// Fold in one curated message.
     pub fn add_curated(&mut self, c: &CuratedMessage) {
         self.msgs.add(c.forum);
-        self.keys
-            .entry(c.forum)
-            .or_default()
-            .add(c.dedup_key(DedupMode::Normalized));
         if let Some(s) = c.sender_raw.as_deref() {
             self.senders.entry(c.forum).or_default().add(s.to_string());
         }
@@ -79,14 +78,22 @@ impl OverviewAcc {
         }
     }
 
+    /// Fold in one dedup group: a unique message of every forum that
+    /// reported it.
+    pub fn add_group(&mut self, evidence: &Evidence) {
+        for &forum in Forum::ALL {
+            if evidence.reported_on(forum) {
+                self.unique_msgs.add(forum);
+            }
+        }
+    }
+
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: OverviewAcc) {
         self.posts.merge(&other.posts);
         self.images.merge(&other.images);
         self.msgs.merge(&other.msgs);
-        for (f, rc) in other.keys {
-            self.keys.entry(f).or_default().merge(rc);
-        }
+        self.unique_msgs.merge(&other.unique_msgs);
         for (f, rc) in other.senders {
             self.senders.entry(f).or_default().merge(rc);
         }
@@ -100,14 +107,13 @@ impl OverviewAcc {
         let empty = RefCount::new();
         let mut rows = Vec::new();
         for &forum in Forum::ALL {
-            let keys = self.keys.get(&forum).unwrap_or(&empty);
             let senders = self.senders.get(&forum).unwrap_or(&empty);
             let urls = self.urls.get(&forum).unwrap_or(&empty);
             rows.push(ForumRow {
                 forum,
                 posts: self.posts.get(&forum) as usize,
                 images: self.images.get(&forum) as usize,
-                msgs_unique: keys.distinct(),
+                msgs_unique: self.unique_msgs.get(&forum) as usize,
                 msgs_total: self.msgs.get(&forum) as usize,
                 senders_unique: senders.distinct(),
                 senders_total: senders.total() as usize,

@@ -5,7 +5,6 @@
 //! directly; noise posts are dismissed. The output preserves duplicates
 //! (Table 1's "Total" columns); [`dedup`] computes the "Unique" view.
 
-use crossbeam::channel;
 use smishing_screenshot::{Extractor, LlmExtractor, NaiveOcr, Screenshot, VisionOcr};
 use smishing_textnlp::identify_language;
 use smishing_textnlp::normalize::normalize_text;
@@ -43,8 +42,6 @@ pub struct CurationOptions {
     pub extractor: ExtractorChoice,
     /// Dedup keying.
     pub dedup: DedupMode,
-    /// Number of worker threads (1 = serial).
-    pub workers: usize,
     /// Seed for the extractors' deterministic noise.
     pub seed: u64,
 }
@@ -54,7 +51,6 @@ impl Default for CurationOptions {
         CurationOptions {
             extractor: ExtractorChoice::Llm,
             dedup: DedupMode::Normalized,
-            workers: 1,
             seed: 0xC0FFEE,
         }
     }
@@ -164,43 +160,11 @@ pub fn curate_post(post: &Post, opts: &CurationOptions) -> Option<CuratedMessage
     })
 }
 
-/// Curate a batch of posts, optionally in parallel. Output is ordered by
-/// post id regardless of worker count (determinism).
+/// Curate a batch of posts on the calling thread, sorted by post id: the
+/// sequential reference. Parallel curation is the execution core's
+/// curator pool ([`ExecPlan::curators`](crate::exec::ExecPlan::curators)).
 pub fn curate_posts(posts: &[&Post], opts: &CurationOptions) -> Vec<CuratedMessage> {
-    let mut out: Vec<CuratedMessage> = if opts.workers <= 1 {
-        posts.iter().filter_map(|p| curate_post(p, opts)).collect()
-    } else {
-        // Both channels are bounded: a slow consumer exerts backpressure on
-        // the feeder instead of buffering every curated message. The feeder
-        // runs on its own thread so this thread can drain the output
-        // concurrently — feeding and draining from one thread with two full
-        // bounded channels would deadlock.
-        let (tx_jobs, rx_jobs) = channel::bounded::<&Post>(1024);
-        let (tx_out, rx_out) = channel::bounded::<CuratedMessage>(1024);
-        crossbeam::scope(|s| {
-            for _ in 0..opts.workers {
-                let rx = rx_jobs.clone();
-                let tx = tx_out.clone();
-                let opts = *opts;
-                s.spawn(move |_| {
-                    while let Ok(post) = rx.recv() {
-                        if let Some(c) = curate_post(post, &opts) {
-                            let _ = tx.send(c);
-                        }
-                    }
-                });
-            }
-            drop(tx_out);
-            drop(rx_jobs);
-            s.spawn(move |_| {
-                for p in posts {
-                    tx_jobs.send(p).expect("workers alive");
-                }
-            });
-            rx_out.iter().collect::<Vec<_>>()
-        })
-        .expect("curation workers do not panic")
-    };
+    let mut out: Vec<CuratedMessage> = posts.iter().filter_map(|p| curate_post(p, opts)).collect();
     out.sort_by_key(|c| c.post_id);
     out
 }
@@ -220,6 +184,8 @@ pub fn dedup(curated: &[CuratedMessage], mode: DedupMode) -> Vec<CuratedMessage>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{ingest, ExecPlan};
+    use smishing_obs::Obs;
     use smishing_worldsim::{World, WorldConfig};
 
     fn world() -> World {
@@ -253,22 +219,26 @@ mod tests {
         );
     }
 
+    /// Curated messages of an engine run over `posts` under `plan`.
+    fn engine_curated(w: &World, posts: &[Post], plan: &ExecPlan) -> Vec<CuratedMessage> {
+        let opts = CurationOptions::default();
+        ingest(w, posts.iter().cloned(), &opts, plan, &Obs::noop(), |_| {})
+            .output
+            .curated_total
+    }
+
     #[test]
     fn parallel_equals_serial() {
+        // The engine's curator pool against a single curator.
         let w = world();
-        let refs: Vec<&Post> = w.posts.iter().take(800).collect();
-        let serial = curate_posts(
-            &refs,
-            &CurationOptions {
-                workers: 1,
-                ..Default::default()
-            },
-        );
-        let parallel = curate_posts(
-            &refs,
-            &CurationOptions {
-                workers: 4,
-                ..Default::default()
+        let posts = &w.posts[..800];
+        let serial = engine_curated(&w, posts, &ExecPlan::sequential());
+        let parallel = engine_curated(
+            &w,
+            posts,
+            &ExecPlan {
+                curators: 8,
+                ..ExecPlan::sequential()
             },
         );
         assert_eq!(serial.len(), parallel.len());
@@ -281,32 +251,27 @@ mod tests {
 
     #[test]
     fn bounded_output_handles_more_messages_than_capacity() {
-        // Regression: the output channel is bounded (1024); feeding and
-        // draining must overlap or a corpus larger than the capacity
-        // deadlocks. Push well past the capacity through few workers.
+        // Regression: every engine channel is bounded; feeding, curating
+        // and draining must overlap or a corpus larger than the capacity
+        // deadlocks. Push far past a capacity of one through many curators.
         let w = World::generate(WorldConfig {
             seed: 63,
             scale: 0.05,
             ..WorldConfig::default()
         });
-        let refs: Vec<&Post> = w.posts.iter().collect();
-        let serial = curate_posts(
-            &refs,
-            &CurationOptions {
-                workers: 1,
-                ..Default::default()
-            },
-        );
+        let serial = engine_curated(&w, &w.posts, &ExecPlan::sequential());
         assert!(
             serial.len() > 1024,
             "corpus too small to stress the channel: {}",
             serial.len()
         );
-        let parallel = curate_posts(
-            &refs,
-            &CurationOptions {
-                workers: 2,
-                ..Default::default()
+        let parallel = engine_curated(
+            &w,
+            &w.posts,
+            &ExecPlan {
+                curators: 8,
+                channel_capacity: 1,
+                ..ExecPlan::sequential()
             },
         );
         assert_eq!(serial.len(), parallel.len());

@@ -37,7 +37,7 @@ pub mod url;
 pub mod whois;
 
 pub use client::{ResilientClient, RetryPolicy, ServiceMeters};
-pub use record::{EnrichedRecord, EnrichmentStatus, MissingField, UrlIntel};
+pub use record::{EnrichedRecord, EnrichmentStatus, Evidence, MissingField, UrlIntel};
 pub use registry::{Draft, EnrichCtx, Enricher, EnricherRegistry};
 pub use sender::parse_sender;
 

@@ -5,7 +5,7 @@ use crate::curation::CuratedMessage;
 use smishing_avscan::{TransparencyVerdict, VtResult};
 use smishing_telecom::HlrRecord;
 use smishing_textnlp::annotator::Annotation;
-use smishing_types::SenderId;
+use smishing_types::{Forum, SenderId, UnixTime};
 use smishing_webinfra::{CertRecord, IpInfo, ParsedUrl, Resolution};
 
 /// Everything the trend/AV analyses need about one URL.
@@ -121,11 +121,55 @@ pub enum EnrichmentStatus {
     },
 }
 
+/// The report evidence of one dedup group: every curated duplicate its
+/// winner stands for (Table 1's "Total" side of a "Unique" message).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Evidence {
+    /// Curated reports in the group, duplicates included.
+    pub reports: u32,
+    /// Bitmask of the forums that reported the group ([`Forum::bit`]).
+    pub forums: u8,
+    /// Earliest `posted_at` in the group.
+    pub first_seen: UnixTime,
+    /// Latest `posted_at` in the group.
+    pub last_seen: UnixTime,
+}
+
+impl Evidence {
+    /// The evidence of a group of one.
+    pub fn of(c: &CuratedMessage) -> Evidence {
+        Evidence {
+            reports: 1,
+            forums: c.forum.bit(),
+            first_seen: c.posted_at,
+            last_seen: c.posted_at,
+        }
+    }
+
+    /// Count one more report of the group.
+    pub fn absorb(&mut self, c: &CuratedMessage) {
+        self.reports += 1;
+        self.forums |= c.forum.bit();
+        self.first_seen = self.first_seen.min(c.posted_at);
+        self.last_seen = self.last_seen.max(c.posted_at);
+    }
+
+    /// Whether `forum` reported the group.
+    pub fn reported_on(&self, forum: Forum) -> bool {
+        self.forums & forum.bit() != 0
+    }
+}
+
 /// A fully enriched record.
 #[derive(Debug, Clone)]
 pub struct EnrichedRecord {
-    /// The curated message.
+    /// The curated message (its dedup group's winner: the minimum post
+    /// id).
     pub curated: CuratedMessage,
+    /// The report evidence of the record's dedup group. The engine keeps it
+    /// current; a record enriched outside the engine stands for a group of
+    /// one.
+    pub evidence: Evidence,
     /// Parsed sender, when present and parseable as *something*.
     pub sender: Option<SenderId>,
     /// HLR record for phone senders.

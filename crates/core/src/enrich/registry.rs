@@ -10,7 +10,7 @@
 //! → AV verdicts → text annotation.
 
 use super::client::ResilientClient;
-use super::record::{EnrichedRecord, EnrichmentStatus, MissingField, UrlIntel};
+use super::record::{EnrichedRecord, EnrichmentStatus, Evidence, MissingField, UrlIntel};
 use crate::curation::CuratedMessage;
 use smishing_fault::ServiceKind;
 use smishing_telecom::HlrRecord;
@@ -58,6 +58,7 @@ impl Draft {
             }
         };
         EnrichedRecord {
+            evidence: Evidence::of(&self.curated),
             curated: self.curated,
             sender: self.sender,
             hlr: self.hlr,

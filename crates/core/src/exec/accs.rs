@@ -4,12 +4,15 @@
 //!
 //! Each engine worker owns one [`AnalysisAccs`]. Curation workers feed the
 //! post-level accumulators (Table 1's posts/images columns, Table 15);
-//! analyst shards feed the message- and record-level ones. Merging the
-//! bundles from every worker yields exactly the state a single sequential
-//! pass would have built. The engine's assembly step stores that merge on
-//! every [`PipelineOutput`](crate::pipeline::PipelineOutput) it builds —
-//! batch, end of stream and each snapshot — so these accumulators are the
-//! one fold behind every accumulator-backed table, mid-stream or final.
+//! analyst shards feed the message- and record-level ones, and at every
+//! cut fold each dedup group once through its winner's evidence
+//! ([`AnalysisAccs::add_group`]: Table 1's unique column, Tables 10 and
+//! 12). Merging the bundles from every worker yields exactly the state a
+//! single sequential pass would have built. The engine's assembly step
+//! stores that merge on every
+//! [`PipelineOutput`](crate::pipeline::PipelineOutput) it builds — batch,
+//! end of stream and each snapshot — so these accumulators are the one
+//! fold behind every accumulator-backed table, mid-stream or final.
 
 use crate::analysis::asn::AsnAcc;
 use crate::analysis::av::AvAcc;
@@ -35,7 +38,7 @@ use smishing_worldsim::Post;
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisAccs {
     /// Table 1 (posts/images arrive per post, message columns per curated
-    /// message).
+    /// message, unique messages per dedup group).
     pub overview: OverviewAcc,
     /// Table 15.
     pub twitter_years: TwitterYearsAcc,
@@ -43,9 +46,9 @@ pub struct AnalysisAccs {
     pub languages: LanguagesAcc,
     /// Figure 2 send-time samples.
     pub send_times: SendTimesAcc,
-    /// Table 10.
+    /// Table 10 (per dedup group).
     pub categories: CategoriesAcc,
-    /// Table 12.
+    /// Table 12 (per dedup group).
     pub brands: BrandsAcc,
     /// Table 13.
     pub lures: LuresAcc,
@@ -92,14 +95,10 @@ impl AnalysisAccs {
         self.overview.add_curated(c);
         self.languages.add_curated(c);
         self.send_times.add_curated(c);
-        self.categories.add_curated(c);
-        self.brands.add_curated(c);
     }
 
     /// Fold in one unique (dedup-winning) enriched record.
     pub fn add_record(&mut self, r: &EnrichedRecord) {
-        self.categories.add_record(r);
-        self.brands.add_record(r);
         self.lures.add_record(r);
         self.sender_info.add_record(r);
         self.shorteners.add_record(r);
@@ -116,8 +115,6 @@ impl AnalysisAccs {
 
     /// Retract a record displaced by an earlier-post duplicate.
     pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        self.categories.sub_record(r);
-        self.brands.sub_record(r);
         self.lures.sub_record(r);
         self.sender_info.sub_record(r);
         self.shorteners.sub_record(r);
@@ -130,6 +127,18 @@ impl AnalysisAccs {
         if r.is_degraded() {
             self.degraded_records -= 1;
         }
+    }
+
+    /// Fold in one dedup group through its winner and the evidence the
+    /// winner carries: Table 1's unique-message column, and Tables 10 and
+    /// 12, which weight the winner's annotation by the group's report
+    /// count. Unlike the other folds this one is not incremental: the
+    /// engine runs it once per group whenever a shard emits a cut (a
+    /// snapshot or the end of the stream), on the bundle it sends.
+    pub fn add_group(&mut self, r: &EnrichedRecord) {
+        self.overview.add_group(&r.evidence);
+        self.categories.add_group(r);
+        self.brands.add_group(r);
     }
 
     /// Absorb another worker's bundle.

@@ -16,17 +16,22 @@
 //!   channels. A full channel blocks the feeder — real backpressure,
 //!   bounded memory.
 //! * **Curators** run the pure per-post curation (`curate_post`), own the
-//!   post-level accumulators (Table 1 volume columns, Table 15), and route
-//!   each curated message to the analyst shard owning its dedup key.
-//! * **Analyst shards** own one [`AnalysisAccs`] each plus the per-key
-//!   dedup winner (minimum post id). Enrichment runs through the
+//!   post-level accumulators (Table 1 volume columns, Table 15), derive
+//!   each curated message's dedup key and send the message with its key
+//!   to the analyst shard owning that key.
+//! * **Analyst shards** each own a [`GroupTable`]: the per-key dedup
+//!   winner (minimum post id) with its group's report evidence, next to
+//!   one [`AnalysisAccs`]. It is the program's only dedup-group table.
+//!   Enrichment runs through the
 //!   [`EnricherRegistry`](crate::enrich::EnricherRegistry) — the same
 //!   stage list everywhere — behind a per-shard
 //!   [`ResilientClient`](crate::enrich::ResilientClient). When a
 //!   later-arriving but earlier-posted duplicate displaces a winner, the
 //!   old record is retracted (`sub_record`) and the new one folded in —
 //!   so shard state always equals a batch pass over the posts seen so
-//!   far.
+//!   far. At every cut (a snapshot or the end of the stream) the shard
+//!   folds each group once, through its winner's evidence
+//!   ([`AnalysisAccs::add_group`]), into the bundle it sends.
 //! * **Snapshots** use aligned markers: the feeder injects a marker after
 //!   post `k`; curators forward it to every shard; a shard freezes its
 //!   state once markers from *all* curators arrived, buffering any
@@ -82,6 +87,7 @@ use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use smishing_obs::{obs_warn, Counter, Gauge, Histogram, Obs};
 use smishing_types::Forum;
 use smishing_worldsim::{Post, World};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -130,6 +136,7 @@ enum CuratorMsg {
 enum ShardMsg {
     Curated {
         curator: usize,
+        key: String,
         msg: CuratedMessage,
     },
     Marker {
@@ -197,56 +204,77 @@ fn obs_send<T>(tx: &Sender<T>, msg: T, blocked: &Counter, wait: &Histogram) -> b
     }
 }
 
-/// One analyst shard's mutable state.
-struct ShardState {
+/// The dedup-group table of one analyst shard, and the only dedup-group
+/// table in the program. Per dedup key it keeps the group's winner (the
+/// minimum post id, enriched) carrying the group's
+/// [`Evidence`](crate::enrich::Evidence), next to
+/// the shard's accumulators. A later-arriving but earlier-posted duplicate
+/// displaces the winner with exact retraction: the old record leaves the
+/// accumulators, the new one enters and takes over the evidence.
+#[derive(Debug, Default)]
+pub struct GroupTable {
     accs: AnalysisAccs,
-    curated: Vec<CuratedMessage>,
     winners: HashMap<String, EnrichedRecord>,
 }
 
-impl ShardState {
-    fn new() -> Self {
-        ShardState {
-            accs: AnalysisAccs::new(),
-            curated: Vec::new(),
-            winners: HashMap::new(),
-        }
+impl GroupTable {
+    /// New empty table.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Fold one curated message in, maintaining the min-post-id dedup
-    /// winner per key with exact retraction.
-    #[allow(clippy::too_many_arguments)]
-    fn apply(
+    /// Fold in one curated message under its dedup key. `enrich` runs only
+    /// when the message becomes its group's winner.
+    pub fn apply(
         &mut self,
-        c: CuratedMessage,
-        world: &World,
-        opts: &CurationOptions,
-        registry: &EnricherRegistry,
-        client: &ResilientClient,
-        enrich_ns: &Histogram,
+        key: String,
+        c: &CuratedMessage,
+        enrich: impl FnOnce(CuratedMessage) -> EnrichedRecord,
     ) {
-        self.accs.add_curated(&c);
-        let key = c.dedup_key(opts.dedup);
-        match self.winners.get(&key) {
-            None => {
-                let rec = enrich_ns.time(|| registry.enrich(client, c.clone(), world));
+        self.accs.add_curated(c);
+        match self.winners.entry(key) {
+            Entry::Vacant(slot) => {
+                let rec = enrich(c.clone());
                 self.accs.add_record(&rec);
-                self.winners.insert(key, rec);
+                slot.insert(rec);
             }
-            Some(current) if c.post_id < current.curated.post_id => {
-                let rec = enrich_ns.time(|| registry.enrich(client, c.clone(), world));
-                self.accs.add_record(&rec);
-                let old = self.winners.insert(key, rec).expect("winner present");
-                self.accs.sub_record(&old);
+            Entry::Occupied(mut slot) => {
+                let winner = slot.get_mut();
+                if c.post_id < winner.curated.post_id {
+                    let mut rec = enrich(c.clone());
+                    rec.evidence = winner.evidence;
+                    rec.evidence.absorb(c);
+                    self.accs.add_record(&rec);
+                    let old = std::mem::replace(winner, rec);
+                    self.accs.sub_record(&old);
+                } else {
+                    winner.evidence.absorb(c);
+                }
             }
-            Some(_) => {}
         }
-        self.curated.push(c);
     }
 
-    fn records(&self) -> Vec<EnrichedRecord> {
-        self.winners.values().cloned().collect()
+    /// The table at a cut: its winners (in no particular order), and its
+    /// accumulators with every group folded in
+    /// ([`AnalysisAccs::add_group`]).
+    pub fn cut(&self) -> (AnalysisAccs, Vec<EnrichedRecord>) {
+        with_groups(self.accs.clone(), self.winners.values().cloned().collect())
     }
+
+    /// [`GroupTable::cut`], consuming the table.
+    pub fn into_cut(self) -> (AnalysisAccs, Vec<EnrichedRecord>) {
+        with_groups(self.accs, self.winners.into_values().collect())
+    }
+}
+
+fn with_groups(
+    mut accs: AnalysisAccs,
+    records: Vec<EnrichedRecord>,
+) -> (AnalysisAccs, Vec<EnrichedRecord>) {
+    for r in &records {
+        accs.add_group(r);
+    }
+    (accs, records)
 }
 
 /// Parts of one in-flight snapshot at the collector.
@@ -447,9 +475,14 @@ where
                                     }
                                     if let Some(c) = curate_post(&post, &opts) {
                                         curated_counter.inc();
-                                        let shard = shard_of(&c.dedup_key(opts.dedup), n_shards);
+                                        // Derived once: the key routes the
+                                        // message and keys the shard's
+                                        // group table.
+                                        let key = c.dedup_key(opts.dedup);
+                                        let shard = shard_of(&key, n_shards);
                                         let m = ShardMsg::Curated {
                                             curator: curator_idx,
+                                            key,
                                             msg: c,
                                         };
                                         if !obs_send(&shard_txs[shard], m, &blocked, &wait) {
@@ -513,14 +546,16 @@ where
                         // diverge from a sequential pass.
                         let registry = EnricherRegistry::standard();
                         let client = ResilientClient::new(&obs);
-                        let mut state = ShardState::new();
-                        // Watermark into `state.curated` at the last emitted
+                        let enrich = |c| enrich_ns.time(|| registry.enrich(&client, c, world));
+                        let mut table = GroupTable::new();
+                        let mut curated: Vec<CuratedMessage> = Vec::new();
+                        // Watermark into `curated` at the last emitted
                         // marker: everything past it is this shard's delta
                         // for the next snapshot interval.
                         let mut snap_mark: usize = 0;
                         let mut marker_seen = vec![0u64; n_curators];
                         let mut completed: u64 = 0;
-                        let mut deferred: HashMap<u64, Vec<(usize, CuratedMessage)>> =
+                        let mut deferred: HashMap<u64, Vec<(String, CuratedMessage)>> =
                             HashMap::new();
                         let mut marker_posts: HashMap<u64, u64> = HashMap::new();
                         for msg in rx.iter() {
@@ -528,17 +563,16 @@ where
                                 depth.set(rx.len() as i64);
                             }
                             match msg {
-                                ShardMsg::Curated { curator, msg } => {
+                                ShardMsg::Curated { curator, key, msg } => {
                                     curated_counter.inc();
                                     if marker_seen[curator] == completed {
-                                        state.apply(
-                                            msg, world, &opts, &registry, &client, &enrich_ns,
-                                        );
+                                        table.apply(key, &msg, enrich);
+                                        curated.push(msg);
                                     } else {
                                         deferred
                                             .entry(marker_seen[curator])
                                             .or_default()
-                                            .push((curator, msg));
+                                            .push((key, msg));
                                     }
                                 }
                                 ShardMsg::Marker {
@@ -562,35 +596,36 @@ where
                                         // interval are applied *after* this
                                         // send, so `curated` holds exactly
                                         // the ≤-marker messages here.
+                                        let (accs, records) = table.cut();
                                         let snap = CollectorMsg::ShardSnap {
                                             id: completed,
                                             at_posts: at,
-                                            accs: state.accs.clone(),
-                                            curated: state.curated.clone(),
-                                            curated_delta: state.curated[snap_mark..].to_vec(),
-                                            records: state.records(),
+                                            accs,
+                                            curated: curated.clone(),
+                                            curated_delta: curated[snap_mark..].to_vec(),
+                                            records,
                                         };
-                                        snap_mark = state.curated.len();
+                                        snap_mark = curated.len();
                                         if collector_tx.send(snap).is_err() {
                                             return;
                                         }
-                                        for (_, c) in
+                                        for (key, c) in
                                             deferred.remove(&completed).unwrap_or_default()
                                         {
-                                            state.apply(
-                                                c, world, &opts, &registry, &client, &enrich_ns,
-                                            );
+                                            table.apply(key, &c, enrich);
+                                            curated.push(c);
                                         }
                                     }
                                 }
                             }
                         }
-                        let curated_delta = state.curated[snap_mark..].to_vec();
+                        let curated_delta = curated[snap_mark..].to_vec();
+                        let (accs, records) = table.into_cut();
                         let _ = collector_tx.send(CollectorMsg::ShardDone {
-                            accs: state.accs,
-                            curated: state.curated,
+                            accs,
+                            curated,
                             curated_delta,
-                            records: state.winners.into_values().collect(),
+                            records,
                         });
                     });
                     if let Err(payload) = catch_unwind(body) {

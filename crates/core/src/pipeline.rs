@@ -44,7 +44,8 @@ pub struct PipelineOutput<'w> {
     pub collection: Vec<(Forum, CollectionStats)>,
     /// All curated messages, duplicates included (Table 1 "Total").
     pub curated_total: Vec<CuratedMessage>,
-    /// Enriched unique messages (Table 1 "Unique" and everything after).
+    /// Enriched unique messages (Table 1 "Unique" and everything after),
+    /// each carrying its dedup group's report evidence.
     pub records: Vec<EnrichedRecord>,
     /// The engine's merged accumulators over exactly these posts, curated
     /// messages and records: render an accumulator-backed table with

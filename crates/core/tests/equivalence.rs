@@ -101,6 +101,11 @@ fn mid_stream_snapshot_equals_batch_over_prefix() {
     prefix_world.posts.truncate(half as usize);
     let prefix_batch = Pipeline::default().run(&prefix_world, &Obs::noop());
     assert_outputs_equal(&snap.output, &prefix_batch, "snapshot vs batch prefix");
+    // Each record carries its dedup group's evidence over exactly the
+    // prefix, not over the whole stream.
+    for (x, y) in snap.output.records.iter().zip(&prefix_batch.records) {
+        assert_eq!(x.evidence, y.evidence, "post {:?}", x.curated.post_id);
+    }
     // Every artifact renders mid-stream exactly as the batch run over the
     // prefix renders it — T15's post counts included.
     let snap_results = experiment::run_all(&snap.output, &Obs::noop());

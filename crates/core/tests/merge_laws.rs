@@ -2,12 +2,13 @@
 //! merging is commutative and associative, shard-partitioned folds equal a
 //! single sequential fold, and arrival order is immaterial under winner
 //! retraction — for every incremental analysis at once (compared through
-//! their rendered tables).
+//! their rendered tables). Shards fold through the engine's own
+//! [`GroupTable`].
 
 use proptest::prelude::*;
 use smishing_core::curation::{CuratedMessage, CurationOptions};
-use smishing_core::enrich::{enrich, EnrichedRecord};
-use smishing_core::exec::AnalysisAccs;
+use smishing_core::enrich::enrich;
+use smishing_core::exec::{AnalysisAccs, GroupTable};
 use smishing_core::pipeline::Pipeline;
 use smishing_worldsim::{World, WorldConfig};
 use std::collections::HashMap;
@@ -41,31 +42,16 @@ fn groups() -> &'static Vec<Vec<CuratedMessage>> {
     })
 }
 
-/// The engine's shard fold: accumulate curated messages, maintain the
-/// min-post-id winner per dedup key, retract displaced records.
+/// The engine's shard fold: every message through the engine's own group
+/// table, then the table's cut (its accumulators with every group folded
+/// in).
 fn fold<'a>(messages: impl Iterator<Item = &'a CuratedMessage>) -> AnalysisAccs {
     let mode = CurationOptions::default().dedup;
-    let mut accs = AnalysisAccs::new();
-    let mut winners: HashMap<String, EnrichedRecord> = HashMap::new();
+    let mut table = GroupTable::new();
     for c in messages {
-        accs.add_curated(c);
-        let key = c.dedup_key(mode);
-        match winners.get(&key) {
-            None => {
-                let rec = enrich(c.clone(), world());
-                accs.add_record(&rec);
-                winners.insert(key, rec);
-            }
-            Some(cur) if c.post_id < cur.curated.post_id => {
-                let rec = enrich(c.clone(), world());
-                accs.add_record(&rec);
-                let old = winners.insert(key, rec).expect("winner present");
-                accs.sub_record(&old);
-            }
-            Some(_) => {}
-        }
+        table.apply(c.dedup_key(mode), c, |c| enrich(c, world()));
     }
-    accs
+    table.into_cut().0
 }
 
 /// Canonical rendering of every analysis for comparison.

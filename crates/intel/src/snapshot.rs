@@ -7,7 +7,10 @@
 //! site), sender ID, phone number, impersonated brand, and campaign-link
 //! cluster. Each entry carries its evidence: which forums reported it,
 //! how often, first/last seen, scam type and lures, HLR line status, and
-//! AV/GSB verdicts.
+//! AV/GSB verdicts. The report evidence (forums, count, first/last seen)
+//! is the dedup group's, read off the record: the execution core's shard
+//! table is the only place duplicates are grouped, so the store cannot
+//! group them differently from the pipeline.
 //!
 //! The snapshot is immutable after build (the read path is lock-free by
 //! construction) and owns every byte — no borrow of the world or the
@@ -21,7 +24,7 @@
 
 use crate::intern::{Interner, Sym};
 use smishing_core::analysis::linking::{pivot_keys, LinkingPivots, WEAK_KEY_CAP};
-use smishing_core::curation::{CuratedMessage, DedupMode};
+use smishing_core::curation::CuratedMessage;
 use smishing_core::enrich::EnrichedRecord;
 use smishing_core::pipeline::PipelineOutput;
 use smishing_simindex::{DocInput, NearResult, SimIndex};
@@ -32,7 +35,7 @@ use smishing_types::{Forum, Language, LureSet, PostId, ScamType, SenderId, UnixT
 use smishing_webinfra::{
     fold_host, free_hosting_site, parse_url, registrable_domain, ParsedUrl, ShortenerCatalog,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The index keys of one enriched record, exactly as the snapshot builder
 /// derives them. Shared by [`IntelSnapshot::build`], the query
@@ -86,39 +89,19 @@ pub fn record_keys(r: &EnrichedRecord) -> RecordKeys {
     }
 }
 
-fn forum_bit(f: Forum) -> u8 {
-    1 << Forum::ALL
-        .iter()
-        .position(|&x| x == f)
-        .expect("known forum")
-}
-
-/// How to build a snapshot: dedup keying for evidence aggregation plus an
-/// optional aging window for eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How to build a snapshot: an optional aging window for eviction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildOptions {
-    /// Dedup keying (must match the curation options the pipeline ran
-    /// with, or duplicate evidence will group wrongly).
-    pub mode: DedupMode,
-    /// Aging window in seconds: entries whose evidence group was last
+    /// Aging window in seconds: entries whose dedup group was last
     /// reported more than this long before the newest report anywhere in
     /// the stream are evicted at build time. `None` keeps everything.
     pub window_secs: Option<u64>,
 }
 
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            mode: DedupMode::Normalized,
-            window_secs: None,
-        }
-    }
-}
-
 /// The curated messages that arrived since the previous epoch's snapshot
-/// was built — what [`IntelSnapshot::build_incremental`] applies on top of
-/// the previous epoch instead of re-digesting the whole history. Produced
-/// by the exec engine (`StreamSnapshot::curated_delta` /
+/// was built. [`IntelSnapshot::build_incremental`] reuses the previous
+/// epoch only when the delta lines up with what that epoch digested.
+/// Produced by the exec engine (`StreamSnapshot::curated_delta` /
 /// `IngestResult::curated_delta`); sorted by post id, and the deltas of
 /// consecutive snapshots partition `curated_total`.
 #[derive(Debug, Clone, Copy)]
@@ -134,46 +117,18 @@ impl<'a> SnapshotDelta<'a> {
     }
 }
 
-/// One dedup group's evidence ledger: every curated duplicate keyed like
-/// dedup was, carried across epochs so the incremental build never has to
-/// re-scan history.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Group {
-    forums: u8,
-    n: u32,
-    first: UnixTime,
-    last: UnixTime,
-    /// Min post id of the group — by dedup construction, the post id of
-    /// the enriched record that represents this group in `out.records`.
-    winner: PostId,
-}
-
-impl Group {
-    fn absorb(&mut self, c: &CuratedMessage) {
-        self.forums |= forum_bit(c.forum);
-        self.n += 1;
-        self.first = self.first.min(c.posted_at);
-        self.last = self.last.max(c.posted_at);
-        self.winner = self.winner.min(c.post_id);
-    }
-}
-
 /// Oldest last-seen a dedup group may have and still be retained.
 fn cutoff_of(horizon: UnixTime, window_secs: Option<u64>) -> Option<UnixTime> {
     window_secs.map(|w| UnixTime(horizon.0.saturating_sub(w as i64)))
 }
 
-fn absorb_into(groups: &mut HashMap<String, Group>, key: String, c: &CuratedMessage) {
-    groups
-        .entry(key)
-        .or_insert(Group {
-            forums: 0,
-            n: 0,
-            first: c.posted_at,
-            last: c.posted_at,
-            winner: c.post_id,
-        })
-        .absorb(c);
+/// Newest report time of the output — the last-seen of its newest group.
+fn horizon_of(out: &PipelineOutput<'_>) -> UnixTime {
+    out.records
+        .iter()
+        .map(|r| r.evidence.last_seen)
+        .max()
+        .unwrap_or(UnixTime(i64::MIN))
 }
 
 /// Where one retained record's entry comes from during a build.
@@ -181,11 +136,9 @@ enum EntrySource {
     /// Compute keys, evidence, and SimHash signature from scratch.
     Fresh,
     /// Same winner as the previous epoch: reuse its key strings, enriched
-    /// annotations, and SimHash signature/shingles. `fresh_evidence` is
-    /// set when the record's dedup group absorbed new reports this epoch,
-    /// so the forums/count/first/last evidence must be re-read from the
-    /// ledger instead of copied.
-    Reuse { prev_id: u32, fresh_evidence: bool },
+    /// annotations, and SimHash signature/shingles. The report evidence is
+    /// read off the record, since the group may have grown.
+    Reuse { prev_id: u32 },
 }
 
 /// One unique record's worth of intelligence, fully owned.
@@ -246,7 +199,7 @@ impl IntelEntry {
         Forum::ALL
             .iter()
             .copied()
-            .filter(|&f| self.forums & forum_bit(f) != 0)
+            .filter(|&f| self.forums & f.bit() != 0)
             .collect()
     }
 }
@@ -281,11 +234,6 @@ pub struct IntelSnapshot {
     cluster_campaign: Vec<Option<u32>>,
     sim: SimIndex,
     built_from_posts: u64,
-    /// Evidence ledger over the *whole* history (groups are never
-    /// evicted — a returning campaign keeps its full report count), keyed
-    /// by dedup key. Carried forward so incremental builds apply only the
-    /// delta.
-    groups: HashMap<String, Group>,
     /// Curated messages (duplicates included) digested so far — the
     /// incremental guard: a delta only applies if `curated_seen + delta`
     /// equals the new total.
@@ -314,7 +262,6 @@ impl Default for IntelSnapshot {
             cluster_campaign: Vec::new(),
             sim: SimIndex::default(),
             built_from_posts: 0,
-            groups: HashMap::new(),
             curated_seen: 0,
             horizon: UnixTime(i64::MIN),
             opts: BuildOptions::default(),
@@ -326,64 +273,36 @@ impl Default for IntelSnapshot {
 const NO_ENTRIES: &[u32] = &[];
 
 impl IntelSnapshot {
-    /// Build the store from assembled pipeline output, using the default
-    /// (normalized) dedup keying for evidence aggregation.
+    /// Build the store from assembled pipeline output, keeping every
+    /// entry.
     pub fn build(out: &PipelineOutput<'_>) -> IntelSnapshot {
         IntelSnapshot::build_full(out, BuildOptions::default())
     }
 
-    /// Build with an explicit dedup mode (must match the curation options
-    /// the pipeline ran with, or duplicate evidence will group wrongly).
-    pub fn build_with(out: &PipelineOutput<'_>, mode: DedupMode) -> IntelSnapshot {
-        IntelSnapshot::build_full(
-            out,
-            BuildOptions {
-                mode,
-                window_secs: None,
-            },
-        )
-    }
-
-    /// Build from scratch: digest the whole history. This is the
-    /// reference the incremental path is pinned against — for any prefix
-    /// of the stream, `build_incremental` chained over the snapshot
-    /// deltas must produce exactly this snapshot.
+    /// Build from scratch: digest every record. This is the reference the
+    /// incremental path is pinned against — for any prefix of the stream,
+    /// `build_incremental` chained over the snapshot deltas must produce
+    /// exactly this snapshot.
     pub fn build_full(out: &PipelineOutput<'_>, opts: BuildOptions) -> IntelSnapshot {
-        // Evidence groups: every curated duplicate, keyed like dedup was.
-        let mut groups: HashMap<String, Group> = HashMap::new();
-        for c in &out.curated_total {
-            absorb_into(&mut groups, c.dedup_key(opts.mode), c);
-        }
-        let horizon = groups
-            .values()
-            .map(|g| g.last)
-            .max()
-            .unwrap_or(UnixTime(i64::MIN));
-
         // Retention: a record survives iff its dedup group was reported
         // within the window of the newest report anywhere.
+        let horizon = horizon_of(out);
         let cutoff = cutoff_of(horizon, opts.window_secs);
         let plan: Vec<(usize, EntrySource)> = out
             .records
             .iter()
             .enumerate()
-            .filter(|(_, r)| match cutoff {
-                None => true,
-                Some(c) => groups
-                    .get(&r.curated.dedup_key(opts.mode))
-                    .is_none_or(|g| g.last >= c),
-            })
+            .filter(|(_, r)| cutoff.is_none_or(|c| r.evidence.last_seen >= c))
             .map(|(i, _)| (i, EntrySource::Fresh))
             .collect();
-
-        Self::assemble_snapshot(out, groups, horizon, opts, None, plan)
+        Self::assemble_snapshot(out, horizon, opts, None, plan)
     }
 
     /// Build the next epoch from the previous one plus the delta of
-    /// curated messages that arrived since — O(delta + retained) instead
-    /// of O(history): evidence updates touch only dirty dedup groups, and
-    /// unchanged entries reuse their key strings, annotations, and SimHash
-    /// signatures from `prev` instead of re-deriving them.
+    /// curated messages that arrived since: entries whose winner is
+    /// unchanged reuse their key strings, annotations, and SimHash
+    /// signatures from `prev` instead of re-deriving them, and take their
+    /// report evidence from the record.
     ///
     /// Falls back to [`IntelSnapshot::build_full`] when there is no
     /// previous snapshot, the options changed, or the delta does not line
@@ -404,78 +323,33 @@ impl IntelSnapshot {
             return Self::build_full(out, opts);
         }
 
-        // Apply the delta to the carried evidence ledger. A dedup key is
-        // *dirty* when the delta touched it; everything else kept exactly
-        // the evidence (and the winner) it had last epoch.
-        let mut groups = prev.groups.clone();
-        let mut horizon = prev.horizon;
-        let mut dirty_keys: HashSet<String> = HashSet::new();
-        for c in delta.curated {
-            let key = c.dedup_key(opts.mode);
-            horizon = horizon.max(c.posted_at);
-            dirty_keys.insert(key.clone());
-            absorb_into(&mut groups, key, c);
-        }
-        // A record is dirty iff its dedup group is — and because both the
-        // pipeline's dedup winner and `Group::winner` are the min post id
-        // of the group, the dirty records are exactly the current winners
-        // of the dirty keys. Clean records never pay for a dedup-key
-        // derivation.
-        let dirty_posts: HashSet<PostId> = dirty_keys.iter().map(|k| groups[k].winner).collect();
-
-        // Walk the new records against the previous entries (both in
-        // canonical post-id order) and decide each record's fate.
+        // Walk the retained records against the previous entries (both in
+        // canonical post-id order): a record whose post id already had an
+        // entry is the same winner, so its entry is reused.
+        let horizon = horizon_of(out);
         let cutoff = cutoff_of(horizon, opts.window_secs);
         let mut plan: Vec<(usize, EntrySource)> = Vec::with_capacity(out.records.len());
         let mut pi = 0usize;
         for (j, r) in out.records.iter().enumerate() {
+            if cutoff.is_some_and(|c| r.evidence.last_seen < c) {
+                continue;
+            }
             let pid = r.curated.post_id;
             while pi < prev.entries.len() && prev.entries[pi].post_id < pid {
                 pi += 1;
             }
             let matched = pi < prev.entries.len() && prev.entries[pi].post_id == pid;
-            let dirty = dirty_posts.contains(&pid);
-            if dirty {
-                // Evidence changed: re-read the ledger; keys, annotations,
-                // and signature still reuse when the winner is unchanged.
-                let retained = match cutoff {
-                    None => true,
-                    Some(c) => groups
-                        .get(&r.curated.dedup_key(opts.mode))
-                        .is_none_or(|g| g.last >= c),
-                };
-                if retained {
-                    plan.push((
-                        j,
-                        if matched {
-                            EntrySource::Reuse {
-                                prev_id: pi as u32,
-                                fresh_evidence: true,
-                            }
-                        } else {
-                            EntrySource::Fresh
-                        },
-                    ));
-                }
-            } else if matched {
-                // Untouched group: the previous entry's last_seen *is* the
-                // group's last report, so retention needs no string work.
-                if cutoff.is_none_or(|c| prev.entries[pi].last_seen >= c) {
-                    plan.push((
-                        j,
-                        EntrySource::Reuse {
-                            prev_id: pi as u32,
-                            fresh_evidence: false,
-                        },
-                    ));
-                }
-            }
-            // Unmatched and clean: the winner is unchanged, so this record
-            // existed last epoch yet has no entry — it was already evicted,
-            // and the horizon only moves forward, so it stays evicted.
+            plan.push((
+                j,
+                if matched {
+                    EntrySource::Reuse { prev_id: pi as u32 }
+                } else {
+                    EntrySource::Fresh
+                },
+            ));
         }
 
-        Self::assemble_snapshot(out, groups, horizon, opts, Some(prev), plan)
+        Self::assemble_snapshot(out, horizon, opts, Some(prev), plan)
     }
 
     /// Shared back half of both build paths: campaign linking, entry and
@@ -487,7 +361,6 @@ impl IntelSnapshot {
     /// leak evicted strings and break incremental ≡ from-scratch.
     fn assemble_snapshot(
         out: &PipelineOutput<'_>,
-        groups: HashMap<String, Group>,
         horizon: UnixTime,
         opts: BuildOptions,
         prev: Option<&IntelSnapshot>,
@@ -570,7 +443,6 @@ impl IntelSnapshot {
                     let sender = sym_into(keys.sender.as_deref(), |s| &mut s.by_sender);
                     let phone = sym_into(keys.phone.as_deref(), |s| &mut s.by_phone);
                     let brand = sym_into(keys.brand.as_deref(), |s| &mut s.by_brand);
-                    let group = groups.get(&r.curated.dedup_key(opts.mode));
                     docs.push(DocInput::Text(r.curated.text.as_str()));
                     IntelEntry {
                         post_id: r.curated.post_id,
@@ -582,10 +454,10 @@ impl IntelSnapshot {
                         brand,
                         cluster: 0,  // assigned below
                         template: 0, // assigned after the similarity index builds
-                        forums: group.map_or(forum_bit(r.curated.forum), |g| g.forums),
-                        n_reports: group.map_or(1, |g| g.n),
-                        first_seen: group.map_or(r.curated.posted_at, |g| g.first),
-                        last_seen: group.map_or(r.curated.posted_at, |g| g.last),
+                        forums: r.evidence.forums,
+                        n_reports: r.evidence.reports,
+                        first_seen: r.evidence.first_seen,
+                        last_seen: r.evidence.last_seen,
                         scam_type: r.annotation.scam_type,
                         lures: r.annotation.lures,
                         language: r.annotation.language,
@@ -599,10 +471,7 @@ impl IntelSnapshot {
                             .map(|mid| out.world.messages[mid.0 as usize].campaign.0),
                     }
                 }
-                EntrySource::Reuse {
-                    prev_id,
-                    fresh_evidence,
-                } => {
+                EntrySource::Reuse { prev_id } => {
                     let prev = prev.expect("reuse plan requires a previous snapshot");
                     let pe = &prev.entries[prev_id as usize];
                     let url = sym_into(pe.url.map(|s| prev.resolve(s)), |s| &mut s.by_url);
@@ -610,7 +479,8 @@ impl IntelSnapshot {
                     let sender = sym_into(pe.sender.map(|s| prev.resolve(s)), |s| &mut s.by_sender);
                     let phone = sym_into(pe.phone.map(|s| prev.resolve(s)), |s| &mut s.by_phone);
                     let brand = sym_into(pe.brand.map(|s| prev.resolve(s)), |s| &mut s.by_brand);
-                    let mut e = IntelEntry {
+                    docs.push(DocInput::Reuse(prev_id));
+                    IntelEntry {
                         url,
                         domain,
                         sender,
@@ -618,18 +488,12 @@ impl IntelSnapshot {
                         brand,
                         cluster: 0,
                         template: 0,
+                        forums: r.evidence.forums,
+                        n_reports: r.evidence.reports,
+                        first_seen: r.evidence.first_seen,
+                        last_seen: r.evidence.last_seen,
                         ..pe.clone()
-                    };
-                    if fresh_evidence {
-                        if let Some(g) = groups.get(&r.curated.dedup_key(opts.mode)) {
-                            e.forums = g.forums;
-                            e.n_reports = g.n;
-                            e.first_seen = g.first;
-                            e.last_seen = g.last;
-                        }
                     }
-                    docs.push(DocInput::Reuse(prev_id));
-                    e
                 }
             };
 
@@ -640,7 +504,6 @@ impl IntelSnapshot {
             }
             snap.entries.push(IntelEntry { cluster, ..entry });
         }
-        snap.groups = groups;
 
         // Majority ground-truth campaign per cluster (ties broken by the
         // smaller campaign id for determinism) — evaluation only.

@@ -850,7 +850,6 @@ mod tests {
             &out,
             BuildOptions {
                 window_secs: Some((horizon - cutoff) as u64),
-                ..BuildOptions::default()
             },
         );
         assert!(windowed.evicted_count() > 0, "window must evict something");

@@ -53,10 +53,7 @@ fn built(cfg_idx: usize) -> &'static Built {
             seed: 11,
             ..WorldConfig::default()
         });
-        let opts = BuildOptions {
-            window_secs,
-            ..BuildOptions::default()
-        };
+        let opts = BuildOptions { window_secs };
         let curation = CurationOptions::default();
         let every = (world.posts.len() as u64 / 4).max(1);
         let plan = ExecPlan {

@@ -34,6 +34,14 @@ impl Forum {
         Forum::Pastebin,
     ];
 
+    /// This forum's bit in a forum bitmask (bit `i` is `Forum::ALL[i]`).
+    pub fn bit(self) -> u8 {
+        1 << Forum::ALL
+            .iter()
+            .position(|&x| x == self)
+            .expect("known forum")
+    }
+
     /// Display name as in Table 1.
     pub fn name(self) -> &'static str {
         match self {

@@ -32,8 +32,8 @@
 //! not UTF-8 or longer than 64 KiB gets an `err` reply and the
 //! session goes on. An IO error on stdin/stdout is logged and exits 1.
 //! Streamed republishes are incremental: epoch 1 builds the store from
-//! scratch, and every later epoch folds only that snapshot's curated
-//! delta into the previous store. `--intel-window SECS` ages entries
+//! scratch, and every later epoch reuses the previous store's entries
+//! for every dedup winner that did not change. `--intel-window SECS` ages entries
 //! out: a dedup group last reported more than SECS before the newest
 //! report is evicted at the next republish (and its keys go back to
 //! missing). `--checkpoint PATH` persists a resumable checkpoint at
@@ -527,7 +527,6 @@ fn load_checkpoint(path: &str, obs: &Obs, world: &World) -> Option<Checkpoint> {
 
 fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
     let mut build_opts = BuildOptions {
-        mode: args.cfg.curation.dedup,
         window_secs: args.cfg.intel_window_secs,
     };
     // `--checkpoint PATH` over an existing matching file turns this
@@ -635,8 +634,8 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
         // Live mode: the streaming engine republishes the store at every
         // aligned snapshot while this thread keeps answering queries —
         // the epoch hub guarantees each answer comes from one consistent
-        // view. Epoch 1 is a full build; every later epoch folds the
-        // snapshot's curated delta into the previous store (O(delta)).
+        // view. Epoch 1 is a full build; every later epoch reuses the
+        // previous store's entries for unchanged dedup winners.
         let plan = args
             .cfg
             .exec

@@ -1,9 +1,13 @@
 //! Ablation outcomes (DESIGN.md §4): not just that knobs exist, but that
 //! they move the results the way the paper's methodology section argues.
 
-use smishing::core::curation::{curate_posts, dedup, CurationOptions, DedupMode, ExtractorChoice};
+use smishing::core::curation::{
+    curate_posts, dedup, CuratedMessage, CurationOptions, DedupMode, ExtractorChoice,
+};
+use smishing::core::exec::ingest;
 use smishing::prelude::*;
 use smishing::worldsim::Post;
+use std::collections::HashSet;
 
 fn world() -> World {
     World::generate(WorldConfig {
@@ -88,23 +92,46 @@ fn dedup_ablation_normalized_merges_leetspeak_variants() {
 }
 
 #[test]
-fn parallel_curation_is_equivalent_to_serial() {
+fn table1_unique_column_follows_the_dedup_mode() {
+    // Exact keying: each forum's unique messages are its distinct texts,
+    // because Table 1 counts the pipeline's own dedup groups.
     let w = world();
-    let posts: Vec<&Post> = w.posts.iter().collect();
-    let serial = curate_posts(
-        &posts,
-        &CurationOptions {
-            workers: 1,
-            ..Default::default()
+    let out = Pipeline {
+        curation: CurationOptions {
+            dedup: DedupMode::Exact,
+            ..CurationOptions::default()
         },
-    );
-    let parallel = curate_posts(
-        &posts,
-        &CurationOptions {
-            workers: 8,
-            ..Default::default()
-        },
-    );
+        exec: ExecPlan::default(),
+    }
+    .run(&w, &Obs::noop());
+    for row in &out.accs.overview.finish().rows {
+        let texts: HashSet<&str> = out.curated_on(row.forum).map(|c| c.text.as_str()).collect();
+        assert_eq!(row.msgs_unique, texts.len(), "{}", row.forum);
+    }
+}
+
+#[test]
+fn parallel_curation_is_equivalent_to_serial() {
+    // The engine's curator pool against a single curator.
+    let w = world();
+    let curated = |plan: ExecPlan| -> Vec<CuratedMessage> {
+        let opts = CurationOptions::default();
+        ingest(
+            &w,
+            w.posts.iter().cloned(),
+            &opts,
+            &plan,
+            &Obs::noop(),
+            |_| {},
+        )
+        .output
+        .curated_total
+    };
+    let serial = curated(ExecPlan::sequential());
+    let parallel = curated(ExecPlan {
+        curators: 8,
+        ..ExecPlan::sequential()
+    });
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(parallel.iter()) {
         assert_eq!(a.post_id, b.post_id);

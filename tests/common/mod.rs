@@ -5,9 +5,10 @@ use smishing::core::PipelineOutput;
 
 /// The reference fold: one sequential pass of every analysis accumulator
 /// over a pipeline output — `add_post` over the world's posts, then
-/// `add_curated` over its curated messages and `add_record` over its
-/// unique records. No shards, retractions or merges are involved, so it
-/// checks the engine's merged `accs` independently.
+/// `add_curated` over its curated messages, and `add_record` and
+/// `add_group` over its unique records (the latter weighting each by the
+/// evidence it carries). No shards, retractions or merges are involved,
+/// so it checks the engine's merged `accs` independently.
 pub fn sequential_fold(out: &PipelineOutput<'_>) -> AnalysisAccs {
     let mut accs = AnalysisAccs::new();
     for post in &out.world.posts {
@@ -18,6 +19,7 @@ pub fn sequential_fold(out: &PipelineOutput<'_>) -> AnalysisAccs {
     }
     for r in &out.records {
         accs.add_record(r);
+        accs.add_group(r);
     }
     accs
 }

@@ -1,23 +1,26 @@
 //! The unified-engine contract: batch runs routed through the sharded
 //! execution core are table-for-table identical to the golden sequential
 //! rendering — the pre-refactor pipeline composed by hand from the public
-//! primitives (collect → curate → sort → dedup → enrich), with its
-//! accumulators built by the one sequential fold
+//! primitives (collect → curate → sort → dedup → enrich), with each
+//! record's report evidence grouped here from the curated messages and
+//! its accumulators built by the one sequential fold
 //! (`common::sequential_fold`). Production keeps exactly one
-//! stage-execution implementation and folds each record once; this oracle
-//! exists only here, in the test.
+//! stage-execution implementation, one dedup-group table and folds each
+//! record once; this oracle exists only here, in the test.
 
 mod common;
 
 use proptest::prelude::*;
 use smishing::core::collect::collect_all;
 use smishing::core::curation::{curate_posts, dedup};
-use smishing::core::enrich::enrich_all;
+use smishing::core::enrich::{enrich_all, Evidence};
 use smishing::core::exec::{ingest, AnalysisAccs};
 use smishing::core::experiment::run_all;
 use smishing::fault::FaultPlan;
 use smishing::prelude::*;
+use smishing::types::PostId;
 use smishing::worldsim::ReportStream;
+use std::collections::HashMap;
 
 fn world_at(seed: u64, plan: &FaultPlan) -> World {
     let mut w = World::generate(WorldConfig {
@@ -33,8 +36,9 @@ fn world_at(seed: u64, plan: &FaultPlan) -> World {
 
 /// The golden sequential pipeline: what `Pipeline::run` did before batch
 /// was routed through the execution core. Single-threaded, in collection
-/// order, sorted once before dedup; its accumulators come from a
-/// sequential fold over its own output.
+/// order, sorted once before dedup; every record is stamped with its dedup
+/// group's evidence, grouped here independently of the engine, and the
+/// accumulators come from a sequential fold over its own output.
 fn golden_sequential(world: &World) -> PipelineOutput<'_> {
     let opts = CurationOptions::default();
     let mut curated_total = Vec::new();
@@ -44,8 +48,24 @@ fn golden_sequential(world: &World) -> PipelineOutput<'_> {
         collection.push((forum, stats));
     }
     curated_total.sort_by_key(|c| c.post_id);
+    let mut groups: HashMap<String, Evidence> = HashMap::new();
+    for c in &curated_total {
+        let g = groups.entry(c.dedup_key(opts.dedup)).or_insert(Evidence {
+            reports: 0,
+            forums: 0,
+            first_seen: c.posted_at,
+            last_seen: c.posted_at,
+        });
+        g.reports += 1;
+        g.forums |= c.forum.bit();
+        g.first_seen = g.first_seen.min(c.posted_at);
+        g.last_seen = g.last_seen.max(c.posted_at);
+    }
     let unique = dedup(&curated_total, opts.dedup);
-    let records = enrich_all(unique, world, &Obs::noop());
+    let mut records = enrich_all(unique, world, &Obs::noop());
+    for r in &mut records {
+        r.evidence = groups[&r.curated.dedup_key(opts.dedup)];
+    }
     let mut out = PipelineOutput {
         world,
         collection,
@@ -62,6 +82,14 @@ fn all_tables(out: &PipelineOutput<'_>) -> String {
     run_all(out, &Obs::noop())
         .iter()
         .map(|r| format!("== {}\n{}\n", r.id, r.table))
+        .collect()
+}
+
+/// Every record's report evidence, by post id.
+fn evidence(out: &PipelineOutput<'_>) -> Vec<(PostId, Evidence)> {
+    out.records
+        .iter()
+        .map(|r| (r.curated.post_id, r.evidence))
         .collect()
 }
 
@@ -87,6 +115,7 @@ proptest! {
         let world = world_at(seed, &plan);
         let golden = golden_sequential(&world);
         let golden_tables = all_tables(&golden);
+        let golden_evidence = evidence(&golden);
 
         // Batch frontend through the engine.
         let batch = Pipeline {
@@ -98,6 +127,13 @@ proptest! {
             all_tables(&batch),
             golden_tables.clone(),
             "batch via engine diverged (shards={}, profile={})",
+            shards,
+            profile
+        );
+        prop_assert_eq!(
+            evidence(&batch),
+            golden_evidence.clone(),
+            "batch evidence diverged (shards={}, profile={})",
             shards,
             profile
         );
@@ -121,6 +157,13 @@ proptest! {
                 all_tables(&result.output),
                 golden_tables,
                 "snapshot run diverged (shards={}, profile={})",
+                shards,
+                profile
+            );
+            prop_assert_eq!(
+                evidence(&result.output),
+                golden_evidence,
+                "snapshot run evidence diverged (shards={}, profile={})",
                 shards,
                 profile
             );
