@@ -25,7 +25,7 @@
 //! so verdicts are printed but do not fail the run.
 
 use smishing_core::experiment::run_all;
-use smishing_core::runcfg::{parse_seed, RunConfig};
+use smishing_core::runcfg::{parse_scale, parse_seed, RunConfig};
 use smishing_obs::Obs;
 use smishing_worldsim::{World, WorldConfig};
 use std::time::Instant;
@@ -59,10 +59,10 @@ fn main() {
         }
     }
     if let Some(s) = positional.first() {
-        match s.parse() {
+        match parse_scale(s) {
             Ok(v) => cfg.scale = v,
             Err(e) => {
-                eprintln!("bad scale {s}: {e}");
+                eprintln!("{e}");
                 std::process::exit(2);
             }
         }

@@ -4,14 +4,15 @@
 //! between them reproduces the paper's human–human agreement (brands 0.82,
 //! scam types 0.94, lures 0.85). A consensus is then formed and the
 //! pipeline annotator ("the LLM") is scored against it (paper: brands
-//! 0.85, scam types 0.93, lures 0.70).
+//! 0.85, scam types 0.93, lures 0.70). The pipeline's labels are the
+//! annotations enrichment already attached to each record.
 
 use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smishing_stats::{cohen_kappa, reservoir_sample, AgreementLevel};
-use smishing_textnlp::annotator::{Annotator, HumanAnnotator, PipelineAnnotator};
+use smishing_textnlp::annotator::HumanAnnotator;
 use smishing_types::{Language, Lure, ScamType};
 
 /// κ values for the three annotated properties.
@@ -51,7 +52,6 @@ pub fn irr_study(out: &PipelineOutput<'_>, sample_size: usize, seed: u64) -> Irr
 
     let h1 = HumanAnnotator::new(seed ^ 0xA1);
     let h2 = HumanAnnotator::new(seed ^ 0xB2);
-    let llm = PipelineAnnotator::new();
 
     let mut h1_scam = Vec::new();
     let mut h2_scam = Vec::new();
@@ -68,7 +68,7 @@ pub fn irr_study(out: &PipelineOutput<'_>, sample_size: usize, seed: u64) -> Irr
         let truth = &out.world.messages[mid.0 as usize].truth;
         let a1 = h1.annotate_truth(i as u64, truth);
         let a2 = h2.annotate_truth(i as u64, truth);
-        let al = llm.annotate(&r.curated.text);
+        let al = &r.annotation;
         h1_scam.push(a1.scam_type);
         h2_scam.push(a2.scam_type);
         llm_scam.push(al.scam_type);

@@ -82,20 +82,11 @@ pub fn case_study(out: &PipelineOutput<'_>, sample_size: usize, seed: u64) -> Ca
         .expect("valid")
         .days_from_epoch()
         * 86_400;
-    let posted_at_of = |post_id: smishing_types::PostId| {
-        out.world
-            .posts
-            .iter()
-            .find(|p| p.id == post_id)
-            .map(|p| p.posted_at)
-    };
     let realtime: Vec<_> = out
         .curated_total
         .iter()
         .filter(|c| c.forum == Forum::Twitter)
-        .filter(|c| {
-            posted_at_of(c.post_id).is_some_and(|t| (window_start..=window_end).contains(&t.0))
-        })
+        .filter(|c| (window_start..=window_end).contains(&c.posted_at.0))
         .collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let sample = reservoir_sample(realtime, sample_size, &mut rng);
@@ -115,13 +106,7 @@ pub fn case_study(out: &PipelineOutput<'_>, sample_size: usize, seed: u64) -> Ca
 
         // Expand the short link "live": at the time the analyst clicks,
         // which we model as shortly after the report was posted.
-        let visit_time = out
-            .world
-            .posts
-            .iter()
-            .find(|p| p.id == report.post_id)
-            .map(|p| p.posted_at.plus_secs(3600))
-            .unwrap_or(out.world.now);
+        let visit_time = report.posted_at.plus_secs(3600);
         let landing_host = if smishing_webinfra::ShortenerCatalog::new().is_shortener(&parsed.host)
         {
             match out.world.services.short_links.expand(&parsed, visit_time) {

@@ -65,7 +65,8 @@ pub struct CuratedMessage {
     /// The forum.
     pub forum: Forum,
     /// When the report was posted (the forum's arrival clock — the
-    /// first/last-seen evidence an intelligence index carries per entry).
+    /// first/last-seen evidence an intelligence index carries per entry,
+    /// and the clock the latency, freshness and case-study analyses read).
     pub posted_at: UnixTime,
     /// Extracted message text (original language).
     pub text: String,

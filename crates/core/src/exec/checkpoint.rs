@@ -151,3 +151,69 @@ where
         )),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::SnapshotPlan;
+    use proptest::prelude::*;
+    use smishing_worldsim::{ReportStream, WorldConfig};
+    use std::sync::OnceLock;
+
+    /// A live server's checkpoint halfway through a small world, as the
+    /// JSON `smish serve --stream --checkpoint` writes.
+    fn checkpoint_json() -> &'static [u8] {
+        static JSON: OnceLock<String> = OnceLock::new();
+        JSON.get_or_init(|| {
+            let world = World::generate(WorldConfig {
+                scale: 0.01,
+                ..WorldConfig::default()
+            });
+            let plan = ExecPlan::sequential();
+            let half = (world.posts.len() / 2) as u64;
+            let serve = ServeState {
+                epoch: 3,
+                intel_window_secs: Some(86_400),
+                cache_capacity: 4_096,
+            };
+            let mut json = None;
+            ingest(
+                &world,
+                ReportStream::replay(&world),
+                &CurationOptions::default(),
+                &plan.clone().with_snapshots(SnapshotPlan::at(&[half])),
+                &Obs::noop(),
+                |snap| {
+                    json = Checkpoint::capture_serving(&snap, &plan, serve)
+                        .to_json()
+                        .ok()
+                },
+            );
+            let json = json.expect("the snapshot fired");
+            let intact = Checkpoint::from_json(&json).expect("an intact checkpoint parses");
+            assert_eq!(intact.serve, Some(serve));
+            json
+        })
+        .as_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A damaged checkpoint file parses or errors, never panics; and
+        /// no strict prefix of a checkpoint parses.
+        #[test]
+        fn from_json_never_panics_on_damaged_checkpoints(
+            cut in 0usize..1 << 24,
+            at in 0usize..1 << 24,
+            bit in 0u32..8,
+        ) {
+            let json = checkpoint_json();
+            let truncated = String::from_utf8_lossy(&json[..cut % json.len()]);
+            prop_assert!(Checkpoint::from_json(&truncated).is_err());
+            let mut flipped = json.to_vec();
+            flipped[at % json.len()] ^= 1 << bit;
+            let _ = Checkpoint::from_json(&String::from_utf8_lossy(&flipped));
+        }
+    }
+}

@@ -152,6 +152,32 @@ mod tests {
         }
     }
 
+    /// `case_study`, `report_latency` and `domain_freshness` read a
+    /// report's posting time from the curated message instead of looking
+    /// its post up in the world: every curated message, and every
+    /// record's winner, carries the `posted_at` of the one world post
+    /// with its id.
+    #[test]
+    fn curated_messages_carry_their_posts_posting_time() {
+        let out = crate::analysis::testfix::output();
+        let mut posts = std::collections::HashMap::new();
+        for p in &out.world.posts {
+            posts
+                .entry(p.id)
+                .and_modify(|(n, _)| *n += 1)
+                .or_insert((1, p.posted_at));
+        }
+        let winners = out.records.iter().map(|r| &r.curated);
+        for c in out.curated_total.iter().chain(winners) {
+            assert_eq!(
+                posts.get(&c.post_id),
+                Some(&(1, c.posted_at)),
+                "{:?}",
+                c.post_id
+            );
+        }
+    }
+
     #[test]
     fn shard_count_never_changes_the_output() {
         let world = World::generate(WorldConfig::test_scale(83));

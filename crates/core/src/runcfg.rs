@@ -90,6 +90,23 @@ impl Default for RunConfig {
     }
 }
 
+/// Largest accepted world scale. The world is generated in memory, so a
+/// typo such as `1e9` would otherwise abort on allocation; the largest
+/// scale any test, bench or doc uses is 1.0.
+pub const MAX_SCALE: f64 = 64.0;
+
+/// Parse a world scale: a finite number in `(0, MAX_SCALE]`.
+pub fn parse_scale(s: &str) -> Result<f64, String> {
+    let scale: f64 = s.parse().map_err(|e| format!("bad scale {s}: {e}"))?;
+    if scale.is_finite() && scale > 0.0 && scale <= MAX_SCALE {
+        Ok(scale)
+    } else {
+        Err(format!(
+            "bad scale {s}: must be a finite number above 0 and at most {MAX_SCALE}"
+        ))
+    }
+}
+
 /// Parse a seed: decimal, or hex with an `0x` prefix.
 pub fn parse_seed(s: &str) -> Result<u64, String> {
     if let Some(hex) = s.strip_prefix("0x") {
@@ -121,7 +138,7 @@ impl RunConfig {
             next().ok_or_else(|| format!("{name} needs a value"))
         };
         match flag {
-            "--scale" => self.scale = take("--scale")?.parse().map_err(|e| format!("{e}"))?,
+            "--scale" => self.scale = parse_scale(&take("--scale")?)?,
             "--seed" => self.seed = parse_seed(&take("--seed")?)?,
             "--shards" => {
                 self.exec.shards = take("--shards")?.parse().map_err(|e| format!("{e}"))?
@@ -214,6 +231,7 @@ impl RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(cfg: &mut RunConfig, argv: &[&str]) -> Result<(), String> {
         let mut it = argv.iter().map(|s| s.to_string());
@@ -290,6 +308,63 @@ mod tests {
         assert!(parse(&mut cfg, &["--intel-window"]).is_err());
         assert!(parse(&mut cfg, &["--adversary", "bogus"]).is_err());
         assert!(parse(&mut cfg, &["--adversary", "rotation:banana"]).is_err());
+    }
+
+    #[test]
+    fn scales_outside_the_world_range_are_rejected() {
+        assert_eq!(parse_scale("0.02").unwrap(), 0.02);
+        assert_eq!(parse_scale("64").unwrap(), MAX_SCALE);
+        for bad in [
+            "NaN", "inf", "-inf", "-1", "0", "-0", "64.01", "1e9", "", "big",
+        ] {
+            let err = parse_scale(bad).unwrap_err();
+            assert!(err.starts_with("bad scale"), "{bad}: {err}");
+        }
+        let mut cfg = RunConfig::default();
+        for bad in ["NaN", "inf", "-1", "0", "1e9"] {
+            assert!(parse(&mut cfg, &["--scale", bad]).is_err(), "{bad}");
+        }
+        assert_eq!(
+            cfg.scale,
+            RunConfig::default().scale,
+            "rejected values never land"
+        );
+    }
+
+    /// Every flag the usage string lists.
+    fn usage_flags() -> Vec<String> {
+        RunConfig::FLAGS_USAGE
+            .split_whitespace()
+            .filter_map(|t| t.strip_prefix("[--"))
+            .map(|t| format!("--{}", t.trim_end_matches(']')))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any flag with any value parses or errors; nothing panics, and
+        /// every flag the usage string lists is recognised.
+        #[test]
+        fn parse_flag_never_panics(
+            flag in prop::sample::select(usage_flags()),
+            value in "\\PC{0,24}",
+            numeric in "-?[0-9]{0,22}(\\.[0-9]{0,4})?(e-?[0-9]{1,3})?",
+            unknown in "--?[a-z-]{0,16}",
+            pick in 0u8..3,
+        ) {
+            let value = match pick {
+                0 => value,
+                1 => numeric,
+                _ => format!("{}:{value}", ["rotation", "mild", "harsh", "full"][value.len() % 4]),
+            };
+            let mut cfg = RunConfig::default();
+            let mut next = Some(value.clone());
+            prop_assert!(!matches!(cfg.parse_flag(&flag, &mut || next.take()), Ok(false)), "{flag}");
+            let _ = cfg.parse_flag(&flag, &mut || None);
+            let mut next = Some(value);
+            let _ = cfg.parse_flag(&unknown, &mut || next.take());
+        }
     }
 
     #[test]

@@ -473,9 +473,9 @@ fn label_str(id: &MetricId, quantile: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn parse_roundtrips_rendered_reports() {
+    fn sample() -> Report {
         let mut r = Report::default();
         r.counters
             .insert(MetricId::new("intel.serve.queries", &[]), 1234);
@@ -505,6 +505,12 @@ mod tests {
                 p99: 8_800,
             },
         );
+        r
+    }
+
+    #[test]
+    fn parse_roundtrips_rendered_reports() {
+        let r = sample();
         let parsed = parse_report(&r.to_json()).expect("roundtrip");
         assert_eq!(parsed, r);
         // And the reparse renders byte-identically.
@@ -526,5 +532,30 @@ mod tests {
         let r = Report::default();
         let parsed = parse_report(&r.to_json()).expect("empty roundtrip");
         assert_eq!(parsed, r);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, and truncated or bit-flipped renders of a
+        /// real report, parse or error; nothing panics. No strict prefix
+        /// of a rendered report parses.
+        #[test]
+        fn parse_report_never_panics(
+            bytes in prop::collection::vec(0u8..=255, 0..200),
+            cut in 0usize..1 << 16,
+            at in 0usize..1 << 16,
+            bit in 0u32..8,
+        ) {
+            let _ = parse_report(&String::from_utf8_lossy(&bytes));
+            let json = sample().to_json().into_bytes();
+            let body = json.trim_ascii_end().len();
+            let truncated = String::from_utf8_lossy(&json[..cut % body]);
+            prop_assert!(parse_report(&truncated).is_err());
+            let mut flipped = json;
+            let i = at % flipped.len();
+            flipped[i] ^= 1 << bit;
+            let _ = parse_report(&String::from_utf8_lossy(&flipped));
+        }
     }
 }

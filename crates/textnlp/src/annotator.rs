@@ -49,27 +49,42 @@ impl PipelineAnnotator {
     pub fn new() -> PipelineAnnotator {
         PipelineAnnotator::default()
     }
+
+    /// Label a message whose language and English rendering are already
+    /// known, as curation computes them: [`Annotator::annotate`] without
+    /// language ID and translation.
+    pub fn annotate_translated(
+        &self,
+        text: &str,
+        language: Option<Language>,
+        english: &str,
+    ) -> Annotation {
+        // Brand aliases are proper names: look in both renderings, the
+        // original only when it differs from the English one.
+        let brand = extract_brand(english).or_else(|| {
+            if english == text {
+                None
+            } else {
+                extract_brand(text)
+            }
+        });
+        let scam_type = classify_scam(english, brand);
+        let lures = detect_lures(english, brand);
+        Annotation {
+            language,
+            english_text: english.to_string(),
+            scam_type,
+            brand: brand.map(|b| b.name.to_string()),
+            lures,
+        }
+    }
 }
 
 impl Annotator for PipelineAnnotator {
     fn annotate(&self, text: &str) -> Annotation {
         let language = identify_language(text);
-        let english = self
-            .translator
-            .to_english(text, language)
-            .text()
-            .to_string();
-        // Brand aliases are proper names: look in both renderings.
-        let brand = extract_brand(&english).or_else(|| extract_brand(text));
-        let scam_type = classify_scam(&english, brand);
-        let lures = detect_lures(&english, brand);
-        Annotation {
-            language,
-            english_text: english,
-            scam_type,
-            brand: brand.map(|b| b.name.to_string()),
-            lures,
-        }
+        let english = self.translator.to_english(text, language);
+        self.annotate_translated(text, language, english.text())
     }
 }
 

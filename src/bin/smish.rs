@@ -18,6 +18,7 @@
 //! smish query    near Your parcel is held, pay at ...   # similarity lookup
 //! smish query    explain Your account is locked, go to…  # one-shot + span tree
 //! smish perfdiff baseline.json current.json              # perf-regression gate
+//! smish perfdiff --growth small.json large.json          # growth gate: no layer above n^1.5
 //! ```
 //!
 //! Commands dispatch through one table (name → handler); the usage line
@@ -49,6 +50,12 @@
 //! asks the snapshot's SimHash similarity tier directly: it reports the
 //! closest indexed lure (campaign template id, Hamming distance, n-gram
 //! Jaccard) even when the URL and sender are fresh.
+//! `perfdiff BASELINE CURRENT` gates a run report against a checked-in
+//! baseline (`--tolerance FRAC`, default 0.25). `perfdiff --growth SMALL
+//! LARGE` needs no baseline: it reads two reports of one command at two
+//! input sizes (the `pipeline.collect.posts` counter, at least 2x apart)
+//! and exits 1 when an unlabelled `*.wall_ns` layer of at least 5 ms
+//! grows faster than posts^1.5. Both exit 2 on unreadable reports.
 //!
 //! Every command accepts the shared [`RunConfig`] flags (the same
 //! vocabulary `repro` uses):
@@ -97,7 +104,10 @@ use smishing::intel::{
     explain, reply_line, serve_session, serve_workers, AdversaryGauge, BuildOptions, IntelHub,
     IntelSnapshot, Query, ServeOptions, SnapshotDelta, Triage, TriageConfig, WorkerPlan,
 };
-use smishing::obs::{obs_error, obs_info, parse_report, perf_diff, Obs, Tracer, TracerConfig};
+use smishing::obs::perfdiff::GROWTH_LIMIT;
+use smishing::obs::{
+    growth_diff, obs_error, obs_info, parse_report, perf_diff, Obs, Tracer, TracerConfig,
+};
 use smishing::prelude::*;
 use smishing::worldsim::{Post, ReportStream, World};
 use std::io::Write;
@@ -119,6 +129,9 @@ struct Args {
     checkpoint: Option<String>,
     /// `perfdiff --tolerance FRAC`: allowed regression before exit 1.
     tolerance: Option<f64>,
+    /// `perfdiff --growth SMALL LARGE`: rate each layer's growth between
+    /// two input sizes instead of diffing against a baseline.
+    growth: bool,
     /// Bare (non-flag) operands, e.g. `query url https://...`.
     positional: Vec<String>,
 }
@@ -180,7 +193,7 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     ),
     (
         "perfdiff",
-        "compare two run reports; exit 1 on regression",
+        "compare two run reports (a baseline, or --growth SMALL LARGE); exit 1 on regression",
         Handler::Plain(cmd_perfdiff),
     ),
 ];
@@ -198,6 +211,7 @@ fn parse_args() -> Result<Args, String> {
         stream_mode: false,
         checkpoint: None,
         tolerance: None,
+        growth: false,
         positional: Vec::new(),
     };
     while let Some(flag) = argv.next() {
@@ -230,6 +244,7 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.tolerance = Some(frac);
             }
+            "--growth" => args.growth = true,
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag {other}\n{}", usage()))
             }
@@ -244,7 +259,7 @@ fn usage() -> String {
     format!(
         "usage: smish <{}> \
          [--out DIR] [--experiment ID] [--snapshot-every POSTS] [--posts N] [--stream] \
-         [--checkpoint PATH] [--tolerance FRAC] \
+         [--checkpoint PATH] [--tolerance FRAC] [--growth] \
          {}",
         names.join("|"),
         RunConfig::FLAGS_USAGE
@@ -815,14 +830,20 @@ fn cmd_query(args: &Args, obs: &Obs, world: &World) {
     println!("{}", reply_line(&query, &answer.verdict));
 }
 
-/// The CI perf gate: compare two `smishing-obs/v1` run reports and fail
-/// (exit 1) when a latency quantile, throughput gauge, or recall gauge
-/// moved past the tolerance. `--tolerance 0.25` allows 25% drift.
+/// The CI perf gates over two `smishing-obs/v1` run reports. By default,
+/// fail (exit 1) when a latency quantile, throughput gauge, or recall
+/// gauge moved past the tolerance against a baseline; `--tolerance 0.25`
+/// allows 25% drift. With `--growth SMALL LARGE`, fail when a layer's
+/// wall time grows faster than posts^1.5 between the two input sizes.
 fn cmd_perfdiff(args: &Args, obs: &Obs) {
     let [baseline_path, current_path] = args.positional.as_slice() else {
         eprintln!("perfdiff needs exactly two report paths\n{}", usage());
         std::process::exit(2);
     };
+    if args.growth && args.tolerance.is_some() {
+        eprintln!("perfdiff --growth takes no --tolerance: its limits are fixed");
+        std::process::exit(2);
+    }
     let load = |path: &str| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("perfdiff: read {path}: {e}");
@@ -835,6 +856,22 @@ fn cmd_perfdiff(args: &Args, obs: &Obs) {
     };
     let baseline = load(baseline_path);
     let current = load(current_path);
+    if args.growth {
+        let growth = growth_diff(&baseline, &current).unwrap_or_else(|e| {
+            eprintln!("perfdiff --growth: {e}");
+            std::process::exit(2);
+        });
+        print!("{}", growth.render());
+        if growth.failures() > 0 {
+            obs_error!(
+                obs,
+                "growth gate: {} layer(s) grow faster than posts^{GROWTH_LIMIT}",
+                growth.failures()
+            );
+            std::process::exit(1);
+        }
+        return;
+    }
     let tolerance = args.tolerance.unwrap_or(0.25);
     let diff = perf_diff(&baseline, &current, tolerance);
     println!("{}", diff.render());

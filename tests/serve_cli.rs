@@ -352,15 +352,21 @@ fn adversarial_stream_serve_checkpoints_and_resumes() {
 fn unreadable_checkpoint_is_reported_and_replaced() {
     let dir = temp_dir("unreadable-checkpoint");
     let ck = dir.join("ck.json");
-    std::fs::write(&ck, b"{\"world_seed\":\xff}").unwrap();
-    let out = stream_health(&["--checkpoint", path_arg(&ck)]);
-    assert!(out.status.success(), "exited with {}", out.status);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unreadable") && stderr.contains("starting fresh"),
-        "{stderr}"
-    );
-    let rewritten = std::fs::read_to_string(&ck).expect("checkpoint rewritten as UTF-8");
-    assert!(rewritten.contains("\"posts_consumed\""), "{rewritten}");
+    // Not UTF-8; and nested far past the JSON parser's depth limit, which
+    // would overflow the stack of an unbounded recursive descent.
+    let not_utf8 = b"{\"world_seed\":\xff}".to_vec();
+    let too_deep = vec![b'['; 40_000];
+    for bad in [not_utf8, too_deep] {
+        std::fs::write(&ck, &bad).unwrap();
+        let out = stream_health(&["--checkpoint", path_arg(&ck)]);
+        assert!(out.status.success(), "exited with {}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unreadable") && stderr.contains("starting fresh"),
+            "{stderr}"
+        );
+        let rewritten = std::fs::read_to_string(&ck).expect("checkpoint rewritten as UTF-8");
+        assert!(rewritten.contains("\"posts_consumed\""), "{rewritten}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
