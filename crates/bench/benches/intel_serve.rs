@@ -96,7 +96,7 @@ fn build_mix(world: &World, snap: &IntelSnapshot, rng: &mut StdRng) -> QueryMix 
         })
         .collect();
     // Similarity probes: indexed lure texts (every one signs to a
-    // non-empty shingle set, so the banded candidate path always runs).
+    // non-empty shingle set, so the candidate scan always runs).
     let near_texts: Vec<String> = snap
         .entries()
         .iter()

@@ -107,6 +107,28 @@ pub fn parse_scale(s: &str) -> Result<f64, String> {
     }
 }
 
+/// Largest accepted thread count (`--shards`, `--curators`,
+/// `--serve-workers`). Each one spawns that many threads and channels, so
+/// a typo such as `99999999999` would otherwise abort on allocation; the
+/// largest count any test, bench, CI step or doc uses is 8.
+const MAX_THREADS: usize = 256;
+
+/// Largest accepted queue capacity (`--channel-capacity`,
+/// `--queue-depth`). The worker plane sizes its reply queue as depth plus
+/// a batch per worker, which must not overflow; the largest capacity any
+/// test, bench or doc uses is 1024.
+const MAX_CAPACITY: usize = 1 << 20;
+
+/// Parse the value of the count flag `flag`: an integer in `min..=max`.
+fn parse_count(flag: &str, s: &str, min: usize, max: usize) -> Result<usize, String> {
+    match s.parse::<usize>() {
+        Ok(n) if (min..=max).contains(&n) => Ok(n),
+        _ => Err(format!(
+            "bad {flag} {s}: must be an integer from {min} to {max}"
+        )),
+    }
+}
+
 /// Parse a seed: decimal, or hex with an `0x` prefix.
 pub fn parse_seed(s: &str) -> Result<u64, String> {
     if let Some(hex) = s.strip_prefix("0x") {
@@ -137,28 +159,20 @@ impl RunConfig {
         let mut take = |name: &str| -> Result<String, String> {
             next().ok_or_else(|| format!("{name} needs a value"))
         };
+        let mut count = |name: &str, min: usize, max: usize| -> Result<usize, String> {
+            parse_count(name, &take(name)?, min, max)
+        };
         match flag {
             "--scale" => self.scale = parse_scale(&take("--scale")?)?,
             "--seed" => self.seed = parse_seed(&take("--seed")?)?,
-            "--shards" => {
-                self.exec.shards = take("--shards")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--curators" => {
-                self.exec.curators = take("--curators")?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--shards" => self.exec.shards = count("--shards", 1, MAX_THREADS)?,
+            "--curators" => self.exec.curators = count("--curators", 1, MAX_THREADS)?,
             "--channel-capacity" => {
-                self.exec.channel_capacity = take("--channel-capacity")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
+                self.exec.channel_capacity = count("--channel-capacity", 1, MAX_CAPACITY)?
             }
-            "--serve-workers" => {
-                self.serve_workers = take("--serve-workers")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--queue-depth" => {
-                self.queue_depth = take("--queue-depth")?.parse().map_err(|e| format!("{e}"))?
-            }
+            // Zero serve workers answers inline on the intake thread.
+            "--serve-workers" => self.serve_workers = count("--serve-workers", 0, MAX_THREADS)?,
+            "--queue-depth" => self.queue_depth = count("--queue-depth", 1, MAX_CAPACITY)?,
             "--intel-window" => {
                 self.intel_window_secs = Some(
                     take("--intel-window")?
@@ -329,6 +343,54 @@ mod tests {
             RunConfig::default().scale,
             "rejected values never land"
         );
+    }
+
+    #[test]
+    fn counts_outside_their_range_are_rejected() {
+        assert_eq!(parse_count("--shards", "8", 1, MAX_THREADS).unwrap(), 8);
+        assert_eq!(
+            parse_count("--shards", "256", 1, MAX_THREADS).unwrap(),
+            MAX_THREADS
+        );
+        for bad in ["0", "257", "99999999999", "-1", "1.5", "", "many"] {
+            let err = parse_count("--shards", bad, 1, MAX_THREADS).unwrap_err();
+            assert!(err.starts_with("bad --shards"), "{bad}: {err}");
+        }
+        let mut cfg = RunConfig::default();
+        for (flag, bad) in [
+            ("--shards", "0"),
+            ("--shards", "99999999999"),
+            ("--curators", "0"),
+            ("--curators", "99999999999"),
+            ("--channel-capacity", "0"),
+            ("--channel-capacity", "1048577"),
+            ("--serve-workers", "100000"),
+            ("--serve-workers", "-1"),
+            ("--queue-depth", "0"),
+            ("--queue-depth", "18446744073709551615"),
+        ] {
+            assert!(parse(&mut cfg, &[flag, bad]).is_err(), "{flag} {bad}");
+        }
+        let d = RunConfig::default();
+        assert_eq!(
+            (
+                cfg.exec.shards,
+                cfg.exec.curators,
+                cfg.exec.channel_capacity,
+                cfg.serve_workers,
+                cfg.queue_depth
+            ),
+            (
+                d.exec.shards,
+                d.exec.curators,
+                d.exec.channel_capacity,
+                d.serve_workers,
+                d.queue_depth
+            ),
+            "rejected values never land"
+        );
+        parse(&mut cfg, &["--serve-workers", "0", "--queue-depth", "1"]).unwrap();
+        assert_eq!((cfg.serve_workers, cfg.queue_depth), (0, 1));
     }
 
     /// Every flag the usage string lists.

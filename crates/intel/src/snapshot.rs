@@ -691,9 +691,9 @@ impl IntelSnapshot {
         }
     }
 
-    /// Near-duplicate entries of a raw message text: banded SimHash
-    /// candidates ranked by Hamming distance, re-ranked by exact n-gram
-    /// Jaccard. Match ids are entry ids.
+    /// Near-duplicate entries of a raw message text: SimHash candidates
+    /// sharing a band, ranked by Hamming distance, re-ranked by exact
+    /// n-gram Jaccard. Match ids are entry ids.
     pub fn near(&self, text: &str, k: usize) -> NearResult {
         self.sim.nearest(&self.sim.query(text), k)
     }

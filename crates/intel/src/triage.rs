@@ -122,7 +122,7 @@ pub struct NearAttribution {
     pub hamming: u32,
     /// Exact n-gram Jaccard similarity in `[0, 1]`.
     pub jaccard: f64,
-    /// Size of the banded candidate set that was examined.
+    /// Number of indexed texts sharing a signature band with the query.
     pub candidates: usize,
     /// Annotated scam category of the matched entry.
     pub scam_type: ScamType,
@@ -315,8 +315,8 @@ impl<'a> Query<'a> {
 pub struct Answer {
     /// The triage outcome.
     pub verdict: TriageVerdict,
-    /// Banded candidate-set size the near rung examined (0 when it did
-    /// not run or answered from the negative cache).
+    /// Band-sharing candidates the near rung counted (0 when it did not
+    /// run or answered from the negative cache).
     pub candidates: usize,
     /// True when this call's reader refresh observed a republish: it
     /// flushed the negative cache and retrained the model, so the call's
@@ -539,7 +539,7 @@ impl Ladder {
     /// fingerprint — both derived from the text alone, so the key is
     /// stable across snapshots and invalidates with the rest of the
     /// cache on republish. Returns the best match (if accepted) and the
-    /// banded candidate-set size examined.
+    /// number of band-sharing candidates.
     fn near_lookup(
         &mut self,
         snap: &IntelSnapshot,

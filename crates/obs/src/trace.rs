@@ -36,8 +36,8 @@ pub struct TraceSpan {
     pub rung: &'static str,
     /// Wall-clock nanoseconds spent in the rung.
     pub wall_ns: u64,
-    /// Candidates the rung examined (index postings, banded candidate
-    /// set, …; 0 where the notion doesn't apply).
+    /// Candidates the rung examined (docs sharing a signature band with
+    /// the query, …; 0 where the notion doesn't apply).
     pub candidates: u64,
     /// What the rung concluded (`hit entry=12 key=…`, `miss`, `cached`).
     pub note: String,

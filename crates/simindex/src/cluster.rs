@@ -1,46 +1,32 @@
 //! Offline template clustering: connected components over the signature
 //! graph.
 //!
-//! Two indexed texts get an edge when their signatures are within the
-//! configured Hamming budget *and* their exact n-gram Jaccard clears the
-//! (stricter) `cluster_jaccard` floor — the Jaccard gate keeps transitive
-//! chaining from welding unrelated templates together. Components are
-//! then compacted into dense `template_id`s in first-appearance order,
-//! so the assignment is deterministic for a fixed build order.
+//! Two indexed texts get an edge when they share a band, their
+//! signatures are within the configured Hamming budget *and* their exact
+//! n-gram Jaccard clears the (stricter) `cluster_jaccard` floor — the
+//! Jaccard gate keeps transitive chaining from welding unrelated
+//! templates together. Components are then compacted into dense
+//! `template_id`s in first-appearance order, so the assignment is
+//! deterministic for a fixed build order.
+//!
+//! Edge discovery tests every pair on the signature array, so the full
+//! pass is quadratic in the corpus; the band and Hamming tests cost a few
+//! instructions per pair, and a pair whose endpoints already share a
+//! component skips its Jaccard, since the union would change nothing.
 
-use crate::index::SimIndex;
-use crate::sig::hamming;
+use crate::index::{Bands, SimIndex};
 use smishing_stats::unionfind::UnionFind;
 use smishing_textnlp::ngram::jaccard;
+use std::ops::Range;
 
 /// Assign every indexed text a template id via connected components.
 /// Returns `(template_of_doc, template_count)`.
-///
-/// Edge discovery reuses the banded candidate generator, so the pass is
-/// near-linear: complete within the guarantee radius, best-effort (but
-/// deterministic) beyond it.
 pub fn connected_templates(idx: &SimIndex) -> (Vec<u32>, u32) {
-    let n = idx.len();
-    let mut uf = UnionFind::new(n);
-    let cfg = *idx.config();
-    for i in 0..n as u32 {
-        let si = idx.shingles_of(i);
-        if si.is_empty() {
-            continue;
-        }
-        let sig_i = idx.sig(i);
-        for j in idx.candidates(sig_i) {
-            if j <= i {
-                continue;
-            }
-            if hamming(sig_i, idx.sig(j)) > cfg.max_hamming {
-                continue;
-            }
-            if jaccard(si, idx.shingles_of(j)) < cfg.cluster_jaccard {
-                continue;
-            }
-            uf.union(i as usize, j as usize);
-        }
+    let n = idx.len() as u32;
+    let mut uf = UnionFind::new(n as usize);
+    let bands = Bands::new(idx.config().bands);
+    for i in 0..n {
+        link(idx, &mut uf, bands, i, i + 1..n);
     }
     let template: Vec<u32> = uf.clusters().into_iter().map(|c| c as u32).collect();
     (template, uf.components() as u32)
@@ -52,12 +38,11 @@ pub fn connected_templates(idx: &SimIndex) -> (Vec<u32>, u32) {
 ///
 /// Produces exactly the [`connected_templates`] partition without
 /// re-scanning old↔old pairs: reused docs keep their signatures and
-/// shingles, so the old↔old edge set is unchanged — band collisions,
+/// shingles, so the old↔old edge set is unchanged — band sharing,
 /// Hamming, and Jaccard all depend only on the two endpoints — and its
 /// transitive closure is the previous partition, which spanning unions
 /// re-impose directly. Only edges incident to a new doc can be new, and
-/// those are discovered from the new side (candidate generation is
-/// symmetric, so every such edge is seen).
+/// each new doc tests every other doc, so every such edge is seen.
 ///
 /// Dense ids come out identical too: [`UnionFind::clusters`] assigns them
 /// by first appearance in doc order, independent of union order.
@@ -67,9 +52,9 @@ pub fn incremental_templates(
     old_to_new: &[Option<u32>],
     fresh: &[u32],
 ) -> (Vec<u32>, u32) {
-    let n = idx.len();
-    let mut uf = UnionFind::new(n);
-    let cfg = *idx.config();
+    let n = idx.len() as u32;
+    let mut uf = UnionFind::new(n as usize);
+    let bands = Bands::new(idx.config().bands);
     // Re-impose the previous partition: union each reused doc with the
     // first reused doc of its previous template.
     let mut first_of: Vec<Option<u32>> = vec![None; prev.template_count() as usize];
@@ -84,29 +69,39 @@ pub fn incremental_templates(
         }
     }
     // Discover the edges incident to new docs, with the same gates as the
-    // full pass (empty-shingle docs never edge: the outer skip here, the
-    // zero Jaccard against a non-empty peer otherwise).
+    // full pass.
     for &i in fresh {
-        let si = idx.shingles_of(i);
-        if si.is_empty() {
-            continue;
-        }
-        let sig_i = idx.sig(i);
-        for j in idx.candidates(sig_i) {
-            if j == i {
-                continue;
-            }
-            if hamming(sig_i, idx.sig(j)) > cfg.max_hamming {
-                continue;
-            }
-            if jaccard(si, idx.shingles_of(j)) < cfg.cluster_jaccard {
-                continue;
-            }
-            uf.union(i as usize, j as usize);
-        }
+        link(idx, &mut uf, bands, i, 0..n);
     }
     let template: Vec<u32> = uf.clusters().into_iter().map(|c| c as u32).collect();
     (template, uf.components() as u32)
+}
+
+/// Union doc `i` with every other doc in `peers` it has an edge to.
+/// Empty-shingle docs never edge: `i` is skipped here, and an empty peer
+/// has Jaccard 0 against a non-empty `i`.
+fn link(idx: &SimIndex, uf: &mut UnionFind, bands: Bands, i: u32, peers: Range<u32>) {
+    let si = idx.shingles_of(i);
+    if si.is_empty() {
+        return;
+    }
+    let cfg = idx.config();
+    let sig_i = idx.sig(i);
+    for j in peers {
+        let x = sig_i ^ idx.sig(j);
+        // Hamming first: it rejects almost every pair, so the branch
+        // predicts well, while about two pairs in three share a band.
+        if x.count_ones() > cfg.max_hamming
+            || !bands.share(x)
+            || j == i
+            || uf.connected(i as usize, j as usize)
+        {
+            continue;
+        }
+        if jaccard(si, idx.shingles_of(j)) >= cfg.cluster_jaccard {
+            uf.union(i as usize, j as usize);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The flat banded SimHash index.
+//! The flat SimHash index.
 //!
 //! Layout (all contiguous, no per-entry allocation on the read path):
 //!
@@ -6,18 +6,22 @@
 //! sigs:        [u64; n]                  one signature per indexed text
 //! shingle_pool:[u64; Σ shingles]         all shingle sets, back to back
 //! shingle_off: [u32; n+1]                text i's shingles = pool[off[i]..off[i+1]]
-//! postings:    [u32; bands * n]          per-band doc-id lists, bucket-sorted
-//! bucket_off:  [u32; bands * (buckets+1)] per-band prefix offsets into postings
 //! template:    [u32; n]                  connected-components template id
 //! ```
 //!
-//! A query extracts one `64/bands`-bit key per band from its signature,
-//! slices that band's bucket out of `postings`, unions the `bands`
-//! slices, ranks by Hamming distance, and re-ranks the closest survivors
-//! by exact n-gram Jaccard.
+//! A query makes one pass over `sigs`. A doc is a candidate when it
+//! agrees with the query on at least one whole `64/bands`-bit band,
+//! which the [`Bands`] test reads off `q ^ s` without extracting a key.
+//! Candidates within `max_hamming` are ranked by Hamming distance, and
+//! the closest survivors re-ranked by exact n-gram Jaccard.
+//!
+//! The scan is linear in the corpus. Per-band buckets would not make it
+//! sublinear: at 16 × 4-bit bands a random signature shares a band with
+//! 1 − (15/16)¹⁶ ≈ 64% of the corpus, and unioning that many bucketed ids
+//! costs more than reading every signature.
 
 use crate::cluster;
-use crate::sig::{hamming, SimQuery};
+use crate::sig::SimQuery;
 use smishing_textnlp::ngram::jaccard;
 
 /// Tuning knobs for the similarity index.
@@ -66,7 +70,7 @@ pub struct SimMatch {
 }
 
 /// Result of a near query: accepted matches plus per-stage candidate
-/// accounting — how many docs the banded generator produced, how many
+/// accounting — how many docs share a band with the query, how many
 /// survived the Hamming filter, and how many got the exact-Jaccard
 /// re-rank. `candidates` is the load-shedding signal the bench
 /// histograms track; the stage counts let a request trace show where a
@@ -75,7 +79,7 @@ pub struct SimMatch {
 pub struct NearResult {
     /// Accepted matches, best first (Hamming asc, then Jaccard desc).
     pub matches: Vec<SimMatch>,
-    /// Distinct candidates produced by the banded generator.
+    /// Docs sharing at least one whole band with the query signature.
     pub candidates: usize,
     /// Candidates within `max_hamming` of the query signature.
     pub ranked: usize,
@@ -97,18 +101,44 @@ pub enum DocInput<'a> {
     Reuse(u32),
 }
 
-/// Immutable banded SimHash index over a corpus of message texts.
+/// Immutable SimHash index over a corpus of message texts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimIndex {
     cfg: SimConfig,
-    n: u32,
     sigs: Vec<u64>,
     shingle_pool: Vec<u64>,
     shingle_off: Vec<u32>,
-    postings: Vec<u32>,
-    bucket_off: Vec<u32>,
     template: Vec<u32>,
     n_templates: u32,
+}
+
+/// The exact band test. Two signatures share a band iff some
+/// `64/bands`-bit field of their XOR `x` is zero. With `lo` and `hi` the
+/// low and high bit of every field, `x.wrapping_sub(lo) & !x & hi` is
+/// nonzero iff a field of `x` is zero: a borrow starts only at a zero
+/// field, so the lowest zero field sets its high bit and no field sets
+/// it when none is zero.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bands {
+    lo: u64,
+    hi: u64,
+}
+
+impl Bands {
+    /// The test for `bands` bands; `bands` must divide 64.
+    pub(crate) fn new(bands: u32) -> Bands {
+        let width = 64 / bands;
+        let lo = (0..bands).fold(0u64, |m, b| m | 1 << (b * width));
+        Bands {
+            lo,
+            hi: lo << (width - 1),
+        }
+    }
+
+    /// Whether the two signatures whose XOR is `x` agree on a whole band.
+    pub(crate) fn share(self, x: u64) -> bool {
+        x.wrapping_sub(self.lo) & !x & self.hi != 0
+    }
 }
 
 impl SimIndex {
@@ -164,7 +194,7 @@ impl SimIndex {
         let mut sigs = Vec::new();
         let mut shingle_pool = Vec::new();
         let mut shingle_off = vec![0u32];
-        let mut old_to_new: Vec<Option<u32>> = vec![None; prev.n as usize];
+        let mut old_to_new: Vec<Option<u32>> = vec![None; prev.len()];
         let mut fresh: Vec<u32> = Vec::new();
         for doc in docs {
             let id = sigs.len() as u32;
@@ -203,43 +233,18 @@ impl SimIndex {
         idx
     }
 
-    /// Pack signatures + shingles into the flat layout: counting-sorted
-    /// per-band postings with prefix offsets. Templates are left empty.
+    /// Assemble the flat layout. Templates are left empty.
     fn pack(
         cfg: SimConfig,
         sigs: Vec<u64>,
         shingle_pool: Vec<u64>,
         shingle_off: Vec<u32>,
     ) -> SimIndex {
-        let n = sigs.len();
-        let bands = cfg.bands as usize;
-        let width = 64 / bands;
-        let buckets = 1usize << width;
-        let mut bucket_off = vec![0u32; bands * (buckets + 1)];
-        let mut postings = vec![0u32; bands * n];
-        for b in 0..bands {
-            let base = b * (buckets + 1);
-            for &s in &sigs {
-                bucket_off[base + band_key(s, b, width) + 1] += 1;
-            }
-            for k in 0..buckets {
-                bucket_off[base + k + 1] += bucket_off[base + k];
-            }
-            let mut cursor: Vec<u32> = bucket_off[base..base + buckets].to_vec();
-            for (id, &s) in sigs.iter().enumerate() {
-                let k = band_key(s, b, width);
-                postings[b * n + cursor[k] as usize] = id as u32;
-                cursor[k] += 1;
-            }
-        }
         SimIndex {
             cfg,
-            n: n as u32,
             sigs,
             shingle_pool,
             shingle_off,
-            postings,
-            bucket_off,
             template: Vec::new(),
             n_templates: 0,
         }
@@ -247,12 +252,12 @@ impl SimIndex {
 
     /// Number of indexed texts.
     pub fn len(&self) -> usize {
-        self.n as usize
+        self.sigs.len()
     }
 
     /// Whether the index holds no texts.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.sigs.is_empty()
     }
 
     /// The configuration the index was built with.
@@ -260,8 +265,8 @@ impl SimIndex {
         &self.cfg
     }
 
-    /// Hamming radius within which banded candidate generation is provably
-    /// complete (pigeonhole over the bands).
+    /// Hamming radius within which band-sharing candidate generation is
+    /// provably complete (pigeonhole over the bands).
     pub fn guarantee_radius(&self) -> u32 {
         self.cfg.bands - 1
     }
@@ -295,48 +300,35 @@ impl SimIndex {
         SimQuery::of(text, self.cfg.ngram)
     }
 
-    /// Union of the query signature's band buckets: every doc sharing at
-    /// least one full band with `sig`, sorted and deduplicated. Superset
-    /// of all docs within [`Self::guarantee_radius`] of `sig`.
+    /// Every doc sharing at least one whole band with `sig`, ascending.
+    /// Superset of all docs within [`Self::guarantee_radius`] of `sig`.
     pub fn candidates(&self, sig: u64) -> Vec<u32> {
-        let n = self.n as usize;
-        if n == 0 {
-            return Vec::new();
-        }
-        let bands = self.cfg.bands as usize;
-        let width = 64 / bands;
-        let buckets = 1usize << width;
-        let mut out = Vec::new();
-        for b in 0..bands {
-            let base = b * (buckets + 1);
-            let k = band_key(sig, b, width);
-            let (lo, hi) = (
-                self.bucket_off[base + k] as usize,
-                self.bucket_off[base + k + 1] as usize,
-            );
-            out.extend_from_slice(&self.postings[b * n + lo..b * n + hi]);
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        let bands = Bands::new(self.cfg.bands);
+        (0..self.len() as u32)
+            .filter(|&id| bands.share(sig ^ self.sigs[id as usize]))
+            .collect()
     }
 
-    /// Top-`k` accepted near-duplicates of `q`: banded candidates, Hamming
-    /// filter at `max_hamming`, exact-Jaccard re-rank of the closest
-    /// `rerank`, acceptance at `min_jaccard`.
+    /// Top-`k` accepted near-duplicates of `q`: one pass over the
+    /// signatures keeps the band-sharing docs within `max_hamming`, the
+    /// closest `rerank` get the exact-Jaccard re-rank, and acceptance is
+    /// at `min_jaccard`.
     pub fn nearest(&self, q: &SimQuery, k: usize) -> NearResult {
-        if q.is_empty() || self.n == 0 || k == 0 {
+        if q.is_empty() || self.is_empty() || k == 0 {
             return NearResult::default();
         }
-        let cand = self.candidates(q.sig);
-        let candidates = cand.len();
-        let mut ranked: Vec<(u32, u32)> = cand
-            .into_iter()
-            .filter_map(|id| {
-                let d = hamming(q.sig, self.sigs[id as usize]);
-                (d <= self.cfg.max_hamming).then_some((d, id))
-            })
-            .collect();
+        let bands = Bands::new(self.cfg.bands);
+        let mut candidates = 0;
+        let mut ranked: Vec<(u32, u32)> = Vec::new();
+        for (id, &s) in self.sigs.iter().enumerate() {
+            let x = q.sig ^ s;
+            let shared = bands.share(x);
+            candidates += shared as usize;
+            let d = x.count_ones();
+            if d <= self.cfg.max_hamming && shared {
+                ranked.push((d, id as u32));
+            }
+        }
         let n_ranked = ranked.len();
         ranked.sort_unstable();
         ranked.truncate(self.cfg.rerank);
@@ -368,14 +360,45 @@ impl SimIndex {
     }
 }
 
-/// The `band`-th `width`-bit key of `sig`.
-fn band_key(sig: u64, band: usize, width: usize) -> usize {
-    ((sig >> (band * width)) & ((1u64 << width) - 1)) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `band`-th `64/bands`-bit key of `sig`: the per-band reference
+    /// the [`Bands`] test must agree with.
+    fn band_key(sig: u64, band: u32, bands: u32) -> u64 {
+        let width = 64 / bands;
+        let mask = u64::MAX >> (64 - width);
+        (sig >> (band * width)) & mask
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The zero-field test agrees with comparing every band key, for
+        /// every legal band count. ANDing 2–4 random words clears most
+        /// bits, so zero fields — the case the test exists for — occur
+        /// often, next to plain random XORs.
+        #[test]
+        fn band_test_matches_per_band_keys(
+            a in 0u64..=u64::MAX,
+            words in prop::collection::vec(0u64..=u64::MAX, 2..=4),
+            sparse in 0u8..2,
+        ) {
+            let x = if sparse == 1 {
+                words.iter().fold(u64::MAX, |m, w| m & w)
+            } else {
+                words[0]
+            };
+            let b = a ^ x;
+            for bands in [1, 2, 4, 8, 16, 32, 64] {
+                let by_keys =
+                    (0..bands).any(|band| band_key(a, band, bands) == band_key(b, band, bands));
+                prop_assert_eq!(Bands::new(bands).share(x), by_keys, "bands {} x {:#x}", bands, x);
+            }
+        }
+    }
 
     fn corpus() -> Vec<&'static str> {
         vec![
@@ -463,23 +486,6 @@ mod tests {
             .nearest(&idx.query("anything at all"), 3)
             .matches
             .is_empty());
-    }
-
-    #[test]
-    fn postings_partition_every_band() {
-        let texts = corpus();
-        let idx = SimIndex::build(texts.iter().copied());
-        let n = idx.len();
-        let bands = idx.config().bands as usize;
-        let buckets = 1usize << (64 / bands);
-        for b in 0..bands {
-            let base = b * (buckets + 1);
-            assert_eq!(idx.bucket_off[base], 0);
-            assert_eq!(idx.bucket_off[base + buckets] as usize, n);
-            let mut seen: Vec<u32> = idx.postings[b * n..(b + 1) * n].to_vec();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..n as u32).collect::<Vec<_>>(), "band {b}");
-        }
     }
 
     #[test]
