@@ -243,7 +243,7 @@ fn wave_visible(triage: &mut Triage, probe_urls: &[String]) -> bool {
 pub fn drift_scorecard(world: &World, opts: &DriftOptions, obs: &Obs) -> Option<DriftScorecard> {
     let epoch_posts = opts
         .epoch_posts
-        .unwrap_or_else(|| (world.posts.len() as u64 / opts.target_epochs.max(1)).max(1));
+        .unwrap_or(world.posts.len() as u64 / opts.target_epochs.max(1));
     let adv = AdversaryWorld::build(world, epoch_posts);
     if adv.waves.is_empty() {
         return None;
@@ -262,7 +262,9 @@ pub fn drift_scorecard(world: &World, opts: &DriftOptions, obs: &Obs) -> Option<
     let build_opts = BuildOptions {
         window_secs: opts.window_secs,
     };
-    let exec = ExecPlan::sequential().with_snapshots(SnapshotPlan::every(epoch_posts));
+    // `adv.epoch_posts` is the requested length clamped to at least one
+    // post: snapshots, epoch indices and waves all count in it.
+    let exec = ExecPlan::sequential().with_snapshots(SnapshotPlan::every(adv.epoch_posts));
 
     let mut prev: Option<Arc<IntelSnapshot>> = None;
     let mut epochs: Vec<EpochDrift> = Vec::new();
@@ -287,7 +289,7 @@ pub fn drift_scorecard(world: &World, opts: &DriftOptions, obs: &Obs) -> Option<
             hub.publish_arc(arc.clone());
             prev = Some(arc);
 
-            let epoch = snap.at_posts / epoch_posts;
+            let epoch = snap.at_posts / adv.epoch_posts;
             let mut row = EpochDrift {
                 epoch,
                 at_posts: snap.at_posts,
@@ -351,7 +353,7 @@ pub fn drift_scorecard(world: &World, opts: &DriftOptions, obs: &Obs) -> Option<
             build_opts,
         );
         hub.publish_arc(Arc::new(built));
-        let epoch = result.posts_ingested.div_ceil(epoch_posts);
+        let epoch = result.posts_ingested.div_ceil(adv.epoch_posts);
         dark.retain(|&(wi, rotated_at)| {
             if wave_visible(&mut triage, &adv.waves[wi].probe_urls) {
                 reacquire_epochs.push(epoch - rotated_at);
@@ -369,7 +371,7 @@ pub fn drift_scorecard(world: &World, opts: &DriftOptions, obs: &Obs) -> Option<
     let injected_posts = result.posts_ingested - world.posts.len() as u64;
     let card = DriftScorecard {
         profile: adv.plan.to_string(),
-        epoch_posts,
+        epoch_posts: adv.epoch_posts,
         waves: adv.waves.len(),
         injected_posts,
         epochs,

@@ -23,8 +23,10 @@
 //! cost stayed flat while history grew), `intel.epoch.full_vs_incremental_x1000`
 //! (median from-scratch/incremental speedup), and `intel.epoch.rss_bytes`
 //! (process RSS after the soak). The report is written to
-//! `target/intel-epochs-run-report.json`; `SMISHING_BENCH_QUICK=1`
-//! skips criterion and shrinks the soak (the CI epoch-soak job does).
+//! `target/intel-epochs-run-report.json`. Then the soak panics, which
+//! fails `cargo bench`, when late/early is above 3.0, the speedup below
+//! 1.0 or RSS above 1.5 GiB. `SMISHING_BENCH_QUICK=1` skips criterion and
+//! shrinks the soak (the CI epoch-soak job does).
 
 use criterion::{criterion_group, Criterion};
 use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
@@ -190,6 +192,7 @@ fn epoch_report(quick: bool) {
     obs.gauge("intel.epoch.full_vs_incremental_x1000", &[])
         .set(speedup);
     obs.gauge("intel.epoch.rss_bytes", &[]).set(rss as i64);
+    let (flat, speedup) = (flat as f64 / 1000.0, speedup as f64 / 1000.0);
     eprintln!(
         "soak: {} epochs over {} posts ({:.1} laps) — early inc median {:.2}ms, \
          late {:.2}ms (late/early {:.2}), full/inc speedup {:.1}x, rss {:.1} MiB",
@@ -198,8 +201,8 @@ fn epoch_report(quick: bool) {
         result.posts_ingested as f64 / lap as f64,
         early as f64 / 1e6,
         late as f64 / 1e6,
-        flat as f64 / 1000.0,
-        speedup as f64 / 1000.0,
+        flat,
+        speedup,
         rss as f64 / (1024.0 * 1024.0),
     );
 
@@ -210,6 +213,27 @@ fn epoch_report(quick: bool) {
         Ok(()) => eprintln!("wrote epoch run report to {path}"),
         Err(e) => eprintln!("could not write epoch run report to {path}: {e}"),
     }
+
+    // Constant deltas must mean constant republish cost: 3x absorbs
+    // runner noise, while O(history) growth over three laps blows past
+    // it. One bounded store plus one world fits in 1.5 GiB; a
+    // per-republish leak across the soak would not. And folding a delta
+    // must not be slower than rebuilding from scratch.
+    let breaches: Vec<String> = [
+        (
+            flat > 3.0,
+            format!("republish latency grew {flat:.2}x early->late (budget 3x)"),
+        ),
+        (rss > 3 << 29, format!("rss {rss} over the 1.5 GiB budget")),
+        (
+            speedup < 1.0,
+            format!("incremental republish slower than from-scratch ({speedup:.2}x)"),
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(breached, why)| breached.then_some(why))
+    .collect();
+    assert!(breaches.is_empty(), "epoch soak: {}", breaches.join("; "));
 }
 
 criterion_group! {

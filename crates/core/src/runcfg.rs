@@ -120,7 +120,7 @@ const MAX_THREADS: usize = 256;
 const MAX_CAPACITY: usize = 1 << 20;
 
 /// Parse the value of the count flag `flag`: an integer in `min..=max`.
-fn parse_count(flag: &str, s: &str, min: usize, max: usize) -> Result<usize, String> {
+pub fn parse_count(flag: &str, s: &str, min: usize, max: usize) -> Result<usize, String> {
     match s.parse::<usize>() {
         Ok(n) if (min..=max).contains(&n) => Ok(n),
         _ => Err(format!(

@@ -87,7 +87,9 @@ fn observed_ingest_matches_batch_and_reports_per_shard_metrics() {
     assert!(obs.counter("enrich.hlr.calls", &[]).get() > 0);
     assert!(obs.histogram("enrich.whois.latency_ns", &[]).count() > 0);
 
-    // The JSON run report carries the engine series.
+    // The JSON run report carries the engine series, including the ones
+    // registered up front that a calm run leaves empty (backpressure
+    // waits, retry backoff): a series that vanishes fails here.
     let json = obs.json_report();
     // Labeled keys appear JSON-escaped: `name{shard=\"0\"}`.
     for key in [
@@ -98,6 +100,9 @@ fn observed_ingest_matches_batch_and_reports_per_shard_metrics() {
         "exec.snapshot.cost_ns",
         "exec.engine.posts_ingested",
         "enrich.hlr.calls",
+        "exec.feeder.backpressure_wait_ns",
+        "exec.curator.backpressure_wait_ns",
+        "enrich.backoff_ns",
     ] {
         assert!(json.contains(key), "report missing {key}:\n{json}");
     }

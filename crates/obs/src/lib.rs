@@ -13,10 +13,9 @@
 //!   macros — leveled stderr logging behind `--log-level`/`--quiet`.
 //! * [`Report`] — a deterministic-schema JSON run report
 //!   (`--metrics-json`) and a Prometheus-style text exposition
-//!   (`--metrics-text`); [`parse_report`] reads one back,
-//!   [`perf_diff`] gates a current report against a checked-in baseline,
-//!   and [`growth_diff`] gates how each layer's wall time grows between
-//!   two input sizes.
+//!   (`--metrics-text`); [`parse_report`] reads one back, and
+//!   [`growth_diff`] gates how each layer's wall time grows between two
+//!   input sizes.
 //! * [`Tracer`] — request-level tracing: tail-sampled per-query span
 //!   trees over the triage rungs, with a slowest-N ring and histogram
 //!   exemplars ([`trace`]).
@@ -56,9 +55,7 @@ pub mod trace;
 pub use histogram::{Histogram, LocalHistogram};
 pub use log::Level;
 pub use metrics::{Counter, Gauge};
-pub use perfdiff::{
-    growth_diff, perf_diff, DiffLine, DiffReport, Direction, GrowthLine, GrowthReport, Unrated,
-};
+pub use perfdiff::{growth_diff, GrowthLine, GrowthReport, Unrated};
 pub use registry::{MetricId, Registry};
 pub use report::{parse_report, GaugeStat, HistStat, Report, SCHEMA};
 pub use span::Span;

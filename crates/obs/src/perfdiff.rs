@@ -1,27 +1,8 @@
-//! Run-report differ: the perf-regression gates behind `smish perfdiff`.
+//! The growth gate behind `smish perfdiff SMALL LARGE`.
 //!
-//! **Baseline gate** ([`perf_diff`]). Two `smishing-obs/v1` reports — a
-//! checked-in baseline and a fresh run — are compared key by key over the
-//! metrics where direction has a meaning:
-//!
-//! * **lower-better** — histogram `p50`/`p99` of every `*_ns` series
-//!   (latency and wall-time distributions); regression when
-//!   `current > baseline × (1 + tolerance)`.
-//! * **higher-better** — gauges whose name contains `qps` or ends in
-//!   `_permille` (throughput and recall/precision); regression when
-//!   `current < baseline ÷ (1 + tolerance)`.
-//!
-//! Everything else (counters, occupancy gauges, candidate histograms) is
-//! workload-shaped, not perf-shaped, and is ignored. A lower-better key
-//! present in the baseline but absent from the current run is itself a
-//! regression — losing a latency series silently would blind the gate.
-//! Keys new in the current run are reported but never fail the gate, so
-//! adding instrumentation doesn't require a baseline refresh in the same
-//! change.
-//!
-//! **Growth gate** ([`growth_diff`]). Two reports of the same command at
-//! two input sizes, taken on one machine, so no absolute baseline is
-//! involved. Each layer's growth exponent is
+//! [`growth_diff`] reads two reports of the same command at two input
+//! sizes, taken on one machine, so no absolute baseline is involved. Each
+//! layer's growth exponent is
 //! `ln(t_large / t_small) / ln(posts_large / posts_small)`, where `t` is
 //! the series' `sum` and the input size is each report's
 //! `pipeline.collect.posts` counter. A layer fails above
@@ -35,175 +16,6 @@ use crate::registry::MetricId;
 use crate::report::Report;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-
-/// Which way "better" points for a compared key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Latency-like: smaller is better.
-    LowerBetter,
-    /// Throughput/recall-like: larger is better.
-    HigherBetter,
-}
-
-/// One compared metric key.
-#[derive(Debug, Clone)]
-pub struct DiffLine {
-    /// Rendered metric key (plus `.p50`/`.p99` suffix for histograms).
-    pub key: String,
-    /// Comparison direction.
-    pub direction: Direction,
-    /// Baseline value.
-    pub baseline: u64,
-    /// Current value (`None` when the key vanished).
-    pub current: Option<u64>,
-    /// Whether this key breaches the tolerance.
-    pub regressed: bool,
-}
-
-/// The outcome of one baseline/current comparison.
-#[derive(Debug, Clone)]
-pub struct DiffReport {
-    /// Tolerance used, as a fraction (0.25 = 25% slack).
-    pub tolerance: f64,
-    /// Every compared key, baseline order.
-    pub lines: Vec<DiffLine>,
-    /// Comparable keys present only in the current run (informational).
-    pub new_keys: Vec<String>,
-}
-
-impl DiffReport {
-    /// Whether any compared key regressed.
-    pub fn has_regression(&self) -> bool {
-        self.lines.iter().any(|l| l.regressed)
-    }
-
-    /// Count of regressed keys.
-    pub fn regressions(&self) -> usize {
-        self.lines.iter().filter(|l| l.regressed).count()
-    }
-
-    /// Render the human-readable gate output, one line per compared key.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "perfdiff tolerance={:.0}% compared={} regressions={}",
-            self.tolerance * 100.0,
-            self.lines.len(),
-            self.regressions()
-        );
-        for l in &self.lines {
-            let dir = match l.direction {
-                Direction::LowerBetter => "lower-better",
-                Direction::HigherBetter => "higher-better",
-            };
-            match l.current {
-                None => {
-                    let _ = writeln!(
-                        s,
-                        "REGRESSION {} [{dir}] baseline={} current=MISSING",
-                        l.key, l.baseline
-                    );
-                }
-                Some(cur) => {
-                    let verdict = if l.regressed { "REGRESSION" } else { "ok" };
-                    let ratio = if l.baseline == 0 {
-                        1.0
-                    } else {
-                        cur as f64 / l.baseline as f64
-                    };
-                    let _ = writeln!(
-                        s,
-                        "{verdict} {} [{dir}] baseline={} current={cur} ratio={ratio:.3}",
-                        l.key, l.baseline
-                    );
-                }
-            }
-        }
-        for k in &self.new_keys {
-            let _ = writeln!(s, "new {k} (not gated; refresh the baseline to gate it)");
-        }
-        s
-    }
-}
-
-/// Values below this floor are noise (sub-microsecond latencies, near-zero
-/// rates) and never gate: a 2ns→5ns "regression" is measurement jitter.
-const NOISE_FLOOR: u64 = 100;
-
-fn is_lower_better_hist(name: &str) -> bool {
-    name.ends_with("_ns")
-}
-
-fn is_higher_better_gauge(name: &str) -> bool {
-    name.contains("qps") || name.ends_with("_permille")
-}
-
-/// Compare `current` against `baseline` with a fractional `tolerance`.
-pub fn perf_diff(baseline: &Report, current: &Report, tolerance: f64) -> DiffReport {
-    let tolerance = tolerance.max(0.0);
-    let factor = 1.0 + tolerance;
-    let mut lines = Vec::new();
-    for (id, base) in &baseline.histograms {
-        if !is_lower_better_hist(&id.name) {
-            continue;
-        }
-        let cur = current.histograms.get(id);
-        for (suffix, bval, cval) in [
-            ("p50", base.p50, cur.map(|h| h.p50)),
-            ("p99", base.p99, cur.map(|h| h.p99)),
-        ] {
-            let regressed = match cval {
-                None => true,
-                Some(c) => bval.max(c) >= NOISE_FLOOR && c as f64 > bval as f64 * factor,
-            };
-            lines.push(DiffLine {
-                key: format!("{id}.{suffix}"),
-                direction: Direction::LowerBetter,
-                baseline: bval,
-                current: cval,
-                regressed,
-            });
-        }
-    }
-    for (id, base) in &baseline.gauges {
-        if !is_higher_better_gauge(&id.name) {
-            continue;
-        }
-        let bval = u64::try_from(base.value).unwrap_or(0);
-        let cval = current
-            .gauges
-            .get(id)
-            .map(|g| u64::try_from(g.value).unwrap_or(0));
-        let regressed = match cval {
-            None => true,
-            Some(c) => bval.max(c) >= NOISE_FLOOR && (c as f64) < bval as f64 / factor,
-        };
-        lines.push(DiffLine {
-            key: id.to_string(),
-            direction: Direction::HigherBetter,
-            baseline: bval,
-            current: cval,
-            regressed,
-        });
-    }
-    let mut new_keys = Vec::new();
-    for id in current.histograms.keys() {
-        if is_lower_better_hist(&id.name) && !baseline.histograms.contains_key(id) {
-            new_keys.push(id.to_string());
-        }
-    }
-    for id in current.gauges.keys() {
-        if is_higher_better_gauge(&id.name) && !baseline.gauges.contains_key(id) {
-            new_keys.push(id.to_string());
-        }
-    }
-    DiffReport {
-        tolerance,
-        lines,
-        new_keys,
-    }
-}
 
 /// Counter both growth reports must carry: the input size.
 pub const GROWTH_SIZE_COUNTER: &str = "pipeline.collect.posts";
@@ -369,113 +181,7 @@ pub fn growth_diff(small: &Report, large: &Report) -> Result<GrowthReport, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{GaugeStat, HistStat};
-
-    fn hist(p50: u64, p99: u64) -> HistStat {
-        HistStat {
-            count: 100,
-            sum: p50 * 100,
-            min: p50 / 2,
-            max: p99 * 2,
-            p50,
-            p90: p99,
-            p95: p99,
-            p99,
-        }
-    }
-
-    fn report(lookup: HistStat, qps: i64, recall: i64) -> Report {
-        let mut r = Report::default();
-        r.histograms
-            .insert(MetricId::new("intel.serve.lookup_ns", &[]), lookup);
-        r.gauges.insert(
-            MetricId::new("intel.serve.qps", &[]),
-            GaugeStat {
-                value: qps,
-                max: qps,
-            },
-        );
-        r.gauges.insert(
-            MetricId::new("intel.eval.url_recall_permille", &[]),
-            GaugeStat {
-                value: recall,
-                max: recall,
-            },
-        );
-        r
-    }
-
-    #[test]
-    fn within_tolerance_passes_both_directions() {
-        let base = report(hist(1_000, 5_000), 200_000, 950);
-        let cur = report(hist(1_100, 5_900), 170_000, 920);
-        let diff = perf_diff(&base, &cur, 0.25);
-        assert!(!diff.has_regression(), "{}", diff.render());
-        assert_eq!(diff.lines.len(), 4, "p50, p99, qps, recall");
-    }
-
-    #[test]
-    fn latency_blowup_regresses_and_renders() {
-        let base = report(hist(1_000, 5_000), 200_000, 950);
-        let cur = report(hist(1_000, 9_000), 200_000, 950);
-        let diff = perf_diff(&base, &cur, 0.25);
-        assert_eq!(diff.regressions(), 1);
-        let out = diff.render();
-        assert!(
-            out.contains(
-                "REGRESSION intel.serve.lookup_ns.p99 [lower-better] baseline=5000 current=9000"
-            ),
-            "{out}"
-        );
-        assert!(out.contains("ok intel.serve.lookup_ns.p50"), "{out}");
-    }
-
-    #[test]
-    fn throughput_and_recall_drop_regress() {
-        let base = report(hist(1_000, 5_000), 200_000, 950);
-        let cur = report(hist(1_000, 5_000), 100_000, 700);
-        let diff = perf_diff(&base, &cur, 0.25);
-        assert_eq!(diff.regressions(), 2);
-        assert!(diff.render().contains("REGRESSION intel.serve.qps"));
-    }
-
-    #[test]
-    fn missing_baseline_key_regresses_but_new_key_is_informational() {
-        let base = report(hist(1_000, 5_000), 200_000, 950);
-        let mut cur = report(hist(1_000, 5_000), 200_000, 950);
-        cur.histograms
-            .remove(&MetricId::new("intel.serve.lookup_ns", &[]));
-        cur.histograms
-            .insert(MetricId::new("intel.near.lookup_ns", &[]), hist(500, 900));
-        let diff = perf_diff(&base, &cur, 0.25);
-        assert_eq!(diff.regressions(), 2, "p50 and p99 both vanished");
-        assert!(diff.render().contains("current=MISSING"));
-        assert_eq!(diff.new_keys, ["intel.near.lookup_ns"]);
-        assert!(diff.render().contains("new intel.near.lookup_ns"));
-    }
-
-    #[test]
-    fn noise_floor_ignores_tiny_values() {
-        let base = report(hist(2, 20), 200_000, 950);
-        let cur = report(hist(6, 60), 200_000, 950);
-        let diff = perf_diff(&base, &cur, 0.25);
-        assert!(!diff.has_regression(), "{}", diff.render());
-    }
-
-    #[test]
-    fn counters_and_unrecognized_series_are_ignored() {
-        let mut base = report(hist(1_000, 5_000), 200_000, 950);
-        base.counters
-            .insert(MetricId::new("intel.serve.queries", &[]), 10);
-        base.gauges.insert(
-            MetricId::new("serve.session.shards", &[]),
-            GaugeStat { value: 8, max: 8 },
-        );
-        let cur = report(hist(1_000, 5_000), 200_000, 950);
-        let diff = perf_diff(&base, &cur, 0.25);
-        assert_eq!(diff.lines.len(), 4);
-        assert!(!diff.has_regression());
-    }
+    use crate::report::HistStat;
 
     const MS: u64 = 1_000_000;
 

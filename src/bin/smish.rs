@@ -17,8 +17,7 @@
 //! smish query    url hxxps://evil[.]com/x               # one-shot lookup
 //! smish query    near Your parcel is held, pay at ...   # similarity lookup
 //! smish query    explain Your account is locked, go to…  # one-shot + span tree
-//! smish perfdiff baseline.json current.json              # perf-regression gate
-//! smish perfdiff --growth small.json large.json          # growth gate: no layer above n^1.5
+//! smish perfdiff small.json large.json                   # growth gate: no layer above n^1.5
 //! ```
 //!
 //! Commands dispatch through one table (name → handler); the usage line
@@ -50,12 +49,11 @@
 //! asks the snapshot's SimHash similarity tier directly: it reports the
 //! closest indexed lure (campaign template id, Hamming distance, n-gram
 //! Jaccard) even when the URL and sender are fresh.
-//! `perfdiff BASELINE CURRENT` gates a run report against a checked-in
-//! baseline (`--tolerance FRAC`, default 0.25). `perfdiff --growth SMALL
-//! LARGE` needs no baseline: it reads two reports of one command at two
-//! input sizes (the `pipeline.collect.posts` counter, at least 2x apart)
-//! and exits 1 when an unlabelled `*.wall_ns` layer of at least 5 ms
-//! grows faster than posts^1.5. Both exit 2 on unreadable reports.
+//! `perfdiff SMALL LARGE` is the growth gate: it reads two reports of one
+//! command at two input sizes (the `pipeline.collect.posts` counter, at
+//! least 2x apart) and exits 1 when an unlabelled `*.wall_ns` layer of at
+//! least 5 ms grows faster than posts^1.5. It exits 2 on unreadable
+//! reports, swapped sizes or a missing size counter.
 //!
 //! Every command accepts the shared [`RunConfig`] flags (the same
 //! vocabulary `repro` uses):
@@ -98,16 +96,14 @@ use smishing::core::dataset;
 use smishing::core::exec::{ingest, resume, Checkpoint, ServeState, SnapshotPlan, StreamSnapshot};
 use smishing::core::experiment::run_all;
 use smishing::core::pipeline::PipelineOutput;
-use smishing::core::runcfg::RunConfig;
+use smishing::core::runcfg::{parse_count, RunConfig};
 use smishing::detect::{binary_study, multiclass_study_grouped};
 use smishing::intel::{
     explain, reply_line, serve_session, serve_workers, AdversaryGauge, BuildOptions, IntelHub,
     IntelSnapshot, Query, ServeOptions, SnapshotDelta, Triage, TriageConfig, WorkerPlan,
 };
 use smishing::obs::perfdiff::GROWTH_LIMIT;
-use smishing::obs::{
-    growth_diff, obs_error, obs_info, parse_report, perf_diff, Obs, Tracer, TracerConfig,
-};
+use smishing::obs::{growth_diff, obs_error, obs_info, parse_report, Obs, Tracer, TracerConfig};
 use smishing::prelude::*;
 use smishing::worldsim::{Post, ReportStream, World};
 use std::io::Write;
@@ -127,11 +123,6 @@ struct Args {
     /// `serve --stream --checkpoint PATH`: persist a resumable checkpoint
     /// at every published epoch; an existing file resumes the epoch clock.
     checkpoint: Option<String>,
-    /// `perfdiff --tolerance FRAC`: allowed regression before exit 1.
-    tolerance: Option<f64>,
-    /// `perfdiff --growth SMALL LARGE`: rate each layer's growth between
-    /// two input sizes instead of diffing against a baseline.
-    growth: bool,
     /// Bare (non-flag) operands, e.g. `query url https://...`.
     positional: Vec<String>,
 }
@@ -141,7 +132,7 @@ enum Handler {
     /// Needs the simulated world (pipeline/stream/serve commands).
     World(fn(&Args, &Obs, &World)),
     /// Pure plumbing over files and reports — skips world generation,
-    /// so e.g. the CI perf gate costs milliseconds, not a synthesis run.
+    /// so e.g. the growth gate costs milliseconds, not a synthesis run.
     Plain(fn(&Args, &Obs)),
 }
 
@@ -193,7 +184,7 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     ),
     (
         "perfdiff",
-        "compare two run reports (a baseline, or --growth SMALL LARGE); exit 1 on regression",
+        "growth gate over two run reports (SMALL LARGE); exit 1 on regression",
         Handler::Plain(cmd_perfdiff),
     ),
 ];
@@ -210,8 +201,6 @@ fn parse_args() -> Result<Args, String> {
         posts: None,
         stream_mode: false,
         checkpoint: None,
-        tolerance: None,
-        growth: false,
         positional: Vec::new(),
     };
     while let Some(flag) = argv.next() {
@@ -225,26 +214,13 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(take("--out")?),
             "--experiment" => args.experiment = Some(take("--experiment")?),
             "--snapshot-every" => {
-                args.snapshot_every = Some(
-                    take("--snapshot-every")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
+                let raw = take("--snapshot-every")?;
+                args.snapshot_every =
+                    Some(parse_count("--snapshot-every", &raw, 1, usize::MAX)? as u64)
             }
             "--posts" => args.posts = Some(take("--posts")?.parse().map_err(|e| format!("{e}"))?),
             "--stream" => args.stream_mode = true,
             "--checkpoint" => args.checkpoint = Some(take("--checkpoint")?),
-            "--tolerance" => {
-                let raw = take("--tolerance")?;
-                let frac: f64 = raw.parse().map_err(|e| format!("--tolerance {raw}: {e}"))?;
-                if !frac.is_finite() || frac < 0.0 {
-                    return Err(format!(
-                        "--tolerance must be a non-negative fraction, got {raw}"
-                    ));
-                }
-                args.tolerance = Some(frac);
-            }
-            "--growth" => args.growth = true,
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag {other}\n{}", usage()))
             }
@@ -259,7 +235,7 @@ fn usage() -> String {
     format!(
         "usage: smish <{}> \
          [--out DIR] [--experiment ID] [--snapshot-every POSTS] [--posts N] [--stream] \
-         [--checkpoint PATH] [--tolerance FRAC] [--growth] \
+         [--checkpoint PATH] \
          {}",
         names.join("|"),
         RunConfig::FLAGS_USAGE
@@ -830,20 +806,14 @@ fn cmd_query(args: &Args, obs: &Obs, world: &World) {
     println!("{}", reply_line(&query, &answer.verdict));
 }
 
-/// The CI perf gates over two `smishing-obs/v1` run reports. By default,
-/// fail (exit 1) when a latency quantile, throughput gauge, or recall
-/// gauge moved past the tolerance against a baseline; `--tolerance 0.25`
-/// allows 25% drift. With `--growth SMALL LARGE`, fail when a layer's
-/// wall time grows faster than posts^1.5 between the two input sizes.
+/// The growth gate over two `smishing-obs/v1` run reports: fail (exit 1)
+/// when a layer's wall time grows faster than posts^1.5 between the two
+/// input sizes.
 fn cmd_perfdiff(args: &Args, obs: &Obs) {
-    let [baseline_path, current_path] = args.positional.as_slice() else {
+    let [small_path, large_path] = args.positional.as_slice() else {
         eprintln!("perfdiff needs exactly two report paths\n{}", usage());
         std::process::exit(2);
     };
-    if args.growth && args.tolerance.is_some() {
-        eprintln!("perfdiff --growth takes no --tolerance: its limits are fixed");
-        std::process::exit(2);
-    }
     let load = |path: &str| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("perfdiff: read {path}: {e}");
@@ -854,33 +824,16 @@ fn cmd_perfdiff(args: &Args, obs: &Obs) {
             std::process::exit(2);
         })
     };
-    let baseline = load(baseline_path);
-    let current = load(current_path);
-    if args.growth {
-        let growth = growth_diff(&baseline, &current).unwrap_or_else(|e| {
-            eprintln!("perfdiff --growth: {e}");
-            std::process::exit(2);
-        });
-        print!("{}", growth.render());
-        if growth.failures() > 0 {
-            obs_error!(
-                obs,
-                "growth gate: {} layer(s) grow faster than posts^{GROWTH_LIMIT}",
-                growth.failures()
-            );
-            std::process::exit(1);
-        }
-        return;
-    }
-    let tolerance = args.tolerance.unwrap_or(0.25);
-    let diff = perf_diff(&baseline, &current, tolerance);
-    println!("{}", diff.render());
-    if diff.has_regression() {
+    let growth = growth_diff(&load(small_path), &load(large_path)).unwrap_or_else(|e| {
+        eprintln!("perfdiff: {e}");
+        std::process::exit(2);
+    });
+    print!("{}", growth.render());
+    if growth.failures() > 0 {
         obs_error!(
             obs,
-            "perf gate: {} regression(s) past {:.0}% tolerance",
-            diff.regressions(),
-            tolerance * 100.0
+            "growth gate: {} layer(s) grow faster than posts^{GROWTH_LIMIT}",
+            growth.failures()
         );
         std::process::exit(1);
     }

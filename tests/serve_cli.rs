@@ -1,5 +1,5 @@
-//! CLI contracts of `smish serve` that only hold at the process
-//! boundary:
+//! CLI contracts of `smish` that only hold at the process boundary,
+//! mostly of `smish serve`:
 //!
 //! * **EOF flush** (regression): with `--metrics-json`, the run report
 //!   hits disk the moment the query stream ends — in `--stream` mode
@@ -19,8 +19,12 @@
 //!   resume re-enters the epoch sequence and reports the engine's
 //!   `exec.*` series; an unreadable checkpoint file is reported and
 //!   replaced.
+//! * **Flag validation**: `--snapshot-every 0` exits 2 naming the flag,
+//!   before a world is generated.
+//! * **Growth gate**: `smish perfdiff SMALL LARGE` exits 0 on linear
+//!   growth, 1 on a quadratic layer and 2 on bad input.
 
-use smishing::obs::{parse_report, MetricId};
+use smishing::obs::{parse_report, MetricId, Obs};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
@@ -367,6 +371,83 @@ fn unreadable_checkpoint_is_reported_and_replaced() {
         );
         let rewritten = std::fs::read_to_string(&ck).expect("checkpoint rewritten as UTF-8");
         assert!(rewritten.contains("\"posts_consumed\""), "{rewritten}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_snapshot_interval_is_a_usage_error() {
+    for command in ["drift", "stream"] {
+        let out = smish()
+            .args([command, "--scale", "0.01", "--snapshot-every", "0"])
+            .args(["--adversary", "rotation", "--quiet"])
+            .output()
+            .expect("run smish");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(
+            stderr.contains("bad --snapshot-every 0"),
+            "{command}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{command} printed before failing");
+    }
+}
+
+/// Write a run report over `posts` posts with one `sum`, in ms, per
+/// wall-time layer.
+fn sized_report(path: &Path, posts: u64, layers: &[(&str, u64)]) {
+    let obs = Obs::enabled();
+    obs.counter("pipeline.collect.posts", &[]).add(posts);
+    for &(name, ms) in layers {
+        obs.histogram(name, &[]).record(ms * 1_000_000);
+    }
+    std::fs::write(path, obs.json_report()).unwrap();
+}
+
+#[test]
+fn perfdiff_rates_growth_and_rejects_bad_input() {
+    let dir = temp_dir("perfdiff");
+    let (small, linear, quadratic) = (
+        dir.join("small.json"),
+        dir.join("linear.json"),
+        dir.join("quadratic.json"),
+    );
+    // Four times the posts: 10 ms grows to 40 ms (linear) or 160 ms.
+    sized_report(&small, 10_000, &[("analysis.layer.wall_ns", 10)]);
+    sized_report(&linear, 40_000, &[("analysis.layer.wall_ns", 40)]);
+    sized_report(&quadratic, 40_000, &[("analysis.layer.wall_ns", 160)]);
+    let (small, linear, quadratic) = (path_arg(&small), path_arg(&linear), path_arg(&quadratic));
+    let perfdiff = |args: &[&str]| {
+        let out = smish()
+            .arg("perfdiff")
+            .args(args)
+            .arg("--quiet")
+            .output()
+            .expect("run smish perfdiff");
+        (out.status.code(), String::from_utf8(out.stdout).unwrap())
+    };
+
+    let (code, stdout) = perfdiff(&[small, linear]);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("ok analysis.layer.wall_ns"), "{stdout}");
+    let (code, stdout) = perfdiff(&[small, quadratic]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(
+        stdout.contains("REGRESSION analysis.layer.wall_ns"),
+        "{stdout}"
+    );
+
+    // One path, an unreadable file, swapped sizes, and the flags of the
+    // retired baseline gate.
+    let missing = dir.join("missing.json");
+    for args in [
+        &[small][..],
+        &[small, path_arg(&missing)],
+        &[linear, small],
+        &["--tolerance", "4.0", small, linear],
+        &["--growth", small, linear],
+    ] {
+        assert_eq!(perfdiff(args).0, Some(2), "perfdiff {args:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
