@@ -1,8 +1,9 @@
 //! Streaming ingest vs the batch pipeline: the same world, end to end,
 //! through the shared execution core at 1/2/4/8 shards (stream frontend)
 //! and through `Pipeline::run` (batch frontend, sequential and sharded).
-//! The engine pays for channels, marker alignment and winner retraction;
-//! the shards buy back curation and enrichment parallelism.
+//! The engine pays for channels, marker alignment and enriching winners
+//! that are later displaced; the shards buy back curation and enrichment
+//! parallelism.
 //!
 //! Besides the criterion groups, every invocation times a min-of-3 batch
 //! run at 1 and at 4 shards and panics when the 4-shard wall exceeds

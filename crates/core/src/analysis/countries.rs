@@ -41,7 +41,7 @@ pub struct CountriesAcc {
     claims: FirstClaim<PhoneNumber, CountryClaim>,
     /// Phone senders whose HLR lookup failed — candidates for the
     /// "(unresolved)" row unless another record resolved the same number.
-    hlr_failed: FirstClaim<PhoneNumber, ()>,
+    hlr_failed: HashSet<PhoneNumber>,
 }
 
 impl CountriesAcc {
@@ -53,7 +53,7 @@ impl CountriesAcc {
     /// Fold in one unique record.
     pub fn add_record(&mut self, r: &EnrichedRecord) {
         if let Some(phone) = Self::project_failed(r) {
-            self.hlr_failed.add(phone.clone(), r.curated.post_id.0, ());
+            self.hlr_failed.insert(phone.clone());
             return;
         }
         let Some(claim) = Self::project(r) else {
@@ -65,23 +65,6 @@ impl CountriesAcc {
             .and_then(|s| s.phone())
             .expect("projected");
         self.claims.add(phone.clone(), r.curated.post_id.0, claim);
-    }
-
-    /// Retract a record previously folded in.
-    pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        if let Some(phone) = Self::project_failed(r) {
-            self.hlr_failed.sub(phone, r.curated.post_id.0);
-            return;
-        }
-        if Self::project(r).is_none() {
-            return;
-        }
-        let phone = r
-            .sender
-            .as_ref()
-            .and_then(|s| s.phone())
-            .expect("projected");
-        self.claims.sub(phone, r.curated.post_id.0);
     }
 
     /// A phone sender whose HLR lookup failed outright.
@@ -109,7 +92,7 @@ impl CountriesAcc {
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: CountriesAcc) {
         self.claims.merge(other.claims);
-        self.hlr_failed.merge(other.hlr_failed);
+        self.hlr_failed.extend(other.hlr_failed);
     }
 
     /// Produce the batch result.
@@ -135,8 +118,8 @@ impl CountriesAcc {
         // may have succeeded.
         let unresolved = self
             .hlr_failed
-            .winners()
-            .filter(|(phone, _, _)| !resolved.contains(phone))
+            .iter()
+            .filter(|phone| !resolved.contains(phone))
             .count();
         Countries {
             all,

@@ -14,9 +14,8 @@ pub struct Languages {
 }
 
 /// Table 11 over the curated total: counts stream in one curated message
-/// at a time and shard states merge losslessly. Curated messages are never
-/// retracted (deduplication displaces *records*, not reports), so no `sub`
-/// is needed.
+/// at a time and worker states merge losslessly. The count does not depend
+/// on deduplication, so curators fold each message next to its post.
 #[derive(Debug, Clone, Default)]
 pub struct LanguagesAcc {
     counts: Counter<Language>,

@@ -2,7 +2,7 @@
 
 use crate::enrich::EnrichedRecord;
 use crate::table::TextTable;
-use smishing_stats::{Counter, RefCount};
+use smishing_stats::Counter;
 use smishing_types::{Lure, ScamType};
 use std::collections::HashMap;
 
@@ -20,14 +20,13 @@ pub struct Lures {
 }
 
 /// Table 13 over the unique records. Lure counting has no internal
-/// deduplication, so retraction is plain multiset subtraction: when a
-/// record is displaced by a lower-`post_id` duplicate, `sub_record` undoes
-/// exactly what `add_record` contributed.
+/// deduplication: each dedup winner is folded once, at the cut, and shard
+/// states merge by summing.
 #[derive(Debug, Clone, Default)]
 pub struct LuresAcc {
-    counts: RefCount<Lure>,
-    by_scam: RefCount<(ScamType, Lure)>,
-    scam_totals: RefCount<ScamType>,
+    counts: Counter<Lure>,
+    by_scam: Counter<(ScamType, Lure)>,
+    scam_totals: Counter<ScamType>,
     n: u64,
 }
 
@@ -48,31 +47,20 @@ impl LuresAcc {
         }
     }
 
-    /// Retract a record previously folded in.
-    pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        self.n -= 1;
-        let scam = r.annotation.scam_type;
-        self.scam_totals.sub(&scam);
-        for lure in r.annotation.lures.iter() {
-            self.counts.sub(&lure);
-            self.by_scam.sub(&(scam, lure));
-        }
-    }
-
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: LuresAcc) {
-        self.counts.merge(other.counts);
-        self.by_scam.merge(other.by_scam);
-        self.scam_totals.merge(other.scam_totals);
+        self.counts.merge(&other.counts);
+        self.by_scam.merge(&other.by_scam);
+        self.scam_totals.merge(&other.scam_totals);
         self.n += other.n;
     }
 
     /// Produce the batch result.
     pub fn finish(&self) -> Lures {
         Lures {
-            counts: self.counts.to_counter(),
+            counts: self.counts.clone(),
             by_scam: self.by_scam.iter().map(|(&k, c)| (k, c)).collect(),
-            scam_totals: self.scam_totals.to_counter(),
+            scam_totals: self.scam_totals.clone(),
             n: self.n as usize,
         }
     }

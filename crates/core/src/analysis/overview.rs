@@ -4,7 +4,7 @@
 use crate::curation::CuratedMessage;
 use crate::enrich::Evidence;
 use crate::table::{count_pct, group_thousands, TextTable};
-use smishing_stats::{Counter, RefCount};
+use smishing_stats::Counter;
 use smishing_types::Forum;
 use std::collections::HashMap;
 
@@ -41,16 +41,16 @@ pub struct Overview {
 /// Table 1: post-level counts arrive via [`OverviewAcc::add_post`],
 /// message-level counts via [`OverviewAcc::add_curated`], and the unique
 /// messages per forum via [`OverviewAcc::add_group`], once per dedup
-/// group. Sender and URL uniqueness columns are multisets and every group
-/// lives in one shard, so shard merges sum exactly.
+/// group. The sender and URL columns count the distinct keys and the total
+/// of one multiset each, so worker merges sum exactly.
 #[derive(Debug, Clone, Default)]
 pub struct OverviewAcc {
     posts: Counter<Forum>,
     images: Counter<Forum>,
     msgs: Counter<Forum>,
     unique_msgs: Counter<Forum>,
-    senders: HashMap<Forum, RefCount<String>>,
-    urls: HashMap<Forum, RefCount<String>>,
+    senders: HashMap<Forum, Counter<String>>,
+    urls: HashMap<Forum, Counter<String>>,
 }
 
 impl OverviewAcc {
@@ -94,17 +94,17 @@ impl OverviewAcc {
         self.images.merge(&other.images);
         self.msgs.merge(&other.msgs);
         self.unique_msgs.merge(&other.unique_msgs);
-        for (f, rc) in other.senders {
-            self.senders.entry(f).or_default().merge(rc);
+        for (f, c) in other.senders {
+            self.senders.entry(f).or_default().merge(&c);
         }
-        for (f, rc) in other.urls {
-            self.urls.entry(f).or_default().merge(rc);
+        for (f, c) in other.urls {
+            self.urls.entry(f).or_default().merge(&c);
         }
     }
 
     /// Produce the batch result.
     pub fn finish(&self) -> Overview {
-        let empty = RefCount::new();
+        let empty = Counter::new();
         let mut rows = Vec::new();
         for &forum in Forum::ALL {
             let senders = self.senders.get(&forum).unwrap_or(&empty);

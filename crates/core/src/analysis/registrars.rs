@@ -64,18 +64,6 @@ impl RegistrarsAcc {
         );
     }
 
-    /// Retract a record previously folded in.
-    pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        let Some(url) = &r.url else { return };
-        let Some(domain) = url.domain.as_ref() else {
-            return;
-        };
-        if url.free_hosted {
-            return;
-        }
-        self.claims.sub(domain, r.curated.post_id.0);
-    }
-
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: RegistrarsAcc) {
         self.claims.merge(other.claims);

@@ -36,9 +36,10 @@ struct SenderClaim {
 
 /// Sender measurements over unique sender IDs (Tables 3 and 4). Sender
 /// uniqueness is first-wins in `post_id` order, so the accumulator keeps
-/// per-sender claims and counts only the winners at
-/// [`SenderInfoAcc::finish`]; retraction and shard merges promote the
-/// next-lowest claim exactly as the batch pass would.
+/// the lowest claim per sender and counts only the winners at
+/// [`SenderInfoAcc::finish`]; one sender can span dedup groups on several
+/// shards, and shard merges keep the lowest claim exactly as the batch
+/// pass would.
 #[derive(Debug, Clone, Default)]
 pub struct SenderInfoAcc {
     claims: FirstClaim<String, SenderClaim>,
@@ -66,13 +67,6 @@ impl SenderInfoAcc {
                 hlr_failed: r.is_missing(MissingField::Hlr),
             },
         );
-    }
-
-    /// Retract a record previously folded in.
-    pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        let Some(sender) = &r.sender else { return };
-        self.claims
-            .sub(&sender.display_string(), r.curated.post_id.0);
     }
 
     /// Absorb another shard's accumulator.

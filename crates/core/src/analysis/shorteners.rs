@@ -54,13 +54,6 @@ impl ShortenerAcc {
         );
     }
 
-    /// Retract a record previously folded in.
-    pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        let Some(url) = &r.url else { return };
-        self.claims
-            .sub(&url.parsed.to_url_string(), r.curated.post_id.0);
-    }
-
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: ShortenerAcc) {
         self.claims.merge(other.claims);

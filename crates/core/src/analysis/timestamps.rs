@@ -2,7 +2,7 @@
 //! including the pairwise KS tests and the 2021-campaign filter.
 
 use crate::table::TextTable;
-use smishing_stats::{ks_two_sample, median, KsResult, RefCount};
+use smishing_stats::{ks_two_sample, median, Counter, KsResult};
 use smishing_types::{TimeOfDay, Weekday};
 use std::collections::HashMap;
 
@@ -20,13 +20,13 @@ pub struct SendTimes {
 }
 
 /// Figure 2 data: the sample multiset accumulates one curated message at
-/// a time and merges across shards; the burst filter and per-weekday
+/// a time and merges across workers; the burst filter and per-weekday
 /// grouping are applied at [`SendTimesAcc::finish`]. All downstream
 /// statistics (medians, KS tests, quantiles) are multiset functions, so
 /// the reconstructed sample order is irrelevant.
 #[derive(Debug, Clone, Default)]
 pub struct SendTimesAcc {
-    samples: RefCount<(Weekday, u32)>,
+    samples: Counter<(Weekday, u32)>,
     usable: usize,
     excluded: usize,
 }
@@ -50,7 +50,7 @@ impl SendTimesAcc {
 
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: SendTimesAcc) {
-        self.samples.merge(other.samples);
+        self.samples.merge(&other.samples);
         self.usable += other.usable;
         self.excluded += other.excluded;
     }

@@ -60,13 +60,6 @@ impl TldAcc {
         );
     }
 
-    /// Retract a record previously folded in.
-    pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        let Some(url) = &r.url else { return };
-        self.claims
-            .sub(&url.parsed.to_url_string(), r.curated.post_id.0);
-    }
-
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: TldAcc) {
         self.claims.merge(other.claims);

@@ -43,15 +43,6 @@ impl TlsAcc {
         self.claims.add(domain, r.curated.post_id.0, issuers);
     }
 
-    /// Retract a record previously folded in.
-    pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        let Some(url) = &r.url else { return };
-        let Some(domain) = url.domain.as_ref() else {
-            return;
-        };
-        self.claims.sub(domain, r.curated.post_id.0);
-    }
-
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: TlsAcc) {
         self.claims.merge(other.claims);

@@ -1,18 +1,18 @@
-//! The per-shard analysis state: every incremental accumulator from
+//! The per-worker analysis state: every incremental accumulator from
 //! `crate::analysis`, bundled with uniform `add`/`merge` entry
 //! points.
 //!
 //! Each engine worker owns one [`AnalysisAccs`]. Curation workers feed the
-//! post-level accumulators (Table 1's posts/images columns, Table 15);
-//! analyst shards feed the message- and record-level ones, and at every
-//! cut fold each dedup group once through its winner's evidence
-//! ([`AnalysisAccs::add_group`]: Table 1's unique column, Tables 10 and
-//! 12). Merging the bundles from every worker yields exactly the state a
-//! single sequential pass would have built. The engine's assembly step
-//! stores that merge on every
-//! [`PipelineOutput`](crate::pipeline::PipelineOutput) it builds — batch,
-//! end of stream and each snapshot — so these accumulators are the one
-//! fold behind every accumulator-backed table, mid-stream or final.
+//! post- and message-level accumulators, which do not depend on
+//! deduplication (Table 1's volume columns, Tables 11 and 15, Figure 2).
+//! Analyst shards fold each dedup group once, at every cut, into a fresh
+//! bundle through its winner and the evidence it carries
+//! ([`AnalysisAccs::add_group`]). Nothing is ever withdrawn. Merging the
+//! bundles from every worker yields exactly the state a single sequential
+//! pass would have built. The engine's assembly step stores that merge on
+//! every [`PipelineOutput`](crate::pipeline::PipelineOutput) it builds —
+//! batch, end of stream and each snapshot — so these accumulators are the
+//! one fold behind every accumulator-backed table, mid-stream or final.
 
 use crate::analysis::asn::AsnAcc;
 use crate::analysis::av::AvAcc;
@@ -90,15 +90,24 @@ impl AnalysisAccs {
         }
     }
 
-    /// Fold in one curated message (duplicates included).
+    /// Fold in one curated message, duplicates included (curation-worker
+    /// side: none of these columns depends on deduplication).
     pub fn add_curated(&mut self, c: &CuratedMessage) {
         self.overview.add_curated(c);
         self.languages.add_curated(c);
         self.send_times.add_curated(c);
     }
 
-    /// Fold in one unique (dedup-winning) enriched record.
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
+    /// Fold in one dedup group through its winner and the evidence the
+    /// winner carries: every record-level table, Table 1's unique-message
+    /// column, and Tables 10 and 12, which weight the winner's annotation
+    /// by the group's report count. The engine runs it once per group
+    /// whenever a shard emits a cut (a snapshot or the end of the stream),
+    /// on the fresh bundle it sends.
+    pub fn add_group(&mut self, r: &EnrichedRecord) {
+        self.overview.add_group(&r.evidence);
+        self.categories.add_group(r);
+        self.brands.add_group(r);
         self.lures.add_record(r);
         self.sender_info.add_record(r);
         self.shorteners.add_record(r);
@@ -111,34 +120,6 @@ impl AnalysisAccs {
         if r.is_degraded() {
             self.degraded_records += 1;
         }
-    }
-
-    /// Retract a record displaced by an earlier-post duplicate.
-    pub fn sub_record(&mut self, r: &EnrichedRecord) {
-        self.lures.sub_record(r);
-        self.sender_info.sub_record(r);
-        self.shorteners.sub_record(r);
-        self.tlds.sub_record(r);
-        self.tls.sub_record(r);
-        self.asn.sub_record(r);
-        self.av.sub_record(r);
-        self.countries.sub_record(r);
-        self.registrars.sub_record(r);
-        if r.is_degraded() {
-            self.degraded_records -= 1;
-        }
-    }
-
-    /// Fold in one dedup group through its winner and the evidence the
-    /// winner carries: Table 1's unique-message column, and Tables 10 and
-    /// 12, which weight the winner's annotation by the group's report
-    /// count. Unlike the other folds this one is not incremental: the
-    /// engine runs it once per group whenever a shard emits a cut (a
-    /// snapshot or the end of the stream), on the bundle it sends.
-    pub fn add_group(&mut self, r: &EnrichedRecord) {
-        self.overview.add_group(&r.evidence);
-        self.categories.add_group(r);
-        self.brands.add_group(r);
     }
 
     /// Absorb another worker's bundle.

@@ -16,22 +16,21 @@
 //!   channels. A full channel blocks the feeder — real backpressure,
 //!   bounded memory.
 //! * **Curators** run the pure per-post curation (`curate_post`), own the
-//!   post-level accumulators (Table 1 volume columns, Table 15), derive
-//!   each curated message's dedup key and send the message with its key
-//!   to the analyst shard owning that key.
+//!   accumulators that do not depend on deduplication (Table 1's volume
+//!   and message columns, Tables 11 and 15, Figure 2), derive each curated
+//!   message's dedup key and send the message with its key to the analyst
+//!   shard owning that key.
 //! * **Analyst shards** each own a [`GroupTable`]: the per-key dedup
-//!   winner (minimum post id) with its group's report evidence, next to
-//!   one [`AnalysisAccs`]. It is the program's only dedup-group table.
-//!   Enrichment runs through the
-//!   [`EnricherRegistry`](crate::enrich::EnricherRegistry) — the same
-//!   stage list everywhere — behind a per-shard
-//!   [`ResilientClient`](crate::enrich::ResilientClient). When a
-//!   later-arriving but earlier-posted duplicate displaces a winner, the
-//!   old record is retracted (`sub_record`) and the new one folded in —
-//!   so shard state always equals a batch pass over the posts seen so
-//!   far. At every cut (a snapshot or the end of the stream) the shard
-//!   folds each group once, through its winner's evidence
-//!   ([`AnalysisAccs::add_group`]), into the bundle it sends.
+//!   winner (minimum post id) with its group's report evidence. It is the
+//!   program's only dedup-group table. Enrichment runs through the
+//!   [`EnricherRegistry`] — the same stage list everywhere — behind a
+//!   per-shard [`ResilientClient`]. When a later-arriving but
+//!   earlier-posted duplicate displaces a winner, the new record simply
+//!   replaces it: nothing has been folded yet. At every cut (a snapshot or
+//!   the end of the stream) the shard folds each group once, through its
+//!   winner and the evidence it carries ([`AnalysisAccs::add_group`]),
+//!   into a fresh bundle it sends, so the bundle always equals a batch
+//!   pass over the posts seen so far.
 //! * **Snapshots** use aligned markers: the feeder injects a marker after
 //!   post `k`; curators forward it to every shard; a shard freezes its
 //!   state once markers from *all* curators arrived, buffering any
@@ -41,7 +40,7 @@
 //!
 //! # Ordering invariant
 //!
-//! The merge step ([`assemble`]) owns canonical ordering: curated
+//! The merge step (`assemble`) owns canonical ordering: curated
 //! messages and enriched records are sorted by post id, and per-forum
 //! collection stats are listed in `Forum::ALL` order. Combined with
 //! set-semantics dedup (minimum post id wins per key), the output is a
@@ -207,13 +206,12 @@ fn obs_send<T>(tx: &Sender<T>, msg: T, blocked: &Counter, wait: &Histogram) -> b
 /// The dedup-group table of one analyst shard, and the only dedup-group
 /// table in the program. Per dedup key it keeps the group's winner (the
 /// minimum post id, enriched) carrying the group's
-/// [`Evidence`](crate::enrich::Evidence), next to
-/// the shard's accumulators. A later-arriving but earlier-posted duplicate
-/// displaces the winner with exact retraction: the old record leaves the
-/// accumulators, the new one enters and takes over the evidence.
+/// [`Evidence`](crate::enrich::Evidence). A later-arriving but
+/// earlier-posted duplicate displaces the winner and takes over the
+/// evidence. Nothing is folded until a cut, so a displaced winner leaves
+/// no trace.
 #[derive(Debug, Default)]
 pub struct GroupTable {
-    accs: AnalysisAccs,
     winners: HashMap<String, EnrichedRecord>,
 }
 
@@ -231,12 +229,9 @@ impl GroupTable {
         c: &CuratedMessage,
         enrich: impl FnOnce(CuratedMessage) -> EnrichedRecord,
     ) {
-        self.accs.add_curated(c);
         match self.winners.entry(key) {
             Entry::Vacant(slot) => {
-                let rec = enrich(c.clone());
-                self.accs.add_record(&rec);
-                slot.insert(rec);
+                slot.insert(enrich(c.clone()));
             }
             Entry::Occupied(mut slot) => {
                 let winner = slot.get_mut();
@@ -244,9 +239,7 @@ impl GroupTable {
                     let mut rec = enrich(c.clone());
                     rec.evidence = winner.evidence;
                     rec.evidence.absorb(c);
-                    self.accs.add_record(&rec);
-                    let old = std::mem::replace(winner, rec);
-                    self.accs.sub_record(&old);
+                    *winner = rec;
                 } else {
                     winner.evidence.absorb(c);
                 }
@@ -254,23 +247,21 @@ impl GroupTable {
         }
     }
 
-    /// The table at a cut: its winners (in no particular order), and its
-    /// accumulators with every group folded in
+    /// The table at a cut: its winners (in no particular order), and a
+    /// fresh bundle with each group folded in once
     /// ([`AnalysisAccs::add_group`]).
     pub fn cut(&self) -> (AnalysisAccs, Vec<EnrichedRecord>) {
-        with_groups(self.accs.clone(), self.winners.values().cloned().collect())
+        with_groups(self.winners.values().cloned().collect())
     }
 
     /// [`GroupTable::cut`], consuming the table.
     pub fn into_cut(self) -> (AnalysisAccs, Vec<EnrichedRecord>) {
-        with_groups(self.accs, self.winners.into_values().collect())
+        with_groups(self.winners.into_values().collect())
     }
 }
 
-fn with_groups(
-    mut accs: AnalysisAccs,
-    records: Vec<EnrichedRecord>,
-) -> (AnalysisAccs, Vec<EnrichedRecord>) {
+fn with_groups(records: Vec<EnrichedRecord>) -> (AnalysisAccs, Vec<EnrichedRecord>) {
+    let mut accs = AnalysisAccs::new();
     for r in &records {
         accs.add_group(r);
     }
@@ -444,7 +435,7 @@ where
             }
         });
 
-        // Curators: pure per-post curation + post-level accumulators.
+        // Curators: pure per-post curation + the dedup-free accumulators.
         for (curator_idx, rx) in curator_rxs.into_iter().enumerate() {
             s.spawn({
                 let shard_txs = shard_txs.clone();
@@ -475,6 +466,7 @@ where
                                     }
                                     if let Some(c) = curate_post(&post, &opts) {
                                         curated_counter.inc();
+                                        accs.add_curated(&c);
                                         // Derived once: the key routes the
                                         // message and keys the shard's
                                         // group table.
@@ -523,9 +515,9 @@ where
         }
         drop(shard_txs);
 
-        // Analyst shards: curated/record accumulators + dedup winners, with
-        // marker alignment (messages that overtake a slower curator's
-        // marker wait in `deferred`).
+        // Analyst shards: dedup winners, folded at every cut, with marker
+        // alignment (messages that overtake a slower curator's marker wait
+        // in `deferred`).
         for (shard_idx, rx) in shard_rxs.into_iter().enumerate() {
             s.spawn({
                 let collector_tx = collector_tx.clone();

@@ -1,12 +1,12 @@
 //! Pipeline orchestration: world → collected → curated → enriched.
 //!
 //! `Pipeline` is a thin *batch frontend* over the one execution core in
-//! [`exec`](crate::exec): it feeds the world's posts through the sharded
+//! [`exec`]: it feeds the world's posts through the sharded
 //! stage engine with no snapshot plan. Collection, curation, dedup, and
 //! enrichment all happen inside the engine's workers; the engine's merge
 //! step owns canonical output ordering (records and curated messages
 //! sorted by post id — see the ordering invariant in
-//! [`exec::engine`](crate::exec::engine)). Output is byte-identical at
+//! [`exec::engine`]). Output is byte-identical at
 //! any shard count, so the default plan runs sharded-parallel while tests
 //! that pin schedule-dependent *metrics* use
 //! [`ExecPlan::sequential`](crate::exec::ExecPlan::sequential).

@@ -3,7 +3,7 @@
 //! `smish`, `repro`, and integration harnesses all build the same
 //! [`RunConfig`]: world parameters (scale/seed), curation options, an
 //! [`ExecPlan`] for the execution core, a deterministic
-//! [`FaultPlan`](smishing_fault::FaultPlan), and the observability sinks.
+//! [`FaultPlan`], and the observability sinks.
 //! The shared [`RunConfig::parse_flag`] gives every binary the same
 //! flag vocabulary — a flag documented for one tool means the same thing
 //! everywhere — and the helpers ([`world`](RunConfig::world),
@@ -174,11 +174,7 @@ impl RunConfig {
             "--serve-workers" => self.serve_workers = count("--serve-workers", 0, MAX_THREADS)?,
             "--queue-depth" => self.queue_depth = count("--queue-depth", 1, MAX_CAPACITY)?,
             "--intel-window" => {
-                self.intel_window_secs = Some(
-                    take("--intel-window")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
+                self.intel_window_secs = Some(count("--intel-window", 0, usize::MAX)? as u64)
             }
             "--adversary" => self.adversary = take("--adversary")?.parse()?,
             "--fault-profile" => self.faults = take("--fault-profile")?.parse()?,
@@ -368,6 +364,8 @@ mod tests {
             ("--serve-workers", "-1"),
             ("--queue-depth", "0"),
             ("--queue-depth", "18446744073709551615"),
+            ("--intel-window", "-5"),
+            ("--intel-window", "18446744073709551616"),
         ] {
             assert!(parse(&mut cfg, &[flag, bad]).is_err(), "{flag} {bad}");
         }
@@ -389,8 +387,15 @@ mod tests {
             ),
             "rejected values never land"
         );
+        assert_eq!(cfg.intel_window_secs, d.intel_window_secs);
+        let err = parse(&mut cfg, &["--intel-window", "-5"]).unwrap_err();
+        assert!(err.starts_with("bad --intel-window -5"), "{err}");
         parse(&mut cfg, &["--serve-workers", "0", "--queue-depth", "1"]).unwrap();
         assert_eq!((cfg.serve_workers, cfg.queue_depth), (0, 1));
+        parse(&mut cfg, &["--intel-window", "0"]).unwrap();
+        assert_eq!(cfg.intel_window_secs, Some(0));
+        parse(&mut cfg, &["--intel-window", "18446744073709551615"]).unwrap();
+        assert_eq!(cfg.intel_window_secs, Some(u64::MAX));
     }
 
     /// Every flag the usage string lists.

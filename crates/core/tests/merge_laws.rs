@@ -1,9 +1,9 @@
 //! Property tests for the accumulator merge laws the engine relies on:
 //! merging is commutative and associative, shard-partitioned folds equal a
-//! single sequential fold, and arrival order is immaterial under winner
-//! retraction — for every incremental analysis at once (compared through
-//! their rendered tables). Shards fold through the engine's own
-//! [`GroupTable`].
+//! single sequential fold, arrival order is immaterial under winner
+//! displacement, and a cut taken part-way equals the fold of the prefix —
+//! for every incremental analysis at once (compared through their
+//! rendered tables). Shards fold through the engine's own [`GroupTable`].
 
 use proptest::prelude::*;
 use smishing_core::curation::{CuratedMessage, CurationOptions};
@@ -42,16 +42,50 @@ fn groups() -> &'static Vec<Vec<CuratedMessage>> {
     })
 }
 
-/// The engine's shard fold: every message through the engine's own group
-/// table, then the table's cut (its accumulators with every group folded
-/// in).
+/// Feed one message to the engine's two folds: the curator side
+/// (`add_curated`) and the shard's group table.
+fn apply(curated: &mut AnalysisAccs, table: &mut GroupTable, c: &CuratedMessage) {
+    curated.add_curated(c);
+    let key = c.dedup_key(CurationOptions::default().dedup);
+    table.apply(key, c, |c| enrich(c, world()));
+}
+
+/// The curator-side bundle merged with the table's cut (a fresh bundle
+/// with every group folded in once).
+fn with_cut(mut curated: AnalysisAccs, cut: AnalysisAccs) -> AnalysisAccs {
+    curated.merge(cut);
+    curated
+}
+
+/// The engine's shard fold: every message through both folds, then the
+/// table's cut.
 fn fold<'a>(messages: impl Iterator<Item = &'a CuratedMessage>) -> AnalysisAccs {
-    let mode = CurationOptions::default().dedup;
+    let mut curated = AnalysisAccs::new();
     let mut table = GroupTable::new();
     for c in messages {
-        table.apply(c.dedup_key(mode), c, |c| enrich(c, world()));
+        apply(&mut curated, &mut table, c);
     }
-    table.into_cut().0
+    with_cut(curated, table.into_cut().0)
+}
+
+/// Every message, shuffled with a seeded Fisher-Yates.
+fn shuffled(seed: u64) -> Vec<&'static CuratedMessage> {
+    let mut all: Vec<&CuratedMessage> = groups().iter().flat_map(|g| g.iter()).collect();
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+    for i in (1..all.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        all.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    all
+}
+
+/// Sequential fold in post-id order, where no winner is ever displaced.
+fn fold_in_post_order(messages: &[&CuratedMessage]) -> AnalysisAccs {
+    let mut ordered = messages.to_vec();
+    ordered.sort_by_key(|c| c.post_id);
+    fold(ordered.into_iter())
 }
 
 /// Canonical rendering of every analysis for comparison.
@@ -110,22 +144,32 @@ proptest! {
 
     #[test]
     fn arrival_order_is_immaterial(seed in 0u64..1_000_000) {
-        // Shuffle all messages with a seeded Fisher-Yates; winner
-        // replacement + retraction must converge to the same state as
-        // post-id order.
-        let mut all: Vec<&CuratedMessage> = groups().iter().flat_map(|g| g.iter()).collect();
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
-        for i in (1..all.len()).rev() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            all.swap(i, (state % (i as u64 + 1)) as usize);
-        }
+        // Winner displacement must converge to the same state as post-id
+        // order.
+        let all = shuffled(seed);
         let shuffled = fold(all.iter().copied());
-        let mut ordered: Vec<&CuratedMessage> = groups().iter().flat_map(|g| g.iter()).collect();
-        ordered.sort_by_key(|c| c.post_id);
-        let sequential = fold(ordered.iter().copied());
-        prop_assert_eq!(render(&shuffled), render(&sequential));
+        prop_assert_eq!(render(&shuffled), render(&fold_in_post_order(&all)));
+    }
+
+    #[test]
+    fn a_cut_part_way_equals_the_fold_of_its_prefix(seed in 0u64..1_000_000, at in 0.0f64..1.0) {
+        // Cut the table part-way through a shuffled feed, then feed the
+        // rest: the mid-way cut is the fold of the prefix, and a winner
+        // displaced after it leaves no trace in the final cut.
+        let all = shuffled(seed);
+        let (prefix, rest) = all.split_at((all.len() as f64 * at) as usize);
+        let mut curated = AnalysisAccs::new();
+        let mut table = GroupTable::new();
+        for c in prefix {
+            apply(&mut curated, &mut table, c);
+        }
+        let mid = with_cut(curated.clone(), table.cut().0);
+        prop_assert_eq!(render(&mid), render(&fold_in_post_order(prefix)));
+        for c in rest {
+            apply(&mut curated, &mut table, c);
+        }
+        let end = with_cut(curated, table.into_cut().0);
+        prop_assert_eq!(render(&end), render(&fold_in_post_order(&all)));
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! reader thread, fans queries out to N triage workers, and reassembles
 //! replies in sequence order — sharing `LineReader` (input), `classify`
 //! (parsing), `answer_query` (the one timed [`Triage::answer`] call and
-//! its reply line) and [`SessionCore`] (accounting) with this module so
+//! its reply line) and `SessionCore` (accounting) with this module so
 //! its stdout stays byte-identical to the sequential path. Requests
 //! the bounded queue cannot admit are *shed*: no response line, but a
 //! `serve.shed` count surfaced in the `stats`/`health` verbs and the

@@ -117,9 +117,11 @@ impl<'a> SnapshotDelta<'a> {
     }
 }
 
-/// Oldest last-seen a dedup group may have and still be retained.
+/// Oldest last-seen a dedup group may have and still be retained. A
+/// window too wide for the clock evicts nothing.
 fn cutoff_of(horizon: UnixTime, window_secs: Option<u64>) -> Option<UnixTime> {
-    window_secs.map(|w| UnixTime(horizon.0.saturating_sub(w as i64)))
+    let w = i64::try_from(window_secs?).ok()?;
+    Some(UnixTime(horizon.0.saturating_sub(w)))
 }
 
 /// Newest report time of the output — the last-seen of its newest group.
@@ -727,6 +729,23 @@ mod tests {
         assert_eq!(s.len(), out.records.len());
         for (e, r) in s.entries().iter().zip(&out.records) {
             assert_eq!(e.post_id, r.curated.post_id);
+        }
+    }
+
+    #[test]
+    fn a_window_wider_than_the_clock_evicts_nothing() {
+        let out = Pipeline::default().run(world(), &Obs::noop());
+        let all = IntelSnapshot::build(&out);
+        for w in [i64::MAX as u64, 1 << 63, u64::MAX] {
+            let mut wide = IntelSnapshot::build_full(
+                &out,
+                BuildOptions {
+                    window_secs: Some(w),
+                },
+            );
+            assert_eq!(wide.evicted_count(), 0, "window {w}");
+            wide.opts = all.opts;
+            assert!(wide == all, "window {w}");
         }
     }
 

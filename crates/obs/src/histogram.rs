@@ -198,7 +198,8 @@ impl Histogram {
         self.0.as_ref().map_or(0, |c| c.max())
     }
 
-    /// Estimated `q`-quantile (see [`HistogramCore::quantile`]).
+    /// Estimated `q`-quantile (0.0..=1.0) by in-bucket linear
+    /// interpolation, clamped to the observed `[min, max]`.
     pub fn quantile(&self, q: f64) -> f64 {
         self.0.as_ref().map_or(0.0, |c| c.quantile(q))
     }

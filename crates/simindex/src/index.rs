@@ -11,7 +11,7 @@
 //!
 //! A query makes one pass over `sigs`. A doc is a candidate when it
 //! agrees with the query on at least one whole `64/bands`-bit band,
-//! which the [`Bands`] test reads off `q ^ s` without extracting a key.
+//! which the `Bands` test reads off `q ^ s` without extracting a key.
 //! Candidates within `max_hamming` are ranked by Hamming distance, and
 //! the closest survivors re-ranked by exact n-gram Jaccard.
 //!

@@ -13,8 +13,8 @@
 //! - [`sample`]: seeded reservoir sampling (the 150-message IRR subset and
 //!   the 200-report case-study sample),
 //! - [`unionfind`]: disjoint-set union for campaign linking,
-//! - [`merge`]: mergeable accumulator primitives (multisets with
-//!   retraction, first-writer-wins claims) for the streaming engine.
+//! - [`merge`]: first-writer-wins claims, the mergeable accumulator
+//!   primitive for analyses that count each key once.
 //!
 //! Everything is deterministic: functions either take no randomness or take
 //! an explicit `&mut impl Rng`.
@@ -37,7 +37,7 @@ pub use descriptive::{mean, stddev, variance};
 pub use histogram::Histogram;
 pub use kappa::{cohen_kappa, kappa_from_labels, AgreementLevel};
 pub use ks::{ks_two_sample, KsResult};
-pub use merge::{FirstClaim, RefCount};
+pub use merge::FirstClaim;
 pub use quantile::{median, quantile};
 pub use sample::reservoir_sample;
 pub use unionfind::UnionFind;

@@ -1,145 +1,44 @@
-//! Mergeable accumulator primitives for sharded streaming analysis.
+//! Mergeable accumulator primitive for sharded streaming analysis.
 //!
 //! The sharded engine (`smishing_core::exec`) splits the report feed across
-//! worker shards, each folding its slice into per-analysis accumulators,
-//! and periodically merges shard states into one result that must equal the
-//! batch computation exactly. Two primitives make that exactness possible:
+//! worker shards. At every cut each shard folds its dedup winners once into
+//! per-analysis accumulators, and the collector merges the shard states
+//! into one result that must equal the batch computation exactly. Plain
+//! counts merge by summing ([`Counter::merge`](crate::Counter::merge));
+//! analyses that count each *key* once (a URL, a domain, a sender) need
+//! [`FirstClaim`].
 //!
-//! - [`RefCount`]: a multiset with *subtraction*, so a shard can retract a
-//!   contribution when a later, lower-`post_id` duplicate displaces the
-//!   record that produced it. [`RefCount::to_counter`] emits only keys with
-//!   a non-zero count, so a fully retracted key leaves no trace — exactly
-//!   as if it had never been counted.
-//! - [`FirstClaim`]: "first writer wins" with retraction. Batch analyses
-//!   repeatedly do `if seen.insert(key) { use this record }` while walking
-//!   records in `post_id` order, so the *winning* record for a key is the
-//!   one with the smallest `post_id`. `FirstClaim` keeps every live claim
-//!   keyed by claimant id; the winner is always the minimum claimant, which
-//!   makes `merge` order-independent and `sub` exact (the next-smallest
-//!   claim takes over, even across shard boundaries).
+//! - [`FirstClaim`]: "first writer wins". Batch analyses repeatedly do
+//!   `if seen.insert(key) { use this record }` while walking records in
+//!   `post_id` order, so the *winning* record for a key is the one with
+//!   the smallest `post_id`. `FirstClaim` keeps, per key, the claim with
+//!   the minimum claimant id. One domain or sender can span dedup groups
+//!   held by different shards, so the minimum is taken again on merge,
+//!   which makes `merge` order-independent.
 //!
-//! Both types obey merge laws (commutative, associative, identity on the
+//! It obeys the merge laws (commutative, associative, identity on the
 //! empty value) verified by property tests in `smishing-core`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::Counter;
-
-/// A multiset over hashable keys supporting exact retraction and merge.
-#[derive(Debug, Clone)]
-pub struct RefCount<K: Eq + Hash> {
-    counts: HashMap<K, u64>,
-}
-
-impl<K: Eq + Hash> Default for RefCount<K> {
-    fn default() -> Self {
-        RefCount {
-            counts: HashMap::new(),
-        }
-    }
-}
-
-impl<K: Eq + Hash + Clone + Ord> RefCount<K> {
-    /// New empty multiset.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one occurrence of `key`.
-    pub fn add(&mut self, key: K) {
-        self.add_n(key, 1);
-    }
-
-    /// Add `n` occurrences of `key`.
-    pub fn add_n(&mut self, key: K, n: u64) {
-        if n > 0 {
-            *self.counts.entry(key).or_insert(0) += n;
-        }
-    }
-
-    /// Retract one occurrence of `key`. Panics if the key's count is zero —
-    /// a retraction without a matching addition is always an engine bug.
-    pub fn sub(&mut self, key: &K) {
-        let c = self
-            .counts
-            .get_mut(key)
-            .unwrap_or_else(|| panic!("RefCount::sub on absent key"));
-        *c -= 1;
-        if *c == 0 {
-            self.counts.remove(key);
-        }
-    }
-
-    /// Count for one key (0 if absent).
-    pub fn get(&self, key: &K) -> u64 {
-        self.counts.get(key).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct keys with a non-zero count.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total multiplicity across all keys.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-
-    /// Whether the multiset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Iterate over `(key, count)` pairs in unspecified order; counts are
-    /// always non-zero.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
-        self.counts.iter().map(|(k, &c)| (k, c))
-    }
-
-    /// Absorb another multiset.
-    pub fn merge(&mut self, other: RefCount<K>) {
-        for (k, c) in other.counts {
-            self.add_n(k, c);
-        }
-    }
-
-    /// Snapshot into a plain [`Counter`] (only non-zero keys appear, so the
-    /// result is identical to counting the surviving occurrences directly).
-    pub fn to_counter(&self) -> Counter<K> {
-        let mut c = Counter::new();
-        for (k, n) in self.counts.iter() {
-            c.add_n(k.clone(), *n);
-        }
-        c
-    }
-}
-
-impl<K: Eq + Hash + Clone + Ord> FromIterator<K> for RefCount<K> {
-    fn from_iter<I: IntoIterator<Item = K>>(iter: I) -> Self {
-        let mut rc = RefCount::new();
-        for k in iter {
-            rc.add(k);
-        }
-        rc
-    }
-}
-
-/// First-writer-wins map with exact retraction and order-independent merge.
+/// First-writer-wins map with order-independent merge.
 ///
 /// Each `(key, claimant, value)` triple records that the record with id
 /// `claimant` would contribute `value` for `key`. The *winner* for a key is
 /// the claim with the smallest claimant id — matching batch code that walks
-/// records in ascending `post_id` order and keeps the first per key.
+/// records in ascending `post_id` order and keeps the first per key. Only
+/// the winner is kept.
 #[derive(Debug, Clone)]
 pub struct FirstClaim<K: Eq + Hash, V> {
-    claims: HashMap<K, BTreeMap<u64, V>>,
+    winners: HashMap<K, (u64, V)>,
 }
 
 impl<K: Eq + Hash, V> Default for FirstClaim<K, V> {
     fn default() -> Self {
         FirstClaim {
-            claims: HashMap::new(),
+            winners: HashMap::new(),
         }
     }
 }
@@ -150,44 +49,36 @@ impl<K: Eq + Hash + Clone + Ord, V> FirstClaim<K, V> {
         Self::default()
     }
 
-    /// Record a claim. Panics on a duplicate `(key, claimant)` pair — a
+    /// Record a claim; it wins its key if its claimant is the smallest so
+    /// far. Panics when the winning claimant claims the key again — a
     /// claimant (post id) claims any key at most once.
     pub fn add(&mut self, key: K, claimant: u64, value: V) {
-        let prev = self.claims.entry(key).or_default().insert(claimant, value);
-        assert!(
-            prev.is_none(),
-            "FirstClaim::add: duplicate claimant {claimant}"
-        );
-    }
-
-    /// Retract a claim. Panics if the claim does not exist.
-    pub fn sub(&mut self, key: &K, claimant: u64) {
-        let per_key = self
-            .claims
-            .get_mut(key)
-            .unwrap_or_else(|| panic!("FirstClaim::sub on absent key"));
-        per_key
-            .remove(&claimant)
-            .unwrap_or_else(|| panic!("FirstClaim::sub on absent claimant {claimant}"));
-        if per_key.is_empty() {
-            self.claims.remove(key);
+        match self.winners.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert((claimant, value));
+            }
+            Entry::Occupied(mut slot) => {
+                let held = slot.get().0;
+                assert!(
+                    held != claimant,
+                    "FirstClaim::add: duplicate claimant {claimant}"
+                );
+                if claimant < held {
+                    slot.insert((claimant, value));
+                }
+            }
         }
     }
 
     /// The winning claim for `key`, if any: `(claimant, value)` with the
     /// smallest claimant id.
     pub fn winner(&self, key: &K) -> Option<(u64, &V)> {
-        self.claims
-            .get(key)
-            .and_then(|m| m.iter().next())
-            .map(|(&c, v)| (c, v))
+        self.winners.get(key).map(|(c, v)| (*c, v))
     }
 
     /// Iterate winners over all keys in unspecified key order.
     pub fn winners(&self) -> impl Iterator<Item = (&K, u64, &V)> {
-        self.claims
-            .iter()
-            .filter_map(|(k, m)| m.iter().next().map(|(&c, v)| (k, c, v)))
+        self.winners.iter().map(|(k, (c, v))| (k, *c, v))
     }
 
     /// Winners sorted by claimant id ascending — the order batch code
@@ -198,26 +89,22 @@ impl<K: Eq + Hash + Clone + Ord, V> FirstClaim<K, V> {
         out
     }
 
-    /// Number of keys holding at least one live claim.
+    /// Number of claimed keys.
     pub fn len(&self) -> usize {
-        self.claims.len()
+        self.winners.len()
     }
 
     /// Whether no claims are held.
     pub fn is_empty(&self) -> bool {
-        self.claims.is_empty()
+        self.winners.is_empty()
     }
 
-    /// Absorb another claim map. Claim sets for shared keys are unioned, so
-    /// the winner after merging is the global minimum claimant regardless
-    /// of which shard saw it.
+    /// Absorb another claim map: per shared key the smaller claimant wins,
+    /// so the winner after merging is the global minimum claimant
+    /// regardless of which shard saw it.
     pub fn merge(&mut self, other: FirstClaim<K, V>) {
-        for (k, m) in other.claims {
-            let per_key = self.claims.entry(k).or_default();
-            for (c, v) in m {
-                let prev = per_key.insert(c, v);
-                assert!(prev.is_none(), "FirstClaim::merge: duplicate claimant {c}");
-            }
+        for (k, (c, v)) in other.winners {
+            self.add(k, c, v);
         }
     }
 }
@@ -226,52 +113,44 @@ impl<K: Eq + Hash + Clone + Ord, V> FirstClaim<K, V> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn refcount_add_sub_roundtrip() {
-        let mut rc: RefCount<&str> = RefCount::new();
-        rc.add("a");
-        rc.add("a");
-        rc.add("b");
-        assert_eq!(rc.get(&"a"), 2);
-        rc.sub(&"a");
-        rc.sub(&"b");
-        assert_eq!(rc.get(&"a"), 1);
-        // Fully retracted keys vanish from the counter snapshot.
-        let c = rc.to_counter();
-        assert_eq!(c.distinct(), 1);
-        assert_eq!(c.get(&"b"), 0);
-        assert_eq!(rc.total(), 1);
-    }
+    /// The six orders of three claims.
+    const ORDERS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
 
-    #[test]
-    #[should_panic(expected = "absent key")]
-    fn refcount_oversub_panics() {
-        let mut rc: RefCount<u8> = RefCount::new();
-        rc.sub(&1);
-    }
-
-    #[test]
-    fn refcount_merge_is_sum() {
-        let mut a: RefCount<char> = ['x', 'y'].into_iter().collect();
-        let b: RefCount<char> = ['y', 'z'].into_iter().collect();
-        a.merge(b);
-        assert_eq!(a.get(&'y'), 2);
-        assert_eq!(a.distinct(), 3);
+    fn claims(cs: &[(u64, u32)]) -> FirstClaim<&'static str, u32> {
+        let mut fc = FirstClaim::new();
+        for &(c, v) in cs {
+            fc.add("d.com", c, v);
+        }
+        fc
     }
 
     #[test]
     fn first_claim_min_claimant_wins() {
-        let mut fc: FirstClaim<&str, u32> = FirstClaim::new();
-        fc.add("d.com", 30, 300);
-        fc.add("d.com", 10, 100);
-        fc.add("d.com", 20, 200);
-        assert_eq!(fc.winner(&"d.com"), Some((10, &100)));
-        // Retract the winner: the next-smallest claim takes over.
-        fc.sub(&"d.com", 10);
-        assert_eq!(fc.winner(&"d.com"), Some((20, &200)));
-        fc.sub(&"d.com", 20);
-        fc.sub(&"d.com", 30);
-        assert!(fc.is_empty());
+        let all = [(30, 300), (10, 100), (20, 200)];
+        for order in ORDERS {
+            let cs: Vec<(u64, u32)> = order.iter().map(|&i| all[i]).collect();
+            assert_eq!(claims(&cs).winner(&"d.com"), Some((10, &100)), "{cs:?}");
+            // Split the claims between two maps at every point and merge
+            // in both orders: the minimum claimant wins wherever it was.
+            for split in 0..=cs.len() {
+                let (a, b) = (claims(&cs[..split]), claims(&cs[split..]));
+                let mut ab = a.clone();
+                ab.merge(b.clone());
+                let mut ba = b;
+                ba.merge(a);
+                for merged in [ab, ba] {
+                    assert_eq!(merged.winner(&"d.com"), Some((10, &100)), "{cs:?}");
+                    assert_eq!(merged.len(), 1);
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,18 +6,52 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smishing_types::UnixTime;
 use smishing_webinfra::{
-    ca_policy, parse_url, refang, registrable_domain, tld_of, AsnDb, CtLog, PassiveDns,
-    ShortLinkDb, ShortenerCatalog, TldDb, WhoisDb, CA_POLICIES,
+    ca_policy, encode_host, fold_host, parse_url, refang, registrable_domain, tld_of, AsnDb, CtLog,
+    PassiveDns, ShortLinkDb, ShortenerCatalog, TldDb, WhoisDb, CA_POLICIES,
 };
+
+/// ASCII letters and their Cyrillic look-alikes, which `fold_host` folds
+/// back.
+const LOOK_ALIKES: (&str, &str) = ("aeopcxyisjhdqw", "аеорсхуіѕјһԁԛԝ");
 
 proptest! {
     #[test]
-    fn url_machinery_never_panics(s in "\\PC{0,100}") {
-        let _ = parse_url(&s);
-        let _ = refang(&s);
-        let _ = registrable_domain(&s);
-        let _ = tld_of(&s);
-        let _ = TldDb::global().classify(&s);
+    fn url_machinery_never_panics(
+        s in "\\PC{0,100}",
+        ace in "((xn|XN)--(\\PC{0,12}|[a-z0-9-]{0,24})\\.){1,3}[a-z]{0,6}",
+    ) {
+        for s in [&s, &ace] {
+            let _ = parse_url(s);
+            let _ = refang(s);
+            let _ = registrable_domain(s);
+            let _ = tld_of(s);
+            let _ = TldDb::global().classify(s);
+            let _ = fold_host(s);
+        }
+    }
+
+    #[test]
+    fn respelled_hosts_fold_alike_in_unicode_and_ace(
+        labels in prop::collection::vec("[a-z0-9]{1,12}", 1..4),
+        respell in 0u64..u64::MAX,
+        tld in prop::sample::select(vec!["com", "info", "xyz", "co.uk"]),
+    ) {
+        // Swap the letters whose bit of `respell` is set for their
+        // Cyrillic look-alikes.
+        let ascii = format!("{}.{tld}", labels.join("."));
+        let unicode: String = ascii
+            .chars()
+            .enumerate()
+            .map(|(i, c)| match LOOK_ALIKES.0.find(c) {
+                Some(at) if respell >> (i % 64) & 1 == 1 => {
+                    LOOK_ALIKES.1.chars().nth(at).expect("one look-alike per letter")
+                }
+                _ => c,
+            })
+            .collect();
+        let ace = encode_host(&unicode).expect("every label encodes");
+        prop_assert_eq!(fold_host(&unicode), ascii.clone());
+        prop_assert_eq!(fold_host(&ace), ascii);
     }
 
     #[test]

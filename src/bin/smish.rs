@@ -218,7 +218,10 @@ fn parse_args() -> Result<Args, String> {
                 args.snapshot_every =
                     Some(parse_count("--snapshot-every", &raw, 1, usize::MAX)? as u64)
             }
-            "--posts" => args.posts = Some(take("--posts")?.parse().map_err(|e| format!("{e}"))?),
+            "--posts" => {
+                let raw = take("--posts")?;
+                args.posts = Some(parse_count("--posts", &raw, 1, usize::MAX)? as u64)
+            }
             "--stream" => args.stream_mode = true,
             "--checkpoint" => args.checkpoint = Some(take("--checkpoint")?),
             other if other.starts_with("--") => {

@@ -23,7 +23,7 @@
 //! compare only the schedule-independent counter families (`enrich.*`,
 //! `pipeline.*`). *Output* is deterministic under every plan, but with
 //! multiple shards the interleaving of duplicate keys decides which
-//! displaced dedup losers get enriched before retraction, so raw service
+//! dedup losers get enriched before they are displaced, so raw service
 //! call totals — and timing series like `blocked_sends` or channel-depth
 //! gauges — legitimately vary run to run. On one curator and one shard
 //! every message is applied in arrival order, making the retry/breaker/

@@ -393,6 +393,18 @@ fn zero_snapshot_interval_is_a_usage_error() {
     }
 }
 
+#[test]
+fn zero_posts_is_a_usage_error() {
+    let out = smish()
+        .args(["watch", "--scale", "0.01", "--posts", "0", "--quiet"])
+        .output()
+        .expect("run smish");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("bad --posts 0"), "{stderr}");
+    assert!(out.stdout.is_empty(), "watch printed before failing");
+}
+
 /// Write a run report over `posts` posts with one `sum`, in ms, per
 /// wall-time layer.
 fn sized_report(path: &Path, posts: u64, layers: &[(&str, u64)]) {
