@@ -54,6 +54,22 @@ pub const WAVE_STREAM: u64 = 0xAD5A_11E5_C0DE_D00D;
 /// Most messages a single wave re-issues (and probes).
 const WAVE_MSG_CAP: usize = 3;
 
+/// The most epochs an adversarial stream may span. Waves land on every
+/// cadence boundary, and the drift scorecard republishes and probes at
+/// each, so wall time grows faster than quadratically with the epoch
+/// count: on a 2-core VM at scale 0.01, `smish drift` took 3.6 s at 30
+/// epochs, 41 s at 86 and over 300 s at 3,035 (one post per epoch).
+/// 32 is twice the 16-epoch drift soak,
+/// the largest use in the repository. Front ends refuse longer
+/// schedules before ingest.
+pub const MAX_ADVERSARY_EPOCHS: u64 = 32;
+
+/// The shortest epoch, in posts, that cuts `posts` posts into at most
+/// [`MAX_ADVERSARY_EPOCHS`] epochs.
+pub fn min_epoch_posts(posts: u64) -> u64 {
+    posts / (MAX_ADVERSARY_EPOCHS + 1) + 1
+}
+
 /// How one rotation wave replaces a campaign's indicators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
@@ -195,8 +211,8 @@ impl<'w> AdversaryWorld<'w> {
     /// Precompute the wave schedule for `world.config.adversary`.
     ///
     /// `epoch_posts` is the stream's snapshot interval; waves land on its
-    /// boundaries. An empty plan (or one with no rotation strategies and
-    /// `drifting_share == 0`) yields no waves and touches nothing.
+    /// boundaries. A plan that does not rotate campaigns
+    /// ([`AdversaryPlan::rotates`]) yields no waves and touches nothing.
     pub fn build(world: &'w World, epoch_posts: u64) -> AdversaryWorld<'w> {
         let plan = world.config.adversary.clone();
         let mut aw = AdversaryWorld {
@@ -206,7 +222,7 @@ impl<'w> AdversaryWorld<'w> {
             waves: Vec::new(),
         };
         let plan = &aw.plan;
-        if plan.is_empty() || !plan.any_strategy() || plan.drifting_share <= 0.0 {
+        if !plan.rotates() {
             return aw;
         }
         let n_epochs = world.posts.len() as u64 / aw.epoch_posts;
@@ -488,6 +504,19 @@ mod tests {
             adversary: plan,
             ..WorldConfig::test_scale(seed)
         })
+    }
+
+    #[test]
+    fn min_epoch_posts_is_the_shortest_epoch_within_the_cap() {
+        for posts in [0, 1, 32, 33, 34, 3_037, 235_140] {
+            let min = min_epoch_posts(posts);
+            assert!(posts / min <= MAX_ADVERSARY_EPOCHS, "{posts}");
+            assert!(
+                min == 1 || posts / (min - 1) > MAX_ADVERSARY_EPOCHS,
+                "{posts}"
+            );
+        }
+        assert_eq!(min_epoch_posts(3_037), 93);
     }
 
     #[test]

@@ -5,17 +5,26 @@
 //! that are later displaced; the shards buy back curation and enrichment
 //! parallelism.
 //!
-//! Besides the criterion groups, every invocation times a min-of-3 batch
-//! run at 1 and at 4 shards and panics when the 4-shard wall exceeds
-//! 1.2x the sequential wall plus 0.25 s, so a breach fails `cargo bench`.
+//! Besides the criterion groups, every invocation runs two same-machine
+//! checks that panic on a breach, so it fails `cargo bench`:
+//!
+//! - a min-of-3 batch run at 1 and at 4 shards: the 4-shard wall must
+//!   stay within 1.2x the sequential wall plus 0.25 s;
+//! - the text kernels over the world's curated texts and English
+//!   renderings, min-of-3 per kernel: `extract_brand` within 6x and
+//!   `identify_language` within 3.5x the cost of `normalize_text`. Both
+//!   answer by hash lookup and read about 2x and 1.5x on a 2-core VM;
+//!   the alias and lexicon scans they replaced read about 14x and 6x.
+//!
 //! Set `SMISHING_BENCH_QUICK=1` to skip the criterion groups and run only
-//! that check (the CI shard-parity job does).
+//! the checks (the CI shard-parity job does).
 
 use criterion::{criterion_group, Criterion};
 use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing_core::pipeline::Pipeline;
 use smishing_core::CurationOptions;
 use smishing_obs::Obs;
+use smishing_textnlp::{extract_brand, identify_language, normalize_text};
 use smishing_worldsim::{ReportStream, World, WorldConfig};
 use std::hint::black_box;
 use std::time::Instant;
@@ -109,10 +118,9 @@ fn time_batch(world: &World, shards: usize) -> u64 {
 /// sequential one: within 1.2x the sequential wall plus 0.25 s of
 /// scheduler slack, which even a starved single core meets at this small
 /// scale.
-fn shard_slowdown_check() {
-    let world = bench_world();
-    let seq_ns = time_batch(&world, 1);
-    let par_ns = time_batch(&world, 4);
+fn shard_slowdown_check(world: &World) {
+    let seq_ns = time_batch(world, 1);
+    let par_ns = time_batch(world, 4);
     let budget_ns = 1.2 * seq_ns as f64 + 0.25e9;
     eprintln!(
         "batch wall time (min of 3): sequential {:.1}ms, 4 shards {:.1}ms ({:.2}x), budget {:.1}ms",
@@ -129,6 +137,49 @@ fn shard_slowdown_check() {
     );
 }
 
+/// Min-of-3 wall time of `kernel` over every text.
+fn time_kernel<T>(texts: &[&str], kernel: impl Fn(&str) -> T) -> u64 {
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            for text in texts {
+                black_box(kernel(text));
+            }
+            t.elapsed().as_nanos() as u64
+        })
+        .min()
+        .expect("three runs")
+}
+
+/// Brand extraction and language ID must cost a small multiple of
+/// normalizing the same text: at most 6x and 3.5x `normalize_text`, over
+/// the bench world's curated texts and their English renderings.
+fn text_kernel_check(world: &World) {
+    let out = Pipeline::default().run(world, &Obs::noop());
+    let texts: Vec<&str> = out
+        .curated_total
+        .iter()
+        .flat_map(|c| [c.text.as_str(), c.english.as_str()])
+        .collect();
+    let norm_ns = time_kernel(&texts, normalize_text).max(1) as f64;
+    let brand = time_kernel(&texts, extract_brand) as f64 / norm_ns;
+    let language = time_kernel(&texts, identify_language) as f64 / norm_ns;
+    eprintln!(
+        "text kernels over {} texts (min of 3): normalize_text {:.2}us each, \
+         extract_brand {brand:.2}x (budget 6x), identify_language {language:.2}x (budget 3.5x)",
+        texts.len(),
+        norm_ns / 1e3 / texts.len().max(1) as f64
+    );
+    assert!(
+        brand <= 6.0,
+        "extract_brand costs {brand:.2}x normalize_text (budget 6x)"
+    );
+    assert!(
+        language <= 3.5,
+        "identify_language costs {language:.2}x normalize_text (budget 3.5x)"
+    );
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
@@ -136,9 +187,11 @@ criterion_group! {
 }
 
 fn main() {
-    // Quick mode: skip the criterion groups, keep the slowdown check.
+    // Quick mode: skip the criterion groups, keep the checks.
     if std::env::var_os("SMISHING_BENCH_QUICK").is_none() {
         benches();
     }
-    shard_slowdown_check();
+    let world = bench_world();
+    shard_slowdown_check(&world);
+    text_kernel_check(&world);
 }

@@ -223,7 +223,7 @@ mod tests {
     /// Curated messages of an engine run over `posts` under `plan`.
     fn engine_curated(w: &World, posts: &[Post], plan: &ExecPlan) -> Vec<CuratedMessage> {
         let opts = CurationOptions::default();
-        ingest(w, posts.iter().cloned(), &opts, plan, &Obs::noop(), |_| {})
+        ingest(w, posts.iter(), &opts, plan, &Obs::noop(), |_| {})
             .output
             .curated_total
     }

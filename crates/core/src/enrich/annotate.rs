@@ -20,10 +20,19 @@ impl Enricher for AnnotateEnricher {
     }
 }
 
+/// The reference scans `extract_brand` and `identify_language` replaced,
+/// shared with the textnlp proptests.
+#[cfg(test)]
+#[path = "../../../textnlp/tests/oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
+    use super::oracle;
     use crate::analysis::testfix;
     use smishing_textnlp::annotator::{Annotator, PipelineAnnotator};
+    use smishing_textnlp::{extract_brand, identify_language};
+    use std::collections::HashSet;
 
     /// Curation's language and English rendering are the annotator's
     /// own, so labelling from them reproduces a from-scratch annotation
@@ -42,5 +51,52 @@ mod tests {
             );
             assert_eq!(r.annotation, full, "{:?}", c.post_id);
         }
+    }
+
+    /// Brand extraction and language ID answer by lookup. On every
+    /// distinct curated text and English rendering of the fixture, and on
+    /// a one-char edit of each distinct word of at least five bytes in
+    /// the first text holding it (substitution, deletion, insertion and
+    /// transposition in turn), they agree with the scans they replaced.
+    #[test]
+    fn text_lookups_match_the_reference_scans_on_curated_texts() {
+        let out = testfix::output();
+        let texts: HashSet<&str> = out
+            .curated_total
+            .iter()
+            .flat_map(|c| [c.text.as_str(), c.english.as_str()])
+            .collect();
+        let check = |text: &str| {
+            assert_eq!(
+                extract_brand(text),
+                oracle::brand_by_scan(text),
+                "brand of {text:?}"
+            );
+            assert_eq!(
+                identify_language(text),
+                oracle::language_by_loop(text),
+                "language of {text:?}"
+            );
+        };
+        let mut edited: HashSet<&str> = HashSet::new();
+        for text in &texts {
+            check(text);
+            let words: Vec<&str> = text.split(' ').collect();
+            for (i, word) in words.iter().enumerate() {
+                if word.len() < 5 || !edited.insert(word) {
+                    continue;
+                }
+                let mut variant = words.clone();
+                let edit = oracle::edit_one(word, i as u8, word.len() / 2, 'e');
+                variant[i] = &edit;
+                check(&variant.join(" "));
+            }
+        }
+        assert!(
+            texts.len() > 1_000 && edited.len() > 1_000,
+            "{} texts, {} edited words",
+            texts.len(),
+            edited.len()
+        );
     }
 }

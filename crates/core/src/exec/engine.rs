@@ -9,12 +9,13 @@
 //!                         └──► shard = fnv(key)%N ┘     the final output)
 //! ```
 //!
-//! * The **feeder** pulls posts from the caller's iterator (the world's
-//!   post list for a batch run, a
-//!   [`ReportStream`](smishing_worldsim::ReportStream) for a live one) in
-//!   arrival order and round-robins them over per-curator bounded
-//!   channels. A full channel blocks the feeder — real backpressure,
-//!   bounded memory.
+//! * The **feeder** pulls posts from the caller's iterator in arrival
+//!   order and round-robins them over per-curator bounded channels. The
+//!   iterator yields anything that borrows as a [`Post`]: a batch run
+//!   lends the world's own posts (`&Post`, nothing copied), a
+//!   [`ReportStream`](smishing_worldsim::ReportStream) yields owned ones.
+//!   A full channel blocks the feeder — real backpressure, bounded
+//!   memory.
 //! * **Curators** run the pure per-post curation (`curate_post`), own the
 //!   accumulators that do not depend on deduplication (Table 1's volume
 //!   and message columns, Tables 11 and 15, Figure 2), derive each curated
@@ -54,6 +55,7 @@
 //!
 //! Passing an enabled [`Obs`] threads instrumentation through every
 //! worker: per-shard ingest counters (`exec.shard.curated{shard="i"}`),
+//! the per-post curation cost (`exec.curate.post_ns`, all curators),
 //! bounded channel depth gauges with high-water marks
 //! (`exec.{curator,shard}.channel_depth`), backpressure wait histograms
 //! (`exec.{feeder,curator}.backpressure_wait_ns`, recorded only when a
@@ -86,6 +88,7 @@ use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use smishing_obs::{obs_warn, Counter, Gauge, Histogram, Obs};
 use smishing_types::Forum;
 use smishing_worldsim::{Post, World};
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -123,11 +126,11 @@ pub struct IngestResult<'w> {
     pub snapshots_taken: usize,
 }
 
+/// `P` is what the caller's iterator yields: a borrowed `&Post` from a
+/// batch run over the world, or an owned `Post` from a live stream.
 #[derive(Debug)]
-enum CuratorMsg {
-    // Boxed: a Post is ~336 bytes, a marker 16; boxing keeps the queued
-    // enum small and the channel buffers cheap.
-    Post(Box<Post>),
+enum CuratorMsg<P> {
+    Post(P),
     Marker { id: u64, at_posts: u64 },
 }
 
@@ -345,7 +348,7 @@ fn assemble<'w>(
 /// instrumentation point short-circuits. A worker-thread panic is counted
 /// under `exec.engine.worker_panics` and re-raised here with its original
 /// payload after the remaining workers drain.
-pub fn ingest<'w, I, F>(
+pub fn ingest<'w, I, P, F>(
     world: &'w World,
     posts: I,
     curation: &CurationOptions,
@@ -354,7 +357,8 @@ pub fn ingest<'w, I, F>(
     mut on_snapshot: F,
 ) -> IngestResult<'w>
 where
-    I: Iterator<Item = Post> + Send,
+    I: Iterator<Item = P> + Send,
+    P: Borrow<Post> + Send,
     F: FnMut(StreamSnapshot<'w>),
 {
     let n_curators = plan.curators.max(1);
@@ -367,8 +371,9 @@ where
     let panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = Mutex::new(Vec::new());
     let panic_counter = obs.counter("exec.engine.worker_panics", &[]);
 
-    let (curator_txs, curator_rxs): (Vec<Sender<CuratorMsg>>, Vec<Receiver<CuratorMsg>>) =
-        (0..n_curators).map(|_| channel::bounded(cap)).unzip();
+    let (curator_txs, curator_rxs): (Vec<_>, Vec<_>) = (0..n_curators)
+        .map(|_| channel::bounded::<CuratorMsg<P>>(cap))
+        .unzip();
     let (shard_txs, shard_rxs): (Vec<Sender<ShardMsg>>, Vec<Receiver<ShardMsg>>) =
         (0..n_shards).map(|_| channel::bounded(cap)).unzip();
     let (collector_tx, collector_rx) = channel::bounded::<CollectorMsg>(cap);
@@ -377,6 +382,7 @@ where
     let shard_enrich: Vec<Histogram> = (0..n_shards)
         .map(|i| obs.histogram("exec.shard.enrich_ns", &[("shard", &i.to_string())]))
         .collect();
+    let curate_ns = obs.histogram("exec.curate.post_ns", &[]);
     let snap_cost = obs.histogram("exec.snapshot.cost_ns", &[]);
     let snap_counter = obs.counter("exec.snapshot.count", &[]);
     let snapshots: &SnapshotPlan = &plan.snapshots;
@@ -406,7 +412,7 @@ where
                         let target = (count % n_curators as u64) as usize;
                         count += 1;
                         posts_counter.inc();
-                        let msg = CuratorMsg::Post(Box::new(post));
+                        let msg = CuratorMsg::Post(post);
                         if !obs_send(&curator_txs[target], msg, &blocked, &wait) {
                             return;
                         }
@@ -441,6 +447,7 @@ where
                 let shard_txs = shard_txs.clone();
                 let collector_tx = collector_tx.clone();
                 let obs = obs.clone();
+                let curate_ns = curate_ns.clone();
                 let panics = &panics;
                 let panic_counter = panic_counter.clone();
                 move |_| {
@@ -457,14 +464,15 @@ where
                         for msg in rx.iter() {
                             match msg {
                                 CuratorMsg::Post(post) => {
+                                    let post: &Post = post.borrow();
                                     posts_counter.inc();
-                                    accs.add_post(&post);
+                                    accs.add_post(post);
                                     let e = collection.entry(post.forum).or_default();
                                     e.posts += 1;
                                     if post.body.has_image() {
                                         e.images += 1;
                                     }
-                                    if let Some(c) = curate_post(&post, &opts) {
+                                    if let Some(c) = curate_ns.time(|| curate_post(post, &opts)) {
                                         curated_counter.inc();
                                         accs.add_curated(&c);
                                         // Derived once: the key routes the

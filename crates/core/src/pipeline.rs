@@ -70,7 +70,7 @@ impl Pipeline {
         plan.snapshots = SnapshotPlan::none();
         let result = exec::ingest(
             world,
-            world.posts.iter().cloned(),
+            world.posts.iter(),
             &self.curation,
             &plan,
             obs,

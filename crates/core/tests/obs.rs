@@ -56,6 +56,11 @@ fn observed_ingest_matches_batch_and_reports_per_shard_metrics() {
         obs.counter("exec.snapshot.count", &[]).get(),
         result.snapshots_taken as u64
     );
+    // Every post's curation is timed, whichever curator took it.
+    assert_eq!(
+        obs.histogram("exec.curate.post_ns", &[]).count(),
+        result.posts_ingested
+    );
     assert_eq!(snaps, result.snapshots_taken);
     assert!(result.snapshots_taken > 0, "plan fired");
     assert_eq!(
@@ -97,6 +102,7 @@ fn observed_ingest_matches_batch_and_reports_per_shard_metrics() {
         r#"exec.shard.channel_depth{shard=\"0\"}"#,
         r#"exec.curator.channel_depth{curator=\"0\"}"#,
         r#"exec.shard.enrich_ns{shard=\"all\"}"#,
+        "exec.curate.post_ns",
         "exec.snapshot.cost_ns",
         "exec.engine.posts_ingested",
         "enrich.hlr.calls",

@@ -5,6 +5,7 @@
 //! countries see the brand) and alias strings (what the smish actually
 //! writes, including abbreviations like "SBI").
 
+use crate::ner::AliasIndex;
 use smishing_types::{Country, Sector};
 use std::sync::OnceLock;
 
@@ -702,27 +703,16 @@ pub const BRANDS: &[Brand] = &[
 /// Catalog queries.
 #[derive(Debug)]
 pub struct BrandCatalog {
-    /// Normalized alias → brand index. Aliases are normalized with
-    /// [`crate::normalize::normalize_token`] per word.
-    alias_index: Vec<(String, usize)>,
+    /// The normalized aliases and their lookups (see [`crate::ner`]).
+    alias_index: AliasIndex,
 }
 
 impl BrandCatalog {
     /// The process-wide catalog.
     pub fn global() -> &'static BrandCatalog {
         static CAT: OnceLock<BrandCatalog> = OnceLock::new();
-        CAT.get_or_init(|| {
-            let mut alias_index = Vec::new();
-            for (i, brand) in BRANDS.iter().enumerate() {
-                for alias in brand.aliases {
-                    let norm = crate::normalize::normalize_text(alias);
-                    alias_index.push((norm, i));
-                }
-                alias_index.push((crate::normalize::normalize_text(brand.name), i));
-            }
-            // Longer aliases first so multi-word matches win.
-            alias_index.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then_with(|| a.0.cmp(&b.0)));
-            BrandCatalog { alias_index }
+        CAT.get_or_init(|| BrandCatalog {
+            alias_index: AliasIndex::new(BRANDS),
         })
     }
 
@@ -736,8 +726,8 @@ impl BrandCatalog {
         BRANDS.iter().find(|b| b.name.eq_ignore_ascii_case(name))
     }
 
-    /// The normalized alias index (longest first).
-    pub(crate) fn alias_index(&self) -> &[(String, usize)] {
+    /// The normalized alias index brand extraction answers from.
+    pub(crate) fn alias_index(&self) -> &AliasIndex {
         &self.alias_index
     }
 

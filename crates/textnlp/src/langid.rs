@@ -8,13 +8,18 @@
 //! 2. **Stopword scoring** — among the candidate set, score lexicon hits
 //!    per language and take the argmax (ties break toward the language
 //!    with more total probability mass in the corpus, i.e. declaration
-//!    order in [`Language::ALL`]).
+//!    order in [`Language::ALL`]). Spaced Latin-script text, the bulk of
+//!    the corpus, scores in one pass over its words: each word is looked
+//!    up once in a map from lexicon word to the Latin languages listing
+//!    it, built on first use.
 //!
 //! Returns `None` only for empty/URL-only text.
 
 use crate::lexicon::lexicon;
 use crate::tokenize::words_lower;
 use smishing_types::{Language, Script};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 fn script_of_char(c: char) -> Option<Script> {
     let u = c as u32;
@@ -76,6 +81,26 @@ pub fn dominant_script(text: &str) -> Option<Script> {
     counts.into_iter().max_by_key(|&(_, n)| n).map(|(s, _)| s)
 }
 
+/// Each word of the Latin-script lexicons → the positions of the
+/// languages listing it, each once, among the Latin-script languages in
+/// [`Language::ALL`] order.
+fn latin_words() -> &'static HashMap<&'static str, Vec<usize>> {
+    static WORDS: OnceLock<HashMap<&'static str, Vec<usize>>> = OnceLock::new();
+    WORDS.get_or_init(|| {
+        let latin = Language::ALL.iter().filter(|l| l.script() == Script::Latin);
+        let mut by_word: HashMap<&'static str, Vec<usize>> = HashMap::new();
+        for (i, &lang) in latin.enumerate() {
+            for &word in lexicon(lang) {
+                let listing = by_word.entry(word).or_default();
+                if listing.last() != Some(&i) {
+                    listing.push(i);
+                }
+            }
+        }
+        by_word
+    })
+}
+
 /// Identify the language of a text. `None` for empty/unscriptable input.
 pub fn identify_language(text: &str) -> Option<Language> {
     let script = dominant_script(text)?;
@@ -100,15 +125,25 @@ pub fn identify_language(text: &str) -> Option<Language> {
     // Thai, Khmer, ...), fall back to substring counting.
     let words = words_lower(text);
     let spaced = !words.is_empty() && words.iter().any(|w| w.chars().count() < 8);
-    let lower = text.to_lowercase();
+    let scores: Vec<usize> = if spaced && script == Script::Latin {
+        // One lookup per word: the candidates are exactly the Latin
+        // languages, in `latin_words`' order.
+        let mut scores = vec![0; candidates.len()];
+        for w in &words {
+            for &i in latin_words().get(w.as_str()).map_or(&[][..], Vec::as_slice) {
+                scores[i] += 1;
+            }
+        }
+        scores
+    } else {
+        let lower = text.to_lowercase();
+        candidates
+            .iter()
+            .map(|&lang| lexicon(lang).iter().filter(|w| lower.contains(*w)).count())
+            .collect()
+    };
     let mut best: Option<(Language, usize)> = None;
-    for &lang in &candidates {
-        let lex = lexicon(lang);
-        let score = if spaced && script == Script::Latin {
-            words.iter().filter(|w| lex.contains(&w.as_str())).count()
-        } else {
-            lex.iter().filter(|w| lower.contains(*w)).count()
-        };
+    for (&lang, &score) in candidates.iter().zip(&scores) {
         if score > 0 && best.is_none_or(|(_, s)| score > s) {
             best = Some((lang, score));
         }

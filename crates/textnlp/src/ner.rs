@@ -5,13 +5,24 @@
 //!
 //! 1. normalizes the text ([`crate::normalize`]), defeating `N3tfl!x`-style
 //!    evasion,
-//! 2. scans the normalized alias index longest-alias-first at word
-//!    boundaries (so "bank of america" beats "bank"),
-//! 3. falls back to per-token edit-distance-1 matching for typo-squatted
-//!    single-word aliases (`amazom` → Amazon).
+//! 2. looks up every run of whole words (up to the longest alias's word
+//!    count) in a hash map of the normalized aliases and keeps the
+//!    lowest-ranked hit. Aliases rank longest first, so "bank of america"
+//!    beats "bank". An alias occurs at word boundaries exactly when it
+//!    equals such a run, so no substring scan is needed,
+//! 3. falls back to edit-distance-1 matching for typo-squatted single-word
+//!    aliases (`amazom` → Amazon). Each token and its one-char deletions
+//!    are looked up in a SymSpell-style map from the aliases' own
+//!    deletion neighbourhoods. Every pair within one edit shares a key
+//!    there, and so does a transposition, so each candidate is verified
+//!    with an exact edit-distance check.
+//!
+//! Both lookups are built once, with the [`BrandCatalog`]. Their answers
+//! equal a scan of every alias in rank order.
 
 use crate::brands::{Brand, BrandCatalog};
 use crate::normalize::normalize_text;
+use std::collections::HashMap;
 
 /// Levenshtein distance, early-exiting at > 1 since we only use d ≤ 1.
 fn within_edit_one(a: &str, b: &str) -> bool {
@@ -44,24 +55,129 @@ fn within_edit_one(a: &str, b: &str) -> bool {
     edits + (av.len() - i) + (bv.len() - j) <= 1
 }
 
-/// Whether `needle` occurs in `hay` at word boundaries.
-fn contains_at_word_boundary(hay: &str, needle: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = hay[start..].find(needle) {
-        let abs = start + pos;
-        let before_ok = abs == 0 || hay.as_bytes()[abs - 1] == b' ';
-        let after = abs + needle.len();
-        let after_ok = after == hay.len() || hay.as_bytes()[after] == b' ';
-        if before_ok && after_ok {
-            return true;
+/// Calls `f` on `word` and on every string left by deleting one char of
+/// it: the word's deletion neighbourhood. Two words within one edit
+/// always share a member.
+fn for_each_deletion(word: &str, mut f: impl FnMut(&str)) {
+    f(word);
+    let mut buf = String::with_capacity(word.len());
+    for (i, c) in word.char_indices() {
+        buf.clear();
+        buf.push_str(&word[..i]);
+        buf.push_str(&word[i + c.len_utf8()..]);
+        f(&buf);
+    }
+}
+
+/// Shortest alias the exact lookup matches, in bytes.
+const MIN_EXACT_LEN: usize = 2;
+
+/// Shortest token, and single-word alias, the fuzzy fallback matches, in
+/// bytes.
+const MIN_FUZZY_LEN: usize = 5;
+
+/// The normalized aliases and the two lookups [`extract_brand`] answers
+/// from, built once with the [`BrandCatalog`].
+#[derive(Debug)]
+pub(crate) struct AliasIndex {
+    /// Each normalized alias with its brand index, longest alias first
+    /// (ties alphabetical). A position here is the alias's rank; the
+    /// lowest rank wins.
+    ranked: Vec<(String, usize)>,
+    /// Each alias of at least [`MIN_EXACT_LEN`] bytes → its lowest rank.
+    exact: HashMap<String, usize>,
+    /// The most words in one alias.
+    max_words: usize,
+    /// Each single-word alias of at least [`MIN_FUZZY_LEN`] bytes, and
+    /// each of its one-char deletions → the lowest ranks of the aliases
+    /// that produce it, ascending.
+    deletions: HashMap<String, Vec<usize>>,
+}
+
+impl AliasIndex {
+    /// Index every alias and canonical name of `brands`, each normalized
+    /// with [`normalize_text`].
+    pub(crate) fn new(brands: &[Brand]) -> AliasIndex {
+        let mut ranked: Vec<(String, usize)> = Vec::new();
+        for (i, brand) in brands.iter().enumerate() {
+            for alias in brand.aliases.iter().chain([&brand.name]) {
+                ranked.push((normalize_text(alias), i));
+            }
         }
-        // Advance by one full character (the haystack is UTF-8).
-        start = abs + hay[abs..].chars().next().map(char::len_utf8).unwrap_or(1);
-        if start >= hay.len() {
-            break;
+        // Longer aliases first so multi-word matches win.
+        ranked.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then_with(|| a.0.cmp(&b.0)));
+        let mut exact: HashMap<String, usize> = HashMap::new();
+        let mut deletions: HashMap<String, Vec<usize>> = HashMap::new();
+        for (rank, (alias, _)) in ranked.iter().enumerate() {
+            if alias.len() < MIN_EXACT_LEN || exact.contains_key(alias) {
+                continue;
+            }
+            exact.insert(alias.clone(), rank);
+            if alias.len() >= MIN_FUZZY_LEN && !alias.contains(' ') {
+                for_each_deletion(alias, |key| {
+                    let ranks = deletions.entry(key.to_string()).or_default();
+                    if ranks.last() != Some(&rank) {
+                        ranks.push(rank);
+                    }
+                });
+            }
+        }
+        let max_words = exact
+            .keys()
+            .map(|a| a.split(' ').count())
+            .max()
+            .unwrap_or(0);
+        AliasIndex {
+            ranked,
+            exact,
+            max_words,
+            deletions,
         }
     }
-    false
+
+    /// The lowest-ranked alias that equals a run of whole words of `norm`
+    /// and is not a channel mention.
+    fn exact_match(&self, norm: &str) -> Option<usize> {
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        let mut start = 0;
+        for (i, b) in norm.bytes().enumerate() {
+            if b == b' ' {
+                spans.push((start, i));
+                start = i + 1;
+            }
+        }
+        spans.push((start, norm.len()));
+        let mut best: Option<usize> = None;
+        for (i, &(from, _)) in spans.iter().enumerate() {
+            for &(_, to) in spans[i..].iter().take(self.max_words) {
+                let run = &norm[from..to];
+                if let Some(&rank) = self.exact.get(run) {
+                    if best.is_none_or(|b| rank < b) && !is_channel_mention(norm, run) {
+                        best = Some(rank);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// The lowest-ranked single-word alias within one edit of `token`
+    /// that is not a channel mention in `norm`.
+    fn fuzzy_match(&self, token: &str, norm: &str) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for_each_deletion(token, |key| {
+            for &rank in self.deletions.get(key).map_or(&[][..], Vec::as_slice) {
+                if best.is_some_and(|b| b <= rank) {
+                    break;
+                }
+                let alias = &self.ranked[rank].0;
+                if within_edit_one(token, alias) && !is_channel_mention(norm, alias) {
+                    best = Some(rank);
+                }
+            }
+        });
+        best
+    }
 }
 
 /// Common words that must never fuzzy-match a brand ("apply" is one edit
@@ -93,33 +209,14 @@ pub fn extract_brand(text: &str) -> Option<&'static Brand> {
         return None;
     }
     let cat = BrandCatalog::global();
-
-    // Exact alias hit, longest alias first.
-    for (alias, idx) in cat.alias_index() {
-        if alias.len() >= 2
-            && contains_at_word_boundary(&norm, alias)
-            && !is_channel_mention(&norm, alias)
-        {
-            return Some(&cat.brands()[*idx]);
-        }
-    }
-
-    // Fuzzy fallback: single-word aliases of length ≥ 5 at edit distance 1.
-    for token in norm.split(' ') {
-        if token.len() < 5 || FUZZY_STOPLIST.contains(&token) {
-            continue;
-        }
-        for (alias, idx) in cat.alias_index() {
-            if !alias.contains(' ')
-                && alias.len() >= 5
-                && within_edit_one(token, alias)
-                && !is_channel_mention(&norm, alias)
-            {
-                return Some(&cat.brands()[*idx]);
-            }
-        }
-    }
-    None
+    let index = cat.alias_index();
+    let rank = index.exact_match(&norm).or_else(|| {
+        // Fuzzy fallback: the first token with a match at edit distance 1.
+        norm.split(' ')
+            .filter(|t| t.len() >= MIN_FUZZY_LEN && !FUZZY_STOPLIST.contains(t))
+            .find_map(|t| index.fuzzy_match(t, &norm))
+    })?;
+    Some(&cat.brands()[index.ranked[rank].1])
 }
 
 #[cfg(test)]

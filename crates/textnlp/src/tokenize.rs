@@ -18,8 +18,7 @@ pub fn tokenize(text: &str) -> Vec<&str> {
         }
         // Split interior punctuation except ' and - (don't split "don't").
         let mut start = None;
-        let bytes: Vec<(usize, char)> = trimmed.char_indices().collect();
-        for &(i, c) in &bytes {
+        for (i, c) in trimmed.char_indices() {
             let wordy = c.is_alphanumeric() || c == '\'' || c == '-';
             match (wordy, start) {
                 (true, None) => start = Some(i),
@@ -39,13 +38,19 @@ pub fn tokenize(text: &str) -> Vec<&str> {
 
 /// Heuristic: does this whitespace-token look like a URL?
 pub fn looks_like_url(token: &str) -> bool {
-    let t = token.to_ascii_lowercase();
-    t.starts_with("http://")
-        || t.starts_with("https://")
-        || t.starts_with("hxxp")
-        || t.starts_with("www.")
-        || (t.contains('.') && t.contains('/'))
-        || t.contains("[.]")
+    // Prefixes compare ignoring ASCII case, without a lowercase copy.
+    let starts = |prefix: &str| {
+        token
+            .as_bytes()
+            .get(..prefix.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
+    };
+    starts("http://")
+        || starts("https://")
+        || starts("hxxp")
+        || starts("www.")
+        || (token.contains('.') && token.contains('/'))
+        || token.contains("[.]")
 }
 
 /// Lowercased word tokens with URLs removed — the unit the language
@@ -93,6 +98,23 @@ mod tests {
             vec!["Ihr", "Konto", "wurde", "gesperrt"]
         );
         assert_eq!(tokenize("あなたの口座"), vec!["あなたの口座"]);
+    }
+
+    #[test]
+    fn url_prefixes_ignore_ascii_case() {
+        for t in [
+            "HTTPS://x",
+            "Http://x",
+            "hXXp://x",
+            "WWW.example",
+            "a.b/c",
+            "evil[.]com",
+        ] {
+            assert!(looks_like_url(t), "{t}");
+        }
+        for t in ["http", "wwwexample", "Ħttp://x", "https:", "a.b"] {
+            assert!(!looks_like_url(t), "{t}");
+        }
     }
 
     #[test]

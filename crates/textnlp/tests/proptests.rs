@@ -1,8 +1,11 @@
 //! Property-based tests over the text-analysis stack.
 
+mod oracle;
+
 use proptest::prelude::*;
 use smishing_textnlp::annotator::{Annotator, PipelineAnnotator};
 use smishing_textnlp::templates::{match_pattern, render_pattern, Fills, TemplateLibrary};
+use smishing_textnlp::tokenize::looks_like_url;
 use smishing_textnlp::{detect_lures, extract_brand, identify_language, normalize_text};
 
 proptest! {
@@ -85,5 +88,136 @@ proptest! {
         prop_assert_eq!(a.scam_type, b.scam_type);
         prop_assert_eq!(a.brand, b.brand);
         prop_assert_eq!(a.lures, b.lures);
+    }
+}
+
+/// Every one-char edit of every single-word alias — each of `a`–`z` and
+/// `0` substituted or inserted at each position, each char deleted, each
+/// adjacent pair swapped — finds the brand the alias scan finds. This
+/// reaches the fuzzy fallback's corners exhaustively: "ciwibank" is one
+/// edit from both Citibank and Kiwibank (the lower rank wins), and
+/// "phase", one edit from "chase", is on the stoplist.
+#[test]
+fn brand_lookup_matches_the_alias_scan_on_every_one_edit_alias_variant() {
+    let fills: Vec<char> = ('a'..='z').chain(['0']).collect();
+    let mut checked = 0usize;
+    for alias in oracle::surface_aliases() {
+        let alias = alias.to_lowercase();
+        if alias.contains(' ') {
+            continue;
+        }
+        for at in 0..alias.chars().count() {
+            let mut variants = vec![
+                oracle::edit_one(&alias, 1, at, ' '),
+                oracle::edit_one(&alias, 3, at, ' '),
+            ];
+            for &c in &fills {
+                variants.push(oracle::edit_one(&alias, 0, at, c));
+                variants.push(oracle::edit_one(&alias, 2, at, c));
+            }
+            for text in variants {
+                assert_eq!(
+                    extract_brand(&text),
+                    oracle::brand_by_scan(&text),
+                    "{text:?}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 10_000, "{checked} variants");
+}
+
+/// Leetspeak spelling of `s`: the digits and symbols normalization folds
+/// back.
+fn leet(s: &str) -> String {
+    s.chars()
+        .map(|c| match c {
+            'o' | 'O' => '0',
+            'e' | 'E' => '3',
+            'a' | 'A' => '4',
+            's' | 'S' => '5',
+            't' | 'T' => '7',
+            'i' | 'I' => '!',
+            'l' | 'L' => '1',
+            c => c,
+        })
+        .collect()
+}
+
+/// Text built around catalog aliases: each alias as written, in leet,
+/// uppercased, or one char edited (substitution, deletion, insertion,
+/// transposition), optionally after a channel marker, between filler
+/// words.
+fn alias_text() -> impl Strategy<Value = String> {
+    let alias = (
+        prop::sample::select(oracle::surface_aliases()),
+        0u8..7,
+        0usize..40,
+        prop::sample::select(vec!['a', 'e', 'o', 'x', '0', '1', '!', 'é']),
+        prop::sample::select(vec!["", "", "on ", "via ", "over ", "pay "]),
+    )
+        .prop_map(|(alias, how, at, c, marker)| {
+            let spelled = match how {
+                0 => alias.to_string(),
+                1 => leet(alias),
+                2 => alias.to_uppercase(),
+                k => oracle::edit_one(alias, k - 3, at, c),
+            };
+            format!("{marker}{spelled}")
+        });
+    (
+        prop::collection::vec(alias, 1..4),
+        "[a-z]{0,9}( [a-z]{2,8}){0,3}",
+    )
+        .prop_map(|(aliases, filler)| {
+            let mut words = vec![filler];
+            for a in aliases {
+                words.push(a);
+                words.push("your account".to_string());
+            }
+            words.join(" ")
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn brand_lookup_matches_the_alias_scan_on_arbitrary_text(s in "\\PC{0,120}") {
+        prop_assert_eq!(extract_brand(&s), oracle::brand_by_scan(&s), "{:?}", s);
+    }
+
+    #[test]
+    fn brand_lookup_matches_the_alias_scan_around_aliases(s in alias_text()) {
+        prop_assert_eq!(extract_brand(&s), oracle::brand_by_scan(&s), "{:?}", s);
+    }
+
+    #[test]
+    fn language_lookup_matches_the_lexicon_loop(s in "\\PC{0,120}") {
+        prop_assert_eq!(identify_language(&s), oracle::language_by_loop(&s), "{:?}", s);
+    }
+
+    #[test]
+    fn language_lookup_matches_the_lexicon_loop_on_lexicon_words(
+        words in prop::collection::vec(
+            prop::sample::select(
+                smishing_types::Language::ALL
+                    .iter()
+                    .flat_map(|&l| smishing_textnlp::lexicon::lexicon(l).iter().copied())
+                    .collect::<Vec<_>>(),
+            ),
+            0..12,
+        ),
+        shout in 0u8..3,
+    ) {
+        let text = words.join(" ");
+        let text = if shout == 0 { text.to_uppercase() } else { text };
+        prop_assert_eq!(identify_language(&text), oracle::language_by_loop(&text), "{:?}", text);
+    }
+
+    #[test]
+    fn url_check_matches_a_lowercased_copy(t in "(HtTp|hXxP|wWw|[a-z]{0,3})[:/.\\[\\]]{0,4}\\PC{0,12}") {
+        prop_assert_eq!(looks_like_url(&t), oracle::url_by_lowercase(&t), "{:?}", t);
     }
 }

@@ -122,7 +122,13 @@ impl AdversaryPlan {
     /// Whether the plan changes anything at all. Empty plans must leave
     /// every pipeline output byte-identical to a plan-free run.
     pub fn is_empty(&self) -> bool {
-        (self.drifting_share <= 0.0 || !self.any_strategy()) && self.funnel_rate <= 0.0
+        !self.rotates() && self.funnel_rate <= 0.0
+    }
+
+    /// Whether the plan rotates campaigns: a drifting share and at least
+    /// one strategy, so it schedules waves at epoch boundaries.
+    pub fn rotates(&self) -> bool {
+        self.drifting_share > 0.0 && self.any_strategy()
     }
 
     /// Whether any rotation strategy is enabled.

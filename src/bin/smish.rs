@@ -80,6 +80,9 @@
 //!   replay at epoch boundaries. `smish drift` measures the effect as a
 //!   per-epoch scorecard (rung-attributed recall, time-to-reacquire). The
 //!   default (`none`) keeps every output byte-identical to a plan-free run.
+//!   Under a plan that rotates campaigns, `stream`, `serve --stream` and
+//!   `drift` exit 2 before ingest when `--snapshot-every` would cut the
+//!   world into more than 32 epochs (`MAX_ADVERSARY_EPOCHS`).
 //! * `--fault-profile none|mild|harsh[:SEED]` — install a deterministic
 //!   fault plan on the world's services before the pipeline queries them
 //!   (default `none`: byte-identical to a fault-free run). A bare integer
@@ -87,7 +90,9 @@
 //!   dropping them; the run report's `enrich.*` counters show retries,
 //!   breaker trips, and degraded-record totals.
 
-use smishing::adversary::{drift_scorecard, AdversaryWorld, DriftOptions};
+use smishing::adversary::{
+    drift_scorecard, min_epoch_posts, AdversaryWorld, DriftOptions, MAX_ADVERSARY_EPOCHS,
+};
 use smishing::core::analysis::freshness::domain_freshness;
 use smishing::core::analysis::latency::report_latency;
 use smishing::core::analysis::linking::linking_ablation;
@@ -339,6 +344,26 @@ fn cmd_mitigate(args: &Args, obs: &Obs, world: &World) {
     println!("{}", report_latency(&output).to_table());
 }
 
+/// Under a plan that rotates campaigns, waves land on every epoch
+/// boundary: an epoch of `epoch_posts` that cuts the world into more
+/// than [`MAX_ADVERSARY_EPOCHS`] epochs is a usage error (exit 2), raised
+/// before ingest.
+fn check_adversary_epochs(obs: &Obs, world: &World, epoch_posts: u64) {
+    let plan = &world.config.adversary;
+    let posts = world.posts.len() as u64;
+    let epochs = posts / epoch_posts.max(1);
+    if plan.rotates() && epochs > MAX_ADVERSARY_EPOCHS {
+        obs_error!(
+            obs,
+            "bad --snapshot-every {epoch_posts}: {posts} posts make {epochs} epochs under \
+             --adversary {plan}, more than {MAX_ADVERSARY_EPOCHS}; the smallest allowed value \
+             is {}",
+            min_epoch_posts(posts)
+        );
+        std::process::exit(2);
+    }
+}
+
 fn cmd_stream(args: &Args, obs: &Obs, world: &World) {
     // Chronological replay through the sharded engine; snapshots
     // report progress without pausing ingestion, and the final
@@ -347,6 +372,7 @@ fn cmd_stream(args: &Args, obs: &Obs, world: &World) {
     let epoch_posts = args
         .snapshot_every
         .unwrap_or((world.posts.len() as u64 / 4).max(1));
+    check_adversary_epochs(obs, world, epoch_posts);
     let plan = args
         .cfg
         .exec
@@ -448,6 +474,9 @@ fn cmd_drift(args: &Args, obs: &Obs, world: &World) {
     // probe each wave's rotated URL at every epoch boundary: how far did
     // exact-rung recall fall, which rung caught the probe instead, and
     // how many epochs until the rotated infrastructure was reacquired.
+    if let Some(epoch_posts) = args.snapshot_every {
+        check_adversary_epochs(obs, world, epoch_posts);
+    }
     let opts = DriftOptions {
         epoch_posts: args.snapshot_every,
         window_secs: args.cfg.intel_window_secs,
@@ -564,6 +593,9 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
     let epoch_posts = args
         .snapshot_every
         .unwrap_or((world.posts.len() as u64 / 4).max(1));
+    if args.stream_mode {
+        check_adversary_epochs(obs, world, epoch_posts);
+    }
     let adv = AdversaryWorld::build(world, epoch_posts);
     let injected = Arc::new(AtomicU64::new(0));
     // Adversarial injection only exists in `--stream` mode (waves land at

@@ -20,7 +20,8 @@
 //!   `exec.*` series; an unreadable checkpoint file is reported and
 //!   replaced.
 //! * **Flag validation**: `--snapshot-every 0` exits 2 naming the flag,
-//!   before a world is generated.
+//!   before a world is generated; under a rotating adversary, an epoch
+//!   length that makes more than 32 epochs exits 2 before ingest.
 //! * **Growth gate**: `smish perfdiff SMALL LARGE` exits 0 on linear
 //!   growth, 1 on a quadratic layer and 2 on bad input.
 
@@ -390,6 +391,54 @@ fn zero_snapshot_interval_is_a_usage_error() {
             "{command}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{command} printed before failing");
+    }
+}
+
+/// Run `smish` with `args` and stdin closed; kill it and fail if it has
+/// not exited within `secs` seconds.
+fn run_with_deadline(args: &[&str], secs: u64) -> Output {
+    let mut child = smish()
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn smish");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while child.try_wait().expect("try_wait").is_none() {
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("smish {args:?} still running after {secs}s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect smish output")
+}
+
+/// One-post epochs under a rotating adversary schedule a wave at every
+/// boundary: thousands of epochs, which ran for minutes. Every command
+/// that injects waves refuses more than 32 epochs before ingest.
+#[test]
+fn too_many_adversary_epochs_is_a_usage_error() {
+    for command in [&["drift"][..], &["stream"], &["serve", "--stream"]] {
+        let args = [
+            command,
+            &["--scale", "0.01", "--snapshot-every", "1"],
+            &["--adversary", "rotation", "--quiet"],
+        ]
+        .concat();
+        let out = run_with_deadline(&args, 60);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command:?}: {stderr}");
+        assert!(
+            stderr.contains("bad --snapshot-every 1:")
+                && stderr.contains(" posts make ")
+                && stderr.contains("more than 32")
+                && stderr.contains("the smallest allowed value is "),
+            "{command:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{command:?} printed before failing");
     }
 }
 
