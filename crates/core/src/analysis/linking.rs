@@ -16,7 +16,9 @@ use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use smishing_stats::unionfind::UnionFind;
 use smishing_textnlp::normalize::normalize_text;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Which pivots to cluster on (for ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,9 +166,10 @@ pub fn skeleton_of(text: &str) -> String {
 /// are exempt from the anti-hub rule, weak ones (senders, skeletons) are
 /// capped.
 ///
-/// This is the export hook the intelligence layer builds its campaign
-/// clusters on: one pivot vocabulary, shared between the §5.1 ablation
-/// here and the serving-side `IntelSnapshot` linker.
+/// One pivot vocabulary, shared between the §5.1 ablation here and the
+/// serving-side `IntelSnapshot` linker: the store derives these same
+/// keys once per entry, as interned symbols, and an intel test pins its
+/// clusters to the ones these strings give.
 pub fn pivot_keys(r: &crate::enrich::EnrichedRecord, pivots: LinkingPivots) -> Vec<(String, bool)> {
     let mut keys = Vec::new();
     if pivots.domain {
@@ -196,7 +199,7 @@ pub fn pivot_keys(r: &crate::enrich::EnrichedRecord, pivots: LinkingPivots) -> V
     keys
 }
 
-/// Cluster the unique records on the chosen pivots and evaluate.
+/// The anti-hub cap on weak pivots.
 ///
 /// Weak pivots (sender, skeleton) pass through an anti-hub rule: a weak
 /// key shared across too many *clusters-so-far* would glue unrelated
@@ -204,6 +207,52 @@ pub fn pivot_keys(r: &crate::enrich::EnrichedRecord, pivots: LinkingPivots) -> V
 /// records are skipped. Strong pivots (domains, exact short URLs) are
 /// never capped — a big key there is one big campaign.
 pub const WEAK_KEY_CAP: u32 = 40;
+
+/// The anti-hub clusterer behind [`link_campaigns`] and the intel
+/// store's campaign-link clusters, generic over the key type: strings
+/// here, interned symbols in the store.
+///
+/// `keys_of(i)` yields record `i`'s `(key, strong)` pivots, as
+/// [`pivot_keys`] does, and is called twice per record. The first pass
+/// counts how many records carry each weak key; the second unions every
+/// record with the first record that carried each of its keys, skipping
+/// weak keys seen on more than [`WEAK_KEY_CAP`] records. The cap is
+/// non-monotone (a key crosses it as records accumulate), so a caller
+/// whose record set grows reruns both passes rather than carrying a
+/// union-find over. Returns each record's cluster id, dense in order of
+/// first appearance, and the number of clusters.
+pub fn cluster_by_keys<K, I>(n: usize, keys_of: impl Fn(usize) -> I) -> (Vec<usize>, usize)
+where
+    K: Hash + Eq,
+    I: IntoIterator<Item = (K, bool)>,
+{
+    let mut weak_freq: HashMap<K, u32> = HashMap::new();
+    for i in 0..n {
+        for (key, strong) in keys_of(i) {
+            if !strong {
+                *weak_freq.entry(key).or_default() += 1;
+            }
+        }
+    }
+    let mut uf = UnionFind::new(n);
+    let mut first: HashMap<K, usize> = HashMap::new();
+    for i in 0..n {
+        for (key, strong) in keys_of(i) {
+            if !strong && weak_freq[&key] > WEAK_KEY_CAP {
+                continue;
+            }
+            match first.entry(key) {
+                Entry::Occupied(e) => {
+                    uf.union(i, *e.get());
+                }
+                Entry::Vacant(e) => {
+                    e.insert(i);
+                }
+            }
+        }
+    }
+    (uf.clusters(), uf.components())
+}
 
 /// Cluster the unique records on the chosen pivots and evaluate.
 pub fn link_campaigns(out: &PipelineOutput<'_>, pivots: LinkingPivots) -> LinkingResult {
@@ -213,39 +262,13 @@ pub fn link_campaigns(out: &PipelineOutput<'_>, pivots: LinkingPivots) -> Linkin
         .filter(|r| r.curated.truth_message.is_some())
         .collect();
     let n = records.len();
-    let mut uf = UnionFind::new(n);
-
-    // Pass 1: weak-key frequencies (the anti-hub statistic).
-    let mut key_freq: HashMap<String, u32> = HashMap::new();
-    for r in &records {
-        for (key, strong) in pivot_keys(r, pivots) {
-            if !strong {
-                *key_freq.entry(key).or_default() += 1;
-            }
-        }
-    }
-
-    // Pass 2: union through keys.
-    let mut by_key: HashMap<String, usize> = HashMap::new();
-    for (i, r) in records.iter().enumerate() {
-        for (key, strong) in pivot_keys(r, pivots) {
-            if !strong && key_freq.get(&key).copied().unwrap_or(0) > WEAK_KEY_CAP {
-                continue;
-            }
-            match by_key.get(&key) {
-                Some(&j) => {
-                    uf.union(i, j);
-                }
-                None => {
-                    by_key.insert(key, i);
-                }
-            }
-        }
-    }
+    let keys: Vec<Vec<(String, bool)>> = records.iter().map(|r| pivot_keys(r, pivots)).collect();
+    let (cluster_ids, n_clusters) = cluster_by_keys(n, |i| {
+        keys[i].iter().map(|(key, strong)| (key.as_str(), *strong))
+    });
 
     // Evaluate pairwise against ground-truth campaign ids, per cluster and
     // per campaign (avoiding the O(n²) full pair enumeration).
-    let cluster_ids = uf.clusters();
     let truth: Vec<u32> = records
         .iter()
         .map(|r| {
@@ -254,22 +277,22 @@ pub fn link_campaigns(out: &PipelineOutput<'_>, pivots: LinkingPivots) -> Linkin
         })
         .collect();
 
-    let mut cluster_sizes: HashMap<usize, u64> = HashMap::new();
+    let mut cluster_sizes: Vec<u64> = vec![0; n_clusters];
     let mut campaign_sizes: HashMap<u32, u64> = HashMap::new();
     let mut joint_sizes: HashMap<(usize, u32), u64> = HashMap::new();
     for i in 0..n {
-        *cluster_sizes.entry(cluster_ids[i]).or_default() += 1;
+        cluster_sizes[cluster_ids[i]] += 1;
         *campaign_sizes.entry(truth[i]).or_default() += 1;
         *joint_sizes.entry((cluster_ids[i], truth[i])).or_default() += 1;
     }
     let pairs = |c: u64| c * (c.saturating_sub(1)) / 2;
-    let linked_pairs: u64 = cluster_sizes.values().map(|&c| pairs(c)).sum();
+    let linked_pairs: u64 = cluster_sizes.iter().map(|&c| pairs(c)).sum();
     let true_pairs: u64 = campaign_sizes.values().map(|&c| pairs(c)).sum();
     let joint_pairs: u64 = joint_sizes.values().map(|&c| pairs(c)).sum();
 
     LinkingResult {
         n,
-        clusters: cluster_sizes.len(),
+        clusters: n_clusters,
         true_campaigns: campaign_sizes.len(),
         pair_precision: if linked_pairs == 0 {
             1.0
@@ -349,6 +372,25 @@ mod tests {
         // combining pivots approaches the truth from above.
         assert!(domain.clusters > domain.true_campaigns);
         assert!(all.clusters < domain.clusters);
+    }
+
+    #[test]
+    fn weak_keys_past_the_cap_link_nothing() {
+        // `n` records share one weak key; every third also shares a
+        // strong one, which is never capped.
+        let clusters = |n: usize| {
+            cluster_by_keys(n, |i| {
+                let strong = (i % 3 == 0).then_some(("d:x", true));
+                [Some(("s:hub", false)), strong].into_iter().flatten()
+            })
+            .1
+        };
+        let cap = WEAK_KEY_CAP as usize;
+        assert_eq!(clusters(cap), 1);
+        // Past the cap only the strong key links: its records form one
+        // cluster and the rest stay alone.
+        let n = cap + 1;
+        assert_eq!(clusters(n), 1 + n - n.div_ceil(3));
     }
 
     #[test]

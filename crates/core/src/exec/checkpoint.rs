@@ -34,9 +34,17 @@ pub struct ServeState {
     pub cache_capacity: usize,
 }
 
+/// Format version of the checkpoint file this build writes. Bump it when
+/// a field is added, removed or changes meaning: [`Checkpoint::from_json`]
+/// accepts this version only, so a file from another build is reported
+/// as unreadable instead of being resumed with a misread field.
+pub const CHECKPOINT_VERSION: u32 = 1;
+
 /// A serializable stream checkpoint.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Checkpoint {
+    /// File format version ([`CHECKPOINT_VERSION`] when captured).
+    pub version: u32,
     /// Seed of the world the stream was drawn from.
     pub world_seed: u64,
     /// Scale of that world.
@@ -49,9 +57,6 @@ pub struct Checkpoint {
     /// (Appendix C schema, via the existing serde dataset layer).
     pub dataset: Vec<DatasetRow>,
     /// Serve-side state, when the checkpoint came from a live server.
-    /// Checkpoints written before this field existed still deserialize:
-    /// the vendored serde treats a missing field as `null`, which an
-    /// `Option` reads as `None`.
     pub serve: Option<ServeState>,
 }
 
@@ -59,6 +64,7 @@ impl Checkpoint {
     /// Freeze a snapshot.
     pub fn capture(snap: &StreamSnapshot<'_>, plan: &ExecPlan) -> Self {
         Checkpoint {
+            version: CHECKPOINT_VERSION,
             world_seed: snap.output.world.config.seed,
             world_scale: snap.output.world.config.scale,
             shards: plan.shards,
@@ -82,9 +88,17 @@ impl Checkpoint {
         serde_json::to_string(self)
     }
 
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> serde_json::Result<Checkpoint> {
-        serde_json::from_str(s)
+    /// Deserialize from JSON. A file that does not parse, or whose
+    /// `version` is missing or is not [`CHECKPOINT_VERSION`], is an error.
+    pub fn from_json(s: &str) -> Result<Checkpoint, String> {
+        let ck: Checkpoint = serde_json::from_str(s).map_err(|e| e.to_string())?;
+        if ck.version != CHECKPOINT_VERSION {
+            return Err(format!(
+                "checkpoint format version {} (this build reads {CHECKPOINT_VERSION})",
+                ck.version
+            ));
+        }
+        Ok(ck)
     }
 
     /// Whether this checkpoint belongs to `world`.
@@ -197,16 +211,27 @@ mod tests {
         .as_bytes()
     }
 
+    /// `checkpoint_json` with its version field replaced by `field`
+    /// (empty: removed).
+    fn with_version(field: &str) -> String {
+        let json = std::str::from_utf8(checkpoint_json()).expect("UTF-8 JSON");
+        let current = format!("\"version\":{CHECKPOINT_VERSION},");
+        assert!(json.contains(&current), "version field leads the object");
+        json.replacen(&current, field, 1)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// A damaged checkpoint file parses or errors, never panics; and
-        /// no strict prefix of a checkpoint parses.
+        /// A damaged checkpoint file parses or errors, never panics; no
+        /// strict prefix of a checkpoint parses; and a missing, older or
+        /// future format version is refused, whatever its number.
         #[test]
         fn from_json_never_panics_on_damaged_checkpoints(
             cut in 0usize..1 << 24,
             at in 0usize..1 << 24,
             bit in 0u32..8,
+            version in 0u64..1 << 33,
         ) {
             let json = checkpoint_json();
             let truncated = String::from_utf8_lossy(&json[..cut % json.len()]);
@@ -214,6 +239,13 @@ mod tests {
             let mut flipped = json.to_vec();
             flipped[at % json.len()] ^= 1 << bit;
             let _ = Checkpoint::from_json(&String::from_utf8_lossy(&flipped));
+            if version != u64::from(CHECKPOINT_VERSION) {
+                let wrong = with_version(&format!("\"version\":{version},"));
+                prop_assert!(Checkpoint::from_json(&wrong).is_err(), "version {}", version);
+            }
+            prop_assert!(Checkpoint::from_json(&with_version("")).is_err());
+            prop_assert!(Checkpoint::from_json(&with_version("\"version\":null,")).is_err());
+            prop_assert!(Checkpoint::from_json(&with_version("\"version\":\"1\",")).is_err());
         }
     }
 }

@@ -21,7 +21,7 @@ pub mod checkpoint;
 pub mod engine;
 
 pub use accs::AnalysisAccs;
-pub use checkpoint::{resume, Checkpoint, ServeState};
+pub use checkpoint::{resume, Checkpoint, ServeState, CHECKPOINT_VERSION};
 pub use engine::{ingest, GroupTable, IngestResult, StreamSnapshot};
 
 /// When the feeder injects snapshot markers.

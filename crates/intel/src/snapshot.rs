@@ -23,14 +23,13 @@
 //! proptests compare against can never drift apart.
 
 use crate::intern::{Interner, Sym};
-use smishing_core::analysis::linking::{pivot_keys, LinkingPivots, WEAK_KEY_CAP};
+use smishing_core::analysis::linking::{cluster_by_keys, skeleton_of};
 use smishing_core::curation::CuratedMessage;
 use smishing_core::enrich::EnrichedRecord;
 use smishing_core::pipeline::PipelineOutput;
 use smishing_simindex::{DocInput, NearResult, SimIndex};
-use smishing_stats::unionfind::UnionFind;
 use smishing_telecom::NumberStatus;
-use smishing_textnlp::normalize::normalize_token;
+use smishing_textnlp::normalize::{normalize_text, normalize_token};
 use smishing_types::{Forum, Language, LureSet, PostId, ScamType, SenderId, UnixTime};
 use smishing_webinfra::{
     fold_host, free_hosting_site, parse_url, registrable_domain, ParsedUrl, ShortenerCatalog,
@@ -143,6 +142,32 @@ enum EntrySource {
     Reuse { prev_id: u32 },
 }
 
+/// A campaign-link pivot of one entry. The variants keep the pivot kinds
+/// apart as `linking::pivot_keys`' `d:`/`u:`/`s:`/`t:` prefixes do, since
+/// one symbol table holds domains, URLs and senders alike.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum LinkKey {
+    Domain(Sym),
+    Url(Sym),
+    Sender(Sym),
+    Skeleton(Sym),
+}
+
+/// An entry's `(key, strong)` campaign-link pivots, those of
+/// `linking::pivot_keys` over its record: the strong apex domain (the
+/// exact URL for a link without one), the weak sender and the weak
+/// template skeleton.
+fn link_keys(e: &IntelEntry) -> impl Iterator<Item = (LinkKey, bool)> {
+    let strong = e.domain.map(LinkKey::Domain).or(e.url.map(LinkKey::Url));
+    [
+        strong.map(|k| (k, true)),
+        e.sender.map(|s| (LinkKey::Sender(s), false)),
+        Some((LinkKey::Skeleton(e.skeleton), false)),
+    ]
+    .into_iter()
+    .flatten()
+}
+
 /// One unique record's worth of intelligence, fully owned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntelEntry {
@@ -161,6 +186,9 @@ pub struct IntelEntry {
     pub phone: Option<Sym>,
     /// Normalized brand key.
     pub brand: Option<Sym>,
+    /// Template-skeleton campaign-link key, a symbol of the snapshot's
+    /// link-key table, not of the query interner.
+    pub(crate) skeleton: Sym,
     /// Campaign-link cluster id ([`IntelSnapshot::cluster_entries`]).
     pub cluster: u32,
     /// Campaign-template id from the similarity index's
@@ -226,6 +254,9 @@ pub struct IndexSizes {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntelSnapshot {
     interner: Interner,
+    /// Skeleton strings of the campaign-link pivots. Only the build reads
+    /// them, so they stay out of the query interner.
+    link_keys: Interner,
     entries: Vec<IntelEntry>,
     by_url: HashMap<Sym, Vec<u32>>,
     by_domain: HashMap<Sym, Vec<u32>>,
@@ -254,6 +285,7 @@ impl Default for IntelSnapshot {
     fn default() -> Self {
         IntelSnapshot {
             interner: Interner::default(),
+            link_keys: Interner::default(),
             entries: Vec::new(),
             by_url: HashMap::new(),
             by_domain: HashMap::new(),
@@ -354,13 +386,14 @@ impl IntelSnapshot {
         Self::assemble_snapshot(out, horizon, opts, Some(prev), plan)
     }
 
-    /// Shared back half of both build paths: campaign linking, entry and
-    /// index construction, and the similarity tier, over the retained
-    /// records in `plan` (canonical post-id order).
+    /// Shared back half of both build paths: entry and index
+    /// construction, campaign linking, and the similarity tier, over the
+    /// retained records in `plan` (canonical post-id order).
     ///
-    /// Reused entries re-intern their key strings so the interner is a
-    /// pure function of the retained set — a reused symbol table would
-    /// leak evicted strings and break incremental ≡ from-scratch.
+    /// Reused entries re-intern their key strings, skeletons included, so
+    /// both symbol tables are a pure function of the retained set — a
+    /// reused table would leak evicted strings and break incremental ≡
+    /// from-scratch.
     fn assemble_snapshot(
         out: &PipelineOutput<'_>,
         horizon: UnixTime,
@@ -368,53 +401,8 @@ impl IntelSnapshot {
         prev: Option<&IntelSnapshot>,
         plan: Vec<(usize, EntrySource)>,
     ) -> IntelSnapshot {
-        // Campaign-link clusters over the retained records, with the same
-        // pivots and anti-hub rule the §5.1 ablation measures. Recomputed
-        // every epoch: the weak-key cap is non-monotone (a pivot can cross
-        // it as reports accumulate), so a carried union-find would diverge
-        // from the from-scratch reference.
         let n = plan.len();
-        let mut uf = UnionFind::new(n);
-        let mut key_freq: HashMap<String, u32> = HashMap::new();
-        for &(ri, _) in &plan {
-            for (key, strong) in pivot_keys(&out.records[ri], LinkingPivots::ALL) {
-                if !strong {
-                    *key_freq.entry(key).or_default() += 1;
-                }
-            }
-        }
-        let mut by_key: HashMap<String, usize> = HashMap::new();
-        for (i, &(ri, _)) in plan.iter().enumerate() {
-            for (key, strong) in pivot_keys(&out.records[ri], LinkingPivots::ALL) {
-                if !strong && key_freq.get(&key).copied().unwrap_or(0) > WEAK_KEY_CAP {
-                    continue;
-                }
-                match by_key.get(&key) {
-                    Some(&j) => {
-                        uf.union(i, j);
-                    }
-                    None => {
-                        by_key.insert(key, i);
-                    }
-                }
-            }
-        }
-        let roots = uf.clusters();
-        // Compact root ids to dense cluster ids in first-appearance order
-        // (records are in canonical post-id order, so this is stable).
-        let mut dense: HashMap<usize, u32> = HashMap::new();
-        let cluster_of: Vec<u32> = roots
-            .iter()
-            .map(|&root| {
-                let next = dense.len() as u32;
-                *dense.entry(root).or_insert(next)
-            })
-            .collect();
-        let n_clusters = dense.len();
-
         let mut snap = IntelSnapshot {
-            clusters: vec![Vec::new(); n_clusters],
-            cluster_campaign: vec![None; n_clusters],
             built_from_posts: out.collection.iter().map(|(_, s)| s.posts as u64).sum(),
             curated_seen: out.curated_total.len() as u64,
             horizon,
@@ -422,10 +410,9 @@ impl IntelSnapshot {
             evicted: out.records.len() - plan.len(),
             ..IntelSnapshot::default()
         };
-        let mut cluster_votes: Vec<HashMap<u32, u32>> = vec![HashMap::new(); n_clusters];
         let mut docs: Vec<DocInput<'_>> = Vec::with_capacity(n);
 
-        for (i, &(ri, ref src)) in plan.iter().enumerate() {
+        for &(ri, ref src) in &plan {
             let r = &out.records[ri];
             let id = snap.entries.len() as u32;
             let mut sym_into = |key: Option<&str>,
@@ -445,6 +432,10 @@ impl IntelSnapshot {
                     let sender = sym_into(keys.sender.as_deref(), |s| &mut s.by_sender);
                     let phone = sym_into(keys.phone.as_deref(), |s| &mut s.by_phone);
                     let brand = sym_into(keys.brand.as_deref(), |s| &mut s.by_brand);
+                    // The skeleton pivot of `linking::pivot_keys`.
+                    let skeleton = snap
+                        .link_keys
+                        .intern(&skeleton_of(&normalize_text(&r.curated.text)));
                     docs.push(DocInput::Text(r.curated.text.as_str()));
                     IntelEntry {
                         post_id: r.curated.post_id,
@@ -454,6 +445,7 @@ impl IntelSnapshot {
                         sender,
                         phone,
                         brand,
+                        skeleton,
                         cluster: 0,  // assigned below
                         template: 0, // assigned after the similarity index builds
                         forums: r.evidence.forums,
@@ -481,6 +473,7 @@ impl IntelSnapshot {
                     let sender = sym_into(pe.sender.map(|s| prev.resolve(s)), |s| &mut s.by_sender);
                     let phone = sym_into(pe.phone.map(|s| prev.resolve(s)), |s| &mut s.by_phone);
                     let brand = sym_into(pe.brand.map(|s| prev.resolve(s)), |s| &mut s.by_brand);
+                    let skeleton = snap.link_keys.intern(prev.link_keys.resolve(pe.skeleton));
                     docs.push(DocInput::Reuse(prev_id));
                     IntelEntry {
                         url,
@@ -488,6 +481,7 @@ impl IntelSnapshot {
                         sender,
                         phone,
                         brand,
+                        skeleton,
                         cluster: 0,
                         template: 0,
                         forums: r.evidence.forums,
@@ -498,30 +492,43 @@ impl IntelSnapshot {
                     }
                 }
             };
-
-            let cluster = cluster_of[i];
-            snap.clusters[cluster as usize].push(id);
-            if let Some(c) = entry.truth_campaign {
-                *cluster_votes[cluster as usize].entry(c).or_default() += 1;
-            }
-            snap.entries.push(IntelEntry { cluster, ..entry });
+            snap.entries.push(entry);
         }
 
+        // Campaign-link clusters over the retained entries, on the pivots
+        // and anti-hub rule the §5.1 ablation measures, as integer work
+        // over the symbols each entry carries. Recomputed every epoch: the
+        // weak-key cap is non-monotone (a pivot can cross it as reports
+        // accumulate), so a carried union-find would diverge from the
+        // from-scratch reference.
+        let (cluster_of, n_clusters) = cluster_by_keys(n, |i| link_keys(&snap.entries[i]));
+        snap.clusters = vec![Vec::new(); n_clusters];
+        let mut cluster_votes: Vec<HashMap<u32, u32>> = vec![HashMap::new(); n_clusters];
+        for (id, (e, &cluster)) in snap.entries.iter_mut().zip(&cluster_of).enumerate() {
+            e.cluster = cluster as u32;
+            snap.clusters[cluster].push(id as u32);
+            if let Some(c) = e.truth_campaign {
+                *cluster_votes[cluster].entry(c).or_default() += 1;
+            }
+        }
         // Majority ground-truth campaign per cluster (ties broken by the
         // smaller campaign id for determinism) — evaluation only.
-        for (cluster, votes) in cluster_votes.into_iter().enumerate() {
-            snap.cluster_campaign[cluster] = votes
-                .into_iter()
-                .max_by_key(|&(c, n)| (n, std::cmp::Reverse(c)))
-                .map(|(c, _)| c);
-        }
+        snap.cluster_campaign = cluster_votes
+            .into_iter()
+            .map(|votes| {
+                votes
+                    .into_iter()
+                    .max_by_key(|&(c, n)| (n, std::cmp::Reverse(c)))
+                    .map(|(c, _)| c)
+            })
+            .collect();
 
         // Similarity tier: one SimHash doc per entry, in entry order, so
         // doc ids ARE entry ids. Built here so every published epoch
         // carries its index — the read path never builds anything. On the
         // incremental path, reused docs skip shingling + signature work
-        // entirely, and template components update incrementally when no
-        // doc was evicted.
+        // entirely, and the previous template components are repaired
+        // where docs left or arrived.
         snap.sim = match prev {
             Some(p) => SimIndex::rebuild(p.sim(), docs),
             None => SimIndex::build(snap.entries.iter().map(|e| e.text.as_str())),
@@ -704,6 +711,7 @@ impl IntelSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smishing_core::analysis::linking::{pivot_keys, LinkingPivots};
     use smishing_core::pipeline::Pipeline;
     use smishing_obs::Obs;
     use smishing_worldsim::{World, WorldConfig};
@@ -785,6 +793,28 @@ mod tests {
         assert_eq!(total, out.curated_total.len() as u64);
         assert!(s.entries().iter().all(|e| e.first_seen <= e.last_seen));
         assert!(s.entries().iter().any(|e| e.n_reports > 1));
+    }
+
+    /// Every entry's carried link keys, spelled out, are the §5.1 pivot
+    /// strings of its record, strength flags and order included.
+    #[test]
+    fn carried_link_keys_spell_the_pivot_strings() {
+        let out = Pipeline::default().run(world(), &Obs::noop());
+        let s = IntelSnapshot::build(&out);
+        for (e, r) in s.entries().iter().zip(&out.records) {
+            let spelled: Vec<(String, bool)> = link_keys(e)
+                .map(|(key, strong)| {
+                    let key = match key {
+                        LinkKey::Domain(d) => format!("d:{}", s.resolve(d)),
+                        LinkKey::Url(u) => format!("u:{}", s.resolve(u)),
+                        LinkKey::Sender(x) => format!("s:{}", s.resolve(x)),
+                        LinkKey::Skeleton(t) => format!("t:{}", s.link_keys.resolve(t)),
+                    };
+                    (key, strong)
+                })
+                .collect();
+            assert_eq!(spelled, pivot_keys(r, LinkingPivots::ALL), "{}", e.text);
+        }
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! Edge discovery tests every pair on the signature array, so the full
 //! pass is quadratic in the corpus; the band and Hamming tests cost a few
 //! instructions per pair, and a pair whose endpoints already share a
-//! component skips its Jaccard, since the union would change nothing.
+//! component skips its Jaccard, since the union would change nothing. An
+//! epoch rebuild repairs the previous partition instead, testing only
+//! the pairs that can have changed ([`repaired_templates`]).
 
 use crate::index::{Bands, SimIndex};
 use smishing_stats::unionfind::UnionFind;
 use smishing_textnlp::ngram::jaccard;
-use std::ops::Range;
 
 /// Assign every indexed text a template id via connected components.
 /// Returns `(template_of_doc, template_count)`.
@@ -32,21 +33,24 @@ pub fn connected_templates(idx: &SimIndex) -> (Vec<u32>, u32) {
     (template, uf.components() as u32)
 }
 
-/// Incremental template assignment for a rebuild in which *every* doc of
-/// `prev` was reused (`old_to_new[old] = Some(new id)`) plus the brand-new
-/// docs in `fresh`.
+/// Template assignment for a [`SimIndex::rebuild`] of `prev`:
+/// `old_to_new[old]` is the new id of each reused doc of `prev`, `None`
+/// for a doc that left, and `fresh` lists the brand-new docs.
 ///
-/// Produces exactly the [`connected_templates`] partition without
-/// re-scanning old↔old pairs: reused docs keep their signatures and
-/// shingles, so the old↔old edge set is unchanged — band sharing,
-/// Hamming, and Jaccard all depend only on the two endpoints — and its
-/// transitive closure is the previous partition, which spanning unions
-/// re-impose directly. Only edges incident to a new doc can be new, and
-/// each new doc tests every other doc, so every such edge is seen.
+/// Produces exactly the [`connected_templates`] partition while testing
+/// only the pairs that can have changed. Reused docs keep their
+/// signatures and shingles, and band sharing, Hamming and Jaccard depend
+/// only on the two endpoints, so an old↔old edge exists now iff it
+/// existed in `prev`, where it joined two docs of one previous component.
+/// A component that lost no doc thus keeps every internal edge and is
+/// still connected: spanning unions re-impose it. The survivors of a
+/// component that lost a doc may have come apart, so they are re-linked
+/// among themselves, and only among themselves. Every edge that touches
+/// a new doc is found by testing each new doc against every doc.
 ///
 /// Dense ids come out identical too: [`UnionFind::clusters`] assigns them
 /// by first appearance in doc order, independent of union order.
-pub fn incremental_templates(
+pub fn repaired_templates(
     idx: &SimIndex,
     prev: &SimIndex,
     old_to_new: &[Option<u32>],
@@ -55,17 +59,25 @@ pub fn incremental_templates(
     let n = idx.len() as u32;
     let mut uf = UnionFind::new(n as usize);
     let bands = Bands::new(idx.config().bands);
-    // Re-impose the previous partition: union each reused doc with the
-    // first reused doc of its previous template.
-    let mut first_of: Vec<Option<u32>> = vec![None; prev.template_count() as usize];
+    // The survivors of each previous template, and whether it lost a doc.
+    let mut survivors: Vec<Vec<u32>> = vec![Vec::new(); prev.template_count() as usize];
+    let mut damaged = vec![false; survivors.len()];
     for (old, new) in old_to_new.iter().enumerate() {
-        let new = new.expect("incremental templates require every prev doc reused");
         let t = prev.template_of(old as u32) as usize;
-        match first_of[t] {
-            Some(f) => {
-                uf.union(f as usize, new as usize);
+        match *new {
+            Some(new) => survivors[t].push(new),
+            None => damaged[t] = true,
+        }
+    }
+    for (docs, damaged) in survivors.iter().zip(damaged) {
+        if damaged {
+            for (k, &i) in docs.iter().enumerate() {
+                link(idx, &mut uf, bands, i, docs[k + 1..].iter().copied());
             }
-            None => first_of[t] = Some(new),
+        } else if let Some((&first, rest)) = docs.split_first() {
+            for &j in rest {
+                uf.union(first as usize, j as usize);
+            }
         }
     }
     // Discover the edges incident to new docs, with the same gates as the
@@ -80,7 +92,13 @@ pub fn incremental_templates(
 /// Union doc `i` with every other doc in `peers` it has an edge to.
 /// Empty-shingle docs never edge: `i` is skipped here, and an empty peer
 /// has Jaccard 0 against a non-empty `i`.
-fn link(idx: &SimIndex, uf: &mut UnionFind, bands: Bands, i: u32, peers: Range<u32>) {
+fn link(
+    idx: &SimIndex,
+    uf: &mut UnionFind,
+    bands: Bands,
+    i: u32,
+    peers: impl IntoIterator<Item = u32>,
+) {
     let si = idx.shingles_of(i);
     if si.is_empty() {
         return;

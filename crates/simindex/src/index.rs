@@ -180,11 +180,11 @@ impl SimIndex {
 
     /// Rebuild the index for a new epoch, inheriting `prev`'s
     /// configuration. [`DocInput::Reuse`] docs copy their signature and
-    /// shingle set out of `prev` instead of re-shingling, and when *every*
-    /// doc of `prev` is reused (pure growth, no eviction) the template
-    /// components update incrementally — only edges incident to new docs
-    /// are discovered, and the previous partition is re-imposed by
-    /// spanning unions. The result is byte-identical to
+    /// shingle set out of `prev` instead of re-shingling, and the template
+    /// components are repaired rather than rediscovered: previous
+    /// components re-imposed, those that lost a doc re-linked among their
+    /// survivors, and only edges incident to new docs discovered
+    /// ([`cluster::repaired_templates`]). The result is byte-identical to
     /// [`SimIndex::build_with`] over the equivalent text sequence.
     pub fn rebuild<'a, I>(prev: &SimIndex, docs: I) -> SimIndex
     where
@@ -219,15 +219,7 @@ impl SimIndex {
         }
 
         let mut idx = SimIndex::pack(cfg, sigs, shingle_pool, shingle_off);
-        let all_reused = old_to_new.iter().all(|m| m.is_some());
-        let (template, n_templates) = if all_reused {
-            cluster::incremental_templates(&idx, prev, &old_to_new, &fresh)
-        } else {
-            // Some previous doc was evicted: its unions are no longer
-            // valid, so rediscover components from scratch (shingling —
-            // the expensive part — was still reused above).
-            cluster::connected_templates(&idx)
-        };
+        let (template, n_templates) = cluster::repaired_templates(&idx, prev, &old_to_new, &fresh);
         idx.template = template;
         idx.n_templates = n_templates;
         idx

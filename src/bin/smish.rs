@@ -518,7 +518,7 @@ fn write_checkpoint(path: &str, ck: &Checkpoint, obs: &Obs) {
 /// reported and ignored.
 fn load_checkpoint(path: &str, obs: &Obs, world: &World) -> Option<Checkpoint> {
     let parsed = match std::fs::read_to_string(path) {
-        Ok(text) => Checkpoint::from_json(&text).map_err(|e| e.to_string()),
+        Ok(text) => Checkpoint::from_json(&text),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
         Err(e) => Err(e.to_string()),
     };
@@ -593,20 +593,24 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
     let epoch_posts = args
         .snapshot_every
         .unwrap_or((world.posts.len() as u64 / 4).max(1));
-    if args.stream_mode {
-        check_adversary_epochs(obs, world, epoch_posts);
-    }
-    let adv = AdversaryWorld::build(world, epoch_posts);
-    let injected = Arc::new(AtomicU64::new(0));
     // Adversarial injection only exists in `--stream` mode (waves land at
-    // epoch boundaries of the live replay); the gauge rides the `health`
-    // line so an operator can see the drift pressure the store is under.
+    // epoch boundaries of the live replay), so only that mode builds the
+    // wave schedule; the gauge rides the `health` line so an operator can
+    // see the drift pressure the store is under.
+    let adv = args.stream_mode.then(|| {
+        check_adversary_epochs(obs, world, epoch_posts);
+        AdversaryWorld::build(world, epoch_posts)
+    });
+    let injected = Arc::new(AtomicU64::new(0));
     let serve_opts = ServeOptions {
-        adversary: (args.stream_mode && !adv.waves.is_empty()).then(|| AdversaryGauge {
-            profile: adv.plan.to_string(),
-            waves: adv.waves.len() as u64,
-            injected: Arc::clone(&injected),
-        }),
+        adversary: adv
+            .as_ref()
+            .filter(|adv| !adv.waves.is_empty())
+            .map(|adv| AdversaryGauge {
+                profile: adv.plan.to_string(),
+                waves: adv.waves.len() as u64,
+                injected: Arc::clone(&injected),
+            }),
         ..ServeOptions::default()
     };
     // Serve the protocol, then flush the run report immediately at EOF:
@@ -656,7 +660,7 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
         }
         stats
     };
-    let stats = if args.stream_mode {
+    let stats = if let Some(adv) = &adv {
         // Live mode: the streaming engine republishes the store at every
         // aligned snapshot while this thread keeps answering queries —
         // the epoch hub guarantees each answer comes from one consistent
@@ -681,7 +685,6 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
             let resumed_ck = resumed;
             let ck_path = args.checkpoint.clone();
             let cache_capacity = triage_cfg.cache_capacity;
-            let adv = &adv;
             let wave_counter = Arc::clone(&injected);
             scope.spawn(move || {
                 let mut prev: Option<Arc<IntelSnapshot>> = None;

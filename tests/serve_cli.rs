@@ -17,14 +17,15 @@
 //!   session reports its waves and a clean engine; a checkpoint the
 //!   replay does not reproduce exits 1 without a panic; a same-flags
 //!   resume re-enters the epoch sequence and reports the engine's
-//!   `exec.*` series; an unreadable checkpoint file is reported and
-//!   replaced.
+//!   `exec.*` series; an unreadable checkpoint file, or one of another
+//!   format version, is reported and replaced.
 //! * **Flag validation**: `--snapshot-every 0` exits 2 naming the flag,
 //!   before a world is generated; under a rotating adversary, an epoch
 //!   length that makes more than 32 epochs exits 2 before ingest.
 //! * **Growth gate**: `smish perfdiff SMALL LARGE` exits 0 on linear
 //!   growth, 1 on a quadratic layer and 2 on bad input.
 
+use smishing::core::exec::CHECKPOINT_VERSION;
 use smishing::obs::{parse_report, MetricId, Obs};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -373,6 +374,23 @@ fn unreadable_checkpoint_is_reported_and_replaced() {
         let rewritten = std::fs::read_to_string(&ck).expect("checkpoint rewritten as UTF-8");
         assert!(rewritten.contains("\"posts_consumed\""), "{rewritten}");
     }
+    // A well-formed checkpoint of another format version is unreadable
+    // too: never resumed, and replaced by one of this build's version.
+    let current = format!("\"version\":{CHECKPOINT_VERSION},");
+    let written = std::fs::read_to_string(&ck).unwrap();
+    assert!(written.contains(&current), "{written}");
+    let future = format!("\"version\":{},", CHECKPOINT_VERSION + 1);
+    std::fs::write(&ck, written.replacen(&current, &future, 1)).unwrap();
+    let out = stream_health(&["--checkpoint", path_arg(&ck)]);
+    assert!(out.status.success(), "exited with {}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unreadable") && stderr.contains("starting fresh"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("resuming from checkpoint"), "{stderr}");
+    let rewritten = std::fs::read_to_string(&ck).unwrap();
+    assert!(rewritten.contains(&current), "{rewritten}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
