@@ -14,21 +14,28 @@
 //!   `target/intel-serve-run-report.json`. On a machine with at least 4
 //!   cores, 4 workers must reach twice the q/s of one, or the bench
 //!   panics and `cargo bench` fails; on fewer cores the check is skipped.
+//! * The near-kernel check times the similarity tier's two kernels over
+//!   the store's entry texts against plain passes over the same data,
+//!   min of 3, and panics on a breach: `SimIndex::nearest(q, 1)` within
+//!   8x an XOR-and-`count_ones` pass over the same signatures, and
+//!   `simhash` within 8x `set_hash` on the same shingle sets.
 //!
 //! The mixed closed loop itself (35/10/35/10/10 URL hit / sender hit /
 //! miss / near / msg through `serve_session`) is perfbench's `triage_mix`
 //! workload. Set `SMISHING_BENCH_QUICK=1` to skip the criterion groups
-//! and shorten the scripted mix (the CI serve-smoke and drift-soak jobs
-//! do).
+//! and shorten the scripted mix; both checks still run (the CI
+//! serve-smoke and drift-soak jobs do this).
 
 use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use smishing_bench::time_kernel;
 use smishing_core::pipeline::Pipeline;
 use smishing_intel::{
     serve_workers, IntelHub, IntelSnapshot, Query, ServeOptions, Triage, TriageConfig, WorkerPlan,
 };
 use smishing_obs::{Obs, Tracer, TracerConfig};
+use smishing_simindex::{set_hash, simhash, SimQuery};
 use smishing_types::AdversaryPlan;
 use smishing_worldsim::{World, WorldConfig};
 use std::hint::black_box;
@@ -234,6 +241,52 @@ fn scaling_curve(hub: &IntelHub, mix: &QueryMix, obs: &Obs, quick: bool, rng: &m
     eprintln!("scaling: workers=4 speedup {speedup:.2}x over workers=1 on {cores} cores");
 }
 
+/// The near rung's kernels must cost a small multiple of a plain pass
+/// over the same data, over the store's entry texts: `nearest(q, 1)` at
+/// most 8x XOR plus `count_ones` against every signature, and `simhash`
+/// at most 8x `set_hash` of the same shingle set. The block-masked,
+/// bucketed, lazily re-ranked scan and the bit-sliced count read
+/// 2.8-4.3x and 2.8-3.1x on a 2-core VM; the full sort with 48 Jaccards
+/// and the vote loop they replaced read 22-27x and 29-36x.
+fn near_kernel_check(hub: &IntelHub) {
+    let snap = hub.latest().expect("published");
+    let sim = snap.sim();
+    let queries: Vec<SimQuery> = snap
+        .texts()
+        .map(|text| sim.query(text))
+        .filter(|q| !q.is_empty())
+        .collect();
+    let sigs: Vec<u64> = (0..sim.len() as u32).map(|id| sim.sig(id)).collect();
+    let max_hamming = sim.config().max_hamming;
+    let scan_ns = time_kernel(&queries, |q| {
+        sigs.iter()
+            .filter(|&&s| (q.sig ^ s).count_ones() <= max_hamming)
+            .count()
+    })
+    .max(1) as f64;
+    let nearest = time_kernel(&queries, |q| sim.nearest(q, 1)) as f64 / scan_ns;
+    let set_hash_ns = time_kernel(&queries, |q| set_hash(&q.shingles)).max(1) as f64;
+    let signing = time_kernel(&queries, |q| simhash(&q.shingles)) as f64 / set_hash_ns;
+    let per_query = |ns: f64| ns / 1e3 / queries.len().max(1) as f64;
+    eprintln!(
+        "near kernels over {} queries x {} docs (min of 3): nearest {nearest:.2}x \
+         the XOR + count_ones pass ({:.2}us per query, budget 8x), simhash {signing:.2}x \
+         set_hash ({:.3}us per query, budget 8x)",
+        queries.len(),
+        sigs.len(),
+        per_query(scan_ns),
+        per_query(set_hash_ns),
+    );
+    assert!(
+        nearest <= 8.0,
+        "nearest costs {nearest:.2}x an XOR + count_ones pass (budget 8x)"
+    );
+    assert!(
+        signing <= 8.0,
+        "simhash costs {signing:.2}x set_hash (budget 8x)"
+    );
+}
+
 fn bench_intel_serve(c: &mut Criterion) {
     let (hub, mix, _) = store_and_mix(&bench_world());
     let mut triage = Triage::new(hub.reader());
@@ -285,10 +338,12 @@ fn bench_intel_serve(c: &mut Criterion) {
     g.finish();
 }
 
-/// The worker-plane scaling curve, written as one run-report artifact.
+/// The worker-plane scaling curve, written as one run-report artifact,
+/// and the near-kernel check.
 fn serve_report(quick: bool) {
     let obs = Obs::enabled();
     let (hub, mix, mut rng) = store_and_mix(&bench_world());
+    near_kernel_check(&hub);
     scaling_curve(&hub, &mix, &obs, quick, &mut rng);
 
     let target = std::env::var("CARGO_TARGET_DIR")

@@ -20,6 +20,7 @@
 //! the checks (the CI shard-parity job does).
 
 use criterion::{criterion_group, Criterion};
+use smishing_bench::time_kernel;
 use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing_core::pipeline::Pipeline;
 use smishing_core::CurationOptions;
@@ -137,20 +138,6 @@ fn shard_slowdown_check(world: &World) {
     );
 }
 
-/// Min-of-3 wall time of `kernel` over every text.
-fn time_kernel<T>(texts: &[&str], kernel: impl Fn(&str) -> T) -> u64 {
-    (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            for text in texts {
-                black_box(kernel(text));
-            }
-            t.elapsed().as_nanos() as u64
-        })
-        .min()
-        .expect("three runs")
-}
-
 /// Brand extraction and language ID must cost a small multiple of
 /// normalizing the same text: at most 6x and 3.5x `normalize_text`, over
 /// the bench world's curated texts and their English renderings.
@@ -161,9 +148,9 @@ fn text_kernel_check(world: &World) {
         .iter()
         .flat_map(|c| [c.text.as_str(), c.english.as_str()])
         .collect();
-    let norm_ns = time_kernel(&texts, normalize_text).max(1) as f64;
-    let brand = time_kernel(&texts, extract_brand) as f64 / norm_ns;
-    let language = time_kernel(&texts, identify_language) as f64 / norm_ns;
+    let norm_ns = time_kernel(&texts, |t| normalize_text(t)).max(1) as f64;
+    let brand = time_kernel(&texts, |t| extract_brand(t)) as f64 / norm_ns;
+    let language = time_kernel(&texts, |t| identify_language(t)) as f64 / norm_ns;
     eprintln!(
         "text kernels over {} texts (min of 3): normalize_text {:.2}us each, \
          extract_brand {brand:.2}x (budget 6x), identify_language {language:.2}x (budget 3.5x)",

@@ -9,7 +9,9 @@
 
 use smishing_core::pipeline::{Pipeline, PipelineOutput};
 use smishing_worldsim::{World, WorldConfig};
+use std::hint::black_box;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// The benchmark world scale (~2% of paper volume: fast but non-trivial).
 pub const BENCH_SCALE: f64 = 0.02;
@@ -29,6 +31,21 @@ pub fn bench_world() -> &'static World {
 pub fn bench_output() -> &'static PipelineOutput<'static> {
     static OUT: OnceLock<PipelineOutput<'static>> = OnceLock::new();
     OUT.get_or_init(|| Pipeline::default().run(bench_world(), &smishing_obs::Obs::noop()))
+}
+
+/// Min-of-3 wall time in nanoseconds of `kernel` over every item: both
+/// sides of the benches' same-machine kernel ratio checks.
+pub fn time_kernel<T, R>(items: &[T], kernel: impl Fn(&T) -> R) -> u64 {
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            for item in items {
+                black_box(kernel(item));
+            }
+            t.elapsed().as_nanos() as u64
+        })
+        .min()
+        .expect("three runs")
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ pub use hub::{IntelHub, IntelReader};
 pub use intern::{Interner, Sym};
 pub use serve::{
     explain, process_rss_bytes, reply_line, serve_session, verdict_label, verdict_line,
-    AdversaryGauge, ServeOptions, ServeSession, ServeStats,
+    AdversaryGauge, Reject, ServeOptions, ServeSession, ServeStats,
 };
 pub use snapshot::{
     record_keys, BuildOptions, IndexSizes, IntelEntry, IntelSnapshot, RecordKeys, SnapshotDelta,

@@ -32,7 +32,12 @@
 //! go into the `intel.serve.lookup_ns` / `intel.serve.triage_ns` /
 //! `intel.serve.near_ns` histograms (plus the candidate-set sizes into
 //! `intel.serve.near_candidates`) and the `intel.serve.*` counters of
-//! the run report.
+//! the run report. Every `err` reply also counts under
+//! `intel.serve.rejected{reason=…}`, labelled by one of the five fixed
+//! [`Reject`] classes and never by the raw command, so hostile input
+//! cannot grow the series. Every non-blank line but `quit` and an
+//! answered verb thus counts once: as an answered query, a rejected line
+//! or a shed request.
 //!
 //! ## Introspection
 //!
@@ -84,7 +89,8 @@ pub struct ServeStats {
     /// Messages that fell through to the model (`msg` without an index
     /// hit).
     pub triaged: u64,
-    /// Malformed lines.
+    /// Malformed lines: every rejected line except a verb refused for
+    /// want of a snapshot ([`Reject::NoSnapshot`]).
     pub errors: u64,
     /// Queries refused at admission (bounded queue full) or abandoned by
     /// a dying worker. Always 0 in the sequential path.
@@ -189,6 +195,55 @@ pub fn verdict_line(v: &TriageVerdict) -> String {
     }
 }
 
+/// Why a request line was answered `err`: the `reason` label of the
+/// `intel.serve.rejected` counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reject {
+    /// The line is not UTF-8.
+    InvalidUtf8,
+    /// The line exceeds 64 KiB.
+    LineTooLong,
+    /// `url`, `sender`, `near` or `explain` without a value.
+    MissingValue,
+    /// A command the protocol does not know.
+    UnknownCommand,
+    /// `health` or `sample` before any snapshot is published.
+    NoSnapshot,
+}
+
+impl Reject {
+    /// Every class, in label order.
+    pub const ALL: [Reject; 5] = [
+        Reject::InvalidUtf8,
+        Reject::LineTooLong,
+        Reject::MissingValue,
+        Reject::UnknownCommand,
+        Reject::NoSnapshot,
+    ];
+
+    /// The counter label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Reject::InvalidUtf8 => "invalid_utf8",
+            Reject::LineTooLong => "line_too_long",
+            Reject::MissingValue => "missing_value",
+            Reject::UnknownCommand => "unknown_command",
+            Reject::NoSnapshot => "no_snapshot",
+        }
+    }
+
+    /// The reply's reason for a line whose command is `cmd`.
+    fn reason(self, cmd: &str) -> String {
+        match self {
+            Reject::InvalidUtf8 => "invalid utf-8".to_string(),
+            Reject::LineTooLong => "line too long".to_string(),
+            Reject::MissingValue => format!("{cmd} needs a value"),
+            Reject::UnknownCommand => format!("unknown command {cmd}"),
+            Reject::NoSnapshot => "no snapshot published yet".to_string(),
+        }
+    }
+}
+
 /// Longest request line served, newline excluded. A longer line is
 /// skipped up to its newline without being buffered and answered
 /// `err line too long`.
@@ -212,9 +267,9 @@ impl<R: BufRead> LineReader<R> {
         }
     }
 
-    /// The next line without its newline — `Err` with the reply reason
+    /// The next line without its newline — `Err` with the rejection
     /// when it is not valid UTF-8 or over the cap — or `None` at EOF.
-    pub(crate) fn next_line(&mut self) -> io::Result<Option<Result<&str, &'static str>>> {
+    pub(crate) fn next_line(&mut self) -> io::Result<Option<Result<&str, Reject>>> {
         self.buf.clear();
         let mut read_any = false;
         let mut too_long = false;
@@ -247,10 +302,10 @@ impl<R: BufRead> LineReader<R> {
             }
         }
         if too_long {
-            return Ok(Some(Err("line too long")));
+            return Ok(Some(Err(Reject::LineTooLong)));
         }
         Ok(Some(
-            std::str::from_utf8(&self.buf).map_err(|_| "invalid utf-8"),
+            std::str::from_utf8(&self.buf).map_err(|_| Reject::InvalidUtf8),
         ))
     }
 }
@@ -264,18 +319,19 @@ pub(crate) enum Request<'a> {
     /// An introspection verb and its argument, answered on the session
     /// (collector) thread where the tracer/ring/stats live.
     Verb(&'a str, &'a str),
-    /// A line answered `err {reason}` and counted under `errors`.
-    Malformed(String),
+    /// A line answered `err` and counted under `errors` and
+    /// `intel.serve.rejected`: the class and the line's command.
+    Malformed(Reject, &'a str),
 }
 
 /// Classify one line as the [`LineReader`] returned it; `None` for a
 /// blank line. The single protocol grammar shared by the sequential
 /// loop and the worker plane. Also returns the trimmed line (empty for
 /// an unreadable one), which names the request in traces.
-pub(crate) fn classify<'a>(read: Result<&'a str, &'static str>) -> Option<(&'a str, Request<'a>)> {
+pub(crate) fn classify<'a>(read: Result<&'a str, Reject>) -> Option<(&'a str, Request<'a>)> {
     let line = match read {
         Ok(line) => line.trim(),
-        Err(reason) => return Some(("", Request::Malformed(reason.to_string()))),
+        Err(class) => return Some(("", Request::Malformed(class, ""))),
     };
     if line.is_empty() {
         return None;
@@ -285,14 +341,14 @@ pub(crate) fn classify<'a>(read: Result<&'a str, &'static str>) -> Option<(&'a s
     let request = match cmd {
         "quit" | "exit" => Request::Quit,
         "url" | "sender" | "near" | "explain" if rest.is_empty() => {
-            Request::Malformed(format!("{cmd} needs a value"))
+            Request::Malformed(Reject::MissingValue, cmd)
         }
         "explain" | "traces" | "timeseries" | "health" | "sample" | "stats" => {
             Request::Verb(cmd, rest)
         }
         _ => match Query::parse(cmd, rest) {
             Some(q) => Request::Query(q),
-            None => Request::Malformed(format!("unknown command {cmd}")),
+            None => Request::Malformed(Reject::UnknownCommand, cmd),
         },
     };
     Some((line, request))
@@ -436,6 +492,8 @@ pub(crate) struct SessionCore {
     pub ring: TimeRing,
     pub started: Instant,
     adversary: Option<AdversaryGauge>,
+    /// Rejected lines per class, in [`Reject::ALL`] order.
+    rejected: [u64; 5],
     lookup_ns: Histogram,
     triage_ns: Histogram,
     near_ns: Histogram,
@@ -450,6 +508,7 @@ impl SessionCore {
             ring: TimeRing::new(opts.ts_window),
             started: Instant::now(),
             adversary: opts.adversary.clone(),
+            rejected: [0; 5],
             lookup_ns: obs.histogram("intel.serve.lookup_ns", &[]),
             triage_ns: obs.histogram("intel.serve.triage_ns", &[]),
             near_ns: obs.histogram("intel.serve.near_ns", &[]),
@@ -465,12 +524,22 @@ impl SessionCore {
         }
     }
 
-    /// Account one malformed line and write its `err` reply.
-    pub(crate) fn error<W: Write>(&mut self, reason: &str, out: &mut W) -> io::Result<()> {
-        self.stats.errors += 1;
-        let second = self.started.elapsed().as_secs();
-        self.ring.record(second, TsOutcome::Error, 0);
-        writeln!(out, "err {reason}")
+    /// Account one rejected line whose command is `cmd` and write its
+    /// `err` reply. A verb refused for want of a snapshot is not an
+    /// error: it stays out of `errors` and the time series.
+    pub(crate) fn reject<W: Write>(
+        &mut self,
+        class: Reject,
+        cmd: &str,
+        out: &mut W,
+    ) -> io::Result<()> {
+        self.rejected[class as usize] += 1;
+        if class != Reject::NoSnapshot {
+            self.stats.errors += 1;
+            let second = self.started.elapsed().as_secs();
+            self.ring.record(second, TsOutcome::Error, 0);
+        }
+        writeln!(out, "err {}", class.reason(cmd))
     }
 
     /// Account one shed request (admitted nowhere, answered never).
@@ -586,7 +655,7 @@ impl SessionCore {
                         process_rss_bytes(),
                     )?;
                 }
-                None => writeln!(out, "err no snapshot published yet")?,
+                None => self.reject(Reject::NoSnapshot, cmd, out)?,
             },
             "sample" => {
                 // `sample near <n>` emits entry texts as `near` query
@@ -620,7 +689,7 @@ impl SessionCore {
                             emitted += 1;
                         }
                     }
-                    None => writeln!(out, "err no snapshot published yet")?,
+                    None => self.reject(Reject::NoSnapshot, cmd, out)?,
                 }
             }
             "stats" => {
@@ -660,6 +729,7 @@ impl SessionCore {
             stats,
             tracer,
             ring,
+            rejected,
             ..
         } = self;
         obs.counter("intel.serve.queries", &[]).add(stats.queries);
@@ -671,6 +741,10 @@ impl SessionCore {
         obs.counter("intel.serve.misses", &[]).add(stats.misses);
         obs.counter("intel.serve.triaged", &[]).add(stats.triaged);
         obs.counter("intel.serve.errors", &[]).add(stats.errors);
+        for (class, n) in Reject::ALL.into_iter().zip(rejected) {
+            obs.counter("intel.serve.rejected", &[("reason", class.label())])
+                .add(n);
+        }
         obs.counter("intel.serve.shed", &[]).add(stats.shed);
         obs.counter("intel.serve.worker_panics", &[])
             .add(stats.worker_panics);
@@ -728,7 +802,7 @@ pub fn serve_session<R: BufRead, W: Write>(
         };
         match request {
             Request::Quit => break,
-            Request::Malformed(reason) => core.error(&reason, &mut out)?,
+            Request::Malformed(class, cmd) => core.reject(class, cmd, &mut out)?,
             Request::Query(query) => {
                 let tb = core.tracer.begin(line);
                 let (reply, trace) = answer_query(triage, &query, tb);
@@ -1065,7 +1139,7 @@ mod tests {
         let mut huge = vec![b'z'; 16 * MAX_LINE_BYTES];
         huge.push(b'\n');
         let mut reader = LineReader::new(&huge[..]);
-        assert_eq!(reader.next_line().unwrap(), Some(Err("line too long")));
+        assert_eq!(reader.next_line().unwrap(), Some(Err(Reject::LineTooLong)));
         assert!(reader.buf.capacity() <= 2 * MAX_LINE_BYTES);
         assert_eq!(reader.next_line().unwrap(), None);
     }

@@ -49,7 +49,7 @@
 
 use crate::hub::IntelHub;
 use crate::serve::{
-    answer_query, classify, LineReader, QueryReply, Request, ServeOptions, ServeSession,
+    answer_query, classify, LineReader, QueryReply, Reject, Request, ServeOptions, ServeSession,
     SessionCore,
 };
 use crate::triage::{Triage, TriageConfig};
@@ -118,9 +118,13 @@ enum ToCollector {
     /// An introspection verb, answered by the collector at its barrier
     /// position.
     Verb { seq: u64, line: String },
-    /// A malformed line: its `err` reason, written and counted by the
-    /// collector at its position.
-    Error { seq: u64, reason: String },
+    /// A rejected line: its class and command, written and counted by
+    /// the collector at its position.
+    Error {
+        seq: u64,
+        class: Reject,
+        cmd: String,
+    },
     /// An admitted query abandoned by a dying worker (or drained after
     /// every worker exited): fills the seq hole so later responses
     /// still flow, and is counted as shed.
@@ -299,7 +303,7 @@ pub fn serve_workers<R: BufRead, W: Write + Send>(
                             // The reader forwards nothing else as a verb.
                             _ => Ok(()),
                         },
-                        ToCollector::Error { reason, .. } => core.error(&reason, out),
+                        ToCollector::Error { class, cmd, .. } => core.reject(class, &cmd, out),
                         ToCollector::Shed { .. } => {
                             core.shed();
                             Ok(())
@@ -382,7 +386,11 @@ pub fn serve_workers<R: BufRead, W: Write + Send>(
                     seq,
                     line: line.to_string(),
                 },
-                Request::Malformed(reason) => ToCollector::Error { seq, reason },
+                Request::Malformed(class, cmd) => ToCollector::Error {
+                    seq,
+                    class,
+                    cmd: cmd.to_string(),
+                },
             };
             if reply_tx.send(to_collector).is_err() {
                 break;

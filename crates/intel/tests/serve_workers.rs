@@ -9,14 +9,20 @@
 //!   `serve.worker_panics`, re-raised on the caller after the session's
 //!   accounting exports, and loses no response bytes before the failure
 //!   point.
+//! * **Rejected lines** — a script of queries mixed with every kind of
+//!   rejected line, 1,000 distinct unknown commands among them, counts
+//!   each request line once among answered queries, rejected lines and
+//!   shed, inline and behind a depth-1 queue, under at most five
+//!   `intel.serve.rejected` labels.
 
 use smishing_core::pipeline::Pipeline;
 use smishing_intel::{
-    serve_session, serve_workers, IntelHub, IntelSnapshot, ServeOptions, Triage, TriageConfig,
-    WorkerPlan,
+    serve_session, serve_workers, IntelHub, IntelSnapshot, Reject, ServeOptions, ServeStats,
+    Triage, TriageConfig, WorkerPlan,
 };
 use smishing_obs::Obs;
 use smishing_worldsim::{World, WorldConfig};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -195,4 +201,117 @@ fn worker_panic_is_counted_reraised_and_loses_no_prior_bytes() {
     );
     assert!(report.contains("\"intel.serve.queries\": 6"), "{report}");
     assert!(report.contains("\"intel.serve.shed\": 6"), "{report}");
+}
+
+/// Queries interleaved with every kind of rejected line, and the number
+/// of each: (script, queries, rejected lines per class). `health` and
+/// `sample` are rejected only while no snapshot is published.
+fn hostile_script() -> (Vec<u8>, u64, BTreeMap<&'static str, u64>) {
+    let mut script = Vec::new();
+    let mut queries = 0;
+    let mut rejected = BTreeMap::new();
+    let mut add = |line: &[u8], class: Option<Reject>| {
+        script.extend_from_slice(line);
+        script.push(b'\n');
+        match class {
+            Some(class) => *rejected.entry(class.label()).or_insert(0) += 1,
+            None => queries += 1,
+        }
+    };
+    for i in 0..1000 {
+        add(
+            format!("cmd{i} arg").as_bytes(),
+            Some(Reject::UnknownCommand),
+        );
+        if i % 5 == 0 {
+            add(format!("url https://q-{i}.example/x").as_bytes(), None);
+            add(b"msg hello, running late tonight", None);
+        }
+        if i % 100 == 0 {
+            add(b"near", Some(Reject::MissingValue));
+            add(b"url http://\xff.example/x", Some(Reject::InvalidUtf8));
+            add(&vec![b'u'; 70 * 1024], Some(Reject::LineTooLong));
+            add(b"health", Some(Reject::NoSnapshot));
+            // A blank line first: it is no request.
+            add(b"\nsample near 2", Some(Reject::NoSnapshot));
+        }
+    }
+    (script, queries, rejected)
+}
+
+/// The `intel.serve.rejected` counters of a run report, by label.
+fn rejected_counts(obs: &Obs) -> BTreeMap<String, u64> {
+    let report = obs.report().expect("enabled");
+    report
+        .counters
+        .iter()
+        .filter(|(id, _)| id.name == "intel.serve.rejected")
+        .map(|(id, &n)| {
+            assert_eq!(id.labels.len(), 1, "{id:?}");
+            (id.labels[0].1.clone(), n)
+        })
+        .collect()
+}
+
+#[test]
+fn every_request_line_is_answered_rejected_or_shed() {
+    let (script, queries, expected) = hostile_script();
+    let lines = queries + expected.values().sum::<u64>();
+    let empty = IntelHub::new();
+    let check = |obs: &Obs, stats: ServeStats, path: &str| {
+        let counts = rejected_counts(obs);
+        assert!(counts.len() <= Reject::ALL.len(), "{path}: {counts:?}");
+        for (class, n) in &counts {
+            assert_eq!(
+                expected.get(class.as_str()).copied().unwrap_or(0),
+                *n,
+                "{path}: {class}"
+            );
+        }
+        let rejected: u64 = counts.values().sum();
+        assert_eq!(
+            stats.queries + rejected + stats.shed,
+            lines,
+            "{path}: every line answered, rejected or shed: {stats:?} {counts:?}"
+        );
+        assert_eq!(stats.errors, rejected - counts["no_snapshot"], "{path}");
+    };
+
+    let obs = Obs::enabled();
+    let mut out = Vec::new();
+    let session = serve_session(
+        &mut Triage::with_config(empty.reader(), cfg()),
+        &script[..],
+        &mut out,
+        &obs,
+        ServeOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(session.stats.shed, 0);
+    check(&obs, session.stats, "inline");
+
+    let obs = Obs::enabled();
+    let mut writer = StalledWriter {
+        out: Vec::new(),
+        stalled: false,
+    };
+    let session = serve_workers(
+        &empty,
+        cfg(),
+        &script[..],
+        &mut writer,
+        &obs,
+        ServeOptions::default(),
+        &WorkerPlan::new(2, 1),
+    )
+    .unwrap();
+    check(&obs, session.stats, "workers");
+    assert_eq!(
+        String::from_utf8_lossy(&writer.out)
+            .lines()
+            .filter(|l| l.starts_with("err "))
+            .count() as u64,
+        lines - session.stats.queries - session.stats.shed,
+        "one err reply per rejected line"
+    );
 }

@@ -12,8 +12,14 @@
 //! A query makes one pass over `sigs`. A doc is a candidate when it
 //! agrees with the query on at least one whole `64/bands`-bit band,
 //! which the `Bands` test reads off `q ^ s` without extracting a key.
-//! Candidates within `max_hamming` are ranked by Hamming distance, and
-//! the closest survivors re-ranked by exact n-gram Jaccard.
+//! The pass works a block of 64 signatures at a time: the band test and
+//! the `max_hamming` test each set one bit per doc of a 64-bit mask, with
+//! no branch on the data, and only the set bits of their AND are visited.
+//! Those ranked candidates are bucketed by Hamming distance, ids
+//! ascending within a distance, which is the `(hamming, id)` order
+//! without a comparison sort. Exact n-gram Jaccard then re-ranks them
+//! one distance level at a time, and stops as soon as the top `k`
+//! cannot change.
 //!
 //! The scan is linear in the corpus. Per-band buckets would not make it
 //! sublinear: at 16 × 4-bit bands a random signature shares a band with
@@ -83,8 +89,10 @@ pub struct NearResult {
     pub candidates: usize,
     /// Candidates within `max_hamming` of the query signature.
     pub ranked: usize,
-    /// Hamming-ranked candidates that received the exact-Jaccard re-rank
-    /// (≤ `rerank`).
+    /// The re-rank budget: how many of the closest ranked candidates
+    /// were eligible for the exact-Jaccard re-rank, `min(ranked,
+    /// rerank)`. [`SimIndex::nearest`] computes Jaccard for only as many
+    /// of them as it needs to settle the top `k`.
     pub reranked: usize,
 }
 
@@ -301,41 +309,88 @@ impl SimIndex {
             .collect()
     }
 
-    /// Top-`k` accepted near-duplicates of `q`: one pass over the
-    /// signatures keeps the band-sharing docs within `max_hamming`, the
-    /// closest `rerank` get the exact-Jaccard re-rank, and acceptance is
-    /// at `min_jaccard`.
+    /// Top-`k` accepted near-duplicates of `q`, best first: Hamming
+    /// ascending, then Jaccard descending, then id ascending.
+    ///
+    /// One pass over the signatures, 64 at a time, keeps the
+    /// band-sharing docs within `max_hamming` and buckets them by Hamming
+    /// distance. The first `rerank` of them in `(hamming, id)` order are
+    /// the re-rank budget; a doc among them is accepted when its exact
+    /// Jaccard reaches `min_jaccard`. Jaccard is computed a level at a
+    /// time and stops once the top `k` is settled: at the end of a level
+    /// with `k` accepted matches, since every later doc is farther, or
+    /// mid-level when the lower levels' matches plus this level's
+    /// Jaccard-1.0 matches reach `k`, since no later doc of the level
+    /// can beat 1.0 or its smaller id.
     pub fn nearest(&self, q: &SimQuery, k: usize) -> NearResult {
         if q.is_empty() || self.is_empty() || k == 0 {
             return NearResult::default();
         }
         let bands = Bands::new(self.cfg.bands);
+        let max_hamming = self.cfg.max_hamming;
         let mut candidates = 0;
+        // (hamming, id) of every ranked doc, ids ascending, and the
+        // running count of docs per level at `level_at[hamming + 1]`.
         let mut ranked: Vec<(u32, u32)> = Vec::new();
-        for (id, &s) in self.sigs.iter().enumerate() {
-            let x = q.sig ^ s;
-            let shared = bands.share(x);
-            candidates += shared as usize;
-            let d = x.count_ones();
-            if d <= self.cfg.max_hamming && shared {
-                ranked.push((d, id as u32));
+        let mut level_at = [0usize; 66];
+        for (block, sigs) in self.sigs.chunks(64).enumerate() {
+            let (mut shared, mut close) = (0u64, 0u64);
+            for (bit, &s) in sigs.iter().enumerate() {
+                let x = q.sig ^ s;
+                shared |= u64::from(bands.share(x)) << bit;
+                close |= u64::from(x.count_ones() <= max_hamming) << bit;
+            }
+            candidates += shared.count_ones() as usize;
+            let mut hits = shared & close;
+            while hits != 0 {
+                let id = (block * 64) as u32 + hits.trailing_zeros();
+                hits &= hits - 1;
+                let d = (q.sig ^ self.sigs[id as usize]).count_ones();
+                level_at[d as usize + 1] += 1;
+                ranked.push((d, id));
             }
         }
-        let n_ranked = ranked.len();
-        ranked.sort_unstable();
-        ranked.truncate(self.cfg.rerank);
-        let n_reranked = ranked.len();
-        let mut matches: Vec<SimMatch> = ranked
-            .into_iter()
-            .filter_map(|(d, id)| {
+        for d in 1..level_at.len() {
+            level_at[d] += level_at[d - 1];
+        }
+        // Counting sort: level d is order[level_at[d]..level_at[d + 1]].
+        let mut order = vec![0u32; ranked.len()];
+        let mut fill = level_at;
+        for &(d, id) in &ranked {
+            order[fill[d as usize]] = id;
+            fill[d as usize] += 1;
+        }
+
+        let budget = ranked.len().min(self.cfg.rerank);
+        let mut seen = 0;
+        let mut matches: Vec<SimMatch> = Vec::new();
+        'levels: for d in 0..=max_hamming.min(64) as usize {
+            let below = matches.len();
+            let mut perfect = 0;
+            for &id in &order[level_at[d]..level_at[d + 1]] {
+                if seen == budget {
+                    break 'levels;
+                }
+                seen += 1;
                 let j = jaccard(&q.shingles, self.shingles_of(id));
-                (j >= self.cfg.min_jaccard).then_some(SimMatch {
-                    id,
-                    hamming: d,
-                    jaccard: j,
-                })
-            })
-            .collect();
+                if j >= self.cfg.min_jaccard {
+                    matches.push(SimMatch {
+                        id,
+                        hamming: d as u32,
+                        jaccard: j,
+                    });
+                    if j >= 1.0 {
+                        perfect += 1;
+                        if below + perfect >= k {
+                            break 'levels;
+                        }
+                    }
+                }
+            }
+            if matches.len() >= k {
+                break;
+            }
+        }
         matches.sort_by(|a, b| {
             a.hamming
                 .cmp(&b.hamming)
@@ -346,8 +401,8 @@ impl SimIndex {
         NearResult {
             matches,
             candidates,
-            ranked: n_ranked,
-            reranked: n_reranked,
+            ranked: ranked.len(),
+            reranked: budget,
         }
     }
 }

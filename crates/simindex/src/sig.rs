@@ -4,6 +4,13 @@
 //! signature bits, and the sign of the tally becomes the bit. Similar
 //! shingle sets therefore produce signatures at small Hamming distance,
 //! which is what the banded index exploits.
+//!
+//! The tally is bit-sliced. Bit `b` is set iff more than half of the
+//! shingle hashes have it set, so [`simhash`] counts set bits instead of
+//! voting: eight `u64` accumulators each hold eight byte-wide counters,
+//! one per bit position, and a shingle adds to all 64 of them with eight
+//! shift-mask-adds. A byte counter overflows past 255, so the counts
+//! are spilled every 255 shingles.
 
 use smishing_textnlp::ngram::hashed_ngrams;
 
@@ -19,25 +26,34 @@ fn diffuse(mut x: u64) -> u64 {
 }
 
 /// 64-bit SimHash of a shingle set. The empty set hashes to 0.
+///
+/// Bit `b` of the signature is set iff `2 · ones_b > n`, with `ones_b`
+/// the number of diffused shingle hashes that have bit `b` set and `n`
+/// the number of shingles (duplicates count each time): the rule of a
+/// ±1 vote per shingle and bit whose tally must be positive.
 pub fn simhash(shingles: &[u64]) -> u64 {
-    let mut votes = [0i32; 64];
-    for &s in shingles {
-        let h = diffuse(s);
-        for (b, v) in votes.iter_mut().enumerate() {
-            if (h >> b) & 1 == 1 {
-                *v += 1;
-            } else {
-                *v -= 1;
+    /// Bit 0 of every byte lane.
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    let mut ones = [0u64; 64];
+    for chunk in shingles.chunks(255) {
+        // acc[k] byte j counts bit 8j + k; at most 255 adds per lane.
+        let mut acc = [0u64; 8];
+        for &s in chunk {
+            let h = diffuse(s);
+            for (k, a) in acc.iter_mut().enumerate() {
+                *a += (h >> k) & LANES;
+            }
+        }
+        for (k, a) in acc.iter().enumerate() {
+            for j in 0..8 {
+                ones[8 * j + k] += (a >> (8 * j)) & 0xff;
             }
         }
     }
-    let mut sig = 0u64;
-    for (b, &v) in votes.iter().enumerate() {
-        if v > 0 {
-            sig |= 1 << b;
-        }
-    }
-    sig
+    let n = shingles.len() as u64;
+    ones.iter()
+        .enumerate()
+        .fold(0, |sig, (b, &c)| sig | u64::from(2 * c > n) << b)
 }
 
 /// Hamming distance between two signatures.

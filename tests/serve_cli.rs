@@ -13,6 +13,10 @@
 //!   explain` the same verdict line and rungs as the serve verb.
 //! * **Hostile stdin**: a line that is not UTF-8 gets an `err` reply and
 //!   the session goes on, in both serve modes.
+//! * **Serve smoke**: a batch scripted from the store itself, served by
+//!   the batch-built and the mid-stream republished store, reports
+//!   nonzero hit, miss, near and triage counts and zero errors; in a
+//!   release build, the lookup and near p99 stay within 5 ms.
 //! * **Adversarial stream serve and checkpoint resume**: a rotation-wave
 //!   session reports its waves and a clean engine; a checkpoint the
 //!   replay does not reproduce exits 1 without a panic; a same-flags
@@ -269,6 +273,69 @@ fn invalid_utf8_on_stdin_is_answered_in_both_serve_modes() {
         );
         assert!(lines[3].contains(" errors=1 "), "{extra:?}: {}", lines[3]);
     }
+}
+
+/// The serve-smoke batch: hit keys and indexed lure texts sampled from
+/// the store, guaranteed misses (defanged, to exercise normalization), a
+/// similarity miss, raw-SMS triage lines and the introspection verbs.
+fn smoke_script() -> String {
+    let mut script = serve(&[], b"sample 200\nsample near 100\nquit\n");
+    assert!(script.lines().count() >= 150, "{script}");
+    assert!(script.lines().any(|l| l.starts_with("near ")), "{script}");
+    for i in 1..=5 {
+        script += &format!("url hxxps://not-in-store-{i}[.]example/login\n");
+        script += &format!("sender +1999555000{i}\n");
+    }
+    let lure = "URGENT: your bank account is suspended, verify at http://fresh-host.example/now";
+    script += "near quick reminder that book club moved to tuesday evening this week\n";
+    script += &format!("msg {lure}\n");
+    script += "msg hey, running 10 min late for dinner tonight\n";
+    script += &format!("explain msg {lure}\nhealth\ntraces 3\ntimeseries 10\n");
+    script
+}
+
+/// Both serve modes over the smoke batch: nonzero hit, miss, near and
+/// triage counts and zero errors in every build. The 5 ms p99 budgets on
+/// `intel.serve.lookup_ns` and `intel.serve.near_ns` hold only in a
+/// release build (`cargo test --release`); a debug build's near rung is
+/// too slow for them to mean anything.
+#[test]
+fn smoke_batch_counts_and_p99_budgets_in_both_serve_modes() {
+    let script = smoke_script();
+    let dir = temp_dir("serve-smoke");
+    for (name, extra) in [("batch", &[][..]), ("stream", &["--stream"][..])] {
+        let path = dir.join(format!("{name}.json"));
+        serve(
+            &[extra, &["--metrics-json", path_arg(&path)]].concat(),
+            script.as_bytes(),
+        );
+        let report = parse_report(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let count = |key: &str| report.counters.get(&MetricId::new(key, &[])).copied();
+        for key in [
+            "intel.serve.hits",
+            "intel.serve.misses",
+            "intel.serve.near_hits",
+            "intel.serve.triaged",
+        ] {
+            assert!(
+                count(key).unwrap_or(0) > 0,
+                "{name}: expected nonzero {key}"
+            );
+        }
+        assert_eq!(
+            count("intel.serve.errors"),
+            Some(0),
+            "{name}: malformed lines"
+        );
+        for hist in ["intel.serve.lookup_ns", "intel.serve.near_ns"] {
+            let p99 = report.histograms[&MetricId::new(hist, &[])].p99;
+            eprintln!("{name}: {hist} p99 = {:.1}us", p99 as f64 / 1e3);
+            if !cfg!(debug_assertions) {
+                assert!(p99 <= 5_000_000, "{name}: {hist} p99 {p99}ns > 5ms");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn path_arg(path: &Path) -> &str {
