@@ -27,7 +27,7 @@ use smishing_core::curation::CurationOptions;
 use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing_intel::{
     rung_of, BuildOptions, IntelHub, IntelSnapshot, Query, Rung, RungCounts, SnapshotDelta, Triage,
-    TriageConfig, TriageVerdict,
+    TriageVerdict,
 };
 use smishing_obs::Obs;
 use smishing_worldsim::World;
@@ -44,10 +44,6 @@ pub struct DriftOptions {
     pub target_epochs: u64,
     /// Aging window passed to the snapshot builder (`None` = keep all).
     pub window_secs: Option<u64>,
-    /// Triage call threshold.
-    pub threshold: f64,
-    /// Whether the triage model retrains on each republish.
-    pub train_model: bool,
 }
 
 impl Default for DriftOptions {
@@ -56,8 +52,6 @@ impl Default for DriftOptions {
             epoch_posts: None,
             target_epochs: 8,
             window_secs: None,
-            threshold: 0.5,
-            train_model: true,
         }
     }
 }
@@ -250,15 +244,7 @@ pub fn drift_scorecard(world: &World, opts: &DriftOptions, obs: &Obs) -> Option<
     }
 
     let hub = IntelHub::new();
-    let mut triage = Triage::with_config(
-        hub.reader(),
-        TriageConfig {
-            threshold: opts.threshold,
-            train_model: opts.train_model,
-            model_seed: world.config.seed,
-            ..TriageConfig::default()
-        },
-    );
+    let mut triage = Triage::new(hub.reader());
     let build_opts = BuildOptions {
         window_secs: opts.window_secs,
     };
@@ -326,7 +312,7 @@ pub fn drift_scorecard(world: &World, opts: &DriftOptions, obs: &Obs) -> Option<
                         text: &m.text,
                     };
                     let v = triage.answer(&probe, None).verdict;
-                    row.rungs.record(rung_of(&v, opts.threshold));
+                    row.rungs.record(rung_of(&v));
                     row.probes += 1;
                 }
                 if wave_visible(&mut triage, &wave.probe_urls) {

@@ -132,12 +132,14 @@ fn build_mix(world: &World, snap: &IntelSnapshot, rng: &mut StdRng) -> QueryMix 
 }
 
 /// The store built from a batch run over `world`, its seeded query mix,
-/// and the rng that drew the mix.
+/// and the rng that drew the mix. The store's model is trained here, so
+/// no timed region pays for it.
 fn store_and_mix(world: &World) -> (IntelHub, QueryMix, StdRng) {
     let out = Pipeline::default().run(world, &Obs::noop());
     let hub = IntelHub::new();
     hub.publish(IntelSnapshot::build(&out));
     let snap = hub.latest().expect("published");
+    snap.model();
     let mut rng = StdRng::seed_from_u64(SEED);
     let mix = build_mix(world, &snap, &mut rng);
     (hub, mix, rng)
@@ -186,17 +188,10 @@ fn scaling_curve(hub: &IntelHub, mix: &QueryMix, obs: &Obs, quick: bool, rng: &m
     let script = build_script(mix, script_n, rng);
     let (mut qps_one, mut qps_four) = (0.0f64, 0.0f64);
     for workers in [1usize, 2, 4, 8] {
-        // Skip model training: it runs lazily per worker instance, so a
-        // bigger pool would pay more one-off startup inside the timed
-        // region and the curve would understate real scaling.
-        let cfg = TriageConfig {
-            train_model: false,
-            ..TriageConfig::default()
-        };
         let t = Instant::now();
         let session = serve_workers(
             hub,
-            cfg,
+            TriageConfig::default(),
             script.as_bytes(),
             std::io::sink(),
             &Obs::noop(),
@@ -290,7 +285,6 @@ fn near_kernel_check(hub: &IntelHub) {
 fn bench_intel_serve(c: &mut Criterion) {
     let (hub, mix, _) = store_and_mix(&bench_world());
     let mut triage = Triage::new(hub.reader());
-    triage.snapshot(); // train the model outside the timed region
 
     let mut g = c.benchmark_group("intel_serve");
     g.bench_function("lookup_hit", |b| {

@@ -15,7 +15,7 @@
 
 use crate::hub::IntelHub;
 use crate::snapshot::IntelSnapshot;
-use crate::triage::{Query, Triage, TriageConfig, TriageVerdict};
+use crate::triage::{Query, Triage, TriageConfig, TriageVerdict, SMISHING_THRESHOLD};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -72,18 +72,18 @@ pub enum Rung {
     Exact,
     /// The similarity (near-duplicate) rung.
     Near,
-    /// No infrastructure match; the model called it at the threshold.
+    /// No infrastructure match; the model called it smishing.
     Model,
     /// Nothing caught it.
     Miss,
 }
 
 /// Attribute a full-ladder verdict to the rung that resolved it.
-pub fn rung_of(v: &TriageVerdict, threshold: f64) -> Rung {
+pub fn rung_of(v: &TriageVerdict) -> Rung {
     match v {
         TriageVerdict::Hit(_) => Rung::Exact,
         TriageVerdict::Near(_) => Rung::Near,
-        TriageVerdict::ModelOnly { score } if *score >= threshold => Rung::Model,
+        TriageVerdict::ModelOnly { .. } if v.is_smishing(SMISHING_THRESHOLD) => Rung::Model,
         _ => Rung::Miss,
     }
 }
@@ -150,11 +150,11 @@ fn prf(tp: usize, fp: usize, fn_: usize) -> (f64, f64, f64) {
     (p, r, f1)
 }
 
-/// Run the head-to-head. Returns `None` when the world is too small to
+/// Run the head-to-head. `seed` draws the campaign split and trains the
+/// baseline; the full stack scores with the store's own model, which
+/// `out`'s world seeds. Returns `None` when the world is too small to
 /// split (fewer than two campaigns, or an empty side).
 pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Option<TriageEval> {
-    let threshold = 0.5;
-
     // Campaign-grouped 70/30 split over the ground-truth campaign ids.
     let mut campaigns: Vec<u32> = (0..world.campaigns.len() as u32).collect();
     if campaigns.len() < 2 {
@@ -205,14 +205,7 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
     // Full stack: index over everything reported + snapshot-trained model.
     let hub = IntelHub::new();
     hub.publish(IntelSnapshot::build(out));
-    let mut triage = Triage::with_config(
-        hub.reader(),
-        TriageConfig {
-            threshold,
-            model_seed: seed,
-            ..TriageConfig::default()
-        },
-    );
+    let mut triage = Triage::new(hub.reader());
 
     let (mut b_tp, mut b_fp, mut b_fn) = (0usize, 0usize, 0usize);
     let (mut t_tp, mut t_fp, mut t_fn) = (0usize, 0usize, 0usize);
@@ -222,7 +215,7 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
     let mut attributed_right = 0usize;
 
     for (sender, text, campaign) in &test_msgs {
-        if baseline.probability(&featurize(text)) >= threshold {
+        if baseline.probability(&featurize(text)) >= SMISHING_THRESHOLD {
             b_tp += 1;
         } else {
             b_fn += 1;
@@ -248,21 +241,22 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
         if v.near().is_some() {
             near_hits += 1;
         }
-        if v.is_smishing(threshold) {
+        if v.is_smishing(SMISHING_THRESHOLD) {
             t_tp += 1;
         } else {
             t_fn += 1;
         }
     }
     for h in &eval_ham {
-        if baseline.probability(&featurize(&h.text)) >= threshold {
+        if baseline.probability(&featurize(&h.text)) >= SMISHING_THRESHOLD {
             b_fp += 1;
         }
         let ham = Query::Msg {
             sender: None,
             text: &h.text,
         };
-        if triage.answer(&ham, None).verdict.is_smishing(threshold) {
+        let v = triage.answer(&ham, None).verdict;
+        if v.is_smishing(SMISHING_THRESHOLD) {
             t_fp += 1;
         }
     }
@@ -273,8 +267,6 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
     let mut exact_triage = Triage::with_config(
         hub.reader(),
         TriageConfig {
-            threshold,
-            model_seed: seed,
             near: false,
             ..TriageConfig::default()
         },
@@ -298,7 +290,7 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
         if matches!(v, TriageVerdict::Hit(_)) || v.near().is_some() {
             probe_near += 1;
         }
-        probe_rungs.record(rung_of(&v, threshold));
+        probe_rungs.record(rung_of(&v));
     }
     let probe_n = world.probe_messages.len();
     let probe_rate = |hits: usize| {

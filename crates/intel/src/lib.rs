@@ -24,7 +24,7 @@
 //! * [`Triage`] — takes a *raw* incoming SMS (text + sender), reuses the
 //!   pipeline's own extraction/normalization stack (`textnlp` features,
 //!   `webinfra` defanged-URL parsing and homoglyph host folding) plus the
-//!   `detect` logistic-regression model, and returns a scored verdict:
+//!   `detect` model the snapshot trains once, and returns a scored verdict:
 //!   known-infrastructure hit with campaign attribution, a similarity
 //!   (near-duplicate) match against the snapshot's `smishing-simindex`
 //!   SimHash tier when every exact pivot missed, or a model-only score.
@@ -76,5 +76,6 @@ pub use snapshot::{
 };
 pub use triage::{
     Answer, Attribution, MatchedKey, NearAttribution, Query, Triage, TriageConfig, TriageVerdict,
+    SMISHING_THRESHOLD,
 };
 pub use workers::{serve_workers, WorkerPlan};

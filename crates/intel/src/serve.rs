@@ -63,7 +63,7 @@
 //! `serve.shed` count surfaced in the `stats`/`health` verbs and the
 //! time-series ring (nothing is ever silently dropped).
 
-use crate::triage::{Query, Triage, TriageVerdict};
+use crate::triage::{Query, Triage, TriageVerdict, SMISHING_THRESHOLD};
 use smishing_obs::{
     Histogram, Obs, TimeRing, Trace, TraceBuilder, Tracer, TracerConfig, TsOutcome,
 };
@@ -159,7 +159,9 @@ pub fn verdict_label(v: &TriageVerdict) -> &'static str {
 }
 
 /// Render a verdict as one protocol response line (`hit ...` /
-/// `triage ...`). Shared by `serve` and the one-shot `query` command.
+/// `triage ...`; `smishing=` is [`TriageVerdict::is_smishing`] at
+/// [`SMISHING_THRESHOLD`]). Shared by `serve` and the one-shot `query`
+/// command.
 pub fn verdict_line(v: &TriageVerdict) -> String {
     match v {
         TriageVerdict::Hit(a) => format!(
@@ -185,12 +187,10 @@ pub fn verdict_line(v: &TriageVerdict) -> String {
             a.jaccard,
             a.n_reports,
         ),
-        TriageVerdict::ModelOnly { score } => {
-            format!(
-                "triage score={score:.4} smishing={} via=model",
-                *score >= 0.5
-            )
-        }
+        TriageVerdict::ModelOnly { score } => format!(
+            "triage score={score:.4} smishing={} via=model",
+            v.is_smishing(SMISHING_THRESHOLD)
+        ),
         TriageVerdict::Unknown => "triage score=0.0000 smishing=false via=none".to_string(),
     }
 }
@@ -399,8 +399,8 @@ pub(crate) struct QueryReply {
     pub ns: u64,
     /// Near candidate-set size (recorded for the `near` lane only).
     pub candidates: u64,
-    /// True when the call absorbed a republish (cache flush + model
-    /// retrain); its wall time is the cost.
+    /// True when the call absorbed a republish (the negative-cache
+    /// flush); its wall time is the cost.
     pub republished: bool,
 }
 
@@ -428,9 +428,10 @@ pub fn reply_line(query: &Query<'_>, v: &TriageVerdict) -> String {
 
 /// Answer one query and build its reply: the one place either execution
 /// mode calls [`Triage::answer`]. The clock runs around that call alone,
-/// so the reader refresh — and with it a republish's cache flush and
-/// model retrain — lands in the query's latency and in the `serve.ts`
-/// republish cost in both modes. A sampled trace is finished with the
+/// so the reader refresh — and with it a republish's cache flush — lands
+/// in the query's latency and in the `serve.ts` republish cost in both
+/// modes, as does the training of the snapshot's model on the first
+/// model-rung `msg` of an epoch. A sampled trace is finished with the
 /// verdict label.
 pub(crate) fn answer_query(
     triage: &mut Triage,
@@ -825,7 +826,6 @@ mod tests {
     use super::*;
     use crate::hub::IntelHub;
     use crate::snapshot::IntelSnapshot;
-    use crate::triage::TriageConfig;
     use smishing_core::pipeline::Pipeline;
     use smishing_obs::Obs;
     use smishing_worldsim::{World, WorldConfig};
@@ -835,13 +835,7 @@ mod tests {
         let out = Pipeline::default().run(&w, &Obs::noop());
         let hub = IntelHub::new();
         hub.publish(IntelSnapshot::build(&out));
-        Triage::with_config(
-            hub.reader(),
-            TriageConfig {
-                train_model: false,
-                ..TriageConfig::default()
-            },
-        )
+        Triage::new(hub.reader())
     }
 
     fn serve(t: &mut Triage, input: &[u8], obs: &Obs) -> (ServeStats, String) {
@@ -1077,6 +1071,20 @@ mod tests {
         let report = obs.json_report();
         assert!(report.contains("trace.exemplar_id"), "{report}");
         assert!(report.contains("trace.sampled"), "{report}");
+    }
+
+    /// `smishing=` on a served model line is `is_smishing` at the one
+    /// threshold, just below it, at it and just above it.
+    #[test]
+    fn served_smishing_flag_is_is_smishing_at_the_threshold() {
+        let below = SMISHING_THRESHOLD - 1e-9;
+        let above = SMISHING_THRESHOLD + 1e-9;
+        for (score, want) in [(below, false), (SMISHING_THRESHOLD, true), (above, true)] {
+            let v = TriageVerdict::ModelOnly { score };
+            assert_eq!(v.is_smishing(SMISHING_THRESHOLD), want, "{score}");
+            let line = verdict_line(&v);
+            assert!(line.contains(&format!(" smishing={want} ")), "{line}");
+        }
     }
 
     #[test]

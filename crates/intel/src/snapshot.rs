@@ -12,29 +12,34 @@
 //! table is the only place duplicates are grouped, so the store cannot
 //! group them differently from the pipeline.
 //!
-//! The snapshot is immutable after build (the read path is lock-free by
-//! construction) and owns every byte — no borrow of the world or the
-//! pipeline output survives — so an `Arc<IntelSnapshot>` can be handed to
-//! any thread and republished mid-stream through the
-//! [`IntelHub`](crate::IntelHub).
+//! The snapshot is immutable after build, but for the triage model its
+//! first use trains (the read path is lock-free by construction), and
+//! owns every byte — no borrow of the world or the pipeline output
+//! survives — so an `Arc<IntelSnapshot>` can be handed to any thread and
+//! republished mid-stream through the [`IntelHub`](crate::IntelHub).
 //!
 //! Key derivation lives in one place ([`record_keys`]) so the index
 //! builder, the query normalizer, and the linear-scan reference the
 //! proptests compare against can never drift apart.
 
 use crate::intern::{Interner, Sym};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use smishing_core::analysis::linking::{cluster_by_keys, skeleton_of};
 use smishing_core::curation::CuratedMessage;
 use smishing_core::enrich::EnrichedRecord;
 use smishing_core::pipeline::PipelineOutput;
+use smishing_detect::{featurize, LogisticRegression, LrConfig};
 use smishing_simindex::{DocInput, NearResult, SimIndex};
 use smishing_telecom::NumberStatus;
+use smishing_textnlp::ham::generate_ham;
 use smishing_textnlp::normalize::{normalize_text, normalize_token};
 use smishing_types::{Forum, Language, LureSet, PostId, ScamType, SenderId, UnixTime};
 use smishing_webinfra::{
     fold_host, free_hosting_site, parse_url, registrable_domain, ParsedUrl, ShortenerCatalog,
 };
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// The index keys of one enriched record, exactly as the snapshot builder
 /// derives them. Shared by [`IntelSnapshot::build`], the query
@@ -250,6 +255,18 @@ pub struct IndexSizes {
     pub brands: usize,
 }
 
+/// The model [`IntelSnapshot::model`] trains. Any two cells compare
+/// equal: the model is a pure function of the entry texts and the seed,
+/// which the snapshot compares already.
+#[derive(Debug, Clone, Default)]
+struct ModelCell(OnceLock<LogisticRegression>);
+
+impl PartialEq for ModelCell {
+    fn eq(&self, _: &ModelCell) -> bool {
+        true
+    }
+}
+
 /// The immutable, indexed intelligence store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntelSnapshot {
@@ -279,6 +296,9 @@ pub struct IntelSnapshot {
     opts: BuildOptions,
     /// Records dropped by the aging window at this build.
     evicted: usize,
+    /// Seed of the world the store was built from; the model's seed.
+    seed: u64,
+    model: ModelCell,
 }
 
 impl Default for IntelSnapshot {
@@ -300,6 +320,8 @@ impl Default for IntelSnapshot {
             horizon: UnixTime(i64::MIN),
             opts: BuildOptions::default(),
             evicted: 0,
+            seed: 0,
+            model: ModelCell::default(),
         }
     }
 }
@@ -408,6 +430,7 @@ impl IntelSnapshot {
             horizon,
             opts,
             evicted: out.records.len() - plan.len(),
+            seed: out.world.config.seed,
             ..IntelSnapshot::default()
         };
         let mut docs: Vec<DocInput<'_>> = Vec::with_capacity(n);
@@ -678,6 +701,34 @@ impl IntelSnapshot {
         self.entries.iter().map(|e| e.text.as_str())
     }
 
+    /// The triage ladder's `detect` logistic regression, and whether
+    /// this call trained it. The first call on any thread trains it;
+    /// every later call, and any call that waited for it, shares it.
+    pub fn model(&self) -> (&LogisticRegression, bool) {
+        let mut trained = false;
+        let model = self.model.0.get_or_init(|| {
+            trained = true;
+            // Entry texts are the positives, as many generated ham texts
+            // (at least 40) the negatives, drawn under the world seed.
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            let ham = generate_ham(self.len().max(40), &mut rng);
+            let mut samples: Vec<(Vec<String>, bool)> = Vec::with_capacity(self.len() + ham.len());
+            for t in self.texts() {
+                samples.push((featurize(t), true));
+            }
+            for h in &ham {
+                samples.push((featurize(&h.text), false));
+            }
+            let config = LrConfig {
+                seed: self.seed,
+                ..LrConfig::default()
+            };
+            LogisticRegression::train(&samples, config)
+                .expect("the samples hold 40 or more ham texts")
+        });
+        (model, trained)
+    }
+
     /// The similarity index over entry texts (doc ids == entry ids).
     pub fn sim(&self) -> &SimIndex {
         &self.sim
@@ -755,6 +806,22 @@ mod tests {
             wide.opts = all.opts;
             assert!(wide == all, "window {w}");
         }
+    }
+
+    /// One thread of many trains the model and says so; the rest share
+    /// it. Training leaves the snapshot equal to an untrained copy.
+    #[test]
+    fn the_model_trains_once_and_stays_out_of_equality() {
+        let out = Pipeline::default().run(world(), &Obs::noop());
+        let s = IntelSnapshot::build(&out);
+        let untrained = s.clone();
+        let claims: Vec<bool> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4).map(|_| scope.spawn(|| s.model().1)).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(claims.iter().filter(|&&c| c).count(), 1, "{claims:?}");
+        assert!(!s.model().1);
+        assert!(s == untrained);
     }
 
     #[test]

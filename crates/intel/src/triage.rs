@@ -7,9 +7,12 @@
 //! [`Triage::answer`]. The lookup ladder mirrors the paper's pivot strength
 //! ordering (§5.1): exact URL, then apex domain, then sender identity —
 //! a hit anywhere is a known-infrastructure match with campaign
-//! attribution; otherwise the `detect` logistic-regression model
-//! (retrained from each published snapshot's texts) scores the message
-//! alone.
+//! attribution; otherwise the `detect` logistic-regression model scores
+//! the message alone. The model belongs to the snapshot it was trained
+//! on ([`IntelSnapshot::model`]): the first model-rung `msg` of an epoch
+//! trains it, and every `Triage`, serve worker and collector reading
+//! that epoch shares the one copy. A `url`, `sender` or `near` query
+//! never trains.
 //!
 //! Extraction reuses the pipeline's own stack — `webinfra` refanging +
 //! homoglyph host folding and `textnlp` featurization — so a defanged or
@@ -26,22 +29,25 @@
 //! fingerprint; the cache is cleared whenever the reader observes a
 //! republish, because a fresh snapshot may turn yesterday's miss into
 //! today's hit (for the similarity rung: a newly reported campaign may
-//! now sit within radius of a previously unmatched text).
+//! now sit within radius of a previously unmatched text). That flush is
+//! all a republish costs a `Triage`.
 
 use crate::cache::LruSet;
 use crate::hub::IntelReader;
 use crate::snapshot::{domain_of, IntelSnapshot};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use smishing_core::enrich::parse_sender;
-use smishing_detect::{featurize, LogisticRegression, LrConfig};
+use smishing_detect::featurize;
 use smishing_obs::TraceBuilder;
 use smishing_simindex::{set_hash, SimMatch};
-use smishing_textnlp::ham::generate_ham;
 use smishing_types::{ScamType, UnixTime};
 use smishing_webinfra::{find_url_in_text, parse_url, refang};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Score at or above which a verdict calls a message smishing: the one
+/// threshold behind the serve protocol's `smishing=` field, the
+/// evaluation and the drift scorecard.
+pub const SMISHING_THRESHOLD: f64 = 0.5;
 
 /// Wall-clock ns since `start` when tracing, 0 otherwise.
 fn since(start: Option<Instant>) -> u64 {
@@ -139,10 +145,10 @@ pub struct NearAttribution {
 }
 
 impl NearAttribution {
-    /// Similarity score in `(0.5, 1.0]`: halfway between the model
-    /// threshold and an exact-infrastructure hit, scaled by Jaccard — so
-    /// an accepted near match always calls smishing at the default
-    /// threshold, but never outranks exact evidence.
+    /// Similarity score in `(0.5, 1.0]`: between
+    /// [`SMISHING_THRESHOLD`] and an exact-infrastructure hit, scaled by
+    /// Jaccard — so an accepted near match always calls smishing, but
+    /// never outranks exact evidence.
     pub fn score(&self) -> f64 {
         0.5 + self.jaccard / 2.0
     }
@@ -161,8 +167,8 @@ pub enum TriageVerdict {
         /// P(smishing) from the logistic-regression model.
         score: f64,
     },
-    /// No infrastructure match and nothing to score (no snapshot, no
-    /// model, or a key-only query that missed).
+    /// No infrastructure match and nothing to score (no snapshot, or a
+    /// key-only query that missed).
     Unknown,
 }
 
@@ -202,14 +208,8 @@ impl TriageVerdict {
 /// Triage tuning knobs.
 #[derive(Debug, Clone)]
 pub struct TriageConfig {
-    /// Model score at or above which a message is called smishing.
-    pub threshold: f64,
     /// Negative-cache capacity (0 disables the cache).
     pub cache_capacity: usize,
-    /// Seed for model training (ham generation + SGD shuffling).
-    pub model_seed: u64,
-    /// Whether to train the model at all (key-only deployments skip it).
-    pub train_model: bool,
     /// Whether the similarity rung runs between the exact-pivot ladder
     /// and the model fallback.
     pub near: bool,
@@ -218,34 +218,10 @@ pub struct TriageConfig {
 impl Default for TriageConfig {
     fn default() -> Self {
         TriageConfig {
-            threshold: 0.5,
             cache_capacity: 4096,
-            model_seed: 0xF15F,
-            train_model: true,
             near: true,
         }
     }
-}
-
-/// Train the snapshot-backed detection model: entry texts are the
-/// positives, freshly generated ham the negatives.
-pub fn train_model(snap: &IntelSnapshot, seed: u64) -> Option<LogisticRegression> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ham = generate_ham(snap.len().max(40), &mut rng);
-    let mut samples: Vec<(Vec<String>, bool)> = Vec::with_capacity(snap.len() + ham.len());
-    for t in snap.texts() {
-        samples.push((featurize(t), true));
-    }
-    for h in &ham {
-        samples.push((featurize(&h.text), false));
-    }
-    LogisticRegression::train(
-        &samples,
-        LrConfig {
-            seed,
-            ..LrConfig::default()
-        },
-    )
 }
 
 /// One triage request: the four query verbs of the serve protocol,
@@ -319,8 +295,10 @@ pub struct Answer {
     /// run or answered from the negative cache).
     pub candidates: usize,
     /// True when this call's reader refresh observed a republish: it
-    /// flushed the negative cache and retrained the model, so the call's
-    /// wall time carries that cost.
+    /// flushed the negative cache, so the call's wall time carries that
+    /// cost. Training is not tied to it: the first model-rung `msg` of
+    /// an epoch trains the snapshot's model, whichever call observed
+    /// the republish.
     pub republished: bool,
 }
 
@@ -338,7 +316,6 @@ pub struct Triage {
 struct Ladder {
     cfg: TriageConfig,
     cache: LruSet,
-    model: Option<LogisticRegression>,
 }
 
 impl Triage {
@@ -352,17 +329,8 @@ impl Triage {
         let cache = LruSet::new(cfg.cache_capacity);
         Triage {
             reader,
-            ladder: Ladder {
-                cfg,
-                cache,
-                model: None,
-            },
+            ladder: Ladder { cfg, cache },
         }
-    }
-
-    /// The configured smishing threshold.
-    pub fn threshold(&self) -> f64 {
-        self.ladder.cfg.threshold
     }
 
     /// Current snapshot (refreshing the reader); `None` before the first
@@ -372,23 +340,16 @@ impl Triage {
         self.reader.cached().cloned()
     }
 
-    /// Refresh the reader; on a republish, drop stale negatives and
-    /// retrain the model from the new snapshot's texts. Returns whether
-    /// this refresh observed the republish.
+    /// Refresh the reader; on a republish, drop stale negatives.
+    /// Returns whether this refresh observed the republish.
     fn refresh(&mut self) -> bool {
         let before = self.reader.epoch_seen();
         if self.reader.current().is_none() {
             return false;
         }
         let republished = self.reader.epoch_seen() != before;
-        let ladder = &mut self.ladder;
         if republished {
-            ladder.cache.clear();
-            ladder.model = None;
-        }
-        if ladder.model.is_none() && ladder.cfg.train_model {
-            let snap = self.reader.cached();
-            ladder.model = snap.and_then(|s| train_model(s, ladder.cfg.model_seed));
+            self.ladder.cache.clear();
         }
         republished
     }
@@ -399,9 +360,10 @@ impl Triage {
     /// negative cache — records a span: `refang` (body refang + URL
     /// extraction, `msg` only), one per exact pivot
     /// (`url`/`domain`/`sender`/`phone`), `near`, and `model`, each with
-    /// its wall_ns and candidate count. Without one, the same ladder
-    /// runs with zero clock reads. Before the first publish every query
-    /// is `Unknown`.
+    /// its wall_ns and candidate count; the `model` note ends in
+    /// ` trained` on the call that trained the snapshot's model. Without
+    /// one, the same ladder runs with zero clock reads. Before the first
+    /// publish every query is `Unknown`.
     pub fn answer(&mut self, query: &Query<'_>, trace: Option<&mut TraceBuilder>) -> Answer {
         let republished = self.refresh();
         let Some(snap) = self.reader.cached() else {
@@ -585,7 +547,8 @@ impl Ladder {
     }
 
     /// The full ladder for a raw SMS: extract URL and sender, walk the
-    /// exact pivots, probe the similarity rung, fall back to the model.
+    /// exact pivots, probe the similarity rung, fall back to the
+    /// snapshot's model (training it if this is its first use).
     fn msg(
         &mut self,
         snap: &IntelSnapshot,
@@ -623,20 +586,13 @@ impl Ladder {
             return (TriageVerdict::Near(a), candidates);
         }
         let start = trace.as_ref().map(|_| Instant::now());
-        let verdict = match &self.model {
-            Some(m) => TriageVerdict::ModelOnly {
-                score: m.probability(&featurize(text)),
-            },
-            None => TriageVerdict::Unknown,
-        };
+        let (model, trained) = snap.model();
+        let score = model.probability(&featurize(text));
         if let Some(tb) = trace {
-            let note = match &verdict {
-                TriageVerdict::ModelOnly { score } => format!("score={score:.4}"),
-                _ => "no model".to_string(),
-            };
+            let note = format!("score={score:.4}{}", if trained { " trained" } else { "" });
             tb.rung("model", since(start), 0, note);
         }
-        (verdict, candidates)
+        (TriageVerdict::ModelOnly { score }, candidates)
     }
 }
 
@@ -730,13 +686,7 @@ mod tests {
 
     #[test]
     fn known_url_hits_with_attribution() {
-        let mut t = Triage::with_config(
-            hub().reader(),
-            TriageConfig {
-                train_model: false,
-                ..TriageConfig::default()
-            },
-        );
+        let mut t = Triage::new(hub().reader());
         let snap = t.snapshot().unwrap();
         let e = snap
             .entries()
@@ -753,13 +703,7 @@ mod tests {
 
     #[test]
     fn defanged_spelling_gets_identical_verdict() {
-        let mut t = Triage::with_config(
-            hub().reader(),
-            TriageConfig {
-                train_model: false,
-                ..TriageConfig::default()
-            },
-        );
+        let mut t = Triage::new(hub().reader());
         let snap = t.snapshot().unwrap();
         let e = snap
             .entries()
@@ -813,13 +757,7 @@ mod tests {
         let out = Pipeline::default().run(&w, &Obs::noop());
         let hub = IntelHub::new();
         hub.publish(IntelSnapshot::build(&out));
-        let mut t = Triage::with_config(
-            hub.reader(),
-            TriageConfig {
-                train_model: false,
-                ..TriageConfig::default()
-            },
-        );
+        let mut t = Triage::new(hub.reader());
         assert!(matches!(
             verdict(&mut t, Query::Url("https://never-reported.example/x")),
             TriageVerdict::Unknown
@@ -871,13 +809,7 @@ mod tests {
 
         let hub = IntelHub::new();
         hub.publish(full);
-        let mut t = Triage::with_config(
-            hub.reader(),
-            TriageConfig {
-                train_model: false,
-                ..TriageConfig::default()
-            },
-        );
+        let mut t = Triage::new(hub.reader());
         assert!(
             verdict(&mut t, Query::Url(&url)).attribution().is_some(),
             "key must hit before eviction"
@@ -900,13 +832,7 @@ mod tests {
 
     #[test]
     fn rotated_indicators_fall_through_to_the_near_rung() {
-        let mut t = Triage::with_config(
-            hub().reader(),
-            TriageConfig {
-                train_model: false,
-                ..TriageConfig::default()
-            },
-        );
+        let mut t = Triage::new(hub().reader());
         let snap = t.snapshot().unwrap();
         let e = snap
             .entries()
@@ -935,7 +861,7 @@ mod tests {
         );
         let a = v.near().expect("near rung should catch the rotation");
         assert_eq!(a.hamming, 0, "URL rotation must not perturb shingles");
-        assert!(v.is_smishing(t.threshold()));
+        assert!(v.is_smishing(SMISHING_THRESHOLD));
         assert!(v.score() > 0.5 && v.score() <= 1.0);
         assert_eq!(a.template, snap.entry(a.entry).template);
     }
@@ -961,13 +887,7 @@ mod tests {
 
         let hub = IntelHub::new();
         hub.publish(prefix);
-        let mut t = Triage::with_config(
-            hub.reader(),
-            TriageConfig {
-                train_model: false,
-                ..TriageConfig::default()
-            },
-        );
+        let mut t = Triage::new(hub.reader());
         assert!(matches!(
             verdict(&mut t, Query::Near(&text)),
             TriageVerdict::Unknown
@@ -993,13 +913,7 @@ mod tests {
     #[test]
     fn answer_flags_a_republish_on_the_next_call_only() {
         let hub = IntelHub::new();
-        let mut t = Triage::with_config(
-            hub.reader(),
-            TriageConfig {
-                train_model: false,
-                ..TriageConfig::default()
-            },
-        );
+        let mut t = Triage::new(hub.reader());
         // Nothing published: every query kind degrades to `Unknown`.
         let queries = [
             Query::Url("https://x.example/a"),
@@ -1049,13 +963,7 @@ mod tests {
     #[test]
     fn traced_triage_names_every_rung_traversed() {
         use smishing_obs::{Tracer, TracerConfig};
-        let mut t = Triage::with_config(
-            hub().reader(),
-            TriageConfig {
-                train_model: false,
-                ..TriageConfig::default()
-            },
-        );
+        let mut t = Triage::new(hub().reader());
         let mut tracer = Tracer::new(TracerConfig::default());
 
         // A miss walks the whole ladder: refang, sender pivots, near, model.
@@ -1065,12 +973,13 @@ mod tests {
             text: "hello, are we still on for lunch tomorrow?",
         };
         let v = t.answer(&lunch, Some(&mut tb)).verdict;
-        assert!(matches!(v, TriageVerdict::Unknown), "{v:?}");
-        let trace = tb.finish("unknown");
+        assert!(matches!(v, TriageVerdict::ModelOnly { .. }), "{v:?}");
+        let trace = tb.finish("model");
         let rungs: Vec<&str> = trace.spans.iter().map(|s| s.rung).collect();
         assert_eq!(rungs, ["refang", "sender", "phone", "near", "model"]);
         assert!(trace.spans.iter().skip(1).all(|s| s.wall_ns > 0));
         assert!(trace.spans[3].note.starts_with("miss"), "{trace:?}");
+        assert!(trace.spans[4].note.starts_with("score="), "{trace:?}");
 
         // An exact-URL hit stops the ladder at its first rung.
         let snap = t.snapshot().unwrap();
@@ -1092,7 +1001,7 @@ mod tests {
         // A repeat of the original miss shows the negative cache at work.
         let mut tb = tracer.begin_forced("msg");
         let _ = t.answer(&lunch, Some(&mut tb));
-        let trace = tb.finish("unknown");
+        let trace = tb.finish("model");
         assert!(
             trace
                 .spans

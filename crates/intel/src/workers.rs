@@ -41,6 +41,9 @@
 //! caller *after* the session's accounting is exported — mirroring the
 //! exec engine's worker-panic propagation.
 //!
+//! **Model.** Every thread owns its [`Triage`] (a negative cache) but
+//! scores with the snapshot's one model, trained by the first to need it.
+//!
 //! **Tracing.** The reader replicates the tracer's 1-in-K sampling
 //! cadence; traced requests carry a detached [`TraceBuilder`] through
 //! the worker hop and the collector adopts finished traces in seq
@@ -442,17 +445,10 @@ mod tests {
         hub
     }
 
-    fn cfg() -> TriageConfig {
-        TriageConfig {
-            train_model: false,
-            ..TriageConfig::default()
-        }
-    }
-
     #[test]
     fn workers_answer_in_input_order() {
         let hub = hub();
-        let mut t = Triage::with_config(hub.reader(), cfg());
+        let mut t = Triage::new(hub.reader());
         let mut serve = |input: &[u8]| {
             let mut out = Vec::new();
             let session = crate::serve::serve_session(
@@ -473,7 +469,7 @@ mod tests {
             let mut out = Vec::new();
             let session = serve_workers(
                 &hub,
-                cfg(),
+                TriageConfig::default(),
                 script.as_bytes(),
                 &mut out,
                 &Obs::noop(),
@@ -496,7 +492,7 @@ mod tests {
         let mut out = Vec::new();
         let session = serve_workers(
             &hub,
-            cfg(),
+            TriageConfig::default(),
             script.as_bytes(),
             &mut out,
             &Obs::noop(),
@@ -522,7 +518,7 @@ mod tests {
         let mut out = Vec::new();
         let session = serve_workers(
             &hub,
-            cfg(),
+            TriageConfig::default(),
             script.as_bytes(),
             &mut out,
             &obs,
@@ -565,7 +561,7 @@ mod tests {
 
         let mut seq_out = Vec::new();
         let seq = crate::serve::serve_session(
-            &mut Triage::with_config(hub.reader(), cfg()),
+            &mut Triage::new(hub.reader()),
             &input[..],
             &mut seq_out,
             &Obs::noop(),
@@ -580,7 +576,7 @@ mod tests {
         let mut out = Vec::new();
         let session = serve_workers(
             &hub,
-            cfg(),
+            TriageConfig::default(),
             &input[..],
             &mut out,
             &Obs::noop(),

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing_core::CurationOptions;
 use smishing_intel::{
-    verdict_line, BuildOptions, IntelHub, IntelSnapshot, Query, SnapshotDelta, Triage, TriageConfig,
+    verdict_line, BuildOptions, IntelHub, IntelSnapshot, Query, SnapshotDelta, Triage,
 };
 use smishing_obs::Obs;
 use smishing_worldsim::{ReportStream, World, WorldConfig};
@@ -144,12 +144,11 @@ proptest! {
         salt in 0u64..u64::MAX,
     ) {
         let b = built(cfg_idx);
-        let cfg = TriageConfig { train_model: false, ..TriageConfig::default() };
         let (full_hub, inc_hub) = (IntelHub::new(), IntelHub::new());
         full_hub.publish(b.full.clone());
         inc_hub.publish(b.inc.clone());
-        let mut tf = Triage::with_config(full_hub.reader(), cfg.clone());
-        let mut ti = Triage::with_config(inc_hub.reader(), cfg);
+        let mut tf = Triage::new(full_hub.reader());
+        let mut ti = Triage::new(inc_hub.reader());
 
         // A key the store serves (when any URL survived the window).
         if let Some(url) = b.full.entries().iter().find_map(|e| e.url) {

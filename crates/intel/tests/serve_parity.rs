@@ -1,8 +1,9 @@
 //! Satellite: the worker plane's byte-parity contract, property-tested.
 //!
 //! Arbitrary interleavings of every shippable request kind (`url` hits
-//! and misses, `sender`, `near`, `msg`, `sample`, `stats`, malformed
-//! lines, and unreadable ones: not UTF-8, or over the 64 KiB line cap)
+//! and misses, `sender`, `near`, `msg` with entry texts and with
+//! generated ham, `sample`, `stats`, malformed lines, and unreadable
+//! ones: not UTF-8, or over the 64 KiB line cap)
 //! are replayed through [`serve_workers`] at worker counts
 //! {1, 2, 4} and through the sequential [`serve_session`] loop, against
 //! both hub flavors `smish serve` builds: a batch-pipeline store and a
@@ -12,9 +13,13 @@
 //! near-candidate quantiles, which a per-worker negative cache may
 //! legitimately shift (a repeated `near` miss is served from the LRU in
 //! one mode and recomputed on a cold worker in the other; the *verdict*
-//! is identical either way).
+//! is identical either way). Ham falls through every index rung, so its
+//! `via=model` lines compare the scores of the snapshot's one model,
+//! whichever thread trained it.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing_core::pipeline::Pipeline;
 use smishing_core::CurationOptions;
@@ -23,6 +28,7 @@ use smishing_intel::{
     TriageConfig, WorkerPlan,
 };
 use smishing_obs::Obs;
+use smishing_textnlp::ham::generate_ham;
 use smishing_worldsim::{ReportStream, World, WorldConfig};
 use std::sync::OnceLock;
 
@@ -34,6 +40,9 @@ struct Pools {
     senders: Vec<String>,
     near_texts: Vec<String>,
     msg_texts: Vec<String>,
+    /// Generated ham: no reported URL, sender or lure explains it, so
+    /// the model rung answers.
+    ham_texts: Vec<String>,
 }
 
 fn pools(snap: &IntelSnapshot) -> Pools {
@@ -42,6 +51,10 @@ fn pools(snap: &IntelSnapshot) -> Pools {
         senders: Vec::new(),
         near_texts: Vec::new(),
         msg_texts: Vec::new(),
+        ham_texts: generate_ham(64, &mut StdRng::seed_from_u64(SEED))
+            .into_iter()
+            .map(|h| h.text)
+            .collect(),
     };
     for (id, e) in snap.entries().iter().enumerate() {
         if let Some(u) = e.url {
@@ -99,20 +112,13 @@ fn stream_hub() -> &'static (IntelHub, Pools) {
     })
 }
 
-fn cfg() -> TriageConfig {
-    TriageConfig {
-        train_model: false,
-        ..TriageConfig::default()
-    }
-}
-
 /// One scripted request as raw draws: a kind roll, a pool index, and a
 /// miss salt, resolved against the pools at render time (the vendored
 /// proptest stand-in speaks ranges and tuples, not `sample::Index`).
 type Req = (u8, usize, u32);
 
 fn req() -> impl Strategy<Value = Req> {
-    (0u8..104, 0usize..1_000_000, 0u32..u32::MAX)
+    (0u8..114, 0usize..1_000_000, 0u32..u32::MAX)
 }
 
 /// The serve plane's line cap (`MAX_LINE_BYTES`, crate-private).
@@ -136,11 +142,12 @@ fn render(script: &[Req], p: &Pools) -> Vec<u8> {
                 s.push(0xff);
                 s.extend(b".example/q\n");
             }
-            _ => {
+            102..=103 => {
                 s.extend(b"msg ");
                 s.extend(std::iter::repeat_n(b'x', LINE_CAP + idx % 1024));
                 s.push(b'\n');
             }
+            _ => s.extend(format!("msg {}\n", pick(&p.ham_texts, idx)).bytes()),
         }
     }
     s
@@ -178,7 +185,7 @@ fn mask(out: &[u8]) -> String {
 }
 
 fn run_sequential(hub: &IntelHub, script: &[u8]) -> (ServeStats, Vec<u8>) {
-    let mut triage = Triage::with_config(hub.reader(), cfg());
+    let mut triage = Triage::new(hub.reader());
     let mut out = Vec::new();
     let session = serve_session(
         &mut triage,
@@ -198,7 +205,7 @@ fn assert_parity(hub: &IntelHub, script: &[u8], flavor: &str) {
         let mut out = Vec::new();
         let session = serve_workers(
             hub,
-            cfg(),
+            TriageConfig::default(),
             script,
             &mut out,
             &Obs::noop(),
@@ -239,38 +246,28 @@ proptest! {
     }
 }
 
-/// The model-backed ladder (each worker lazily trains its own LR model
-/// from the same snapshot, deterministically) scores identically across
-/// execution modes — pinned with one msg-heavy deterministic script
-/// since training is too slow for the proptest grid.
+/// Model-scored lines are byte-identical at 1, 2 and 4 workers and
+/// inline, on both hub flavors: a fixed script of ham and entry-text
+/// `msg` lines, whose ham answers `via=model`.
 #[test]
 fn trained_model_verdicts_match_across_modes() {
-    let (hub, p) = batch_hub();
-    let mut script = String::new();
-    for t in p.msg_texts.iter().step_by(7).take(12) {
-        script.push_str(&format!("msg {t}\n"));
+    for (flavor, (hub, p)) in [("batch", batch_hub()), ("stream", stream_hub())] {
+        let mut script = String::new();
+        for (ham, text) in p
+            .ham_texts
+            .iter()
+            .zip(p.msg_texts.iter().step_by(7))
+            .take(12)
+        {
+            script.push_str(&format!("msg {ham}\nmsg {text}\n"));
+        }
+        script.push_str("stats\n");
+        let (_, seq_out) = run_sequential(hub, script.as_bytes());
+        let model_lines = String::from_utf8_lossy(&seq_out)
+            .lines()
+            .filter(|l| l.ends_with(" via=model"))
+            .count();
+        assert!(model_lines >= 6, "{flavor}: {model_lines} via=model lines");
+        assert_parity(hub, script.as_bytes(), flavor);
     }
-    script.push_str("stats\n");
-    let mut triage = Triage::new(hub.reader());
-    let mut seq_out = Vec::new();
-    serve_session(
-        &mut triage,
-        script.as_bytes(),
-        &mut seq_out,
-        &Obs::noop(),
-        ServeOptions::default(),
-    )
-    .unwrap();
-    let mut out = Vec::new();
-    serve_workers(
-        hub,
-        TriageConfig::default(),
-        script.as_bytes(),
-        &mut out,
-        &Obs::noop(),
-        ServeOptions::default(),
-        &WorkerPlan::new(2, 4096),
-    )
-    .unwrap();
-    assert_eq!(mask(&out), mask(&seq_out), "script:\n{script}");
 }

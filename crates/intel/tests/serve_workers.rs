@@ -14,6 +14,10 @@
 //!   each request line once among answered queries, rejected lines and
 //!   shed, inline and behind a depth-1 queue, under at most five
 //!   `intel.serve.rejected` labels.
+//! * **One model per epoch** — on a freshly published store, `near`,
+//!   `url` and `sender` lookups train nothing, and of two `explain`s of
+//!   a ham message only the first trains the snapshot's model, inline
+//!   and through 2 workers.
 
 use smishing_core::pipeline::Pipeline;
 use smishing_intel::{
@@ -33,13 +37,6 @@ fn hub() -> IntelHub {
     let hub = IntelHub::new();
     hub.publish(IntelSnapshot::build(&out));
     hub
-}
-
-fn cfg() -> TriageConfig {
-    TriageConfig {
-        train_model: false,
-        ..TriageConfig::default()
-    }
 }
 
 /// A writer that stalls its first write, pinning the collector long
@@ -79,7 +76,7 @@ fn overload_sheds_are_counted_never_silent() {
     let obs = Obs::enabled();
     let session = serve_workers(
         &hub,
-        cfg(),
+        TriageConfig::default(),
         script.as_bytes(),
         &mut writer,
         &obs,
@@ -156,7 +153,7 @@ fn worker_panic_is_counted_reraised_and_loses_no_prior_bytes() {
     let mut expected = Vec::new();
     let prefix: String = hits[..6].iter().map(|l| format!("{l}\n")).collect();
     serve_session(
-        &mut Triage::with_config(hub.reader(), cfg()),
+        &mut Triage::new(hub.reader()),
         prefix.as_bytes(),
         &mut expected,
         &Obs::noop(),
@@ -169,7 +166,7 @@ fn worker_panic_is_counted_reraised_and_loses_no_prior_bytes() {
     let payload = catch_unwind(AssertUnwindSafe(|| {
         serve_workers(
             &hub,
-            cfg(),
+            TriageConfig::default(),
             script.as_bytes(),
             &mut out,
             &obs,
@@ -280,7 +277,7 @@ fn every_request_line_is_answered_rejected_or_shed() {
     let obs = Obs::enabled();
     let mut out = Vec::new();
     let session = serve_session(
-        &mut Triage::with_config(empty.reader(), cfg()),
+        &mut Triage::new(empty.reader()),
         &script[..],
         &mut out,
         &obs,
@@ -297,7 +294,7 @@ fn every_request_line_is_answered_rejected_or_shed() {
     };
     let session = serve_workers(
         &empty,
-        cfg(),
+        TriageConfig::default(),
         &script[..],
         &mut writer,
         &obs,
@@ -314,4 +311,69 @@ fn every_request_line_is_answered_rejected_or_shed() {
         lines - session.stats.queries - session.stats.shed,
         "one err reply per rejected line"
     );
+}
+
+/// The model rung's trace note ends in ` trained` on the one call that
+/// trained the snapshot's model. The script opens with `near` lines, so
+/// a `near` query is the first to observe the publish; then `url` and
+/// `sender` lookups; then two `explain`s of a ham message. No query line
+/// reaches the model, so the outcome cannot depend on worker timing.
+#[test]
+fn key_and_near_lookups_never_train_and_one_explain_does() {
+    let ham = "explain msg hello, are we still on for lunch tomorrow?\n";
+    for workers in [0usize, 2] {
+        let hub = hub();
+        let snap = hub.latest().unwrap();
+        let entries = &snap.entries()[..20];
+        let mut script = String::new();
+        for e in entries {
+            script.push_str(&format!("near {}\n", e.text));
+        }
+        for e in entries {
+            if let Some(u) = e.url {
+                script.push_str(&format!("url {}\n", snap.resolve(u)));
+            }
+            if let Some(s) = e.sender {
+                script.push_str(&format!("sender {}\n", snap.resolve(s)));
+            }
+        }
+        script.push_str(ham);
+        script.push_str(ham);
+
+        let mut out = Vec::new();
+        if workers == 0 {
+            serve_session(
+                &mut Triage::new(hub.reader()),
+                script.as_bytes(),
+                &mut out,
+                &Obs::noop(),
+                ServeOptions::default(),
+            )
+        } else {
+            serve_workers(
+                &hub,
+                TriageConfig::default(),
+                script.as_bytes(),
+                &mut out,
+                &Obs::noop(),
+                ServeOptions::default(),
+                &WorkerPlan::new(workers, 1024),
+            )
+        }
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let notes: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("rung model "))
+            .collect();
+        assert_eq!(notes.len(), 2, "workers={workers}:\n{text}");
+        assert!(
+            notes[0].ends_with(" trained"),
+            "workers={workers}: {notes:?}"
+        );
+        assert!(
+            !notes[1].contains("trained"),
+            "workers={workers}: {notes:?}"
+        );
+    }
 }

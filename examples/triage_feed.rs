@@ -20,7 +20,9 @@
 use smishing::core::exec::{ingest, SnapshotPlan};
 use smishing::core::pipeline::Pipeline;
 use smishing::core::runcfg::RunConfig;
-use smishing::intel::{evaluate_triage, IntelHub, IntelSnapshot, Query, Triage, TriageVerdict};
+use smishing::intel::{
+    evaluate_triage, IntelHub, IntelSnapshot, Query, Triage, TriageVerdict, SMISHING_THRESHOLD,
+};
 use smishing::prelude::*;
 
 fn main() {
@@ -126,7 +128,7 @@ fn main() {
             }
             v @ TriageVerdict::ModelOnly { .. } => {
                 model_only += 1;
-                if v.is_smishing(triage.threshold()) {
+                if v.is_smishing(SMISHING_THRESHOLD) {
                     flagged += 1;
                 }
             }

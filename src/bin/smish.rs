@@ -812,23 +812,12 @@ fn cmd_query(args: &Args, obs: &Obs, world: &World) {
             }
         },
     };
-    // Key-only lookups never need the model; don't pay for training.
-    // An `explain` trains unless its first token names a key-only verb.
-    let verb = match query {
-        Some(q) => q.verb(),
-        None => value.split_whitespace().next().unwrap_or(""),
-    };
-    let needs_model = !matches!(verb, "url" | "sender" | "near");
+    // The snapshot trains its model only if the query reaches the
+    // model rung, so key-only lookups never pay for training.
     let output = run_pipeline(args, obs, world);
     let hub = IntelHub::new();
     hub.publish(IntelSnapshot::build(&output));
-    let mut triage = Triage::with_config(
-        hub.reader(),
-        TriageConfig {
-            train_model: needs_model,
-            ..TriageConfig::default()
-        },
-    );
+    let mut triage = Triage::new(hub.reader());
     let Some(query) = query else {
         // One-shot mirror of the serve-plane `explain` verb.
         let mut tracer = Tracer::new(TracerConfig::default());

@@ -15,7 +15,6 @@ use smishing::core::pipeline::Pipeline;
 use smishing::core::CurationOptions;
 use smishing::intel::{
     evaluate_triage, serve_session, IntelHub, IntelSnapshot, Query, ServeOptions, Triage,
-    TriageConfig,
 };
 use smishing::obs::Obs;
 use smishing::worldsim::{ReportStream, World, WorldConfig};
@@ -26,16 +25,6 @@ fn world(seed: u64) -> World {
         seed,
         ..WorldConfig::default()
     })
-}
-
-fn keyless_triage(hub: &IntelHub) -> Triage {
-    Triage::with_config(
-        hub.reader(),
-        TriageConfig {
-            train_model: false,
-            ..TriageConfig::default()
-        },
-    )
 }
 
 #[test]
@@ -75,8 +64,8 @@ fn mid_stream_republished_snapshot_answers_like_batch_over_prefix() {
     assert!(!live_snap.is_empty(), "prefix store must not be empty");
 
     // Every batch-side key answers identically through the live store.
-    let mut live = keyless_triage(&live_hub);
-    let mut batch = keyless_triage(&batch_hub);
+    let mut live = Triage::new(live_hub.reader());
+    let mut batch = Triage::new(batch_hub.reader());
     let mut checked = 0;
     for e in batch_snap.entries() {
         if let Some(u) = e.url {
@@ -148,7 +137,7 @@ fn defanged_and_clean_spellings_serve_identical_verdicts() {
     let hub = IntelHub::new();
     hub.publish(IntelSnapshot::build(&out));
     let snap = hub.latest().unwrap();
-    let mut t = keyless_triage(&hub);
+    let mut t = Triage::new(hub.reader());
 
     let clean = snap
         .entries()
