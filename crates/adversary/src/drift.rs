@@ -26,7 +26,7 @@ use crate::AdversaryWorld;
 use smishing_core::curation::CurationOptions;
 use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
 use smishing_intel::{
-    rung_of, BuildOptions, IntelHub, IntelSnapshot, Query, Rung, RungCounts, SnapshotDelta, Triage,
+    rung_of, BuildOptions, IntelHub, IntelSnapshot, Query, RungCounts, SnapshotDelta, Triage,
     TriageVerdict,
 };
 use smishing_obs::Obs;
@@ -393,11 +393,6 @@ pub fn drift_scorecard(world: &World, opts: &DriftOptions, obs: &Obs) -> Option<
             .set((tta * 1000.0) as i64);
     }
     Some(card)
-}
-
-/// Convenience: is the rung an infrastructure rung?
-pub fn is_infra_rung(r: Rung) -> bool {
-    matches!(r, Rung::Exact | Rung::Near)
 }
 
 #[cfg(test)]

@@ -276,11 +276,6 @@ impl<'w> AdversaryWorld<'w> {
         self.world.posts.len() as u64 / self.epoch_posts
     }
 
-    /// Waves landing at epoch boundary `epoch`.
-    pub fn waves_at(&self, epoch: u64) -> impl Iterator<Item = &RotationWave> {
-        self.waves.iter().filter(move |w| w.epoch == epoch)
-    }
-
     /// The adversarial post stream: base replay plus injected waves.
     pub fn stream(&self) -> AdversaryStream<'_, 'w> {
         self.stream_counted(None)

@@ -21,7 +21,8 @@ impl Enricher for AnnotateEnricher {
 }
 
 /// The reference scans `extract_brand` and `identify_language` replaced,
-/// shared with the textnlp proptests.
+/// and the per-chunk word folds, shared with the textnlp and detect
+/// proptests.
 #[cfg(test)]
 #[path = "../../../textnlp/tests/oracle/mod.rs"]
 mod oracle;
@@ -31,7 +32,8 @@ mod tests {
     use super::oracle;
     use crate::analysis::testfix;
     use smishing_textnlp::annotator::{Annotator, PipelineAnnotator};
-    use smishing_textnlp::{extract_brand, identify_language};
+    use smishing_textnlp::ngram::canonical_text;
+    use smishing_textnlp::{extract_brand, identify_language, normalize_text};
     use std::collections::HashSet;
 
     /// Curation's language and English rendering are the annotator's
@@ -53,11 +55,12 @@ mod tests {
         }
     }
 
-    /// Brand extraction and language ID answer by lookup. On every
-    /// distinct curated text and English rendering of the fixture, and on
-    /// a one-char edit of each distinct word of at least five bytes in
-    /// the first text holding it (substitution, deletion, insertion and
-    /// transposition in turn), they agree with the scans they replaced.
+    /// Brand extraction and language ID answer by lookup, and the word
+    /// fold is one pass over one buffer. On every distinct curated text
+    /// and English rendering of the fixture, and on a one-char edit of
+    /// each distinct word of at least five bytes in the first text holding
+    /// it (substitution, deletion, insertion and transposition in turn),
+    /// they agree with the scans and per-chunk folds they replaced.
     #[test]
     fn text_lookups_match_the_reference_scans_on_curated_texts() {
         let out = testfix::output();
@@ -76,6 +79,16 @@ mod tests {
                 identify_language(text),
                 oracle::language_by_loop(text),
                 "language of {text:?}"
+            );
+            assert_eq!(
+                normalize_text(text),
+                oracle::normalize_text(text),
+                "normalized {text:?}"
+            );
+            assert_eq!(
+                canonical_text(text),
+                oracle::canonical_text(text),
+                "canonical {text:?}"
             );
         };
         let mut edited: HashSet<&str> = HashSet::new();

@@ -3,8 +3,12 @@
 //! Bag-of-words over normalized tokens plus the structural markers the
 //! smishing-detection literature uses (§2: URL presence, URL-to-APK,
 //! blocklist membership; we add shortener and sender-shape features).
+//! The words come from the one word fold `smishing_textnlp::normalize`
+//! owns: they are `ngram::canonical_text`'s words (URL chunks dropped,
+//! edge punctuation trimmed, homoglyphs and leetspeak folded) minus pure
+//! numbers.
 
-use smishing_textnlp::normalize::normalize_token;
+use smishing_textnlp::ngram::canonical_text;
 use smishing_textnlp::tokenize::looks_like_url;
 
 /// Structural feature tokens (prefixed so they cannot collide with words).
@@ -25,7 +29,6 @@ pub mod markers {
 
 /// Turn a message text into a feature token vector.
 pub fn featurize(text: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
     let mut has_url = false;
     let mut url_apk = false;
     let mut has_shortener = false;
@@ -44,23 +47,14 @@ pub fn featurize(text: &str) -> Vec<String> {
             }
         }
     }
-    for chunk in text.split_whitespace() {
-        if looks_like_url(chunk) {
-            continue;
-        }
-        // Whitespace chunks with edge punctuation trimmed — interior
-        // punctuation must survive so `N3tfl!x` normalizes to `netflix`.
-        let trimmed = chunk.trim_matches(|c: char| {
-            matches!(
-                c,
-                '.' | ',' | '!' | '?' | ';' | ':' | '"' | '\'' | '(' | ')' | '[' | ']'
-            )
-        });
-        let norm = normalize_token(trimmed);
-        if !norm.is_empty() && !norm.chars().all(|c| c.is_ascii_digit()) {
-            out.push(norm);
-        }
-    }
+    // The model's words are the similarity tier's canonical words minus
+    // pure numbers (the empty string counts as one, so an empty text
+    // yields no word).
+    let mut out: Vec<String> = canonical_text(text)
+        .split(' ')
+        .filter(|w| !w.chars().all(|c| c.is_ascii_digit()))
+        .map(str::to_string)
+        .collect();
 
     if has_url {
         out.push(markers::HAS_URL.to_string());

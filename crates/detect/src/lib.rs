@@ -18,7 +18,9 @@
 //! - [`eval`]: train/test splits, accuracy, per-class precision/recall/F1
 //!   and macro-F1, confusion matrices,
 //! - [`tasks`]: the two studies — binary smishing-vs-ham and multi-class
-//!   scam typology — wired to the world generator.
+//!   scam typology — wired to the world generator, and
+//!   [`smish_vs_ham`], the one smishing-vs-ham training set every binary
+//!   model here and in `smishing-intel` trains on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,5 +36,6 @@ pub use features::featurize;
 pub use logreg::{LogisticRegression, LrConfig};
 pub use nb::NaiveBayes;
 pub use tasks::{
-    baseline_comparison, binary_study, multiclass_study, multiclass_study_grouped, StudyResult,
+    baseline_comparison, binary_study, multiclass_study, multiclass_study_grouped, smish_vs_ham,
+    StudyResult,
 };

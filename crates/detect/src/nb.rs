@@ -97,11 +97,6 @@ impl<L: Eq + Hash + Clone + Ord> NaiveBayes<L> {
     pub fn n_classes(&self) -> usize {
         self.class_log_prior.len()
     }
-
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab
-    }
 }
 
 #[cfg(test)]

@@ -30,17 +30,35 @@ pub struct StudyResult<L: Eq + std::hash::Hash + Clone + Ord> {
     pub report: EvalReport<L>,
 }
 
+/// Fewest generated ham texts a smishing-vs-ham sample set holds.
+const MIN_HAM: usize = 40;
+
+/// The smishing-vs-ham samples every binary model here trains on: each
+/// smishing text featurized as a positive, then as many ham texts as
+/// there are smishing texts (at least 40), drawn from `rng`, as negatives.
+pub fn smish_vs_ham(smish: &[impl AsRef<str>], rng: &mut StdRng) -> Vec<(Vec<String>, bool)> {
+    let ham = generate_ham(smish.len().max(MIN_HAM), rng);
+    smish
+        .iter()
+        .map(|t| (featurize(t.as_ref()), true))
+        .chain(ham.iter().map(|h| (featurize(&h.text), false)))
+        .collect()
+}
+
 /// Binary study: smishing texts vs generated ham, 70/30 split.
 pub fn binary_study(smish_texts: &[String], seed: u64) -> Option<StudyResult<BinaryLabel>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let ham = generate_ham(smish_texts.len().max(40), &mut rng);
-    let mut samples: Vec<(Vec<String>, BinaryLabel)> = Vec::new();
-    for t in smish_texts {
-        samples.push((featurize(t), BinaryLabel::Smish));
-    }
-    for h in &ham {
-        samples.push((featurize(&h.text), BinaryLabel::Ham));
-    }
+    let samples: Vec<(Vec<String>, BinaryLabel)> = smish_vs_ham(smish_texts, &mut rng)
+        .into_iter()
+        .map(|(tokens, smish)| {
+            let label = if smish {
+                BinaryLabel::Smish
+            } else {
+                BinaryLabel::Ham
+            };
+            (tokens, label)
+        })
+        .collect();
     let report = evaluate(&samples, 0.3, 1.0, &mut rng)?;
     Some(StudyResult {
         corpus: samples.len(),
@@ -72,14 +90,7 @@ pub fn multiclass_study(
 pub fn baseline_comparison(smish_texts: &[String], seed: u64) -> Option<(f64, f64)> {
     use rand::seq::SliceRandom;
     let mut rng = StdRng::seed_from_u64(seed);
-    let ham = generate_ham(smish_texts.len().max(40), &mut rng);
-    let mut samples: Vec<(Vec<String>, bool)> = Vec::new();
-    for t in smish_texts {
-        samples.push((featurize(t), true));
-    }
-    for h in &ham {
-        samples.push((featurize(&h.text), false));
-    }
+    let samples = smish_vs_ham(smish_texts, &mut rng);
     let mut idx: Vec<usize> = (0..samples.len()).collect();
     idx.shuffle(&mut rng);
     let n_test = samples.len() * 3 / 10;

@@ -15,12 +15,12 @@
 
 use crate::hub::IntelHub;
 use crate::snapshot::IntelSnapshot;
-use crate::triage::{Query, Triage, TriageConfig, TriageVerdict, SMISHING_THRESHOLD};
+use crate::triage::{Query, Triage, TriageVerdict, SMISHING_THRESHOLD};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use smishing_core::pipeline::PipelineOutput;
-use smishing_detect::{featurize, LogisticRegression, LrConfig};
+use smishing_detect::{featurize, smish_vs_ham, LogisticRegression, LrConfig};
 use smishing_textnlp::ham::generate_ham;
 use smishing_worldsim::World;
 
@@ -54,8 +54,9 @@ pub struct TriageEval {
     /// Rotated-indicator probe messages evaluated (the world's
     /// `template_variants` knob; 0 when the knob is off).
     pub probe_n: usize,
-    /// Probe recall through exact pivots only (similarity rung disabled).
-    /// Probes rotate URL and sender, so this is what the old ladder loses.
+    /// Probe recall through the exact pivots alone: the ladder's exact
+    /// hits, since every pivot runs before the similarity rung. Probes
+    /// rotate URL and sender, so this is what the old ladder loses.
     pub probe_exact_recall: f64,
     /// Probe recall with the similarity rung enabled: exact hits plus
     /// near-duplicate matches against the indexed lure texts.
@@ -181,15 +182,7 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
 
     // Baseline: LR on train-campaign messages + generated ham.
     let mut train_rng = StdRng::seed_from_u64(seed ^ 0x5EED_0001);
-    let train_ham = generate_ham(train_texts.len().max(40), &mut train_rng);
-    let mut samples: Vec<(Vec<String>, bool)> =
-        Vec::with_capacity(train_texts.len() + train_ham.len());
-    for t in &train_texts {
-        samples.push((featurize(t), true));
-    }
-    for h in &train_ham {
-        samples.push((featurize(&h.text), false));
-    }
+    let samples = smish_vs_ham(&train_texts, &mut train_rng);
     let baseline = LogisticRegression::train(
         &samples,
         LrConfig {
@@ -262,16 +255,9 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
     }
 
     // Rotated-indicator probes: the same lure under fresh URL + sender.
-    // The exact-pivot ladder is scored with the similarity rung disabled;
-    // the full ladder additionally counts near-duplicate matches.
-    let mut exact_triage = Triage::with_config(
-        hub.reader(),
-        TriageConfig {
-            near: false,
-            ..TriageConfig::default()
-        },
-    );
-    let mut probe_exact = 0usize;
+    // The exact pivots run first and the near rung only after every pivot
+    // misses, so the ladder's exact hits are the exact-pivot recall; its
+    // near matches add the similarity rung's.
     let mut probe_near = 0usize;
     let mut probe_rungs = RungCounts::default();
     for m in &world.probe_messages {
@@ -280,12 +266,6 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
             sender: Some(&sender),
             text: &m.text,
         };
-        if matches!(
-            exact_triage.answer(&probe, None).verdict,
-            TriageVerdict::Hit(_)
-        ) {
-            probe_exact += 1;
-        }
         let v = triage.answer(&probe, None).verdict;
         if matches!(v, TriageVerdict::Hit(_)) || v.near().is_some() {
             probe_near += 1;
@@ -316,7 +296,7 @@ pub fn evaluate_triage(world: &World, out: &PipelineOutput<'_>, seed: u64) -> Op
         attribution_accuracy: attributed_right as f64 / attributed.max(1) as f64,
         near_hits,
         probe_n,
-        probe_exact_recall: probe_rate(probe_exact),
+        probe_exact_recall: probe_rate(probe_rungs.exact),
         probe_near_recall: probe_rate(probe_near),
         probe_rungs,
     })

@@ -29,10 +29,9 @@ use smishing_core::analysis::linking::{cluster_by_keys, skeleton_of};
 use smishing_core::curation::CuratedMessage;
 use smishing_core::enrich::EnrichedRecord;
 use smishing_core::pipeline::PipelineOutput;
-use smishing_detect::{featurize, LogisticRegression, LrConfig};
+use smishing_detect::{smish_vs_ham, LogisticRegression, LrConfig};
 use smishing_simindex::{DocInput, NearResult, SimIndex};
 use smishing_telecom::NumberStatus;
-use smishing_textnlp::ham::generate_ham;
 use smishing_textnlp::normalize::{normalize_text, normalize_token};
 use smishing_types::{Forum, Language, LureSet, PostId, ScamType, SenderId, UnixTime};
 use smishing_webinfra::{
@@ -598,11 +597,6 @@ impl IntelSnapshot {
         self.curated_seen
     }
 
-    /// The options this snapshot was built with.
-    pub fn build_options(&self) -> BuildOptions {
-        self.opts
-    }
-
     /// The aging window, if any.
     pub fn window_secs(&self) -> Option<u64> {
         self.opts.window_secs
@@ -708,17 +702,10 @@ impl IntelSnapshot {
         let mut trained = false;
         let model = self.model.0.get_or_init(|| {
             trained = true;
-            // Entry texts are the positives, as many generated ham texts
-            // (at least 40) the negatives, drawn under the world seed.
-            let mut rng = StdRng::seed_from_u64(self.seed);
-            let ham = generate_ham(self.len().max(40), &mut rng);
-            let mut samples: Vec<(Vec<String>, bool)> = Vec::with_capacity(self.len() + ham.len());
-            for t in self.texts() {
-                samples.push((featurize(t), true));
-            }
-            for h in &ham {
-                samples.push((featurize(&h.text), false));
-            }
+            // Entry texts are the positives, ham drawn under the world
+            // seed the negatives.
+            let texts: Vec<&str> = self.texts().collect();
+            let samples = smish_vs_ham(&texts, &mut StdRng::seed_from_u64(self.seed));
             let config = LrConfig {
                 seed: self.seed,
                 ..LrConfig::default()

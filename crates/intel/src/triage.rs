@@ -210,16 +210,12 @@ impl TriageVerdict {
 pub struct TriageConfig {
     /// Negative-cache capacity (0 disables the cache).
     pub cache_capacity: usize,
-    /// Whether the similarity rung runs between the exact-pivot ladder
-    /// and the model fallback.
-    pub near: bool,
 }
 
 impl Default for TriageConfig {
     fn default() -> Self {
         TriageConfig {
             cache_capacity: 4096,
-            near: true,
         }
     }
 }
@@ -314,7 +310,6 @@ pub struct Triage {
 /// reader's snapshot while the walk feeds the cache.
 #[derive(Debug)]
 struct Ladder {
-    cfg: TriageConfig,
     cache: LruSet,
 }
 
@@ -329,7 +324,7 @@ impl Triage {
         let cache = LruSet::new(cfg.cache_capacity);
         Triage {
             reader,
-            ladder: Ladder { cfg, cache },
+            ladder: Ladder { cache },
         }
     }
 
@@ -508,9 +503,6 @@ impl Ladder {
         text: &str,
         mut trace: Option<&mut TraceBuilder>,
     ) -> (Option<NearAttribution>, usize) {
-        if !self.cfg.near {
-            return (None, 0);
-        }
         let start = trace.as_ref().map(|_| Instant::now());
         let q = snap.sim().query(text);
         if q.is_empty() {

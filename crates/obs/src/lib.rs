@@ -161,11 +161,6 @@ impl Obs {
         }
     }
 
-    /// Whether a log at `level` would be emitted.
-    pub fn log_enabled(&self, level: Level) -> bool {
-        self.inner.as_ref().is_some_and(|i| level <= i.level)
-    }
-
     /// Snapshot the registry (None when disabled).
     pub fn report(&self) -> Option<Report> {
         self.inner.as_ref().map(|i| i.registry.snapshot())

@@ -8,7 +8,6 @@
 //! - [`mod@quantile`]: medians and percentiles for the Fig. 2 boxplots,
 //! - [`counter`]: frequency counting with deterministic top-k used by every
 //!   "Top 10 ..." table,
-//! - [`histogram`]: fixed-bin histograms for time-of-day densities,
 //! - [`descriptive`]: means/variance for the TLS certificate counts (§4.5),
 //! - [`sample`]: seeded reservoir sampling (the 150-message IRR subset and
 //!   the 200-report case-study sample),
@@ -24,7 +23,6 @@
 
 pub mod counter;
 pub mod descriptive;
-pub mod histogram;
 pub mod kappa;
 pub mod ks;
 pub mod merge;
@@ -34,7 +32,6 @@ pub mod unionfind;
 
 pub use counter::Counter;
 pub use descriptive::{mean, stddev, variance};
-pub use histogram::Histogram;
 pub use kappa::{cohen_kappa, kappa_from_labels, AgreementLevel};
 pub use ks::{ks_two_sample, KsResult};
 pub use merge::FirstClaim;

@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 use smishing_stats::quantile::{five_number_summary, quantile};
 use smishing_stats::{
-    cohen_kappa, ks_two_sample, mean, median, reservoir_sample, stddev, Counter, Histogram,
-    UnionFind,
+    cohen_kappa, ks_two_sample, mean, median, reservoir_sample, stddev, Counter, UnionFind,
 };
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -149,20 +148,6 @@ proptest! {
         for key in 0u16..20 {
             prop_assert_eq!(merged.get(&key), ca.get(&key) + cb.get(&key));
         }
-    }
-
-    // ---- Histogram ----
-
-    #[test]
-    fn histogram_conserves_mass(values in finite_vec(200)) {
-        let mut h = Histogram::new(-1.0e6, 1.0e6, 32);
-        for &v in &values {
-            h.add(v);
-        }
-        let (below, above) = h.out_of_range();
-        let binned: u64 = h.bins().iter().sum();
-        prop_assert_eq!(binned + below + above, values.len() as u64);
-        prop_assert_eq!(h.count(), binned);
     }
 
     // ---- Union-find ----

@@ -119,11 +119,6 @@ impl SimulatedHlr {
         }
     }
 
-    /// Override a country's live rate (testing / calibration).
-    pub fn set_live_rate(&mut self, country: Country, rate: f64) {
-        self.live_rates.insert(country, rate.clamp(0.0, 1.0));
-    }
-
     fn hash(&self, phone: &PhoneNumber, salt: u64) -> u64 {
         // FNV-1a over the digits, seed and salt: cheap, stable, good enough
         // for deterministic pseudo-randomness.

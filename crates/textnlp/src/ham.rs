@@ -9,7 +9,6 @@
 
 use crate::templates::{render_pattern, Fills};
 use rand::Rng;
-use smishing_types::{Language, Lure, LureSet, ScamType};
 
 /// A benign message category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,13 +97,6 @@ pub fn generate_ham<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<HamMessage> {
             }
         })
         .collect()
-}
-
-/// Ground-truth-shaped annotation for a ham message: no scam, no lures.
-/// Useful when mixing ham into annotated corpora.
-pub fn ham_truth_labels() -> (Option<ScamType>, LureSet, Option<Language>) {
-    let _ = Lure::ALL; // (kept for symmetry with the scam taxonomy docs)
-    (None, LureSet::EMPTY, Some(Language::English))
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Hashed character n-gram shingling — the shared tokenization layer
 //! under the similarity index (`smishing-simindex`).
 //!
-//! URL-looking tokens are dropped first (before any folding erases the
-//! `://` that makes them recognizable), each surviving word is normalized
-//! (casefold + homoglyph/leetspeak folding), and the words are re-joined
-//! with single spaces. Shingles are 64-bit FNV-1a hashes of every `n`
+//! The text is first put in canonical form by the word fold
+//! [`normalize`](crate::normalize) owns: URL-looking chunks are dropped
+//! (tested raw, before any folding erases the `://` that makes them
+//! recognizable), each surviving word is normalized (casefold +
+//! homoglyph/leetspeak folding), and the words are joined with single
+//! spaces. Shingles are 64-bit FNV-1a hashes of every `n`
 //! consecutive characters of that canonical string — so a campaign that
 //! rotates its landing domain, defangs its spelling, or swaps one word of
 //! the template still produces a mostly-overlapping shingle set.
@@ -12,8 +14,7 @@
 //! they yield enough shingles that a one-word paraphrase perturbs only a
 //! small fraction of the set, keeping SimHash distances stable.
 
-use crate::normalize::normalize_token;
-use crate::tokenize::looks_like_url;
+use crate::normalize::fold_words;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -28,27 +29,14 @@ fn fnv1a_chars(chars: &[char]) -> u64 {
     h
 }
 
-/// The canonical form shingling operates on: URL chunks removed, words
-/// normalized, single-space separated.
+/// The canonical form shingling operates on: the word fold of
+/// [`normalize_text`](crate::normalize::normalize_text) with URL chunks
+/// dropped rather than folded.
 ///
-/// Like [`normalize_text`](crate::normalize::normalize_text), whitespace
-/// chunks stay whole so interior-punctuation evasion (`N3tfl!x`) folds
-/// back to the brand — but URL chunks are dropped rather than folded.
+/// Whitespace chunks stay whole so interior-punctuation evasion
+/// (`N3tfl!x`) folds back to the brand.
 pub fn canonical_text(text: &str) -> String {
-    text.split_whitespace()
-        .filter(|chunk| !looks_like_url(chunk))
-        .map(|chunk| {
-            let trimmed = chunk.trim_matches(|c: char| {
-                matches!(
-                    c,
-                    '.' | ',' | '!' | '?' | ';' | ':' | '"' | '\'' | '(' | ')' | '[' | ']'
-                )
-            });
-            normalize_token(trimmed)
-        })
-        .filter(|w| !w.is_empty())
-        .collect::<Vec<_>>()
-        .join(" ")
+    fold_words(text, true)
 }
 
 /// Hash the character n-grams of `text` into a sorted, deduplicated

@@ -4,6 +4,17 @@
 //! the brand. Normalization maps confusable characters to their canonical
 //! lowercase ASCII letter and strips separator noise, so `N3tfl!x`,
 //! `NETFL1X` and `n-e-t-f-l-i-x` all collapse to `netflix`.
+//!
+//! This module owns the one word fold the crate and its dependants share:
+//! one edge-trim predicate, one token fold and one pass that writes every
+//! folded word into a single `String`. [`normalize_text`] (the dedup key,
+//! brand NER and the link skeleton) is that pass over every chunk;
+//! [`canonical_text`](crate::ngram::canonical_text) (similarity shingles)
+//! is the pass that skips URL chunks, and `smishing_detect::featurize`
+//! takes its words from `canonical_text`. [`normalize_token`] is the
+//! one-token view.
+
+use crate::tokenize::looks_like_url;
 
 /// Map one confusable character to its canonical letter, if any.
 fn fold_char(c: char) -> Option<char> {
@@ -39,15 +50,18 @@ fn fold_char(c: char) -> Option<char> {
     Some(out)
 }
 
-/// Normalize one token for brand matching: casefold, fold confusables,
-/// drop separators entirely.
-///
-/// Digit folding only applies to *mixed* tokens (at least one letter):
-/// `N3tfl!x` folds, but a standalone amount like `24` stays `24` — folding
-/// pure numbers would corrupt ordinary message content.
-pub fn normalize_token(token: &str) -> String {
+/// Edge punctuation a whitespace chunk sheds before folding (`renew!` →
+/// `renew`); interior punctuation stays, so `N3tfl!x` folds as one token.
+fn is_edge_punct(c: char) -> bool {
+    matches!(
+        c,
+        '.' | ',' | '!' | '?' | ';' | ':' | '"' | '\'' | '(' | ')' | '[' | ']'
+    )
+}
+
+/// Append the fold of one token to `out` (see [`normalize_token`]).
+fn fold_token(token: &str, out: &mut String) {
     let has_letter = token.chars().any(|c| c.is_alphabetic());
-    let mut out = String::with_capacity(token.len());
     for c in token.chars() {
         let c = c.to_lowercase().next().unwrap_or(c);
         let fold = if has_letter { fold_char(c) } else { None };
@@ -58,28 +72,52 @@ pub fn normalize_token(token: &str) -> String {
         }
         // separators ('-', '.', '_', spaces inside token) vanish
     }
+}
+
+/// Normalize one token for brand matching: casefold, fold confusables,
+/// drop separators entirely.
+///
+/// Digit folding only applies to *mixed* tokens (at least one letter):
+/// `N3tfl!x` folds, but a standalone amount like `24` stays `24` — folding
+/// pure numbers would corrupt ordinary message content.
+pub fn normalize_token(token: &str) -> String {
+    let mut out = String::with_capacity(token.len());
+    fold_token(token, &mut out);
     out
 }
 
-/// Normalize a whole text for brand matching.
+/// The one word fold: every whitespace chunk — URL chunks skipped when
+/// `skip_urls` — edge-trimmed and folded into one buffer, the non-empty
+/// words one space apart. The URL test reads the raw chunk, before any
+/// trim or fold erases the `://` or `[.]` that marks it.
+pub(crate) fn fold_words(text: &str, skip_urls: bool) -> String {
+    let mut out = String::with_capacity(text.len());
+    for chunk in text.split_whitespace() {
+        if skip_urls && looks_like_url(chunk) {
+            continue;
+        }
+        let mark = out.len();
+        if mark > 0 {
+            out.push(' ');
+        }
+        let word = out.len();
+        fold_token(chunk.trim_matches(is_edge_punct), &mut out);
+        if out.len() == word {
+            // The chunk folded to nothing: take back its separator.
+            out.truncate(mark);
+        }
+    }
+    out
+}
+
+/// Normalize a whole text for brand matching: the word fold over every
+/// chunk.
 ///
 /// Splits on whitespace (NOT on interior punctuation — `N3tfl!x` must stay
 /// one token), trims *edge* sentence punctuation (`renew!` → `renew`), then
 /// folds each chunk.
 pub fn normalize_text(text: &str) -> String {
-    text.split_whitespace()
-        .map(|chunk| {
-            let trimmed = chunk.trim_matches(|c: char| {
-                matches!(
-                    c,
-                    '.' | ',' | '!' | '?' | ';' | ':' | '"' | '\'' | '(' | ')' | '[' | ']'
-                )
-            });
-            normalize_token(trimmed)
-        })
-        .filter(|t| !t.is_empty())
-        .collect::<Vec<_>>()
-        .join(" ")
+    fold_words(text, false)
 }
 
 #[cfg(test)]

@@ -666,14 +666,6 @@ impl TemplateLibrary {
             .collect()
     }
 
-    /// Templates of a scam type in any language.
-    pub fn for_scam(&self, scam: ScamType) -> Vec<&Template> {
-        self.templates
-            .iter()
-            .filter(|t| t.scam_type == scam)
-            .collect()
-    }
-
     /// Languages with at least one template.
     pub fn languages(&self) -> Vec<Language> {
         let mut ls: Vec<Language> = self.templates.iter().map(|t| t.language).collect();

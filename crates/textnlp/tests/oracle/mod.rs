@@ -1,4 +1,5 @@
-//! Reference scans for brand extraction and language scoring.
+//! Reference scans for brand extraction and language scoring, and the
+//! word folds `normalize` replaced.
 //!
 //! `extract_brand` and `identify_language` answer by hash lookup. These
 //! are the scans they replaced, kept verbatim as test oracles: a
@@ -8,16 +9,144 @@
 //! The lookups must give the same answer on every input, rank order,
 //! channel-mention rule and fuzzy stoplist included.
 //!
-//! Shared by the textnlp proptests and the core fixture test (which
-//! includes this file by path); each uses part of it.
+//! `normalize_text` and `ngram::canonical_text` are one word-fold pass
+//! over a single buffer. The per-chunk folds they replaced — each chunk
+//! trimmed and folded into its own `String`, collected and joined — are
+//! kept here verbatim with the token fold they call, so the pass must
+//! produce the same bytes on every input. [`fold_text`] generates text
+//! shaped to reach the fold's corners, as a pattern for the proptest
+//! string strategy.
+//!
+//! Shared by the textnlp and detect proptests and the core fixture test
+//! (the last two include this file by path); each uses part of it.
 #![allow(dead_code)]
 
 use smishing_textnlp::langid::dominant_script;
 use smishing_textnlp::lexicon::lexicon;
-use smishing_textnlp::tokenize::words_lower;
-use smishing_textnlp::{normalize_text, Brand, BrandCatalog};
+use smishing_textnlp::tokenize::{looks_like_url, words_lower};
+use smishing_textnlp::{Brand, BrandCatalog};
 use smishing_types::{Language, Script};
 use std::sync::OnceLock;
+
+/// Map one confusable character to its canonical letter, if any.
+fn fold_char(c: char) -> Option<char> {
+    let out = match c {
+        // Leetspeak digits and symbols.
+        '0' => 'o',
+        '1' => 'l', // visually closest; '1'→'i' is handled by fuzzy matching
+        '3' => 'e',
+        '4' => 'a',
+        '5' => 's',
+        '7' => 't',
+        '8' => 'b',
+        '@' => 'a',
+        '$' => 's',
+        '!' => 'i',
+        '|' => 'l',
+        '€' => 'e',
+        '£' => 'l',
+        // Common Unicode homoglyphs (Cyrillic/Greek lookalikes).
+        'а' => 'a',
+        'е' => 'e',
+        'о' => 'o',
+        'р' => 'p',
+        'с' => 'c',
+        'х' => 'x',
+        'у' => 'y',
+        'і' => 'i',
+        'ο' => 'o',
+        'α' => 'a',
+        'ν' => 'v',
+        _ => return None,
+    };
+    Some(out)
+}
+
+/// Normalize one token for brand matching: casefold, fold confusables,
+/// drop separators entirely.
+///
+/// Digit folding only applies to *mixed* tokens (at least one letter):
+/// `N3tfl!x` folds, but a standalone amount like `24` stays `24` — folding
+/// pure numbers would corrupt ordinary message content.
+pub fn normalize_token(token: &str) -> String {
+    let has_letter = token.chars().any(|c| c.is_alphabetic());
+    let mut out = String::with_capacity(token.len());
+    for c in token.chars() {
+        let c = c.to_lowercase().next().unwrap_or(c);
+        let fold = if has_letter { fold_char(c) } else { None };
+        if let Some(f) = fold {
+            out.push(f);
+        } else if c.is_alphanumeric() {
+            out.push(c);
+        }
+        // separators ('-', '.', '_', spaces inside token) vanish
+    }
+    out
+}
+
+/// Normalize a whole text for brand matching.
+///
+/// Splits on whitespace (NOT on interior punctuation — `N3tfl!x` must stay
+/// one token), trims *edge* sentence punctuation (`renew!` → `renew`), then
+/// folds each chunk.
+pub fn normalize_text(text: &str) -> String {
+    text.split_whitespace()
+        .map(|chunk| {
+            let trimmed = chunk.trim_matches(|c: char| {
+                matches!(
+                    c,
+                    '.' | ',' | '!' | '?' | ';' | ':' | '"' | '\'' | '(' | ')' | '[' | ']'
+                )
+            });
+            normalize_token(trimmed)
+        })
+        .filter(|t| !t.is_empty())
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// The canonical form shingling operates on: URL chunks removed, words
+/// normalized, single-space separated.
+pub fn canonical_text(text: &str) -> String {
+    text.split_whitespace()
+        .filter(|chunk| !looks_like_url(chunk))
+        .map(|chunk| {
+            let trimmed = chunk.trim_matches(|c: char| {
+                matches!(
+                    c,
+                    '.' | ',' | '!' | '?' | ';' | ':' | '"' | '\'' | '(' | ')' | '[' | ']'
+                )
+            });
+            normalize_token(trimmed)
+        })
+        .filter(|w| !w.is_empty())
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// A pattern for text the fold must agree on: whitespace chunks joined
+/// by runs of Unicode whitespace. Each chunk carries up to two edge
+/// punctuation marks either side of one of: Cyrillic and Greek
+/// confusables, leet digits and symbols, interior punctuation, a URL
+/// form, ASCII or non-ASCII digits, a chunk that folds to nothing, or
+/// letters whose lowercase form is longer (in chars or bytes).
+pub fn fold_text() -> String {
+    let edge = r#"[.,!?;:"'()\[\]]{0,2}"#;
+    let url = r"(http://|HTTPS://|hXXp://|hxxp|www\.|WWW\.|bit\.ly/|cutt\.ly/|t\.co/|tinyurl\.com/)?[a-zA-Z0-9-]{0,6}(/x|\.apk|\[\.\]com|a\.b/c|/|\.|\.com)?";
+    let chunk = [
+        "[a-zA-Zаеорсхуіοαν]{1,8}",
+        "[a-zA-Z0-9@$!|€£]{1,8}",
+        "[a-zA-Z]{1,4}[-._!|/:'@]{1,2}[a-zA-Z0-9]{1,4}",
+        url,
+        "[0-9]{1,8}",
+        "[٠-٩۰-۹०-९０-９]{1,4}",
+        r"(!!|\./|\.\.\.|-|\(\)|'|—|¿\?|\[\])",
+        "[a-z\u{130}\u{1e9e}\u{23a}\u{3a3}\u{212a}]{1,4}",
+    ]
+    .join("|");
+    let gap = "[ \t\n\u{a0}\u{85}\u{2003}\u{2028}\u{3000}]{1,3}";
+    format!("[ \t\u{3000}]{{0,2}}({edge}({chunk}){edge}{gap}){{0,10}}")
+}
 
 /// Every alias and canonical name, normalized, with its brand index:
 /// longest first, ties alphabetical, stable in catalog order.

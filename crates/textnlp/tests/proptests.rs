@@ -4,9 +4,12 @@ mod oracle;
 
 use proptest::prelude::*;
 use smishing_textnlp::annotator::{Annotator, PipelineAnnotator};
+use smishing_textnlp::ngram::canonical_text;
 use smishing_textnlp::templates::{match_pattern, render_pattern, Fills, TemplateLibrary};
 use smishing_textnlp::tokenize::looks_like_url;
-use smishing_textnlp::{detect_lures, extract_brand, identify_language, normalize_text};
+use smishing_textnlp::{
+    detect_lures, extract_brand, identify_language, normalize_text, normalize_token,
+};
 
 proptest! {
     #[test]
@@ -219,5 +222,25 @@ proptest! {
     #[test]
     fn url_check_matches_a_lowercased_copy(t in "(HtTp|hXxP|wWw|[a-z]{0,3})[:/.\\[\\]]{0,4}\\PC{0,12}") {
         prop_assert_eq!(looks_like_url(&t), oracle::url_by_lowercase(&t), "{:?}", t);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The one-pass word fold writes the bytes the per-chunk folds it
+    /// replaced wrote: every chunk, and every non-URL chunk.
+    #[test]
+    fn word_fold_matches_the_per_chunk_oracle_on_arbitrary_text(s in "\\PC{0,160}") {
+        prop_assert_eq!(normalize_text(&s), oracle::normalize_text(&s), "{:?}", s);
+        prop_assert_eq!(canonical_text(&s), oracle::canonical_text(&s), "{:?}", s);
+        prop_assert_eq!(normalize_token(&s), oracle::normalize_token(&s), "{:?}", s);
+    }
+
+    #[test]
+    fn word_fold_matches_the_per_chunk_oracle_on_chunked_text(s in oracle::fold_text()) {
+        prop_assert_eq!(normalize_text(&s), oracle::normalize_text(&s), "{:?}", s);
+        prop_assert_eq!(canonical_text(&s), oracle::canonical_text(&s), "{:?}", s);
+        prop_assert_eq!(normalize_token(&s), oracle::normalize_token(&s), "{:?}", s);
     }
 }

@@ -141,14 +141,6 @@ impl NoiseKind {
         NoiseKind::UnrelatedScreenshot,
         NoiseKind::NewsLink,
     ];
-
-    /// Whether this noise kind manifests as an image attachment.
-    pub fn is_image(self) -> bool {
-        matches!(
-            self,
-            NoiseKind::AwarenessPoster | NoiseKind::UnrelatedScreenshot
-        )
-    }
 }
 
 #[cfg(test)]

@@ -158,13 +158,6 @@ impl fmt::Display for Language {
     }
 }
 
-impl Language {
-    /// Whether this is English — the pipeline translates everything else (§3.2).
-    pub fn is_english(self) -> bool {
-        self == Language::English
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

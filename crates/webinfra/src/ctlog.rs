@@ -187,11 +187,6 @@ impl CtLog {
     pub fn domains(&self) -> usize {
         self.by_domain.read().len()
     }
-
-    /// Total logged certificates.
-    pub fn total_certs(&self) -> usize {
-        self.by_domain.read().values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]

@@ -583,7 +583,6 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
     let triage_cfg = match serve_state {
         Some(sv) => TriageConfig {
             cache_capacity: sv.cache_capacity,
-            ..TriageConfig::default()
         },
         None => TriageConfig::default(),
     };
