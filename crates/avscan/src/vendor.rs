@@ -5,6 +5,8 @@
 //! phishing feeds) and a suspicious-flag rate; whether a given vendor flags
 //! a given URL is a stable hash draw, so scans are reproducible.
 
+use smishing_types::{fnv1a, FNV_PRIME};
+
 /// One antivirus vendor on the aggregator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvVendor {
@@ -107,11 +109,7 @@ pub const VENDORS: &[AvVendor] = &[
 
 /// Stable 64-bit hash of a string with a salt (FNV-1a).
 pub(crate) fn hash64(s: &str, salt: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt.wrapping_mul(0x100_0000_01b3);
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    let h = fnv1a(salt.wrapping_mul(FNV_PRIME), s.bytes());
     h ^ (h >> 29)
 }
 
@@ -141,6 +139,24 @@ pub fn detectability(url: &str, seed: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `hash64` as it was before it called `fnv1a`, verbatim.
+    fn hash64_loop(s: &str, salt: u64) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt.wrapping_mul(0x100_0000_01b3);
+        for b in s.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h ^ (h >> 29)
+    }
+
+    proptest! {
+        #[test]
+        fn hash64_matches_its_former_loop(s in "\\PC{0,40}", salt in 0u64..u64::MAX) {
+            prop_assert_eq!(hash64(&s, salt), hash64_loop(&s, salt));
+        }
+    }
 
     #[test]
     fn seventy_vendors() {

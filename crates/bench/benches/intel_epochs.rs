@@ -94,27 +94,28 @@ fn bench_intel_epochs(c: &mut Criterion) {
             if let Some(p) = prev.take() {
                 // Keep the *latest* interior epoch: largest history,
                 // same-sized delta — the steepest O(delta) vs O(history)
-                // contrast the stream offers.
-                fixture = Some((s, p));
+                // contrast the stream offers. The engine lends the
+                // snapshot, so the fixture is a copy.
+                fixture = Some((s.output.clone(), s.curated_delta.clone(), p));
             }
             prev = Some(inc);
         },
     );
-    let (snap, fix_prev) = fixture.expect("at least two aligned snapshots");
+    let (output, delta, fix_prev) = fixture.expect("at least two aligned snapshots");
 
     let mut g = c.benchmark_group("intel_epochs");
     g.bench_function("incremental_republish", |b| {
         b.iter(|| {
             black_box(IntelSnapshot::build_incremental(
-                &snap.output,
+                &output,
                 Some(&fix_prev),
-                SnapshotDelta::new(&snap.curated_delta),
+                SnapshotDelta::new(&delta),
                 opts,
             ))
         })
     });
     g.bench_function("full_rebuild", |b| {
-        b.iter(|| black_box(IntelSnapshot::build_full(&snap.output, opts)))
+        b.iter(|| black_box(IntelSnapshot::build_full(&output, opts)))
     });
     g.finish();
 }

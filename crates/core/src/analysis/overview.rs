@@ -88,6 +88,11 @@ impl OverviewAcc {
         }
     }
 
+    /// Drop every folded group (the unique-message column).
+    pub fn clear_groups(&mut self) {
+        self.unique_msgs = Counter::new();
+    }
+
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: OverviewAcc) {
         self.posts.merge(&other.posts);

@@ -7,10 +7,13 @@
 //! deduplication (Table 1's volume columns, Tables 11 and 15, Figure 2).
 //! Analyst shards fold each dedup group once, at every cut, into a fresh
 //! bundle through its winner and the evidence it carries
-//! ([`AnalysisAccs::add_group`]). Nothing is ever withdrawn. Merging the
+//! ([`AnalysisAccs::add_group`]). No fold is ever withdrawn. Merging the
 //! bundles from every worker yields exactly the state a single sequential
-//! pass would have built. The engine's assembly step stores that merge on
-//! every [`PipelineOutput`](crate::pipeline::PipelineOutput) it builds —
+//! pass would have built. The engine's collector keeps that merge as one
+//! running bundle: curators send only what they folded since their last
+//! cut, and each cut's freshly folded groups replace the previous cut's
+//! whole ([`AnalysisAccs::clear_groups`]). It is the `accs` of every
+//! [`PipelineOutput`](crate::pipeline::PipelineOutput) the engine builds —
 //! batch, end of stream and each snapshot — so these accumulators are the
 //! one fold behind every accumulator-backed table, mid-stream or final.
 
@@ -33,6 +36,7 @@ use crate::enrich::EnrichedRecord;
 use crate::table::TextTable;
 use smishing_types::Forum;
 use smishing_worldsim::Post;
+use std::mem;
 
 /// Every incremental analysis accumulator, mergeable across shards.
 #[derive(Debug, Clone, Default)]
@@ -120,6 +124,21 @@ impl AnalysisAccs {
         if r.is_degraded() {
             self.degraded_records += 1;
         }
+    }
+
+    /// Drop everything [`add_group`](Self::add_group) folded and keep the
+    /// per-post and per-message columns. A shard re-folds every group at
+    /// every cut, so the engine's collector clears its running bundle's
+    /// groups before it merges a cut's.
+    pub fn clear_groups(&mut self) {
+        self.overview.clear_groups();
+        *self = AnalysisAccs {
+            overview: mem::take(&mut self.overview),
+            twitter_years: mem::take(&mut self.twitter_years),
+            languages: mem::take(&mut self.languages),
+            send_times: mem::take(&mut self.send_times),
+            ..AnalysisAccs::default()
+        };
     }
 
     /// Absorb another worker's bundle.

@@ -112,13 +112,13 @@ impl Checkpoint {
 /// checkpointed dataset is reproduced exactly at `posts_consumed`, then
 /// keep ingesting to the end of the stream.
 ///
-/// `on_snapshot` sees only the snapshots at and after the verified
-/// checkpoint; the run that wrote the checkpoint already handled the
-/// prefix. Returns an error, without calling `on_snapshot`, when the
-/// checkpoint is from a different world, when the replay does not
-/// reproduce its dataset, or when the stream ends before
-/// `posts_consumed`. The last two errors arrive once the replay has
-/// finished.
+/// `on_snapshot` borrows, as in [`ingest`], only the snapshots at and
+/// after the verified checkpoint; the run that wrote the checkpoint
+/// already handled the prefix. Returns an error, without calling
+/// `on_snapshot`, when the checkpoint is from a different world, when
+/// the replay does not reproduce its dataset, or when the stream ends
+/// before `posts_consumed`. The last two errors arrive once the replay
+/// has finished.
 pub fn resume<'w, I, F>(
     world: &'w World,
     posts: I,
@@ -130,7 +130,7 @@ pub fn resume<'w, I, F>(
 ) -> Result<IngestResult<'w>, String>
 where
     I: Iterator<Item = Post> + Send,
-    F: FnMut(StreamSnapshot<'w>),
+    F: FnMut(&StreamSnapshot<'w>),
 {
     if !checkpoint.matches_world(world) {
         return Err(format!(
@@ -198,7 +198,7 @@ mod tests {
                 &plan.clone().with_snapshots(SnapshotPlan::at(&[half])),
                 &Obs::noop(),
                 |snap| {
-                    json = Checkpoint::capture_serving(&snap, &plan, serve)
+                    json = Checkpoint::capture_serving(snap, &plan, serve)
                         .to_json()
                         .ok()
                 },

@@ -4,9 +4,9 @@
 //! ```text
 //!             bounded              bounded                bounded
 //!  feeder ──► curator 0 ──┬──► analyst shard 0 ──┬──► collector (caller
-//!         ──► curator 1 ──┤ ──► analyst shard 1 ──┤     thread: merges
-//!             ...         │     ...               │     snapshots, builds
-//!                         └──► shard = fnv(key)%N ┘     the final output)
+//!         ──► curator 1 ──┤ ──► analyst shard 1 ──┤     thread: folds each
+//!             ...         │     ...               │     cut into its one
+//!                         └──► shard = fnv(key)%N ┘     running copy)
 //! ```
 //!
 //! * The **feeder** pulls posts from the caller's iterator in arrival
@@ -20,7 +20,8 @@
 //!   accumulators that do not depend on deduplication (Table 1's volume
 //!   and message columns, Tables 11 and 15, Figure 2), derive each curated
 //!   message's dedup key and send the message with its key to the analyst
-//!   shard owning that key.
+//!   shard owning that key. At every cut a curator hands the collector
+//!   what it folded since its previous cut and starts afresh.
 //! * **Analyst shards** each own a [`GroupTable`]: the per-key dedup
 //!   winner (minimum post id) with its group's report evidence. It is the
 //!   program's only dedup-group table. Enrichment runs through the
@@ -30,18 +31,25 @@
 //!   replaces it: nothing has been folded yet. At every cut (a snapshot or
 //!   the end of the stream) the shard folds each group once, through its
 //!   winner and the evidence it carries ([`AnalysisAccs::add_group`]),
-//!   into a fresh bundle it sends, so the bundle always equals a batch
-//!   pass over the posts seen so far.
+//!   into a fresh bundle, and sends it with its winners and the curated
+//!   messages it took in since its previous cut. A shard keeps no curated
+//!   history.
 //! * **Snapshots** use aligned markers: the feeder injects a marker after
-//!   post `k`; curators forward it to every shard; a shard freezes its
-//!   state once markers from *all* curators arrived, buffering any
-//!   messages that overtook a slower curator's marker. The merged snapshot
-//!   therefore equals the batch pipeline over exactly the first `k` posts,
-//!   while ingestion continues behind it.
+//!   post `k`; curators forward it to every shard; a shard cuts once
+//!   markers from *all* curators arrived, buffering any messages that
+//!   overtook a slower curator's marker. The end of the stream is one more
+//!   cut, taken by every worker once its input closes.
+//! * The **collector** folds each complete cut, in cut order, into its one
+//!   running copy: the curators' accumulators and collection stats, the
+//!   shards' freshly folded groups and winners, and the curated history.
+//!   It lends that copy to `on_snapshot` as a [`StreamSnapshot`], equal to
+//!   the batch pipeline over exactly the first `k` posts, while ingestion
+//!   continues behind it, and hands it over as the end-of-stream output.
 //!
 //! # Ordering invariant
 //!
-//! The merge step (`assemble`) owns canonical ordering: curated
+//! The collector's one fold (`StreamSnapshot::fold`) owns canonical
+//! ordering, for every snapshot and for the end of the stream: curated
 //! messages and enriched records are sorted by post id, and per-forum
 //! collection stats are listed in `Forum::ALL` order. Combined with
 //! set-semantics dedup (minimum post id wins per key), the output is a
@@ -60,13 +68,15 @@
 //! (`exec.{curator,shard}.channel_depth`), backpressure wait histograms
 //! (`exec.{feeder,curator}.backpressure_wait_ns`, recorded only when a
 //! `try_send` finds the channel full), snapshot cost histograms
-//! (`exec.snapshot.cost_ns`) and per-service enrichment meters (each
-//! shard owns a `ResilientClient`, so retry, breaker, and degradation
-//! counters aggregate across shards through the shared registry, and
+//! (`exec.snapshot.cost_ns`, the collector's fold), each shard's cut
+//! (`exec.shard.cut_ns`: winner copies and group fold, once per snapshot
+//! and once at the end) and per-service enrichment meters (each shard
+//! owns a `ResilientClient`, so retry, breaker, and degradation counters
+//! aggregate across shards through the shared registry, and
 //! `exec.engine.{degraded_records,uncounted_drops}` summarize the run).
-//! Per-shard enrichment histograms are additionally combined with
-//! `Histogram::merge_from` into a `shard="all"` series — exact, like the
-//! accumulators' `merge()`. With a no-op handle every instrumentation
+//! Per-shard enrichment and cut histograms are additionally combined
+//! with `Histogram::merge_from` into a `shard="all"` series — exact, like
+//! the accumulators' `merge()`. With a no-op handle every instrumentation
 //! point short-circuits and the engine runs the pre-observability code
 //! path.
 //!
@@ -76,7 +86,9 @@
 //! thread boundary, counted in `exec.engine.worker_panics`, and re-raised
 //! on the caller's thread with its original payload once the remaining
 //! workers have drained — never silently swallowed, and never a deadlock:
-//! peers detect the closed channels and shut down cleanly.
+//! peers detect the closed channels and shut down cleanly. A panic in
+//! `on_snapshot` unwinds the collector, whose closed channel winds the
+//! workers down the same way before it re-raises.
 
 use super::accs::AnalysisAccs;
 use super::{ExecPlan, SnapshotPlan};
@@ -86,17 +98,20 @@ use crate::enrich::{EnrichedRecord, EnricherRegistry, ResilientClient};
 use crate::pipeline::PipelineOutput;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use smishing_obs::{obs_warn, Counter, Gauge, Histogram, Obs};
-use smishing_types::Forum;
+use smishing_types::{fnv1a, Forum};
 use smishing_worldsim::{Post, World};
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// A consistent mid-stream view: an assembled [`PipelineOutput`], merged
 /// accumulators included, equal to a batch run over the first
-/// [`at_posts`](Self::at_posts) posts.
+/// [`at_posts`](Self::at_posts) posts. `on_snapshot` borrows it from the
+/// engine's collector, which keeps it as its running copy: a consumer
+/// that needs it past the callback copies what it needs.
 pub struct StreamSnapshot<'w> {
     /// How many posts the snapshot covers.
     pub at_posts: u64,
@@ -106,9 +121,10 @@ pub struct StreamSnapshot<'w> {
     /// Curated messages (duplicates included) that arrived since the
     /// previous snapshot marker — the delta an incremental consumer
     /// (e.g. `IntelSnapshot::build_incremental`) applies on top of its
-    /// previous epoch. Sorted by post id; the concatenation of every
-    /// snapshot's delta plus the end-of-stream delta is exactly
-    /// `curated_total`, each message appearing once.
+    /// previous epoch. Sorted by post id; every snapshot's delta plus the
+    /// end-of-stream delta hold exactly `curated_total`'s messages, each
+    /// once (posts need not arrive in post-id order, so neither do the
+    /// deltas).
     pub curated_delta: Vec<CuratedMessage>,
 }
 
@@ -131,7 +147,7 @@ pub struct IngestResult<'w> {
 #[derive(Debug)]
 enum CuratorMsg<P> {
     Post(P),
-    Marker { id: u64, at_posts: u64 },
+    Marker { id: u64 },
 }
 
 #[derive(Debug)]
@@ -144,46 +160,43 @@ enum ShardMsg {
     Marker {
         curator: usize,
         id: u64,
-        at_posts: u64,
     },
 }
 
+/// The id of the end-of-stream cut, which follows every marker's.
+const END: u64 = u64::MAX;
+
+/// One worker's part of cut `id`: marker `id`, or [`END`].
 #[derive(Debug)]
 enum CollectorMsg {
-    CuratorSnap {
+    /// What a curator folded since its previous cut.
+    Curator {
         id: u64,
         accs: AnalysisAccs,
         collection: HashMap<Forum, CollectionStats>,
     },
-    CuratorDone {
-        accs: AnalysisAccs,
-        collection: HashMap<Forum, CollectionStats>,
-    },
-    ShardSnap {
+    /// A shard's groups folded at the cut, its winners, and the curated
+    /// messages it took in since its previous cut.
+    Shard {
         id: u64,
-        at_posts: u64,
         accs: AnalysisAccs,
-        curated: Vec<CuratedMessage>,
-        curated_delta: Vec<CuratedMessage>,
         records: Vec<EnrichedRecord>,
-    },
-    ShardDone {
-        accs: AnalysisAccs,
         curated: Vec<CuratedMessage>,
-        curated_delta: Vec<CuratedMessage>,
-        records: Vec<EnrichedRecord>,
     },
+}
+
+impl CollectorMsg {
+    fn id(&self) -> u64 {
+        match self {
+            CollectorMsg::Curator { id, .. } | CollectorMsg::Shard { id, .. } => *id,
+        }
+    }
 }
 
 /// Stable routing hash (FNV-1a) so a dedup key always lands on the same
 /// shard, across runs and platforms.
 fn shard_of(key: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % shards as u64) as usize
+    (fnv1a(0, key.bytes()) % shards as u64) as usize
 }
 
 /// Send with backpressure accounting. When the wait histogram is live, a
@@ -191,7 +204,7 @@ fn shard_of(key: &str, shards: usize) -> usize {
 /// blocked sends pay for a clock read; when disabled this is a plain
 /// `send`. Returns `false` when the receiver is gone (it panicked —
 /// the caller winds down and the panic is surfaced by the join path).
-fn obs_send<T>(tx: &Sender<T>, msg: T, blocked: &Counter, wait: &Histogram) -> bool {
+pub fn obs_send<T>(tx: &Sender<T>, msg: T, blocked: &Counter, wait: &Histogram) -> bool {
     if wait.is_active() {
         match tx.try_send(msg) {
             Ok(()) => true,
@@ -271,76 +284,86 @@ fn with_groups(records: Vec<EnrichedRecord>) -> (AnalysisAccs, Vec<EnrichedRecor
     (accs, records)
 }
 
-/// Parts of one in-flight snapshot at the collector.
-#[derive(Default)]
-struct SnapParts {
-    at_posts: u64,
-    accs: Vec<AnalysisAccs>,
-    collections: Vec<HashMap<Forum, CollectionStats>>,
-    curated: Vec<Vec<CuratedMessage>>,
-    curated_delta: Vec<Vec<CuratedMessage>>,
-    records: Vec<Vec<EnrichedRecord>>,
-    parts: usize,
-}
-
-/// Merge per-shard curated deltas into one post-id-sorted vector — the
-/// same canonical ordering [`assemble`] gives `curated_total`, so the
-/// delta is a pure function of the post multiset too.
-fn assemble_delta(parts: Vec<Vec<CuratedMessage>>) -> Vec<CuratedMessage> {
-    let mut delta: Vec<CuratedMessage> = parts.into_iter().flatten().collect();
-    delta.sort_by_key(|c| c.post_id);
-    delta
-}
-
-/// Deterministically assemble worker parts into a batch-identical
-/// [`PipelineOutput`].
-///
-/// This is the engine's **canonical-ordering step** (see the module
-/// docs): whatever order worker parts arrive in, `curated_total` and
-/// `records` leave sorted by post id and `collection` lists forums in
-/// `Forum::ALL` order. Every frontend inherits its output ordering from
-/// here — it is an engine invariant, not a frontend courtesy sort. The
-/// workers' accumulator bundles merge into the output's `accs`; merges
-/// are exact and order-free, so arrival order cannot move them either.
-fn assemble<'w>(
-    world: &'w World,
-    accs: Vec<AnalysisAccs>,
-    collections: Vec<HashMap<Forum, CollectionStats>>,
-    curated: Vec<Vec<CuratedMessage>>,
-    records: Vec<Vec<EnrichedRecord>>,
-) -> PipelineOutput<'w> {
-    let mut merged_accs = AnalysisAccs::new();
-    for part in accs {
-        merged_accs.merge(part);
-    }
-    let mut merged: HashMap<Forum, CollectionStats> = HashMap::new();
-    for part in collections {
-        for (forum, stats) in part {
-            let e = merged.entry(forum).or_default();
-            e.posts += stats.posts;
-            e.images += stats.images;
+impl<'w> StreamSnapshot<'w> {
+    /// The collector's running copy before any cut: nothing ingested.
+    fn empty(world: &'w World) -> Self {
+        StreamSnapshot {
+            at_posts: 0,
+            output: PipelineOutput {
+                world,
+                collection: Forum::ALL
+                    .iter()
+                    .map(|&f| (f, CollectionStats::default()))
+                    .collect(),
+                curated_total: Vec::new(),
+                records: Vec::new(),
+                accs: AnalysisAccs::new(),
+            },
+            curated_delta: Vec::new(),
         }
     }
-    let collection: Vec<(Forum, CollectionStats)> = Forum::ALL
-        .iter()
-        .map(|&f| (f, merged.get(&f).copied().unwrap_or_default()))
-        .collect();
-    let mut curated_total: Vec<CuratedMessage> = curated.into_iter().flatten().collect();
-    curated_total.sort_by_key(|c| c.post_id);
-    let mut records: Vec<EnrichedRecord> = records.into_iter().flatten().collect();
-    records.sort_by_key(|r| r.curated.post_id);
-    PipelineOutput {
-        world,
-        collection,
-        curated_total,
-        records,
-        accs: merged_accs,
+
+    /// Fold one complete cut — every worker's part of it — into the
+    /// running copy. This is the engine's **canonical-ordering step** (see
+    /// the module docs), for every snapshot and for the end of the
+    /// stream: whatever order parts arrive in, `curated_total`,
+    /// `curated_delta` and `records` leave sorted by post id and
+    /// `collection` lists forums in `Forum::ALL` order. The curators'
+    /// intervals merge into the running accumulators and collection
+    /// stats, and the shards' groups, re-folded at every cut, replace the
+    /// previous cut's; merges are exact and order-free, so arrival order
+    /// cannot move them either. The history grows by the interval alone:
+    /// only its tail from the interval's first post id is re-sorted.
+    fn fold(&mut self, parts: Vec<CollectorMsg>) {
+        let out = &mut self.output;
+        out.accs.clear_groups();
+        let mut records: Vec<EnrichedRecord> = Vec::new();
+        let mut delta: Vec<CuratedMessage> = Vec::new();
+        for part in parts {
+            match part {
+                CollectorMsg::Curator {
+                    accs, collection, ..
+                } => {
+                    out.accs.merge(accs);
+                    for (forum, stats) in collection {
+                        if let Some((_, e)) = out.collection.iter_mut().find(|(f, _)| *f == forum) {
+                            e.posts += stats.posts;
+                            e.images += stats.images;
+                        }
+                    }
+                }
+                CollectorMsg::Shard {
+                    accs,
+                    records: winners,
+                    curated,
+                    ..
+                } => {
+                    out.accs.merge(accs);
+                    records.extend(winners);
+                    delta.extend(curated);
+                }
+            }
+        }
+        records.sort_by_key(|r| r.curated.post_id);
+        delta.sort_by_key(|c| c.post_id);
+        let from = delta.first().map_or(out.curated_total.len(), |first| {
+            out.curated_total
+                .partition_point(|c| c.post_id < first.post_id)
+        });
+        out.curated_total.extend_from_slice(&delta);
+        out.curated_total[from..].sort_by_key(|c| c.post_id);
+        out.records = records;
+        self.curated_delta = delta;
+        // Every post a curator took in before the cut is in its stats.
+        self.at_posts = out.collection.iter().map(|(_, s)| s.posts as u64).sum();
     }
 }
 
 /// Run the engine over a post stream. `on_snapshot` fires on the caller's
 /// thread, in snapshot order, while ingestion continues in the workers;
-/// snapshots come from `plan.snapshots`.
+/// snapshots come from `plan.snapshots`. It borrows the collector's
+/// running copy, so a snapshot costs the collector its interval's fold,
+/// never a copy of the history.
 ///
 /// The returned output is byte-identical (table-for-table) to a
 /// single-threaded sequential pass over the same posts, at any shard
@@ -359,7 +382,7 @@ pub fn ingest<'w, I, P, F>(
 where
     I: Iterator<Item = P> + Send,
     P: Borrow<Post> + Send,
-    F: FnMut(StreamSnapshot<'w>),
+    F: FnMut(&StreamSnapshot<'w>),
 {
     let n_curators = plan.curators.max(1);
     let n_shards = plan.shards.max(1);
@@ -379,9 +402,13 @@ where
     let (collector_tx, collector_rx) = channel::bounded::<CollectorMsg>(cap);
 
     // Handles resolved once; clones into workers share the same atomics.
-    let shard_enrich: Vec<Histogram> = (0..n_shards)
-        .map(|i| obs.histogram("exec.shard.enrich_ns", &[("shard", &i.to_string())]))
-        .collect();
+    let per_shard = |name: &str| -> Vec<Histogram> {
+        (0..n_shards)
+            .map(|i| obs.histogram(name, &[("shard", &i.to_string())]))
+            .collect()
+    };
+    let shard_enrich = per_shard("exec.shard.enrich_ns");
+    let shard_cut = per_shard("exec.shard.cut_ns");
     let curate_ns = obs.histogram("exec.curate.post_ns", &[]);
     let snap_cost = obs.histogram("exec.snapshot.cost_ns", &[]);
     let snap_counter = obs.counter("exec.snapshot.count", &[]);
@@ -422,11 +449,7 @@ where
                         if snapshots.fires_at(count) {
                             marker_id += 1;
                             for tx in &curator_txs {
-                                let m = CuratorMsg::Marker {
-                                    id: marker_id,
-                                    at_posts: count,
-                                };
-                                if tx.send(m).is_err() {
+                                if tx.send(CuratorMsg::Marker { id: marker_id }).is_err() {
                                     return;
                                 }
                             }
@@ -459,6 +482,7 @@ where
                             obs.counter("exec.curator.curated", &[("curator", &label)]);
                         let blocked = obs.counter("exec.curator.blocked_sends", &[]);
                         let wait = obs.histogram("exec.curator.backpressure_wait_ns", &[]);
+                        // Both fold only the interval since the last cut.
                         let mut accs = AnalysisAccs::new();
                         let mut collection: HashMap<Forum, CollectionStats> = HashMap::new();
                         for msg in rx.iter() {
@@ -490,20 +514,19 @@ where
                                         }
                                     }
                                 }
-                                CuratorMsg::Marker { id, at_posts } => {
-                                    let snap = CollectorMsg::CuratorSnap {
+                                CuratorMsg::Marker { id } => {
+                                    let part = CollectorMsg::Curator {
                                         id,
-                                        accs: accs.clone(),
-                                        collection: collection.clone(),
+                                        accs: mem::take(&mut accs),
+                                        collection: mem::take(&mut collection),
                                     };
-                                    if collector_tx.send(snap).is_err() {
+                                    if collector_tx.send(part).is_err() {
                                         return;
                                     }
                                     for tx in &shard_txs {
                                         let m = ShardMsg::Marker {
                                             curator: curator_idx,
                                             id,
-                                            at_posts,
                                         };
                                         if tx.send(m).is_err() {
                                             return;
@@ -512,7 +535,11 @@ where
                                 }
                             }
                         }
-                        let _ = collector_tx.send(CollectorMsg::CuratorDone { accs, collection });
+                        let _ = collector_tx.send(CollectorMsg::Curator {
+                            id: END,
+                            accs,
+                            collection,
+                        });
                     });
                     if let Err(payload) = catch_unwind(body) {
                         panic_counter.inc();
@@ -531,6 +558,7 @@ where
                 let collector_tx = collector_tx.clone();
                 let obs = obs.clone();
                 let enrich_ns = shard_enrich[shard_idx].clone();
+                let cut_ns = shard_cut[shard_idx].clone();
                 let panics = &panics;
                 let panic_counter = panic_counter.clone();
                 move |_| {
@@ -548,16 +576,12 @@ where
                         let client = ResilientClient::new(&obs);
                         let enrich = |c| enrich_ns.time(|| registry.enrich(&client, c, world));
                         let mut table = GroupTable::new();
+                        // Curated messages taken in since the last cut.
                         let mut curated: Vec<CuratedMessage> = Vec::new();
-                        // Watermark into `curated` at the last emitted
-                        // marker: everything past it is this shard's delta
-                        // for the next snapshot interval.
-                        let mut snap_mark: usize = 0;
                         let mut marker_seen = vec![0u64; n_curators];
                         let mut completed: u64 = 0;
                         let mut deferred: HashMap<u64, Vec<(String, CuratedMessage)>> =
                             HashMap::new();
-                        let mut marker_posts: HashMap<u64, u64> = HashMap::new();
                         for msg in rx.iter() {
                             if observing {
                                 depth.set(rx.len() as i64);
@@ -575,38 +599,27 @@ where
                                             .push((key, msg));
                                     }
                                 }
-                                ShardMsg::Marker {
-                                    curator,
-                                    id,
-                                    at_posts,
-                                } => {
+                                ShardMsg::Marker { curator, id } => {
                                     debug_assert_eq!(
                                         id,
                                         marker_seen[curator] + 1,
                                         "markers in order"
                                     );
                                     marker_seen[curator] = id;
-                                    marker_posts.insert(id, at_posts);
                                     while marker_seen.iter().all(|&m| m > completed) {
                                         completed += 1;
-                                        let at = marker_posts
-                                            .remove(&completed)
-                                            .expect("marker position recorded");
                                         // Deferred messages for the next
                                         // interval are applied *after* this
-                                        // send, so `curated` holds exactly
-                                        // the ≤-marker messages here.
-                                        let (accs, records) = table.cut();
-                                        let snap = CollectorMsg::ShardSnap {
+                                        // send, so the cut holds exactly
+                                        // the ≤-marker messages.
+                                        let (accs, records) = cut_ns.time(|| table.cut());
+                                        let part = CollectorMsg::Shard {
                                             id: completed,
-                                            at_posts: at,
                                             accs,
-                                            curated: curated.clone(),
-                                            curated_delta: curated[snap_mark..].to_vec(),
                                             records,
+                                            curated: mem::take(&mut curated),
                                         };
-                                        snap_mark = curated.len();
-                                        if collector_tx.send(snap).is_err() {
+                                        if collector_tx.send(part).is_err() {
                                             return;
                                         }
                                         for (key, c) in
@@ -619,13 +632,12 @@ where
                                 }
                             }
                         }
-                        let curated_delta = curated[snap_mark..].to_vec();
-                        let (accs, records) = table.into_cut();
-                        let _ = collector_tx.send(CollectorMsg::ShardDone {
+                        let (accs, records) = cut_ns.time(|| table.into_cut());
+                        let _ = collector_tx.send(CollectorMsg::Shard {
+                            id: END,
                             accs,
-                            curated,
-                            curated_delta,
                             records,
+                            curated,
                         });
                     });
                     if let Err(payload) = catch_unwind(body) {
@@ -637,101 +649,38 @@ where
         }
         drop(collector_tx);
 
-        // Collector (this thread): merge snapshot parts in id order, then
-        // the final state.
-        let parts_per_snapshot = n_curators + n_shards;
-        let mut pending: HashMap<u64, SnapParts> = HashMap::new();
-        let mut next_emit: u64 = 1;
-        let mut snapshots_taken = 0usize;
-        let mut final_accs: Vec<AnalysisAccs> = Vec::new();
-        let mut final_collections: Vec<HashMap<Forum, CollectionStats>> = Vec::new();
-        let mut final_curated: Vec<Vec<CuratedMessage>> = Vec::new();
-        let mut final_curated_delta: Vec<Vec<CuratedMessage>> = Vec::new();
-        let mut final_records: Vec<Vec<EnrichedRecord>> = Vec::new();
-        for msg in collector_rx.iter() {
-            match msg {
-                CollectorMsg::CuratorSnap {
-                    id,
-                    accs,
-                    collection,
-                } => {
-                    let p = pending.entry(id).or_default();
-                    p.accs.push(accs);
-                    p.collections.push(collection);
-                    p.parts += 1;
-                }
-                CollectorMsg::ShardSnap {
-                    id,
-                    at_posts,
-                    accs,
-                    curated,
-                    curated_delta,
-                    records,
-                } => {
-                    let p = pending.entry(id).or_default();
-                    p.at_posts = at_posts;
-                    p.accs.push(accs);
-                    p.curated.push(curated);
-                    p.curated_delta.push(curated_delta);
-                    p.records.push(records);
-                    p.parts += 1;
-                }
-                CollectorMsg::CuratorDone { accs, collection } => {
-                    final_accs.push(accs);
-                    final_collections.push(collection);
-                }
-                CollectorMsg::ShardDone {
-                    accs,
-                    curated,
-                    curated_delta,
-                    records,
-                } => {
-                    final_accs.push(accs);
-                    final_curated.push(curated);
-                    final_curated_delta.push(curated_delta);
-                    final_records.push(records);
-                }
-            }
+        // Collector (this thread): fold each cut once all its parts are
+        // in, in cut order; the end-of-stream cut completes last.
+        let parts_per_cut = n_curators + n_shards;
+        let mut pending: HashMap<u64, Vec<CollectorMsg>> = HashMap::new();
+        let mut running = StreamSnapshot::empty(world);
+        let mut next_cut: u64 = 1;
+        // Owned here, so a panicking `on_snapshot` drops the receiver on
+        // its way out and the workers' sends fail instead of blocking.
+        for part in collector_rx {
+            pending.entry(part.id()).or_default().push(part);
             while pending
-                .get(&next_emit)
-                .is_some_and(|p| p.parts == parts_per_snapshot)
+                .get(&next_cut)
+                .is_some_and(|p| p.len() == parts_per_cut)
             {
-                let p = pending.remove(&next_emit).expect("checked");
-                let (output, curated_delta) = snap_cost.time(|| {
-                    let output = assemble(world, p.accs, p.collections, p.curated, p.records);
-                    (output, assemble_delta(p.curated_delta))
-                });
+                let parts = pending.remove(&next_cut).expect("checked");
+                snap_cost.time(|| running.fold(parts));
                 snap_counter.inc();
-                on_snapshot(StreamSnapshot {
-                    at_posts: p.at_posts,
-                    output,
-                    curated_delta,
-                });
-                snapshots_taken += 1;
-                next_emit += 1;
+                on_snapshot(&running);
+                next_cut += 1;
             }
         }
-        let posts_ingested = final_collections
-            .iter()
-            .flat_map(|m| m.values())
-            .map(|s| s.posts as u64)
-            .sum();
-        let output = assemble(
-            world,
-            final_accs,
-            final_collections,
-            final_curated,
-            final_records,
-        );
-        let curated_delta = assemble_delta(final_curated_delta);
+        running.fold(pending.remove(&END).unwrap_or_default());
         IngestResult {
-            output,
-            curated_delta,
-            posts_ingested,
-            snapshots_taken,
+            posts_ingested: running.at_posts,
+            output: running.output,
+            curated_delta: running.curated_delta,
+            snapshots_taken: (next_cut - 1) as usize,
         }
     })
-    .expect("worker panics are caught inside the scope");
+    // Worker panics are caught inside the scope; a panic in `on_snapshot`
+    // is not, and re-raises here once the workers have wound down.
+    .unwrap_or_else(|payload| resume_unwind(payload));
 
     // Join path: surface the first worker panic with its original payload.
     let caught = panics.into_inner().expect("panic sink lock");
@@ -744,11 +693,16 @@ where
     }
 
     if observing {
-        // Exact cross-shard combination of the per-shard enrichment
-        // histograms, mirroring the accumulators' merge().
-        let all = obs.histogram("exec.shard.enrich_ns", &[("shard", "all")]);
-        for h in &shard_enrich {
-            all.merge_from(h);
+        // Exact cross-shard combination of the per-shard histograms,
+        // mirroring the accumulators' merge().
+        for (name, per) in [
+            ("exec.shard.enrich_ns", &shard_enrich),
+            ("exec.shard.cut_ns", &shard_cut),
+        ] {
+            let all = obs.histogram(name, &[("shard", "all")]);
+            for h in per {
+                all.merge_from(h);
+            }
         }
         obs.counter("exec.engine.posts_ingested", &[])
             .add(result.posts_ingested);
@@ -778,6 +732,24 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `shard_of` as it was before it called `fnv1a`, verbatim.
+    fn shard_of_loop(key: &str, shards: usize) -> usize {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in key.as_bytes() {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        (h % shards as u64) as usize
+    }
+
+    proptest! {
+        #[test]
+        fn shard_of_matches_its_former_loop(key in "\\PC{0,40}", shards in 1usize..300) {
+            prop_assert_eq!(shard_of(&key, shards), shard_of_loop(&key, shards));
+        }
+    }
 
     #[test]
     fn fnv_routing_is_stable_and_in_range() {

@@ -36,6 +36,7 @@ pub struct Pipeline {
 }
 
 /// Everything the analyses consume.
+#[derive(Clone)]
 pub struct PipelineOutput<'w> {
     /// The input world (for services and — in evaluation analyses only —
     /// ground truth).

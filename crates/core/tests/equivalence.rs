@@ -1,5 +1,6 @@
 //! The determinism contract: streaming ingest == batch pipeline, exactly.
 
+use smishing_core::curation::CuratedMessage;
 use smishing_core::exec::{ingest, resume, Checkpoint, ExecPlan, SnapshotPlan};
 use smishing_core::experiment;
 use smishing_core::pipeline::{Pipeline, PipelineOutput};
@@ -77,54 +78,114 @@ fn streaming_equals_batch_across_shard_counts() {
 fn mid_stream_snapshot_equals_batch_over_prefix() {
     let w = world();
     let half = (w.posts.len() / 2) as u64;
-    let mut snaps = Vec::new();
+    // A world truncated to the first `half` posts is exactly what a batch
+    // collector would have seen at that instant.
+    let mut prefix_world = world();
+    prefix_world.posts.truncate(half as usize);
+    let prefix_batch = Pipeline::default().run(&prefix_world, &Obs::noop());
+    // The engine lends each snapshot to the callback, so it is checked
+    // there.
+    let mut snaps = 0;
     let result = ingest(
         &w,
         ReportStream::replay(&w),
         &CurationOptions::default(),
         &plan(2, 3).with_snapshots(SnapshotPlan::at(&[half])),
         &Obs::noop(),
-        |s| {
-            snaps.push(s);
+        |snap| {
+            snaps += 1;
+            assert_eq!(snap.at_posts, half);
+            assert_outputs_equal(&snap.output, &prefix_batch, "snapshot vs batch prefix");
+            // Each record carries its dedup group's evidence over exactly
+            // the prefix, not over the whole stream.
+            for (x, y) in snap.output.records.iter().zip(&prefix_batch.records) {
+                assert_eq!(x.evidence, y.evidence, "post {:?}", x.curated.post_id);
+            }
+            // Every artifact renders mid-stream exactly as the batch run
+            // over the prefix renders it — T15's post counts included.
+            let snap_results = experiment::run_all(&snap.output, &Obs::noop());
+            let prefix_results = experiment::run_all(&prefix_batch, &Obs::noop());
+            assert_eq!(snap_results.len(), prefix_results.len());
+            for (s, b) in snap_results.iter().zip(&prefix_results) {
+                assert_eq!(s.id, b.id);
+                assert_eq!(
+                    s.table.to_string(),
+                    b.table.to_string(),
+                    "{} diverged mid-stream",
+                    s.id
+                );
+            }
+            // Every accumulator table renders mid-stream.
+            let tables = snap.output.accs.tables();
+            assert_eq!(tables.len(), 19);
+            for (id, t) in &tables {
+                assert!(!t.to_string().is_empty(), "{id} empty");
+            }
         },
     );
     // Ingestion did not stop at the snapshot: the run covered everything.
     assert_eq!(result.posts_ingested, w.posts.len() as u64);
     assert_eq!(result.snapshots_taken, 1);
-    assert_eq!(snaps.len(), 1);
-    let snap = &snaps[0];
-    assert_eq!(snap.at_posts, half);
+    assert_eq!(snaps, 1);
+}
 
-    // A world truncated to the first `half` posts is exactly what a batch
-    // collector would have seen at that instant.
-    let mut prefix_world = world();
-    prefix_world.posts.truncate(half as usize);
-    let prefix_batch = Pipeline::default().run(&prefix_world, &Obs::noop());
-    assert_outputs_equal(&snap.output, &prefix_batch, "snapshot vs batch prefix");
-    // Each record carries its dedup group's evidence over exactly the
-    // prefix, not over the whole stream.
-    for (x, y) in snap.output.records.iter().zip(&prefix_batch.records) {
-        assert_eq!(x.evidence, y.evidence, "post {:?}", x.curated.post_id);
-    }
-    // Every artifact renders mid-stream exactly as the batch run over the
-    // prefix renders it — T15's post counts included.
-    let snap_results = experiment::run_all(&snap.output, &Obs::noop());
-    let prefix_results = experiment::run_all(&prefix_batch, &Obs::noop());
-    assert_eq!(snap_results.len(), prefix_results.len());
-    for (s, b) in snap_results.iter().zip(&prefix_results) {
-        assert_eq!(s.id, b.id);
-        assert_eq!(
-            s.table.to_string(),
-            b.table.to_string(),
-            "{} diverged mid-stream",
-            s.id
-        );
-    }
-    // Every accumulator table renders mid-stream.
-    let tables = snap.output.accs.tables();
-    assert_eq!(tables.len(), 19);
-    for (id, t) in &tables {
-        assert!(!t.to_string().is_empty(), "{id} empty");
+/// The curated deltas partition the curated history: each is sorted by
+/// post id, and together they hold every snapshot's `curated_total` and,
+/// with the end-of-stream delta, the run's, each message once, at any
+/// worker topology. One plan's last marker falls on the last post, so
+/// its end interval is empty; the other has a position past the end,
+/// which never fires.
+#[test]
+fn curated_deltas_partition_the_curated_total() {
+    let w = world();
+    let n = w.posts.len() as u64;
+    let step = n / 5;
+    let fed = 4 * step;
+    let batch = Pipeline::default().run(&w, &Obs::noop());
+    let ids = |cs: &[CuratedMessage]| -> Vec<(u64, String)> {
+        cs.iter().map(|c| (c.post_id.0, c.text.clone())).collect()
+    };
+    // Posts do not arrive in post-id order, so neither do the deltas.
+    let sorted = |mut v: Vec<(u64, String)>| {
+        v.sort();
+        v
+    };
+    for curators in [1, 2] {
+        for shards in [1, 3] {
+            for (snapshots, posts, fires) in [
+                (SnapshotPlan::every(step), fed, 4),
+                (SnapshotPlan::at(&[n / 3, n + 10]), n, 1),
+            ] {
+                let label = format!("curators={curators} shards={shards} {snapshots:?}");
+                let mut joined: Vec<(u64, String)> = Vec::new();
+                let result = ingest(
+                    &w,
+                    ReportStream::replay(&w).take(posts as usize),
+                    &CurationOptions::default(),
+                    &plan(curators, shards).with_snapshots(snapshots),
+                    &Obs::noop(),
+                    |s| {
+                        let delta = ids(&s.curated_delta);
+                        assert!(delta.windows(2).all(|p| p[0].0 < p[1].0), "{label}");
+                        joined.extend(delta);
+                        let total = ids(&s.output.curated_total);
+                        assert_eq!(sorted(joined.clone()), total, "{label}");
+                    },
+                );
+                assert_eq!(result.snapshots_taken, fires, "{label}");
+                let delta = ids(&result.curated_delta);
+                assert!(delta.windows(2).all(|p| p[0].0 < p[1].0), "{label}");
+                if posts == fed {
+                    assert!(delta.is_empty(), "{label}: the last marker ends the stream");
+                } else {
+                    assert!(!delta.is_empty(), "{label}");
+                    assert_eq!(result.output.curated_total.len(), batch.curated_total.len());
+                }
+                joined.extend(delta);
+                let total = ids(&result.output.curated_total);
+                assert_eq!(sorted(joined), total, "{label}");
+            }
+        }
     }
 }
 
@@ -167,7 +228,7 @@ fn checkpoint_roundtrip_and_resume() {
         &exec.clone().with_snapshots(SnapshotPlan::at(&[half])),
         &Obs::noop(),
         |s| {
-            cp = Some(Checkpoint::capture(&s, &exec));
+            cp = Some(Checkpoint::capture(s, &exec));
         },
     );
     let cp = cp.expect("snapshot fired");

@@ -87,6 +87,17 @@ fn observed_ingest_matches_batch_and_reports_per_shard_metrics() {
         .sum();
     assert_eq!(merged.count(), per_shard_enrich);
     assert!(merged.count() > 0, "shards enriched records");
+    // Every shard times each of its cuts: one per snapshot, one at the
+    // end of the stream.
+    let cuts = obs.histogram("exec.shard.cut_ns", &[("shard", "all")]);
+    assert_eq!(cuts.count(), 4 * (result.snapshots_taken as u64 + 1));
+    let per_shard_cuts: u64 = (0..4)
+        .map(|i| {
+            obs.histogram("exec.shard.cut_ns", &[("shard", &i.to_string())])
+                .count()
+        })
+        .sum();
+    assert_eq!(cuts.count(), per_shard_cuts);
 
     // Per-service enrichment meters ran inside the shards.
     assert!(obs.counter("enrich.hlr.calls", &[]).get() > 0);
@@ -102,6 +113,7 @@ fn observed_ingest_matches_batch_and_reports_per_shard_metrics() {
         r#"exec.shard.channel_depth{shard=\"0\"}"#,
         r#"exec.curator.channel_depth{curator=\"0\"}"#,
         r#"exec.shard.enrich_ns{shard=\"all\"}"#,
+        r#"exec.shard.cut_ns{shard=\"all\"}"#,
         "exec.curate.post_ns",
         "exec.snapshot.cost_ns",
         "exec.engine.posts_ingested",
@@ -190,4 +202,36 @@ fn worker_panic_is_counted_and_propagated() {
         .unwrap_or("<non-str payload>");
     assert_eq!(msg, "injected post-iterator failure");
     assert_eq!(obs.counter("exec.engine.worker_panics", &[]).get(), 1);
+}
+
+#[test]
+fn snapshot_callback_panic_winds_down_and_propagates() {
+    let w = world();
+    // One-slot channels: the workers block on the collector as soon as it
+    // stops reading, so a collector that kept its receiver through the
+    // unwind would deadlock here.
+    let plan = ExecPlan {
+        channel_capacity: 1,
+        ..ExecPlan::default()
+    }
+    .with_snapshots(SnapshotPlan::every(50));
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        ingest(
+            &w,
+            ReportStream::replay(&w),
+            &CurationOptions::default(),
+            &plan,
+            &Obs::noop(),
+            |_| panic!("injected snapshot-consumer failure"),
+        )
+    }));
+    let payload = match caught {
+        Ok(_) => panic!("the callback panic must reach the caller"),
+        Err(payload) => payload,
+    };
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .unwrap_or("<non-str payload>");
+    assert_eq!(msg, "injected snapshot-consumer failure");
 }

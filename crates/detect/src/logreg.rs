@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use smishing_types::fnv1a;
 
 /// A trained binary logistic-regression model.
 #[derive(Debug, Clone)]
@@ -45,12 +46,7 @@ impl Default for LrConfig {
 }
 
 fn hash_token(token: &str, dims: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in token.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % dims as u64) as usize
+    (fnv1a(0, token.bytes()) % dims as u64) as usize
 }
 
 fn sigmoid(z: f64) -> f64 {
@@ -107,6 +103,24 @@ impl LogisticRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `hash_token` as it was before it called `fnv1a`, verbatim.
+    fn hash_token_loop(token: &str, dims: usize) -> usize {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in token.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        (h % dims as u64) as usize
+    }
+
+    proptest! {
+        #[test]
+        fn hash_token_matches_its_former_loop(token in "\\PC{0,24}", dims in 1usize..1 << 20) {
+            prop_assert_eq!(hash_token(&token, dims), hash_token_loop(&token, dims));
+        }
+    }
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()

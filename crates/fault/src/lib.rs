@@ -38,7 +38,7 @@ use std::str::FromStr;
 
 use smishing_avscan::{GsbApi, TransparencyVerdict, VtApi, VtResult};
 use smishing_telecom::{HlrApi, HlrRecord};
-use smishing_types::{CallCtx, SenderId, ServiceError, UnixTime};
+use smishing_types::{fnv1a, CallCtx, SenderId, ServiceError, UnixTime, FNV_PRIME};
 use smishing_webinfra::{
     CertRecord, CtApi, IpInfo, IpInfoApi, PdnsApi, Resolution, WhoisApi, WhoisRecord,
 };
@@ -272,12 +272,7 @@ impl FromStr for FaultPlan {
 }
 
 fn hash64(seed: u64, key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x100_0000_01b3);
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a(seed.wrapping_mul(FNV_PRIME), key.bytes())
 }
 
 fn remix(mut h: u64) -> u64 {
@@ -518,6 +513,23 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use smishing_webinfra::WhoisDb;
+
+    /// `hash64` as it was before it called `fnv1a`, verbatim.
+    fn hash64_loop(seed: u64, key: &str) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x100_0000_01b3);
+        for b in key.as_bytes() {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h
+    }
+
+    proptest! {
+        #[test]
+        fn hash64_matches_its_former_loop(seed in 0u64..u64::MAX, key in "\\PC{0,40}") {
+            prop_assert_eq!(hash64(seed, &key), hash64_loop(seed, &key));
+        }
+    }
 
     fn harsh_profile() -> FaultProfile {
         FaultPlan::harsh(1).profile(ServiceKind::Whois).clone()

@@ -68,8 +68,8 @@ pub use eval::{evaluate_triage, rung_of, Rung, RungCounts, TriageEval};
 pub use hub::{IntelHub, IntelReader};
 pub use intern::{Interner, Sym};
 pub use serve::{
-    explain, process_rss_bytes, reply_line, serve_session, verdict_label, verdict_line,
-    AdversaryGauge, Reject, ServeOptions, ServeSession, ServeStats,
+    explain, explain_query, process_rss_bytes, reply_line, serve_session, verdict_label,
+    verdict_line, AdversaryGauge, Reject, ServeOptions, ServeSession, ServeStats,
 };
 pub use snapshot::{
     record_keys, BuildOptions, IndexSizes, IntelEntry, IntelSnapshot, RecordKeys, SnapshotDelta,

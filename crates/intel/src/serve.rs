@@ -203,7 +203,9 @@ pub enum Reject {
     InvalidUtf8,
     /// The line exceeds 64 KiB.
     LineTooLong,
-    /// `url`, `sender`, `near` or `explain` without a value.
+    /// `url`, `sender`, `near` or `explain` without a value, or a `msg`
+    /// (or `explain`'s message form) with no text after its optional
+    /// `sender|` prefix.
     MissingValue,
     /// A command the protocol does not know.
     UnknownCommand,
@@ -340,13 +342,14 @@ pub(crate) fn classify<'a>(read: Result<&'a str, Reject>) -> Option<(&'a str, Re
     let rest = rest.trim();
     let request = match cmd {
         "quit" | "exit" => Request::Quit,
-        "url" | "sender" | "near" | "explain" if rest.is_empty() => {
+        "explain" if !explain_query(rest).has_value() => {
             Request::Malformed(Reject::MissingValue, cmd)
         }
         "explain" | "traces" | "timeseries" | "health" | "sample" | "stats" => {
             Request::Verb(cmd, rest)
         }
         _ => match Query::parse(cmd, rest) {
+            Some(q) if !q.has_value() => Request::Malformed(Reject::MissingValue, cmd),
             Some(q) => Request::Query(q),
             None => Request::Malformed(Reject::UnknownCommand, cmd),
         },
@@ -455,7 +458,7 @@ pub(crate) fn answer_query(
 /// The query an `explain` argument names: `url|sender|near <value>`, or
 /// else the whole argument as a message (optionally `sender|text`, with
 /// an explicit `msg ` prefix allowed).
-fn explain_query(rest: &str) -> Query<'_> {
+pub fn explain_query(rest: &str) -> Query<'_> {
     let named = rest.split_once(' ').and_then(|(cmd, value)| match cmd {
         "url" | "sender" | "near" if !value.is_empty() => Query::parse(cmd, value),
         _ => None,

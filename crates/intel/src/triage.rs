@@ -271,6 +271,17 @@ impl<'a> Query<'a> {
         }
     }
 
+    /// Whether the query carries something to answer: a value, and for
+    /// `msg`, text after its optional `sender|` prefix. The protocol
+    /// refuses one without as a missing value.
+    pub fn has_value(&self) -> bool {
+        match self {
+            Query::Url(v) | Query::Sender(v) | Query::Near(v) | Query::Msg { text: v, .. } => {
+                !v.trim().is_empty()
+            }
+        }
+    }
+
     /// The protocol verb this query answers.
     pub fn verb(&self) -> &'static str {
         match self {

@@ -56,8 +56,9 @@ use crate::serve::{
     SessionCore,
 };
 use crate::triage::{Triage, TriageConfig};
-use crossbeam::channel::{bounded, Sender, TrySendError};
-use smishing_obs::{Counter, Histogram, Obs, Trace, TraceBuilder};
+use crossbeam::channel::{bounded, TrySendError};
+use smishing_core::exec::obs_send;
+use smishing_obs::{Obs, Trace, TraceBuilder};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -142,24 +143,6 @@ impl ToCollector {
             | ToCollector::Error { seq, .. }
             | ToCollector::Shed { seq } => *seq,
         }
-    }
-}
-
-/// Send with backpressure accounting, same discipline as the exec
-/// engine: only genuinely blocked sends pay for a clock read. Returns
-/// `false` when the receiver is gone.
-fn obs_send<T>(tx: &Sender<T>, msg: T, blocked: &Counter, wait: &Histogram) -> bool {
-    if wait.is_active() {
-        match tx.try_send(msg) {
-            Ok(()) => true,
-            Err(TrySendError::Full(m)) => {
-                blocked.inc();
-                wait.time(|| tx.send(m)).is_ok()
-            }
-            Err(TrySendError::Disconnected(_)) => false,
-        }
-    } else {
-        tx.send(msg).is_ok()
     }
 }
 

@@ -226,6 +226,11 @@ fn hostile_script() -> (Vec<u8>, u64, BTreeMap<&'static str, u64>) {
         }
         if i % 100 == 0 {
             add(b"near", Some(Reject::MissingValue));
+            // A message with no text after its optional `sender|` prefix.
+            add(b"msg", Some(Reject::MissingValue));
+            add(b"msg |", Some(Reject::MissingValue));
+            add(b"msg +15551234567|", Some(Reject::MissingValue));
+            add(b"explain msg +15551234567|", Some(Reject::MissingValue));
             add(b"url http://\xff.example/x", Some(Reject::InvalidUtf8));
             add(&vec![b'u'; 70 * 1024], Some(Reject::LineTooLong));
             add(b"health", Some(Reject::NoSnapshot));

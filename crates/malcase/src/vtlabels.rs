@@ -7,6 +7,7 @@
 //! chaos Euphony exists to clean up.
 
 use crate::apk::ApkArtifact;
+use smishing_types::{fnv1a, FNV_PRIME};
 
 /// A (vendor, label) pair from a VT file report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,11 +62,7 @@ const GENERIC_LABELS: &[&str] = &[
 ];
 
 fn hash(s: &str, salt: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt.wrapping_mul(0x100_0000_01b3);
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    let h = fnv1a(salt.wrapping_mul(FNV_PRIME), s.bytes());
     h ^ (h >> 31)
 }
 
@@ -103,6 +100,24 @@ pub fn generate_vendor_labels(apk: &ApkArtifact, seed: u64) -> Vec<VendorLabel> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `hash` as it was before it called `fnv1a`, verbatim.
+    fn hash_loop(s: &str, salt: u64) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt.wrapping_mul(0x100_0000_01b3);
+        for b in s.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h ^ (h >> 31)
+    }
+
+    proptest! {
+        #[test]
+        fn hash_matches_its_former_loop(s in "\\PC{0,40}", salt in 0u64..u64::MAX) {
+            prop_assert_eq!(hash(&s, salt), hash_loop(&s, salt));
+        }
+    }
 
     fn apk(i: u8) -> ApkArtifact {
         ApkArtifact::new("s1.apk", format!("{:02x}", i).repeat(32), "SMSspy")

@@ -11,6 +11,7 @@
 //!   inverting the layout engine and recovering complete URLs.
 
 use crate::image::{BlockKind, Extraction, Extractor, Screenshot};
+use smishing_types::{fnv1a, FNV_PRIME};
 
 /// The structured (LLM-style) extractor.
 #[derive(Debug, Clone, Copy)]
@@ -30,13 +31,8 @@ impl LlmExtractor {
     }
 
     fn unit(&self, s: &str, salt: u64) -> f64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed.wrapping_mul(0x100_0000_01b3);
-        for b in s.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h ^= salt;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        let h = fnv1a(self.seed.wrapping_mul(FNV_PRIME), s.bytes());
+        let h = (h ^ salt).wrapping_mul(FNV_PRIME);
         ((h ^ (h >> 31)) >> 11) as f64 / (1u64 << 53) as f64
     }
 }
@@ -216,9 +212,34 @@ mod tests {
     use super::*;
     use crate::image::AppTheme;
     use crate::render::{render_noise_image, render_sms, RenderSpec};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use smishing_types::{CivilDateTime, Date, NoiseKind, TimeOfDay, TimestampStyle};
+
+    /// `LlmExtractor::unit` as it was before it called `fnv1a`, verbatim.
+    fn unit_loop(seed: u64, s: &str, salt: u64) -> f64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x100_0000_01b3);
+        for b in s.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h ^= salt;
+        h = h.wrapping_mul(0x100_0000_01b3);
+        ((h ^ (h >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    proptest! {
+        #[test]
+        fn unit_matches_its_former_loop(
+            seed in 0u64..u64::MAX,
+            s in "\\PC{0,40}",
+            salt in 0u64..u64::MAX,
+        ) {
+            let got = LlmExtractor::new(seed).unit(&s, salt);
+            prop_assert_eq!(got.to_bits(), unit_loop(seed, &s, salt).to_bits());
+        }
+    }
 
     fn spec(text: &str, url: Option<&str>, theme: AppTheme) -> RenderSpec {
         RenderSpec {

@@ -10,14 +10,11 @@
 //! - cannot tell an SMS screenshot from an awareness poster.
 
 use crate::image::{Extraction, Extractor, Screenshot};
+use smishing_types::{fnv1a, FNV_PRIME};
 
 /// Stable hash for deterministic confusion decisions.
 fn hash(s: &str, salt: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt.wrapping_mul(0x100_0000_01b3);
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    let h = fnv1a(salt.wrapping_mul(FNV_PRIME), s.bytes());
     h ^ (h >> 31)
 }
 
@@ -100,9 +97,27 @@ mod tests {
     use super::*;
     use crate::image::AppTheme;
     use crate::render::{render_sms, RenderSpec};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use smishing_types::{CivilDateTime, Date, TimeOfDay, TimestampStyle};
+
+    /// `hash` as it was before it called `fnv1a`, verbatim.
+    fn hash_loop(s: &str, salt: u64) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt.wrapping_mul(0x100_0000_01b3);
+        for b in s.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h ^ (h >> 31)
+    }
+
+    proptest! {
+        #[test]
+        fn hash_matches_its_former_loop(s in "\\PC{0,40}", salt in 0u64..u64::MAX) {
+            prop_assert_eq!(hash(&s, salt), hash_loop(&s, salt));
+        }
+    }
 
     fn shot(theme: AppTheme, noise: f64) -> Screenshot {
         let mut rng = StdRng::seed_from_u64(1);

@@ -14,7 +14,7 @@
 use crate::numbertype::NumberType;
 use crate::plan::PlanRegistry;
 use parking_lot::RwLock;
-use smishing_types::{CallCtx, Country, PhoneNumber, SenderId, ServiceError};
+use smishing_types::{fnv1a, CallCtx, Country, PhoneNumber, SenderId, ServiceError, FNV_PRIME};
 use std::collections::HashMap;
 
 /// Line status returned by an HLR query.
@@ -122,13 +122,8 @@ impl SimulatedHlr {
     fn hash(&self, phone: &PhoneNumber, salt: u64) -> u64 {
         // FNV-1a over the digits, seed and salt: cheap, stable, good enough
         // for deterministic pseudo-randomness.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed.wrapping_mul(0x100_0000_01b3);
-        for b in phone.digits().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h ^= salt;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        let h = fnv1a(self.seed.wrapping_mul(FNV_PRIME), phone.digits().bytes());
+        let h = (h ^ salt).wrapping_mul(FNV_PRIME);
         h ^ (h >> 31)
     }
 
@@ -217,6 +212,32 @@ impl HlrLookup for SimulatedHlr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `SimulatedHlr::hash` as it was before it called `fnv1a`, verbatim.
+    fn hash_loop(seed: u64, phone: &PhoneNumber, salt: u64) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x100_0000_01b3);
+        for b in phone.digits().bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h ^= salt;
+        h = h.wrapping_mul(0x100_0000_01b3);
+        h ^ (h >> 31)
+    }
+
+    proptest! {
+        #[test]
+        fn hash_matches_its_former_loop(
+            seed in 0u64..u64::MAX,
+            cc in 1u16..999,
+            national in "[0-9]{0,14}",
+            salt in 0u64..u64::MAX,
+        ) {
+            let p = PhoneNumber::new(cc, national);
+            prop_assert_eq!(SimulatedHlr::new(seed).hash(&p, salt), hash_loop(seed, &p, salt));
+        }
+    }
 
     fn phone(cc: u16, nat: &str) -> SenderId {
         SenderId::Phone(PhoneNumber::new(cc, nat))

@@ -15,7 +15,7 @@ use crate::lures::detect_lures;
 use crate::ner::extract_brand;
 use crate::scamclass::classify_scam;
 use crate::translate::{TemplateTranslator, Translator};
-use smishing_types::{Language, Lure, LureSet, MessageTruth, ScamType};
+use smishing_types::{fnv1a, Language, Lure, LureSet, MessageTruth, ScamType};
 
 /// One annotation of one message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,11 +115,10 @@ impl HumanAnnotator {
     }
 
     fn unit(&self, item: u64, salt: u64) -> f64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed.wrapping_mul(0x1000_0001b3);
-        for b in item.to_le_bytes().iter().chain(salt.to_le_bytes().iter()) {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        // The seed's multiplier is not FNV's prime; the κ calibration
+        // tables are drawn with it.
+        let bytes = item.to_le_bytes().into_iter().chain(salt.to_le_bytes());
+        let h = fnv1a(self.seed.wrapping_mul(0x1000_0001b3), bytes);
         ((h ^ (h >> 31)) >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -192,7 +191,31 @@ impl HumanAnnotator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smishing_types::Country;
+
+    /// `HumanAnnotator::unit` as it was before it called `fnv1a`,
+    /// verbatim (its seed multiplier included).
+    fn unit_loop(seed: u64, item: u64, salt: u64) -> f64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x1000_0001b3);
+        for b in item.to_le_bytes().iter().chain(salt.to_le_bytes().iter()) {
+            h ^= *b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        ((h ^ (h >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    proptest! {
+        #[test]
+        fn unit_matches_its_former_loop(
+            seed in 0u64..u64::MAX,
+            item in 0u64..u64::MAX,
+            salt in 0u64..u64::MAX,
+        ) {
+            let got = HumanAnnotator::new(seed).unit(item, salt);
+            prop_assert_eq!(got.to_bits(), unit_loop(seed, item, salt).to_bits());
+        }
+    }
 
     fn truth(scam: ScamType, brand: Option<&str>, lures: &[Lure]) -> MessageTruth {
         MessageTruth {

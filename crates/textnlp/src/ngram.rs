@@ -15,18 +15,11 @@
 //! small fraction of the set, keeping SimHash distances stable.
 
 use crate::normalize::fold_words;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use smishing_types::fnv1a;
 
 /// FNV-1a over a window of chars.
 fn fnv1a_chars(chars: &[char]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &c in chars {
-        h ^= u64::from(u32::from(c));
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a(0, chars.iter().copied())
 }
 
 /// The canonical form shingling operates on: the word fold of
@@ -90,6 +83,25 @@ pub fn jaccard(a: &[u64], b: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `fnv1a_chars` as it was before it called `fnv1a`, verbatim.
+    fn fnv1a_chars_loop(chars: &[char]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for &c in chars {
+            h ^= u64::from(u32::from(c));
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    proptest! {
+        #[test]
+        fn fnv1a_chars_matches_its_former_loop(s in "\\PC{0,24}") {
+            let chars: Vec<char> = s.chars().collect();
+            prop_assert_eq!(fnv1a_chars(&chars), fnv1a_chars_loop(&chars));
+        }
+    }
 
     #[test]
     fn identical_texts_identical_shingles() {

@@ -10,6 +10,7 @@
 //! - civil time with the multi-format parsing the paper delegates to
 //!   Python's `dateparser` (§3.2): [`time`]
 //! - forums and text reports (§3.1): [`Forum`], [`TextReport`]
+//! - the stable hash behind hash-based draws and shard routing: [`fnv1a`]
 //!
 //! It deliberately contains **no behaviour beyond the model itself** (parsing,
 //! formatting, simple classification); enrichment and simulation live in the
@@ -22,6 +23,7 @@ pub mod adversary;
 pub mod brand;
 pub mod country;
 pub mod error;
+pub mod fnv;
 pub mod forum;
 pub mod ids;
 pub mod language;
@@ -35,6 +37,7 @@ pub use adversary::{AdversaryPlan, Archetype};
 pub use brand::Sector;
 pub use country::Country;
 pub use error::{CallCtx, ServiceError, TypeError};
+pub use fnv::{fnv1a, FNV_PRIME};
 pub use forum::{Forum, NoiseKind, TextReport};
 pub use ids::{CampaignId, MessageId, PostId};
 pub use language::{Language, Script};

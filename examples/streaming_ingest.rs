@@ -52,7 +52,7 @@ fn main() {
                     println!("mid-stream scam-category mix (Table 10):\n{table}");
                 }
             }
-            checkpoint = Some(Checkpoint::capture(&snap, &plan));
+            checkpoint = Some(Checkpoint::capture(snap, &plan));
         },
     );
 

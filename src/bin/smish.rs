@@ -104,8 +104,8 @@ use smishing::core::pipeline::PipelineOutput;
 use smishing::core::runcfg::{parse_count, RunConfig};
 use smishing::detect::{binary_study, multiclass_study_grouped};
 use smishing::intel::{
-    explain, reply_line, serve_session, serve_workers, AdversaryGauge, BuildOptions, IntelHub,
-    IntelSnapshot, Query, ServeOptions, SnapshotDelta, Triage, TriageConfig, WorkerPlan,
+    explain, explain_query, reply_line, serve_session, serve_workers, AdversaryGauge, BuildOptions,
+    IntelHub, IntelSnapshot, Query, ServeOptions, SnapshotDelta, Triage, TriageConfig, WorkerPlan,
 };
 use smishing::obs::perfdiff::GROWTH_LIMIT;
 use smishing::obs::{growth_diff, obs_error, obs_info, parse_report, Obs, Tracer, TracerConfig};
@@ -687,7 +687,7 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
             let wave_counter = Arc::clone(&injected);
             scope.spawn(move || {
                 let mut prev: Option<Arc<IntelSnapshot>> = None;
-                let mut on_snapshot = |s: StreamSnapshot<'_>| {
+                let mut on_snapshot = |s: &StreamSnapshot<'_>| {
                     let snap = IntelSnapshot::build_incremental(
                         &s.output,
                         prev.as_deref(),
@@ -701,7 +701,7 @@ fn cmd_serve(args: &Args, obs: &Obs, world: &World) {
                     prev = Some(shared);
                     if let Some(path) = &ck_path {
                         let ck = Checkpoint::capture_serving(
-                            &s,
+                            s,
                             &plan,
                             ServeState {
                                 epoch,
@@ -802,22 +802,24 @@ fn cmd_query(args: &Args, obs: &Obs, world: &World) {
         }
     };
     let query = match kind {
-        "explain" => None,
-        _ => match Query::parse(kind, &value) {
-            Some(query) => Some(query),
-            None => {
-                eprintln!("unknown query kind {kind:?}; expected url|sender|msg|near|explain");
-                std::process::exit(2);
-            }
-        },
+        "explain" => explain_query(&value),
+        _ => Query::parse(kind, &value).unwrap_or_else(|| {
+            eprintln!("unknown query kind {kind:?}; expected url|sender|msg|near|explain");
+            std::process::exit(2);
+        }),
     };
+    // The serve plane answers such a line `err <kind> needs a value`.
+    if !query.has_value() {
+        eprintln!("{kind} needs a value\n{}", usage());
+        std::process::exit(2);
+    }
     // The snapshot trains its model only if the query reaches the
     // model rung, so key-only lookups never pay for training.
     let output = run_pipeline(args, obs, world);
     let hub = IntelHub::new();
     hub.publish(IntelSnapshot::build(&output));
     let mut triage = Triage::new(hub.reader());
-    let Some(query) = query else {
+    if kind == "explain" {
         // One-shot mirror of the serve-plane `explain` verb.
         let mut tracer = Tracer::new(TracerConfig::default());
         if let Err(e) = explain(&mut triage, &mut tracer, &value, &mut std::io::stdout()) {
@@ -825,7 +827,7 @@ fn cmd_query(args: &Args, obs: &Obs, world: &World) {
             std::process::exit(1);
         }
         return;
-    };
+    }
     let answer = obs
         .histogram("intel.query.wall_ns", &[])
         .time(|| triage.answer(&query, None));

@@ -255,6 +255,25 @@ fn one_shot_query_prints_the_serve_reply_line() {
     }
 }
 
+/// A message with no text after its optional `sender|` prefix is a
+/// missing value, as `serve` answers it (`err msg needs a value`).
+#[test]
+fn query_without_message_text_is_a_usage_error() {
+    for (verb, value) in [("msg", "|"), ("msg", "+15551234567|"), ("explain", "msg |")] {
+        let out = smish()
+            .args(["query", "--scale", "0.02", "--quiet", verb, value])
+            .output()
+            .expect("run smish query");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{verb} {value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{verb} needs a value")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{verb} {value}");
+    }
+}
+
 #[test]
 fn invalid_utf8_on_stdin_is_answered_in_both_serve_modes() {
     let input = b"url http://a.com\nurl http://\xff.com\nurl http://b.com\nstats\n";
