@@ -46,10 +46,10 @@ fn bench_ablations(c: &mut Criterion) {
     // 3. Burst filter on/off (Fig. 2 ablation).
     let out = bench_output();
     g.bench_function("fig2_with_burst_filter", |b| {
-        b.iter(|| black_box(out.accs.send_times.finish(true).usable))
+        b.iter(|| black_box(out.accs().send_times.finish(true).usable))
     });
     g.bench_function("fig2_without_burst_filter", |b| {
-        b.iter(|| black_box(out.accs.send_times.finish(false).usable))
+        b.iter(|| black_box(out.accs().send_times.finish(false).usable))
     });
 
     // 4. Brand NER on evasive vs plain text (the normalization ablation).

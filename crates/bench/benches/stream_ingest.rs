@@ -5,11 +5,17 @@
 //! that are later displaced; the shards buy back curation and enrichment
 //! parallelism.
 //!
-//! Besides the criterion groups, every invocation runs two same-machine
+//! Besides the criterion groups, every invocation runs three same-machine
 //! checks that panic on a breach, so it fails `cargo bench`:
 //!
 //! - a min-of-3 batch run at 1 and at 4 shards: the 4-shard wall must
 //!   stay within 1.2x the sequential wall plus 0.25 s;
+//! - an epoch_stream-shaped replay (a scale-0.125 world, 1 curator, 1
+//!   shard, an aligned snapshot every 1/32 of the posts, a no-op
+//!   callback), min of 3: within 1.5x the same replay without snapshots.
+//!   On a 2-core VM it read 0.88-1.25x once cuts sent only their winner
+//!   delta, and 1.94-3.09x when every cut copied every winner and
+//!   re-folded every group;
 //! - the text kernels over the world's curated texts and English
 //!   renderings, min-of-3 per kernel: `extract_brand` within 80x and
 //!   `identify_language` within 42x the cost of `str::to_lowercase` over
@@ -146,6 +152,55 @@ fn shard_slowdown_check(world: &World) {
     );
 }
 
+/// Aligned snapshots of an epoch_stream-shaped replay cost
+/// [`SNAPSHOT_BUDGET`] times the replay without them at most, min of 3
+/// each (see the module docs).
+fn snapshot_overhead_check() {
+    let world = World::generate(WorldConfig {
+        scale: 0.125,
+        ..WorldConfig::default()
+    });
+    let every = (world.posts.len() as u64 / SNAPSHOTS).max(1);
+    let time = |snapshots: SnapshotPlan| {
+        let plan = ExecPlan::sequential().with_snapshots(snapshots);
+        (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                let result = ingest(
+                    &world,
+                    ReportStream::replay(&world),
+                    &CurationOptions::default(),
+                    &plan,
+                    &Obs::noop(),
+                    |_| {},
+                );
+                black_box(result);
+                t.elapsed().as_nanos() as u64
+            })
+            .min()
+            .expect("three runs") as f64
+    };
+    let plain_ns = time(SnapshotPlan::none());
+    let snap_ns = time(SnapshotPlan::every(every));
+    let ratio = snap_ns / plain_ns.max(1.0);
+    eprintln!(
+        "replay of {} posts (min of 3): no snapshots {:.1}ms, {SNAPSHOTS} snapshots {:.1}ms \
+         ({ratio:.2}x, budget {SNAPSHOT_BUDGET}x)",
+        world.posts.len(),
+        plain_ns / 1e6,
+        snap_ns / 1e6
+    );
+    assert!(
+        ratio <= SNAPSHOT_BUDGET,
+        "{SNAPSHOTS} snapshots cost {ratio:.2}x the replay without them (budget {SNAPSHOT_BUDGET}x)"
+    );
+}
+
+/// Aligned snapshots per replay in [`snapshot_overhead_check`].
+const SNAPSHOTS: u64 = 32;
+/// Snapshot replay / plain replay budget (see the module docs).
+const SNAPSHOT_BUDGET: f64 = 1.5;
+
 /// Brand extraction and language ID must cost a small multiple of
 /// lowercasing the same text (`str::to_lowercase` scans and allocates
 /// like they do, and neither calls it): at most [`BRAND_BUDGET`] and
@@ -200,5 +255,6 @@ fn main() {
     }
     let world = bench_world();
     shard_slowdown_check(&world);
+    snapshot_overhead_check();
     text_kernel_check(&world);
 }

@@ -17,55 +17,55 @@ fn bench_tables(c: &mut Criterion) {
     let mut g = c.benchmark_group("tables");
 
     g.bench_function("t01_overview", |b| {
-        b.iter(|| black_box(out.accs.overview.finish().totals()))
+        b.iter(|| black_box(out.accs().overview.finish().totals()))
     });
     g.bench_function("t02_methods", |b| {
         b.iter(|| black_box(methods::methods_table()))
     });
     g.bench_function("t03_t04_sender_info", |b| {
-        b.iter(|| black_box(out.accs.sender_info.finish().number_types.total()))
+        b.iter(|| black_box(out.accs().sender_info.finish().number_types.total()))
     });
     g.bench_function("t05_shorteners", |b| {
-        b.iter(|| black_box(out.accs.shorteners.finish().services.total()))
+        b.iter(|| black_box(out.accs().shorteners.finish().services.total()))
     });
     g.bench_function("t06_t16_tlds", |b| {
-        b.iter(|| black_box(out.accs.tlds.finish().smishing_tlds.total()))
+        b.iter(|| black_box(out.accs().tlds.finish().smishing_tlds.total()))
     });
     g.bench_function("t07_tls", |b| {
-        b.iter(|| black_box(out.accs.tls.finish().mean_certs()))
+        b.iter(|| black_box(out.accs().tls.finish().mean_certs()))
     });
     g.bench_function("t08_asn", |b| {
-        b.iter(|| black_box(out.accs.asn.finish().resolving_domains))
+        b.iter(|| black_box(out.accs().asn.finish().resolving_domains))
     });
     g.bench_function("t09_t18_av", |b| {
-        b.iter(|| black_box(out.accs.av.finish().vt.n))
+        b.iter(|| black_box(out.accs().av.finish().vt.n))
     });
     g.bench_function("t10_categories", |b| {
-        b.iter(|| black_box(out.accs.categories.finish().counts.total()))
+        b.iter(|| black_box(out.accs().categories.finish().counts.total()))
     });
     g.bench_function("t11_languages", |b| {
-        b.iter(|| black_box(out.accs.languages.finish().counts.total()))
+        b.iter(|| black_box(out.accs().languages.finish().counts.total()))
     });
     g.bench_function("t12_brands", |b| {
-        b.iter(|| black_box(out.accs.brands.finish().counts.total()))
+        b.iter(|| black_box(out.accs().brands.finish().counts.total()))
     });
     g.bench_function("t13_lures", |b| {
-        b.iter(|| black_box(out.accs.lures.finish().n))
+        b.iter(|| black_box(out.accs().lures.finish().n))
     });
     g.bench_function("t14_f03_countries", |b| {
-        b.iter(|| black_box(out.accs.countries.finish().all.total()))
+        b.iter(|| black_box(out.accs().countries.finish().all.total()))
     });
     g.bench_function("t15_twitter_years", |b| {
-        b.iter(|| black_box(out.accs.twitter_years.finish().len()))
+        b.iter(|| black_box(out.accs().twitter_years.finish().len()))
     });
     g.bench_function("t17_registrars", |b| {
-        b.iter(|| black_box(out.accs.registrars.finish().counts.total()))
+        b.iter(|| black_box(out.accs().registrars.finish().counts.total()))
     });
     g.bench_function("t19_casestudy", |b| {
         b.iter(|| black_box(casestudy::case_study(out, 100, 1).findings.len()))
     });
     g.bench_function("f02_timestamps", |b| {
-        b.iter(|| black_box(out.accs.send_times.finish(true).usable))
+        b.iter(|| black_box(out.accs().send_times.finish(true).usable))
     });
     g.bench_function("irr_kappa", |b| {
         b.iter(|| black_box(irr::irr_study(out, 150, 1).human_human.scam_types))

@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn only_a_minority_of_domains_resolve() {
         // §4.6: 466 resolving domains out of thousands queried.
-        let u = testfix::output().accs.asn.finish();
+        let u = testfix::output().accs().asn.finish();
         assert!(u.resolving_domains > 10, "{}", u.resolving_domains);
         assert!(
             u.distinct_ips >= u.resolving_domains,
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn cloudflare_fronts_a_large_share() {
-        let u = testfix::output().accs.asn.finish();
+        let u = testfix::output().accs().asn.finish();
         assert!(
             (0.08..0.35).contains(&u.cloudflare_domain_share),
             "{}",
@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn mainstream_clouds_lead_table8() {
-        let u = testfix::output().accs.asn.finish();
+        let u = testfix::output().accs().asn.finish();
         let top: Vec<&str> = u
             .ips_per_org
             .sorted()
@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn bulletproof_hosting_observed() {
-        let u = testfix::output().accs.asn.finish();
+        let u = testfix::output().accs().asn.finish();
         assert!(u.bulletproof_domains > 0, "BHPs should appear (§4.6)");
         assert!(
             u.bulletproof_domains < u.resolving_domains / 2,
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn table_renders_without_cloudflare() {
-        let u = testfix::output().accs.asn.finish();
+        let u = testfix::output().accs().asn.finish();
         let t = u.to_table();
         assert!(t.len() >= 3);
         assert!(!t.to_string().contains("Cloudflare"));

@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn table9_shape() {
-        let av = testfix::output().accs.av.finish();
+        let av = testfix::output().accs().av.finish();
         let n = av.vt.n as f64;
         assert!(n > 400.0, "{n}");
         let clean = av.vt.clean as f64 / n;
@@ -261,7 +261,7 @@ mod tests {
 
     #[test]
     fn table18_inconsistencies() {
-        let av = testfix::output().accs.av.finish();
+        let av = testfix::output().accs().av.finish();
         let n = av.gsb.n as f64;
         let api = av.gsb.api_unsafe as f64 / n;
         let vt = av.gsb.vt_listed_unsafe as f64 / n;
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let av = testfix::output().accs.av.finish();
+        let av = testfix::output().accs().av.finish();
         assert_eq!(av.to_table9().len(), 9);
         assert_eq!(av.to_table18().len(), 3);
     }

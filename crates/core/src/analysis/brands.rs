@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn sbi_tops_table12() {
-        let b = testfix::output().accs.brands.finish();
+        let b = testfix::output().accs().brands.finish();
         let top = b.counts.top_k(10);
         assert!(!top.is_empty());
         assert_eq!(top[0].0, "State Bank of India", "{top:?}");
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn banks_dominate_the_top10() {
-        let b = testfix::output().accs.brands.finish();
+        let b = testfix::output().accs().brands.finish();
         let cat = BrandCatalog::global();
         let bank_count = b
             .counts
@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn tech_brands_appear_as_others() {
         // Amazon/Netflix reach Table 12 despite not being banks.
-        let b = testfix::output().accs.brands.finish();
+        let b = testfix::output().accs().brands.finish();
         let top: Vec<String> = b.counts.top_k(20).into_iter().map(|(n, _)| n).collect();
         assert!(
             top.iter()
@@ -117,13 +117,13 @@ mod tests {
 
     #[test]
     fn conversation_scams_have_no_brand() {
-        let b = testfix::output().accs.brands.finish();
+        let b = testfix::output().accs().brands.finish();
         assert!(b.no_brand > 0);
     }
 
     #[test]
     fn table_renders() {
-        let b = testfix::output().accs.brands.finish();
+        let b = testfix::output().accs().brands.finish();
         assert_eq!(b.to_table().len(), 10);
     }
 }

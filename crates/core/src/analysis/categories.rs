@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn banking_dominates_table10() {
-        let c = testfix::output().accs.categories.finish();
+        let c = testfix::output().accs().categories.finish();
         let top = c.counts.top_k(3);
         assert_eq!(top[0].0, ScamType::Banking, "{top:?}");
         let banking = c.counts.share(&ScamType::Banking);
@@ -107,7 +107,7 @@ mod tests {
     fn ordering_matches_paper() {
         // Banking > Others > Delivery > Government > Telecom ≫ conversation
         // scams; spam present but small.
-        let c = testfix::output().accs.categories.finish();
+        let c = testfix::output().accs().categories.finish();
         assert!(c.counts.get(&ScamType::Others) > c.counts.get(&ScamType::Delivery));
         assert!(c.counts.get(&ScamType::Delivery) > c.counts.get(&ScamType::Telecom));
         assert!(c.counts.get(&ScamType::Government) > c.counts.get(&ScamType::WrongNumber));
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn english_tops_every_major_category() {
-        let c = testfix::output().accs.categories.finish();
+        let c = testfix::output().accs().categories.finish();
         for scam in [ScamType::Banking, ScamType::Delivery, ScamType::Government] {
             let langs = c.languages.get(&scam).expect("category populated");
             assert_eq!(langs.top_k(1)[0].0, Language::English, "{scam:?}");
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn table_renders_eight_rows() {
-        let c = testfix::output().accs.categories.finish();
+        let c = testfix::output().accs().categories.finish();
         assert_eq!(c.to_table().len(), 8);
     }
 }

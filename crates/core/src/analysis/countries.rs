@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn india_tops_table14() {
-        let c = testfix::output().accs.countries.finish();
+        let c = testfix::output().accs().countries.finish();
         let top = c.all.top_k(10);
         assert!(top.len() >= 5, "{top:?}");
         assert_eq!(top[0].0, Country::India, "{top:?}");
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn live_counts_are_a_fraction_of_all() {
-        let c = testfix::output().accs.countries.finish();
+        let c = testfix::output().accs().countries.finish();
         for (country, all) in c.all.top_k(10) {
             let live = c.live.get(&country);
             assert!(live <= all, "{country:?}");
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn india_is_banking_heavy_us_is_others_heavy() {
         // Fig. 3's headline contrast.
-        let c = testfix::output().accs.countries.finish();
+        let c = testfix::output().accs().countries.finish();
         let india = c.scam_mix.get(&Country::India).expect("india present");
         assert_eq!(india.top_k(1)[0].0, ScamType::Banking);
         assert!(
@@ -268,13 +268,13 @@ mod tests {
 
     #[test]
     fn multiple_mnos_per_major_country() {
-        let c = testfix::output().accs.countries.finish();
+        let c = testfix::output().accs().countries.finish();
         assert!(c.mnos.get(&Country::India).map(|s| s.len()).unwrap_or(0) >= 3);
     }
 
     #[test]
     fn tables_render() {
-        let c = testfix::output().accs.countries.finish();
+        let c = testfix::output().accs().countries.finish();
         assert!(c.to_table().len() >= 5);
         assert!(c.figure3_table().len() >= 5);
     }

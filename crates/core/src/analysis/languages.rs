@@ -89,7 +89,7 @@ mod tests {
     fn long_language_tail_is_observed() {
         // §5.3: 66 languages observed; the tail comes from the polyglot
         // spray (translation A/B tests), not from top-10 volume.
-        let l = testfix::output().accs.languages.finish();
+        let l = testfix::output().accs().languages.finish();
         assert!(l.distinct() >= 35, "{}", l.distinct());
         let top10: u64 = l.counts.top_k(10).iter().map(|(_, c)| c).sum();
         assert!(top10 as f64 / l.counts.total() as f64 > 0.9);
@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn english_dominates() {
-        let l = testfix::output().accs.languages.finish();
+        let l = testfix::output().accs().languages.finish();
         let top = l.counts.top_k(2);
         assert_eq!(top[0].0, Language::English);
         let en = l.counts.share(&Language::English);
@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn major_european_languages_present() {
-        let l = testfix::output().accs.languages.finish();
+        let l = testfix::output().accs().languages.finish();
         let top10: Vec<Language> = l
             .counts
             .top_k(10)
@@ -128,20 +128,20 @@ mod tests {
     fn distribution_does_not_track_world_population() {
         // §5.3: Dutch ≫ Mandarin in the dataset despite Mandarin's speaker
         // count — platform bias.
-        let l = testfix::output().accs.languages.finish();
+        let l = testfix::output().accs().languages.finish();
         assert!(l.counts.get(&Language::Dutch) > l.counts.get(&Language::Mandarin));
     }
 
     #[test]
     fn few_unidentified() {
-        let l = testfix::output().accs.languages.finish();
+        let l = testfix::output().accs().languages.finish();
         let frac = l.unidentified as f64 / (l.counts.total() as f64 + l.unidentified as f64);
         assert!(frac < 0.05, "{frac}");
     }
 
     #[test]
     fn table_renders() {
-        let l = testfix::output().accs.languages.finish();
+        let l = testfix::output().accs().languages.finish();
         assert_eq!(l.to_table().len(), 11); // top 10 + distinct-count footer
     }
 }

@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn urgency_everywhere_except_wrong_number() {
         // Table 13's ✓ row for Time & Urgency: B, D, G, T, H — not W.
-        let l = testfix::output().accs.lures.finish();
+        let l = testfix::output().accs().lures.finish();
         for s in [
             ScamType::Banking,
             ScamType::Delivery,
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn authority_in_institutional_scams_only() {
-        let l = testfix::output().accs.lures.finish();
+        let l = testfix::output().accs().lures.finish();
         for s in [
             ScamType::Banking,
             ScamType::Delivery,
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn kindness_and_distraction_mark_conversation_scams() {
-        let l = testfix::output().accs.lures.finish();
+        let l = testfix::output().accs().lures.finish();
         assert!(l.is_characteristic(ScamType::HeyMumDad, Lure::Kindness));
         assert!(l.is_characteristic(ScamType::HeyMumDad, Lure::Distraction));
         assert!(l.is_characteristic(ScamType::WrongNumber, Lure::Distraction));
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn dishonesty_and_herd_are_rare() {
         // §5.5: dishonesty 0.5%, herd 1.2% of messages.
-        let l = testfix::output().accs.lures.finish();
+        let l = testfix::output().accs().lures.finish();
         assert!(
             l.share(Lure::Dishonesty) < 0.05,
             "{}",
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn table_renders_seven_lures() {
-        let l = testfix::output().accs.lures.finish();
+        let l = testfix::output().accs().lures.finish();
         assert_eq!(l.to_table().len(), 7);
     }
 }

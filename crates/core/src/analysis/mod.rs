@@ -28,8 +28,10 @@
 //! The modules behind Tables 1 and 3–18 and Figures 2–3 expose an
 //! incremental accumulator (`OverviewAcc`, `TldAcc`, …) instead of a
 //! function over a [`PipelineOutput`](crate::pipeline::PipelineOutput):
-//! the engine folds them during ingest, every output carries the merged
-//! bundle as `accs`, and `out.accs.<module>.finish()` renders the table.
+//! the engine's curators fold the per-post and per-message ones during
+//! ingest, every output folds each dedup group into the bundle the first
+//! time `accs()` is called, and `out.accs().<module>.finish()` renders the
+//! table.
 //! The remaining modules compute their artifacts directly.
 
 pub mod asn;

@@ -88,11 +88,6 @@ impl OverviewAcc {
         }
     }
 
-    /// Drop every folded group (the unique-message column).
-    pub fn clear_groups(&mut self) {
-        self.unique_msgs = Counter::new();
-    }
-
     /// Absorb another shard's accumulator.
     pub fn merge(&mut self, other: OverviewAcc) {
         self.posts.merge(&other.posts);
@@ -270,7 +265,7 @@ mod tests {
 
     #[test]
     fn twitter_dominates_and_ratios_hold() {
-        let ov = testfix::output().accs.overview.finish();
+        let ov = testfix::output().accs().overview.finish();
         let twitter = &ov.rows[0];
         assert_eq!(twitter.forum, Forum::Twitter);
         for r in &ov.rows[1..] {
@@ -290,7 +285,7 @@ mod tests {
 
     #[test]
     fn text_forums_have_no_images() {
-        let ov = testfix::output().accs.overview.finish();
+        let ov = testfix::output().accs().overview.finish();
         for r in &ov.rows {
             if !r.forum.carries_images() {
                 assert_eq!(r.images, 0, "{:?}", r.forum);
@@ -301,7 +296,7 @@ mod tests {
     #[test]
     fn posts_exceed_messages() {
         // Raw keyword volume ≫ usable reports (§3.2).
-        let ov = testfix::output().accs.overview.finish();
+        let ov = testfix::output().accs().overview.finish();
         let t = ov.totals();
         assert!(
             t.posts > t.msgs_total * 3,
@@ -313,7 +308,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let ov = testfix::output().accs.overview.finish();
+        let ov = testfix::output().accs().overview.finish();
         let table = ov.to_table();
         assert_eq!(table.len(), 6); // 5 forums + total
         assert!(table.to_string().contains("Twitter"));
@@ -321,7 +316,7 @@ mod tests {
 
     #[test]
     fn yearly_growth_shape() {
-        let rows = testfix::output().accs.twitter_years.finish();
+        let rows = testfix::output().accs().twitter_years.finish();
         assert!(rows.len() >= 6, "{rows:?}");
         // Volume grows: last year's posts > first year's (Table 15).
         assert!(rows.last().unwrap().1 > rows.first().unwrap().1, "{rows:?}");

@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn godaddy_then_namecheap() {
-        let r = testfix::output().accs.registrars.finish();
+        let r = testfix::output().accs().registrars.finish();
         let top = r.counts.top_k(2);
         assert_eq!(top[0].0, "GoDaddy", "{top:?}");
         assert_eq!(top[1].0, "NameCheap", "{top:?}");
@@ -159,7 +159,7 @@ mod tests {
     fn gname_leads_government_scams() {
         // §4.4: "scammers prefer to abuse Gname ... for government
         // impersonation scams".
-        let r = testfix::output().accs.registrars.finish();
+        let r = testfix::output().accs().registrars.finish();
         // Gname is strongly over-represented inside government scams
         // relative to its overall share (the §4.4 preference claim).
         assert!(
@@ -173,14 +173,14 @@ mod tests {
 
     #[test]
     fn top10_covers_most_domains() {
-        let r = testfix::output().accs.registrars.finish();
+        let r = testfix::output().accs().registrars.finish();
         let top10: u64 = r.counts.top_k(10).iter().map(|(_, c)| c).sum();
         assert!(top10 as f64 / r.counts.total() as f64 > 0.6);
     }
 
     #[test]
     fn table_renders() {
-        let r = testfix::output().accs.registrars.finish();
+        let r = testfix::output().accs().registrars.finish();
         assert!(r.to_table().len() >= 5);
     }
 }

@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn kind_split_matches_section_4_1() {
-        let info = testfix::output().accs.sender_info.finish();
+        let info = testfix::output().accs().sender_info.finish();
         let total = info.kinds.total();
         assert!(total > 300, "{total}");
         let phone = info.kinds.share(&SenderKind::Phone);
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn mobile_tops_table3_with_bad_format_second() {
-        let info = testfix::output().accs.sender_info.finish();
+        let info = testfix::output().accs().sender_info.finish();
         let top = info.number_types.top_k(2);
         assert_eq!(top[0].0, NumberType::Mobile, "{top:?}");
         assert_eq!(top[1].0, NumberType::BadFormat, "{top:?}");
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn vodafone_tops_table4_with_wide_footprint() {
-        let info = testfix::output().accs.sender_info.finish();
+        let info = testfix::output().accs().sender_info.finish();
         let top = info.operators.top_k(10);
         assert!(!top.is_empty());
         assert_eq!(top[0].0, "Vodafone", "{top:?}");
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn airtel_present_in_top_operators() {
-        let info = testfix::output().accs.sender_info.finish();
+        let info = testfix::output().accs().sender_info.finish();
         let names: Vec<&str> = info
             .operators
             .top_k(6)
@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let info = testfix::output().accs.sender_info.finish();
+        let info = testfix::output().accs().sender_info.finish();
         assert!(info.number_types_table().len() >= 6);
         assert!(info.operators_table().len() >= 5);
     }

@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn bitly_tops_everything() {
-        let s = testfix::output().accs.shorteners.finish();
+        let s = testfix::output().accs().shorteners.finish();
         let top = s.services.top_k(10);
         assert!(top.len() >= 5, "{top:?}");
         assert_eq!(top[0].0, "bit.ly", "{top:?}");
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn is_gd_is_banking_heavy() {
         // Table 5: is.gd is #2 for banking but marginal elsewhere.
-        let s = testfix::output().accs.shorteners.finish();
+        let s = testfix::output().accs().shorteners.finish();
         let isgd_banking = s
             .by_scam
             .get(&("is.gd", ScamType::Banking))
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn cuttly_prefers_delivery_and_government() {
-        let s = testfix::output().accs.shorteners.finish();
+        let s = testfix::output().accs().shorteners.finish();
         let d = s
             .by_scam
             .get(&("cutt.ly", ScamType::Delivery))
@@ -186,14 +186,14 @@ mod tests {
 
     #[test]
     fn whatsapp_links_exist_but_are_not_shorteners() {
-        let s = testfix::output().accs.shorteners.finish();
+        let s = testfix::output().accs().shorteners.finish();
         assert!(s.whatsapp_links > 0);
         assert_eq!(s.services.get(&"wa.me"), 0);
     }
 
     #[test]
     fn table_renders() {
-        let s = testfix::output().accs.shorteners.finish();
+        let s = testfix::output().accs().shorteners.finish();
         let t = s.to_table();
         assert!(t.len() >= 5);
         assert!(t.to_string().contains("bit.ly"));

@@ -194,14 +194,14 @@ mod tests {
 
     #[test]
     fn burst_filter_finds_the_sbi_campaign() {
-        let with = testfix::output().accs.send_times.finish(true);
+        let with = testfix::output().accs().send_times.finish(true);
         let (label, count) = with
             .burst_removed
             .clone()
             .expect("the 2021 burst should be detected");
         assert!(label.starts_with("Tuesday 11:34"), "{label}");
         assert!(count >= 8, "{count}");
-        let without = testfix::output().accs.send_times.finish(false);
+        let without = testfix::output().accs().send_times.finish(false);
         assert!(without.burst_removed.is_none());
         let tue_with = with
             .by_weekday
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn medians_fall_in_the_midday_band() {
         // §5.1: medians between 12:26 and 14:38.
-        let st = testfix::output().accs.send_times.finish(true);
+        let st = testfix::output().accs().send_times.finish(true);
         for (w, m) in st.medians() {
             let m = m.expect("every weekday sampled");
             assert!(
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn working_hours_dominate() {
-        let st = testfix::output().accs.send_times.finish(true);
+        let st = testfix::output().accs().send_times.finish(true);
         assert!(
             st.working_hours_share() > 0.65,
             "{}",
@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn some_weekday_pairs_differ_significantly() {
         // §5.1: Monday/Tuesday/Wednesday/Saturday pairs show p < 0.05.
-        let st = testfix::output().accs.send_times.finish(true);
+        let st = testfix::output().accs().send_times.finish(true);
         let matrix = st.ks_matrix();
         assert!(!matrix.is_empty());
         let significant = matrix
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn timestamps_without_dates_are_excluded() {
-        let st = testfix::output().accs.send_times.finish(false);
+        let st = testfix::output().accs().send_times.finish(false);
         assert!(
             st.excluded > 0,
             "time-only stamps must be excluded (§3.3.2)"

@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn com_tops_direct_urls() {
-        let u = testfix::output().accs.tlds.finish();
+        let u = testfix::output().accs().tlds.finish();
         let top = u.smishing_tlds.top_k(2);
         assert_eq!(top[0].0, "com", "{top:?}");
         let com_share = u.smishing_tlds.share(&"com".to_string());
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn ly_tops_shortened_urls() {
         // Table 6 right column: bit.ly's .ly dominates.
-        let u = testfix::output().accs.tlds.finish();
+        let u = testfix::output().accs().tlds.finish();
         let top = u.shortened_tlds.top_k(3);
         assert_eq!(top[0].0, "ly", "{top:?}");
     }
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn gtlds_dominate_cctlds() {
         // Table 16: 72.3% generic vs 27.1% country-code.
-        let u = testfix::output().accs.tlds.finish();
+        let u = testfix::output().accs().tlds.finish();
         let g = u.classes.share(&TldClass::Generic);
         let cc = u.classes.share(&TldClass::CountryCode);
         assert!(g > cc * 1.8, "g {g} cc {cc}");
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn many_distinct_tlds() {
-        let u = testfix::output().accs.tlds.finish();
+        let u = testfix::output().accs().tlds.finish();
         // Paper finds >280 TLDs at full scale; the test world is 5% scale.
         assert!(
             u.smishing_tlds.distinct() >= 15,
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn free_hosting_observed() {
-        let u = testfix::output().accs.tlds.finish();
+        let u = testfix::output().accs().tlds.finish();
         assert!(u.free_hosting_sites.total() > 0);
         // web.app leads the free-hosting pack (§4.3) — allow #2 at small
         // sample sizes.
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let u = testfix::output().accs.tlds.finish();
+        let u = testfix::output().accs().tlds.finish();
         assert!(u.to_table6().len() >= 5);
         assert!(u.to_table16().len() >= 2);
     }

@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn lets_encrypt_tops_both_columns() {
-        let u = testfix::output().accs.tls.finish();
+        let u = testfix::output().accs().tls.finish();
         assert!(u.domains_with_tls > 100, "{}", u.domains_with_tls);
         assert_eq!(u.certs_per_ca.top_k(1)[0].0, "Let's Encrypt");
         assert_eq!(u.domains_per_ca.top_k(1)[0].0, "Let's Encrypt");
@@ -123,7 +123,7 @@ mod tests {
     fn validity_policy_drives_cert_asymmetry() {
         // Table 7's signature: Sectigo serves many domains with relatively
         // few certificates (1-year validity), Let's Encrypt the opposite.
-        let u = testfix::output().accs.tls.finish();
+        let u = testfix::output().accs().tls.finish();
         let le_ratio = u.certs_per_ca.get(&"Let's Encrypt") as f64
             / u.domains_per_ca.get(&"Let's Encrypt").max(1) as f64;
         let sectigo_ratio =
@@ -138,7 +138,7 @@ mod tests {
     fn skewed_cert_counts() {
         // §4.5: mean 39, median 4 — a right-skewed distribution. The scaled
         // world keeps the mean ≫ median shape.
-        let u = testfix::output().accs.tls.finish();
+        let u = testfix::output().accs().tls.finish();
         assert!(
             u.mean_certs() > u.median_certs() * 1.3,
             "mean {} median {}",
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn multiple_cas_per_domain_possible() {
-        let u = testfix::output().accs.tls.finish();
+        let u = testfix::output().accs().tls.finish();
         let domain_sum: u64 = u.domains_per_ca.iter().map(|(_, c)| c).sum();
         assert!(
             domain_sum as usize > u.domains_with_tls,
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let u = testfix::output().accs.tls.finish();
+        let u = testfix::output().accs().tls.finish();
         let t = u.to_table();
         assert!(t.len() >= 5);
         assert!(t.to_string().contains("Let's Encrypt"));

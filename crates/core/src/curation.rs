@@ -188,6 +188,7 @@ mod tests {
     use crate::exec::{ingest, ExecPlan};
     use smishing_obs::Obs;
     use smishing_worldsim::{World, WorldConfig};
+    use std::sync::Arc;
 
     fn world() -> World {
         World::generate(WorldConfig::test_scale(61))
@@ -221,7 +222,7 @@ mod tests {
     }
 
     /// Curated messages of an engine run over `posts` under `plan`.
-    fn engine_curated(w: &World, posts: &[Post], plan: &ExecPlan) -> Vec<CuratedMessage> {
+    fn engine_curated(w: &World, posts: &[Post], plan: &ExecPlan) -> Vec<Arc<CuratedMessage>> {
         let opts = CurationOptions::default();
         ingest(w, posts.iter(), &opts, plan, &Obs::noop(), |_| {})
             .output

@@ -9,6 +9,7 @@
 use crate::enrich::EnrichedRecord;
 use serde::{Deserialize, Serialize};
 use smishing_types::{Language, Lure, ScamType};
+use std::sync::Arc;
 
 /// One row of the released dataset (field-for-field the Appendix C schema).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -78,7 +79,7 @@ fn has_long_digit_run(tok: &str) -> bool {
 }
 
 /// Build the dataset from enriched records.
-pub fn build_dataset(records: &[EnrichedRecord]) -> Vec<DatasetRow> {
+pub fn build_dataset(records: &[Arc<EnrichedRecord>]) -> Vec<DatasetRow> {
     records
         .iter()
         .map(|r| {

@@ -2,20 +2,17 @@
 //! `crate::analysis`, bundled with uniform `add`/`merge` entry
 //! points.
 //!
-//! Each engine worker owns one [`AnalysisAccs`]. Curation workers feed the
-//! post- and message-level accumulators, which do not depend on
-//! deduplication (Table 1's volume columns, Tables 11 and 15, Figure 2).
-//! Analyst shards fold each dedup group once, at every cut, into a fresh
-//! bundle through its winner and the evidence it carries
-//! ([`AnalysisAccs::add_group`]). No fold is ever withdrawn. Merging the
-//! bundles from every worker yields exactly the state a single sequential
-//! pass would have built. The engine's collector keeps that merge as one
-//! running bundle: curators send only what they folded since their last
-//! cut, and each cut's freshly folded groups replace the previous cut's
-//! whole ([`AnalysisAccs::clear_groups`]). It is the `accs` of every
-//! [`PipelineOutput`](crate::pipeline::PipelineOutput) the engine builds —
-//! batch, end of stream and each snapshot — so these accumulators are the
-//! one fold behind every accumulator-backed table, mid-stream or final.
+//! Each engine curator owns one [`AnalysisAccs`] and feeds the post- and
+//! message-level accumulators, which do not depend on deduplication
+//! (Table 1's volume columns, Tables 11 and 15, Figure 2). The engine's
+//! collector merges what each curator folded since its last cut into one
+//! running bundle. Each dedup group is folded once, through its winner and
+//! the evidence it carries ([`AnalysisAccs::add_group`]), when a consumer
+//! first asks a [`PipelineOutput`](crate::pipeline::PipelineOutput) for
+//! its [`accs`](crate::pipeline::PipelineOutput::accs). No fold is ever
+//! withdrawn, and merges are exact and order-free, so the result is
+//! exactly the state a single sequential pass would have built: the one
+//! fold behind every accumulator-backed table, mid-stream or final.
 
 use crate::analysis::asn::AsnAcc;
 use crate::analysis::av::AvAcc;
@@ -36,7 +33,6 @@ use crate::enrich::EnrichedRecord;
 use crate::table::TextTable;
 use smishing_types::Forum;
 use smishing_worldsim::Post;
-use std::mem;
 
 /// Every incremental analysis accumulator, mergeable across shards.
 #[derive(Debug, Clone, Default)]
@@ -105,9 +101,10 @@ impl AnalysisAccs {
     /// Fold in one dedup group through its winner and the evidence the
     /// winner carries: every record-level table, Table 1's unique-message
     /// column, and Tables 10 and 12, which weight the winner's annotation
-    /// by the group's report count. The engine runs it once per group
-    /// whenever a shard emits a cut (a snapshot or the end of the stream),
-    /// on the fresh bundle it sends.
+    /// by the group's report count. [`PipelineOutput::accs`] runs it once
+    /// per record, on demand.
+    ///
+    /// [`PipelineOutput::accs`]: crate::pipeline::PipelineOutput::accs
     pub fn add_group(&mut self, r: &EnrichedRecord) {
         self.overview.add_group(&r.evidence);
         self.categories.add_group(r);
@@ -124,21 +121,6 @@ impl AnalysisAccs {
         if r.is_degraded() {
             self.degraded_records += 1;
         }
-    }
-
-    /// Drop everything [`add_group`](Self::add_group) folded and keep the
-    /// per-post and per-message columns. A shard re-folds every group at
-    /// every cut, so the engine's collector clears its running bundle's
-    /// groups before it merges a cut's.
-    pub fn clear_groups(&mut self) {
-        self.overview.clear_groups();
-        *self = AnalysisAccs {
-            overview: mem::take(&mut self.overview),
-            twitter_years: mem::take(&mut self.twitter_years),
-            languages: mem::take(&mut self.languages),
-            send_times: mem::take(&mut self.send_times),
-            ..AnalysisAccs::default()
-        };
     }
 
     /// Absorb another worker's bundle.

@@ -4,9 +4,9 @@
 //! ```text
 //!             bounded              bounded                bounded
 //!  feeder ──► curator 0 ──┬──► analyst shard 0 ──┬──► collector (caller
-//!         ──► curator 1 ──┤ ──► analyst shard 1 ──┤     thread: folds each
-//!             ...         │     ...               │     cut into its one
-//!                         └──► shard = fnv(key)%N ┘     running copy)
+//!         ──► curator 1 ──┤ ──► analyst shard 1 ──┤     thread: merges each
+//!             ...         │     ...               │     cut's delta into its
+//!                         └──► shard = fnv(key)%N ┘     one running copy)
 //! ```
 //!
 //! * The **feeder** pulls posts from the caller's iterator in arrival
@@ -28,12 +28,15 @@
 //!   [`EnricherRegistry`] — the same stage list everywhere — behind a
 //!   per-shard [`ResilientClient`]. When a later-arriving but
 //!   earlier-posted duplicate displaces a winner, the new record simply
-//!   replaces it: nothing has been folded yet. At every cut (a snapshot or
-//!   the end of the stream) the shard folds each group once, through its
-//!   winner and the evidence it carries ([`AnalysisAccs::add_group`]),
-//!   into a fresh bundle, and sends it with its winners and the curated
-//!   messages it took in since its previous cut. A shard keeps no curated
-//!   history.
+//!   replaces it. Winners are `Arc`s shared with the collector: a winner
+//!   whose evidence grows while the collector still holds it is copied on
+//!   write, so no handle a cut sent ever changes. At every cut (a
+//!   snapshot or the end of the stream) the shard sends its
+//!   [`WinnerDelta`] — the handles of the winners that are new, displaced
+//!   in or whose evidence grew since its previous cut, and the post ids of
+//!   the sent winners they displaced — with the curated messages it took
+//!   in over the same interval. A winner displaced before any cut sent it
+//!   leaves no trace. A shard keeps no curated history and folds nothing.
 //! * **Snapshots** use aligned markers: the feeder injects a marker after
 //!   post `k`; curators forward it to every shard; a shard cuts once
 //!   markers from *all* curators arrived, buffering any messages that
@@ -41,10 +44,17 @@
 //!   cut, taken by every worker once its input closes.
 //! * The **collector** folds each complete cut, in cut order, into its one
 //!   running copy: the curators' accumulators and collection stats, the
-//!   shards' freshly folded groups and winners, and the curated history.
-//!   It lends that copy to `on_snapshot` as a [`StreamSnapshot`], equal to
-//!   the batch pipeline over exactly the first `k` posts, while ingestion
-//!   continues behind it, and hands it over as the end-of-stream output.
+//!   shards' winner deltas, merged into the post-id-sorted records in one
+//!   pass ([`WinnerDelta::merge_into`]), and the interval's curated
+//!   messages, merged the same way into the post-id-sorted history of
+//!   shared handles. No cut clones, folds or frees an unchanged record or
+//!   message. The collector lends
+//!   that copy to `on_snapshot` as a [`StreamSnapshot`], equal to the batch
+//!   pipeline over exactly the first `k` posts, while ingestion continues
+//!   behind it, and hands it over as the end-of-stream output. The dedup
+//!   groups are folded into the tables only when a consumer asks for them
+//!   ([`PipelineOutput::accs`]), once per cut at most, so consumers that
+//!   read only records and counts never pay for it.
 //!
 //! # Ordering invariant
 //!
@@ -63,22 +73,26 @@
 //!
 //! Passing an enabled [`Obs`] threads instrumentation through every
 //! worker: per-shard ingest counters (`exec.shard.curated{shard="i"}`),
-//! the per-post curation cost (`exec.curate.post_ns`, all curators),
-//! bounded channel depth gauges with high-water marks
+//! displaced winners (`exec.shard.displaced{shard="i"}`, one per wasted
+//! enrichment), the per-post curation cost (`exec.curate.post_ns`, all
+//! curators), bounded channel depth gauges with high-water marks
 //! (`exec.{curator,shard}.channel_depth`), backpressure wait histograms
 //! (`exec.{feeder,curator}.backpressure_wait_ns`, recorded only when a
-//! `try_send` finds the channel full), snapshot cost histograms
-//! (`exec.snapshot.cost_ns`, the collector's fold), each shard's cut
-//! (`exec.shard.cut_ns`: winner copies and group fold, once per snapshot
-//! and once at the end) and per-service enrichment meters (each shard
-//! owns a `ResilientClient`, so retry, breaker, and degradation counters
-//! aggregate across shards through the shared registry, and
+//! `try_send` finds the channel full), each shard's cut
+//! (`exec.shard.cut_ns`, and `exec.shard.winner_delta`, the entries its
+//! delta carries; once per snapshot and once at the end), the collector's
+//! fold (`exec.collector.fold.wall_ns` per cut, `exec.snapshot.cost_ns`
+//! per snapshot), the whole run (`exec.ingest.wall_ns`, and the posts it
+//! took in as `pipeline.collect.posts`, the growth gate's size) and
+//! per-service enrichment meters (each shard owns a `ResilientClient`, so
+//! retry, breaker, and degradation counters aggregate across shards
+//! through the shared registry, and
 //! `exec.engine.{degraded_records,uncounted_drops}` summarize the run).
-//! Per-shard enrichment and cut histograms are additionally combined
-//! with `Histogram::merge_from` into a `shard="all"` series — exact, like
-//! the accumulators' `merge()`. With a no-op handle every instrumentation
-//! point short-circuits and the engine runs the pre-observability code
-//! path.
+//! Per-shard enrichment, cut and delta histograms are additionally
+//! combined with `Histogram::merge_from` into a `shard="all"` series —
+//! exact, like the accumulators' `merge()`. With a no-op handle every
+//! instrumentation point short-circuits and the engine runs the
+//! pre-observability code path.
 //!
 //! # Worker panics
 //!
@@ -98,25 +112,25 @@ use crate::enrich::{EnrichedRecord, EnricherRegistry, ResilientClient};
 use crate::pipeline::PipelineOutput;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use smishing_obs::{obs_warn, Counter, Gauge, Histogram, Obs};
-use smishing_types::{fnv1a, Forum};
+use smishing_types::{fnv1a, Forum, PostId};
 use smishing_worldsim::{Post, World};
 use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// A consistent mid-stream view: an assembled [`PipelineOutput`], merged
-/// accumulators included, equal to a batch run over the first
-/// [`at_posts`](Self::at_posts) posts. `on_snapshot` borrows it from the
-/// engine's collector, which keeps it as its running copy: a consumer
-/// that needs it past the callback copies what it needs.
+/// A consistent mid-stream view: an assembled [`PipelineOutput`], equal
+/// to a batch run over the first [`at_posts`](Self::at_posts) posts.
+/// `on_snapshot` borrows it from the engine's collector, which keeps it as
+/// its running copy: a consumer that needs it past the callback copies
+/// what it needs (records by handle).
 pub struct StreamSnapshot<'w> {
     /// How many posts the snapshot covers.
     pub at_posts: u64,
     /// Batch-equivalent assembled output (render the accumulator-backed
-    /// tables via [`AnalysisAccs::tables`] on its `accs`).
+    /// tables via [`AnalysisAccs::tables`] on its
+    /// [`accs()`](PipelineOutput::accs), which folds them on first use).
     pub output: PipelineOutput<'w>,
     /// Curated messages (duplicates included) that arrived since the
     /// previous snapshot marker — the delta an incremental consumer
@@ -172,15 +186,14 @@ enum CollectorMsg {
     /// What a curator folded since its previous cut.
     Curator {
         id: u64,
-        accs: AnalysisAccs,
+        accs: Box<AnalysisAccs>,
         collection: HashMap<Forum, CollectionStats>,
     },
-    /// A shard's groups folded at the cut, its winners, and the curated
-    /// messages it took in since its previous cut.
+    /// A shard's winner delta since its previous cut, and the curated
+    /// messages it took in over the same interval.
     Shard {
         id: u64,
-        accs: AnalysisAccs,
-        records: Vec<EnrichedRecord>,
+        winners: WinnerDelta,
         curated: Vec<CuratedMessage>,
     },
 }
@@ -224,11 +237,25 @@ pub fn obs_send<T>(tx: &Sender<T>, msg: T, blocked: &Counter, wait: &Histogram) 
 /// minimum post id, enriched) carrying the group's
 /// [`Evidence`](crate::enrich::Evidence). A later-arriving but
 /// earlier-posted duplicate displaces the winner and takes over the
-/// evidence. Nothing is folded until a cut, so a displaced winner leaves
-/// no trace.
+/// evidence. Winners are shared with the collector by handle: a record
+/// is copied on write (`Arc::make_mut`) only when its evidence grows while
+/// a cut's handle to it is still held. Each cut sends only what changed
+/// since the previous one ([`WinnerDelta`]), so a winner displaced before
+/// any cut sent it leaves no trace.
 #[derive(Debug, Default)]
 pub struct GroupTable {
-    winners: HashMap<String, EnrichedRecord>,
+    /// Each dedup key's index in `groups`.
+    slots: HashMap<String, usize>,
+    groups: Vec<Group>,
+    /// Groups applied to since the previous cut, with repeats.
+    touched: Vec<usize>,
+}
+
+#[derive(Debug)]
+struct Group {
+    winner: Arc<EnrichedRecord>,
+    /// The post id of the winner a previous cut sent, if one did.
+    sent: Option<PostId>,
 }
 
 impl GroupTable {
@@ -238,55 +265,115 @@ impl GroupTable {
     }
 
     /// Fold in one curated message under its dedup key. `enrich` runs only
-    /// when the message becomes its group's winner.
+    /// when the message becomes its group's winner. Returns whether it
+    /// displaced a winner.
     pub fn apply(
         &mut self,
         key: String,
         c: &CuratedMessage,
         enrich: impl FnOnce(CuratedMessage) -> EnrichedRecord,
-    ) {
-        match self.winners.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(enrich(c.clone()));
-            }
-            Entry::Occupied(mut slot) => {
-                let winner = slot.get_mut();
-                if c.post_id < winner.curated.post_id {
-                    let mut rec = enrich(c.clone());
-                    rec.evidence = winner.evidence;
-                    rec.evidence.absorb(c);
-                    *winner = rec;
-                } else {
-                    winner.evidence.absorb(c);
-                }
-            }
+    ) -> bool {
+        let new = self.groups.len();
+        let slot = *self.slots.entry(key).or_insert(new);
+        self.touched.push(slot);
+        if slot == new {
+            let winner = Arc::new(enrich(c.clone()));
+            self.groups.push(Group { winner, sent: None });
+            return false;
         }
+        let g = &mut self.groups[slot];
+        let displaced = c.post_id < g.winner.curated.post_id;
+        if displaced {
+            let mut rec = enrich(c.clone());
+            rec.evidence = g.winner.evidence;
+            g.winner = Arc::new(rec);
+        }
+        Arc::make_mut(&mut g.winner).evidence.absorb(c);
+        displaced
     }
 
-    /// The table at a cut: its winners (in no particular order), and a
-    /// fresh bundle with each group folded in once
-    /// ([`AnalysisAccs::add_group`]).
-    pub fn cut(&self) -> (AnalysisAccs, Vec<EnrichedRecord>) {
-        with_groups(self.winners.values().cloned().collect())
-    }
-
-    /// [`GroupTable::cut`], consuming the table.
-    pub fn into_cut(self) -> (AnalysisAccs, Vec<EnrichedRecord>) {
-        with_groups(self.winners.into_values().collect())
+    /// The table at a cut: the winners of every group applied to since the
+    /// previous cut, and the post ids of the sent winners they displaced.
+    pub fn cut(&mut self) -> WinnerDelta {
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        let mut delta = WinnerDelta::default();
+        for slot in self.touched.drain(..) {
+            let g = &mut self.groups[slot];
+            let id = g.winner.curated.post_id;
+            delta
+                .displaced
+                .extend(g.sent.replace(id).filter(|&sent| sent != id));
+            delta.changed.push(Arc::clone(&g.winner));
+        }
+        delta
     }
 }
 
-fn with_groups(records: Vec<EnrichedRecord>) -> (AnalysisAccs, Vec<EnrichedRecord>) {
-    let mut accs = AnalysisAccs::new();
-    for r in &records {
-        accs.add_group(r);
+/// What dedup winners changed between two cuts: what a shard's cut sends,
+/// and what the collector merges into its records.
+#[derive(Debug, Default)]
+pub struct WinnerDelta {
+    /// Winners that are new, displaced in or whose evidence grew, in no
+    /// particular order.
+    pub changed: Vec<Arc<EnrichedRecord>>,
+    /// Post ids of winners a previous cut sent that have been displaced
+    /// since.
+    pub displaced: Vec<PostId>,
+}
+
+impl WinnerDelta {
+    /// Merge into `records`, sorted by post id and holding every winner
+    /// the previous cuts sent: displaced winners leave, changed ones
+    /// replace or join theirs. Each entry is placed by binary search, so
+    /// the one pass over `records` moves an unchanged record without
+    /// reading, cloning or freeing it.
+    pub fn merge_into(self, records: &mut Vec<Arc<EnrichedRecord>>) {
+        let displaced = self.displaced.into_iter().map(|post| (post, None));
+        let changed = self
+            .changed
+            .into_iter()
+            .map(|r| (r.curated.post_id, Some(r)));
+        merge_by_post_id(records, displaced.chain(changed), |r| r.curated.post_id);
     }
-    (accs, records)
+}
+
+/// Apply `edits` to `held`, sorted by post id (`id`): `(post, Some(item))`
+/// replaces the item with that post id or joins at its place, and
+/// `(post, None)` takes it out. Each edit is placed by binary search, so
+/// the one pass over `held` moves every other item without reading,
+/// cloning or freeing it, and no item is hashed.
+fn merge_by_post_id<T>(
+    held: &mut Vec<T>,
+    edits: impl Iterator<Item = (PostId, Option<T>)>,
+    id: impl Fn(&T) -> PostId,
+) {
+    let old = mem::take(held);
+    let place = |post| old.partition_point(|item| id(item) < post);
+    let mut edits: Vec<_> = edits
+        .map(|(post, item)| {
+            let at = place(post);
+            (post, at, old.get(at).is_some_and(|o| id(o) == post), item)
+        })
+        .collect();
+    edits.sort_unstable_by_key(|e| e.0);
+    held.reserve(old.len() + edits.len());
+    let (mut old, mut next) = (old.into_iter(), 0);
+    for (_, at, replaces, item) in edits {
+        debug_assert!(replaces || item.is_some(), "took out an item not held");
+        held.extend(old.by_ref().take(at - next));
+        next = at + usize::from(replaces);
+        if replaces {
+            old.next();
+        }
+        held.extend(item);
+    }
+    held.extend(old);
 }
 
 impl<'w> StreamSnapshot<'w> {
     /// The collector's running copy before any cut: nothing ingested.
-    fn empty(world: &'w World) -> Self {
+    fn empty(world: &'w World, obs: &Obs) -> Self {
         StreamSnapshot {
             at_posts: 0,
             output: PipelineOutput {
@@ -297,7 +384,9 @@ impl<'w> StreamSnapshot<'w> {
                     .collect(),
                 curated_total: Vec::new(),
                 records: Vec::new(),
-                accs: AnalysisAccs::new(),
+                curator_accs: AnalysisAccs::new(),
+                folded: OnceLock::new(),
+                obs: obs.clone(),
             },
             curated_delta: Vec::new(),
         }
@@ -309,22 +398,23 @@ impl<'w> StreamSnapshot<'w> {
     /// stream: whatever order parts arrive in, `curated_total`,
     /// `curated_delta` and `records` leave sorted by post id and
     /// `collection` lists forums in `Forum::ALL` order. The curators'
-    /// intervals merge into the running accumulators and collection
-    /// stats, and the shards' groups, re-folded at every cut, replace the
-    /// previous cut's; merges are exact and order-free, so arrival order
-    /// cannot move them either. The history grows by the interval alone:
-    /// only its tail from the interval's first post id is re-sorted.
+    /// intervals merge into the running per-post and per-message
+    /// accumulators and collection stats (merges are exact and
+    /// order-free), the shards' winner deltas merge into the records, and
+    /// the group fold is dropped, to be redone on demand
+    /// ([`PipelineOutput::accs`]). Everything grows by the interval alone:
+    /// the records and the history are merged by handle, and no unchanged
+    /// record or message is read, copied or freed.
     fn fold(&mut self, parts: Vec<CollectorMsg>) {
         let out = &mut self.output;
-        out.accs.clear_groups();
-        let mut records: Vec<EnrichedRecord> = Vec::new();
+        let mut winners = WinnerDelta::default();
         let mut delta: Vec<CuratedMessage> = Vec::new();
         for part in parts {
             match part {
                 CollectorMsg::Curator {
                     accs, collection, ..
                 } => {
-                    out.accs.merge(accs);
+                    out.curator_accs.merge(*accs);
                     for (forum, stats) in collection {
                         if let Some((_, e)) = out.collection.iter_mut().find(|(f, _)| *f == forum) {
                             e.posts += stats.posts;
@@ -333,27 +423,26 @@ impl<'w> StreamSnapshot<'w> {
                     }
                 }
                 CollectorMsg::Shard {
-                    accs,
-                    records: winners,
+                    winners: w,
                     curated,
                     ..
                 } => {
-                    out.accs.merge(accs);
-                    records.extend(winners);
+                    winners.changed.extend(w.changed);
+                    winners.displaced.extend(w.displaced);
                     delta.extend(curated);
                 }
             }
         }
-        records.sort_by_key(|r| r.curated.post_id);
+        winners.merge_into(&mut out.records);
+        out.folded.take();
         delta.sort_by_key(|c| c.post_id);
-        let from = delta.first().map_or(out.curated_total.len(), |first| {
-            out.curated_total
-                .partition_point(|c| c.post_id < first.post_id)
-        });
-        out.curated_total.extend_from_slice(&delta);
-        out.curated_total[from..].sort_by_key(|c| c.post_id);
-        out.records = records;
-        self.curated_delta = delta;
+        // The history takes the messages the shards sent and the delta a
+        // copy, which this thread frees at the next cut: freeing the
+        // shards' messages here instead cost about 30x as much at scale
+        // 1.0 (memory other threads allocated frees slowly).
+        self.curated_delta = delta.clone();
+        let added = delta.into_iter().map(|c| (c.post_id, Some(Arc::new(c))));
+        merge_by_post_id(&mut out.curated_total, added, |c| c.post_id);
         // Every post a curator took in before the cut is in its stats.
         self.at_posts = out.collection.iter().map(|(_, s)| s.posts as u64).sum();
     }
@@ -362,8 +451,9 @@ impl<'w> StreamSnapshot<'w> {
 /// Run the engine over a post stream. `on_snapshot` fires on the caller's
 /// thread, in snapshot order, while ingestion continues in the workers;
 /// snapshots come from `plan.snapshots`. It borrows the collector's
-/// running copy, so a snapshot costs the collector its interval's fold,
-/// never a copy of the history.
+/// running copy, so a snapshot costs its interval's delta, never a copy
+/// of the history; a consumer that keeps the records clones their
+/// handles.
 ///
 /// The returned output is byte-identical (table-for-table) to a
 /// single-threaded sequential pass over the same posts, at any shard
@@ -384,6 +474,7 @@ where
     P: Borrow<Post> + Send,
     F: FnMut(&StreamSnapshot<'w>),
 {
+    let _run = obs.span("exec.ingest.wall_ns");
     let n_curators = plan.curators.max(1);
     let n_shards = plan.shards.max(1);
     let cap = plan.channel_capacity.max(1);
@@ -409,8 +500,10 @@ where
     };
     let shard_enrich = per_shard("exec.shard.enrich_ns");
     let shard_cut = per_shard("exec.shard.cut_ns");
+    let shard_delta = per_shard("exec.shard.winner_delta");
     let curate_ns = obs.histogram("exec.curate.post_ns", &[]);
     let snap_cost = obs.histogram("exec.snapshot.cost_ns", &[]);
+    let fold_ns = obs.histogram("exec.collector.fold.wall_ns", &[]);
     let snap_counter = obs.counter("exec.snapshot.count", &[]);
     let snapshots: &SnapshotPlan = &plan.snapshots;
 
@@ -517,7 +610,7 @@ where
                                 CuratorMsg::Marker { id } => {
                                     let part = CollectorMsg::Curator {
                                         id,
-                                        accs: mem::take(&mut accs),
+                                        accs: Box::new(mem::take(&mut accs)),
                                         collection: mem::take(&mut collection),
                                     };
                                     if collector_tx.send(part).is_err() {
@@ -537,7 +630,7 @@ where
                         }
                         let _ = collector_tx.send(CollectorMsg::Curator {
                             id: END,
-                            accs,
+                            accs: Box::new(accs),
                             collection,
                         });
                     });
@@ -550,7 +643,7 @@ where
         }
         drop(shard_txs);
 
-        // Analyst shards: dedup winners, folded at every cut, with marker
+        // Analyst shards: dedup winners, sent as a delta at every cut, with marker
         // alignment (messages that overtake a slower curator's marker wait
         // in `deferred`).
         for (shard_idx, rx) in shard_rxs.into_iter().enumerate() {
@@ -559,6 +652,7 @@ where
                 let obs = obs.clone();
                 let enrich_ns = shard_enrich[shard_idx].clone();
                 let cut_ns = shard_cut[shard_idx].clone();
+                let delta_len = shard_delta[shard_idx].clone();
                 let panics = &panics;
                 let panic_counter = panic_counter.clone();
                 move |_| {
@@ -567,6 +661,7 @@ where
                         let curated_counter =
                             obs.counter("exec.shard.curated", &[("shard", &label)]);
                         let depth = obs.gauge("exec.shard.channel_depth", &[("shard", &label)]);
+                        let displaced = obs.counter("exec.shard.displaced", &[("shard", &label)]);
                         // Each shard enriches through the same registry
                         // and retries independently: the client's fault
                         // handling is a pure function of (service, key,
@@ -576,6 +671,16 @@ where
                         let client = ResilientClient::new(&obs);
                         let enrich = |c| enrich_ns.time(|| registry.enrich(&client, c, world));
                         let mut table = GroupTable::new();
+                        let apply = |table: &mut GroupTable, key, c: &CuratedMessage| {
+                            if table.apply(key, c, enrich) {
+                                displaced.inc();
+                            }
+                        };
+                        let cut = |table: &mut GroupTable| {
+                            let delta = cut_ns.time(|| table.cut());
+                            delta_len.record((delta.changed.len() + delta.displaced.len()) as u64);
+                            delta
+                        };
                         // Curated messages taken in since the last cut.
                         let mut curated: Vec<CuratedMessage> = Vec::new();
                         let mut marker_seen = vec![0u64; n_curators];
@@ -590,7 +695,7 @@ where
                                 ShardMsg::Curated { curator, key, msg } => {
                                     curated_counter.inc();
                                     if marker_seen[curator] == completed {
-                                        table.apply(key, &msg, enrich);
+                                        apply(&mut table, key, &msg);
                                         curated.push(msg);
                                     } else {
                                         deferred
@@ -612,11 +717,9 @@ where
                                         // interval are applied *after* this
                                         // send, so the cut holds exactly
                                         // the ≤-marker messages.
-                                        let (accs, records) = cut_ns.time(|| table.cut());
                                         let part = CollectorMsg::Shard {
                                             id: completed,
-                                            accs,
-                                            records,
+                                            winners: cut(&mut table),
                                             curated: mem::take(&mut curated),
                                         };
                                         if collector_tx.send(part).is_err() {
@@ -625,18 +728,16 @@ where
                                         for (key, c) in
                                             deferred.remove(&completed).unwrap_or_default()
                                         {
-                                            table.apply(key, &c, enrich);
+                                            apply(&mut table, key, &c);
                                             curated.push(c);
                                         }
                                     }
                                 }
                             }
                         }
-                        let (accs, records) = cut_ns.time(|| table.into_cut());
                         let _ = collector_tx.send(CollectorMsg::Shard {
                             id: END,
-                            accs,
-                            records,
+                            winners: cut(&mut table),
                             curated,
                         });
                     });
@@ -653,7 +754,7 @@ where
         // in, in cut order; the end-of-stream cut completes last.
         let parts_per_cut = n_curators + n_shards;
         let mut pending: HashMap<u64, Vec<CollectorMsg>> = HashMap::new();
-        let mut running = StreamSnapshot::empty(world);
+        let mut running = StreamSnapshot::empty(world, obs);
         let mut next_cut: u64 = 1;
         // Owned here, so a panicking `on_snapshot` drops the receiver on
         // its way out and the workers' sends fail instead of blocking.
@@ -664,13 +765,13 @@ where
                 .is_some_and(|p| p.len() == parts_per_cut)
             {
                 let parts = pending.remove(&next_cut).expect("checked");
-                snap_cost.time(|| running.fold(parts));
+                snap_cost.time(|| fold_ns.time(|| running.fold(parts)));
                 snap_counter.inc();
                 on_snapshot(&running);
                 next_cut += 1;
             }
         }
-        running.fold(pending.remove(&END).unwrap_or_default());
+        fold_ns.time(|| running.fold(pending.remove(&END).unwrap_or_default()));
         IngestResult {
             posts_ingested: running.at_posts,
             output: running.output,
@@ -698,6 +799,7 @@ where
         for (name, per) in [
             ("exec.shard.enrich_ns", &shard_enrich),
             ("exec.shard.cut_ns", &shard_cut),
+            ("exec.shard.winner_delta", &shard_delta),
         ] {
             let all = obs.histogram(name, &[("shard", "all")]);
             for h in per {
@@ -706,8 +808,13 @@ where
         }
         obs.counter("exec.engine.posts_ingested", &[])
             .add(result.posts_ingested);
+        // The growth gate's input size (`smish perfdiff`), batch or stream.
+        obs.counter("pipeline.collect.posts", &[])
+            .add(result.posts_ingested);
+        // Counted off the records, so observing never forces the fold.
+        let degraded = result.output.records.iter().filter(|r| r.is_degraded());
         obs.counter("exec.engine.degraded_records", &[])
-            .add(result.output.accs.degraded_records);
+            .add(degraded.count() as u64);
         // Conservation check for the chaos suite: every curated message a
         // curator routed must have reached a shard. Nonzero means a
         // message vanished between workers.

@@ -22,7 +22,7 @@ pub mod engine;
 
 pub use accs::AnalysisAccs;
 pub use checkpoint::{resume, Checkpoint, ServeState, CHECKPOINT_VERSION};
-pub use engine::{ingest, obs_send, GroupTable, IngestResult, StreamSnapshot};
+pub use engine::{ingest, obs_send, GroupTable, IngestResult, StreamSnapshot, WinnerDelta};
 
 /// When the feeder injects snapshot markers.
 #[derive(Debug, Clone, Default)]

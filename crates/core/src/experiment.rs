@@ -45,15 +45,17 @@ fn timed<T>(obs: &Obs, module: &str, f: impl FnOnce() -> T) -> T {
 
 /// Run every experiment against a pipeline output, timing each
 /// analysis-module invocation. The accumulator-backed artifacts (T1,
-/// T3–T18, F2, F3) render from the output's merged accumulators, so each
-/// of their spans times that module's `finish()`. Pass [`Obs::noop`] for
-/// an unobserved run — every span short-circuits.
+/// T3–T18, F2, F3) render from the output's accumulators, folded first
+/// (under their own span, `pipeline.group_fold.wall_ns`) when no consumer
+/// asked for them yet, so each module's span times its `finish()`. Pass
+/// [`Obs::noop`] for an unobserved run — every span short-circuits.
 pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     let _span = obs.span("analysis.run_all.wall_ns");
+    let accs = out.accs();
     let mut results = Vec::new();
 
     // ---- T1 ----
-    let ov = timed(obs, "overview", || out.accs.overview.finish());
+    let ov = timed(obs, "overview", || accs.overview.finish());
     let totals = ov.totals();
     let twitter = ov.rows[0];
     results.push(ExperimentResult {
@@ -85,7 +87,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T3 / T4 ----
-    let si = timed(obs, "sender_info", || out.accs.sender_info.finish());
+    let si = timed(obs, "sender_info", || accs.sender_info.finish());
     results.push(ExperimentResult {
         id: "T3",
         paper: "mobile 66.7%, bad format 24.3%, landline 3.8% of 12,299 phone senders",
@@ -126,7 +128,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T5 ----
-    let sh = timed(obs, "shorteners", || out.accs.shorteners.finish());
+    let sh = timed(obs, "shorteners", || accs.shorteners.finish());
     let isgd_b = sh
         .by_scam
         .get(&("is.gd", ScamType::Banking))
@@ -150,7 +152,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T6 / T16 ----
-    let tld = timed(obs, "tlds", || out.accs.tlds.finish());
+    let tld = timed(obs, "tlds", || accs.tlds.finish());
     results.push(ExperimentResult {
         id: "T6",
         paper: ".com tops direct URLs (4,951); .ly tops shortened URLs (2,482)",
@@ -183,7 +185,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T7 ----
-    let tls_u = timed(obs, "tls", || out.accs.tls.finish());
+    let tls_u = timed(obs, "tls", || accs.tls.finish());
     let le_ratio = tls_u.certs_per_ca.get(&"Let's Encrypt") as f64
         / tls_u.domains_per_ca.get(&"Let's Encrypt").max(1) as f64;
     let sec_ratio = tls_u.certs_per_ca.get(&"Sectigo") as f64
@@ -201,7 +203,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T8 ----
-    let asn_u = timed(obs, "asn", || out.accs.asn.finish());
+    let asn_u = timed(obs, "asn", || accs.asn.finish());
     let top_orgs: Vec<&str> = asn_u
         .ips_per_org
         .sorted()
@@ -222,7 +224,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T9 / T18 ----
-    let avd = timed(obs, "av", || out.accs.av.finish());
+    let avd = timed(obs, "av", || accs.av.finish());
     let n = avd.vt.n.max(1) as f64;
     results.push(ExperimentResult {
         id: "T9",
@@ -264,7 +266,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T10 ----
-    let cats = timed(obs, "categories", || out.accs.categories.finish());
+    let cats = timed(obs, "categories", || accs.categories.finish());
     results.push(ExperimentResult {
         id: "T10",
         paper: "banking 45.1% > others 20.6% > delivery 11.3% > government 9.6% > telecom 6.6%; spam 5% leaks in",
@@ -278,7 +280,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T11 ----
-    let langs = timed(obs, "languages", || out.accs.languages.finish());
+    let langs = timed(obs, "languages", || accs.languages.finish());
     results.push(ExperimentResult {
         id: "T11",
         paper: "English 65.2%, Spanish 13.7%, Dutch 5.7%; 66 languages observed; Dutch >> Mandarin despite speaker counts",
@@ -291,7 +293,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T12 ----
-    let br = timed(obs, "brands", || out.accs.brands.finish());
+    let br = timed(obs, "brands", || accs.brands.finish());
     results.push(ExperimentResult {
         id: "T12",
         paper: "SBI tops Table 12 (11.6%); banks dominate; Amazon/Netflix appear as Others",
@@ -312,7 +314,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T13 ----
-    let lu = timed(obs, "lures", || out.accs.lures.finish());
+    let lu = timed(obs, "lures", || accs.lures.finish());
     results.push(ExperimentResult {
         id: "T13",
         paper: "urgency everywhere except Wrong-number; authority for institutional scams; kindness/distraction for conversation scams; dishonesty 0.5% / herd 1.2%",
@@ -327,7 +329,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T14 / F3 ----
-    let co = timed(obs, "countries", || out.accs.countries.finish());
+    let co = timed(obs, "countries", || accs.countries.finish());
     let india_mix = co.scam_mix.get(&smishing_types::Country::India);
     let us_mix = co.scam_mix.get(&smishing_types::Country::UnitedStates);
     results.push(ExperimentResult {
@@ -364,7 +366,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T15 ----
-    let years = timed(obs, "twitter_years", || out.accs.twitter_years.finish());
+    let years = timed(obs, "twitter_years", || accs.twitter_years.finish());
     results.push(ExperimentResult {
         id: "T15",
         paper: "Twitter volume grows from 6,345 (2017) to >50k/yr (2022-23)",
@@ -380,7 +382,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T17 ----
-    let regs = timed(obs, "registrars", || out.accs.registrars.finish());
+    let regs = timed(obs, "registrars", || accs.registrars.finish());
     let gname_gov_lift = regs.lift("Gname", ScamType::Government);
     results.push(ExperimentResult {
         id: "T17",
@@ -409,7 +411,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- F2 ----
-    let st = timed(obs, "timestamps", || out.accs.send_times.finish(true));
+    let st = timed(obs, "timestamps", || accs.send_times.finish(true));
     let significant = st
         .ks_matrix()
         .iter()
@@ -514,7 +516,7 @@ mod tests {
     fn accumulator_tables_carry_run_all_ids() {
         let out = testfix::output();
         let results = run_all(out, &Obs::noop());
-        let tables = out.accs.tables();
+        let tables = out.accs().tables();
         assert_eq!(tables.len(), 19);
         for (id, table) in &tables {
             let artifact = results

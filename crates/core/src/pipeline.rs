@@ -11,10 +11,11 @@
 //! that pin schedule-dependent *metrics* use
 //! [`ExecPlan::sequential`](crate::exec::ExecPlan::sequential).
 //!
-//! The output also carries the engine's merged accumulator bundle
-//! ([`PipelineOutput::accs`]), folded by the shards during ingest. Every
-//! accumulator-backed table renders from it with `finish()`, so a run
-//! folds each record once.
+//! The output also carries the engine's accumulators
+//! ([`PipelineOutput::accs`]): the curators fold every post and curated
+//! message during ingest, and each dedup group is folded once, through its
+//! winner, the first time a consumer asks for a table. Every
+//! accumulator-backed table renders from that bundle with `finish()`.
 
 use crate::collect::CollectionStats;
 use crate::curation::{CuratedMessage, CurationOptions};
@@ -24,6 +25,7 @@ use smishing_obs::Obs;
 use smishing_types::Forum;
 use smishing_worldsim::World;
 use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 /// The full pipeline configuration.
 #[derive(Debug, Clone, Default)]
@@ -43,15 +45,21 @@ pub struct PipelineOutput<'w> {
     pub world: &'w World,
     /// Per-forum raw collection stats (Table 1 posts/images columns).
     pub collection: Vec<(Forum, CollectionStats)>,
-    /// All curated messages, duplicates included (Table 1 "Total").
-    pub curated_total: Vec<CuratedMessage>,
+    /// All curated messages, duplicates included (Table 1 "Total"). The
+    /// engine shares them with every snapshot by handle.
+    pub curated_total: Vec<Arc<CuratedMessage>>,
     /// Enriched unique messages (Table 1 "Unique" and everything after),
-    /// each carrying its dedup group's report evidence.
-    pub records: Vec<EnrichedRecord>,
-    /// The engine's merged accumulators over exactly these posts, curated
-    /// messages and records: render an accumulator-backed table with
-    /// `accs.<module>.finish()`.
-    pub accs: AnalysisAccs,
+    /// each carrying its dedup group's report evidence. The engine shares
+    /// them with its shards and with every snapshot by handle.
+    pub records: Vec<Arc<EnrichedRecord>>,
+    /// The per-post and per-message half of [`accs`](Self::accs), which
+    /// the engine's curators fold during ingest.
+    pub(crate) curator_accs: AnalysisAccs,
+    /// `curator_accs` with every record's group folded in: filled on the
+    /// first [`accs`](Self::accs) call, emptied by the engine's next cut.
+    pub(crate) folded: OnceLock<AnalysisAccs>,
+    /// The run's handle, which times the group fold.
+    pub(crate) obs: Obs,
 }
 
 impl Pipeline {
@@ -80,9 +88,8 @@ impl Pipeline {
         let output = result.output;
         if obs.is_enabled() {
             // Volume counters, derived from the assembled output so they
-            // are exact whatever the worker topology was.
-            let posts: usize = output.collection.iter().map(|(_, s)| s.posts).sum();
-            obs.counter("pipeline.collect.posts", &[]).add(posts as u64);
+            // are exact whatever the worker topology was (the engine counts
+            // `pipeline.collect.posts`).
             obs.counter("pipeline.curate.messages", &[])
                 .add(output.curated_total.len() as u64);
             let unique: HashSet<String> = output
@@ -96,9 +103,11 @@ impl Pipeline {
                 .add(output.records.len() as u64);
             // Degradation accounting: service faults may leave records
             // partially enriched, but never drop them — `dropped` is the
-            // invariant the chaos suite pins at zero.
+            // invariant the chaos suite pins at zero. Counted off the
+            // records, so observing never forces the group fold.
+            let degraded = output.records.iter().filter(|r| r.is_degraded());
             obs.counter("pipeline.enrich.degraded", &[])
-                .add(output.accs.degraded_records);
+                .add(degraded.count() as u64);
             obs.counter("pipeline.enrich.dropped", &[])
                 .add((unique.len().saturating_sub(output.records.len())) as u64);
         }
@@ -107,13 +116,51 @@ impl Pipeline {
 }
 
 impl<'w> PipelineOutput<'w> {
+    /// An output assembled outside the engine (a test oracle, say) whose
+    /// [`accs`](Self::accs) is `accs`, folded by the caller over exactly
+    /// these posts, curated messages and records.
+    pub fn new(
+        world: &'w World,
+        collection: Vec<(Forum, CollectionStats)>,
+        curated_total: Vec<Arc<CuratedMessage>>,
+        records: Vec<Arc<EnrichedRecord>>,
+        accs: AnalysisAccs,
+    ) -> Self {
+        PipelineOutput {
+            world,
+            collection,
+            curated_total,
+            records,
+            curator_accs: AnalysisAccs::new(),
+            folded: OnceLock::from(accs),
+            obs: Obs::noop(),
+        }
+    }
+
+    /// The engine's accumulators over exactly these posts, curated
+    /// messages and records: render an accumulator-backed table with
+    /// `accs().<module>.finish()`. The first call folds each dedup group
+    /// once, through its winner and the evidence it carries
+    /// ([`AnalysisAccs::add_group`]), under `pipeline.group_fold.wall_ns`;
+    /// later calls, and clones of this output, reuse that fold.
+    pub fn accs(&self) -> &AnalysisAccs {
+        self.folded.get_or_init(|| {
+            let _span = self.obs.span("pipeline.group_fold.wall_ns");
+            let mut accs = self.curator_accs.clone();
+            for r in &self.records {
+                accs.add_group(r);
+            }
+            accs
+        })
+    }
+
     /// Curated messages of one forum (with duplicates).
-    pub fn curated_on(&self, forum: Forum) -> impl Iterator<Item = &CuratedMessage> {
+    pub fn curated_on(&self, forum: Forum) -> impl Iterator<Item = &Arc<CuratedMessage>> {
         self.curated_total.iter().filter(move |c| c.forum == forum)
     }
 
     /// Unique records of one forum.
-    pub fn records_on(&self, forum: Forum) -> impl Iterator<Item = &EnrichedRecord> {
+    pub fn records_on(&self, forum: Forum) -> impl Iterator<Item = &Arc<EnrichedRecord>> {
         self.records
             .iter()
             .filter(move |r| r.curated.forum == forum)
@@ -169,7 +216,7 @@ mod tests {
                 .or_insert((1, p.posted_at));
         }
         let winners = out.records.iter().map(|r| &r.curated);
-        for c in out.curated_total.iter().chain(winners) {
+        for c in out.curated_total.iter().map(|c| &**c).chain(winners) {
             assert_eq!(
                 posts.get(&c.post_id),
                 Some(&(1, c.posted_at)),

@@ -7,6 +7,7 @@ use smishing_core::pipeline::{Pipeline, PipelineOutput};
 use smishing_core::CurationOptions;
 use smishing_obs::Obs;
 use smishing_worldsim::{ReportStream, World, WorldConfig};
+use std::borrow::Borrow;
 
 fn world() -> World {
     World::generate(WorldConfig {
@@ -116,7 +117,7 @@ fn mid_stream_snapshot_equals_batch_over_prefix() {
                 );
             }
             // Every accumulator table renders mid-stream.
-            let tables = snap.output.accs.tables();
+            let tables = snap.output.accs().tables();
             assert_eq!(tables.len(), 19);
             for (id, t) in &tables {
                 assert!(!t.to_string().is_empty(), "{id} empty");
@@ -142,9 +143,12 @@ fn curated_deltas_partition_the_curated_total() {
     let step = n / 5;
     let fed = 4 * step;
     let batch = Pipeline::default().run(&w, &Obs::noop());
-    let ids = |cs: &[CuratedMessage]| -> Vec<(u64, String)> {
-        cs.iter().map(|c| (c.post_id.0, c.text.clone())).collect()
-    };
+    // The deltas hold messages, the history shared handles to them.
+    fn ids<C: Borrow<CuratedMessage>>(cs: &[C]) -> Vec<(u64, String)> {
+        cs.iter()
+            .map(|c| (c.borrow().post_id.0, c.borrow().text.clone()))
+            .collect()
+    }
     // Posts do not arrive in post-id order, so neither do the deltas.
     let sorted = |mut v: Vec<(u64, String)>| {
         v.sort();

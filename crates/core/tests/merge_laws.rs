@@ -3,16 +3,18 @@
 //! single sequential fold, arrival order is immaterial under winner
 //! displacement, and a cut taken part-way equals the fold of the prefix —
 //! for every incremental analysis at once (compared through their
-//! rendered tables). Shards fold through the engine's own [`GroupTable`].
+//! rendered tables). Shards keep their groups in the engine's own
+//! [`GroupTable`], whose cuts' winner deltas merge into the records the
+//! groups are folded over.
 
 use proptest::prelude::*;
 use smishing_core::curation::{CuratedMessage, CurationOptions};
-use smishing_core::enrich::enrich;
+use smishing_core::enrich::{enrich, EnrichedRecord};
 use smishing_core::exec::{AnalysisAccs, GroupTable};
 use smishing_core::pipeline::Pipeline;
 use smishing_worldsim::{World, WorldConfig};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn world() -> &'static World {
     static W: OnceLock<World> = OnceLock::new();
@@ -33,7 +35,10 @@ fn groups() -> &'static Vec<Vec<CuratedMessage>> {
         let mode = CurationOptions::default().dedup;
         let mut by_key: HashMap<String, Vec<CuratedMessage>> = HashMap::new();
         for c in &out.curated_total {
-            by_key.entry(c.dedup_key(mode)).or_default().push(c.clone());
+            by_key
+                .entry(c.dedup_key(mode))
+                .or_default()
+                .push((**c).clone());
         }
         let mut gs: Vec<Vec<CuratedMessage>> = by_key.into_values().collect();
         // Deterministic group order for reproducible partitions.
@@ -50,22 +55,26 @@ fn apply(curated: &mut AnalysisAccs, table: &mut GroupTable, c: &CuratedMessage)
     table.apply(key, c, |c| enrich(c, world()));
 }
 
-/// The curator-side bundle merged with the table's cut (a fresh bundle
-/// with every group folded in once).
-fn with_cut(mut curated: AnalysisAccs, cut: AnalysisAccs) -> AnalysisAccs {
-    curated.merge(cut);
+/// The curator-side bundle with every group the records stand for folded
+/// in once, as `PipelineOutput::accs` folds them.
+fn with_groups_of(mut curated: AnalysisAccs, records: &[Arc<EnrichedRecord>]) -> AnalysisAccs {
+    for r in records {
+        curated.add_group(r);
+    }
     curated
 }
 
 /// The engine's shard fold: every message through both folds, then the
-/// table's cut.
+/// table's cut merged into the (empty) records the groups fold over.
 fn fold<'a>(messages: impl Iterator<Item = &'a CuratedMessage>) -> AnalysisAccs {
     let mut curated = AnalysisAccs::new();
     let mut table = GroupTable::new();
     for c in messages {
         apply(&mut curated, &mut table, c);
     }
-    with_cut(curated, table.into_cut().0)
+    let mut records = Vec::new();
+    table.cut().merge_into(&mut records);
+    with_groups_of(curated, &records)
 }
 
 /// Every message, shuffled with a seeded Fisher-Yates.
@@ -155,20 +164,24 @@ proptest! {
     fn a_cut_part_way_equals_the_fold_of_its_prefix(seed in 0u64..1_000_000, at in 0.0f64..1.0) {
         // Cut the table part-way through a shuffled feed, then feed the
         // rest: the mid-way cut is the fold of the prefix, and a winner
-        // displaced after it leaves no trace in the final cut.
+        // displaced after it leaves no trace once the final cut's delta
+        // is merged.
         let all = shuffled(seed);
         let (prefix, rest) = all.split_at((all.len() as f64 * at) as usize);
         let mut curated = AnalysisAccs::new();
         let mut table = GroupTable::new();
+        let mut records = Vec::new();
         for c in prefix {
             apply(&mut curated, &mut table, c);
         }
-        let mid = with_cut(curated.clone(), table.cut().0);
+        table.cut().merge_into(&mut records);
+        let mid = with_groups_of(curated.clone(), &records);
         prop_assert_eq!(render(&mid), render(&fold_in_post_order(prefix)));
         for c in rest {
             apply(&mut curated, &mut table, c);
         }
-        let end = with_cut(curated, table.into_cut().0);
+        table.cut().merge_into(&mut records);
+        let end = with_groups_of(curated, &records);
         prop_assert_eq!(render(&end), render(&fold_in_post_order(&all)));
     }
 

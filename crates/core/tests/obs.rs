@@ -98,6 +98,21 @@ fn observed_ingest_matches_batch_and_reports_per_shard_metrics() {
         })
         .sum();
     assert_eq!(cuts.count(), per_shard_cuts);
+    // Each cut records the size of the winner delta it sends.
+    let deltas = obs.histogram("exec.shard.winner_delta", &[("shard", "all")]);
+    assert_eq!(deltas.count(), cuts.count());
+    // Every enrichment beyond one per dedup group went to a winner that a
+    // later-arriving, earlier-posted duplicate displaced.
+    let displaced: u64 = (0..4)
+        .map(|i| {
+            obs.counter("exec.shard.displaced", &[("shard", &i.to_string())])
+                .get()
+        })
+        .sum();
+    assert_eq!(
+        displaced,
+        merged.count() - result.output.records.len() as u64
+    );
 
     // Per-service enrichment meters ran inside the shards.
     assert!(obs.counter("enrich.hlr.calls", &[]).get() > 0);
@@ -114,8 +129,12 @@ fn observed_ingest_matches_batch_and_reports_per_shard_metrics() {
         r#"exec.curator.channel_depth{curator=\"0\"}"#,
         r#"exec.shard.enrich_ns{shard=\"all\"}"#,
         r#"exec.shard.cut_ns{shard=\"all\"}"#,
+        r#"exec.shard.winner_delta{shard=\"all\"}"#,
+        r#"exec.shard.displaced{shard=\"0\"}"#,
         "exec.curate.post_ns",
         "exec.snapshot.cost_ns",
+        "exec.collector.fold.wall_ns",
+        "exec.ingest.wall_ns",
         "exec.engine.posts_ingested",
         "enrich.hlr.calls",
         "exec.feeder.backpressure_wait_ns",

@@ -203,9 +203,10 @@ pub enum Reject {
     InvalidUtf8,
     /// The line exceeds 64 KiB.
     LineTooLong,
-    /// `url`, `sender`, `near` or `explain` without a value, or a `msg`
-    /// (or `explain`'s message form) with no text after its optional
-    /// `sender|` prefix.
+    /// `url`, `sender`, `near` or `explain` without a value (an `explain`
+    /// of a bare `url`, `sender` or `near` included), or a `msg` (or
+    /// `explain`'s message form) with no text after its optional `sender|`
+    /// prefix.
     MissingValue,
     /// A command the protocol does not know.
     UnknownCommand,
@@ -455,15 +456,17 @@ pub(crate) fn answer_query(
     (reply, trace.map(|tb| tb.finish(verdict_label(&a.verdict))))
 }
 
-/// The query an `explain` argument names: `url|sender|near <value>`, or
-/// else the whole argument as a message (optionally `sender|text`, with
-/// an explicit `msg ` prefix allowed).
+/// The query an `explain` argument names: `url|sender|near <value>` (a
+/// bare `url`, `sender` or `near` names one with no value), or else the
+/// whole argument as a message (optionally `sender|text`, with an explicit
+/// `msg ` prefix allowed).
 pub fn explain_query(rest: &str) -> Query<'_> {
-    let named = rest.split_once(' ').and_then(|(cmd, value)| match cmd {
-        "url" | "sender" | "near" if !value.is_empty() => Query::parse(cmd, value),
-        _ => None,
-    });
-    named.unwrap_or_else(|| Query::msg(rest.strip_prefix("msg ").unwrap_or(rest).trim()))
+    match rest.split_once(' ').unwrap_or((rest, "")) {
+        ("url", value) => Query::Url(value),
+        ("sender", value) => Query::Sender(value),
+        ("near", value) => Query::Near(value),
+        _ => Query::msg(rest.strip_prefix("msg ").unwrap_or(rest).trim()),
+    }
 }
 
 /// Answer one request force-traced and write the verdict line, then the

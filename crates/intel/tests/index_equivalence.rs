@@ -14,13 +14,13 @@ use smishing_intel::IntelSnapshot;
 use smishing_obs::Obs;
 use smishing_worldsim::{World, WorldConfig};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// (shards, mild faults?) — the grid the satellite pins.
 const CONFIGS: [(usize, bool); 4] = [(1, false), (4, false), (1, true), (4, true)];
 
 struct Built {
-    records: Vec<EnrichedRecord>,
+    records: Vec<Arc<EnrichedRecord>>,
     snap: IntelSnapshot,
 }
 
@@ -59,7 +59,7 @@ fn built(cfg_idx: usize) -> &'static Built {
 /// The oracle: entry ids (== record positions, canonical order) whose
 /// derived key under `pick` equals `key`.
 fn scan(
-    records: &[EnrichedRecord],
+    records: &[Arc<EnrichedRecord>],
     key: &str,
     pick: fn(&EnrichedRecord) -> Option<String>,
 ) -> Vec<u32> {
@@ -78,7 +78,7 @@ fn assert_pivot(
     lookup: impl Fn(&IntelSnapshot, &str) -> Vec<u32>,
 ) {
     // Every present key resolves to exactly the linear-scan set.
-    let mut keys: Vec<String> = b.records.iter().filter_map(pick).collect();
+    let mut keys: Vec<String> = b.records.iter().filter_map(|r| pick(r)).collect();
     keys.sort();
     keys.dedup();
     assert!(!keys.is_empty(), "{name}: dataset yields no keys at all");

@@ -18,10 +18,11 @@ use smishing_obs::Obs;
 use smishing_stats::unionfind::UnionFind;
 use smishing_worldsim::{World, WorldConfig};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dense first-appearance cluster ids of `records` from their pivot
 /// strings.
-fn oracle_clusters(records: &[EnrichedRecord]) -> Vec<u32> {
+fn oracle_clusters(records: &[Arc<EnrichedRecord>]) -> Vec<u32> {
     let n = records.len();
     let mut uf = UnionFind::new(n);
     let mut key_freq: HashMap<String, u32> = HashMap::new();

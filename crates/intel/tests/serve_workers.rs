@@ -231,6 +231,10 @@ fn hostile_script() -> (Vec<u8>, u64, BTreeMap<&'static str, u64>) {
             add(b"msg |", Some(Reject::MissingValue));
             add(b"msg +15551234567|", Some(Reject::MissingValue));
             add(b"explain msg +15551234567|", Some(Reject::MissingValue));
+            // A bare verb is a named query with no value, not message text.
+            add(b"explain url", Some(Reject::MissingValue));
+            add(b"explain sender", Some(Reject::MissingValue));
+            add(b"explain near", Some(Reject::MissingValue));
             add(b"url http://\xff.example/x", Some(Reject::InvalidUtf8));
             add(&vec![b'u'; 70 * 1024], Some(Reject::LineTooLong));
             add(b"health", Some(Reject::NoSnapshot));

@@ -13,6 +13,7 @@
 use smishing::core::enrich::EnrichedRecord;
 use smishing::prelude::*;
 use smishing::stats::Counter;
+use std::sync::Arc;
 
 fn main() {
     let world = World::generate(WorldConfig {
@@ -23,7 +24,7 @@ fn main() {
 
     // Target brand: CLI arg, or the most-impersonated one.
     let brand = std::env::args().nth(1).unwrap_or_else(|| {
-        let brands = output.accs.brands.finish();
+        let brands = output.accs().brands.finish();
         brands
             .counts
             .top_k(1)
@@ -36,6 +37,7 @@ fn main() {
     let records: Vec<&EnrichedRecord> = output
         .records
         .iter()
+        .map(Arc::as_ref)
         .filter(|r| r.annotation.brand.as_deref() == Some(brand.as_str()))
         .collect();
     println!("{} unique messages impersonate {brand}\n", records.len());
@@ -103,7 +105,7 @@ fn main() {
     println!("shorteners:      {:?}\n", shorteners.top_k(5));
 
     // Timing.
-    let st = output.accs.send_times.finish(false);
+    let st = output.accs().send_times.finish(false);
     println!("-- Timing (all campaigns) --");
     for (w, m) in st.medians() {
         if let Some(m) = m {

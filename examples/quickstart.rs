@@ -37,9 +37,9 @@ fn main() {
 
     // The engine folded every paper accumulator during the run; each
     // table is one `finish()` away.
-    println!("{}", output.accs.overview.finish().to_table());
-    println!("{}", output.accs.categories.finish().to_table());
-    println!("{}", output.accs.languages.finish().to_table());
+    println!("{}", output.accs().overview.finish().to_table());
+    println!("{}", output.accs().categories.finish().to_table());
+    println!("{}", output.accs().languages.finish().to_table());
 
     // A peek at three enriched records.
     println!("## Three sample records");

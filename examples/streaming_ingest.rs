@@ -47,7 +47,7 @@ fn main() {
                 snap.output.curated_total.len(),
                 snap.output.records.len()
             );
-            for (id, table) in snap.output.accs.tables() {
+            for (id, table) in snap.output.accs().tables() {
                 if id == "T10" {
                     println!("mid-stream scam-category mix (Table 10):\n{table}");
                 }

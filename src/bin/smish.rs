@@ -410,7 +410,7 @@ fn cmd_stream(args: &Args, obs: &Obs, world: &World) {
         result.snapshots_taken
     );
     let mut shown = 0;
-    for (id, table) in result.output.accs.tables() {
+    for (id, table) in result.output.accs().tables() {
         if let Some(want) = &args.experiment {
             if !id.eq_ignore_ascii_case(want) {
                 continue;
@@ -453,7 +453,7 @@ fn cmd_watch(args: &Args, obs: &Obs, world: &World) {
                 s.output.records.len()
             );
             if let Some(want) = &args.experiment {
-                for (id, table) in s.output.accs.tables() {
+                for (id, table) in s.output.accs().tables() {
                     if id.eq_ignore_ascii_case(want) {
                         println!("{table}");
                     }

@@ -35,7 +35,7 @@
 //! assert!(!output.records.is_empty());
 //!
 //! // Regenerate a paper table from the accumulators the run folded.
-//! let categories = output.accs.categories.finish();
+//! let categories = output.accs().categories.finish();
 //! println!("{}", categories.to_table());
 //! ```
 

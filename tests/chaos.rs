@@ -286,12 +286,12 @@ proptest! {
         // merged state against the reference sequential fold over the
         // batch output.
         prop_assert_eq!(
-            rendered(&result.output.accs),
+            rendered(result.output.accs()),
             rendered(&common::sequential_fold(&batch))
         );
         prop_assert_eq!(result.output.records.len(), batch.records.len());
         prop_assert_eq!(
-            result.output.accs.degraded_records as usize,
+            result.output.accs().degraded_records as usize,
             batch.records.iter().filter(|r| r.is_degraded()).count()
         );
     }

@@ -21,6 +21,7 @@ use smishing::prelude::*;
 use smishing::types::PostId;
 use smishing::worldsim::ReportStream;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn world_at(seed: u64, plan: &FaultPlan) -> World {
     let mut w = World::generate(WorldConfig {
@@ -62,19 +63,23 @@ fn golden_sequential(world: &World) -> PipelineOutput<'_> {
         g.last_seen = g.last_seen.max(c.posted_at);
     }
     let unique = dedup(&curated_total, opts.dedup);
-    let mut records = enrich_all(unique, world, &Obs::noop());
-    for r in &mut records {
-        r.evidence = groups[&r.curated.dedup_key(opts.dedup)];
-    }
-    let mut out = PipelineOutput {
+    let records = enrich_all(unique, world, &Obs::noop())
+        .into_iter()
+        .map(|mut r| {
+            r.evidence = groups[&r.curated.dedup_key(opts.dedup)];
+            Arc::new(r)
+        })
+        .collect();
+    let curated_total = curated_total.into_iter().map(Arc::new).collect();
+    let out = PipelineOutput::new(
         world,
         collection,
         curated_total,
         records,
-        accs: AnalysisAccs::new(),
-    };
-    out.accs = common::sequential_fold(&out);
-    out
+        AnalysisAccs::new(),
+    );
+    let accs = common::sequential_fold(&out);
+    PipelineOutput::new(world, out.collection, out.curated_total, out.records, accs)
 }
 
 /// Render every experiment table to one string for byte comparison.

@@ -28,6 +28,9 @@
 //!   length that makes more than 32 epochs exits 2 before ingest.
 //! * **Growth gate**: `smish perfdiff SMALL LARGE` exits 0 on linear
 //!   growth, 1 on a quadratic layer and 2 on bad input.
+//! * **Stream report**: a `smish stream` report folds the dedup groups
+//!   once, for the end tables, however many snapshots fired, and carries
+//!   the growth gate's size counter and the engine's layer spans.
 
 use smishing::core::exec::CHECKPOINT_VERSION;
 use smishing::obs::{parse_report, MetricId, Obs};
@@ -255,11 +258,19 @@ fn one_shot_query_prints_the_serve_reply_line() {
     }
 }
 
-/// A message with no text after its optional `sender|` prefix is a
-/// missing value, as `serve` answers it (`err msg needs a value`).
+/// A message with no text after its optional `sender|` prefix, or an
+/// `explain` of a bare `url`, `sender` or `near`, is a missing value, as
+/// `serve` answers it (`err msg needs a value`).
 #[test]
 fn query_without_message_text_is_a_usage_error() {
-    for (verb, value) in [("msg", "|"), ("msg", "+15551234567|"), ("explain", "msg |")] {
+    for (verb, value) in [
+        ("msg", "|"),
+        ("msg", "+15551234567|"),
+        ("explain", "msg |"),
+        ("explain", "url"),
+        ("explain", "sender"),
+        ("explain", "near"),
+    ] {
         let out = smish()
             .args(["query", "--scale", "0.02", "--quiet", verb, value])
             .output()
@@ -567,6 +578,40 @@ fn sized_report(path: &Path, posts: u64, layers: &[(&str, u64)]) {
         obs.histogram(name, &[]).record(ms * 1_000_000);
     }
     std::fs::write(path, obs.json_report()).unwrap();
+}
+
+#[test]
+fn stream_report_folds_groups_once_and_is_rated_by_the_growth_gate() {
+    let dir = temp_dir("stream-report");
+    let path = dir.join("stream.json");
+    let out = smish()
+        .args([
+            "stream",
+            "--scale",
+            "0.02",
+            "--snapshot-every",
+            "300",
+            "--quiet",
+        ])
+        .args(["--metrics-json", path_arg(&path)])
+        .output()
+        .expect("run smish stream");
+    assert!(out.status.success(), "{}", out.status);
+    let report = parse_report(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let counter = |name: &str| report.counters[&MetricId::new(name, &[])];
+    let spans = |name: &str| report.histograms[&MetricId::new(name, &[])].count;
+    let snapshots = counter("exec.snapshot.count");
+    assert!(snapshots >= 4, "{snapshots} snapshots");
+    assert_eq!(spans("pipeline.group_fold.wall_ns"), 1);
+    // What `smish perfdiff` rates a stream by: its posts, one engine run
+    // and one collector fold per cut, the end of the stream included.
+    assert_eq!(
+        counter("pipeline.collect.posts"),
+        counter("exec.engine.posts_ingested")
+    );
+    assert_eq!(spans("exec.ingest.wall_ns"), 1);
+    assert_eq!(spans("exec.collector.fold.wall_ns"), snapshots + 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
