@@ -32,7 +32,8 @@
 //! median speedup over its last 8 epochs). The report is written to
 //! `target/intel-epochs-run-report.json`. Then the bench panics, which
 //! fails `cargo bench`, when late/early is above 3.0, the soak speedup
-//! below 1.0, RSS above 1.5 GiB or the growth speedup below 4.0.
+//! below 1.0, RSS above 1.5 GiB or the growth speedup below
+//! `GROWTH_FLOOR` (12.0).
 //! `SMISHING_BENCH_QUICK=1` skips criterion and shrinks the soak (the CI
 //! epoch-soak job does).
 
@@ -60,6 +61,12 @@ fn bench_world(quick: bool) -> World {
 /// ones its speedup is the median over.
 const GROWTH_EPOCHS: u64 = 32;
 const GROWTH_LATE: usize = 8;
+
+/// The least median full/incremental speedup the pure-growth phase
+/// accepts. In quick mode on a 2-core VM a republish that renumbers its
+/// symbols read 24.1–25.2x, and one that re-interned every reused
+/// entry's key strings and hashed them into per-pivot maps 6.0–6.2x.
+const GROWTH_FLOOR: f64 = 12.0;
 
 fn median(xs: &[u64]) -> u64 {
     let mut v = xs.to_vec();
@@ -295,9 +302,10 @@ fn epoch_report(quick: bool) {
     // per-republish leak across the soak would not. And folding a delta
     // must not be slower than rebuilding from scratch. Where the store
     // only grows, an O(delta) republish outruns the O(history) rebuild
-    // by a margin that widens with history: 4x holds it, while one that
-    // re-derives every entry's link keys and reruns the whole template
-    // pass whenever a doc leaves reads under 2x.
+    // by a margin that widens with history: the floor holds it, while
+    // one that re-interns every reused entry's keys reads about half of
+    // it, and one that re-derives every entry's link keys and reruns the
+    // whole template pass whenever a doc leaves under 2x.
     let breaches: Vec<String> = [
         (
             flat > 3.0,
@@ -309,10 +317,10 @@ fn epoch_report(quick: bool) {
             format!("incremental republish slower than from-scratch ({speedup:.2}x)"),
         ),
         (
-            growth < 4.0,
+            growth < GROWTH_FLOOR,
             format!(
                 "pure growth: full/incremental speedup {growth:.2}x over the last \
-                 {GROWTH_LATE} epochs (budget 4x)"
+                 {GROWTH_LATE} epochs (budget {GROWTH_FLOOR}x)"
             ),
         ),
     ]

@@ -16,9 +16,7 @@ use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use smishing_stats::unionfind::UnionFind;
 use smishing_textnlp::normalize::normalize_text;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::Hash;
 
 /// Which pivots to cluster on (for ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,45 +207,46 @@ pub fn pivot_keys(r: &crate::enrich::EnrichedRecord, pivots: LinkingPivots) -> V
 pub const WEAK_KEY_CAP: u32 = 40;
 
 /// The anti-hub clusterer behind [`link_campaigns`] and the intel
-/// store's campaign-link clusters, generic over the key type: strings
-/// here, interned symbols in the store.
+/// store's campaign-link clusters, over dense key ids: `link_campaigns`
+/// numbers its pivot strings, the store its interned symbols.
 ///
 /// `keys_of(i)` yields record `i`'s `(key, strong)` pivots, as
-/// [`pivot_keys`] does, and is called twice per record. The first pass
-/// counts how many records carry each weak key; the second unions every
-/// record with the first record that carried each of its keys, skipping
-/// weak keys seen on more than [`WEAK_KEY_CAP`] records. The cap is
-/// non-monotone (a key crosses it as records accumulate), so a caller
-/// whose record set grows reruns both passes rather than carrying a
-/// union-find over. Returns each record's cluster id, dense in order of
-/// first appearance, and the number of clusters.
-pub fn cluster_by_keys<K, I>(n: usize, keys_of: impl Fn(usize) -> I) -> (Vec<usize>, usize)
+/// [`pivot_keys`] does but with each key an id below `n_keys`, and is
+/// called twice per record. The first pass counts how many records carry
+/// each weak key; the second unions every record with the first record
+/// that carried each of its keys, skipping weak keys seen on more than
+/// [`WEAK_KEY_CAP`] records. Both tables are arrays indexed by key id.
+/// The cap is non-monotone (a key crosses it as records accumulate), so a
+/// caller whose record set grows reruns both passes rather than carrying
+/// a union-find over. Returns each record's cluster id, dense in order
+/// of first appearance, and the number of clusters.
+pub fn cluster_by_keys<I>(
+    n: usize,
+    n_keys: usize,
+    keys_of: impl Fn(usize) -> I,
+) -> (Vec<usize>, usize)
 where
-    K: Hash + Eq,
-    I: IntoIterator<Item = (K, bool)>,
+    I: IntoIterator<Item = (usize, bool)>,
 {
-    let mut weak_freq: HashMap<K, u32> = HashMap::new();
+    let mut weak_freq = vec![0u32; n_keys];
     for i in 0..n {
         for (key, strong) in keys_of(i) {
             if !strong {
-                *weak_freq.entry(key).or_default() += 1;
+                weak_freq[key] += 1;
             }
         }
     }
     let mut uf = UnionFind::new(n);
-    let mut first: HashMap<K, usize> = HashMap::new();
+    let mut first = vec![usize::MAX; n_keys];
     for i in 0..n {
         for (key, strong) in keys_of(i) {
-            if !strong && weak_freq[&key] > WEAK_KEY_CAP {
+            if !strong && weak_freq[key] > WEAK_KEY_CAP {
                 continue;
             }
-            match first.entry(key) {
-                Entry::Occupied(e) => {
-                    uf.union(i, *e.get());
-                }
-                Entry::Vacant(e) => {
-                    e.insert(i);
-                }
+            if first[key] == usize::MAX {
+                first[key] = i;
+            } else {
+                uf.union(i, first[key]);
             }
         }
     }
@@ -262,10 +261,21 @@ pub fn link_campaigns(out: &PipelineOutput<'_>, pivots: LinkingPivots) -> Linkin
         .filter(|r| r.curated.truth_message.is_some())
         .collect();
     let n = records.len();
-    let keys: Vec<Vec<(String, bool)>> = records.iter().map(|r| pivot_keys(r, pivots)).collect();
-    let (cluster_ids, n_clusters) = cluster_by_keys(n, |i| {
-        keys[i].iter().map(|(key, strong)| (key.as_str(), *strong))
-    });
+    // Each distinct pivot string gets a dense id once.
+    let mut ids: HashMap<String, usize> = HashMap::new();
+    let keys: Vec<Vec<(usize, bool)>> = records
+        .iter()
+        .map(|r| {
+            pivot_keys(r, pivots)
+                .into_iter()
+                .map(|(key, strong)| {
+                    let next = ids.len();
+                    (*ids.entry(key).or_insert(next), strong)
+                })
+                .collect()
+        })
+        .collect();
+    let (cluster_ids, n_clusters) = cluster_by_keys(n, ids.len(), |i| keys[i].iter().copied());
 
     // Evaluate pairwise against ground-truth campaign ids, per cluster and
     // per campaign (avoiding the O(n²) full pair enumeration).
@@ -376,12 +386,12 @@ mod tests {
 
     #[test]
     fn weak_keys_past_the_cap_link_nothing() {
-        // `n` records share one weak key; every third also shares a
-        // strong one, which is never capped.
+        // `n` records share one weak key (0); every third also shares a
+        // strong one (1), which is never capped.
         let clusters = |n: usize| {
-            cluster_by_keys(n, |i| {
-                let strong = (i % 3 == 0).then_some(("d:x", true));
-                [Some(("s:hub", false)), strong].into_iter().flatten()
+            cluster_by_keys(n, 2, |i| {
+                let strong = (i % 3 == 0).then_some((1, true));
+                [Some((0, false)), strong].into_iter().flatten()
             })
             .1
         };

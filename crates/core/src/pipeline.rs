@@ -154,6 +154,13 @@ impl<'w> PipelineOutput<'w> {
         })
     }
 
+    /// The run's observability handle: the engine's for an engine run,
+    /// [`Obs::noop`] for [`new`](Self::new). Consumers of the output,
+    /// such as the intel store build, record their spans under it.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
     /// Curated messages of one forum (with duplicates).
     pub fn curated_on(&self, forum: Forum) -> impl Iterator<Item = &Arc<CuratedMessage>> {
         self.curated_total.iter().filter(move |c| c.forum == forum)

@@ -10,8 +10,8 @@
 //! campaign?"*. The batch and streaming frontends answer it offline by
 //! rendering tables; this crate answers it online:
 //!
-//! * [`IntelSnapshot`] — an immutable, interned, hash-indexed store built
-//!   from the pipeline's assembled output. Indexes over normalized URL,
+//! * [`IntelSnapshot`] — an immutable, interned, symbol-indexed store
+//!   built from the pipeline's assembled output. Indexes over normalized URL,
 //!   apex domain, sender ID, phone number, brand, and campaign-link
 //!   cluster; each entry carries its evidence (forums, scam type, lures,
 //!   HLR status, AV/GSB verdicts, first/last seen, report counts).
@@ -66,7 +66,7 @@ pub mod workers;
 pub use cache::LruSet;
 pub use eval::{evaluate_triage, rung_of, Rung, RungCounts, TriageEval};
 pub use hub::{IntelHub, IntelReader};
-pub use intern::{Interner, Sym};
+pub use intern::{Interner, Renumber, Sym, SymIndex};
 pub use serve::{
     explain, explain_query, process_rss_bytes, reply_line, serve_session, verdict_label,
     verdict_line, AdversaryGauge, Reject, ServeOptions, ServeSession, ServeStats,

@@ -1,11 +1,13 @@
-//! The immutable, interned, hash-indexed intelligence store.
+//! The immutable, interned, symbol-indexed intelligence store.
 //!
 //! [`IntelSnapshot::build`] digests a [`PipelineOutput`] — the assembled,
 //! canonical output of the one execution core — into one entry per unique
 //! record, with secondary indexes over every pivot an abuse desk queries
 //! by: normalized URL, apex domain (registrable domain or free-hosting
 //! site), sender ID, phone number, impersonated brand, and campaign-link
-//! cluster. Each entry carries its evidence: which forums reported it,
+//! cluster. Each pivot index is a [`SymIndex`] over the dense symbols of
+//! the store's one [`Interner`], so a lookup is one interner probe and a
+//! slice. Each entry carries its evidence: which forums reported it,
 //! how often, first/last seen, scam type and lures, HLR line status, and
 //! AV/GSB verdicts. The report evidence (forums, count, first/last seen)
 //! is the dedup group's, read off the record: the execution core's shard
@@ -22,7 +24,7 @@
 //! builder, the query normalizer, and the linear-scan reference the
 //! proptests compare against can never drift apart.
 
-use crate::intern::{Interner, Sym};
+use crate::intern::{Interner, Renumber, Sym, SymIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smishing_core::analysis::linking::{cluster_by_keys, skeleton_of};
@@ -149,12 +151,29 @@ enum EntrySource {
 /// A campaign-link pivot of one entry. The variants keep the pivot kinds
 /// apart as `linking::pivot_keys`' `d:`/`u:`/`s:`/`t:` prefixes do, since
 /// one symbol table holds domains, URLs and senders alike.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum LinkKey {
     Domain(Sym),
     Url(Sym),
     Sender(Sym),
     Skeleton(Sym),
+}
+
+impl LinkKey {
+    /// Pivot kinds: the key space is `KINDS × n_syms` ids.
+    const KINDS: usize = 4;
+
+    /// The key's id in the clusterer's dense key space, `kind × n_syms +
+    /// sym`, where `n_syms` bounds both symbol tables.
+    fn dense(self, n_syms: usize) -> usize {
+        let (kind, sym) = match self {
+            LinkKey::Domain(s) => (0, s),
+            LinkKey::Url(s) => (1, s),
+            LinkKey::Sender(s) => (2, s),
+            LinkKey::Skeleton(s) => (3, s),
+        };
+        kind * n_syms + sym.0 as usize
+    }
 }
 
 /// An entry's `(key, strong)` campaign-link pivots, those of
@@ -274,11 +293,11 @@ pub struct IntelSnapshot {
     /// them, so they stay out of the query interner.
     link_keys: Interner,
     entries: Vec<IntelEntry>,
-    by_url: HashMap<Sym, Vec<u32>>,
-    by_domain: HashMap<Sym, Vec<u32>>,
-    by_sender: HashMap<Sym, Vec<u32>>,
-    by_phone: HashMap<Sym, Vec<u32>>,
-    by_brand: HashMap<Sym, Vec<u32>>,
+    by_url: SymIndex,
+    by_domain: SymIndex,
+    by_sender: SymIndex,
+    by_phone: SymIndex,
+    by_brand: SymIndex,
     clusters: Vec<Vec<u32>>,
     cluster_campaign: Vec<Option<u32>>,
     sim: SimIndex,
@@ -306,11 +325,11 @@ impl Default for IntelSnapshot {
             interner: Interner::default(),
             link_keys: Interner::default(),
             entries: Vec::new(),
-            by_url: HashMap::new(),
-            by_domain: HashMap::new(),
-            by_sender: HashMap::new(),
-            by_phone: HashMap::new(),
-            by_brand: HashMap::new(),
+            by_url: SymIndex::default(),
+            by_domain: SymIndex::default(),
+            by_sender: SymIndex::default(),
+            by_phone: SymIndex::default(),
+            by_brand: SymIndex::default(),
             clusters: Vec::new(),
             cluster_campaign: Vec::new(),
             sim: SimIndex::default(),
@@ -409,11 +428,16 @@ impl IntelSnapshot {
 
     /// Shared back half of both build paths: entry and index
     /// construction, campaign linking, and the similarity tier, over the
-    /// retained records in `plan` (canonical post-id order).
+    /// retained records in `plan` (canonical post-id order). Each phase
+    /// is one sample of `intel.build.{entries,link,sim}_ns` under the
+    /// output's [`Obs`](smishing_obs::Obs).
     ///
-    /// Reused entries re-intern their key strings, skeletons included, so
-    /// both symbol tables are a pure function of the retained set — a
-    /// reused table would leak evicted strings and break incremental ≡
+    /// Both symbol tables are renumbered in the entries' first-appearance
+    /// order ([`Renumber`]): a reused entry carries its symbols through
+    /// an integer remap, a fresh one interns its key strings, and strings
+    /// no retained entry carries are dropped. The tables are therefore a
+    /// pure function of the retained set, as a from-scratch build's are —
+    /// a reused table would leak evicted strings and break incremental ≡
     /// from-scratch.
     fn assemble_snapshot(
         out: &PipelineOutput<'_>,
@@ -422,6 +446,7 @@ impl IntelSnapshot {
         prev: Option<&IntelSnapshot>,
         plan: Vec<(usize, EntrySource)>,
     ) -> IntelSnapshot {
+        let obs = out.obs();
         let n = plan.len();
         let mut snap = IntelSnapshot {
             built_from_posts: out.collection.iter().map(|(_, s)| s.posts as u64).sum(),
@@ -430,34 +455,30 @@ impl IntelSnapshot {
             opts,
             evicted: out.records.len() - plan.len(),
             seed: out.world.config.seed,
+            entries: Vec::with_capacity(n),
             ..IntelSnapshot::default()
         };
         let mut docs: Vec<DocInput<'_>> = Vec::with_capacity(n);
 
+        let entries_span = obs.span("intel.build.entries_ns");
+        let empty = Interner::default();
+        let mut syms = Renumber::new(prev.map_or(&empty, |p| &p.interner));
+        let mut skeletons = Renumber::new(prev.map_or(&empty, |p| &p.link_keys));
         for &(ri, ref src) in &plan {
             let r = &out.records[ri];
-            let id = snap.entries.len() as u32;
-            let mut sym_into = |key: Option<&str>,
-                                index: fn(&mut IntelSnapshot) -> &mut HashMap<Sym, Vec<u32>>|
-             -> Option<Sym> {
-                let key = key?;
-                let sym = snap.interner.intern(key);
-                index(&mut snap).entry(sym).or_default().push(id);
-                Some(sym)
-            };
-
+            // Key fields are numbered in the order url, domain, sender,
+            // phone, brand on both paths.
             let entry = match *src {
                 EntrySource::Fresh => {
                     let keys = record_keys(r);
-                    let url = sym_into(keys.url.as_deref(), |s| &mut s.by_url);
-                    let domain = sym_into(keys.domain.as_deref(), |s| &mut s.by_domain);
-                    let sender = sym_into(keys.sender.as_deref(), |s| &mut s.by_sender);
-                    let phone = sym_into(keys.phone.as_deref(), |s| &mut s.by_phone);
-                    let brand = sym_into(keys.brand.as_deref(), |s| &mut s.by_brand);
+                    let mut sym = |key: Option<String>| key.map(|k| syms.intern(&k));
+                    let url = sym(keys.url);
+                    let domain = sym(keys.domain);
+                    let sender = sym(keys.sender);
+                    let phone = sym(keys.phone);
+                    let brand = sym(keys.brand);
                     // The skeleton pivot of `linking::pivot_keys`.
-                    let skeleton = snap
-                        .link_keys
-                        .intern(&skeleton_of(&normalize_text(&r.curated.text)));
+                    let skeleton = skeletons.intern(&skeleton_of(&normalize_text(&r.curated.text)));
                     docs.push(DocInput::Text(r.curated.text.as_str()));
                     IntelEntry {
                         post_id: r.curated.post_id,
@@ -490,12 +511,13 @@ impl IntelSnapshot {
                 EntrySource::Reuse { prev_id } => {
                     let prev = prev.expect("reuse plan requires a previous snapshot");
                     let pe = &prev.entries[prev_id as usize];
-                    let url = sym_into(pe.url.map(|s| prev.resolve(s)), |s| &mut s.by_url);
-                    let domain = sym_into(pe.domain.map(|s| prev.resolve(s)), |s| &mut s.by_domain);
-                    let sender = sym_into(pe.sender.map(|s| prev.resolve(s)), |s| &mut s.by_sender);
-                    let phone = sym_into(pe.phone.map(|s| prev.resolve(s)), |s| &mut s.by_phone);
-                    let brand = sym_into(pe.brand.map(|s| prev.resolve(s)), |s| &mut s.by_brand);
-                    let skeleton = snap.link_keys.intern(prev.link_keys.resolve(pe.skeleton));
+                    let mut carry = |sym: Option<Sym>| sym.map(|s| syms.carry(s));
+                    let url = carry(pe.url);
+                    let domain = carry(pe.domain);
+                    let sender = carry(pe.sender);
+                    let phone = carry(pe.phone);
+                    let brand = carry(pe.brand);
+                    let skeleton = skeletons.carry(pe.skeleton);
                     docs.push(DocInput::Reuse(prev_id));
                     IntelEntry {
                         url,
@@ -516,6 +538,18 @@ impl IntelSnapshot {
             };
             snap.entries.push(entry);
         }
+        snap.interner = syms.finish();
+        snap.link_keys = skeletons.finish();
+        let n_syms = snap.interner.len();
+        let index = |key: fn(&IntelEntry) -> Option<Sym>| {
+            SymIndex::build(n_syms, snap.entries.iter().map(key))
+        };
+        snap.by_url = index(|e| e.url);
+        snap.by_domain = index(|e| e.domain);
+        snap.by_sender = index(|e| e.sender);
+        snap.by_phone = index(|e| e.phone);
+        snap.by_brand = index(|e| e.brand);
+        drop(entries_span);
 
         // Campaign-link clusters over the retained entries, on the pivots
         // and anti-hub rule the §5.1 ablation measures, as integer work
@@ -523,7 +557,11 @@ impl IntelSnapshot {
         // weak-key cap is non-monotone (a pivot can cross it as reports
         // accumulate), so a carried union-find would diverge from the
         // from-scratch reference.
-        let (cluster_of, n_clusters) = cluster_by_keys(n, |i| link_keys(&snap.entries[i]));
+        let link_span = obs.span("intel.build.link_ns");
+        let n_syms = snap.interner.len().max(snap.link_keys.len());
+        let (cluster_of, n_clusters) = cluster_by_keys(n, LinkKey::KINDS * n_syms, |i| {
+            link_keys(&snap.entries[i]).map(|(key, strong)| (key.dense(n_syms), strong))
+        });
         snap.clusters = vec![Vec::new(); n_clusters];
         let mut cluster_votes: Vec<HashMap<u32, u32>> = vec![HashMap::new(); n_clusters];
         for (id, (e, &cluster)) in snap.entries.iter_mut().zip(&cluster_of).enumerate() {
@@ -544,6 +582,7 @@ impl IntelSnapshot {
                     .map(|(c, _)| c)
             })
             .collect();
+        drop(link_span);
 
         // Similarity tier: one SimHash doc per entry, in entry order, so
         // doc ids ARE entry ids. Built here so every published epoch
@@ -551,6 +590,7 @@ impl IntelSnapshot {
         // incremental path, reused docs skip shingling + signature work
         // entirely, and the previous template components are repaired
         // where docs left or arrived.
+        let _sim_span = obs.span("intel.build.sim_ns");
         snap.sim = match prev {
             Some(p) => SimIndex::rebuild(p.sim(), docs),
             None => SimIndex::build(snap.entries.iter().map(|e| e.text.as_str())),
@@ -631,11 +671,10 @@ impl IntelSnapshot {
         self.cluster_campaign.get(cluster as usize).copied()?
     }
 
-    fn lookup<'a>(&self, index: &'a HashMap<Sym, Vec<u32>>, key: &str) -> &'a [u32] {
+    fn lookup<'a>(&self, index: &'a SymIndex, key: &str) -> &'a [u32] {
         self.interner
             .get(key)
-            .and_then(|sym| index.get(&sym))
-            .map_or(NO_ENTRIES, |v| v)
+            .map_or(NO_ENTRIES, |sym| index.get(sym))
     }
 
     /// Entries for an exact canonical URL key (already normalized).
@@ -730,11 +769,11 @@ impl IntelSnapshot {
     /// verb reports so an operator can see the store's shape at a glance.
     pub fn index_sizes(&self) -> IndexSizes {
         IndexSizes {
-            urls: self.by_url.len(),
-            domains: self.by_domain.len(),
-            senders: self.by_sender.len(),
-            phones: self.by_phone.len(),
-            brands: self.by_brand.len(),
+            urls: self.by_url.rows(),
+            domains: self.by_domain.rows(),
+            senders: self.by_sender.rows(),
+            phones: self.by_phone.rows(),
+            brands: self.by_brand.rows(),
         }
     }
 
@@ -775,6 +814,48 @@ mod tests {
         assert_eq!(s.len(), out.records.len());
         for (e, r) in s.entries().iter().zip(&out.records) {
             assert_eq!(e.post_id, r.curated.post_id);
+        }
+    }
+
+    /// Every build, full or incremental, records one sample of each
+    /// phase span under its output's handle.
+    #[test]
+    fn each_build_times_its_three_phases() {
+        use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
+        use smishing_core::CurationOptions;
+        use smishing_worldsim::ReportStream;
+
+        let world = world();
+        let obs = Obs::enabled();
+        let every = (world.posts.len() as u64 / 4).max(1);
+        let plan = ExecPlan::default().with_snapshots(SnapshotPlan::every(every));
+        let opts = BuildOptions::default();
+        let mut prev: Option<IntelSnapshot> = None;
+        let mut builds = 0u64;
+        let result = ingest(
+            world,
+            ReportStream::replay(world),
+            &CurationOptions::default(),
+            &plan,
+            &obs,
+            |s| {
+                let delta = SnapshotDelta::new(&s.curated_delta);
+                prev = Some(IntelSnapshot::build_incremental(
+                    &s.output,
+                    prev.as_ref(),
+                    delta,
+                    opts,
+                ));
+                builds += 1;
+            },
+        );
+        let delta = SnapshotDelta::new(&result.curated_delta);
+        IntelSnapshot::build_incremental(&result.output, prev.as_ref(), delta, opts);
+        builds += 1;
+        assert!(builds >= 4, "{builds} builds");
+        for phase in ["entries", "link", "sim"] {
+            let name = format!("intel.build.{phase}_ns");
+            assert_eq!(obs.histogram(&name, &[]).count(), builds, "{name}");
         }
     }
 

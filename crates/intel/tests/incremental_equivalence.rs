@@ -4,10 +4,12 @@
 //! [`IntelSnapshot::build_full`] produces at every epoch — same entries,
 //! same interned symbol table, same similarity signatures and template
 //! ids, same cluster assignment — across shard counts {1, 4} and aging
-//! windows {off, small}. Divergence anywhere (index arrays, evidence
-//! counters, eviction bookkeeping) fails the whole-snapshot equality; a
-//! fuzz pass then re-checks the serve-protocol surface (hit / near /
-//! miss verdict lines) answer-for-answer.
+//! windows {off, small}, and over a 32-epoch chain under the small window
+//! in which key strings die and resurface across many renumberings.
+//! Divergence anywhere (index arrays, evidence counters, eviction
+//! bookkeeping) fails the whole-snapshot equality; a fuzz pass then
+//! re-checks the serve-protocol surface (hit / near / miss verdict lines)
+//! answer-for-answer.
 
 use proptest::prelude::*;
 use smishing_core::exec::{ingest, ExecPlan, SnapshotPlan};
@@ -17,17 +19,35 @@ use smishing_intel::{
 };
 use smishing_obs::Obs;
 use smishing_worldsim::{ReportStream, World, WorldConfig};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
-/// (shards, aging window) — the grid the satellite pins. The small
-/// window is sized (against scale 0.01 / seed 11 timestamps) so the
-/// final epoch both evicts and retains entries.
-const CONFIGS: [(usize, Option<u64>); 4] = [
-    (1, None),
-    (4, None),
-    (1, Some(2_000_000)),
-    (4, Some(2_000_000)),
+/// (shards, aging window, aligned epochs). The small window is sized
+/// (against scale 0.01 / seed 11 timestamps) so the final epoch both
+/// evicts and retains entries. The last, long chain renumbers the symbol
+/// tables at every one of its epochs while the window retires keys and
+/// new reports bring some back.
+const CONFIGS: [(usize, Option<u64>, u64); 5] = [
+    (1, None, 4),
+    (4, None, 4),
+    (1, Some(2_000_000), 4),
+    (4, Some(2_000_000), 4),
+    (1, Some(2_000_000), 32),
 ];
+
+/// Every query-key string of a snapshot's entries.
+fn key_strings(s: &IntelSnapshot) -> Vec<String> {
+    let mut keys: Vec<String> = s
+        .entries()
+        .iter()
+        .flat_map(|e| [e.url, e.domain, e.sender, e.phone, e.brand])
+        .flatten()
+        .map(|sym| s.resolve(sym).to_string())
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
 
 struct Built {
     /// From-scratch build of the end-of-stream output.
@@ -40,14 +60,15 @@ struct Built {
 }
 
 fn built(cfg_idx: usize) -> &'static Built {
-    static CELLS: [OnceLock<Built>; 4] = [
+    static CELLS: [OnceLock<Built>; 5] = [
+        OnceLock::new(),
         OnceLock::new(),
         OnceLock::new(),
         OnceLock::new(),
         OnceLock::new(),
     ];
     CELLS[cfg_idx].get_or_init(|| {
-        let (shards, window_secs) = CONFIGS[cfg_idx];
+        let (shards, window_secs, n_epochs) = CONFIGS[cfg_idx];
         let world = World::generate(WorldConfig {
             scale: 0.01,
             seed: 11,
@@ -55,7 +76,7 @@ fn built(cfg_idx: usize) -> &'static Built {
         });
         let opts = BuildOptions { window_secs };
         let curation = CurationOptions::default();
-        let every = (world.posts.len() as u64 / 4).max(1);
+        let every = (world.posts.len() as u64 / n_epochs).max(1);
         let plan = ExecPlan {
             shards,
             ..ExecPlan::default()
@@ -63,6 +84,10 @@ fn built(cfg_idx: usize) -> &'static Built {
         .with_snapshots(SnapshotPlan::every(every));
         let mut prev: Option<IntelSnapshot> = None;
         let mut epochs = 0u32;
+        // Per key string: the last epoch that held it, and how often it
+        // came back after an epoch without it.
+        let mut last_held: HashMap<String, u32> = HashMap::new();
+        let mut resurfaced = 0u32;
         let result = ingest(
             &world,
             ReportStream::replay(&world),
@@ -83,11 +108,23 @@ fn built(cfg_idx: usize) -> &'static Built {
                      (shards {shards}, window {window_secs:?})",
                     s.at_posts
                 );
+                for key in key_strings(&inc) {
+                    if last_held
+                        .insert(key, epochs)
+                        .is_some_and(|e| e + 1 < epochs)
+                    {
+                        resurfaced += 1;
+                    }
+                }
                 prev = Some(inc);
                 epochs += 1;
             },
         );
         assert!(epochs >= 3, "need a real epoch chain, got {epochs}");
+        if n_epochs >= 32 {
+            assert!(epochs >= 30, "long chain ran {epochs} epochs");
+            assert!(resurfaced > 0, "no key died and came back");
+        }
         let full = IntelSnapshot::build_full(&result.output, opts);
         let inc = IntelSnapshot::build_incremental(
             &result.output,

@@ -194,14 +194,28 @@ impl SimIndex {
     /// survivors, and only edges incident to new docs discovered
     /// ([`cluster::repaired_templates`]). The result is byte-identical to
     /// [`SimIndex::build_with`] over the equivalent text sequence.
+    ///
+    /// The flat arrays are sized once: one slot per doc, and in the pool
+    /// the reused docs' shingle counts plus each new text's byte length,
+    /// which bounds its shingle count unless case folding lengthens the
+    /// text.
     pub fn rebuild<'a, I>(prev: &SimIndex, docs: I) -> SimIndex
     where
         I: IntoIterator<Item = DocInput<'a>>,
     {
         let cfg = prev.cfg;
-        let mut sigs = Vec::new();
-        let mut shingle_pool = Vec::new();
-        let mut shingle_off = vec![0u32];
+        let docs: Vec<DocInput<'a>> = docs.into_iter().collect();
+        let pool_len = docs
+            .iter()
+            .map(|&doc| match doc {
+                DocInput::Text(text) => text.len(),
+                DocInput::Reuse(old) => prev.shingles_of(old).len(),
+            })
+            .sum();
+        let mut sigs = Vec::with_capacity(docs.len());
+        let mut shingle_pool = Vec::with_capacity(pool_len);
+        let mut shingle_off = Vec::with_capacity(docs.len() + 1);
+        shingle_off.push(0u32);
         let mut old_to_new: Vec<Option<u32>> = vec![None; prev.len()];
         let mut fresh: Vec<u32> = Vec::new();
         for doc in docs {

@@ -73,16 +73,19 @@ impl UnionFind {
     }
 
     /// Cluster assignment: element → compacted cluster id (0-based, in
-    /// order of first appearance).
+    /// order of first appearance), numbered through a root-indexed array.
     pub fn clusters(&mut self) -> Vec<usize> {
         let n = self.len();
-        let mut map = std::collections::HashMap::new();
+        let mut id_of_root = vec![usize::MAX; n];
+        let mut next = 0;
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let root = self.find(i);
-            let next = map.len();
-            let id = *map.entry(root).or_insert(next);
-            out.push(id);
+            if id_of_root[root] == usize::MAX {
+                id_of_root[root] = next;
+                next += 1;
+            }
+            out.push(id_of_root[root]);
         }
         out
     }

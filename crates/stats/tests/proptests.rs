@@ -2,6 +2,8 @@
 //! and invariants that must hold on *arbitrary* inputs, not just the
 //! curated fixtures the unit tests use.
 
+mod oracle;
+
 use proptest::prelude::*;
 use smishing_stats::quantile::{five_number_summary, quantile};
 use smishing_stats::{
@@ -180,6 +182,22 @@ proptest! {
                 prop_assert_eq!(ids[i] == ids[j], uf.connected(i, j));
             }
         }
+    }
+
+    /// The root-indexed numbering equals the `HashMap` one it replaced.
+    #[test]
+    fn unionfind_clusters_match_the_map_oracle(
+        n in 0usize..60,
+        edges in prop::collection::vec((0usize..60, 0usize..60), 0..90),
+    ) {
+        let mut uf = UnionFind::new(n);
+        for &(a, b) in &edges {
+            if n > 0 {
+                uf.union(a % n, b % n);
+            }
+        }
+        let mut copy = uf.clone();
+        prop_assert_eq!(uf.clusters(), oracle::clusters(&mut copy));
     }
 
     // ---- Reservoir sampling ----
