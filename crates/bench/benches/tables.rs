@@ -1,7 +1,8 @@
 //! One benchmark per paper table/figure: how long each analysis takes over
 //! the collected dataset (the pipeline output is pre-built and cached).
 //! Accumulator-backed tables time their `finish()` over the output's
-//! merged accumulators, which is all `run_all` pays for them.
+//! accumulators, folded once on the first `accs()` call, which is all
+//! `run_all` pays for them after that fold.
 //!
 //! Bench ids follow DESIGN.md's experiment index: `t01_overview` regenerates
 //! Table 1, `f02_timestamps` Figure 2, and so on.

@@ -68,10 +68,10 @@ fn main() {
         }
     }
     if let Some(s) = positional.get(1) {
-        match parse_seed(s) {
+        match parse_seed("seed", s) {
             Ok(v) => cfg.seed = v,
             Err(e) => {
-                eprintln!("bad seed {s}: {e}");
+                eprintln!("{e}");
                 std::process::exit(2);
             }
         }

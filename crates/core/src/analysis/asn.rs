@@ -87,11 +87,6 @@ impl AsnAcc {
         self.claims.add(domain, r.curated.post_id.0, claim);
     }
 
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: AsnAcc) {
-        self.claims.merge(other.claims);
-    }
-
     /// Produce the batch result.
     pub fn finish(&self) -> AsnUse {
         let mut ips: HashSet<Ipv4Addr> = HashSet::new();

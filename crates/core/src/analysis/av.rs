@@ -94,11 +94,6 @@ impl AvAcc {
         );
     }
 
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: AvAcc) {
-        self.claims.merge(other.claims);
-    }
-
     /// Produce the batch result.
     pub fn finish(&self) -> AvDetection {
         let mut vt = VtThresholds::default();

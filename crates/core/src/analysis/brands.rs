@@ -15,8 +15,7 @@ pub struct Brands {
 }
 
 /// Table 12, weighted over total messages via unique annotations: each
-/// dedup group's winner counts once per report in its evidence. Every
-/// group lives in one shard, so shard merges sum exactly.
+/// dedup group's winner counts once per report in its evidence.
 #[derive(Debug, Clone, Default)]
 pub struct BrandsAcc {
     counts: Counter<String>,
@@ -36,12 +35,6 @@ impl BrandsAcc {
             Some(b) => self.counts.add_n(b.clone(), u64::from(n)),
             None => self.no_brand += n as usize,
         }
-    }
-
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: BrandsAcc) {
-        self.counts.merge(&other.counts);
-        self.no_brand += other.no_brand;
     }
 
     /// Produce the batch result.

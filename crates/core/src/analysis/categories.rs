@@ -18,8 +18,7 @@ pub struct Categories {
 
 /// Table 10. Classification comes from the pipeline's annotator on the
 /// unique records, weighted back over duplicates: each dedup group's
-/// winner counts once per report in its evidence. Every group lives in one
-/// shard, so shard merges sum exactly.
+/// winner counts once per report in its evidence.
 #[derive(Debug, Clone, Default)]
 pub struct CategoriesAcc {
     counts: Counter<ScamType>,
@@ -39,14 +38,6 @@ impl CategoriesAcc {
         self.counts.add_n(scam, n);
         if let Some(lang) = r.annotation.language {
             self.languages.entry(scam).or_default().add_n(lang, n);
-        }
-    }
-
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: CategoriesAcc) {
-        self.counts.merge(&other.counts);
-        for (scam, langs) in other.languages {
-            self.languages.entry(scam).or_default().merge(&langs);
         }
     }
 

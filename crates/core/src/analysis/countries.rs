@@ -89,12 +89,6 @@ impl CountriesAcc {
         })
     }
 
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: CountriesAcc) {
-        self.claims.merge(other.claims);
-        self.hlr_failed.extend(other.hlr_failed);
-    }
-
     /// Produce the batch result.
     pub fn finish(&self) -> Countries {
         let mut all = Counter::new();

@@ -13,9 +13,8 @@ pub struct Languages {
     pub unidentified: usize,
 }
 
-/// Table 11 over the curated total: counts stream in one curated message
-/// at a time and worker states merge losslessly. The count does not depend
-/// on deduplication, so curators fold each message next to its post.
+/// Table 11 over the curated total, one curated message at a time,
+/// duplicates included: the count does not depend on deduplication.
 #[derive(Debug, Clone, Default)]
 pub struct LanguagesAcc {
     counts: Counter<Language>,
@@ -34,12 +33,6 @@ impl LanguagesAcc {
             Some(l) => self.counts.add(l),
             None => self.unidentified += 1,
         }
-    }
-
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: LanguagesAcc) {
-        self.counts.merge(&other.counts);
-        self.unidentified += other.unidentified;
     }
 
     /// Produce the batch result.

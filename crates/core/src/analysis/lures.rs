@@ -20,8 +20,7 @@ pub struct Lures {
 }
 
 /// Table 13 over the unique records. Lure counting has no internal
-/// deduplication: each dedup winner is folded once, at the cut, and shard
-/// states merge by summing.
+/// deduplication: each dedup winner is folded once.
 #[derive(Debug, Clone, Default)]
 pub struct LuresAcc {
     counts: Counter<Lure>,
@@ -45,14 +44,6 @@ impl LuresAcc {
             self.counts.add(lure);
             self.by_scam.add((scam, lure));
         }
-    }
-
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: LuresAcc) {
-        self.counts.merge(&other.counts);
-        self.by_scam.merge(&other.by_scam);
-        self.scam_totals.merge(&other.scam_totals);
-        self.n += other.n;
     }
 
     /// Produce the batch result.

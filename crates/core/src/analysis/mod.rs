@@ -28,11 +28,12 @@
 //! The modules behind Tables 1 and 3–18 and Figures 2–3 expose an
 //! incremental accumulator (`OverviewAcc`, `TldAcc`, …) instead of a
 //! function over a [`PipelineOutput`](crate::pipeline::PipelineOutput):
-//! the engine's curators fold the per-post and per-message ones during
-//! ingest, every output folds each dedup group into the bundle the first
-//! time `accs()` is called, and `out.accs().<module>.finish()` renders the
-//! table.
-//! The remaining modules compute their artifacts directly.
+//! every output folds its collection stats, curated messages and dedup
+//! groups into the bundle in one sequential pass the first time `accs()`
+//! is called, and `out.accs().<module>.finish()` renders the table. Only
+//! Table 1's post and image columns and Table 15 need raw posts, which
+//! the engine's curators count during ingest. The remaining modules
+//! compute their artifacts directly.
 
 pub mod asn;
 pub mod av;

@@ -1,6 +1,7 @@
 //! Table 1 (dataset overview per forum) and Table 15 (yearly Twitter
 //! distribution).
 
+use crate::collect::CollectionStats;
 use crate::curation::CuratedMessage;
 use crate::enrich::Evidence;
 use crate::table::{count_pct, group_thousands, TextTable};
@@ -38,15 +39,14 @@ pub struct Overview {
     pub rows: Vec<ForumRow>,
 }
 
-/// Table 1: post-level counts arrive via [`OverviewAcc::add_post`],
-/// message-level counts via [`OverviewAcc::add_curated`], and the unique
-/// messages per forum via [`OverviewAcc::add_group`], once per dedup
-/// group. The sender and URL columns count the distinct keys and the total
-/// of one multiset each, so worker merges sum exactly.
+/// Table 1: the post and image columns arrive as each forum's collection
+/// stats via [`OverviewAcc::add_collection`], message-level counts via
+/// [`OverviewAcc::add_curated`], and the unique messages per forum via
+/// [`OverviewAcc::add_group`], once per dedup group. The sender and URL
+/// columns count the distinct keys and the total of one multiset each.
 #[derive(Debug, Clone, Default)]
 pub struct OverviewAcc {
-    posts: Counter<Forum>,
-    images: Counter<Forum>,
+    collection: HashMap<Forum, CollectionStats>,
     msgs: Counter<Forum>,
     unique_msgs: Counter<Forum>,
     senders: HashMap<Forum, Counter<String>>,
@@ -59,12 +59,11 @@ impl OverviewAcc {
         Self::default()
     }
 
-    /// Fold in one collected post.
-    pub fn add_post(&mut self, forum: Forum, has_image: bool) {
-        self.posts.add(forum);
-        if has_image {
-            self.images.add(forum);
-        }
+    /// Fold in one forum's collection stats: its posts and images.
+    pub fn add_collection(&mut self, forum: Forum, stats: &CollectionStats) {
+        let e = self.collection.entry(forum).or_default();
+        e.posts += stats.posts;
+        e.images += stats.images;
     }
 
     /// Fold in one curated message.
@@ -88,20 +87,6 @@ impl OverviewAcc {
         }
     }
 
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: OverviewAcc) {
-        self.posts.merge(&other.posts);
-        self.images.merge(&other.images);
-        self.msgs.merge(&other.msgs);
-        self.unique_msgs.merge(&other.unique_msgs);
-        for (f, c) in other.senders {
-            self.senders.entry(f).or_default().merge(&c);
-        }
-        for (f, c) in other.urls {
-            self.urls.entry(f).or_default().merge(&c);
-        }
-    }
-
     /// Produce the batch result.
     pub fn finish(&self) -> Overview {
         let empty = Counter::new();
@@ -109,10 +94,11 @@ impl OverviewAcc {
         for &forum in Forum::ALL {
             let senders = self.senders.get(&forum).unwrap_or(&empty);
             let urls = self.urls.get(&forum).unwrap_or(&empty);
+            let collected = self.collection.get(&forum).copied().unwrap_or_default();
             rows.push(ForumRow {
                 forum,
-                posts: self.posts.get(&forum) as usize,
-                images: self.images.get(&forum) as usize,
+                posts: collected.posts,
+                images: collected.images,
                 msgs_unique: self.unique_msgs.get(&forum) as usize,
                 msgs_total: self.msgs.get(&forum) as usize,
                 senders_unique: senders.distinct(),
@@ -197,7 +183,9 @@ impl Overview {
     }
 }
 
-/// Table 15: per-year Twitter post and image-attachment counts.
+/// Table 15: per-year Twitter post and image-attachment counts. The
+/// output keeps no posts, so the engine's curators count them during
+/// ingest and its collector merges each curator's interval.
 #[derive(Debug, Clone, Default)]
 pub struct TwitterYearsAcc {
     posts: Counter<i32>,
@@ -218,7 +206,7 @@ impl TwitterYearsAcc {
         }
     }
 
-    /// Absorb another shard's accumulator.
+    /// Absorb another curator's counts.
     pub fn merge(&mut self, other: TwitterYearsAcc) {
         self.posts.merge(&other.posts);
         self.images.merge(&other.images);

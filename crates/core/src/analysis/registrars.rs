@@ -64,11 +64,6 @@ impl RegistrarsAcc {
         );
     }
 
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: RegistrarsAcc) {
-        self.claims.merge(other.claims);
-    }
-
     /// Produce the batch result.
     pub fn finish(&self) -> Registrars {
         let mut counts = Counter::new();

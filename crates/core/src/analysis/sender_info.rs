@@ -37,9 +37,8 @@ struct SenderClaim {
 /// Sender measurements over unique sender IDs (Tables 3 and 4). Sender
 /// uniqueness is first-wins in `post_id` order, so the accumulator keeps
 /// the lowest claim per sender and counts only the winners at
-/// [`SenderInfoAcc::finish`]; one sender can span dedup groups on several
-/// shards, and shard merges keep the lowest claim exactly as the batch
-/// pass would.
+/// [`SenderInfoAcc::finish`], exactly as the batch pass would. One sender
+/// can span several dedup groups.
 #[derive(Debug, Clone, Default)]
 pub struct SenderInfoAcc {
     claims: FirstClaim<String, SenderClaim>,
@@ -67,11 +66,6 @@ impl SenderInfoAcc {
                 hlr_failed: r.is_missing(MissingField::Hlr),
             },
         );
-    }
-
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: SenderInfoAcc) {
-        self.claims.merge(other.claims);
     }
 
     /// Produce the batch result.

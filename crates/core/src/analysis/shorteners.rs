@@ -54,11 +54,6 @@ impl ShortenerAcc {
         );
     }
 
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: ShortenerAcc) {
-        self.claims.merge(other.claims);
-    }
-
     /// Produce the batch result.
     pub fn finish(&self) -> ShortenerUse {
         let mut services = Counter::new();

@@ -20,10 +20,10 @@ pub struct SendTimes {
 }
 
 /// Figure 2 data: the sample multiset accumulates one curated message at
-/// a time and merges across workers; the burst filter and per-weekday
-/// grouping are applied at [`SendTimesAcc::finish`]. All downstream
-/// statistics (medians, KS tests, quantiles) are multiset functions, so
-/// the reconstructed sample order is irrelevant.
+/// a time; the burst filter and per-weekday grouping are applied at
+/// [`SendTimesAcc::finish`]. All downstream statistics (medians, KS tests,
+/// quantiles) are multiset functions, so the reconstructed sample order is
+/// irrelevant.
 #[derive(Debug, Clone, Default)]
 pub struct SendTimesAcc {
     samples: Counter<(Weekday, u32)>,
@@ -46,13 +46,6 @@ impl SendTimesAcc {
             }
             None => self.excluded += 1,
         }
-    }
-
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: SendTimesAcc) {
-        self.samples.merge(&other.samples);
-        self.usable += other.usable;
-        self.excluded += other.excluded;
     }
 
     /// Produce the batch result. `remove_bursts` drops any exact (minute,

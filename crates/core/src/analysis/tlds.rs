@@ -60,11 +60,6 @@ impl TldAcc {
         );
     }
 
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: TldAcc) {
-        self.claims.merge(other.claims);
-    }
-
     /// Produce the batch result.
     pub fn finish(&self) -> TldUse {
         let mut smishing_tlds: Counter<String> = Counter::new();

@@ -43,11 +43,6 @@ impl TlsAcc {
         self.claims.add(domain, r.curated.post_id.0, issuers);
     }
 
-    /// Absorb another shard's accumulator.
-    pub fn merge(&mut self, other: TlsAcc) {
-        self.claims.merge(other.claims);
-    }
-
     /// Produce the batch result.
     pub fn finish(&self) -> TlsUse {
         let mut certs_per_ca = Counter::new();

@@ -1,18 +1,20 @@
-//! The per-worker analysis state: every incremental accumulator from
-//! `crate::analysis`, bundled with uniform `add`/`merge` entry
-//! points.
+//! Every accumulator-backed artifact in one bundle, folded once per
+//! output.
 //!
-//! Each engine curator owns one [`AnalysisAccs`] and feeds the post- and
-//! message-level accumulators, which do not depend on deduplication
-//! (Table 1's volume columns, Tables 11 and 15, Figure 2). The engine's
-//! collector merges what each curator folded since its last cut into one
-//! running bundle. Each dedup group is folded once, through its winner and
-//! the evidence it carries ([`AnalysisAccs::add_group`]), when a consumer
-//! first asks a [`PipelineOutput`](crate::pipeline::PipelineOutput) for
-//! its [`accs`](crate::pipeline::PipelineOutput::accs). No fold is ever
-//! withdrawn, and merges are exact and order-free, so the result is
-//! exactly the state a single sequential pass would have built: the one
-//! fold behind every accumulator-backed table, mid-stream or final.
+//! [`AnalysisAccs`] holds every incremental accumulator from
+//! `crate::analysis`. A [`PipelineOutput`](crate::pipeline::PipelineOutput)
+//! builds it the first time a consumer asks for its
+//! [`accs`](crate::pipeline::PipelineOutput::accs), in one sequential pass
+//! over what the output keeps: Table 1's post and image columns from the
+//! per-forum collection stats and Table 15 from the per-year Twitter
+//! counts (the only two artifacts that need raw posts, which the engine's
+//! curators count during ingest), then every curated message
+//! ([`AnalysisAccs::add_curated`]), then each dedup group once, through
+//! its winner and the evidence it carries ([`AnalysisAccs::add_group`]).
+//! Messages and records are held in post-id order, so the bundle is
+//! exactly the state a single sequential pass over the posts would have
+//! built: the one fold behind every accumulator-backed table, mid-stream
+//! or final.
 
 use crate::analysis::asn::AsnAcc;
 use crate::analysis::av::AvAcc;
@@ -31,16 +33,14 @@ use crate::analysis::tls::TlsAcc;
 use crate::curation::CuratedMessage;
 use crate::enrich::EnrichedRecord;
 use crate::table::TextTable;
-use smishing_types::Forum;
-use smishing_worldsim::Post;
 
-/// Every incremental analysis accumulator, mergeable across shards.
+/// Every incremental analysis accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisAccs {
-    /// Table 1 (posts/images arrive per post, message columns per curated
-    /// message, unique messages per dedup group).
+    /// Table 1 (post and image columns from the collection stats, message
+    /// columns per curated message, unique messages per dedup group).
     pub overview: OverviewAcc,
-    /// Table 15.
+    /// Table 15 (Twitter posts and images per year).
     pub twitter_years: TwitterYearsAcc,
     /// Table 11.
     pub languages: LanguagesAcc,
@@ -80,18 +80,9 @@ impl AnalysisAccs {
         Self::default()
     }
 
-    /// Fold in one collected post (curation-worker side: raw volume).
-    pub fn add_post(&mut self, post: &Post) {
-        let has_image = post.body.has_image();
-        self.overview.add_post(post.forum, has_image);
-        if post.forum == Forum::Twitter {
-            self.twitter_years
-                .add_post(post.posted_at.year(), has_image);
-        }
-    }
-
-    /// Fold in one curated message, duplicates included (curation-worker
-    /// side: none of these columns depends on deduplication).
+    /// Fold in one curated message, duplicates included: Table 1's
+    /// message, sender and URL columns, Table 11 and Figure 2, none of
+    /// which depends on deduplication.
     pub fn add_curated(&mut self, c: &CuratedMessage) {
         self.overview.add_curated(c);
         self.languages.add_curated(c);
@@ -121,26 +112,6 @@ impl AnalysisAccs {
         if r.is_degraded() {
             self.degraded_records += 1;
         }
-    }
-
-    /// Absorb another worker's bundle.
-    pub fn merge(&mut self, other: AnalysisAccs) {
-        self.overview.merge(other.overview);
-        self.twitter_years.merge(other.twitter_years);
-        self.languages.merge(other.languages);
-        self.send_times.merge(other.send_times);
-        self.categories.merge(other.categories);
-        self.brands.merge(other.brands);
-        self.lures.merge(other.lures);
-        self.sender_info.merge(other.sender_info);
-        self.shorteners.merge(other.shorteners);
-        self.tlds.merge(other.tlds);
-        self.tls.merge(other.tls);
-        self.asn.merge(other.asn);
-        self.av.merge(other.av);
-        self.countries.merge(other.countries);
-        self.registrars.merge(other.registrars);
-        self.degraded_records += other.degraded_records;
     }
 
     /// Render every table the accumulators cover, mid-stream or final,

@@ -16,12 +16,13 @@
 //!   [`ReportStream`](smishing_worldsim::ReportStream) yields owned ones.
 //!   A full channel blocks the feeder — real backpressure, bounded
 //!   memory.
-//! * **Curators** run the pure per-post curation (`curate_post`), own the
-//!   accumulators that do not depend on deduplication (Table 1's volume
-//!   and message columns, Tables 11 and 15, Figure 2), derive each curated
-//!   message's dedup key and send the message with its key to the analyst
-//!   shard owning that key. At every cut a curator hands the collector
-//!   what it folded since its previous cut and starts afresh.
+//! * **Curators** run the pure per-post curation (`curate_post`), derive
+//!   each curated message's dedup key and send the message with its key to
+//!   the analyst shard owning that key. They count only what the output
+//!   does not keep: posts and images per forum ([`CollectionStats`]) and
+//!   Table 15's Twitter posts and images per year. At every cut a curator
+//!   hands the collector its counts since its previous cut and starts
+//!   afresh.
 //! * **Analyst shards** each own a [`GroupTable`]: the per-key dedup
 //!   winner (minimum post id) with its group's report evidence. It is the
 //!   program's only dedup-group table. Enrichment runs through the
@@ -43,16 +44,16 @@
 //!   overtook a slower curator's marker. The end of the stream is one more
 //!   cut, taken by every worker once its input closes.
 //! * The **collector** folds each complete cut, in cut order, into its one
-//!   running copy: the curators' accumulators and collection stats, the
-//!   shards' winner deltas, merged into the post-id-sorted records in one
-//!   pass ([`WinnerDelta::merge_into`]), and the interval's curated
-//!   messages, merged the same way into the post-id-sorted history of
-//!   shared handles. No cut clones, folds or frees an unchanged record or
-//!   message. The collector lends
-//!   that copy to `on_snapshot` as a [`StreamSnapshot`], equal to the batch
-//!   pipeline over exactly the first `k` posts, while ingestion continues
-//!   behind it, and hands it over as the end-of-stream output. The dedup
-//!   groups are folded into the tables only when a consumer asks for them
+//!   running copy: the curators' counts, summed; the shards' winner
+//!   deltas, merged into the post-id-sorted records in one pass
+//!   ([`WinnerDelta::merge_into`]); and the interval's curated messages,
+//!   merged the same way into the post-id-sorted history of shared
+//!   handles. No cut clones, folds or frees an unchanged record or
+//!   message. The collector lends that copy to `on_snapshot` as a
+//!   [`StreamSnapshot`], equal to the batch pipeline over exactly the
+//!   first `k` posts, while ingestion continues behind it, and hands it
+//!   over as the end-of-stream output. The messages and groups are folded
+//!   into the tables only when a consumer asks for them
 //!   ([`PipelineOutput::accs`]), once per cut at most, so consumers that
 //!   read only records and counts never pay for it.
 //!
@@ -89,10 +90,9 @@
 //! through the shared registry, and
 //! `exec.engine.{degraded_records,uncounted_drops}` summarize the run).
 //! Per-shard enrichment, cut and delta histograms are additionally
-//! combined with `Histogram::merge_from` into a `shard="all"` series —
-//! exact, like the accumulators' `merge()`. With a no-op handle every
-//! instrumentation point short-circuits and the engine runs the
-//! pre-observability code path.
+//! combined, exactly, with `Histogram::merge_from` into a `shard="all"`
+//! series. With a no-op handle every instrumentation point short-circuits
+//! and the engine runs the pre-observability code path.
 //!
 //! # Worker panics
 //!
@@ -104,8 +104,8 @@
 //! `on_snapshot` unwinds the collector, whose closed channel winds the
 //! workers down the same way before it re-raises.
 
-use super::accs::AnalysisAccs;
 use super::{ExecPlan, SnapshotPlan};
+use crate::analysis::overview::TwitterYearsAcc;
 use crate::collect::CollectionStats;
 use crate::curation::{curate_post, CuratedMessage, CurationOptions};
 use crate::enrich::{EnrichedRecord, EnricherRegistry, ResilientClient};
@@ -129,8 +129,8 @@ pub struct StreamSnapshot<'w> {
     /// How many posts the snapshot covers.
     pub at_posts: u64,
     /// Batch-equivalent assembled output (render the accumulator-backed
-    /// tables via [`AnalysisAccs::tables`] on its
-    /// [`accs()`](PipelineOutput::accs), which folds them on first use).
+    /// tables from its [`accs()`](PipelineOutput::accs), which folds them
+    /// on first use).
     pub output: PipelineOutput<'w>,
     /// Curated messages (duplicates included) that arrived since the
     /// previous snapshot marker — the delta an incremental consumer
@@ -144,8 +144,8 @@ pub struct StreamSnapshot<'w> {
 
 /// The end-of-stream result.
 pub struct IngestResult<'w> {
-    /// Assembled output, merged accumulators included — identical to
-    /// `Pipeline::run` over the same posts.
+    /// Assembled output, identical to `Pipeline::run` over the same
+    /// posts.
     pub output: PipelineOutput<'w>,
     /// Curated messages that arrived after the last snapshot marker (the
     /// whole stream when no snapshot fired). Sorted by post id.
@@ -183,11 +183,11 @@ const END: u64 = u64::MAX;
 /// One worker's part of cut `id`: marker `id`, or [`END`].
 #[derive(Debug)]
 enum CollectorMsg {
-    /// What a curator folded since its previous cut.
+    /// What a curator counted since its previous cut.
     Curator {
         id: u64,
-        accs: Box<AnalysisAccs>,
         collection: HashMap<Forum, CollectionStats>,
+        twitter_years: TwitterYearsAcc,
     },
     /// A shard's winner delta since its previous cut, and the curated
     /// messages it took in over the same interval.
@@ -384,7 +384,7 @@ impl<'w> StreamSnapshot<'w> {
                     .collect(),
                 curated_total: Vec::new(),
                 records: Vec::new(),
-                curator_accs: AnalysisAccs::new(),
+                twitter_years: TwitterYearsAcc::new(),
                 folded: OnceLock::new(),
                 obs: obs.clone(),
             },
@@ -398,13 +398,11 @@ impl<'w> StreamSnapshot<'w> {
     /// stream: whatever order parts arrive in, `curated_total`,
     /// `curated_delta` and `records` leave sorted by post id and
     /// `collection` lists forums in `Forum::ALL` order. The curators'
-    /// intervals merge into the running per-post and per-message
-    /// accumulators and collection stats (merges are exact and
-    /// order-free), the shards' winner deltas merge into the records, and
-    /// the group fold is dropped, to be redone on demand
-    /// ([`PipelineOutput::accs`]). Everything grows by the interval alone:
-    /// the records and the history are merged by handle, and no unchanged
-    /// record or message is read, copied or freed.
+    /// counts add to the running ones, the shards' winner deltas merge
+    /// into the records, and the tables' fold is dropped, to be redone on
+    /// demand ([`PipelineOutput::accs`]). Everything grows by the interval
+    /// alone: the records and the history are merged by handle, and no
+    /// unchanged record or message is read, copied or freed.
     fn fold(&mut self, parts: Vec<CollectorMsg>) {
         let out = &mut self.output;
         let mut winners = WinnerDelta::default();
@@ -412,9 +410,11 @@ impl<'w> StreamSnapshot<'w> {
         for part in parts {
             match part {
                 CollectorMsg::Curator {
-                    accs, collection, ..
+                    collection,
+                    twitter_years,
+                    ..
                 } => {
-                    out.curator_accs.merge(*accs);
+                    out.twitter_years.merge(twitter_years);
                     for (forum, stats) in collection {
                         if let Some((_, e)) = out.collection.iter_mut().find(|(f, _)| *f == forum) {
                             e.posts += stats.posts;
@@ -557,7 +557,7 @@ where
             }
         });
 
-        // Curators: pure per-post curation + the dedup-free accumulators.
+        // Curators: pure per-post curation + the post counts.
         for (curator_idx, rx) in curator_rxs.into_iter().enumerate() {
             s.spawn({
                 let shard_txs = shard_txs.clone();
@@ -575,23 +575,23 @@ where
                             obs.counter("exec.curator.curated", &[("curator", &label)]);
                         let blocked = obs.counter("exec.curator.blocked_sends", &[]);
                         let wait = obs.histogram("exec.curator.backpressure_wait_ns", &[]);
-                        // Both fold only the interval since the last cut.
-                        let mut accs = AnalysisAccs::new();
+                        // Both count only the interval since the last cut.
                         let mut collection: HashMap<Forum, CollectionStats> = HashMap::new();
+                        let mut twitter_years = TwitterYearsAcc::new();
                         for msg in rx.iter() {
                             match msg {
                                 CuratorMsg::Post(post) => {
                                     let post: &Post = post.borrow();
                                     posts_counter.inc();
-                                    accs.add_post(post);
+                                    let has_image = post.body.has_image();
                                     let e = collection.entry(post.forum).or_default();
                                     e.posts += 1;
-                                    if post.body.has_image() {
-                                        e.images += 1;
+                                    e.images += usize::from(has_image);
+                                    if post.forum == Forum::Twitter {
+                                        twitter_years.add_post(post.posted_at.year(), has_image);
                                     }
                                     if let Some(c) = curate_ns.time(|| curate_post(post, &opts)) {
                                         curated_counter.inc();
-                                        accs.add_curated(&c);
                                         // Derived once: the key routes the
                                         // message and keys the shard's
                                         // group table.
@@ -610,8 +610,8 @@ where
                                 CuratorMsg::Marker { id } => {
                                     let part = CollectorMsg::Curator {
                                         id,
-                                        accs: Box::new(mem::take(&mut accs)),
                                         collection: mem::take(&mut collection),
+                                        twitter_years: mem::take(&mut twitter_years),
                                     };
                                     if collector_tx.send(part).is_err() {
                                         return;
@@ -630,8 +630,8 @@ where
                         }
                         let _ = collector_tx.send(CollectorMsg::Curator {
                             id: END,
-                            accs: Box::new(accs),
                             collection,
+                            twitter_years,
                         });
                     });
                     if let Err(payload) = catch_unwind(body) {
@@ -794,8 +794,7 @@ where
     }
 
     if observing {
-        // Exact cross-shard combination of the per-shard histograms,
-        // mirroring the accumulators' merge().
+        // Exact cross-shard combination of the per-shard histograms.
         for (name, per) in [
             ("exec.shard.enrich_ns", &shard_enrich),
             ("exec.shard.cut_ns", &shard_cut),

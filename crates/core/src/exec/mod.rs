@@ -73,7 +73,8 @@ impl SnapshotPlan {
 pub struct ExecPlan {
     /// Curation workers.
     pub curators: usize,
-    /// Analyst shards (each owns a full accumulator bundle).
+    /// Analyst shards (each owns a [`GroupTable`] over the dedup keys
+    /// routed to it, and folds nothing).
     pub shards: usize,
     /// Capacity of every channel; a full channel blocks the producer.
     pub channel_capacity: usize,

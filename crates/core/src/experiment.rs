@@ -45,9 +45,10 @@ fn timed<T>(obs: &Obs, module: &str, f: impl FnOnce() -> T) -> T {
 
 /// Run every experiment against a pipeline output, timing each
 /// analysis-module invocation. The accumulator-backed artifacts (T1,
-/// T3–T18, F2, F3) render from the output's accumulators, folded first
-/// (under their own span, `pipeline.group_fold.wall_ns`) when no consumer
-/// asked for them yet, so each module's span times its `finish()`. Pass
+/// T3–T18, F2, F3) render from the output's accumulators, folded first in
+/// one pass (under its own span, `pipeline.group_fold.wall_ns`) when no
+/// consumer asked for them yet, so each module's span times its
+/// `finish()`. Pass
 /// [`Obs::noop`] for an unobserved run — every span short-circuits.
 pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     let _span = obs.span("analysis.run_all.wall_ns");

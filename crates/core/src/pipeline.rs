@@ -11,12 +11,15 @@
 //! that pin schedule-dependent *metrics* use
 //! [`ExecPlan::sequential`](crate::exec::ExecPlan::sequential).
 //!
-//! The output also carries the engine's accumulators
-//! ([`PipelineOutput::accs`]): the curators fold every post and curated
-//! message during ingest, and each dedup group is folded once, through its
-//! winner, the first time a consumer asks for a table. Every
-//! accumulator-backed table renders from that bundle with `finish()`.
+//! The output folds its accumulators on demand
+//! ([`PipelineOutput::accs`]): the first time a consumer asks for a table,
+//! one sequential pass folds the collection stats, every curated message
+//! and each dedup group, through its winner. The engine's curators count
+//! only what the output does not keep: posts and images per forum and
+//! Table 15's Twitter posts and images per year. Every accumulator-backed
+//! table renders from that bundle with `finish()`.
 
+use crate::analysis::overview::TwitterYearsAcc;
 use crate::collect::CollectionStats;
 use crate::curation::{CuratedMessage, CurationOptions};
 use crate::enrich::EnrichedRecord;
@@ -52,13 +55,13 @@ pub struct PipelineOutput<'w> {
     /// each carrying its dedup group's report evidence. The engine shares
     /// them with its shards and with every snapshot by handle.
     pub records: Vec<Arc<EnrichedRecord>>,
-    /// The per-post and per-message half of [`accs`](Self::accs), which
-    /// the engine's curators fold during ingest.
-    pub(crate) curator_accs: AnalysisAccs,
-    /// `curator_accs` with every record's group folded in: filled on the
-    /// first [`accs`](Self::accs) call, emptied by the engine's next cut.
+    /// Table 15's Twitter posts and images per year, which the engine's
+    /// curators count during ingest: the output keeps no posts.
+    pub(crate) twitter_years: TwitterYearsAcc,
+    /// Every accumulator folded over this output: filled on the first
+    /// [`accs`](Self::accs) call, emptied by the engine's next cut.
     pub(crate) folded: OnceLock<AnalysisAccs>,
-    /// The run's handle, which times the group fold.
+    /// The run's handle, which times the fold.
     pub(crate) obs: Obs,
 }
 
@@ -131,22 +134,35 @@ impl<'w> PipelineOutput<'w> {
             collection,
             curated_total,
             records,
-            curator_accs: AnalysisAccs::new(),
+            twitter_years: TwitterYearsAcc::new(),
             folded: OnceLock::from(accs),
             obs: Obs::noop(),
         }
     }
 
-    /// The engine's accumulators over exactly these posts, curated
-    /// messages and records: render an accumulator-backed table with
-    /// `accs().<module>.finish()`. The first call folds each dedup group
-    /// once, through its winner and the evidence it carries
-    /// ([`AnalysisAccs::add_group`]), under `pipeline.group_fold.wall_ns`;
-    /// later calls, and clones of this output, reuse that fold.
+    /// The accumulators over exactly these posts, curated messages and
+    /// records: render an accumulator-backed table with
+    /// `accs().<module>.finish()`. The first call builds them in one
+    /// sequential pass under `pipeline.group_fold.wall_ns`: Table 1's post
+    /// and image columns from [`collection`](Self::collection), Table 15
+    /// from the curators' per-year counts, every curated message once
+    /// ([`AnalysisAccs::add_curated`]), then each dedup group once, through
+    /// its winner and the evidence it carries
+    /// ([`AnalysisAccs::add_group`]). Later calls, and clones of this
+    /// output, reuse that fold.
     pub fn accs(&self) -> &AnalysisAccs {
         self.folded.get_or_init(|| {
             let _span = self.obs.span("pipeline.group_fold.wall_ns");
-            let mut accs = self.curator_accs.clone();
+            let mut accs = AnalysisAccs {
+                twitter_years: self.twitter_years.clone(),
+                ..AnalysisAccs::new()
+            };
+            for (forum, stats) in &self.collection {
+                accs.overview.add_collection(*forum, stats);
+            }
+            for c in &self.curated_total {
+                accs.add_curated(c);
+            }
             for r in &self.records {
                 accs.add_group(r);
             }

@@ -129,14 +129,15 @@ pub fn parse_count(flag: &str, s: &str, min: usize, max: usize) -> Result<usize,
     }
 }
 
-/// Parse a seed: decimal, or hex with an `0x` prefix.
-pub fn parse_seed(s: &str) -> Result<u64, String> {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).map_err(|e| e.to_string())
-    } else {
-        s.parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())
+/// Parse the value of the seed flag `flag` (`--seed`, or `repro`'s
+/// positional `seed`): decimal, or hex with an `0x` prefix, from 0 to
+/// 2^64-1.
+pub fn parse_seed(flag: &str, s: &str) -> Result<u64, String> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
     }
+    .map_err(|_| format!("bad {flag} {s}: must be decimal or 0x hex, from 0 to 2^64-1"))
 }
 
 impl RunConfig {
@@ -164,7 +165,7 @@ impl RunConfig {
         };
         match flag {
             "--scale" => self.scale = parse_scale(&take("--scale")?)?,
-            "--seed" => self.seed = parse_seed(&take("--seed")?)?,
+            "--seed" => self.seed = parse_seed("--seed", &take("--seed")?)?,
             "--shards" => self.exec.shards = count("--shards", 1, MAX_THREADS)?,
             "--curators" => self.exec.curators = count("--curators", 1, MAX_THREADS)?,
             "--channel-capacity" => {
@@ -436,8 +437,27 @@ mod tests {
 
     #[test]
     fn seeds_parse_decimal_and_hex() {
-        assert_eq!(parse_seed("10").unwrap(), 10);
-        assert_eq!(parse_seed("0xF15F").unwrap(), 0xF15F);
-        assert!(parse_seed("0xZZ").is_err());
+        assert_eq!(parse_seed("--seed", "10").unwrap(), 10);
+        assert_eq!(parse_seed("--seed", "0xF15F").unwrap(), 0xF15F);
+        assert_eq!(
+            parse_seed("--seed", "18446744073709551615").unwrap(),
+            u64::MAX
+        );
+        assert_eq!(parse_seed("seed", "0xffffffffffffffff").unwrap(), u64::MAX);
+        let mut cfg = RunConfig::default();
+        for bad in ["abc", "-3", "99999999999999999999", "0xZZ", "0x", "", "1.5"] {
+            let err = parse(&mut cfg, &["--seed", bad]).unwrap_err();
+            assert_eq!(
+                err,
+                format!("bad --seed {bad}: must be decimal or 0x hex, from 0 to 2^64-1")
+            );
+        }
+        assert_eq!(
+            cfg.seed,
+            RunConfig::default().seed,
+            "rejected values never land"
+        );
+        let err = parse_seed("seed", "abc").unwrap_err();
+        assert!(err.starts_with("bad seed abc: must be"), "{err}");
     }
 }

@@ -130,6 +130,51 @@ fn mid_stream_snapshot_equals_batch_over_prefix() {
     assert_eq!(snaps, 1);
 }
 
+/// Every accumulator table a run's consecutive snapshots fold, and its
+/// end-of-stream output folds, renders exactly as the batch run over that
+/// prefix: each cut drops the previous cut's fold, so no snapshot's
+/// tables (T1's message, sender and URL columns, T11 and F2 included)
+/// lag behind its records.
+#[test]
+fn folds_at_consecutive_snapshots_equal_batch_over_each_prefix() {
+    let w = world();
+    let n = w.posts.len() as u64;
+    let at: Vec<u64> = (1..=4).map(|i| n * i / 5).collect();
+    let tables = |out: &PipelineOutput<'_>| -> Vec<(&'static str, String)> {
+        let tables = out.accs().tables().into_iter();
+        tables.map(|(id, t)| (id, t.to_string())).collect()
+    };
+    let prefix_tables: Vec<_> = at
+        .iter()
+        .map(|&k| {
+            let mut prefix_world = world();
+            prefix_world.posts.truncate(k as usize);
+            tables(&Pipeline::default().run(&prefix_world, &Obs::noop()))
+        })
+        .collect();
+    let mut snaps = 0;
+    let result = ingest(
+        &w,
+        ReportStream::replay(&w),
+        &CurationOptions::default(),
+        &plan(3, 2).with_snapshots(SnapshotPlan::at(&at)),
+        &Obs::noop(),
+        |snap| {
+            assert_eq!(snap.at_posts, at[snaps]);
+            assert_eq!(
+                tables(&snap.output),
+                prefix_tables[snaps],
+                "snapshot at {} posts",
+                snap.at_posts
+            );
+            snaps += 1;
+        },
+    );
+    assert_eq!(snaps, 4);
+    let batch = Pipeline::default().run(&w, &Obs::noop());
+    assert_eq!(tables(&result.output), tables(&batch), "end of stream");
+}
+
 /// The curated deltas partition the curated history: each is sorted by
 /// post id, and together they hold every snapshot's `curated_total` and,
 /// with the end-of-stream delta, the run's, each message once, at any

@@ -33,7 +33,7 @@
 //! `intel.serve.near_ns` histograms (plus the candidate-set sizes into
 //! `intel.serve.near_candidates`) and the `intel.serve.*` counters of
 //! the run report. Every `err` reply also counts under
-//! `intel.serve.rejected{reason=…}`, labelled by one of the five fixed
+//! `intel.serve.rejected{reason=…}`, labelled by one of the six fixed
 //! [`Reject`] classes and never by the raw command, so hostile input
 //! cannot grow the series. Every non-blank line but `quit` and an
 //! answered verb thus counts once: as an answered query, a rejected line
@@ -212,16 +212,21 @@ pub enum Reject {
     UnknownCommand,
     /// `health` or `sample` before any snapshot is published.
     NoSnapshot,
+    /// `traces`, `timeseries`, `sample` or `sample near` with a count that
+    /// is not an integer from 0 to `usize::MAX` (a missing count takes
+    /// the verb's default).
+    BadCount,
 }
 
 impl Reject {
     /// Every class, in label order.
-    pub const ALL: [Reject; 5] = [
+    pub const ALL: [Reject; 6] = [
         Reject::InvalidUtf8,
         Reject::LineTooLong,
         Reject::MissingValue,
         Reject::UnknownCommand,
         Reject::NoSnapshot,
+        Reject::BadCount,
     ];
 
     /// The counter label.
@@ -232,6 +237,7 @@ impl Reject {
             Reject::MissingValue => "missing_value",
             Reject::UnknownCommand => "unknown_command",
             Reject::NoSnapshot => "no_snapshot",
+            Reject::BadCount => "bad_count",
         }
     }
 
@@ -243,6 +249,12 @@ impl Reject {
             Reject::MissingValue => format!("{cmd} needs a value"),
             Reject::UnknownCommand => format!("unknown command {cmd}"),
             Reject::NoSnapshot => "no snapshot published yet".to_string(),
+            Reject::BadCount => {
+                format!(
+                    "bad {cmd} count: must be an integer from 0 to {}",
+                    usize::MAX
+                )
+            }
         }
     }
 }
@@ -500,7 +512,7 @@ pub(crate) struct SessionCore {
     pub started: Instant,
     adversary: Option<AdversaryGauge>,
     /// Rejected lines per class, in [`Reject::ALL`] order.
-    rejected: [u64; 5],
+    rejected: [u64; Reject::ALL.len()],
     lookup_ns: Histogram,
     triage_ns: Histogram,
     near_ns: Histogram,
@@ -515,7 +527,7 @@ impl SessionCore {
             ring: TimeRing::new(opts.ts_window),
             started: Instant::now(),
             adversary: opts.adversary.clone(),
-            rejected: [0; 5],
+            rejected: [0; Reject::ALL.len()],
             lookup_ns: obs.histogram("intel.serve.lookup_ns", &[]),
             triage_ns: obs.histogram("intel.serve.triage_ns", &[]),
             near_ns: obs.histogram("intel.serve.near_ns", &[]),
@@ -600,7 +612,9 @@ impl SessionCore {
             // stay clean of its always-on tracing overhead.
             "explain" => explain(triage, &mut self.tracer, rest, out)?,
             "traces" => {
-                let n: usize = rest.parse().unwrap_or(5);
+                let Some(n) = count_arg(rest, 5) else {
+                    return self.reject(Reject::BadCount, cmd, out);
+                };
                 let slowest: Vec<String> = self.tracer.slowest(n).map(|t| t.render()).collect();
                 writeln!(
                     out,
@@ -614,7 +628,9 @@ impl SessionCore {
                 }
             }
             "timeseries" => {
-                let n: usize = rest.parse().unwrap_or(self.ring.window());
+                let Some(n) = count_arg(rest, self.ring.window()) else {
+                    return self.reject(Reject::BadCount, cmd, out);
+                };
                 let rendered = self.ring.render(n);
                 writeln!(
                     out,
@@ -667,11 +683,14 @@ impl SessionCore {
             "sample" => {
                 // `sample near <n>` emits entry texts as `near` query
                 // lines; plain `sample <n>` emits url/sender lines.
-                let (near_sample, n_str) = match rest.split_once(' ') {
+                let (near_sample, count) = match rest.split_once(' ') {
                     Some(("near", n)) => (true, n.trim()),
-                    _ => (rest == "near", rest),
+                    _ if rest == "near" => (true, ""),
+                    _ => (false, rest),
                 };
-                let n: usize = n_str.parse().unwrap_or(10);
+                let Some(n) = count_arg(count, 10) else {
+                    return self.reject(Reject::BadCount, cmd, out);
+                };
                 match triage.snapshot() {
                     Some(snap) => {
                         let mut emitted = 0;
@@ -764,6 +783,16 @@ impl SessionCore {
             tracer,
             ring,
         }
+    }
+}
+
+/// A verb's count argument: `default` when it is absent, `None` when it
+/// is not an integer from 0 to `usize::MAX`.
+fn count_arg(arg: &str, default: usize) -> Option<usize> {
+    if arg.is_empty() {
+        Some(default)
+    } else {
+        arg.parse().ok()
     }
 }
 
@@ -863,6 +892,46 @@ mod tests {
         assert_eq!(stats.queries, 25);
         assert_eq!(stats.hits, 25, "sampled keys must all hit:\n{replies}");
         assert_eq!(stats.misses, 0);
+    }
+
+    #[test]
+    fn malformed_verb_counts_are_rejected_and_missing_ones_default() {
+        let mut t = triage();
+        let obs = Obs::enabled();
+        let bad = [
+            "sample -1",
+            "sample 99999999999999999999",
+            "sample nearby 3",
+            "sample near x",
+            "traces x",
+            "timeseries -2",
+        ];
+        let (stats, out) = serve(&mut t, bad.join("\n").as_bytes(), &obs);
+        assert_eq!(stats.errors, bad.len() as u64, "{out}");
+        assert_eq!(out.lines().count(), bad.len(), "{out}");
+        for (line, reply) in bad.iter().zip(out.lines()) {
+            let cmd = line.split(' ').next().unwrap();
+            let want = format!(
+                "err bad {cmd} count: must be an integer from 0 to {}",
+                usize::MAX
+            );
+            assert_eq!(reply, want, "{line}");
+        }
+        let rejected = obs.counter("intel.serve.rejected", &[("reason", "bad_count")]);
+        assert_eq!(rejected.get(), bad.len() as u64);
+        let (stats, out) = run(&mut t, "sample\nsample near\ntraces\ntimeseries\n");
+        assert_eq!(stats.errors, 0, "{out}");
+        let urls = out
+            .lines()
+            .filter(|l| l.starts_with("url ") || l.starts_with("sender "));
+        assert_eq!(urls.count(), 10, "{out}");
+        assert_eq!(
+            out.lines().filter(|l| l.starts_with("near ")).count(),
+            10,
+            "{out}"
+        );
+        assert!(out.contains("traces retained=0"), "{out}");
+        assert!(out.contains("timeseries window_s="), "{out}");
     }
 
     #[test]

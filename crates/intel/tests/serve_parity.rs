@@ -2,8 +2,9 @@
 //!
 //! Arbitrary interleavings of every shippable request kind (`url` hits
 //! and misses, `sender`, `near`, `msg` with entry texts and with
-//! generated ham, `sample`, `stats`, malformed lines, and unreadable
-//! ones: not UTF-8, or over the 64 KiB line cap)
+//! generated ham, `sample`, `stats`, malformed lines, a `sample` with a
+//! malformed count, and unreadable ones: not UTF-8, or over the 64 KiB
+//! line cap)
 //! are replayed through [`serve_workers`] at worker counts
 //! {1, 2, 4} and through the sequential [`serve_session`] loop, against
 //! both hub flavors `smish serve` builds: a batch-pipeline store and a
@@ -118,7 +119,7 @@ fn stream_hub() -> &'static (IntelHub, Pools) {
 type Req = (u8, usize, u32);
 
 fn req() -> impl Strategy<Value = Req> {
-    (0u8..114, 0usize..1_000_000, 0u32..u32::MAX)
+    (0u8..116, 0usize..1_000_000, 0u32..u32::MAX)
 }
 
 /// The serve plane's line cap (`MAX_LINE_BYTES`, crate-private).
@@ -147,6 +148,7 @@ fn render(script: &[Req], p: &Pools) -> Vec<u8> {
                 s.extend(std::iter::repeat_n(b'x', LINE_CAP + idx % 1024));
                 s.push(b'\n');
             }
+            104..=105 => s.extend(format!("sample {}x\n", idx % 7).bytes()),
             _ => s.extend(format!("msg {}\n", pick(&p.ham_texts, idx)).bytes()),
         }
     }

@@ -12,7 +12,7 @@
 //! * **Rejected lines** — a script of queries mixed with every kind of
 //!   rejected line, 1,000 distinct unknown commands among them, counts
 //!   each request line once among answered queries, rejected lines and
-//!   shed, inline and behind a depth-1 queue, under at most five
+//!   shed, inline and behind a depth-1 queue, under at most six
 //!   `intel.serve.rejected` labels.
 //! * **One model per epoch** — on a freshly published store, `near`,
 //!   `url` and `sender` lookups train nothing, and of two `explain`s of
@@ -240,6 +240,11 @@ fn hostile_script() -> (Vec<u8>, u64, BTreeMap<&'static str, u64>) {
             add(b"health", Some(Reject::NoSnapshot));
             // A blank line first: it is no request.
             add(b"\nsample near 2", Some(Reject::NoSnapshot));
+            // A malformed count is refused before the snapshot is read.
+            add(b"sample -1", Some(Reject::BadCount));
+            add(b"sample nearby 3", Some(Reject::BadCount));
+            add(b"traces 99999999999999999999", Some(Reject::BadCount));
+            add(b"timeseries x", Some(Reject::BadCount));
         }
     }
     (script, queries, rejected)

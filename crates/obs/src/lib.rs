@@ -6,8 +6,7 @@
 //!
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — atomic, labeled (by stage /
 //!   service / shard), shareable across worker threads, and mergeable:
-//!   [`Histogram::merge_from`] combines per-shard recordings *exactly*,
-//!   like the `smishing_core::exec` accumulators' `merge()`.
+//!   [`Histogram::merge_from`] combines per-shard recordings *exactly*.
 //! * [`Span`] — RAII wall-clock stage timing (`pipeline.enrich.wall_ns`).
 //! * [`Level`] + the `obs_error!`/`obs_warn!`/`obs_info!`/`obs_debug!`
 //!   macros — leveled stderr logging behind `--log-level`/`--quiet`.

@@ -12,8 +12,8 @@
 //! - [`sample`]: seeded reservoir sampling (the 150-message IRR subset and
 //!   the 200-report case-study sample),
 //! - [`unionfind`]: disjoint-set union for campaign linking,
-//! - [`merge`]: first-writer-wins claims, the mergeable accumulator
-//!   primitive for analyses that count each key once.
+//! - [`merge`]: first-writer-wins claims, for analyses that count each
+//!   key once.
 //!
 //! Everything is deterministic: functions either take no randomness or take
 //! an explicit `&mut impl Rng`.

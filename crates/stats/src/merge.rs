@@ -1,29 +1,19 @@
-//! Mergeable accumulator primitive for sharded streaming analysis.
-//!
-//! The sharded engine (`smishing_core::exec`) splits the report feed across
-//! worker shards. At every cut each shard folds its dedup winners once into
-//! per-analysis accumulators, and the collector merges the shard states
-//! into one result that must equal the batch computation exactly. Plain
-//! counts merge by summing ([`Counter::merge`](crate::Counter::merge));
-//! analyses that count each *key* once (a URL, a domain, a sender) need
-//! [`FirstClaim`].
+//! First-writer-wins claims, for analyses that count each *key* once (a
+//! URL, a domain, a sender).
 //!
 //! - [`FirstClaim`]: "first writer wins". Batch analyses repeatedly do
 //!   `if seen.insert(key) { use this record }` while walking records in
 //!   `post_id` order, so the *winning* record for a key is the one with
 //!   the smallest `post_id`. `FirstClaim` keeps, per key, the claim with
-//!   the minimum claimant id. One domain or sender can span dedup groups
-//!   held by different shards, so the minimum is taken again on merge,
-//!   which makes `merge` order-independent.
-//!
-//! It obeys the merge laws (commutative, associative, identity on the
-//! empty value) verified by property tests in `smishing-core`.
+//!   the minimum claimant id, so the winner does not depend on the order
+//!   the claims arrive in. Plain counts need no such rule
+//!   ([`Counter`](crate::Counter)).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// First-writer-wins map with order-independent merge.
+/// First-writer-wins map.
 ///
 /// Each `(key, claimant, value)` triple records that the record with id
 /// `claimant` would contribute `value` for `key`. The *winner* for a key is
@@ -98,15 +88,6 @@ impl<K: Eq + Hash + Clone + Ord, V> FirstClaim<K, V> {
     pub fn is_empty(&self) -> bool {
         self.winners.is_empty()
     }
-
-    /// Absorb another claim map: per shared key the smaller claimant wins,
-    /// so the winner after merging is the global minimum claimant
-    /// regardless of which shard saw it.
-    pub fn merge(&mut self, other: FirstClaim<K, V>) {
-        for (k, (c, v)) in other.winners {
-            self.add(k, c, v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -136,34 +117,21 @@ mod tests {
         let all = [(30, 300), (10, 100), (20, 200)];
         for order in ORDERS {
             let cs: Vec<(u64, u32)> = order.iter().map(|&i| all[i]).collect();
-            assert_eq!(claims(&cs).winner(&"d.com"), Some((10, &100)), "{cs:?}");
-            // Split the claims between two maps at every point and merge
-            // in both orders: the minimum claimant wins wherever it was.
-            for split in 0..=cs.len() {
-                let (a, b) = (claims(&cs[..split]), claims(&cs[split..]));
-                let mut ab = a.clone();
-                ab.merge(b.clone());
-                let mut ba = b;
-                ba.merge(a);
-                for merged in [ab, ba] {
-                    assert_eq!(merged.winner(&"d.com"), Some((10, &100)), "{cs:?}");
-                    assert_eq!(merged.len(), 1);
-                }
-            }
+            let fc = claims(&cs);
+            assert_eq!(fc.winner(&"d.com"), Some((10, &100)), "{cs:?}");
+            assert_eq!(fc.len(), 1);
         }
     }
 
     #[test]
-    fn first_claim_merge_resolves_cross_shard_winner() {
-        let mut a: FirstClaim<&str, &str> = FirstClaim::new();
-        a.add("d.com", 50, "shard-a");
-        let mut b: FirstClaim<&str, &str> = FirstClaim::new();
-        b.add("d.com", 7, "shard-b");
-        b.add("e.org", 9, "shard-b");
-        a.merge(b);
-        assert_eq!(a.winner(&"d.com"), Some((7, &"shard-b")));
-        assert_eq!(a.len(), 2);
-        let by_claimant = a.winners_by_claimant();
+    fn first_claim_winners_by_claimant_are_in_post_order() {
+        let mut fc: FirstClaim<&str, &str> = FirstClaim::new();
+        fc.add("d.com", 50, "late");
+        fc.add("e.org", 9, "e");
+        fc.add("d.com", 7, "early");
+        assert_eq!(fc.winner(&"d.com"), Some((7, &"early")));
+        assert_eq!(fc.len(), 2);
+        let by_claimant = fc.winners_by_claimant();
         assert_eq!(by_claimant[0].1, 7);
         assert_eq!(by_claimant[1].1, 9);
     }

@@ -35,8 +35,8 @@ fn main() {
         output.records.len()
     );
 
-    // The engine folded every paper accumulator during the run; each
-    // table is one `finish()` away.
+    // The first `accs()` call folds every paper accumulator over the
+    // output once; each table is one `finish()` away.
     println!("{}", output.accs().overview.finish().to_table());
     println!("{}", output.accs().categories.finish().to_table());
     println!("{}", output.accs().languages.finish().to_table());

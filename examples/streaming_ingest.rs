@@ -73,8 +73,8 @@ fn main() {
         json.len()
     );
 
-    // Determinism contract: the merged end-of-stream state equals the
-    // batch pipeline exactly, table for table.
+    // Determinism contract: the end-of-stream state equals the batch
+    // pipeline exactly, table for table.
     let batch = Pipeline::default().run(&world, &Obs::noop());
     let batch_tables = run_all(&batch, &Obs::noop());
     let stream_tables = run_all(&result.output, &Obs::noop());

@@ -367,7 +367,7 @@ fn check_adversary_epochs(obs: &Obs, world: &World, epoch_posts: u64) {
 fn cmd_stream(args: &Args, obs: &Obs, world: &World) {
     // Chronological replay through the sharded engine; snapshots
     // report progress without pausing ingestion, and the final
-    // merged accumulators render the same tables, under the same ids,
+    // output's accumulators render the same tables, under the same ids,
     // as `run`.
     let epoch_posts = args
         .snapshot_every

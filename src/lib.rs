@@ -34,7 +34,7 @@
 //! let output = Pipeline::default().run(&world, &Obs::noop());
 //! assert!(!output.records.is_empty());
 //!
-//! // Regenerate a paper table from the accumulators the run folded.
+//! // Regenerate a paper table; the first `accs()` call folds them all.
 //! let categories = output.accs().categories.finish();
 //! println!("{}", categories.to_table());
 //! ```

@@ -283,7 +283,7 @@ proptest! {
             |_| {},
         );
         // Table-level equality across every accumulator: the stream's
-        // merged state against the reference sequential fold over the
+        // folded state against the reference sequential fold over the
         // batch output.
         prop_assert_eq!(
             rendered(result.output.accs()),

@@ -569,6 +569,21 @@ fn zero_posts_is_a_usage_error() {
     assert!(out.stdout.is_empty(), "watch printed before failing");
 }
 
+#[test]
+fn malformed_seed_names_the_flag_and_value() {
+    for bad in ["abc", "-3", "99999999999999999999"] {
+        let out = smish()
+            .args(["run", "--seed", bad, "--scale", "0.01"])
+            .output()
+            .expect("run smish");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad}: {stderr}");
+        let want = format!("bad --seed {bad}: must be decimal or 0x hex, from 0 to 2^64-1");
+        assert!(stderr.contains(&want), "{bad}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bad}: run printed before failing");
+    }
+}
+
 /// Write a run report over `posts` posts with one `sum`, in ms, per
 /// wall-time layer.
 fn sized_report(path: &Path, posts: u64, layers: &[(&str, u64)]) {
