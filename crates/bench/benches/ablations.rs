@@ -8,6 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use smishing_bench::{bench_output, bench_world};
+use smishing_core::analysis::timestamps::send_times;
 use smishing_core::curation::{curate_posts, dedup, CurationOptions, DedupMode, ExtractorChoice};
 use smishing_textnlp::extract_brand;
 use smishing_worldsim::Post;
@@ -46,10 +47,10 @@ fn bench_ablations(c: &mut Criterion) {
     // 3. Burst filter on/off (Fig. 2 ablation).
     let out = bench_output();
     g.bench_function("fig2_with_burst_filter", |b| {
-        b.iter(|| black_box(out.accs().send_times.finish(true).usable))
+        b.iter(|| black_box(send_times(out, true).to_table()))
     });
     g.bench_function("fig2_without_burst_filter", |b| {
-        b.iter(|| black_box(out.accs().send_times.finish(false).usable))
+        b.iter(|| black_box(send_times(out, false).to_table()))
     });
 
     // 4. Brand NER on evasive vs plain text (the normalization ablation).

@@ -1,8 +1,8 @@
 //! Table 8: autonomous systems hosting smishing pages (§4.6).
 
-use crate::enrich::EnrichedRecord;
+use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
-use smishing_stats::{Counter, FirstClaim};
+use smishing_stats::Counter;
 use std::collections::{BTreeSet, HashSet};
 use std::net::Ipv4Addr;
 
@@ -25,131 +25,72 @@ pub struct AsnUse {
     pub bulletproof_domains: usize,
 }
 
-/// One resolution's contribution, captured at claim time: the AS record is
-/// a static-catalog entry, so its org/ASN/country/bulletproof flags travel
-/// with the claim and no world lookup is needed at finish.
-#[derive(Debug, Clone, Copy)]
-struct AsnResolution {
-    ip: Ipv4Addr,
-    org: &'static str,
-    asn: u32,
-    country: &'static str,
-    bulletproof: bool,
-}
-
-/// One record's contribution for its unique domain. `resolved` mirrors the
-/// batch check on the raw resolution list (which may contain entries with
-/// no AS info); `infos` keeps only the informative ones.
-#[derive(Debug, Clone)]
-struct AsnClaim {
-    resolved: bool,
-    infos: Vec<AsnResolution>,
-}
-
-/// Table 8 AS usage: a record claims its registrable domain even when it
-/// has no resolutions (mirroring the batch pass, where a non-resolving
-/// first record still consumes the domain slot); the global distinct-IP
-/// attribution is replayed over winners in `post_id` order at finish.
-#[derive(Debug, Clone, Default)]
-pub struct AsnAcc {
-    claims: FirstClaim<String, AsnClaim>,
-}
-
-impl AsnAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one unique record.
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        let Some(url) = &r.url else { return };
-        let Some(domain) = url.domain.clone() else {
-            return;
+/// Table 8 AS usage over unique registrable domains. A domain counts
+/// once, for its first reporter, even when that record has no
+/// resolutions (a degraded one, say). Distinct-IP credit and the order of
+/// `org_details` go to domains in post-id order.
+pub fn asn_use(out: &PipelineOutput<'_>) -> AsnUse {
+    let mut seen: HashSet<&str> = HashSet::with_capacity(out.records.len());
+    let mut ips: HashSet<Ipv4Addr> = HashSet::new();
+    let mut ips_per_org: Counter<&'static str> = Counter::new();
+    let mut domains_per_org: Counter<&'static str> = Counter::new();
+    let mut org_details: Vec<(&'static str, BTreeSet<u32>, BTreeSet<&'static str>)> = Vec::new();
+    let mut resolving = 0;
+    let mut cloudflare_domains = 0;
+    let mut bulletproof_domains = 0;
+    for r in &out.records {
+        let Some(url) = &r.url else { continue };
+        let Some(domain) = url.domain.as_deref() else {
+            continue;
         };
-        let infos = url
-            .resolutions
-            .iter()
-            .filter_map(|(res, info)| {
-                info.as_ref().map(|i| AsnResolution {
-                    ip: res.ip,
-                    org: i.record.org,
-                    asn: i.asn,
-                    country: i.country,
-                    bulletproof: i.record.bulletproof,
-                })
-            })
-            .collect();
-        let claim = AsnClaim {
-            resolved: !url.resolutions.is_empty(),
-            infos,
-        };
-        self.claims.add(domain, r.curated.post_id.0, claim);
-    }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> AsnUse {
-        let mut ips: HashSet<Ipv4Addr> = HashSet::new();
-        let mut ips_per_org: Counter<&'static str> = Counter::new();
-        let mut domains_per_org: Counter<&'static str> = Counter::new();
-        let mut org_details: Vec<(&'static str, BTreeSet<u32>, BTreeSet<&'static str>)> =
-            Vec::new();
-        let mut resolving = 0;
-        let mut cloudflare_domains = 0;
-        let mut bulletproof_domains = 0;
-
-        // Claimant order replays the batch pass: first-seen records hand out
-        // distinct-IP credit and org_details insertion positions.
-        for (_, _, claim) in self.claims.winners_by_claimant() {
-            if !claim.resolved {
-                continue;
+        if !seen.insert(domain) || url.resolutions.is_empty() {
+            continue;
+        }
+        resolving += 1;
+        let mut orgs_here: HashSet<&'static str> = HashSet::new();
+        let mut bulletproof_here = false;
+        for (res, info) in &url.resolutions {
+            let Some(info) = info else { continue };
+            let org = info.record.org;
+            if ips.insert(res.ip) {
+                ips_per_org.add(org);
             }
-            resolving += 1;
-            let mut orgs_here: HashSet<&'static str> = HashSet::new();
-            let mut bulletproof_here = false;
-            for info in &claim.infos {
-                if ips.insert(info.ip) {
-                    ips_per_org.add(info.org);
+            orgs_here.insert(org);
+            bulletproof_here |= info.record.bulletproof;
+            match org_details.iter_mut().find(|(o, _, _)| *o == org) {
+                Some((_, asns, countries)) => {
+                    asns.insert(info.asn);
+                    countries.insert(info.country);
                 }
-                orgs_here.insert(info.org);
-                bulletproof_here |= info.bulletproof;
-                match org_details.iter_mut().find(|(o, _, _)| *o == info.org) {
-                    Some((_, asns, countries)) => {
-                        asns.insert(info.asn);
-                        countries.insert(info.country);
-                    }
-                    None => {
-                        let mut asns = BTreeSet::new();
-                        asns.insert(info.asn);
-                        let mut countries = BTreeSet::new();
-                        countries.insert(info.country);
-                        org_details.push((info.org, asns, countries));
-                    }
-                }
-            }
-            if orgs_here.contains("Cloudflare") {
-                cloudflare_domains += 1;
-            }
-            if bulletproof_here {
-                bulletproof_domains += 1;
-            }
-            for org in orgs_here {
-                domains_per_org.add(org);
+                None => org_details.push((
+                    org,
+                    BTreeSet::from([info.asn]),
+                    BTreeSet::from([info.country]),
+                )),
             }
         }
-        AsnUse {
-            resolving_domains: resolving,
-            distinct_ips: ips.len(),
-            ips_per_org,
-            domains_per_org,
-            org_details,
-            cloudflare_domain_share: if resolving == 0 {
-                0.0
-            } else {
-                cloudflare_domains as f64 / resolving as f64
-            },
-            bulletproof_domains,
+        if orgs_here.contains("Cloudflare") {
+            cloudflare_domains += 1;
         }
+        if bulletproof_here {
+            bulletproof_domains += 1;
+        }
+        for org in orgs_here {
+            domains_per_org.add(org);
+        }
+    }
+    AsnUse {
+        resolving_domains: resolving,
+        distinct_ips: ips.len(),
+        ips_per_org,
+        domains_per_org,
+        org_details,
+        cloudflare_domain_share: if resolving == 0 {
+            0.0
+        } else {
+            cloudflare_domains as f64 / resolving as f64
+        },
+        bulletproof_domains,
     }
 }
 
@@ -197,7 +138,7 @@ mod tests {
     #[test]
     fn only_a_minority_of_domains_resolve() {
         // §4.6: 466 resolving domains out of thousands queried.
-        let u = testfix::output().accs().asn.finish();
+        let u = super::asn_use(testfix::output());
         assert!(u.resolving_domains > 10, "{}", u.resolving_domains);
         assert!(
             u.distinct_ips >= u.resolving_domains,
@@ -209,7 +150,7 @@ mod tests {
 
     #[test]
     fn cloudflare_fronts_a_large_share() {
-        let u = testfix::output().accs().asn.finish();
+        let u = super::asn_use(testfix::output());
         assert!(
             (0.08..0.35).contains(&u.cloudflare_domain_share),
             "{}",
@@ -221,7 +162,7 @@ mod tests {
 
     #[test]
     fn mainstream_clouds_lead_table8() {
-        let u = testfix::output().accs().asn.finish();
+        let u = super::asn_use(testfix::output());
         let top: Vec<&str> = u
             .ips_per_org
             .sorted()
@@ -238,7 +179,7 @@ mod tests {
 
     #[test]
     fn bulletproof_hosting_observed() {
-        let u = testfix::output().accs().asn.finish();
+        let u = super::asn_use(testfix::output());
         assert!(u.bulletproof_domains > 0, "BHPs should appear (§4.6)");
         assert!(
             u.bulletproof_domains < u.resolving_domains / 2,
@@ -248,7 +189,7 @@ mod tests {
 
     #[test]
     fn table_renders_without_cloudflare() {
-        let u = testfix::output().accs().asn.finish();
+        let u = super::asn_use(testfix::output());
         let t = u.to_table();
         assert!(t.len() >= 3);
         assert!(!t.to_string().contains("Cloudflare"));

@@ -1,9 +1,11 @@
 //! Tables 9 and 18: antivirus detection of smishing URLs (§4.7).
 
-use crate::enrich::{EnrichedRecord, MissingField};
+use crate::enrich::MissingField;
+use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_avscan::TransparencyVerdict;
-use smishing_stats::FirstClaim;
+use smishing_webinfra::ParsedUrl;
+use std::collections::HashSet;
 
 /// VirusTotal threshold rows (Table 9).
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,104 +49,66 @@ pub struct AvDetection {
     pub gsb_unresolved: usize,
 }
 
-/// The AV verdicts one record would contribute for its unique URL.
-#[derive(Debug, Clone, Copy)]
-struct AvClaim {
-    clean: bool,
-    malicious: u32,
-    suspicious: u32,
-    gsb_api_unsafe: bool,
-    gsb_vt_listed: bool,
-    transparency: TransparencyVerdict,
-    vt_missing: bool,
-    gsb_missing: bool,
-}
-
-/// Tables 9 and 18 AV detection stats: per-URL first-claims folded at
-/// finish.
-#[derive(Debug, Clone, Default)]
-pub struct AvAcc {
-    claims: FirstClaim<String, AvClaim>,
-}
-
-impl AvAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one unique record.
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        let Some(url) = &r.url else { return };
-        self.claims.add(
-            url.parsed.to_url_string(),
-            r.curated.post_id.0,
-            AvClaim {
-                clean: url.vt.is_clean(),
-                malicious: url.vt.malicious,
-                suspicious: url.vt.suspicious,
-                gsb_api_unsafe: url.gsb_api_unsafe,
-                gsb_vt_listed: url.gsb_vt_listed,
-                transparency: url.gsb_transparency,
-                vt_missing: r.is_missing(MissingField::VirusTotal),
-                gsb_missing: r.is_missing(MissingField::GsbApi)
-                    || r.is_missing(MissingField::GsbTransparency)
-                    || r.is_missing(MissingField::GsbVtListing),
-            },
-        );
-    }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> AvDetection {
-        let mut vt = VtThresholds::default();
-        let mut gsb = GsbCounts::default();
-        let mut vt_unresolved = 0;
-        let mut gsb_unresolved = 0;
-        for (_, _, claim) in self.claims.winners() {
-            if claim.vt_missing {
-                vt_unresolved += 1;
-            } else {
-                vt.n += 1;
-                if claim.clean {
-                    vt.clean += 1;
-                }
-                for (i, th) in [1, 3, 5, 10, 15].into_iter().enumerate() {
-                    if claim.malicious >= th {
-                        vt.mal_ge[i] += 1;
-                    }
-                }
-                for (i, th) in [1, 3, 5].into_iter().enumerate() {
-                    if claim.suspicious >= th {
-                        vt.susp_ge[i] += 1;
-                    }
+/// Tables 9 and 18 over unique URLs: a URL counts once, for its first
+/// reporter, and a verdict its scan failed to get is reported as
+/// unresolved rather than miscounted.
+pub fn av_detection(out: &PipelineOutput<'_>) -> AvDetection {
+    let mut seen: HashSet<&ParsedUrl> = HashSet::with_capacity(out.records.len());
+    let mut vt = VtThresholds::default();
+    let mut gsb = GsbCounts::default();
+    let mut vt_unresolved = 0;
+    let mut gsb_unresolved = 0;
+    for r in &out.records {
+        let Some(url) = &r.url else { continue };
+        if !seen.insert(&url.parsed) {
+            continue;
+        }
+        if r.is_missing(MissingField::VirusTotal) {
+            vt_unresolved += 1;
+        } else {
+            vt.n += 1;
+            if url.vt.is_clean() {
+                vt.clean += 1;
+            }
+            for (i, th) in [1, 3, 5, 10, 15].into_iter().enumerate() {
+                if url.vt.malicious >= th {
+                    vt.mal_ge[i] += 1;
                 }
             }
-            if claim.gsb_missing {
-                gsb_unresolved += 1;
-            } else {
-                gsb.n += 1;
-                if claim.gsb_api_unsafe {
-                    gsb.api_unsafe += 1;
+            for (i, th) in [1, 3, 5].into_iter().enumerate() {
+                if url.vt.suspicious >= th {
+                    vt.susp_ge[i] += 1;
                 }
-                if claim.gsb_vt_listed {
-                    gsb.vt_listed_unsafe += 1;
-                }
-                let idx = match claim.transparency {
-                    TransparencyVerdict::Unsafe => 0,
-                    TransparencyVerdict::PartiallyUnsafe => 1,
-                    TransparencyVerdict::Undetected => 2,
-                    TransparencyVerdict::NoData => 3,
-                    TransparencyVerdict::NotQueried => 4,
-                };
-                gsb.transparency[idx] += 1;
             }
         }
-        AvDetection {
-            vt,
-            gsb,
-            vt_unresolved,
-            gsb_unresolved,
+        if r.is_missing(MissingField::GsbApi)
+            || r.is_missing(MissingField::GsbTransparency)
+            || r.is_missing(MissingField::GsbVtListing)
+        {
+            gsb_unresolved += 1;
+        } else {
+            gsb.n += 1;
+            if url.gsb_api_unsafe {
+                gsb.api_unsafe += 1;
+            }
+            if url.gsb_vt_listed {
+                gsb.vt_listed_unsafe += 1;
+            }
+            let idx = match url.gsb_transparency {
+                TransparencyVerdict::Unsafe => 0,
+                TransparencyVerdict::PartiallyUnsafe => 1,
+                TransparencyVerdict::Undetected => 2,
+                TransparencyVerdict::NoData => 3,
+                TransparencyVerdict::NotQueried => 4,
+            };
+            gsb.transparency[idx] += 1;
         }
+    }
+    AvDetection {
+        vt,
+        gsb,
+        vt_unresolved,
+        gsb_unresolved,
     }
 }
 
@@ -237,7 +201,7 @@ mod tests {
 
     #[test]
     fn table9_shape() {
-        let av = testfix::output().accs().av.finish();
+        let av = super::av_detection(testfix::output());
         let n = av.vt.n as f64;
         assert!(n > 400.0, "{n}");
         let clean = av.vt.clean as f64 / n;
@@ -256,7 +220,7 @@ mod tests {
 
     #[test]
     fn table18_inconsistencies() {
-        let av = testfix::output().accs().av.finish();
+        let av = super::av_detection(testfix::output());
         let n = av.gsb.n as f64;
         let api = av.gsb.api_unsafe as f64 / n;
         let vt = av.gsb.vt_listed_unsafe as f64 / n;
@@ -272,7 +236,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let av = testfix::output().accs().av.finish();
+        let av = super::av_detection(testfix::output());
         assert_eq!(av.to_table9().len(), 9);
         assert_eq!(av.to_table18().len(), 3);
     }

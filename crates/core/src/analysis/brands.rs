@@ -1,6 +1,6 @@
 //! Table 12: impersonated brands (§5.4).
 
-use crate::enrich::EnrichedRecord;
+use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_stats::Counter;
 use smishing_textnlp::brands::BrandCatalog;
@@ -16,34 +16,17 @@ pub struct Brands {
 
 /// Table 12, weighted over total messages via unique annotations: each
 /// dedup group's winner counts once per report in its evidence.
-#[derive(Debug, Clone, Default)]
-pub struct BrandsAcc {
-    counts: Counter<String>,
-    no_brand: usize,
-}
-
-impl BrandsAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one dedup group through its winner.
-    pub fn add_group(&mut self, r: &EnrichedRecord) {
+pub fn brands(out: &PipelineOutput<'_>) -> Brands {
+    let mut counts = Counter::new();
+    let mut no_brand = 0;
+    for r in &out.records {
         let n = r.evidence.reports;
         match &r.annotation.brand {
-            Some(b) => self.counts.add_n(b.clone(), u64::from(n)),
-            None => self.no_brand += n as usize,
+            Some(b) => counts.add_n(b.clone(), u64::from(n)),
+            None => no_brand += n as usize,
         }
     }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> Brands {
-        Brands {
-            counts: self.counts.clone(),
-            no_brand: self.no_brand,
-        }
-    }
+    Brands { counts, no_brand }
 }
 
 impl Brands {
@@ -74,7 +57,7 @@ mod tests {
 
     #[test]
     fn sbi_tops_table12() {
-        let b = testfix::output().accs().brands.finish();
+        let b = brands(testfix::output());
         let top = b.counts.top_k(10);
         assert!(!top.is_empty());
         assert_eq!(top[0].0, "State Bank of India", "{top:?}");
@@ -82,7 +65,7 @@ mod tests {
 
     #[test]
     fn banks_dominate_the_top10() {
-        let b = testfix::output().accs().brands.finish();
+        let b = brands(testfix::output());
         let cat = BrandCatalog::global();
         let bank_count = b
             .counts
@@ -99,7 +82,7 @@ mod tests {
     #[test]
     fn tech_brands_appear_as_others() {
         // Amazon/Netflix reach Table 12 despite not being banks.
-        let b = testfix::output().accs().brands.finish();
+        let b = brands(testfix::output());
         let top: Vec<String> = b.counts.top_k(20).into_iter().map(|(n, _)| n).collect();
         assert!(
             top.iter()
@@ -110,13 +93,13 @@ mod tests {
 
     #[test]
     fn conversation_scams_have_no_brand() {
-        let b = testfix::output().accs().brands.finish();
+        let b = brands(testfix::output());
         assert!(b.no_brand > 0);
     }
 
     #[test]
     fn table_renders() {
-        let b = testfix::output().accs().brands.finish();
+        let b = brands(testfix::output());
         assert_eq!(b.to_table().len(), 10);
     }
 }

@@ -1,6 +1,6 @@
 //! Table 10: scam-category distribution with top languages (§5.2).
 
-use crate::enrich::EnrichedRecord;
+use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_stats::Counter;
 use smishing_types::{Language, ScamType};
@@ -19,35 +19,18 @@ pub struct Categories {
 /// Table 10. Classification comes from the pipeline's annotator on the
 /// unique records, weighted back over duplicates: each dedup group's
 /// winner counts once per report in its evidence.
-#[derive(Debug, Clone, Default)]
-pub struct CategoriesAcc {
-    counts: Counter<ScamType>,
-    languages: HashMap<ScamType, Counter<Language>>,
-}
-
-impl CategoriesAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one dedup group through its winner.
-    pub fn add_group(&mut self, r: &EnrichedRecord) {
+pub fn categories(out: &PipelineOutput<'_>) -> Categories {
+    let mut counts = Counter::new();
+    let mut languages: HashMap<ScamType, Counter<Language>> = HashMap::new();
+    for r in &out.records {
         let n = u64::from(r.evidence.reports);
         let scam = r.annotation.scam_type;
-        self.counts.add_n(scam, n);
+        counts.add_n(scam, n);
         if let Some(lang) = r.annotation.language {
-            self.languages.entry(scam).or_default().add_n(lang, n);
+            languages.entry(scam).or_default().add_n(lang, n);
         }
     }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> Categories {
-        Categories {
-            counts: self.counts.clone(),
-            languages: self.languages.clone(),
-        }
-    }
+    Categories { counts, languages }
 }
 
 impl Categories {
@@ -87,7 +70,7 @@ mod tests {
 
     #[test]
     fn banking_dominates_table10() {
-        let c = testfix::output().accs().categories.finish();
+        let c = categories(testfix::output());
         let top = c.counts.top_k(3);
         assert_eq!(top[0].0, ScamType::Banking, "{top:?}");
         let banking = c.counts.share(&ScamType::Banking);
@@ -98,7 +81,7 @@ mod tests {
     fn ordering_matches_paper() {
         // Banking > Others > Delivery > Government > Telecom ≫ conversation
         // scams; spam present but small.
-        let c = testfix::output().accs().categories.finish();
+        let c = categories(testfix::output());
         assert!(c.counts.get(&ScamType::Others) > c.counts.get(&ScamType::Delivery));
         assert!(c.counts.get(&ScamType::Delivery) > c.counts.get(&ScamType::Telecom));
         assert!(c.counts.get(&ScamType::Government) > c.counts.get(&ScamType::WrongNumber));
@@ -114,7 +97,7 @@ mod tests {
 
     #[test]
     fn english_tops_every_major_category() {
-        let c = testfix::output().accs().categories.finish();
+        let c = categories(testfix::output());
         for scam in [ScamType::Banking, ScamType::Delivery, ScamType::Government] {
             let langs = c.languages.get(&scam).expect("category populated");
             assert_eq!(langs.top_k(1)[0].0, Language::English, "{scam:?}");
@@ -123,7 +106,7 @@ mod tests {
 
     #[test]
     fn table_renders_eight_rows() {
-        let c = testfix::output().accs().categories.finish();
+        let c = categories(testfix::output());
         assert_eq!(c.to_table().len(), 8);
     }
 }

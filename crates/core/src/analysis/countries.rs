@@ -1,9 +1,10 @@
 //! Table 14 and Figure 3: sender-ID origin countries and their scam mix
 //! (§5.6).
 
-use crate::enrich::{EnrichedRecord, MissingField};
+use crate::enrich::MissingField;
+use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
-use smishing_stats::{Counter, FirstClaim};
+use smishing_stats::Counter;
 use smishing_telecom::NumberStatus;
 use smishing_types::{Country, PhoneNumber, ScamType};
 use std::collections::{HashMap, HashSet};
@@ -24,104 +25,52 @@ pub struct Countries {
     pub unresolved: usize,
 }
 
-/// One record's contribution for its unique phone number.
-#[derive(Debug, Clone, Copy)]
-struct CountryClaim {
-    country: Country,
-    live: bool,
-    operator: Option<&'static str>,
-    scam: ScamType,
-}
-
-/// Table 14 / Figure 3: phone-number uniqueness is first-wins by
-/// `post_id`; records without an HLR country or a parseable phone never
-/// claim (exactly the batch guards).
-#[derive(Debug, Clone, Default)]
-pub struct CountriesAcc {
-    claims: FirstClaim<PhoneNumber, CountryClaim>,
-    /// Phone senders whose HLR lookup failed — candidates for the
-    /// "(unresolved)" row unless another record resolved the same number.
-    hlr_failed: HashSet<PhoneNumber>,
-}
-
-impl CountriesAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one unique record.
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        if let Some(phone) = Self::project_failed(r) {
-            self.hlr_failed.insert(phone.clone());
-            return;
-        }
-        let Some(claim) = Self::project(r) else {
-            return;
+/// Table 14 / Figure 3 over unique phone-number senders with an HLR
+/// origin country: a number counts once, for its first reporter whose
+/// lookup resolved it. A failed lookup claims no number, and a number is
+/// unresolved only if no record resolved it: under tick-windowed outages,
+/// another sighting of the same number may have succeeded.
+pub fn countries(out: &PipelineOutput<'_>) -> Countries {
+    let mut resolved: HashSet<&PhoneNumber> = HashSet::with_capacity(out.records.len());
+    let mut hlr_failed: HashSet<&PhoneNumber> = HashSet::new();
+    let mut all = Counter::new();
+    let mut live = Counter::new();
+    let mut mnos: HashMap<Country, HashSet<&'static str>> = HashMap::new();
+    let mut scam_mix: HashMap<Country, Counter<ScamType>> = HashMap::new();
+    for r in &out.records {
+        let Some(phone) = r.sender.as_ref().and_then(|s| s.phone()) else {
+            continue;
         };
-        let phone = r
-            .sender
-            .as_ref()
-            .and_then(|s| s.phone())
-            .expect("projected");
-        self.claims.add(phone.clone(), r.curated.post_id.0, claim);
-    }
-
-    /// A phone sender whose HLR lookup failed outright.
-    fn project_failed(r: &EnrichedRecord) -> Option<&PhoneNumber> {
-        if r.hlr.is_none() && r.is_missing(MissingField::Hlr) {
-            r.sender.as_ref().and_then(|s| s.phone())
-        } else {
-            None
-        }
-    }
-
-    fn project(r: &EnrichedRecord) -> Option<CountryClaim> {
-        let hlr = r.hlr.as_ref()?;
-        let country = hlr.origin_country?;
-        let sender = r.sender.as_ref()?;
-        sender.phone()?;
-        Some(CountryClaim {
-            country,
-            live: hlr.status == NumberStatus::Live,
-            operator: hlr.original_operator,
-            scam: r.annotation.scam_type,
-        })
-    }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> Countries {
-        let mut all = Counter::new();
-        let mut live = Counter::new();
-        let mut mnos: HashMap<Country, HashSet<&'static str>> = HashMap::new();
-        let mut scam_mix: HashMap<Country, Counter<ScamType>> = HashMap::new();
-        let mut resolved: HashSet<&PhoneNumber> = HashSet::new();
-        for (phone, _, claim) in self.claims.winners() {
-            resolved.insert(phone);
-            all.add(claim.country);
-            if claim.live {
-                live.add(claim.country);
+        let Some(hlr) = &r.hlr else {
+            if r.is_missing(MissingField::Hlr) {
+                hlr_failed.insert(phone);
             }
-            if let Some(op) = claim.operator {
-                mnos.entry(claim.country).or_default().insert(op);
-            }
-            scam_mix.entry(claim.country).or_default().add(claim.scam);
+            continue;
+        };
+        let Some(country) = hlr.origin_country else {
+            continue;
+        };
+        if !resolved.insert(phone) {
+            continue;
         }
-        // A number only counts as unresolved if *no* record resolved it —
-        // under tick-windowed outages, another sighting of the same number
-        // may have succeeded.
-        let unresolved = self
-            .hlr_failed
-            .iter()
-            .filter(|phone| !resolved.contains(phone))
-            .count();
-        Countries {
-            all,
-            live,
-            mnos,
-            scam_mix,
-            unresolved,
+        all.add(country);
+        if hlr.status == NumberStatus::Live {
+            live.add(country);
         }
+        if let Some(op) = hlr.original_operator {
+            mnos.entry(country).or_default().insert(op);
+        }
+        scam_mix
+            .entry(country)
+            .or_default()
+            .add(r.annotation.scam_type);
+    }
+    Countries {
+        all,
+        live,
+        mnos,
+        scam_mix,
+        unresolved: hlr_failed.difference(&resolved).count(),
     }
 }
 
@@ -213,7 +162,7 @@ mod tests {
 
     #[test]
     fn india_tops_table14() {
-        let c = testfix::output().accs().countries.finish();
+        let c = countries(testfix::output());
         let top = c.all.top_k(10);
         assert!(top.len() >= 5, "{top:?}");
         assert_eq!(top[0].0, Country::India, "{top:?}");
@@ -223,7 +172,7 @@ mod tests {
 
     #[test]
     fn live_counts_are_a_fraction_of_all() {
-        let c = testfix::output().accs().countries.finish();
+        let c = countries(testfix::output());
         for (country, all) in c.all.top_k(10) {
             let live = c.live.get(&country);
             assert!(live <= all, "{country:?}");
@@ -243,7 +192,7 @@ mod tests {
     #[test]
     fn india_is_banking_heavy_us_is_others_heavy() {
         // Fig. 3's headline contrast.
-        let c = testfix::output().accs().countries.finish();
+        let c = countries(testfix::output());
         let india = c.scam_mix.get(&Country::India).expect("india present");
         assert_eq!(india.top_k(1)[0].0, ScamType::Banking);
         assert!(
@@ -262,13 +211,13 @@ mod tests {
 
     #[test]
     fn multiple_mnos_per_major_country() {
-        let c = testfix::output().accs().countries.finish();
+        let c = countries(testfix::output());
         assert!(c.mnos.get(&Country::India).map(|s| s.len()).unwrap_or(0) >= 3);
     }
 
     #[test]
     fn tables_render() {
-        let c = testfix::output().accs().countries.finish();
+        let c = countries(testfix::output());
         assert!(c.to_table().len() >= 5);
         assert!(c.figure3_table().len() >= 5);
     }

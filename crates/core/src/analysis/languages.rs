@@ -1,5 +1,6 @@
 //! Table 11: languages of smishing messages (§5.3).
 
+use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
 use smishing_stats::Counter;
 use smishing_types::Language;
@@ -13,34 +14,20 @@ pub struct Languages {
     pub unidentified: usize,
 }
 
-/// Table 11 over the curated total, one curated message at a time,
-/// duplicates included: the count does not depend on deduplication.
-#[derive(Debug, Clone, Default)]
-pub struct LanguagesAcc {
-    counts: Counter<Language>,
-    unidentified: usize,
-}
-
-impl LanguagesAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one curated message.
-    pub fn add_curated(&mut self, c: &crate::curation::CuratedMessage) {
+/// Table 11 over the curated total, duplicates included: the count does
+/// not depend on deduplication.
+pub fn languages(out: &PipelineOutput<'_>) -> Languages {
+    let mut counts = Counter::new();
+    let mut unidentified = 0;
+    for c in &out.curated_total {
         match c.language {
-            Some(l) => self.counts.add(l),
-            None => self.unidentified += 1,
+            Some(l) => counts.add(l),
+            None => unidentified += 1,
         }
     }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> Languages {
-        Languages {
-            counts: self.counts.clone(),
-            unidentified: self.unidentified,
-        }
+    Languages {
+        counts,
+        unidentified,
     }
 }
 
@@ -82,7 +69,7 @@ mod tests {
     fn long_language_tail_is_observed() {
         // §5.3: 66 languages observed; the tail comes from the polyglot
         // spray (translation A/B tests), not from top-10 volume.
-        let l = testfix::output().accs().languages.finish();
+        let l = languages(testfix::output());
         assert!(l.distinct() >= 35, "{}", l.distinct());
         let top10: u64 = l.counts.top_k(10).iter().map(|(_, c)| c).sum();
         assert!(top10 as f64 / l.counts.total() as f64 > 0.9);
@@ -90,7 +77,7 @@ mod tests {
 
     #[test]
     fn english_dominates() {
-        let l = testfix::output().accs().languages.finish();
+        let l = languages(testfix::output());
         let top = l.counts.top_k(2);
         assert_eq!(top[0].0, Language::English);
         let en = l.counts.share(&Language::English);
@@ -100,7 +87,7 @@ mod tests {
 
     #[test]
     fn major_european_languages_present() {
-        let l = testfix::output().accs().languages.finish();
+        let l = languages(testfix::output());
         let top10: Vec<Language> = l
             .counts
             .top_k(10)
@@ -121,20 +108,20 @@ mod tests {
     fn distribution_does_not_track_world_population() {
         // §5.3: Dutch ≫ Mandarin in the dataset despite Mandarin's speaker
         // count — platform bias.
-        let l = testfix::output().accs().languages.finish();
+        let l = languages(testfix::output());
         assert!(l.counts.get(&Language::Dutch) > l.counts.get(&Language::Mandarin));
     }
 
     #[test]
     fn few_unidentified() {
-        let l = testfix::output().accs().languages.finish();
+        let l = languages(testfix::output());
         let frac = l.unidentified as f64 / (l.counts.total() as f64 + l.unidentified as f64);
         assert!(frac < 0.05, "{frac}");
     }
 
     #[test]
     fn table_renders() {
-        let l = testfix::output().accs().languages.finish();
+        let l = languages(testfix::output());
         assert_eq!(l.to_table().len(), 11); // top 10 + distinct-count footer
     }
 }

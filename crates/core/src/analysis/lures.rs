@@ -1,6 +1,6 @@
 //! Table 13: lure principles per scam category (§5.5).
 
-use crate::enrich::EnrichedRecord;
+use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
 use smishing_stats::Counter;
 use smishing_types::{Lure, ScamType};
@@ -20,40 +20,24 @@ pub struct Lures {
 }
 
 /// Table 13 over the unique records. Lure counting has no internal
-/// deduplication: each dedup winner is folded once.
-#[derive(Debug, Clone, Default)]
-pub struct LuresAcc {
-    counts: Counter<Lure>,
-    by_scam: Counter<(ScamType, Lure)>,
-    scam_totals: Counter<ScamType>,
-    n: u64,
-}
-
-impl LuresAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one unique record.
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        self.n += 1;
+/// deduplication: each dedup winner counts once.
+pub fn lures(out: &PipelineOutput<'_>) -> Lures {
+    let mut counts = Counter::new();
+    let mut by_scam: HashMap<(ScamType, Lure), u64> = HashMap::new();
+    let mut scam_totals = Counter::new();
+    for r in &out.records {
         let scam = r.annotation.scam_type;
-        self.scam_totals.add(scam);
+        scam_totals.add(scam);
         for lure in r.annotation.lures.iter() {
-            self.counts.add(lure);
-            self.by_scam.add((scam, lure));
+            counts.add(lure);
+            *by_scam.entry((scam, lure)).or_default() += 1;
         }
     }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> Lures {
-        Lures {
-            counts: self.counts.clone(),
-            by_scam: self.by_scam.iter().map(|(&k, c)| (k, c)).collect(),
-            scam_totals: self.scam_totals.clone(),
-            n: self.n as usize,
-        }
+    Lures {
+        counts,
+        by_scam,
+        scam_totals,
+        n: out.records.len(),
     }
 }
 
@@ -115,7 +99,7 @@ mod tests {
     #[test]
     fn urgency_everywhere_except_wrong_number() {
         // Table 13's ✓ row for Time & Urgency: B, D, G, T, H — not W.
-        let l = testfix::output().accs().lures.finish();
+        let l = lures(testfix::output());
         for s in [
             ScamType::Banking,
             ScamType::Delivery,
@@ -130,7 +114,7 @@ mod tests {
 
     #[test]
     fn authority_in_institutional_scams_only() {
-        let l = testfix::output().accs().lures.finish();
+        let l = lures(testfix::output());
         for s in [
             ScamType::Banking,
             ScamType::Delivery,
@@ -145,7 +129,7 @@ mod tests {
 
     #[test]
     fn kindness_and_distraction_mark_conversation_scams() {
-        let l = testfix::output().accs().lures.finish();
+        let l = lures(testfix::output());
         assert!(l.is_characteristic(ScamType::HeyMumDad, Lure::Kindness));
         assert!(l.is_characteristic(ScamType::HeyMumDad, Lure::Distraction));
         assert!(l.is_characteristic(ScamType::WrongNumber, Lure::Distraction));
@@ -155,7 +139,7 @@ mod tests {
     #[test]
     fn dishonesty_and_herd_are_rare() {
         // §5.5: dishonesty 0.5%, herd 1.2% of messages.
-        let l = testfix::output().accs().lures.finish();
+        let l = lures(testfix::output());
         assert!(
             l.share(Lure::Dishonesty) < 0.05,
             "{}",
@@ -171,7 +155,7 @@ mod tests {
 
     #[test]
     fn table_renders_seven_lures() {
-        let l = testfix::output().accs().lures.finish();
+        let l = lures(testfix::output());
         assert_eq!(l.to_table().len(), 7);
     }
 }

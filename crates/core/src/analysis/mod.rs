@@ -25,15 +25,15 @@
 //! | [`freshness`] | domain age at first report & NRD coverage (extension) |
 //! | [`extraction`] | §3.2 extractor comparison |
 //!
-//! The modules behind Tables 1 and 3–18 and Figures 2–3 expose an
-//! incremental accumulator (`OverviewAcc`, `TldAcc`, …) instead of a
-//! function over a [`PipelineOutput`](crate::pipeline::PipelineOutput):
-//! every output folds its collection stats, curated messages and dedup
-//! groups into the bundle in one sequential pass the first time `accs()`
-//! is called, and `out.accs().<module>.finish()` renders the table. Only
-//! Table 1's post and image columns and Table 15 need raw posts, which
-//! the engine's curators count during ingest. The remaining modules
-//! compute their artifacts directly.
+//! Every module computes its artifacts as functions of a
+//! [`PipelineOutput`](crate::pipeline::PipelineOutput): `overview(out)`,
+//! `sender_info(out)`, `tld_use(out)`, `send_times(out, remove_bursts)`,
+//! `twitter_years(out)` and so on. The functions behind Tables 1 and 3–18
+//! and Figures 2–3 each make one pass over the output's curated messages
+//! or unique records, which it holds in post-id order; a URL, domain,
+//! sender or phone number counts once, for its first reporter, by a
+//! first-seen check. Only Table 1's post and image columns and Table 15
+//! need raw posts, which the engine's curators count during ingest.
 
 pub mod asn;
 pub mod av;

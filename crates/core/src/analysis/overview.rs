@@ -1,13 +1,10 @@
 //! Table 1 (dataset overview per forum) and Table 15 (yearly Twitter
 //! distribution).
 
-use crate::collect::CollectionStats;
-use crate::curation::CuratedMessage;
-use crate::enrich::Evidence;
+use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, group_thousands, TextTable};
-use smishing_stats::Counter;
 use smishing_types::Forum;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// One forum's row of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,83 +36,50 @@ pub struct Overview {
     pub rows: Vec<ForumRow>,
 }
 
-/// Table 1: the post and image columns arrive as each forum's collection
-/// stats via [`OverviewAcc::add_collection`], message-level counts via
-/// [`OverviewAcc::add_curated`], and the unique messages per forum via
-/// [`OverviewAcc::add_group`], once per dedup group. The sender and URL
-/// columns count the distinct keys and the total of one multiset each.
-#[derive(Debug, Clone, Default)]
-pub struct OverviewAcc {
-    collection: HashMap<Forum, CollectionStats>,
-    msgs: Counter<Forum>,
-    unique_msgs: Counter<Forum>,
-    senders: HashMap<Forum, Counter<String>>,
-    urls: HashMap<Forum, Counter<String>>,
-}
-
-impl OverviewAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
+/// Table 1 over the output: the post and image columns from each forum's
+/// collection stats, the message, sender and URL columns over every
+/// curated message, duplicates included (a sender or URL is unique per
+/// forum the first time it is seen), and the unique messages per forum
+/// over each dedup group's evidence.
+pub fn overview(out: &PipelineOutput<'_>) -> Overview {
+    let mut rows: Vec<ForumRow> = Forum::ALL.iter().map(|&f| ForumRow::empty(f)).collect();
+    fn row(rows: &mut [ForumRow], forum: Forum) -> &mut ForumRow {
+        rows.iter_mut()
+            .find(|r| r.forum == forum)
+            .expect("a row per forum")
     }
-
-    /// Fold in one forum's collection stats: its posts and images.
-    pub fn add_collection(&mut self, forum: Forum, stats: &CollectionStats) {
-        let e = self.collection.entry(forum).or_default();
-        e.posts += stats.posts;
-        e.images += stats.images;
+    for (forum, stats) in &out.collection {
+        let r = row(&mut rows, *forum);
+        r.posts += stats.posts;
+        r.images += stats.images;
     }
-
-    /// Fold in one curated message.
-    pub fn add_curated(&mut self, c: &CuratedMessage) {
-        self.msgs.add(c.forum);
+    let mut senders: HashSet<(Forum, &str)> = HashSet::with_capacity(out.curated_total.len());
+    let mut urls: HashSet<(Forum, &str)> = HashSet::with_capacity(out.curated_total.len());
+    for c in &out.curated_total {
+        let r = row(&mut rows, c.forum);
+        r.msgs_total += 1;
         if let Some(s) = c.sender_raw.as_deref() {
-            self.senders.entry(c.forum).or_default().add(s.to_string());
+            r.senders_total += 1;
+            r.senders_unique += usize::from(senders.insert((c.forum, s)));
         }
         if let Some(u) = c.url_raw.as_deref() {
-            self.urls.entry(c.forum).or_default().add(u.to_string());
+            r.urls_total += 1;
+            r.urls_unique += usize::from(urls.insert((c.forum, u)));
         }
     }
-
-    /// Fold in one dedup group: a unique message of every forum that
-    /// reported it.
-    pub fn add_group(&mut self, evidence: &Evidence) {
-        for &forum in Forum::ALL {
-            if evidence.reported_on(forum) {
-                self.unique_msgs.add(forum);
-            }
+    for rec in &out.records {
+        for r in &mut rows {
+            r.msgs_unique += usize::from(rec.evidence.reported_on(r.forum));
         }
     }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> Overview {
-        let empty = Counter::new();
-        let mut rows = Vec::new();
-        for &forum in Forum::ALL {
-            let senders = self.senders.get(&forum).unwrap_or(&empty);
-            let urls = self.urls.get(&forum).unwrap_or(&empty);
-            let collected = self.collection.get(&forum).copied().unwrap_or_default();
-            rows.push(ForumRow {
-                forum,
-                posts: collected.posts,
-                images: collected.images,
-                msgs_unique: self.unique_msgs.get(&forum) as usize,
-                msgs_total: self.msgs.get(&forum) as usize,
-                senders_unique: senders.distinct(),
-                senders_total: senders.total() as usize,
-                urls_unique: urls.distinct(),
-                urls_total: urls.total() as usize,
-            });
-        }
-        Overview { rows }
-    }
+    Overview { rows }
 }
 
-impl Overview {
-    /// Column sums (the Table 1 "Total" row).
-    pub fn totals(&self) -> ForumRow {
-        let mut t = ForumRow {
-            forum: Forum::Twitter, // placeholder; not meaningful for totals
+impl ForumRow {
+    /// A row of zeros.
+    fn empty(forum: Forum) -> ForumRow {
+        ForumRow {
+            forum,
             posts: 0,
             images: 0,
             msgs_unique: 0,
@@ -124,7 +88,15 @@ impl Overview {
             senders_total: 0,
             urls_unique: 0,
             urls_total: 0,
-        };
+        }
+    }
+}
+
+impl Overview {
+    /// Column sums (the Table 1 "Total" row).
+    pub fn totals(&self) -> ForumRow {
+        // The forum is a placeholder, not meaningful for totals.
+        let mut t = ForumRow::empty(Forum::Twitter);
         for r in &self.rows {
             t.posts += r.posts;
             t.images += r.images;
@@ -183,44 +155,12 @@ impl Overview {
     }
 }
 
-/// Table 15: per-year Twitter post and image-attachment counts. The
-/// output keeps no posts, so the engine's curators count them during
-/// ingest and its collector merges each curator's interval.
-#[derive(Debug, Clone, Default)]
-pub struct TwitterYearsAcc {
-    posts: Counter<i32>,
-    images: Counter<i32>,
-}
-
-impl TwitterYearsAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one Twitter post.
-    pub fn add_post(&mut self, year: i32, has_image: bool) {
-        self.posts.add(year);
-        if has_image {
-            self.images.add(year);
-        }
-    }
-
-    /// Absorb another curator's counts.
-    pub fn merge(&mut self, other: TwitterYearsAcc) {
-        self.posts.merge(&other.posts);
-        self.images.merge(&other.images);
-    }
-
-    /// Produce the batch result, sorted by year.
-    pub fn finish(&self) -> Vec<(i32, usize, usize)> {
-        let mut years: Vec<i32> = self.posts.iter().map(|(y, _)| *y).collect();
-        years.sort_unstable();
-        years
-            .into_iter()
-            .map(|y| (y, self.posts.get(&y) as usize, self.images.get(&y) as usize))
-            .collect()
-    }
+/// Table 15: Twitter posts and image attachments per year, sorted by
+/// year. The output keeps no posts, so the engine's curators count them
+/// during ingest.
+pub fn twitter_years(out: &PipelineOutput<'_>) -> Vec<(i32, usize, usize)> {
+    let years = out.twitter_years.iter();
+    years.map(|(&y, s)| (y, s.posts, s.images)).collect()
 }
 
 /// Render Table 15.
@@ -253,7 +193,7 @@ mod tests {
 
     #[test]
     fn twitter_dominates_and_ratios_hold() {
-        let ov = testfix::output().accs().overview.finish();
+        let ov = overview(testfix::output());
         let twitter = &ov.rows[0];
         assert_eq!(twitter.forum, Forum::Twitter);
         for r in &ov.rows[1..] {
@@ -273,7 +213,7 @@ mod tests {
 
     #[test]
     fn text_forums_have_no_images() {
-        let ov = testfix::output().accs().overview.finish();
+        let ov = overview(testfix::output());
         for r in &ov.rows {
             if !r.forum.carries_images() {
                 assert_eq!(r.images, 0, "{:?}", r.forum);
@@ -284,7 +224,7 @@ mod tests {
     #[test]
     fn posts_exceed_messages() {
         // Raw keyword volume ≫ usable reports (§3.2).
-        let ov = testfix::output().accs().overview.finish();
+        let ov = overview(testfix::output());
         let t = ov.totals();
         assert!(
             t.posts > t.msgs_total * 3,
@@ -296,7 +236,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let ov = testfix::output().accs().overview.finish();
+        let ov = overview(testfix::output());
         let table = ov.to_table();
         assert_eq!(table.len(), 6); // 5 forums + total
         assert!(table.to_string().contains("Twitter"));
@@ -304,7 +244,7 @@ mod tests {
 
     #[test]
     fn yearly_growth_shape() {
-        let rows = testfix::output().accs().twitter_years.finish();
+        let rows = twitter_years(testfix::output());
         assert!(rows.len() >= 6, "{rows:?}");
         // Volume grows: last year's posts > first year's (Table 15).
         assert!(rows.last().unwrap().1 > rows.first().unwrap().1, "{rows:?}");

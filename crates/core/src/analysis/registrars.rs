@@ -1,10 +1,11 @@
 //! Table 17: registrars of smishing domains (§4.4).
 
-use crate::enrich::{EnrichedRecord, MissingField};
+use crate::enrich::MissingField;
+use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
-use smishing_stats::{Counter, FirstClaim};
+use smishing_stats::Counter;
 use smishing_types::ScamType;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Registrar measurements over unique registered domains.
 #[derive(Debug, Clone)]
@@ -20,72 +21,38 @@ pub struct Registrars {
     pub unresolved: usize,
 }
 
-/// Table 17: registered (non-free-hosted) domains are first-claimed by
-/// `post_id`; the winning record's registrar and scam type are counted at
-/// finish.
-#[derive(Debug, Clone, Default)]
-pub struct RegistrarsAcc {
-    claims: FirstClaim<String, RegistrarClaim>,
-}
-
-/// What the winning record knew about a domain's registrar.
-#[derive(Debug, Clone, Copy)]
-struct RegistrarClaim {
-    registrar: Option<&'static str>,
-    scam: ScamType,
-    /// The WHOIS call failed, so `registrar: None` means "unknown",
-    /// not "no answer on file".
-    whois_failed: bool,
-}
-
-impl RegistrarsAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one unique record.
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        let Some(url) = &r.url else { return };
-        let Some(domain) = url.domain.clone() else {
-            return;
+/// Table 17 over unique registered (not free-hosted) domains: a domain
+/// counts once, for its first reporter's registrar and scam type.
+pub fn registrars(out: &PipelineOutput<'_>) -> Registrars {
+    let mut seen: HashSet<&str> = HashSet::with_capacity(out.records.len());
+    let mut counts = Counter::new();
+    let mut by_scam: HashMap<(&'static str, ScamType), u64> = HashMap::new();
+    let mut no_answer = 0;
+    let mut unresolved = 0;
+    for r in &out.records {
+        let Some(url) = &r.url else { continue };
+        let Some(domain) = url.domain.as_deref() else {
+            continue;
         };
-        if url.free_hosted {
-            return;
+        if url.free_hosted || !seen.insert(domain) {
+            continue;
         }
-        self.claims.add(
-            domain,
-            r.curated.post_id.0,
-            RegistrarClaim {
-                registrar: url.registrar,
-                scam: r.annotation.scam_type,
-                whois_failed: r.is_missing(MissingField::Registrar),
-            },
-        );
-    }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> Registrars {
-        let mut counts = Counter::new();
-        let mut by_scam: HashMap<(&'static str, ScamType), u64> = HashMap::new();
-        let mut no_answer = 0;
-        let mut unresolved = 0;
-        for (_, _, claim) in self.claims.winners() {
-            match claim.registrar {
-                Some(reg) => {
-                    counts.add(reg);
-                    *by_scam.entry((reg, claim.scam)).or_default() += 1;
-                }
-                None if claim.whois_failed => unresolved += 1,
-                None => no_answer += 1,
+        match url.registrar {
+            Some(reg) => {
+                counts.add(reg);
+                *by_scam.entry((reg, r.annotation.scam_type)).or_default() += 1;
             }
+            // The WHOIS call failed, so no registrar means "unknown", not
+            // "no answer on file".
+            None if r.is_missing(MissingField::Registrar) => unresolved += 1,
+            None => no_answer += 1,
         }
-        Registrars {
-            counts,
-            by_scam,
-            no_answer,
-            unresolved,
-        }
+    }
+    Registrars {
+        counts,
+        by_scam,
+        no_answer,
+        unresolved,
     }
 }
 
@@ -140,7 +107,7 @@ mod tests {
 
     #[test]
     fn godaddy_then_namecheap() {
-        let r = testfix::output().accs().registrars.finish();
+        let r = registrars(testfix::output());
         let top = r.counts.top_k(2);
         assert_eq!(top[0].0, "GoDaddy", "{top:?}");
         assert_eq!(top[1].0, "NameCheap", "{top:?}");
@@ -154,7 +121,7 @@ mod tests {
     fn gname_leads_government_scams() {
         // §4.4: "scammers prefer to abuse Gname ... for government
         // impersonation scams".
-        let r = testfix::output().accs().registrars.finish();
+        let r = registrars(testfix::output());
         // Gname is strongly over-represented inside government scams
         // relative to its overall share (the §4.4 preference claim).
         assert!(
@@ -168,14 +135,14 @@ mod tests {
 
     #[test]
     fn top10_covers_most_domains() {
-        let r = testfix::output().accs().registrars.finish();
+        let r = registrars(testfix::output());
         let top10: u64 = r.counts.top_k(10).iter().map(|(_, c)| c).sum();
         assert!(top10 as f64 / r.counts.total() as f64 > 0.6);
     }
 
     #[test]
     fn table_renders() {
-        let r = testfix::output().accs().registrars.finish();
+        let r = registrars(testfix::output());
         assert!(r.to_table().len() >= 5);
     }
 }

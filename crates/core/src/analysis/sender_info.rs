@@ -1,12 +1,13 @@
 //! Tables 3 and 4: sender-ID composition, phone-number types and abused
 //! mobile operators (§4.1).
 
-use crate::enrich::{EnrichedRecord, MissingField};
+use crate::enrich::MissingField;
+use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
-use smishing_stats::{Counter, FirstClaim};
+use smishing_stats::Counter;
 use smishing_telecom::NumberType;
 use smishing_types::{Country, SenderId, SenderKind};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Sender-related measurements.
 #[derive(Debug, Clone)]
@@ -24,93 +25,51 @@ pub struct SenderInfo {
     pub unresolved: usize,
 }
 
-/// What one record would contribute for its sender-ID string, were it the
-/// first (lowest `post_id`) record carrying that sender.
-#[derive(Debug, Clone)]
-struct SenderClaim {
-    kind: SenderKind,
-    phoneish: bool,
-    hlr: Option<(NumberType, Option<&'static str>, Option<Country>)>,
-    hlr_failed: bool,
-}
-
-/// Sender measurements over unique sender IDs (Tables 3 and 4). Sender
-/// uniqueness is first-wins in `post_id` order, so the accumulator keeps
-/// the lowest claim per sender and counts only the winners at
-/// [`SenderInfoAcc::finish`], exactly as the batch pass would. One sender
-/// can span several dedup groups.
-#[derive(Debug, Clone, Default)]
-pub struct SenderInfoAcc {
-    claims: FirstClaim<String, SenderClaim>,
-}
-
-impl SenderInfoAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one unique record.
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        let Some(sender) = &r.sender else { return };
-        self.claims.add(
-            sender.display_string(),
-            r.curated.post_id.0,
-            SenderClaim {
-                kind: sender.kind(),
-                phoneish: matches!(sender, SenderId::Phone(_) | SenderId::MalformedPhone(_)),
-                hlr: r
-                    .hlr
-                    .as_ref()
-                    .map(|h| (h.number_type, h.original_operator, h.origin_country)),
-                hlr_failed: r.is_missing(MissingField::Hlr),
-            },
-        );
-    }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> SenderInfo {
-        let mut kinds = Counter::new();
-        let mut number_types = Counter::new();
-        let mut operators: Counter<&'static str> = Counter::new();
-        let mut op_countries: Vec<(&'static str, BTreeSet<Country>)> = Vec::new();
-        let mut unresolved = 0;
-        // Ascending claimant order = the order the batch pass encounters
-        // each winning sender (records are post_id-sorted).
-        for (_, _, claim) in self.claims.winners_by_claimant() {
-            kinds.add(claim.kind);
-            if claim.phoneish {
-                let Some((nt, op, country)) = claim.hlr else {
-                    if claim.hlr_failed {
-                        unresolved += 1;
-                    }
-                    continue;
-                };
-                number_types.add(nt);
-                if let Some(op) = op {
-                    operators.add(op);
-                    if let Some(c) = country {
-                        match op_countries.iter_mut().find(|(o, _)| *o == op) {
-                            Some((_, set)) => {
-                                set.insert(c);
-                            }
-                            None => {
-                                let mut set = BTreeSet::new();
-                                set.insert(c);
-                                op_countries.push((op, set));
-                            }
-                        }
-                    }
+/// Sender measurements over unique sender IDs (Tables 3 and 4). One
+/// sender can span several dedup groups: it counts once, for its first
+/// reporter, the lowest post id that carries it.
+pub fn sender_info(out: &PipelineOutput<'_>) -> SenderInfo {
+    let mut seen: HashSet<String> = HashSet::with_capacity(out.records.len());
+    let mut kinds = Counter::new();
+    let mut number_types = Counter::new();
+    let mut operators: Counter<&'static str> = Counter::new();
+    let mut op_countries: Vec<(&'static str, BTreeSet<Country>)> = Vec::new();
+    let mut unresolved = 0;
+    for r in &out.records {
+        let Some(sender) = &r.sender else { continue };
+        if !seen.insert(sender.display_string()) {
+            continue;
+        }
+        kinds.add(sender.kind());
+        if !matches!(sender, SenderId::Phone(_) | SenderId::MalformedPhone(_)) {
+            continue;
+        }
+        let Some(hlr) = &r.hlr else {
+            if r.is_missing(MissingField::Hlr) {
+                unresolved += 1;
+            }
+            continue;
+        };
+        number_types.add(hlr.number_type);
+        let Some(op) = hlr.original_operator else {
+            continue;
+        };
+        operators.add(op);
+        if let Some(c) = hlr.origin_country {
+            match op_countries.iter_mut().find(|(o, _)| *o == op) {
+                Some((_, set)) => {
+                    set.insert(c);
                 }
+                None => op_countries.push((op, BTreeSet::from([c]))),
             }
         }
-        SenderInfo {
-            kinds,
-            number_types,
-            operators,
-            operator_countries: op_countries,
-            unresolved,
-        }
+    }
+    SenderInfo {
+        kinds,
+        number_types,
+        operators,
+        operator_countries: op_countries,
+        unresolved,
     }
 }
 
@@ -174,7 +133,7 @@ mod tests {
 
     #[test]
     fn kind_split_matches_section_4_1() {
-        let info = testfix::output().accs().sender_info.finish();
+        let info = sender_info(testfix::output());
         let total = info.kinds.total();
         assert!(total > 300, "{total}");
         let phone = info.kinds.share(&SenderKind::Phone);
@@ -191,7 +150,7 @@ mod tests {
 
     #[test]
     fn mobile_tops_table3_with_bad_format_second() {
-        let info = testfix::output().accs().sender_info.finish();
+        let info = sender_info(testfix::output());
         let top = info.number_types.top_k(2);
         assert_eq!(top[0].0, NumberType::Mobile, "{top:?}");
         assert_eq!(top[1].0, NumberType::BadFormat, "{top:?}");
@@ -203,7 +162,7 @@ mod tests {
 
     #[test]
     fn vodafone_tops_table4_with_wide_footprint() {
-        let info = testfix::output().accs().sender_info.finish();
+        let info = sender_info(testfix::output());
         let top = info.operators.top_k(10);
         assert!(!top.is_empty());
         assert_eq!(top[0].0, "Vodafone", "{top:?}");
@@ -226,7 +185,7 @@ mod tests {
 
     #[test]
     fn airtel_present_in_top_operators() {
-        let info = testfix::output().accs().sender_info.finish();
+        let info = sender_info(testfix::output());
         let names: Vec<&str> = info
             .operators
             .top_k(6)
@@ -238,7 +197,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let info = testfix::output().accs().sender_info.finish();
+        let info = sender_info(testfix::output());
         assert!(info.number_types_table().len() >= 6);
         assert!(info.operators_table().len() >= 5);
     }

@@ -1,10 +1,11 @@
 //! Table 5: URL shorteners abused per scam type (§4.2).
 
-use crate::enrich::EnrichedRecord;
+use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
-use smishing_stats::{Counter, FirstClaim};
+use smishing_stats::Counter;
 use smishing_types::ScamType;
-use std::collections::HashMap;
+use smishing_webinfra::ParsedUrl;
+use std::collections::{HashMap, HashSet};
 
 /// Shortener measurements over unique URLs.
 #[derive(Debug, Clone)]
@@ -17,62 +18,31 @@ pub struct ShortenerUse {
     pub whatsapp_links: usize,
 }
 
-/// One record's contribution for its URL string, were it the first record
-/// carrying that URL.
-#[derive(Debug, Clone)]
-struct ShortenerClaim {
-    whatsapp: bool,
-    shortener: Option<&'static str>,
-    scam: ScamType,
-}
-
-/// Table 5 shortener usage; the scam type comes from the pipeline's own
-/// annotation, as in the paper. URL uniqueness is first-wins by `post_id`,
-/// held as per-URL claims and folded at finish.
-#[derive(Debug, Clone, Default)]
-pub struct ShortenerAcc {
-    claims: FirstClaim<String, ShortenerClaim>,
-}
-
-impl ShortenerAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one unique record.
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        let Some(url) = &r.url else { return };
-        self.claims.add(
-            url.parsed.to_url_string(),
-            r.curated.post_id.0,
-            ShortenerClaim {
-                whatsapp: url.whatsapp,
-                shortener: url.shortener,
-                scam: r.annotation.scam_type,
-            },
-        );
-    }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> ShortenerUse {
-        let mut services = Counter::new();
-        let mut by_scam: HashMap<(&'static str, ScamType), u64> = HashMap::new();
-        let mut whatsapp_links = 0;
-        for (_, _, claim) in self.claims.winners() {
-            if claim.whatsapp {
-                whatsapp_links += 1;
-            }
-            if let Some(host) = claim.shortener {
-                services.add(host);
-                *by_scam.entry((host, claim.scam)).or_default() += 1;
-            }
+/// Table 5 shortener usage over unique URLs; the scam type comes from
+/// the pipeline's own annotation, as in the paper. A URL counts once, for
+/// its first reporter.
+pub fn shortener_use(out: &PipelineOutput<'_>) -> ShortenerUse {
+    let mut seen: HashSet<&ParsedUrl> = HashSet::with_capacity(out.records.len());
+    let mut services = Counter::new();
+    let mut by_scam: HashMap<(&'static str, ScamType), u64> = HashMap::new();
+    let mut whatsapp_links = 0;
+    for r in &out.records {
+        let Some(url) = &r.url else { continue };
+        if !seen.insert(&url.parsed) {
+            continue;
         }
-        ShortenerUse {
-            services,
-            by_scam,
-            whatsapp_links,
+        if url.whatsapp {
+            whatsapp_links += 1;
         }
+        if let Some(host) = url.shortener {
+            services.add(host);
+            *by_scam.entry((host, r.annotation.scam_type)).or_default() += 1;
+        }
+    }
+    ShortenerUse {
+        services,
+        by_scam,
+        whatsapp_links,
     }
 }
 
@@ -115,7 +85,7 @@ mod tests {
 
     #[test]
     fn bitly_tops_everything() {
-        let s = testfix::output().accs().shorteners.finish();
+        let s = shortener_use(testfix::output());
         let top = s.services.top_k(10);
         assert!(top.len() >= 5, "{top:?}");
         assert_eq!(top[0].0, "bit.ly", "{top:?}");
@@ -136,7 +106,7 @@ mod tests {
     #[test]
     fn is_gd_is_banking_heavy() {
         // Table 5: is.gd is #2 for banking but marginal elsewhere.
-        let s = testfix::output().accs().shorteners.finish();
+        let s = shortener_use(testfix::output());
         let isgd_banking = s
             .by_scam
             .get(&("is.gd", ScamType::Banking))
@@ -155,7 +125,7 @@ mod tests {
 
     #[test]
     fn cuttly_prefers_delivery_and_government() {
-        let s = testfix::output().accs().shorteners.finish();
+        let s = shortener_use(testfix::output());
         let d = s
             .by_scam
             .get(&("cutt.ly", ScamType::Delivery))
@@ -181,14 +151,14 @@ mod tests {
 
     #[test]
     fn whatsapp_links_exist_but_are_not_shorteners() {
-        let s = testfix::output().accs().shorteners.finish();
+        let s = shortener_use(testfix::output());
         assert!(s.whatsapp_links > 0);
         assert_eq!(s.services.get(&"wa.me"), 0);
     }
 
     #[test]
     fn table_renders() {
-        let s = testfix::output().accs().shorteners.finish();
+        let s = shortener_use(testfix::output());
         let t = s.to_table();
         assert!(t.len() >= 5);
         assert!(t.to_string().contains("bit.ly"));

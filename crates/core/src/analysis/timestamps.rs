@@ -1,8 +1,9 @@
 //! Figure 2: time of day per weekday when smishes are received (§5.1),
 //! including the pairwise KS tests and the 2021-campaign filter.
 
+use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
-use smishing_stats::{ks_two_sample, median, Counter, KsResult};
+use smishing_stats::{ks_two_sample, median, KsResult};
 use smishing_types::{TimeOfDay, Weekday};
 use std::collections::HashMap;
 
@@ -19,62 +20,21 @@ pub struct SendTimes {
     pub burst_removed: Option<(String, usize)>,
 }
 
-/// Figure 2 data: the sample multiset accumulates one curated message at
-/// a time; the burst filter and per-weekday grouping are applied at
-/// [`SendTimesAcc::finish`]. All downstream statistics (medians, KS tests,
-/// quantiles) are multiset functions, so the reconstructed sample order is
-/// irrelevant.
-#[derive(Debug, Clone, Default)]
-pub struct SendTimesAcc {
-    samples: Counter<(Weekday, u32)>,
-    usable: usize,
-    excluded: usize,
-}
-
-impl SendTimesAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one curated message.
-    pub fn add_curated(&mut self, c: &crate::curation::CuratedMessage) {
+/// Figure 2 over the curated total, duplicates included, with the
+/// samples sorted by weekday and time. `remove_bursts` drops any exact
+/// (minute, weekday) spike holding an outsized share of one weekday's
+/// mass — the paper removes the 2021 SBI campaign this way (§5.1).
+pub fn send_times(out: &PipelineOutput<'_>, remove_bursts: bool) -> SendTimes {
+    let mut samples: Vec<(Weekday, u32)> = Vec::new();
+    let mut excluded = 0;
+    for c in &out.curated_total {
         match c.stamp.and_then(|s| s.weekday_and_time()) {
-            Some((w, t)) => {
-                self.usable += 1;
-                self.samples.add((w, t.seconds_since_midnight()));
-            }
-            None => self.excluded += 1,
+            Some((w, t)) => samples.push((w, t.seconds_since_midnight())),
+            None => excluded += 1,
         }
     }
-
-    /// Produce the batch result. `remove_bursts` drops any exact (minute,
-    /// weekday) spike holding an outsized share of one weekday's mass —
-    /// the paper removes the 2021 SBI campaign this way (§5.1).
-    pub fn finish(&self, remove_bursts: bool) -> SendTimes {
-        // Rebuild the flat sample list in deterministic (weekday, seconds)
-        // order; every consumer treats it as a multiset.
-        let mut ordered: Vec<((Weekday, u32), u64)> =
-            self.samples.iter().map(|(&k, c)| (k, c)).collect();
-        ordered.sort_unstable_by_key(|&((w, s), _)| (w as u8, s));
-        let mut samples: Vec<(Weekday, u32)> = Vec::new();
-        for ((w, s), c) in ordered {
-            for _ in 0..c {
-                samples.push((w, s));
-            }
-        }
-        finish_send_times(samples, self.usable, self.excluded, remove_bursts)
-    }
-}
-
-/// Tail of [`SendTimesAcc::finish`]: burst removal and per-weekday
-/// grouping over the collected sample multiset.
-fn finish_send_times(
-    mut samples: Vec<(Weekday, u32)>,
-    usable: usize,
-    excluded: usize,
-    remove_bursts: bool,
-) -> SendTimes {
+    let usable = samples.len();
+    samples.sort_unstable_by_key(|&(w, s)| (w as u8, s));
     let mut by_weekday: HashMap<Weekday, Vec<f64>> = HashMap::new();
     let mut burst_removed = None;
     if remove_bursts {
@@ -187,14 +147,14 @@ mod tests {
 
     #[test]
     fn burst_filter_finds_the_sbi_campaign() {
-        let with = testfix::output().accs().send_times.finish(true);
+        let with = send_times(testfix::output(), true);
         let (label, count) = with
             .burst_removed
             .clone()
             .expect("the 2021 burst should be detected");
         assert!(label.starts_with("Tuesday 11:34"), "{label}");
         assert!(count >= 8, "{count}");
-        let without = testfix::output().accs().send_times.finish(false);
+        let without = send_times(testfix::output(), false);
         assert!(without.burst_removed.is_none());
         let tue_with = with
             .by_weekday
@@ -212,7 +172,7 @@ mod tests {
     #[test]
     fn medians_fall_in_the_midday_band() {
         // §5.1: medians between 12:26 and 14:38.
-        let st = testfix::output().accs().send_times.finish(true);
+        let st = send_times(testfix::output(), true);
         for (w, m) in st.medians() {
             let m = m.expect("every weekday sampled");
             assert!(
@@ -224,7 +184,7 @@ mod tests {
 
     #[test]
     fn working_hours_dominate() {
-        let st = testfix::output().accs().send_times.finish(true);
+        let st = send_times(testfix::output(), true);
         assert!(
             st.working_hours_share() > 0.65,
             "{}",
@@ -235,7 +195,7 @@ mod tests {
     #[test]
     fn some_weekday_pairs_differ_significantly() {
         // §5.1: Monday/Tuesday/Wednesday/Saturday pairs show p < 0.05.
-        let st = testfix::output().accs().send_times.finish(true);
+        let st = send_times(testfix::output(), true);
         let matrix = st.ks_matrix();
         assert!(!matrix.is_empty());
         let significant = matrix
@@ -251,7 +211,7 @@ mod tests {
 
     #[test]
     fn timestamps_without_dates_are_excluded() {
-        let st = testfix::output().accs().send_times.finish(false);
+        let st = send_times(testfix::output(), false);
         assert!(
             st.excluded > 0,
             "time-only stamps must be excluded (§3.3.2)"

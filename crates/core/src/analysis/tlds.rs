@@ -1,9 +1,10 @@
 //! Tables 6 and 16: abused TLDs and their IANA classes (§4.3).
 
-use crate::enrich::EnrichedRecord;
+use crate::pipeline::PipelineOutput;
 use crate::table::{count_pct, TextTable};
-use smishing_stats::{Counter, FirstClaim};
-use smishing_webinfra::{free_hosting_suffix, tld_of, TldClass, TldDb};
+use smishing_stats::Counter;
+use smishing_webinfra::{free_hosting_suffix, tld_of, ParsedUrl, TldClass, TldDb};
+use std::collections::{HashMap, HashSet};
 
 /// TLD measurements over unique URLs.
 #[derive(Debug, Clone)]
@@ -20,86 +21,47 @@ pub struct TldUse {
     pub free_hosting_sites: Counter<&'static str>,
 }
 
-/// One record's contribution for its URL string: everything Tables 6 and
-/// 16 derive from the URL, precomputed at claim time.
-#[derive(Debug, Clone)]
-struct TldClaim {
-    whatsapp: bool,
-    shortened: bool,
-    tld: Option<String>,
-    class: Option<TldClass>,
-    free_suffix: Option<&'static str>,
-}
-
-/// Tables 6 and 16 TLD usage: per-URL first-claims folded at finish.
-#[derive(Debug, Clone, Default)]
-pub struct TldAcc {
-    claims: FirstClaim<String, TldClaim>,
-}
-
-impl TldAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one unique record.
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        let Some(url) = &r.url else { return };
-        let tld = tld_of(&url.parsed.host);
-        self.claims.add(
-            url.parsed.to_url_string(),
-            r.curated.post_id.0,
-            TldClaim {
-                whatsapp: url.whatsapp,
-                shortened: url.shortener.is_some(),
-                class: tld.as_deref().and_then(|t| TldDb::global().classify(t)),
-                free_suffix: free_hosting_suffix(&url.parsed.host).map(|(s, _)| s),
-                tld,
-            },
-        );
-    }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> TldUse {
-        let mut smishing_tlds: Counter<String> = Counter::new();
-        let mut shortened_tlds: Counter<String> = Counter::new();
-        let mut classes = Counter::new();
-        let mut free_hosting_sites: Counter<&'static str> = Counter::new();
-        let mut per_class_tlds: std::collections::HashMap<
-            TldClass,
-            std::collections::HashSet<String>,
-        > = std::collections::HashMap::new();
-        for (_, _, claim) in self.claims.winners() {
-            if claim.whatsapp {
-                continue;
-            }
-            let Some(tld) = &claim.tld else { continue };
-            if claim.shortened {
-                shortened_tlds.add(tld.clone());
-                continue;
-            }
-            smishing_tlds.add(tld.clone());
-            if let Some(class) = claim.class {
-                classes.add(class);
-                per_class_tlds.entry(class).or_default().insert(tld.clone());
-            }
-            if let Some(suffix) = claim.free_suffix {
-                free_hosting_sites.add(suffix);
-            }
+/// Tables 6 and 16 over unique URLs: a URL counts once, for its first
+/// reporter.
+pub fn tld_use(out: &PipelineOutput<'_>) -> TldUse {
+    let mut seen: HashSet<&ParsedUrl> = HashSet::with_capacity(out.records.len());
+    let mut smishing_tlds: Counter<String> = Counter::new();
+    let mut shortened_tlds: Counter<String> = Counter::new();
+    let mut classes = Counter::new();
+    let mut free_hosting_sites: Counter<&'static str> = Counter::new();
+    let mut per_class_tlds: HashMap<TldClass, HashSet<String>> = HashMap::new();
+    for r in &out.records {
+        let Some(url) = &r.url else { continue };
+        if !seen.insert(&url.parsed) || url.whatsapp {
+            continue;
         }
-        let mut class_tld_counts: Vec<(TldClass, usize)> = per_class_tlds
-            .into_iter()
-            .map(|(c, s)| (c, s.len()))
-            .collect();
-        class_tld_counts.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-        TldUse {
-            smishing_tlds,
-            shortened_tlds,
-            classes,
-            class_tld_counts,
-            free_hosting_sites,
+        let Some(tld) = tld_of(&url.parsed.host) else {
+            continue;
+        };
+        if url.shortener.is_some() {
+            shortened_tlds.add(tld);
+            continue;
         }
+        if let Some(class) = TldDb::global().classify(&tld) {
+            classes.add(class);
+            per_class_tlds.entry(class).or_default().insert(tld.clone());
+        }
+        if let Some((suffix, _)) = free_hosting_suffix(&url.parsed.host) {
+            free_hosting_sites.add(suffix);
+        }
+        smishing_tlds.add(tld);
+    }
+    let mut class_tld_counts: Vec<(TldClass, usize)> = per_class_tlds
+        .into_iter()
+        .map(|(c, s)| (c, s.len()))
+        .collect();
+    class_tld_counts.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+    TldUse {
+        smishing_tlds,
+        shortened_tlds,
+        classes,
+        class_tld_counts,
+        free_hosting_sites,
     }
 }
 
@@ -157,7 +119,7 @@ mod tests {
 
     #[test]
     fn com_tops_direct_urls() {
-        let u = testfix::output().accs().tlds.finish();
+        let u = tld_use(testfix::output());
         let top = u.smishing_tlds.top_k(2);
         assert_eq!(top[0].0, "com", "{top:?}");
         let com_share = u.smishing_tlds.share(&"com".to_string());
@@ -167,7 +129,7 @@ mod tests {
     #[test]
     fn ly_tops_shortened_urls() {
         // Table 6 right column: bit.ly's .ly dominates.
-        let u = testfix::output().accs().tlds.finish();
+        let u = tld_use(testfix::output());
         let top = u.shortened_tlds.top_k(3);
         assert_eq!(top[0].0, "ly", "{top:?}");
     }
@@ -175,7 +137,7 @@ mod tests {
     #[test]
     fn gtlds_dominate_cctlds() {
         // Table 16: 72.3% generic vs 27.1% country-code.
-        let u = testfix::output().accs().tlds.finish();
+        let u = tld_use(testfix::output());
         let g = u.classes.share(&TldClass::Generic);
         let cc = u.classes.share(&TldClass::CountryCode);
         assert!(g > cc * 1.8, "g {g} cc {cc}");
@@ -184,7 +146,7 @@ mod tests {
 
     #[test]
     fn many_distinct_tlds() {
-        let u = testfix::output().accs().tlds.finish();
+        let u = tld_use(testfix::output());
         // Paper finds >280 TLDs at full scale; the test world is 5% scale.
         assert!(
             u.smishing_tlds.distinct() >= 15,
@@ -208,7 +170,7 @@ mod tests {
 
     #[test]
     fn free_hosting_observed() {
-        let u = testfix::output().accs().tlds.finish();
+        let u = tld_use(testfix::output());
         assert!(u.free_hosting_sites.total() > 0);
         // web.app leads the free-hosting pack (§4.3) — allow #2 at small
         // sample sizes.
@@ -223,7 +185,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let u = testfix::output().accs().tlds.finish();
+        let u = tld_use(testfix::output());
         assert!(u.to_table6().len() >= 5);
         assert!(u.to_table16().len() >= 2);
     }

@@ -1,8 +1,8 @@
 //! Table 7: TLS certificate authorities (§4.5).
 
-use crate::enrich::EnrichedRecord;
+use crate::pipeline::PipelineOutput;
 use crate::table::{group_thousands, TextTable};
-use smishing_stats::{mean, median, Counter, FirstClaim};
+use smishing_stats::{mean, median, Counter};
 use std::collections::HashSet;
 
 /// CA measurements over unique domains.
@@ -18,59 +18,41 @@ pub struct TlsUse {
     pub domains_with_tls: usize,
 }
 
-/// Table 7 CA usage. A record claims its registrable domain even when it
-/// holds no certificates (mirroring the batch pass, where a cert-less
-/// first record still consumes the domain's uniqueness slot); the
-/// cert-emptiness check happens on the winner at finish.
-#[derive(Debug, Clone, Default)]
-pub struct TlsAcc {
-    claims: FirstClaim<String, Vec<&'static str>>,
-}
-
-impl TlsAcc {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one unique record.
-    pub fn add_record(&mut self, r: &EnrichedRecord) {
-        let Some(url) = &r.url else { return };
-        let Some(domain) = url.domain.clone() else {
-            return;
+/// Table 7 CA usage over unique registrable domains. A domain counts
+/// once, for its first reporter, even when that record holds no
+/// certificates (a degraded one, say): a later reporter's certificates
+/// never stand in for it. `certs_per_domain` lists domains in post-id
+/// order.
+pub fn tls_use(out: &PipelineOutput<'_>) -> TlsUse {
+    let mut seen: HashSet<&str> = HashSet::with_capacity(out.records.len());
+    let mut certs_per_ca = Counter::new();
+    let mut domains_per_ca = Counter::new();
+    let mut certs_per_domain = Vec::new();
+    let mut domains_with_tls = 0;
+    for r in &out.records {
+        let Some(url) = &r.url else { continue };
+        let Some(domain) = url.domain.as_deref() else {
+            continue;
         };
-        let issuers: Vec<&'static str> = url.certs.iter().map(|c| c.issuer).collect();
-        self.claims.add(domain, r.curated.post_id.0, issuers);
+        if !seen.insert(domain) || url.certs.is_empty() {
+            continue;
+        }
+        domains_with_tls += 1;
+        certs_per_domain.push(url.certs.len() as f64);
+        let mut cas_here: HashSet<&'static str> = HashSet::new();
+        for cert in &url.certs {
+            certs_per_ca.add(cert.issuer);
+            cas_here.insert(cert.issuer);
+        }
+        for ca in cas_here {
+            domains_per_ca.add(ca);
+        }
     }
-
-    /// Produce the batch result.
-    pub fn finish(&self) -> TlsUse {
-        let mut certs_per_ca = Counter::new();
-        let mut domains_per_ca = Counter::new();
-        let mut certs_per_domain = Vec::new();
-        let mut domains_with_tls = 0;
-        // Claimant order keeps certs_per_domain in batch (post_id) order.
-        for (_, _, issuers) in self.claims.winners_by_claimant() {
-            if issuers.is_empty() {
-                continue;
-            }
-            domains_with_tls += 1;
-            certs_per_domain.push(issuers.len() as f64);
-            let mut cas_here: HashSet<&'static str> = HashSet::new();
-            for &issuer in issuers {
-                certs_per_ca.add(issuer);
-                cas_here.insert(issuer);
-            }
-            for ca in cas_here {
-                domains_per_ca.add(ca);
-            }
-        }
-        TlsUse {
-            certs_per_ca,
-            domains_per_ca,
-            certs_per_domain,
-            domains_with_tls,
-        }
+    TlsUse {
+        certs_per_ca,
+        domains_per_ca,
+        certs_per_domain,
+        domains_with_tls,
     }
 }
 
@@ -108,7 +90,7 @@ mod tests {
 
     #[test]
     fn lets_encrypt_tops_both_columns() {
-        let u = testfix::output().accs().tls.finish();
+        let u = super::tls_use(testfix::output());
         assert!(u.domains_with_tls > 100, "{}", u.domains_with_tls);
         assert_eq!(u.certs_per_ca.top_k(1)[0].0, "Let's Encrypt");
         assert_eq!(u.domains_per_ca.top_k(1)[0].0, "Let's Encrypt");
@@ -118,7 +100,7 @@ mod tests {
     fn validity_policy_drives_cert_asymmetry() {
         // Table 7's signature: Sectigo serves many domains with relatively
         // few certificates (1-year validity), Let's Encrypt the opposite.
-        let u = testfix::output().accs().tls.finish();
+        let u = super::tls_use(testfix::output());
         let le_ratio = u.certs_per_ca.get(&"Let's Encrypt") as f64
             / u.domains_per_ca.get(&"Let's Encrypt").max(1) as f64;
         let sectigo_ratio =
@@ -133,7 +115,7 @@ mod tests {
     fn skewed_cert_counts() {
         // §4.5: mean 39, median 4 — a right-skewed distribution. The scaled
         // world keeps the mean ≫ median shape.
-        let u = testfix::output().accs().tls.finish();
+        let u = super::tls_use(testfix::output());
         assert!(
             u.mean_certs() > u.median_certs() * 1.3,
             "mean {} median {}",
@@ -145,7 +127,7 @@ mod tests {
 
     #[test]
     fn multiple_cas_per_domain_possible() {
-        let u = testfix::output().accs().tls.finish();
+        let u = super::tls_use(testfix::output());
         let domain_sum: u64 = u.domains_per_ca.iter().map(|(_, c)| c).sum();
         assert!(
             domain_sum as usize > u.domains_with_tls,
@@ -155,7 +137,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let u = testfix::output().accs().tls.finish();
+        let u = super::tls_use(testfix::output());
         let t = u.to_table();
         assert!(t.len() >= 5);
         assert!(t.to_string().contains("Let's Encrypt"));

@@ -18,6 +18,13 @@ pub struct CollectionStats {
     pub images: usize,
 }
 
+impl std::ops::AddAssign for CollectionStats {
+    fn add_assign(&mut self, other: CollectionStats) {
+        self.posts += other.posts;
+        self.images += other.images;
+    }
+}
+
 /// Collect all posts of one forum.
 pub fn collect_forum(world: &World, forum: Forum) -> (Vec<&Post>, CollectionStats) {
     let posts: Vec<&Post> = world.posts_on(forum).collect();

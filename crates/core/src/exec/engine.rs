@@ -19,10 +19,10 @@
 //! * **Curators** run the pure per-post curation (`curate_post`), derive
 //!   each curated message's dedup key and send the message with its key to
 //!   the analyst shard owning that key. They count only what the output
-//!   does not keep: posts and images per forum ([`CollectionStats`]) and
-//!   Table 15's Twitter posts and images per year. At every cut a curator
-//!   hands the collector its counts since its previous cut and starts
-//!   afresh.
+//!   does not keep, as [`CollectionStats`]: posts and images per forum,
+//!   and Table 15's Twitter posts and images per year. At every cut a
+//!   curator hands the collector its counts since its previous cut and
+//!   starts afresh.
 //! * **Analyst shards** each own a [`GroupTable`]: the per-key dedup
 //!   winner (minimum post id) with its group's report evidence. It is the
 //!   program's only dedup-group table. Enrichment runs through the
@@ -52,10 +52,10 @@
 //!   message. The collector lends that copy to `on_snapshot` as a
 //!   [`StreamSnapshot`], equal to the batch pipeline over exactly the
 //!   first `k` posts, while ingestion continues behind it, and hands it
-//!   over as the end-of-stream output. The messages and groups are folded
-//!   into the tables only when a consumer asks for them
-//!   ([`PipelineOutput::accs`]), once per cut at most, so consumers that
-//!   read only records and counts never pay for it.
+//!   over as the end-of-stream output. No worker and no cut computes a
+//!   table: every table is a function of the output
+//!   ([`experiment::TABLES`](crate::experiment::TABLES)), so consumers
+//!   that read only records and counts never pay for one.
 //!
 //! # Ordering invariant
 //!
@@ -105,7 +105,6 @@
 //! workers down the same way before it re-raises.
 
 use super::{ExecPlan, SnapshotPlan};
-use crate::analysis::overview::TwitterYearsAcc;
 use crate::collect::CollectionStats;
 use crate::curation::{curate_post, CuratedMessage, CurationOptions};
 use crate::enrich::{EnrichedRecord, EnricherRegistry, ResilientClient};
@@ -115,10 +114,10 @@ use smishing_obs::{obs_warn, Counter, Gauge, Histogram, Obs};
 use smishing_types::{fnv1a, Forum, PostId};
 use smishing_worldsim::{Post, World};
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A consistent mid-stream view: an assembled [`PipelineOutput`], equal
 /// to a batch run over the first [`at_posts`](Self::at_posts) posts.
@@ -128,9 +127,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct StreamSnapshot<'w> {
     /// How many posts the snapshot covers.
     pub at_posts: u64,
-    /// Batch-equivalent assembled output (render the accumulator-backed
-    /// tables from its [`accs()`](PipelineOutput::accs), which folds them
-    /// on first use).
+    /// Batch-equivalent assembled output, which every table renders from.
     pub output: PipelineOutput<'w>,
     /// Curated messages (duplicates included) that arrived since the
     /// previous snapshot marker — the delta an incremental consumer
@@ -187,7 +184,7 @@ enum CollectorMsg {
     Curator {
         id: u64,
         collection: HashMap<Forum, CollectionStats>,
-        twitter_years: TwitterYearsAcc,
+        twitter_years: BTreeMap<i32, CollectionStats>,
     },
     /// A shard's winner delta since its previous cut, and the curated
     /// messages it took in over the same interval.
@@ -384,8 +381,7 @@ impl<'w> StreamSnapshot<'w> {
                     .collect(),
                 curated_total: Vec::new(),
                 records: Vec::new(),
-                twitter_years: TwitterYearsAcc::new(),
-                folded: OnceLock::new(),
+                twitter_years: BTreeMap::new(),
                 obs: obs.clone(),
             },
             curated_delta: Vec::new(),
@@ -398,11 +394,10 @@ impl<'w> StreamSnapshot<'w> {
     /// stream: whatever order parts arrive in, `curated_total`,
     /// `curated_delta` and `records` leave sorted by post id and
     /// `collection` lists forums in `Forum::ALL` order. The curators'
-    /// counts add to the running ones, the shards' winner deltas merge
-    /// into the records, and the tables' fold is dropped, to be redone on
-    /// demand ([`PipelineOutput::accs`]). Everything grows by the interval
-    /// alone: the records and the history are merged by handle, and no
-    /// unchanged record or message is read, copied or freed.
+    /// counts add to the running ones and the shards' winner deltas merge
+    /// into the records. Everything grows by the interval alone: the
+    /// records and the history are merged by handle, and no unchanged
+    /// record or message is read, copied or freed.
     fn fold(&mut self, parts: Vec<CollectorMsg>) {
         let out = &mut self.output;
         let mut winners = WinnerDelta::default();
@@ -414,11 +409,12 @@ impl<'w> StreamSnapshot<'w> {
                     twitter_years,
                     ..
                 } => {
-                    out.twitter_years.merge(twitter_years);
+                    for (year, stats) in twitter_years {
+                        *out.twitter_years.entry(year).or_default() += stats;
+                    }
                     for (forum, stats) in collection {
                         if let Some((_, e)) = out.collection.iter_mut().find(|(f, _)| *f == forum) {
-                            e.posts += stats.posts;
-                            e.images += stats.images;
+                            *e += stats;
                         }
                     }
                 }
@@ -434,7 +430,6 @@ impl<'w> StreamSnapshot<'w> {
             }
         }
         winners.merge_into(&mut out.records);
-        out.folded.take();
         delta.sort_by_key(|c| c.post_id);
         // The history takes the messages the shards sent and the delta a
         // copy, which this thread frees at the next cut: freeing the
@@ -577,18 +572,20 @@ where
                         let wait = obs.histogram("exec.curator.backpressure_wait_ns", &[]);
                         // Both count only the interval since the last cut.
                         let mut collection: HashMap<Forum, CollectionStats> = HashMap::new();
-                        let mut twitter_years = TwitterYearsAcc::new();
+                        let mut twitter_years: BTreeMap<i32, CollectionStats> = BTreeMap::new();
                         for msg in rx.iter() {
                             match msg {
                                 CuratorMsg::Post(post) => {
                                     let post: &Post = post.borrow();
                                     posts_counter.inc();
-                                    let has_image = post.body.has_image();
-                                    let e = collection.entry(post.forum).or_default();
-                                    e.posts += 1;
-                                    e.images += usize::from(has_image);
+                                    let one = CollectionStats {
+                                        posts: 1,
+                                        images: usize::from(post.body.has_image()),
+                                    };
+                                    *collection.entry(post.forum).or_default() += one;
                                     if post.forum == Forum::Twitter {
-                                        twitter_years.add_post(post.posted_at.year(), has_image);
+                                        let year = post.posted_at.year();
+                                        *twitter_years.entry(year).or_default() += one;
                                     }
                                     if let Some(c) = curate_ns.time(|| curate_post(post, &opts)) {
                                         curated_counter.inc();
@@ -810,7 +807,6 @@ where
         // The growth gate's input size (`smish perfdiff`), batch or stream.
         obs.counter("pipeline.collect.posts", &[])
             .add(result.posts_ingested);
-        // Counted off the records, so observing never forces the fold.
         let degraded = result.output.records.iter().filter(|r| r.is_degraded());
         obs.counter("exec.engine.degraded_records", &[])
             .add(degraded.count() as u64);

@@ -16,11 +16,9 @@
 //! and [`resume`] replays the stream, verifies the checkpoint and
 //! carries on (see [`checkpoint`]).
 
-pub mod accs;
 pub mod checkpoint;
 pub mod engine;
 
-pub use accs::AnalysisAccs;
 pub use checkpoint::{resume, Checkpoint, ServeState, CHECKPOINT_VERSION};
 pub use engine::{ingest, obs_send, GroupTable, IngestResult, StreamSnapshot, WinnerDelta};
 

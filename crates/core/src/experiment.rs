@@ -1,7 +1,21 @@
 //! The experiment registry: every table and figure of the paper, with
 //! paper-expected shape checks (see DESIGN.md §3).
 
-use crate::analysis::{extraction, irr, methods, overview};
+use crate::analysis::asn::asn_use;
+use crate::analysis::av::av_detection;
+use crate::analysis::brands::brands;
+use crate::analysis::categories::categories;
+use crate::analysis::countries::countries;
+use crate::analysis::languages::languages;
+use crate::analysis::lures::lures;
+use crate::analysis::overview::{overview, twitter_by_year_table, twitter_years};
+use crate::analysis::registrars::registrars;
+use crate::analysis::sender_info::sender_info;
+use crate::analysis::shorteners::shortener_use;
+use crate::analysis::timestamps::send_times;
+use crate::analysis::tlds::tld_use;
+use crate::analysis::tls::tls_use;
+use crate::analysis::{extraction, irr, methods};
 use crate::casestudy;
 use crate::pipeline::PipelineOutput;
 use crate::table::TextTable;
@@ -43,20 +57,51 @@ fn timed<T>(obs: &Obs, module: &str, f: impl FnOnce() -> T) -> T {
     f()
 }
 
+/// One table, rendered from a pipeline output.
+pub type TableFn = fn(&PipelineOutput<'_>) -> TextTable;
+
+/// Every table a pipeline output renders on its own, mid-stream or final,
+/// under its [`run_all`] id: each one function of the output, which is
+/// what `smish stream|watch` print. `F2` is Figure 2 with the burst
+/// filter on, as `run_all` renders it.
+pub const TABLES: &[(&str, TableFn)] = &[
+    ("T1", |out| overview(out).to_table()),
+    ("T3", |out| sender_info(out).number_types_table()),
+    ("T4", |out| sender_info(out).operators_table()),
+    ("T5", |out| shortener_use(out).to_table()),
+    ("T6", |out| tld_use(out).to_table6()),
+    ("T7", |out| tls_use(out).to_table()),
+    ("T8", |out| asn_use(out).to_table()),
+    ("T9", |out| av_detection(out).to_table9()),
+    ("T10", |out| categories(out).to_table()),
+    ("T11", |out| languages(out).to_table()),
+    ("T12", |out| brands(out).to_table()),
+    ("F2", |out| send_times(out, true).to_table()),
+    ("T14", |out| countries(out).to_table()),
+    ("F3", |out| countries(out).figure3_table()),
+    ("T15", |out| twitter_by_year_table(&twitter_years(out))),
+    ("T16", |out| tld_use(out).to_table16()),
+    ("T17", |out| registrars(out).to_table()),
+    ("T18", |out| av_detection(out).to_table18()),
+    ("T13", |out| lures(out).to_table()),
+];
+
+/// The ids of [`run_all`]'s artifacts, in its order.
+pub const IDS: &[&str] = &[
+    "T1", "T2", "T3", "T4", "T5", "T6", "T16", "T7", "T8", "T9", "T18", "T10", "T11", "T12", "T13",
+    "T14", "F3", "T15", "T17", "F2", "IRR", "CUR", "T19",
+];
+
 /// Run every experiment against a pipeline output, timing each
-/// analysis-module invocation. The accumulator-backed artifacts (T1,
-/// T3–T18, F2, F3) render from the output's accumulators, folded first in
-/// one pass (under its own span, `pipeline.group_fold.wall_ns`) when no
-/// consumer asked for them yet, so each module's span times its
-/// `finish()`. Pass
+/// analysis-module invocation under its `analysis.<module>.wall_ns` span:
+/// each span covers the module's whole pass over the output. Pass
 /// [`Obs::noop`] for an unobserved run — every span short-circuits.
 pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     let _span = obs.span("analysis.run_all.wall_ns");
-    let accs = out.accs();
     let mut results = Vec::new();
 
     // ---- T1 ----
-    let ov = timed(obs, "overview", || accs.overview.finish());
+    let ov = timed(obs, "overview", || overview(out));
     let totals = ov.totals();
     let twitter = ov.rows[0];
     results.push(ExperimentResult {
@@ -88,7 +133,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T3 / T4 ----
-    let si = timed(obs, "sender_info", || accs.sender_info.finish());
+    let si = timed(obs, "sender_info", || sender_info(out));
     results.push(ExperimentResult {
         id: "T3",
         paper: "mobile 66.7%, bad format 24.3%, landline 3.8% of 12,299 phone senders",
@@ -129,7 +174,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T5 ----
-    let sh = timed(obs, "shorteners", || accs.shorteners.finish());
+    let sh = timed(obs, "shorteners", || shortener_use(out));
     let isgd_b = sh
         .by_scam
         .get(&("is.gd", ScamType::Banking))
@@ -153,7 +198,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T6 / T16 ----
-    let tld = timed(obs, "tlds", || accs.tlds.finish());
+    let tld = timed(obs, "tlds", || tld_use(out));
     results.push(ExperimentResult {
         id: "T6",
         paper: ".com tops direct URLs (4,951); .ly tops shortened URLs (2,482)",
@@ -186,7 +231,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T7 ----
-    let tls_u = timed(obs, "tls", || accs.tls.finish());
+    let tls_u = timed(obs, "tls", || tls_use(out));
     let le_ratio = tls_u.certs_per_ca.get(&"Let's Encrypt") as f64
         / tls_u.domains_per_ca.get(&"Let's Encrypt").max(1) as f64;
     let sec_ratio = tls_u.certs_per_ca.get(&"Sectigo") as f64
@@ -204,7 +249,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T8 ----
-    let asn_u = timed(obs, "asn", || accs.asn.finish());
+    let asn_u = timed(obs, "asn", || asn_use(out));
     let top_orgs: Vec<&str> = asn_u
         .ips_per_org
         .sorted()
@@ -225,7 +270,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T9 / T18 ----
-    let avd = timed(obs, "av", || accs.av.finish());
+    let avd = timed(obs, "av", || av_detection(out));
     let n = avd.vt.n.max(1) as f64;
     results.push(ExperimentResult {
         id: "T9",
@@ -267,7 +312,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T10 ----
-    let cats = timed(obs, "categories", || accs.categories.finish());
+    let cats = timed(obs, "categories", || categories(out));
     results.push(ExperimentResult {
         id: "T10",
         paper: "banking 45.1% > others 20.6% > delivery 11.3% > government 9.6% > telecom 6.6%; spam 5% leaks in",
@@ -281,7 +326,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T11 ----
-    let langs = timed(obs, "languages", || accs.languages.finish());
+    let langs = timed(obs, "languages", || languages(out));
     results.push(ExperimentResult {
         id: "T11",
         paper: "English 65.2%, Spanish 13.7%, Dutch 5.7%; 66 languages observed; Dutch >> Mandarin despite speaker counts",
@@ -294,7 +339,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T12 ----
-    let br = timed(obs, "brands", || accs.brands.finish());
+    let br = timed(obs, "brands", || brands(out));
     results.push(ExperimentResult {
         id: "T12",
         paper: "SBI tops Table 12 (11.6%); banks dominate; Amazon/Netflix appear as Others",
@@ -315,7 +360,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T13 ----
-    let lu = timed(obs, "lures", || accs.lures.finish());
+    let lu = timed(obs, "lures", || lures(out));
     results.push(ExperimentResult {
         id: "T13",
         paper: "urgency everywhere except Wrong-number; authority for institutional scams; kindness/distraction for conversation scams; dishonesty 0.5% / herd 1.2%",
@@ -330,7 +375,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T14 / F3 ----
-    let co = timed(obs, "countries", || accs.countries.finish());
+    let co = timed(obs, "countries", || countries(out));
     let india_mix = co.scam_mix.get(&smishing_types::Country::India);
     let us_mix = co.scam_mix.get(&smishing_types::Country::UnitedStates);
     results.push(ExperimentResult {
@@ -367,7 +412,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- T15 ----
-    let years = timed(obs, "twitter_years", || accs.twitter_years.finish());
+    let years = timed(obs, "twitter_years", || twitter_years(out));
     results.push(ExperimentResult {
         id: "T15",
         paper: "Twitter volume grows from 6,345 (2017) to >50k/yr (2022-23)",
@@ -379,11 +424,11 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
                     > years.first().map(|f| f.1).unwrap_or(usize::MAX),
             ),
         ],
-        table: overview::twitter_by_year_table(&years),
+        table: twitter_by_year_table(&years),
     });
 
     // ---- T17 ----
-    let regs = timed(obs, "registrars", || accs.registrars.finish());
+    let regs = timed(obs, "registrars", || registrars(out));
     let gname_gov_lift = regs.lift("Gname", ScamType::Government);
     results.push(ExperimentResult {
         id: "T17",
@@ -412,7 +457,7 @@ pub fn run_all(out: &PipelineOutput<'_>, obs: &Obs) -> Vec<ExperimentResult> {
     });
 
     // ---- F2 ----
-    let st = timed(obs, "timestamps", || accs.send_times.finish(true));
+    let st = timed(obs, "timestamps", || send_times(out, true));
     let significant = st
         .ks_matrix()
         .iter()
@@ -507,24 +552,25 @@ mod tests {
     #[test]
     fn experiment_ids_are_unique() {
         let results = run_all(testfix::output(), &Obs::noop());
-        let mut ids: Vec<&str> = results.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), results.len());
+        let ids: Vec<&str> = results.iter().map(|r| r.id).collect();
+        assert_eq!(ids, IDS);
+        let mut unique = ids.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), ids.len());
     }
 
     #[test]
-    fn accumulator_tables_carry_run_all_ids() {
+    fn tables_render_as_run_all_renders_them() {
         let out = testfix::output();
         let results = run_all(out, &Obs::noop());
-        let tables = out.accs().tables();
-        assert_eq!(tables.len(), 19);
-        for (id, table) in &tables {
+        assert_eq!(TABLES.len(), 19);
+        for (id, table) in TABLES {
             let artifact = results
                 .iter()
                 .find(|r| r.id == *id)
                 .unwrap_or_else(|| panic!("{id} is not a run_all id"));
-            assert_eq!(table.to_string(), artifact.table.to_string(), "{id}");
+            assert_eq!(table(out).to_string(), artifact.table.to_string(), "{id}");
         }
     }
 }

@@ -11,24 +11,22 @@
 //! that pin schedule-dependent *metrics* use
 //! [`ExecPlan::sequential`](crate::exec::ExecPlan::sequential).
 //!
-//! The output folds its accumulators on demand
-//! ([`PipelineOutput::accs`]): the first time a consumer asks for a table,
-//! one sequential pass folds the collection stats, every curated message
-//! and each dedup group, through its winner. The engine's curators count
-//! only what the output does not keep: posts and images per forum and
-//! Table 15's Twitter posts and images per year. Every accumulator-backed
-//! table renders from that bundle with `finish()`.
+//! Every paper table is a function of the output
+//! ([`experiment::TABLES`](crate::experiment::TABLES)): one pass over
+//! its curated messages or unique records in post-id order, where a URL,
+//! domain, sender or phone number counts once, for its first reporter.
+//! The engine's curators count only what the output does not keep: posts
+//! and images per forum and Table 15's Twitter posts and images per year.
 
-use crate::analysis::overview::TwitterYearsAcc;
 use crate::collect::CollectionStats;
 use crate::curation::{CuratedMessage, CurationOptions};
 use crate::enrich::EnrichedRecord;
-use crate::exec::{self, AnalysisAccs, ExecPlan, SnapshotPlan};
+use crate::exec::{self, ExecPlan, SnapshotPlan};
 use smishing_obs::Obs;
 use smishing_types::Forum;
 use smishing_worldsim::World;
-use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// The full pipeline configuration.
 #[derive(Debug, Clone, Default)]
@@ -40,7 +38,8 @@ pub struct Pipeline {
     pub exec: ExecPlan,
 }
 
-/// Everything the analyses consume.
+/// Everything the analyses consume. Curated messages and records are held
+/// in post-id order, the order in which a value's first reporter is seen.
 #[derive(Clone)]
 pub struct PipelineOutput<'w> {
     /// The input world (for services and — in evaluation analyses only —
@@ -55,13 +54,10 @@ pub struct PipelineOutput<'w> {
     /// each carrying its dedup group's report evidence. The engine shares
     /// them with its shards and with every snapshot by handle.
     pub records: Vec<Arc<EnrichedRecord>>,
-    /// Table 15's Twitter posts and images per year, which the engine's
+    /// Twitter posts and images per year (Table 15), which the engine's
     /// curators count during ingest: the output keeps no posts.
-    pub(crate) twitter_years: TwitterYearsAcc,
-    /// Every accumulator folded over this output: filled on the first
-    /// [`accs`](Self::accs) call, emptied by the engine's next cut.
-    pub(crate) folded: OnceLock<AnalysisAccs>,
-    /// The run's handle, which times the fold.
+    pub(crate) twitter_years: BTreeMap<i32, CollectionStats>,
+    /// The run's handle.
     pub(crate) obs: Obs,
 }
 
@@ -106,8 +102,7 @@ impl Pipeline {
                 .add(output.records.len() as u64);
             // Degradation accounting: service faults may leave records
             // partially enriched, but never drop them — `dropped` is the
-            // invariant the chaos suite pins at zero. Counted off the
-            // records, so observing never forces the group fold.
+            // invariant the chaos suite pins at zero.
             let degraded = output.records.iter().filter(|r| r.is_degraded());
             obs.counter("pipeline.enrich.degraded", &[])
                 .add(degraded.count() as u64);
@@ -119,55 +114,27 @@ impl Pipeline {
 }
 
 impl<'w> PipelineOutput<'w> {
-    /// An output assembled outside the engine (a test oracle, say) whose
-    /// [`accs`](Self::accs) is `accs`, folded by the caller over exactly
-    /// these posts, curated messages and records.
+    /// An output assembled outside the engine (a test oracle, say) over
+    /// exactly these posts' counts, curated messages and records. The
+    /// messages and records are sorted by post id, which every table's
+    /// first-reporter rule reads them in.
     pub fn new(
         world: &'w World,
         collection: Vec<(Forum, CollectionStats)>,
-        curated_total: Vec<Arc<CuratedMessage>>,
-        records: Vec<Arc<EnrichedRecord>>,
-        accs: AnalysisAccs,
+        mut curated_total: Vec<Arc<CuratedMessage>>,
+        mut records: Vec<Arc<EnrichedRecord>>,
+        twitter_years: BTreeMap<i32, CollectionStats>,
     ) -> Self {
+        curated_total.sort_by_key(|c| c.post_id);
+        records.sort_by_key(|r| r.curated.post_id);
         PipelineOutput {
             world,
             collection,
             curated_total,
             records,
-            twitter_years: TwitterYearsAcc::new(),
-            folded: OnceLock::from(accs),
+            twitter_years,
             obs: Obs::noop(),
         }
-    }
-
-    /// The accumulators over exactly these posts, curated messages and
-    /// records: render an accumulator-backed table with
-    /// `accs().<module>.finish()`. The first call builds them in one
-    /// sequential pass under `pipeline.group_fold.wall_ns`: Table 1's post
-    /// and image columns from [`collection`](Self::collection), Table 15
-    /// from the curators' per-year counts, every curated message once
-    /// ([`AnalysisAccs::add_curated`]), then each dedup group once, through
-    /// its winner and the evidence it carries
-    /// ([`AnalysisAccs::add_group`]). Later calls, and clones of this
-    /// output, reuse that fold.
-    pub fn accs(&self) -> &AnalysisAccs {
-        self.folded.get_or_init(|| {
-            let _span = self.obs.span("pipeline.group_fold.wall_ns");
-            let mut accs = AnalysisAccs {
-                twitter_years: self.twitter_years.clone(),
-                ..AnalysisAccs::new()
-            };
-            for (forum, stats) in &self.collection {
-                accs.overview.add_collection(*forum, stats);
-            }
-            for c in &self.curated_total {
-                accs.add_curated(c);
-            }
-            for r in &self.records {
-                accs.add_group(r);
-            }
-            accs
-        })
     }
 
     /// The run's observability handle: the engine's for an engine run,
@@ -246,6 +213,80 @@ mod tests {
                 "{:?}",
                 c.post_id
             );
+        }
+    }
+
+    /// First reporter wins. Two copies of one real record share a sender,
+    /// a URL and its domain, and differ in enrichment: one has lost its
+    /// HLR result, certificates and resolutions, as a degraded record
+    /// would, or its number resolves to another country. Handed to `new`
+    /// out of post-id order, Tables 3, 6, 7, 8 and 14 count the copy with
+    /// the lower post id, whichever copy that is. Table 14 counts a
+    /// number's first *resolved* reporter: a failed lookup claims no
+    /// number, which is unresolved only if no record resolved it.
+    #[test]
+    fn tables_count_the_lower_post_id_whichever_copy_holds_it() {
+        use crate::enrich::{EnrichmentStatus, MissingField, UrlIntel};
+        use smishing_types::{Country, PostId};
+        let out = crate::analysis::testfix::output();
+        let hosted = |u: &UrlIntel| {
+            let orgs = u.resolutions.iter().filter_map(|(_, i)| i.as_ref());
+            orgs.map(|i| i.record.org).any(|org| org != "Cloudflare")
+        };
+        let real = out
+            .records
+            .iter()
+            .find(|r| {
+                r.sender.as_ref().is_some_and(|s| s.phone().is_some())
+                    && r.hlr.as_ref().is_some_and(|h| h.origin_country.is_some())
+                    && (r.url.as_ref())
+                        .is_some_and(|u| u.domain.is_some() && !u.certs.is_empty() && hosted(u))
+            })
+            .expect("a fully enriched record");
+        let copy = |post: u64, edit: fn(&mut EnrichedRecord)| {
+            let mut r = EnrichedRecord::clone(real);
+            r.curated.post_id = PostId(post);
+            edit(&mut r);
+            Arc::new(r)
+        };
+        let keep: fn(&mut EnrichedRecord) = |_| {};
+        let degrade: fn(&mut EnrichedRecord) = |r| {
+            r.hlr = None;
+            let url = r.url.as_mut().expect("checked");
+            url.certs.clear();
+            url.resolutions.clear();
+            let missing = vec![
+                MissingField::Hlr,
+                MissingField::Certs,
+                MissingField::Resolutions,
+            ];
+            r.status = EnrichmentStatus::Partial { missing };
+        };
+        let relocate: fn(&mut EnrichedRecord) = |r| {
+            let hlr = r.hlr.as_mut().expect("checked");
+            let mut elsewhere = [Country::India, Country::Spain].into_iter();
+            hlr.origin_country = elsewhere.find(|&c| Some(c) != hlr.origin_country);
+        };
+        let tables = |records: Vec<Arc<EnrichedRecord>>| -> Vec<String> {
+            let held =
+                PipelineOutput::new(out.world, Vec::new(), Vec::new(), records, BTreeMap::new());
+            let ids = ["T3", "T6", "T7", "T8", "T14"];
+            let wanted = crate::experiment::TABLES
+                .iter()
+                .filter(|(id, _)| ids.contains(id));
+            wanted.map(|(_, table)| table(&held).to_string()).collect()
+        };
+        for (first, second) in [
+            (keep, degrade),
+            (degrade, keep),
+            (keep, relocate),
+            (relocate, keep),
+        ] {
+            let (lower, higher) = (copy(1, first), copy(2, second));
+            let mut want = tables(vec![Arc::clone(&lower)]);
+            let resolved = if lower.hlr.is_some() { &lower } else { &higher };
+            want[4] = tables(vec![Arc::clone(resolved)]).remove(4);
+            assert_eq!(tables(vec![higher, lower]), want);
         }
     }
 

@@ -116,11 +116,9 @@ fn mid_stream_snapshot_equals_batch_over_prefix() {
                     s.id
                 );
             }
-            // Every accumulator table renders mid-stream.
-            let tables = snap.output.accs().tables();
-            assert_eq!(tables.len(), 19);
-            for (id, t) in &tables {
-                assert!(!t.to_string().is_empty(), "{id} empty");
+            // Every table of the output renders mid-stream.
+            for (id, table) in experiment::TABLES {
+                assert!(!table(&snap.output).to_string().is_empty(), "{id} empty");
             }
         },
     );
@@ -130,19 +128,20 @@ fn mid_stream_snapshot_equals_batch_over_prefix() {
     assert_eq!(snaps, 1);
 }
 
-/// Every accumulator table a run's consecutive snapshots fold, and its
-/// end-of-stream output folds, renders exactly as the batch run over that
-/// prefix: each cut drops the previous cut's fold, so no snapshot's
-/// tables (T1's message, sender and URL columns, T11 and F2 included)
-/// lag behind its records.
+/// Every table of a run's consecutive snapshots, and of its end-of-stream
+/// output, renders exactly as the batch run over that prefix: no
+/// snapshot's tables (T1's message, sender and URL columns, T11 and F2
+/// included) lag behind its records.
 #[test]
 fn folds_at_consecutive_snapshots_equal_batch_over_each_prefix() {
     let w = world();
     let n = w.posts.len() as u64;
     let at: Vec<u64> = (1..=4).map(|i| n * i / 5).collect();
     let tables = |out: &PipelineOutput<'_>| -> Vec<(&'static str, String)> {
-        let tables = out.accs().tables().into_iter();
-        tables.map(|(id, t)| (id, t.to_string())).collect()
+        let tables = experiment::TABLES.iter();
+        tables
+            .map(|&(id, table)| (id, table(out).to_string()))
+            .collect()
     };
     let prefix_tables: Vec<_> = at
         .iter()

@@ -9,9 +9,11 @@
 use proptest::prelude::*;
 use smishing_core::curation::{CuratedMessage, CurationOptions};
 use smishing_core::enrich::{enrich, EnrichedRecord};
-use smishing_core::exec::{AnalysisAccs, GroupTable};
-use smishing_core::pipeline::Pipeline;
+use smishing_core::exec::GroupTable;
+use smishing_core::experiment::TABLES;
+use smishing_core::pipeline::{Pipeline, PipelineOutput};
 use smishing_worldsim::{World, WorldConfig};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 fn world() -> &'static World {
@@ -71,17 +73,22 @@ fn in_post_order(messages: &[&CuratedMessage]) -> Vec<Arc<EnrichedRecord>> {
     records_of(ordered.into_iter())
 }
 
-/// Each record's winner and evidence, then every table its groups fold
-/// into, once each, as `PipelineOutput::accs` folds them.
+/// Each record's winner and evidence, then every table of an output
+/// holding only these records.
 fn render(records: &[Arc<EnrichedRecord>]) -> String {
-    let mut accs = AnalysisAccs::new();
     let mut out = String::new();
     for r in records {
-        accs.add_group(r);
         out += &format!("{:?} {:?}\n", r.curated.post_id, r.evidence);
     }
-    for (id, t) in accs.tables() {
-        out += &format!("== {id}\n{t}\n");
+    let held = PipelineOutput::new(
+        world(),
+        Vec::new(),
+        Vec::new(),
+        records.to_vec(),
+        BTreeMap::new(),
+    );
+    for (id, table) in TABLES {
+        out += &format!("== {id}\n{}\n", table(&held));
     }
     out
 }

@@ -85,13 +85,6 @@ impl<K: Eq + Hash + Clone + Ord> Counter<K> {
         self.counts.iter().map(|(k, &c)| (k, c))
     }
 
-    /// Merge another counter into this one.
-    pub fn merge(&mut self, other: &Counter<K>) {
-        for (k, c) in other.counts.iter() {
-            self.add_n(k.clone(), *c);
-        }
-    }
-
     /// Whether nothing has been counted.
     pub fn is_empty(&self) -> bool {
         self.total == 0
@@ -134,16 +127,6 @@ mod tests {
     fn top_k_larger_than_population() {
         let c: Counter<u8> = [1u8, 1, 2].into_iter().collect();
         assert_eq!(c.top_k(10).len(), 2);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a: Counter<char> = ['x', 'y'].into_iter().collect();
-        let b: Counter<char> = ['y', 'z'].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.get(&'y'), 2);
-        assert_eq!(a.total(), 4);
-        assert_eq!(a.distinct(), 3);
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //! - [`descriptive`]: means/variance for the TLS certificate counts (§4.5),
 //! - [`sample`]: seeded reservoir sampling (the 150-message IRR subset and
 //!   the 200-report case-study sample),
-//! - [`unionfind`]: disjoint-set union for campaign linking,
-//! - [`merge`]: first-writer-wins claims, for analyses that count each
-//!   key once.
+//! - [`unionfind`]: disjoint-set union for campaign linking.
 //!
 //! Everything is deterministic: functions either take no randomness or take
 //! an explicit `&mut impl Rng`.
@@ -25,7 +23,6 @@ pub mod counter;
 pub mod descriptive;
 pub mod kappa;
 pub mod ks;
-pub mod merge;
 pub mod quantile;
 pub mod sample;
 pub mod unionfind;
@@ -34,7 +31,6 @@ pub use counter::Counter;
 pub use descriptive::{mean, stddev, variance};
 pub use kappa::{cohen_kappa, kappa_from_labels, AgreementLevel};
 pub use ks::{ks_two_sample, KsResult};
-pub use merge::FirstClaim;
 pub use quantile::{median, quantile};
 pub use sample::reservoir_sample;
 pub use unionfind::UnionFind;

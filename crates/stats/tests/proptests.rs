@@ -139,19 +139,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn counter_merge_adds(a in prop::collection::vec(0u16..20, 0..100),
-                          b in prop::collection::vec(0u16..20, 0..100)) {
-        let ca: Counter<u16> = a.iter().copied().collect();
-        let cb: Counter<u16> = b.iter().copied().collect();
-        let mut merged = ca.clone();
-        merged.merge(&cb);
-        prop_assert_eq!(merged.total(), ca.total() + cb.total());
-        for key in 0u16..20 {
-            prop_assert_eq!(merged.get(&key), ca.get(&key) + cb.get(&key));
-        }
-    }
-
     // ---- Union-find ----
 
     #[test]

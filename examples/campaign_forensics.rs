@@ -10,6 +10,7 @@
 //! cargo run --release --example campaign_forensics [brand]
 //! ```
 
+use smishing::core::analysis::{brands::brands, timestamps::send_times};
 use smishing::core::enrich::EnrichedRecord;
 use smishing::prelude::*;
 use smishing::stats::Counter;
@@ -24,8 +25,7 @@ fn main() {
 
     // Target brand: CLI arg, or the most-impersonated one.
     let brand = std::env::args().nth(1).unwrap_or_else(|| {
-        let brands = output.accs().brands.finish();
-        brands
+        brands(&output)
             .counts
             .top_k(1)
             .first()
@@ -105,7 +105,7 @@ fn main() {
     println!("shorteners:      {:?}\n", shorteners.top_k(5));
 
     // Timing.
-    let st = output.accs().send_times.finish(false);
+    let st = send_times(&output, false);
     println!("-- Timing (all campaigns) --");
     for (w, m) in st.medians() {
         if let Some(m) = m {

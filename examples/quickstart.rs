@@ -7,6 +7,7 @@
 //!
 //! `scale` defaults to 0.05 (~5% of paper volume, a few seconds).
 
+use smishing::core::analysis::{categories::categories, languages::languages, overview::overview};
 use smishing::prelude::*;
 
 fn main() {
@@ -35,11 +36,10 @@ fn main() {
         output.records.len()
     );
 
-    // The first `accs()` call folds every paper accumulator over the
-    // output once; each table is one `finish()` away.
-    println!("{}", output.accs().overview.finish().to_table());
-    println!("{}", output.accs().categories.finish().to_table());
-    println!("{}", output.accs().languages.finish().to_table());
+    // Every paper table is one function of the output.
+    println!("{}", overview(&output).to_table());
+    println!("{}", categories(&output).to_table());
+    println!("{}", languages(&output).to_table());
 
     // A peek at three enriched records.
     println!("## Three sample records");

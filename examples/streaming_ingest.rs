@@ -7,6 +7,7 @@
 //! cargo run --release --example streaming_ingest
 //! ```
 
+use smishing::core::analysis::categories::categories;
 use smishing::core::exec::{ingest, Checkpoint};
 use smishing::core::experiment::run_all;
 use smishing::prelude::*;
@@ -47,11 +48,8 @@ fn main() {
                 snap.output.curated_total.len(),
                 snap.output.records.len()
             );
-            for (id, table) in snap.output.accs().tables() {
-                if id == "T10" {
-                    println!("mid-stream scam-category mix (Table 10):\n{table}");
-                }
-            }
+            let table = categories(&snap.output).to_table();
+            println!("mid-stream scam-category mix (Table 10):\n{table}");
             checkpoint = Some(Checkpoint::capture(snap, &plan));
         },
     );

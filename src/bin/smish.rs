@@ -99,7 +99,7 @@ use smishing::core::analysis::linking::linking_ablation;
 use smishing::core::analysis::mitigation::mitigation_study;
 use smishing::core::dataset;
 use smishing::core::exec::{ingest, resume, Checkpoint, ServeState, SnapshotPlan, StreamSnapshot};
-use smishing::core::experiment::run_all;
+use smishing::core::experiment::{self, run_all, TABLES};
 use smishing::core::pipeline::PipelineOutput;
 use smishing::core::runcfg::{parse_count, RunConfig};
 use smishing::detect::{binary_study, multiclass_study_grouped};
@@ -235,7 +235,30 @@ fn parse_args() -> Result<Args, String> {
             operand => args.positional.push(operand.to_string()),
         }
     }
+    if let (Some(want), Some(ids)) = (&args.experiment, experiment_ids(&args.command)) {
+        if !ids.iter().any(|id| id.eq_ignore_ascii_case(want)) {
+            return Err(format!("no experiment matched {want}"));
+        }
+    }
     Ok(args)
+}
+
+/// The ids `--experiment` takes: `run_all`'s for `run` and `analyze`, and
+/// the tables an output renders on its own for `stream` and `watch`.
+/// Other commands ignore the flag.
+fn experiment_ids(command: &str) -> Option<Vec<&'static str>> {
+    match command {
+        "run" | "analyze" => Some(experiment::IDS.to_vec()),
+        "stream" | "watch" => Some(TABLES.iter().map(|&(id, _)| id).collect()),
+        _ => None,
+    }
+}
+
+/// Whether `--experiment` (checked by `parse_args`) selects artifact `id`.
+fn wanted(args: &Args, id: &str) -> bool {
+    args.experiment
+        .as_ref()
+        .is_none_or(|want| id.eq_ignore_ascii_case(want))
 }
 
 fn usage() -> String {
@@ -281,24 +304,13 @@ fn cmd_generate(args: &Args, _obs: &Obs, world: &World) {
 fn cmd_run(args: &Args, obs: &Obs, world: &World) {
     let output = run_pipeline(args, obs, world);
     let results = run_all(&output, obs);
-    let mut shown = 0;
-    for r in &results {
-        if let Some(want) = &args.experiment {
-            if !r.id.eq_ignore_ascii_case(want) {
-                continue;
-            }
-        }
-        shown += 1;
+    for r in results.iter().filter(|r| wanted(args, r.id)) {
         println!("[{}] paper: {}", r.id, r.paper);
         println!("{}", r.table);
         for (desc, ok) in &r.checks {
             println!("  [{}] {desc}", if *ok { "PASS" } else { "FAIL" });
         }
         println!();
-    }
-    if shown == 0 {
-        obs_error!(obs, "no experiment matched {:?}", args.experiment);
-        std::process::exit(2);
     }
 }
 
@@ -367,8 +379,7 @@ fn check_adversary_epochs(obs: &Obs, world: &World, epoch_posts: u64) {
 fn cmd_stream(args: &Args, obs: &Obs, world: &World) {
     // Chronological replay through the sharded engine; snapshots
     // report progress without pausing ingestion, and the final
-    // output's accumulators render the same tables, under the same ids,
-    // as `run`.
+    // output renders the same tables, under the same ids, as `run`.
     let epoch_posts = args
         .snapshot_every
         .unwrap_or((world.posts.len() as u64 / 4).max(1));
@@ -409,19 +420,9 @@ fn cmd_stream(args: &Args, obs: &Obs, world: &World) {
         plan.shards,
         result.snapshots_taken
     );
-    let mut shown = 0;
-    for (id, table) in result.output.accs().tables() {
-        if let Some(want) = &args.experiment {
-            if !id.eq_ignore_ascii_case(want) {
-                continue;
-            }
-        }
-        shown += 1;
-        println!("[{id}]\n{table}\n");
-    }
-    if shown == 0 {
-        obs_error!(obs, "no experiment matched {:?}", args.experiment);
-        std::process::exit(2);
+    let _span = obs.span("analysis.tables.wall_ns");
+    for &(id, table) in TABLES.iter().filter(|(id, _)| wanted(args, id)) {
+        println!("[{id}]\n{}\n", table(&result.output));
     }
 }
 
@@ -432,6 +433,10 @@ fn cmd_watch(args: &Args, obs: &Obs, world: &World) {
     let lap = world.posts.len() as u64;
     let budget = args.posts.unwrap_or(2 * lap);
     let every = args.snapshot_every.unwrap_or((lap / 2).max(1));
+    let table = args
+        .experiment
+        .as_ref()
+        .and_then(|_| TABLES.iter().find(|(id, _)| wanted(args, id)));
     let plan = args
         .cfg
         .exec
@@ -452,12 +457,8 @@ fn cmd_watch(args: &Args, obs: &Obs, world: &World) {
                 s.output.curated_total.len(),
                 s.output.records.len()
             );
-            if let Some(want) = &args.experiment {
-                for (id, table) in s.output.accs().tables() {
-                    if id.eq_ignore_ascii_case(want) {
-                        println!("{table}");
-                    }
-                }
+            if let Some((_, table)) = table {
+                println!("{}", table(&s.output));
             }
         },
     );

@@ -34,8 +34,8 @@
 //! let output = Pipeline::default().run(&world, &Obs::noop());
 //! assert!(!output.records.is_empty());
 //!
-//! // Regenerate a paper table; the first `accs()` call folds them all.
-//! let categories = output.accs().categories.finish();
+//! // Regenerate a paper table: each one is a function of the output.
+//! let categories = smishing::core::analysis::categories::categories(&output);
 //! println!("{}", categories.to_table());
 //! ```
 

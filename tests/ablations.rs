@@ -1,6 +1,7 @@
 //! Ablation outcomes (DESIGN.md §4): not just that knobs exist, but that
 //! they move the results the way the paper's methodology section argues.
 
+use smishing::core::analysis::{overview::overview, timestamps::send_times};
 use smishing::core::curation::{curate_posts, dedup, CurationOptions, DedupMode, ExtractorChoice};
 use smishing::core::exec::ingest;
 use smishing::prelude::*;
@@ -102,7 +103,7 @@ fn table1_unique_column_follows_the_dedup_mode() {
         exec: ExecPlan::default(),
     }
     .run(&w, &Obs::noop());
-    for row in &out.accs().overview.finish().rows {
+    for row in &overview(&out).rows {
         let texts: HashSet<&str> = out.curated_on(row.forum).map(|c| c.text.as_str()).collect();
         assert_eq!(row.msgs_unique, texts.len(), "{}", row.forum);
     }
@@ -143,8 +144,8 @@ fn parallel_curation_is_equivalent_to_serial() {
 fn burst_filter_ablation_shifts_tuesday() {
     let w = world();
     let out = Pipeline::default().run(&w, &Obs::noop());
-    let with = out.accs().send_times.finish(true);
-    let without = out.accs().send_times.finish(false);
+    let with = send_times(&out, true);
+    let without = send_times(&out, false);
     assert!(with.burst_removed.is_some());
     assert!(without.burst_removed.is_none());
     let tue = smishing::types::Weekday::Tuesday;

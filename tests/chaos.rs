@@ -32,8 +32,9 @@
 mod common;
 
 use proptest::prelude::*;
-use smishing::core::exec::{ingest, AnalysisAccs};
-use smishing::core::experiment::run_all;
+use smishing::core::analysis::timestamps::send_times;
+use smishing::core::exec::ingest;
+use smishing::core::experiment::{run_all, TABLES};
 use smishing::fault::{FaultPlan, FaultProfile, ServiceKind, TickWindow, DEFAULT_FAULT_SEED};
 use smishing::obs::{MetricId, Obs};
 use smishing::prelude::*;
@@ -218,14 +219,14 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
         })
 }
 
-/// Every accumulator table by id, plus Figure 2 without the burst filter.
-fn rendered(accs: &AnalysisAccs) -> Vec<(&'static str, String)> {
-    let mut tables: Vec<(&'static str, String)> = accs
-        .tables()
-        .into_iter()
-        .map(|(id, t)| (id, t.to_string()))
+/// Every table of the output by id, plus Figure 2 without the burst
+/// filter.
+fn rendered(out: &PipelineOutput<'_>) -> Vec<(&'static str, String)> {
+    let mut tables: Vec<(&'static str, String)> = TABLES
+        .iter()
+        .map(|&(id, table)| (id, table(out).to_string()))
         .collect();
-    let unfiltered = accs.send_times.finish(false).to_table();
+    let unfiltered = send_times(out, false).to_table();
     tables.push(("F2 unfiltered", unfiltered.to_string()));
     tables
 }
@@ -282,16 +283,15 @@ proptest! {
             &Obs::noop(),
             |_| {},
         );
-        // Table-level equality across every accumulator: the stream's
-        // folded state against the reference sequential fold over the
-        // batch output.
+        // Table-level equality across every table: the stream's output
+        // against the reference output over the batch run.
         prop_assert_eq!(
-            rendered(result.output.accs()),
-            rendered(&common::sequential_fold(&batch))
+            rendered(&result.output),
+            rendered(&common::reference_output(&batch))
         );
         prop_assert_eq!(result.output.records.len(), batch.records.len());
         prop_assert_eq!(
-            result.output.accs().degraded_records as usize,
+            result.output.records.iter().filter(|r| r.is_degraded()).count(),
             batch.records.iter().filter(|r| r.is_degraded()).count()
         );
     }

@@ -1,36 +1,33 @@
 //! Helpers shared by the root test suites.
 
 use smishing::core::collect::CollectionStats;
-use smishing::core::exec::AnalysisAccs;
 use smishing::core::PipelineOutput;
 use smishing::types::Forum;
+use std::collections::BTreeMap;
 
-/// The reference fold: one sequential pass of every analysis accumulator
-/// over a pipeline output — Table 1's post and image columns and Table
-/// 15's per-year counts over the world's posts, then `add_curated` over
-/// its curated messages, and `add_group` over its unique records
-/// (weighting each by the evidence it carries). It reads no engine count,
-/// so it checks the engine's collection stats and per-year counts
-/// independently.
-pub fn sequential_fold(out: &PipelineOutput<'_>) -> AnalysisAccs {
-    let mut accs = AnalysisAccs::new();
+/// The reference output: `out`'s curated messages and unique records,
+/// with Table 1's post and image columns and Table 15's per-year counts
+/// recounted from the world's posts. It reads no engine count, so the
+/// tables it renders check the engine's collection stats and per-year
+/// counts independently.
+pub fn reference_output<'w>(out: &PipelineOutput<'w>) -> PipelineOutput<'w> {
+    let mut collection: BTreeMap<Forum, CollectionStats> = BTreeMap::new();
+    let mut twitter_years: BTreeMap<i32, CollectionStats> = BTreeMap::new();
     for post in &out.world.posts {
-        let has_image = post.body.has_image();
         let one = CollectionStats {
             posts: 1,
-            images: usize::from(has_image),
+            images: usize::from(post.body.has_image()),
         };
-        accs.overview.add_collection(post.forum, &one);
+        *collection.entry(post.forum).or_default() += one;
         if post.forum == Forum::Twitter {
-            accs.twitter_years
-                .add_post(post.posted_at.year(), has_image);
+            *twitter_years.entry(post.posted_at.year()).or_default() += one;
         }
     }
-    for c in &out.curated_total {
-        accs.add_curated(c);
-    }
-    for r in &out.records {
-        accs.add_group(r);
-    }
-    accs
+    PipelineOutput::new(
+        out.world,
+        collection.into_iter().collect(),
+        out.curated_total.clone(),
+        out.records.clone(),
+        twitter_years,
+    )
 }

@@ -3,10 +3,10 @@
 //! rendering — the pre-refactor pipeline composed by hand from the public
 //! primitives (collect → curate → sort → dedup → enrich), with each
 //! record's report evidence grouped here from the curated messages and
-//! its accumulators built by the one sequential fold
-//! (`common::sequential_fold`). Production keeps exactly one
-//! stage-execution implementation, one dedup-group table and folds each
-//! record once; this oracle exists only here, in the test.
+//! its post counts recounted from the world's posts
+//! (`common::reference_output`). Production keeps exactly one
+//! stage-execution implementation and one dedup-group table; this oracle
+//! exists only here, in the test.
 
 mod common;
 
@@ -14,13 +14,13 @@ use proptest::prelude::*;
 use smishing::core::collect::collect_all;
 use smishing::core::curation::{curate_posts, dedup};
 use smishing::core::enrich::{enrich_all, Evidence};
-use smishing::core::exec::{ingest, AnalysisAccs};
+use smishing::core::exec::ingest;
 use smishing::core::experiment::run_all;
 use smishing::fault::FaultPlan;
 use smishing::prelude::*;
 use smishing::types::PostId;
 use smishing::worldsim::ReportStream;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 fn world_at(seed: u64, plan: &FaultPlan) -> World {
@@ -39,7 +39,7 @@ fn world_at(seed: u64, plan: &FaultPlan) -> World {
 /// was routed through the execution core. Single-threaded, in collection
 /// order, sorted once before dedup; every record is stamped with its dedup
 /// group's evidence, grouped here independently of the engine, and the
-/// accumulators come from a sequential fold over its own output.
+/// post counts come from the world's posts.
 fn golden_sequential(world: &World) -> PipelineOutput<'_> {
     let opts = CurationOptions::default();
     let mut curated_total = Vec::new();
@@ -71,15 +71,8 @@ fn golden_sequential(world: &World) -> PipelineOutput<'_> {
         })
         .collect();
     let curated_total = curated_total.into_iter().map(Arc::new).collect();
-    let out = PipelineOutput::new(
-        world,
-        collection,
-        curated_total,
-        records,
-        AnalysisAccs::new(),
-    );
-    let accs = common::sequential_fold(&out);
-    PipelineOutput::new(world, out.collection, out.curated_total, out.records, accs)
+    let out = PipelineOutput::new(world, collection, curated_total, records, BTreeMap::new());
+    common::reference_output(&out)
 }
 
 /// Render every experiment table to one string for byte comparison.

@@ -25,12 +25,13 @@
 //!   format version, is reported and replaced.
 //! * **Flag validation**: `--snapshot-every 0` exits 2 naming the flag,
 //!   before a world is generated; under a rotating adversary, an epoch
-//!   length that makes more than 32 epochs exits 2 before ingest.
+//!   length that makes more than 32 epochs exits 2 before ingest; an
+//!   `--experiment` id the command cannot print exits 2 naming it.
 //! * **Growth gate**: `smish perfdiff SMALL LARGE` exits 0 on linear
 //!   growth, 1 on a quadratic layer and 2 on bad input.
-//! * **Stream report**: a `smish stream` report folds the dedup groups
-//!   once, for the end tables, however many snapshots fired, and carries
-//!   the growth gate's size counter and the engine's layer spans.
+//! * **Stream report**: a `smish stream` report renders its tables once,
+//!   at the end, however many snapshots fired, and carries the growth
+//!   gate's size counter and the engine's layer spans.
 
 use smishing::core::exec::CHECKPOINT_VERSION;
 use smishing::obs::{parse_report, MetricId, Obs};
@@ -569,6 +570,24 @@ fn zero_posts_is_a_usage_error() {
     assert!(out.stdout.is_empty(), "watch printed before failing");
 }
 
+/// `run` takes `run_all`'s ids; `stream` and `watch` only the tables an
+/// output renders on its own, so `T2` (a `run` id) is refused there too.
+#[test]
+fn unmatched_experiment_is_a_usage_error() {
+    for (command, id) in [("run", "ZZ"), ("stream", "T2"), ("watch", "ZZ")] {
+        let out = smish()
+            .args([command, "--scale", "0.01", "--experiment", id])
+            .output()
+            .expect("run smish");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        let want = format!("no experiment matched {id}");
+        assert!(stderr.contains(&want), "{command}: {stderr}");
+        assert!(!stderr.contains("world:"), "{command} built a world first");
+        assert!(out.stdout.is_empty(), "{command} printed before failing");
+    }
+}
+
 #[test]
 fn malformed_seed_names_the_flag_and_value() {
     for bad in ["abc", "-3", "99999999999999999999"] {
@@ -617,7 +636,7 @@ fn stream_report_folds_groups_once_and_is_rated_by_the_growth_gate() {
     let spans = |name: &str| report.histograms[&MetricId::new(name, &[])].count;
     let snapshots = counter("exec.snapshot.count");
     assert!(snapshots >= 4, "{snapshots} snapshots");
-    assert_eq!(spans("pipeline.group_fold.wall_ns"), 1);
+    assert_eq!(spans("analysis.tables.wall_ns"), 1);
     // What `smish perfdiff` rates a stream by: its posts, one engine run
     // and one collector fold per cut, the end of the stream included.
     assert_eq!(
